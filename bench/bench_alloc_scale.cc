@@ -7,18 +7,13 @@
 // and a whole burst resolves before InjectRevocations returns.  The workload
 // per cell is Poisson demand churn (demands stay >= 1, so tier membership is
 // stable — lifecycle churn is the differential fuzz suite's job) mixed with
-// revocation storms, the shape that made the legacy rescan allocator
+// revocation storms, the shape that made the original full-rescan allocator
 // O(free x spaces) per decision.
 //
-// Emits BENCH_alloc_scale.json and exits non-zero unless all three gates
-// hold (CI runs --smoke):
-//   1. At 2048 spaces x 256 processors the incremental path's mean decision
-//      cost is >= 10x below the reference-oracle (legacy full-rescan) path.
-//   2. Doubling the space count at 256 processors raises the mean decision
-//      cost by < 1.5x per doubling (sublinearity).
-//   3. A scripted churn+storm sequence produces an identical grant/revoke
-//      event sequence under both decision paths (the in-bench cross-check of
-//      the 10k-sequence differential fuzz proof in alloc_incremental_test).
+// Emits BENCH_alloc_scale.json and exits non-zero unless doubling the space
+// count at 256 processors raises the mean decision cost by < 1.5x per
+// doubling (sublinearity; CI runs --smoke).  That every decision matches the
+// full-rescan policy is alloc_incremental_test's differential fuzz.
 //
 // Usage: bench_alloc_scale [--smoke] [out.json]
 
@@ -28,7 +23,6 @@
 #include <cstring>
 #include <memory>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "bench/bench_common.h"
@@ -43,50 +37,23 @@
 namespace sa {
 namespace {
 
-using AllocEvent = std::tuple<char, int, int>;  // kind ('G'/'R'), space id, cpu
-
-// Counts grants/revocations; logs them too when the cell checks sequence
-// identity.  Never starts spans, so revocations resolve synchronously.
+// Never starts spans, so revocations resolve synchronously.
 class StubSaSpace : public kern::SaSpaceIface {
  public:
-  StubSaSpace(int as_id, std::vector<AllocEvent>* log) : as_id_(as_id), log_(log) {}
-  void OnProcessorGranted(hw::Processor* p) override {
-    ++grants_;
-    if (log_ != nullptr) {
-      log_->emplace_back('G', as_id_, p->id());
-    }
-  }
-  void OnProcessorRevoked(hw::Processor* p, kern::KThread*) override {
-    ++revokes_;
-    if (log_ != nullptr) {
-      log_->emplace_back('R', as_id_, p == nullptr ? -1 : p->id());
-    }
-  }
+  void OnProcessorGranted(hw::Processor*) override {}
+  void OnProcessorRevoked(hw::Processor*, kern::KThread*) override {}
   void OnThreadBlockedInKernel(kern::KThread*, hw::Processor*) override {}
   void OnThreadUnblockedInKernel(kern::KThread*) override {}
   void OnUpcallProcessorReady(hw::Processor*, kern::KThread*) override {}
   int OnSpaceReaped() override { return 0; }
-
-  int64_t grants() const { return grants_; }
-
- private:
-  int as_id_;
-  std::vector<AllocEvent>* log_;
-  int64_t grants_ = 0;
-  int64_t revokes_ = 0;
 };
 
 class AllocBench {
  public:
-  AllocBench(int processors, bool reference_oracle, bool keep_log)
-      : machine_(processors, /*seed=*/1) {
+  explicit AllocBench(int processors) : machine_(processors, /*seed=*/1) {
     kern::Config config;
     config.mode = kern::KernelMode::kSchedulerActivations;
     kernel_ = std::make_unique<kern::Kernel>(&machine_, config);
-    kernel_->allocator()->set_reference_oracle(reference_oracle);
-    if (keep_log) {
-      log_ = std::make_unique<std::vector<AllocEvent>>();
-    }
   }
 
   kern::ProcessorAllocator* alloc() { return kernel_->allocator(); }
@@ -96,26 +63,17 @@ class AllocBench {
       kern::AddressSpace* as = kernel_->CreateAddressSpace(
           "s" + std::to_string(i), kern::AsMode::kSchedulerActivations,
           /*priority=*/i % 4);
-      stubs_.push_back(std::make_unique<StubSaSpace>(as->id(), log_.get()));
+      stubs_.push_back(std::make_unique<StubSaSpace>());
       as->set_sa(stubs_.back().get());
       spaces_.push_back(as);
     }
   }
 
   const std::vector<kern::AddressSpace*>& spaces() const { return spaces_; }
-  const std::vector<AllocEvent>& log() const { return *log_; }
-  int64_t total_grants() const {
-    int64_t g = 0;
-    for (const auto& s : stubs_) {
-      g += s->grants();
-    }
-    return g;
-  }
 
  private:
   hw::Machine machine_;
   std::unique_ptr<kern::Kernel> kernel_;
-  std::unique_ptr<std::vector<AllocEvent>> log_;
   std::vector<std::unique_ptr<StubSaSpace>> stubs_;
   std::vector<kern::AddressSpace*> spaces_;
 };
@@ -132,9 +90,7 @@ int Poisson(common::Rng& rng, double lambda) {
   return k - 1;
 }
 
-// One op of the shared churn script.  Identical draws in both modes, so the
-// same (seed, processors, spaces) cell is directly comparable across modes
-// and usable for the sequence-identity gate.
+// One op of the churn script: re-demand a random space, or a storm.
 void ChurnOp(AllocBench& b, common::Rng& script, common::Rng& storm, int processors) {
   const uint64_t pick = script.Below(100);
   if (pick < 88) {
@@ -151,21 +107,18 @@ void ChurnOp(AllocBench& b, common::Rng& script, common::Rng& storm, int process
 struct CellResult {
   int processors = 0;
   int spaces = 0;
-  const char* mode = "incremental";
   int ops = 0;
   int64_t decisions = 0;
   double ns_per_decision = 0.0;
 };
 
-CellResult RunCell(int processors, int spaces, bool reference_oracle, int ops,
-                   int reps) {
+CellResult RunCell(int processors, int spaces, int ops, int reps) {
   CellResult out;
   out.processors = processors;
   out.spaces = spaces;
-  out.mode = reference_oracle ? "reference" : "incremental";
   out.ops = ops;
   for (int rep = 0; rep < reps; ++rep) {
-    AllocBench b(processors, reference_oracle, /*keep_log=*/false);
+    AllocBench b(processors);
     b.CreateSpaces(spaces);
     common::Rng script(42 + static_cast<uint64_t>(rep));
     common::Rng storm(script.Next() ^ 0x9e3779b97f4a7c15ull);
@@ -192,35 +145,10 @@ CellResult RunCell(int processors, int spaces, bool reference_oracle, int ops,
   return out;
 }
 
-// Replays one scripted cell under both decision paths and compares the full
-// grant/revoke event sequences and the final targets.
-bool GrantSequencesIdentical(int processors, int spaces, int ops) {
-  AllocBench inc(processors, /*reference_oracle=*/false, /*keep_log=*/true);
-  AllocBench ref(processors, /*reference_oracle=*/true, /*keep_log=*/true);
-  inc.CreateSpaces(spaces);
-  ref.CreateSpaces(spaces);
-  common::Rng script_inc(7), script_ref(7);
-  common::Rng storm_inc(99), storm_ref(99);
-  for (int i = 0; i < spaces; ++i) {
-    const int demand = 1 + Poisson(script_inc, 3.0);
-    Poisson(script_ref, 3.0);  // keep the paired stream aligned
-    inc.alloc()->SetDesired(inc.spaces()[static_cast<size_t>(i)], demand);
-    ref.alloc()->SetDesired(ref.spaces()[static_cast<size_t>(i)], demand);
-  }
-  for (int op = 0; op < ops; ++op) {
-    ChurnOp(inc, script_inc, storm_inc, processors);
-    ChurnOp(ref, script_ref, storm_ref, processors);
-  }
-  return inc.log() == ref.log() &&
-         inc.alloc()->ComputeTargets() == ref.alloc()->ComputeTargets();
-}
-
 void WriteJson(const std::string& path, bool smoke,
                const std::vector<CellResult>& cells,
                const std::vector<CellResult>& series,
-               const std::vector<double>& ratios, const CellResult& gate_inc,
-               const CellResult& gate_ref, double speedup, bool identical,
-               bool ok) {
+               const std::vector<double>& ratios, bool ok) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
     std::perror("bench_alloc_scale: fopen");
@@ -233,11 +161,10 @@ void WriteJson(const std::string& path, bool smoke,
   for (size_t i = 0; i < cells.size(); ++i) {
     const CellResult& c = cells[i];
     std::fprintf(f,
-                 "    {\"processors\": %d, \"spaces\": %d, \"mode\": \"%s\", "
-                 "\"ops\": %d, \"decisions\": %lld, \"ns_per_decision\": %.1f}%s\n",
-                 c.processors, c.spaces, c.mode, c.ops,
-                 static_cast<long long>(c.decisions), c.ns_per_decision,
-                 i + 1 < cells.size() ? "," : "");
+                 "    {\"processors\": %d, \"spaces\": %d, \"ops\": %d, "
+                 "\"decisions\": %lld, \"ns_per_decision\": %.1f}%s\n",
+                 c.processors, c.spaces, c.ops, static_cast<long long>(c.decisions),
+                 c.ns_per_decision, i + 1 < cells.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n  \"doubling_series\": {\"processors\": %d, \"cells\": [\n",
                series.empty() ? 0 : series.front().processors);
@@ -250,14 +177,7 @@ void WriteJson(const std::string& path, bool smoke,
   for (size_t i = 0; i < ratios.size(); ++i) {
     std::fprintf(f, "%.3f%s", ratios[i], i + 1 < ratios.size() ? ", " : "");
   }
-  std::fprintf(f,
-               "]},\n  \"reference_gate\": {\"processors\": %d, \"spaces\": %d, "
-               "\"incremental_ns\": %.1f, \"reference_ns\": %.1f, "
-               "\"speedup\": %.1f},\n"
-               "  \"grant_sequence_identical\": %s,\n  \"gates_passed\": %s\n}\n",
-               gate_inc.processors, gate_inc.spaces, gate_inc.ns_per_decision,
-               gate_ref.ns_per_decision, speedup, identical ? "true" : "false",
-               ok ? "true" : "false");
+  std::fprintf(f, "]},\n  \"gates_passed\": %s\n}\n", ok ? "true" : "false");
   std::fclose(f);
   std::printf("\nwrote %s\n", path.c_str());
 }
@@ -283,13 +203,13 @@ int main(int argc, char** argv) {
               "%d ops/cell, min of %d reps%s\n\n",
               ops, reps, smoke ? " (smoke)" : "");
 
-  // Survey grid (incremental path): machine sizes up to the new 512 cap,
-  // multiprogramming up to 4096 spaces.
+  // Survey grid: machine sizes up to the 512 cap, multiprogramming up to
+  // 4096 spaces.
   std::vector<sa::CellResult> cells;
   if (!smoke) {
     for (int processors : {6, 64, 256, 512}) {
       for (int spaces : {8, 128, 2048, 4096}) {
-        cells.push_back(sa::RunCell(processors, spaces, false, ops, reps));
+        cells.push_back(sa::RunCell(processors, spaces, ops, reps));
       }
     }
   }
@@ -300,45 +220,26 @@ int main(int argc, char** argv) {
             : std::vector<int>{256, 512, 1024, 2048, 4096};
   std::vector<sa::CellResult> series;
   for (int spaces : series_spaces) {
-    series.push_back(sa::RunCell(256, spaces, false, ops, reps));
+    series.push_back(sa::RunCell(256, spaces, ops, reps));
   }
   std::vector<double> ratios;
   for (size_t i = 1; i < series.size(); ++i) {
     ratios.push_back(series[i].ns_per_decision / series[i - 1].ns_per_decision);
   }
 
-  // Reference gate cell: the legacy full-rescan path on the same script.
-  const sa::CellResult gate_inc = sa::RunCell(256, 2048, false, ops, reps);
-  const sa::CellResult gate_ref =
-      sa::RunCell(256, 2048, true, smoke ? 800 : 1500, 1);
-  const double speedup = gate_ref.ns_per_decision /
-                         (gate_inc.ns_per_decision > 0.0 ? gate_inc.ns_per_decision : 1.0);
-
-  const bool identical = sa::GrantSequencesIdentical(64, 256, smoke ? 500 : 1500);
-
-  sa::common::Table t({"processors", "spaces", "mode", "ns/decision"});
+  sa::common::Table t({"processors", "spaces", "ns/decision"});
   for (const sa::CellResult& c : cells) {
     t.AddRow({sa::common::Table::Num(c.processors), sa::common::Table::Num(c.spaces),
-              c.mode, sa::common::Table::Num(c.ns_per_decision, 1)});
+              sa::common::Table::Num(c.ns_per_decision, 1)});
   }
   for (const sa::CellResult& c : series) {
-    t.AddRow({sa::common::Table::Num(c.processors), sa::common::Table::Num(c.spaces),
-              "incremental (series)", sa::common::Table::Num(c.ns_per_decision, 1)});
+    t.AddRow({sa::common::Table::Num(c.processors),
+              sa::common::Table::Num(c.spaces) + " (series)",
+              sa::common::Table::Num(c.ns_per_decision, 1)});
   }
-  t.AddRow({sa::common::Table::Num(gate_ref.processors),
-            sa::common::Table::Num(gate_ref.spaces), "reference",
-            sa::common::Table::Num(gate_ref.ns_per_decision, 1)});
   t.Print();
-  std::printf("\nreference/incremental speedup at 2048x256: %.1fx\n", speedup);
 
-  // Gates.
   bool ok = true;
-  if (speedup < 10.0) {
-    std::printf("FAIL: incremental path only %.1fx faster than the reference "
-                "oracle at 2048 spaces x 256 processors (need >= 10x)\n",
-                speedup);
-    ok = false;
-  }
   for (size_t i = 0; i < ratios.size(); ++i) {
     if (ratios[i] >= 1.5) {
       std::printf("FAIL: doubling spaces %d -> %d raised decision cost %.2fx "
@@ -347,17 +248,10 @@ int main(int argc, char** argv) {
       ok = false;
     }
   }
-  if (!identical) {
-    std::printf("FAIL: incremental and reference grant/revoke sequences "
-                "diverged on the scripted cell\n");
-    ok = false;
-  }
   if (ok) {
-    std::printf("gates passed: >= 10x vs reference at 2048x256, < 1.5x per "
-                "space doubling, grant sequences identical\n");
+    std::printf("gate passed: < 1.5x per space doubling\n");
   }
 
-  sa::WriteJson(out_path, smoke, cells, series, ratios, gate_inc, gate_ref,
-                speedup, identical, ok);
+  sa::WriteJson(out_path, smoke, cells, series, ratios, ok);
   return ok ? 0 : 1;
 }

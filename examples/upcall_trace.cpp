@@ -11,8 +11,8 @@
 
 #include <cstdio>
 #include <string>
+#include <vector>
 
-#include "src/common/log.h"
 #include "src/core/upcall.h"
 #include "src/rt/harness.h"
 #include "src/trace/chrome_export.h"
@@ -30,12 +30,6 @@ int main(int argc, char** argv) {
   config.kernel.mode = kern::KernelMode::kSchedulerActivations;
   rt::Harness harness(config);
   trace::TraceBuffer& tb = harness.EnableTracing(trace::cat::kAll);
-
-  // Also narrate the protocol on stdout with virtual timestamps.
-  common::Logger::Get().set_level(common::LogLevel::kDebug);
-  common::Logger::Get().set_sink([&harness](common::LogLevel, const std::string& line) {
-    std::printf("[%9.3f ms] %s\n", sim::ToMsec(harness.engine().now()), line.c_str());
-  });
 
   ult::UltConfig uc;
   uc.max_vcpus = 2;
@@ -70,7 +64,26 @@ int main(int argc, char** argv) {
       "intruder");
 
   const sim::Time elapsed = harness.Run();
-  common::Logger::Get().set_level(common::LogLevel::kOff);
+  const std::vector<trace::Record> records = tb.Snapshot();
+
+  // Narrate the protocol from the trace, with virtual timestamps: every
+  // event the kernel queued for a space, and every upcall that carried them.
+  for (const trace::Record& r : records) {
+    const auto kind = static_cast<trace::Kind>(r.kind);
+    if (kind != trace::Kind::kUpcallQueued && kind != trace::Kind::kUpcallDeliver) {
+      continue;
+    }
+    const std::string& space = harness.kernel().spaces()[static_cast<size_t>(r.as_id)]->name();
+    std::printf("[%9.3f ms] %s: ", sim::ToMsec(r.ts), space.c_str());
+    if (kind == trace::Kind::kUpcallQueued) {
+      std::printf("queue %s(act %lld)\n",
+                  core::UpcallEventKindName(static_cast<core::UpcallEvent::Kind>(r.arg0)),
+                  static_cast<long long>(r.arg1));
+    } else {
+      std::printf("upcall on processor %d, activation %lld, %llu events\n", r.cpu,
+                  static_cast<long long>(r.arg1), static_cast<unsigned long long>(r.arg0));
+    }
+  }
 
   const auto& k = harness.kernel().counters();
   std::printf("\nfinished in %s; %lld upcalls carried %lld events "
@@ -80,7 +93,6 @@ int main(int argc, char** argv) {
               static_cast<double>(k.upcall_events) / static_cast<double>(k.upcalls));
 
   // Count delivered Table-2 events straight from the trace.
-  const std::vector<trace::Record> records = tb.Snapshot();
   int64_t by_kind[4] = {};
   for (const trace::Record& r : records) {
     if (static_cast<trace::Kind>(r.kind) == trace::Kind::kUpcallEvent && r.arg0 < 4) {

@@ -3,16 +3,11 @@
 #include <algorithm>
 #include <utility>
 
-#include "src/common/log.h"
 #include "src/inject/fault_injector.h"
 #include "src/kern/proc_alloc.h"
 #include "src/kern/space_reaper.h"
 
 namespace sa::core {
-
-namespace {
-constexpr const char* kLog = "sact";
-}  // namespace
 
 const char* UpcallEventKindName(UpcallEvent::Kind kind) {
   switch (kind) {
@@ -102,8 +97,6 @@ void SaSpace::QueueEvent(UpcallEvent ev) {
       ++counters.upcalls_unblocked;
       break;
   }
-  SA_DEBUG(kLog, "%s: queue %s(act %lld)", as_->name().c_str(),
-           UpcallEventKindName(ev.kind), static_cast<long long>(ev.activation_id));
   ev.queued_at = kernel_->engine().now();
   kernel_->engine().TraceEmit(trace::cat::kUpcall, trace::Kind::kUpcallQueued,
                               ev.processor_id, as_->id(),
@@ -355,9 +348,6 @@ void SaSpace::DeliverNow(hw::Processor* proc) {
   sim::Duration setup_cost = 0;
   Activation* fresh = NewActivation(&setup_cost);
   fresh->inbox() = std::move(events);
-  SA_DEBUG(kLog, "%s: upcall on processor %d, activation %lld, %zu events",
-           as_->name().c_str(), proc->id(), static_cast<long long>(fresh->id()),
-           fresh->inbox().size());
   kernel_->engine().TraceEmit(trace::cat::kUpcall, trace::Kind::kUpcallDeliver,
                               proc->id(), as_->id(), fresh->inbox().size(),
                               static_cast<uint64_t>(fresh->id()));

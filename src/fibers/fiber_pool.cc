@@ -306,7 +306,8 @@ internal::Fiber* FiberPool::AllocFiber() {
   }
   all_fibers_.push_back(std::make_unique<internal::Fiber>());
   internal::Fiber* f = all_fibers_.back().get();
-  f->stack = std::make_unique<char[]>(stack_size_);
+  // Left uninitialised: untouched stack pages never become resident.
+  f->stack = std::make_unique_for_overwrite<char[]>(stack_size_);
   f->stack_size = stack_size_;
   f->pool = this;
   return f;
@@ -350,7 +351,7 @@ FiberHandle FiberPool::Spawn(std::function<void()> fn) {
   }
 #endif
   const FiberHandle handle(fiber, generation);
-  SA_TRACE_EMIT(tracer_, trace::cat::kFibers, trace::Kind::kFibSpawn,
+  SA_TRACE_EMIT(tracer(), trace::cat::kFibers, trace::Kind::kFibSpawn,
                 trace::HostNow(),
                 state != nullptr && state->pool == this ? state->worker->index : -1,
                 -1, generation, 0);
@@ -423,7 +424,7 @@ void FiberPool::WakeOne() {
       }
       w->park_cv.notify_one();
       w->wakeups.fetch_add(1, std::memory_order_relaxed);
-      SA_TRACE_EMIT(tracer_, trace::cat::kFibers, trace::Kind::kFibWake,
+      SA_TRACE_EMIT(tracer(), trace::cat::kFibers, trace::Kind::kFibWake,
                     trace::HostNow(), w->index, -1, 0, 0);
       return;  // wake at most one — no notify storms
     }
@@ -508,7 +509,7 @@ internal::Fiber* FiberPool::TrySteal(Worker* w) {
         if (workers_per_socket_ > 0) {
           Bump(same_group ? w->local_steals : w->remote_steals, got);
         }
-        SA_TRACE_EMIT(tracer_, trace::cat::kFibers, trace::Kind::kFibSteal,
+        SA_TRACE_EMIT(tracer(), trace::cat::kFibers, trace::Kind::kFibSteal,
                       trace::HostNow(), w->index, -1,
                       static_cast<uint64_t>(victim->index), got);
         return f;
@@ -556,7 +557,7 @@ void FiberPool::ParkWorker(Worker* w) {
     return;
   }
   Bump(w->parks);
-  SA_TRACE_EMIT(tracer_, trace::cat::kFibers, trace::Kind::kFibPark,
+  SA_TRACE_EMIT(tracer(), trace::cat::kFibers, trace::Kind::kFibPark,
                 trace::HostNow(), w->index, -1, 0, 0);
   bool claimed;
   {
@@ -708,7 +709,7 @@ void FiberPool::WorkerLoop(int index) {
     }
     state.current = fiber;
     Bump(w->switches);
-    SA_TRACE_EMIT(tracer_, trace::cat::kFibers, trace::Kind::kFibSwitch,
+    SA_TRACE_EMIT(tracer(), trace::cat::kFibers, trace::Kind::kFibSwitch,
                   trace::HostNow(), index, -1,
                   fiber->generation.load(std::memory_order_relaxed), 0);
 #if defined(SA_FIBERS_TSAN)
@@ -841,7 +842,7 @@ LazyHandle FiberPool::SpawnLazy(std::function<void()> fn) {
   }
   lazy_outstanding_.fetch_add(1, std::memory_order_relaxed);
   Bump(w->lazy_spawns);
-  SA_TRACE_EMIT(tracer_, trace::cat::kHeartbeat, trace::Kind::kHbLazyFork,
+  SA_TRACE_EMIT(tracer(), trace::cat::kHeartbeat, trace::Kind::kHbLazyFork,
                 trace::HostNow(), w->index, -1, task->seq, 0);
   return LazyHandle(task);
 }
@@ -883,7 +884,7 @@ bool FiberPool::PromoteOneLazy(Worker* w) {
     // `task` is unreachable for us past this block: the joiner owns it.
   }
   Bump(w->lazy_promotions);
-  SA_TRACE_EMIT(tracer_, trace::cat::kHeartbeat, trace::Kind::kHbPromote,
+  SA_TRACE_EMIT(tracer(), trace::cat::kHeartbeat, trace::Kind::kHbPromote,
                 trace::HostNow(), w->index, -1, seq, 0);
   return true;
 }
@@ -914,7 +915,7 @@ void FiberPool::JoinLazy(LazyHandle handle) {
     // right here on the joining fiber's stack — spawn + join collapsed to
     // a procedure call, no fiber, no deque, no wakeup.
     Bump(state->worker->lazy_inlines);
-    SA_TRACE_EMIT(tracer_, trace::cat::kHeartbeat, trace::Kind::kHbInline,
+    SA_TRACE_EMIT(tracer(), trace::cat::kHeartbeat, trace::Kind::kHbInline,
                   trace::HostNow(), state->worker->index, -1, task->seq, 0);
     std::function<void()> fn = std::move(task->fn);
     delete task;

@@ -212,8 +212,11 @@ class FiberPool {
 
   // Event tracing (cat::kFibers, host monotonic clock).  The buffer must
   // outlive the pool; read it back only after the pool is destroyed (workers
-  // emit concurrently).  Pass nullptr to detach.
-  void set_tracer(trace::TraceBuffer* tracer) { tracer_ = tracer; }
+  // emit concurrently).  Pass nullptr to detach.  Safe while workers run:
+  // they pick the pointer up with an acquire load at each emission site.
+  void set_tracer(trace::TraceBuffer* tracer) {
+    tracer_.store(tracer, std::memory_order_release);
+  }
 
  private:
   friend class FiberMutex;
@@ -224,6 +227,7 @@ class FiberPool {
   static void FiberMain(void* arg);
 
   void WorkerLoop(int index);
+  trace::TraceBuffer* tracer() const { return tracer_.load(std::memory_order_acquire); }
 
   // Dispatch: local deque first, then overflow, then stealing, then park.
   internal::Fiber* PopRunnable(Worker* w);
@@ -245,7 +249,7 @@ class FiberPool {
   const int workers_per_socket_;  // 0 = no grouping (flat steal scan)
   std::vector<std::unique_ptr<Worker>> workers_;
   std::vector<std::thread> threads_;
-  trace::TraceBuffer* tracer_ = nullptr;
+  std::atomic<trace::TraceBuffer*> tracer_{nullptr};
 
   std::atomic<bool> stopping_{false};
   std::atomic<int> num_parked_{0};

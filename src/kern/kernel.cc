@@ -2,15 +2,10 @@
 
 #include <utility>
 
-#include "src/common/log.h"
 #include "src/kern/proc_alloc.h"
 #include "src/kern/space_reaper.h"
 
 namespace sa::kern {
-
-namespace {
-constexpr const char* kLog = "kern";
-}  // namespace
 
 Kernel::Kernel(hw::Machine* machine, Config config)
     : machine_(machine), config_(std::move(config)) {
@@ -25,8 +20,6 @@ Kernel::Kernel(hw::Machine* machine, Config config)
   if (config_.lending.enabled) {
     SA_CHECK_MSG(config_.mode == KernelMode::kSchedulerActivations,
                  "cross-space lending requires the explicit allocator");
-    SA_CHECK_MSG(!config_.affinity_allocation,
-                 "cross-space lending rides the incremental allocator paths");
   }
   if (config_.mode == KernelMode::kSchedulerActivations) {
     allocator_ = std::make_unique<ProcessorAllocator>(this);
@@ -68,8 +61,6 @@ AddressSpace* Kernel::CreateAddressSpace(const std::string& name, AsMode mode, i
   if (allocator_ != nullptr) {
     allocator_->RegisterSpace(raw);
   }
-  SA_INFO(kLog, "address space %s created (mode=%s, prio=%d)", raw->name().c_str(),
-          mode == AsMode::kKernelThreads ? "kt" : "sa", priority);
   return raw;
 }
 

@@ -76,8 +76,8 @@ struct Config {
   // cache), picks revocation victims that keep each space's holdings
   // socket-compact, and breaks fair-share leftover ties toward incumbency.
   bool affinity_allocation = false;
-  // Cross-space processor lending (DESIGN.md §16).  Incompatible with
-  // affinity_allocation (lending rides the incremental allocator paths).
+  // Cross-space processor lending (DESIGN.md §16).  Composes with
+  // affinity_allocation: both ride the one incremental decision path.
   LendingConfig lending;
 };
 

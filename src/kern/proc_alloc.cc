@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "src/common/log.h"
 #include "src/hw/topology.h"
 #include "src/inject/fault_injector.h"
 #include "src/kern/kernel.h"
@@ -11,18 +10,11 @@
 
 namespace sa::kern {
 
-namespace {
-constexpr const char* kLog = "alloc";
-}  // namespace
-
 ProcessorAllocator::ProcessorAllocator(Kernel* kernel)
     : kernel_(kernel), num_processors_(kernel->machine()->num_processors()) {}
 
-bool ProcessorAllocator::use_incremental() const {
-  // Affinity ties same-priority shares to current holdings (incumbents get
-  // leftovers), so targets shift as grants land and caching them is invalid;
-  // the affinity policy stays on the rescan path.
-  return !reference_oracle_ && !kernel_->config().affinity_allocation;
+bool ProcessorAllocator::affinity() const {
+  return kernel_->config().affinity_allocation;
 }
 
 int ProcessorAllocator::Clamp(int demand) const {
@@ -126,7 +118,6 @@ void ProcessorAllocator::SetDesired(AddressSpace* as, int desired) {
   if (IsRegistered(as)) {
     RecordDemand(as);
   }
-  SA_DEBUG(kLog, "space %s now wants %d processors", as->name().c_str(), desired);
   RebalanceInternal();
 }
 
@@ -134,81 +125,7 @@ void ProcessorAllocator::SetDesired(AddressSpace* as, int desired) {
 // Target computation.
 // ---------------------------------------------------------------------------
 
-std::vector<int> ProcessorAllocator::ComputeTargetsReference() const {
-  // Spaces are processed a priority tier at a time (highest first).  Within
-  // a tier, processors are divided evenly; a space that wants less than its
-  // even share is capped at its demand and the surplus is re-divided among
-  // the rest of the tier (the paper's space-sharing policy, Section 4.1).
-  // Tier membership iterates in space-id order — the registration order the
-  // original dense-array implementation walked — so results are independent
-  // of the swap-removals the dense registry undergoes on release.
-  std::vector<int> target(spaces_.size(), 0);
-  int remaining = num_processors_;
-
-  for (const auto& [prio, t] : tiers_) {
-    if (remaining == 0) {
-      break;
-    }
-    std::vector<int> tier;  // alloc-registry indexes, in space-id order
-    for (const auto& [id, as] : t.by_id) {
-      if (as->desired_processors() > 0) {
-        tier.push_back(as->alloc_state().index);
-      }
-    }
-    if (tier.empty()) {
-      continue;
-    }
-    // Iterate: cap satisfied spaces at their demand, re-split the rest.
-    std::vector<int> open = tier;
-    int pool = remaining;
-    while (!open.empty() && pool > 0) {
-      const int share = pool / static_cast<int>(open.size());
-      bool capped_any = false;
-      for (auto it = open.begin(); it != open.end();) {
-        const size_t i = static_cast<size_t>(*it);
-        const int want = spaces_[i]->desired_processors() - target[i];
-        if (want <= share) {
-          target[i] += want;
-          pool -= want;
-          it = open.erase(it);
-          capped_any = true;
-        } else {
-          ++it;
-        }
-      }
-      if (capped_any) {
-        continue;
-      }
-      // Everyone still open wants more than the share: give each the share,
-      // then hand out the leftover one-by-one in space-id order.  Under the
-      // affinity policy, incumbents (spaces already holding more processors)
-      // come first — a leftover that stays put forces no migration; the
-      // stable sort keeps id order among equals.
-      if (kernel_->config().affinity_allocation) {
-        std::stable_sort(open.begin(), open.end(), [this](int a, int b) {
-          return spaces_[static_cast<size_t>(a)]->assigned().size() >
-                 spaces_[static_cast<size_t>(b)]->assigned().size();
-        });
-      }
-      for (int i : open) {
-        target[static_cast<size_t>(i)] += share;
-        pool -= share;
-      }
-      for (auto it = open.begin(); it != open.end() && pool > 0; ++it) {
-        target[static_cast<size_t>(*it)] += 1;
-        --pool;
-      }
-      open.clear();
-    }
-    remaining = pool;
-  }
-  return target;
-}
-
 std::vector<int> ProcessorAllocator::ComputeTargets() {
-  if (!use_incremental()) {
-    return ComputeTargetsReference();
-  }
   SyncDemands();
   RefreshTargets();
   std::vector<int> target(spaces_.size(), 0);
@@ -267,11 +184,13 @@ void ProcessorAllocator::RefreshTier(Tier& tier, int pool_in) {
   // strictly above the capping threshold (uncapped then, uncapped now), no
   // member's target moved: capped members' demands are unchanged (their sum
   // and count match) and the uncapped membership — hence each member's
-  // id-rank and leftover eligibility — is identical.
-  bool unchanged = tier.pool_in == pool_in && tier.threshold == threshold &&
-                   tier.share == share && tier.leftover == leftover &&
-                   tier.capped_cnt == capped_cnt && tier.capped_sum == capped_sum &&
-                   tier.uncapped == uncapped;
+  // id-rank and leftover eligibility — is identical.  Affinity ranks by
+  // holdings, which move without any demand change, so it always sweeps.
+  const bool by_holdings = affinity();
+  bool unchanged = !by_holdings && tier.pool_in == pool_in &&
+                   tier.threshold == threshold && tier.share == share &&
+                   tier.leftover == leftover && tier.capped_cnt == capped_cnt &&
+                   tier.capped_sum == capped_sum && tier.uncapped == uncapped;
   if (unchanged) {
     for (const AddressSpace* as : tier.changed) {
       const int d = as->alloc_state().demand;
@@ -282,6 +201,26 @@ void ProcessorAllocator::RefreshTier(Tier& tier, int pool_in) {
     }
   }
   if (!unchanged) {
+    // The leftover goes to the first `leftover` uncapped members in rank
+    // order: id order, or under affinity (DESIGN.md §13) incumbents first,
+    // keyed (-holdings, id), so a leftover that stays put forces no
+    // migration.  `cutoff` is the last key that still gets one.
+    auto incumbency = [](const AddressSpace* as) {
+      return std::make_pair(-static_cast<int>(as->assigned().size()), as->id());
+    };
+    std::pair<int, int> cutoff;
+    if (by_holdings && leftover > 0) {
+      rank_keys_.clear();
+      for (const auto& [id, as] : tier.by_id) {
+        const int d = as->alloc_state().demand;
+        if (d > 0 && Clamp(d) > threshold) {
+          rank_keys_.push_back(incumbency(as));
+        }
+      }
+      const auto nth = rank_keys_.begin() + (leftover - 1);
+      std::nth_element(rank_keys_.begin(), nth, rank_keys_.end());
+      cutoff = *nth;
+    }
     int rank = 0;
     for (auto& [id, as] : tier.by_id) {
       const int d = as->alloc_state().demand;
@@ -290,7 +229,9 @@ void ProcessorAllocator::RefreshTier(Tier& tier, int pool_in) {
         if (Clamp(d) <= threshold) {
           t = d;
         } else {
-          t = share + (rank < leftover ? 1 : 0);
+          const bool extra = !by_holdings ? rank < leftover
+                                          : leftover > 0 && incumbency(as) <= cutoff;
+          t = share + (extra ? 1 : 0);
           ++rank;
         }
       }
@@ -321,7 +262,7 @@ void ProcessorAllocator::ApplyTarget(AddressSpace* as, int target) {
 
 void ProcessorAllocator::RefreshDerived(AddressSpace* as) {
   AddressSpace::AllocState& st = as->alloc_state();
-  if (st.index < 0 || !use_incremental()) {
+  if (st.index < 0) {
     return;
   }
   // Entitlement, not raw holdings: a lender's loaned-out processors still
@@ -376,6 +317,9 @@ void ProcessorAllocator::OnAssignedChanged(AddressSpace* as, hw::Processor* proc
     } else if (delta < 0 && as->assigned().empty()) {
       holders_.erase(as->id());
     }
+    if (affinity()) {
+      TierOf(as).dirty = true;  // leftovers follow holdings (RefreshTier)
+    }
   }
   RefreshDerived(as);
 }
@@ -397,43 +341,24 @@ void ProcessorAllocator::RebalanceInternal() {
   rebalancing_ = true;
   do {
     rerun_ = false;
-    if (use_incremental()) {
-      RefreshTargets();
-      // Revocation pass: spaces above target give up processors, but only
-      // if some other space will use them.  Targets stay fixed for the
-      // pass (demand changes re-enter via rerun_), so walking a snapshot
-      // of the surplus index in id order visits exactly the spaces the
-      // full scan would have revoked from.
-      if (needy_ > 0 && !surplus_.empty()) {
-        const std::vector<int> ids(surplus_.begin(), surplus_.end());
-        for (int id : ids) {
-          auto it = by_id_.find(id);
-          if (it != by_id_.end()) {
-            RevokeSurplus(it->second, it->second->alloc_state().target);
-          }
+    RefreshTargets();
+    // Revocation pass: spaces above target give up processors, but only if
+    // some other space will use them.  Targets stay fixed for the pass
+    // (demand changes re-enter via rerun_), so walking a snapshot of the
+    // surplus index in id order visits exactly the spaces a full scan
+    // would revoke from.
+    if (needy_ > 0 && !surplus_.empty()) {
+      const std::vector<int> ids(surplus_.begin(), surplus_.end());
+      for (int id : ids) {
+        auto it = by_id_.find(id);
+        if (it != by_id_.end()) {
+          RevokeSurplus(it->second, it->second->alloc_state().target);
         }
       }
-      GrantFreeProcessors();
-      if (lending_enabled()) {
-        LendSurplus();
-      }
-    } else {
-      const std::vector<int> target = ComputeTargetsReference();
-      bool someone_needs = false;
-      for (const AddressSpace* as : spaces_) {
-        const int have = static_cast<int>(as->assigned().size()) -
-                         as->alloc_state().pending_revokes;
-        if (have < target[static_cast<size_t>(as->alloc_state().index)]) {
-          someone_needs = true;
-          break;
-        }
-      }
-      if (someone_needs) {
-        for (auto& [id, as] : by_id_) {
-          RevokeSurplus(as, target[static_cast<size_t>(as->alloc_state().index)]);
-        }
-      }
-      GrantFreeProcessorsReference();
+    }
+    GrantFreeProcessors();
+    if (lending_enabled()) {
+      LendSurplus();
     }
   } while (rerun_);
   rebalancing_ = false;
@@ -509,85 +434,48 @@ void ProcessorAllocator::RevokeSurplus(AddressSpace* as, int target) {
 }
 
 void ProcessorAllocator::GrantFreeProcessors() {
-  for (;;) {
-    if (free_.empty()) {
-      return;
-    }
+  while (!free_.empty()) {
     // Demand may have changed synchronously under a grant's upcall (e.g. a
-    // kernel-thread dispatch raising runnable count); dirty tiers refresh
-    // here, mirroring the reference path's per-grant recompute.
+    // kernel-thread dispatch raising runnable count), and under affinity
+    // every grant moves holdings; dirty tiers refresh here, per grant.
     RefreshTargets();
     if (deficit_heap_.empty()) {
       return;  // idle processors stay in the free pool
     }
-    const int id = std::get<2>(*deficit_heap_.begin());
-    AddressSpace* best = by_id_.find(id)->second;
-    Grant(free_.PopBack(), best);
-  }
-}
-
-void ProcessorAllocator::GrantFreeProcessorsReference() {
-  for (;;) {
-    if (free_.empty()) {
-      return;
-    }
-    const std::vector<int> target = ComputeTargetsReference();
-    // Pick the neediest space: highest priority first, then largest deficit,
-    // then lowest id (deterministic).
-    AddressSpace* best = nullptr;
-    int best_deficit = 0;
-    for (auto& [id, as] : by_id_) {
-      const int deficit = target[static_cast<size_t>(as->alloc_state().index)] -
-                          static_cast<int>(as->assigned().size());
-      if (deficit <= 0) {
-        continue;
-      }
-      if (best == nullptr || as->priority() > best->priority() ||
-          (as->priority() == best->priority() && deficit > best_deficit)) {
-        best = as;
-        best_deficit = deficit;
-      }
-    }
-    if (best == nullptr) {
-      return;  // idle processors stay in the free pool
-    }
+    AddressSpace* best = by_id_.find(std::get<2>(*deficit_heap_.begin()))->second;
     // Affinity: a space tied with `best` on priority and deficit has an
     // equal claim, so if a pooled processor's last owner is among the tied
-    // spaces, hand it straight back — the common case after a revocation
-    // burst, where each robbed space is owed exactly one processor and the
-    // id tie-break would shuffle them.
-    if (kernel_->config().affinity_allocation) {
-      bool granted_warm = false;
-      for (hw::Processor* proc = free_.Back(); proc != nullptr;) {
-        hw::Processor* prev = free_.Prev(proc);
-        if (proc->alloc_last_owner >= 0) {
-          auto owner = by_id_.find(proc->alloc_last_owner);
-          if (owner != by_id_.end()) {
-            AddressSpace* as = owner->second;
-            const int deficit = target[static_cast<size_t>(as->alloc_state().index)] -
-                                static_cast<int>(as->assigned().size());
-            if (as->priority() == best->priority() && deficit == best_deficit) {
-              free_.Remove(proc);
-              Grant(proc, as);
-              granted_warm = true;
-              break;
-            }
-          }
-        }
-        proc = prev;
-      }
-      if (granted_warm) {
+    // spaces, hand it straight back (most recently freed first) — the
+    // common case after a revocation burst, where each robbed space is owed
+    // exactly one processor and the id tie-break would shuffle them.
+    const AddressSpace::AllocState& top = best->alloc_state();
+    hw::Processor* warm = nullptr;
+    AddressSpace* to = best;
+    for (hw::Processor* p = affinity() ? free_.Back() : nullptr; p != nullptr;
+         p = free_.Prev(p)) {
+      auto owner = by_id_.find(p->alloc_last_owner);
+      if (owner == by_id_.end()) {
         continue;
       }
+      const AddressSpace::AllocState& st = owner->second->alloc_state();
+      if (st.in_heap && st.heap_deficit == top.heap_deficit &&
+          owner->second->priority() == best->priority()) {
+        warm = p;
+        to = owner->second;
+        break;
+      }
     }
-    Grant(PickFreeProcessor(best), best);
+    if (warm != nullptr) {
+      free_.Remove(warm);
+    }
+    Grant(warm != nullptr ? warm : PickFreeProcessor(best), to);
   }
 }
 
 hw::Processor* ProcessorAllocator::PickFreeProcessor(const AddressSpace* as) {
   SA_CHECK(!free_.empty());
   hw::Processor* pick = free_.Back();  // default policy: most recently freed
-  if (kernel_->config().affinity_allocation) {
+  if (affinity()) {
     const hw::Topology& topo = kernel_->machine()->topology();
     const auto& held = as->alloc_state().socket_held;
     // Warm (last owner is this space) dominates; then a socket the space
@@ -618,7 +506,7 @@ std::vector<hw::Processor*> ProcessorAllocator::RevocationOrder(
   // their space longest.
   std::vector<hw::Processor*> order(as->assigned().rbegin(), as->assigned().rend());
   const hw::Topology& topo = kernel_->machine()->topology();
-  if (!kernel_->config().affinity_allocation || !topo.hierarchical()) {
+  if (!affinity() || !topo.hierarchical()) {
     return order;
   }
   // Give up stragglers first — processors in sockets where the space holds
@@ -634,7 +522,6 @@ std::vector<hw::Processor*> ProcessorAllocator::RevocationOrder(
 }
 
 void ProcessorAllocator::Grant(hw::Processor* proc, AddressSpace* as) {
-  SA_DEBUG(kLog, "grant processor %d to %s", proc->id(), as->name().c_str());
   const int prev_owner = proc->alloc_last_owner;
   const bool warm = prev_owner == as->id();
   SpaceAllocStats& st = as->alloc_state().stats;
@@ -765,8 +652,6 @@ void ProcessorAllocator::ReleaseSpace(AddressSpace* as) {
   if (tier_empty) {
     tiers_.erase(as->priority());
   }
-  SA_DEBUG(kLog, "released space %s; %d spaces remain", as->name().c_str(),
-           static_cast<int>(spaces_.size()));
   RebalanceInternal();
 }
 

@@ -23,21 +23,20 @@
 // re-derived only for tiers whose demand actually changed.  Grants pop a
 // deficit heap keyed (priority, deficit, id); revocations walk a surplus
 // index.  A revocation storm therefore costs O(log n) per processor instead
-// of O(spaces x processors).  The legacy full-rescan policy is preserved as
-// ComputeTargetsReference() and, behind set_reference_oracle(), as a complete
-// decision path; differential fuzzing (alloc_incremental_test) proves the
-// two produce identical targets and identical grant/revoke sequences.
+// of O(spaces x processors).  This is the only decision path: differential
+// fuzzing (alloc_incremental_test) holds it to an independent model of the
+// original full-rescan policy, targets and grant/revoke order alike.
 //
 // Affinity (DESIGN.md §13): with Config::affinity_allocation set, the
 // allocator keeps the paper's *shares* but chooses *which* physical
 // processors change hands with locality in mind: grants prefer a processor's
 // last owning space (warm cache), revocation victims are chosen to keep each
 // space's holdings socket-compact, and leftover shares break ties toward
-// incumbents.  Because affinity ties shares to current holdings, targets
-// change as grants land, so the affinity policy runs on the legacy rescan
-// path (with O(1) field bookkeeping).  With the flag off (the default) every
-// choice reduces to the original locality-blind policy, byte-identically on
-// seeded traces.
+// incumbents.  Each is a key on the same incremental structures — leftover
+// rank (-holdings, id), a holdings change dirtying its tier, a warm regrant
+// checked against the deficit heap's top — so affinity composes with
+// lending.  With the flag off (the default) every choice reduces to the
+// original locality-blind policy, byte-identically on seeded traces.
 
 #ifndef SA_KERN_PROC_ALLOC_H_
 #define SA_KERN_PROC_ALLOC_H_
@@ -47,6 +46,7 @@
 #include <map>
 #include <set>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "src/common/intrusive_list.h"
@@ -98,11 +98,6 @@ class ProcessorAllocator {
   // through AddressSpace::set_desired_processors.
   std::vector<int> ComputeTargets();
 
-  // The legacy full-rescan target computation (the Section 4.1 policy as
-  // originally implemented).  Kept verbatim as the differential-fuzz oracle;
-  // index-aligned with spaces().
-  std::vector<int> ComputeTargetsReference() const;
-
   const std::vector<AddressSpace*>& spaces() const { return spaces_; }
 
   // O(1): is `as` currently registered with the allocator?
@@ -122,12 +117,6 @@ class ProcessorAllocator {
   // and the per-socket holding counts exact even for detachments the
   // allocator did not itself initiate (revoke completion, reaper teardown).
   void OnAssignedChanged(AddressSpace* as, hw::Processor* proc, int delta);
-
-  // Test/bench hook: route every decision through the legacy full-rescan
-  // policy instead of the incremental structures.  Choose before the first
-  // space registers and never flip mid-run.
-  void set_reference_oracle(bool on) { reference_oracle_ = on; }
-  bool reference_oracle() const { return reference_oracle_; }
 
   // Allocator entry points processed (decision-cost denominator for
   // bench_alloc_scale).
@@ -186,8 +175,9 @@ class ProcessorAllocator {
   // describes every member's target: a member with demand d gets
   //   d <= 0         -> 0
   //   clamp(d) <= threshold -> d (capped at its own demand)
-  //   otherwise      -> share, plus 1 if its id-rank among uncapped
-  //                     members is below `leftover`.
+  //   otherwise      -> share, plus 1 if its rank among uncapped members
+  //                     is below `leftover` (id order; under affinity,
+  //                     (-holdings, id)).
   struct Tier {
     int members = 0;  // registered members (including zero-demand)
     int active = 0;   // members with demand > 0
@@ -264,7 +254,7 @@ class ProcessorAllocator {
   // kLoanReturn trace record.
   void CloseLoan(const Loan& loan, int reason);
 
-  bool use_incremental() const;
+  bool affinity() const;  // Config::affinity_allocation
   int Clamp(int demand) const;
   Tier& TierOf(const AddressSpace* as);
   void FenwickAdd(Tier& tier, int demand, int dcnt, int64_t dsum);
@@ -285,10 +275,11 @@ class ProcessorAllocator {
 
   void RebalanceInternal();
   // Revokes down to `target` for one space (idle fast path or async
-  // preemption), shared by both decision paths.
+  // preemption).
   void RevokeSurplus(AddressSpace* as, int target);
-  void GrantFreeProcessors();           // incremental: deficit-heap pops
-  void GrantFreeProcessorsReference();  // legacy: full rescan per grant
+  // Grants free processors to the deficit heap's top (or, under affinity, a
+  // tied space the processor last belonged to) until the heap or pool empty.
+  void GrantFreeProcessors();
   void Grant(hw::Processor* proc, AddressSpace* as);
   // Removes and returns the free processor to grant to `as`: the affinity
   // policy's pick when enabled, else the most recently freed.
@@ -310,11 +301,11 @@ class ProcessorAllocator {
   std::map<int, Tier, std::greater<int>> tiers_;  // highest priority first
   common::IntrusiveList<hw::Processor, &hw::Processor::alloc_free_node> free_;
   // Spaces owed processors, keyed (-priority, -deficit, id): begin() is the
-  // legacy scan's pick (highest priority, largest deficit, lowest id).
+  // full scan's pick (highest priority, largest deficit, lowest id).
   std::set<std::tuple<int, int, int>> deficit_heap_;
   std::set<int> surplus_;  // ids with assigned - pending > target
   int needy_ = 0;          // spaces with assigned - pending < target
-  bool reference_oracle_ = false;
+  std::vector<std::pair<int, int>> rank_keys_;  // RefreshTier's rank buffer (affinity)
   int64_t decisions_ = 0;
   bool rebalancing_ = false;
   bool rerun_ = false;

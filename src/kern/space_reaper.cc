@@ -2,15 +2,10 @@
 
 #include <algorithm>
 
-#include "src/common/log.h"
 #include "src/kern/kernel.h"
 #include "src/kern/proc_alloc.h"
 
 namespace sa::kern {
-
-namespace {
-constexpr const char* kLog = "reaper";
-}  // namespace
 
 const char* AsLifecycleName(AsLifecycle s) {
   switch (s) {
@@ -138,8 +133,6 @@ void SpaceReaper::OnDeadline(AddressSpace* as, uint64_t epoch) {
   if (declare) {
     kernel_->engine().TraceEmit(trace::cat::kLifecycle, trace::Kind::kLifeHang,
                                 -1, as->id(), static_cast<uint64_t>(w.pings));
-    SA_INFO(kLog, "space %s declared hung after %d missed pings",
-            as->name().c_str(), w.pings);
     BeginTeardown(as, TeardownCause::kHung);
     return;
   }
@@ -166,10 +159,6 @@ void SpaceReaper::BeginTeardown(AddressSpace* as, TeardownCause cause) {
   kernel_->engine().TraceEmit(trace::cat::kLifecycle,
                               trace::Kind::kLifeQuarantine, -1, as->id(),
                               static_cast<uint64_t>(cause));
-  SA_INFO(kLog, "quarantining space %s (%s): %d threads, %d processors",
-          as->name().c_str(), TeardownCauseName(cause),
-          static_cast<int>(as->threads().size()),
-          static_cast<int>(as->assigned().size()));
 
   TeardownRecord rec;
   rec.as_id = as->id();
@@ -305,11 +294,6 @@ void SpaceReaper::FinishTeardown(AddressSpace* as) {
                               trace::Kind::kLifeTeardownDone, -1, as->id(),
                               static_cast<uint64_t>(rec.procs_returned),
                               static_cast<uint64_t>(rec.latency()));
-  SA_INFO(kLog, "space %s dead (%s): %d procs returned, %d threads reclaimed, "
-          "%d upcalls discarded, %s teardown latency",
-          as->name().c_str(), TeardownCauseName(rec.cause), rec.procs_returned,
-          rec.threads_reclaimed, rec.upcalls_discarded,
-          sim::FormatDuration(rec.latency()).c_str());
   teardowns_.push_back(rec);
 }
 

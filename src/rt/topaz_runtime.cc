@@ -2,8 +2,6 @@
 
 #include <utility>
 
-#include "src/common/log.h"
-
 namespace sa::rt {
 
 const char* OpKindName(OpKind kind) {

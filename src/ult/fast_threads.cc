@@ -4,13 +4,7 @@
 #include <climits>
 #include <utility>
 
-#include "src/common/log.h"
-
 namespace sa::ult {
-
-namespace {
-constexpr const char* kLog = "ult";
-}  // namespace
 
 FastThreads::FastThreads(kern::Kernel* kernel, kern::AddressSpace* as, UltConfig config,
                          VcpuBackend* backend)

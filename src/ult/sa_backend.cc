@@ -3,15 +3,10 @@
 #include <algorithm>
 #include <utility>
 
-#include "src/common/log.h"
 #include "src/kern/space_reaper.h"
 #include "src/ult/fast_threads.h"
 
 namespace sa::ult {
-
-namespace {
-constexpr const char* kLog = "sa-be";
-}  // namespace
 
 SaBackend::SaBackend(kern::Kernel* kernel, kern::AddressSpace* as)
     : kernel_(kernel), as_(as) {

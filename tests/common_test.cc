@@ -1,5 +1,4 @@
-// Common utilities: RNG determinism, statistics, tables, intrusive lists,
-// logging capture.
+// Common utilities: RNG determinism, statistics, tables, intrusive lists.
 
 #include <gtest/gtest.h>
 
@@ -7,7 +6,6 @@
 #include <set>
 
 #include "src/common/intrusive_list.h"
-#include "src/common/log.h"
 #include "src/common/rng.h"
 #include "src/common/stats.h"
 #include "src/common/table.h"
@@ -284,25 +282,6 @@ TEST(IntrusiveList, Iteration) {
     sum += item->value;
   }
   EXPECT_EQ(sum, 6);
-}
-
-// ---- logging ----
-
-TEST(Logger, CaptureRetainsRecentLines) {
-  Logger& log = Logger::Get();
-  log.EnableCapture(3);
-  for (int i = 0; i < 5; ++i) {
-    log.Logf(LogLevel::kInfo, "test", "line %d", i);
-  }
-  ASSERT_EQ(log.captured().size(), 3u);
-  EXPECT_NE(log.captured().back().find("line 4"), std::string::npos);
-  EXPECT_NE(log.captured().front().find("line 2"), std::string::npos);
-  log.DisableCapture();
-}
-
-TEST(Logger, LevelNames) {
-  EXPECT_STREQ(LogLevelName(LogLevel::kTrace), "TRACE");
-  EXPECT_STREQ(LogLevelName(LogLevel::kError), "ERROR");
 }
 
 }  // namespace

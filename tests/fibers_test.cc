@@ -5,6 +5,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <thread>
 #include <vector>
 
 #include "src/fibers/fiber_pool.h"
@@ -42,6 +44,39 @@ TEST(Fibers, TracerRecordsHostClockEvents) {
   }
   EXPECT_EQ(spawns, 32u);
   EXPECT_GE(switches, 32u);
+#endif
+}
+
+TEST(Fibers, TracerInstalledWhileWorkersPark) {
+  // The workers start in the pool's constructor, so a tracer is always
+  // installed under their feet.  Let them park, install it while their timed
+  // re-parks read the pointer, then trace a batch; ThreadSanitizer checks
+  // the hand-off.
+#if !SA_TRACE_ENABLED
+  GTEST_SKIP() << "built with SA_TRACE=OFF";
+#else
+  trace::TraceBuffer tb(1u << 14);
+  tb.set_enabled(trace::cat::kFibers);
+  std::atomic<int> ran{0};
+  {
+    FiberPool pool(2);
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    pool.set_tracer(&tb);
+    std::this_thread::sleep_for(std::chrono::milliseconds(30));
+    std::vector<FiberHandle> handles;
+    for (int i = 0; i < 32; ++i) {
+      handles.push_back(pool.Spawn([&] { ran.fetch_add(1); }));
+    }
+    for (auto& h : handles) {
+      pool.Join(h);
+    }
+  }
+  EXPECT_EQ(ran, 32);
+  size_t spawns = 0;
+  for (const trace::Record& r : tb.Snapshot()) {
+    spawns += static_cast<trace::Kind>(r.kind) == trace::Kind::kFibSpawn ? 1 : 0;
+  }
+  EXPECT_EQ(spawns, 32u);
 #endif
 }
 

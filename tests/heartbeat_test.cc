@@ -65,6 +65,7 @@ TEST(Heartbeat, PromotesOldestFrameFirst) {
   EXPECT_EQ(c.lazy_promotions, kKids);
   EXPECT_EQ(c.lazy_inlines, 0);
   EXPECT_EQ(c.lazy_steal_promotions, 0);
+#if SA_TRACE_ENABLED
   // The promotion records leave the stack in fork order: tids ascend.
   std::vector<uint64_t> promoted;
   for (const trace::Record& r : h.trace()->Snapshot()) {
@@ -76,6 +77,7 @@ TEST(Heartbeat, PromotesOldestFrameFirst) {
   for (size_t i = 1; i < promoted.size(); ++i) {
     EXPECT_LT(promoted[i - 1], promoted[i]) << "promotion out of age order";
   }
+#endif
 }
 
 // Join reaches an unpromoted frame first (heartbeat off): the child runs

@@ -383,6 +383,75 @@ TEST(Lending, ChurnWithLoansInFlightConservesProcessors) {
 }
 
 // ---------------------------------------------------------------------------
+// Composition with affinity allocation.
+// ---------------------------------------------------------------------------
+
+TEST(Lending, ComposesWithAffinityUnderRevocationStorms) {
+  // Both allocator features on a 2-socket machine under 1 ms revocation
+  // storms: a kt lender oscillates, and an SA anchor plus three churned SA
+  // spaces hint their idle processors away.  Loans, warm regrants and storm
+  // revocations interleave on the one allocator decision path.  Upcalls are
+  // tuned: an untuned one (2.05 ms) outlasts the storm period, so once a
+  // space is down to one processor every re-grant upcall is revoked again
+  // before its thread runs — a livelock with or without either feature.
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    rt::HarnessConfig config = LendingConfig(/*processors=*/8, seed);
+    config.topology.sockets = 2;
+    config.kernel.affinity_allocation = true;
+    config.kernel.tuned_upcalls = true;
+    rt::Harness h(config);
+    inject::FaultPlan plan;
+    plan.seed = seed;
+    plan.storm_period = sim::Msec(1);
+    plan.storm_burst = 2;
+    h.EnableFaultInjection(plan);
+    h.EnableTracing(trace::cat::kAll);
+
+    auto lender = MakeOscillator(h, "lender", 2, sim::Msec(3), sim::Msec(9),
+                                 /*iters=*/1000);
+    h.AddRuntime(lender.get(), /*background=*/true);
+    auto anchor = MakeHungrySpace(h, "anchor", 4, /*iters=*/120, /*lend_idle=*/true);
+    h.AddRuntime(anchor.get());
+    h.AddChurn(3, sim::Msec(6), [&h](int i) {
+      return MakeHungrySpace(h, "churn-" + std::to_string(i), 2, /*iters=*/30,
+                             /*lend_idle=*/true);
+    });
+
+    const rt::RunResult result = h.TryRun();
+    ASSERT_TRUE(result.ok()) << "seed " << seed << ":\n" << result.diagnostics;
+
+    kern::Kernel& k = h.kernel();
+    EXPECT_GT(k.counters().loans_granted, 0) << "seed " << seed;
+    int64_t warm = 0;
+    int assigned = 0;
+    for (const auto& as : k.spaces()) {
+      warm += k.allocator()->stats_for(as.get()).warm_grants;
+      assigned += static_cast<int>(as->assigned().size());
+    }
+    EXPECT_GT(warm, 0) << "seed " << seed;
+    // Conservation: every processor is assigned, free, or still detaching
+    // (unowned with a span or a pending action) — storms can leave one
+    // mid-revocation when the run stops.
+    int detaching = 0;
+    for (int i = 0; i < config.processors; ++i) {
+      const hw::Processor* proc = k.machine()->processor(i);
+      if (k.OwnerOf(proc) == nullptr && (proc->has_span() || k.HasPendingAction(proc))) {
+        ++detaching;
+      }
+    }
+    EXPECT_EQ(assigned + k.allocator()->num_free() + detaching, config.processors)
+        << "seed " << seed;
+
+#if SA_TRACE_ENABLED
+    trace::CheckOptions opts;
+    opts.idle_ready_threshold += plan.ExtraIdleSlack();
+    const trace::CheckResult check = trace::CheckInvariants(h.trace()->Snapshot(), opts);
+    EXPECT_TRUE(check.ok()) << "seed " << seed << ":\n" << check.Summary();
+#endif
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Zero perturbation with lending disabled.
 // ---------------------------------------------------------------------------
 

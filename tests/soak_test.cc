@@ -6,8 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "src/apps/synthetic.h"
-#include "src/common/log.h"
+#include "src/core/upcall.h"
 #include "src/rt/harness.h"
 #include "src/rt/topaz_runtime.h"
 #include "src/trace/invariants.h"
@@ -93,15 +96,14 @@ TEST(GoldenTrace, CanonicalBlockUnblockUpcallOrdering) {
   // blocks in the kernel, a fresh activation takes the processor, and on
   // completion the notification preempts the processor, carrying both the
   // unblocked and the preempted thread in one upcall.
-  common::Logger::Get().EnableCapture(64);
-  // The SA_DEBUG macro is gated on the logger level; no sink is installed,
-  // so nothing is printed — lines are only captured.
-  common::Logger::Get().set_level(common::LogLevel::kDebug);
-
+#if !SA_TRACE_ENABLED
+  GTEST_SKIP() << "the upcall queue is read from the trace (SA_TRACE=OFF)";
+#endif
   rt::HarnessConfig config;
   config.processors = 1;
   config.kernel.mode = kern::KernelMode::kSchedulerActivations;
   rt::Harness h(config);
+  h.EnableTracing(trace::cat::kUpcall);
   ult::UltConfig uc;
   uc.max_vcpus = 1;
   ult::UltRuntime ft(&h.kernel(), "app", ult::BackendKind::kSchedulerActivations, uc);
@@ -116,20 +118,20 @@ TEST(GoldenTrace, CanonicalBlockUnblockUpcallOrdering) {
       "io");
   h.Run();
 
-  std::vector<std::string> upcall_lines;
-  for (const std::string& line : common::Logger::Get().captured()) {
-    if (line.find("queue ") != std::string::npos) {
-      upcall_lines.push_back(line.substr(line.find("queue ")));
+  // The app space's queued upcall events: (kind, subject activation).
+  using Kind = core::UpcallEvent::Kind;
+  std::vector<std::pair<Kind, int64_t>> queued;
+  for (const trace::Record& r : h.trace()->Snapshot()) {
+    if (static_cast<trace::Kind>(r.kind) == trace::Kind::kUpcallQueued &&
+        r.as_id == ft.address_space()->id()) {
+      queued.emplace_back(static_cast<Kind>(r.arg0), static_cast<int64_t>(r.arg1));
     }
   }
-  common::Logger::Get().DisableCapture();
-  common::Logger::Get().set_level(common::LogLevel::kOff);
-
-  ASSERT_GE(upcall_lines.size(), 4u);
-  EXPECT_NE(upcall_lines[0].find("add-processor"), std::string::npos);
-  EXPECT_NE(upcall_lines[1].find("blocked(act 1)"), std::string::npos);
-  EXPECT_NE(upcall_lines[2].find("unblocked(act 1)"), std::string::npos);
-  EXPECT_NE(upcall_lines[3].find("preempted(act 2)"), std::string::npos);
+  ASSERT_GE(queued.size(), 4u);
+  EXPECT_EQ(queued[0].first, Kind::kAddProcessor);
+  EXPECT_EQ(queued[1], std::make_pair(Kind::kBlocked, int64_t{1}));
+  EXPECT_EQ(queued[2], std::make_pair(Kind::kUnblocked, int64_t{1}));
+  EXPECT_EQ(queued[3], std::make_pair(Kind::kPreempted, int64_t{2}));
 }
 
 }  // namespace
