@@ -10,7 +10,6 @@
 
 #include "bench/bench_common.h"
 #include "src/apps/experiments.h"
-#include "src/common/table.h"
 #include "src/rt/harness.h"
 #include "src/ult/ult_runtime.h"
 
@@ -44,56 +43,46 @@ double RunIoHeavySeconds(bool recycle) {
 }  // namespace
 }  // namespace sa
 
-int main() {
-  sa::bench::WarnIfDebugBuild("bench_ablation");
+int main(int argc, char** argv) {
+  sa::bench::Record record("ablation", argc, argv);
   using sa::apps::SystemKind;
-  using sa::common::Table;
   sa::apps::DaemonConfig daemons;
 
   std::printf("Ablation benches (design choices from DESIGN.md)\n\n");
 
   {
     std::printf("1. Activation recycling (Section 4.3), I/O-heavy workload, 1 processor:\n");
-    Table t({"recycling", "execution time (s)"});
-    t.AddRow({"on (default)", Table::Num(sa::RunIoHeavySeconds(true), 3)});
-    t.AddRow({"off (fresh allocation per upcall)",
-              Table::Num(sa::RunIoHeavySeconds(false), 3)});
+    auto& t = record.AddTable("recycling", {{"recycling"}, {"elapsed_s", 3}});
+    t.Row({"on (default)", sa::RunIoHeavySeconds(true)});
+    t.Row({"off (fresh allocation per upcall)", sa::RunIoHeavySeconds(false)});
     t.Print();
   }
 
   {
     std::printf("\n2. Upcall tuning (Section 5.2), N-body at 50%% memory, 6 processors:\n");
-    Table t({"upcall path", "execution time (s)"});
+    auto& t = record.AddTable("upcall_tuning", {{"upcall_path"}, {"elapsed_s", 3}});
     sa::apps::NBodyConfig nc;
     nc.memory_percent = 50;
-    sa::kern::Config kc;
-    kc.tuned_upcalls = false;
-    t.AddRow({"untuned prototype",
-              Table::Num(sa::sim::ToSec(sa::apps::RunNBody(SystemKind::kNewFastThreads, 6,
-                                                           nc, daemons, 1, 7, kc)
-                                            .elapsed),
-                         3)});
-    kc.tuned_upcalls = true;
-    t.AddRow({"tuned projection",
-              Table::Num(sa::sim::ToSec(sa::apps::RunNBody(SystemKind::kNewFastThreads, 6,
-                                                           nc, daemons, 1, 7, kc)
-                                            .elapsed),
-                         3)});
+    for (const bool tuned : {false, true}) {
+      sa::kern::Config kc;
+      kc.tuned_upcalls = tuned;
+      t.Row({tuned ? "tuned projection" : "untuned prototype",
+             sa::sim::ToSec(
+                 sa::apps::RunNBody(SystemKind::kNewFastThreads, 6, nc, daemons, 1, 7, kc)
+                     .elapsed)});
+    }
     t.Print();
   }
 
   {
     std::printf("\n3. Idle hysteresis (Section 4.2), multiprogrammed N-body (2 copies):\n");
-    Table t({"hysteresis", "avg speedup"});
+    auto& t = record.AddTable("idle_hysteresis", {{"hysteresis_ms"}, {"avg_speedup", 2}});
     sa::apps::NBodyConfig nc;
-    for (long ms : {0, 5, 20}) {
+    for (long ms : {0, 5, 20}) {  // 0: notify immediately
       sa::kern::Config kc;
       kc.costs.idle_hysteresis = sa::sim::Msec(ms);
-      const double sp =
-          sa::apps::RunNBody(SystemKind::kNewFastThreads, 6, nc, daemons, 2, 7, kc)
-              .speedup;
-      t.AddRow({ms == 0 ? "none (notify immediately)" : Table::Num(ms) + " ms",
-                Table::Num(sp, 2)});
+      t.Row({ms, sa::apps::RunNBody(SystemKind::kNewFastThreads, 6, nc, daemons, 2, 7, kc)
+                     .speedup});
     }
     t.Print();
   }
@@ -102,18 +91,17 @@ int main() {
     std::printf("\n4. Critical-section strategy (Section 4.3), N-body 6 processors:\n");
     std::printf("   (flag-based marking taxes every thread operation; the paper's\n");
     std::printf("    copied-critical-section scheme costs nothing unless preempted)\n");
-    Table t({"strategy", "speedup"});
+    auto& t = record.AddTable("critical_sections", {{"strategy"}, {"speedup", 2}});
     sa::apps::NBodyConfig nc;
-    const double base =
-        sa::apps::RunNBody(SystemKind::kNewFastThreads, 6, nc, daemons, 1, 7).speedup;
-    const double flagged = sa::apps::RunNBody(SystemKind::kNewFastThreads, 6, nc,
-                                              daemons, 1, 7, {}, /*flag_based_cs=*/true)
-                               .speedup;
-    t.AddRow({"zero-overhead (default)", Table::Num(base, 2)});
-    t.AddRow({"flag-based marking", Table::Num(flagged, 2)});
+    for (const bool flag_based : {false, true}) {
+      t.Row({flag_based ? "flag-based marking" : "zero-overhead (default)",
+             sa::apps::RunNBody(SystemKind::kNewFastThreads, 6, nc, daemons, 1, 7, {},
+                                flag_based)
+                 .speedup});
+    }
     t.Print();
     std::printf("   (see bench_table4 for the per-operation cost: 37->49 / 42->48 usec)\n");
   }
 
-  return 0;
+  return record.Finish();
 }

@@ -13,12 +13,10 @@
 
 #include "bench/bench_common.h"
 #include "src/apps/experiments.h"
-#include "src/common/table.h"
 
-int main() {
-  sa::bench::WarnIfDebugBuild("bench_fig1");
+int main(int argc, char** argv) {
+  sa::bench::Record record("fig1", argc, argv);
   using sa::apps::SystemKind;
-  using sa::common::Table;
 
   std::printf("Figure 1: Speedup of N-Body Application vs. Number of Processors\n");
   std::printf("(100%% of memory available, uniprogrammed; speedup relative to a\n");
@@ -27,7 +25,10 @@ int main() {
   const SystemKind systems[] = {SystemKind::kTopazThreads, SystemKind::kOrigFastThreads,
                                 SystemKind::kNewFastThreads};
 
-  Table table({"processors", "Topaz threads", "orig FastThreads", "new FastThreads"});
+  auto& table = record.AddTable("speedup", {{"processors"},
+                                            {"topaz_threads", 2},
+                                            {"orig_fastthreads", 2},
+                                            {"new_fastthreads", 2}});
   sa::apps::NBodyConfig config;
   sa::apps::DaemonConfig daemons;
 
@@ -37,20 +38,18 @@ int main() {
       const auto r = sa::apps::RunNBody(systems[s], p, config, daemons, 1, 7);
       results[p][s] = r.speedup;
     }
-    table.AddRow({Table::Num(p), Table::Num(results[p][0], 2),
-                  Table::Num(results[p][1], 2), Table::Num(results[p][2], 2)});
+    table.Row({p, results[p][0], results[p][1], results[p][2]});
   }
   table.Print();
 
   std::printf("\nPaper's qualitative checks:\n");
-  std::printf("  all systems < 1.0 at one processor:        %s\n",
-              (results[1][0] < 1 && results[1][1] < 1 && results[1][2] < 1) ? "yes"
-                                                                            : "NO");
-  std::printf("  Topaz flattens (speedup[6] < 3.2):         %s (%.2f)\n",
-              results[6][0] < 3.2 ? "yes" : "NO", results[6][0]);
-  std::printf("  user-level systems reach > 4 at 6 procs:   %s\n",
-              (results[6][1] > 4 && results[6][2] > 4) ? "yes" : "NO");
-  std::printf("  user-level vs Topaz advantage at 6 procs:  %.1fx (paper ~1.8x)\n",
+  record.Gate(results[1][0] < 1 && results[1][1] < 1 && results[1][2] < 1,
+              "all systems < 1.0 at one processor");
+  record.Gate(results[6][0] < 3.2, "Topaz flattens (speedup[6] < 3.2): " +
+                                       sa::common::Table::Num(results[6][0], 2));
+  record.Gate(results[6][1] > 4 && results[6][2] > 4,
+              "user-level systems reach > 4 at 6 procs");
+  std::printf("user-level vs Topaz advantage at 6 procs: %.1fx (paper ~1.8x)\n",
               results[6][2] / results[6][0]);
-  return 0;
+  return record.Finish();
 }

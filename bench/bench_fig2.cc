@@ -12,12 +12,10 @@
 
 #include "bench/bench_common.h"
 #include "src/apps/experiments.h"
-#include "src/common/table.h"
 
-int main() {
-  sa::bench::WarnIfDebugBuild("bench_fig2");
+int main(int argc, char** argv) {
+  sa::bench::Record record("fig2", argc, argv);
   using sa::apps::SystemKind;
-  using sa::common::Table;
 
   std::printf("Figure 2: Execution Time of N-Body Application vs. Amount of\n");
   std::printf("Available Memory (6 processors; buffer-cache miss blocks 50 ms)\n\n");
@@ -26,8 +24,11 @@ int main() {
                                 SystemKind::kNewFastThreads};
   const double memory[] = {100, 90, 80, 70, 60, 50, 40};
 
-  Table table({"% memory", "Topaz threads (s)", "orig FastThreads (s)",
-               "new FastThreads (s)", "misses (new FT)"});
+  auto& table = record.AddTable("elapsed_s", {{"memory_pct"},
+                                              {"topaz_threads", 2},
+                                              {"orig_fastthreads", 2},
+                                              {"new_fastthreads", 2},
+                                              {"new_fastthreads_misses"}});
   sa::apps::DaemonConfig daemons;
 
   double first[3] = {}, last[3] = {};
@@ -47,19 +48,19 @@ int main() {
       }
       last[s] = row[s];
     }
-    table.AddRow({Table::Num(m) + "%", Table::Num(row[0], 2), Table::Num(row[1], 2),
-                  Table::Num(row[2], 2), Table::Num(static_cast<double>(misses))});
+    table.Row({m, row[0], row[1], row[2], misses});
   }
   table.Print();
 
   std::printf("\nPaper's qualitative checks:\n");
-  std::printf("  orig FastThreads degrades fastest:      %s (%.0f%% vs %.0f%% for new FT)\n",
-              (last[1] / first[1]) > (last[2] / first[2]) ? "yes" : "NO",
-              100 * (last[1] / first[1] - 1), 100 * (last[2] / first[2] - 1));
+  record.Gate((last[1] / first[1]) > (last[2] / first[2]),
+              "orig FastThreads degrades fastest: " +
+                  sa::common::Table::Num(100 * (last[1] / first[1] - 1)) + "% vs " +
+                  sa::common::Table::Num(100 * (last[2] / first[2] - 1)) + "% for new FT");
   // At 100% memory original FastThreads is marginally faster (it pays no
   // scheduler-activation bookkeeping), just as in the paper's Figure 1; the
   // new system must win everywhere I/O is involved.
-  std::printf("  new FastThreads fastest once I/O appears: %s\n",
-              (last[2] <= last[0] && last[2] <= last[1]) ? "yes" : "NO");
-  return 0;
+  record.Gate(last[2] <= last[0] && last[2] <= last[1],
+              "new FastThreads fastest once I/O appears");
+  return record.Finish();
 }

@@ -11,7 +11,6 @@
 
 #include "bench/bench_common.h"
 #include "src/apps/micro.h"
-#include "src/common/table.h"
 #include "src/rt/harness.h"
 #include "src/rt/topaz_runtime.h"
 #include "src/ult/ult_runtime.h"
@@ -57,26 +56,24 @@ double RunKernel(Bench bench, int n, bool heavyweight) {
 }  // namespace
 }  // namespace sa
 
-int main() {
-  sa::bench::WarnIfDebugBuild("bench_table1");
-  using sa::common::Table;
+int main(int argc, char** argv) {
+  sa::bench::Record record("table1", argc, argv);
   constexpr int kIters = 20000;
   constexpr int kProcIters = 2000;
 
   std::printf("Table 1: Thread Operation Latencies (usec.)\n");
   std::printf("(paper: Null Fork 34 / 948 / 11300; Signal-Wait 37 / 441 / 1840)\n\n");
 
-  Table table({"Operation", "FastThreads", "Topaz threads", "Ultrix processes"});
-  table.AddRow({"Null Fork",
-                Table::Num(sa::RunFastThreads(sa::Bench::kNullFork, kIters)),
-                Table::Num(sa::RunKernel(sa::Bench::kNullFork, kIters, false)),
-                Table::Num(sa::RunKernel(sa::Bench::kNullFork, kProcIters, true))});
-  table.AddRow({"Signal-Wait",
-                Table::Num(sa::RunFastThreads(sa::Bench::kSignalWait, kIters)),
-                Table::Num(sa::RunKernel(sa::Bench::kSignalWait, kIters, false)),
-                Table::Num(sa::RunKernel(sa::Bench::kSignalWait, kProcIters, true))});
+  auto& table = record.AddTable(
+      "latency_us", {{"operation"}, {"fastthreads"}, {"topaz_threads"}, {"ultrix_processes"}});
+  table.Row({"Null Fork", sa::RunFastThreads(sa::Bench::kNullFork, kIters),
+             sa::RunKernel(sa::Bench::kNullFork, kIters, false),
+             sa::RunKernel(sa::Bench::kNullFork, kProcIters, true)});
+  table.Row({"Signal-Wait", sa::RunFastThreads(sa::Bench::kSignalWait, kIters),
+             sa::RunKernel(sa::Bench::kSignalWait, kIters, false),
+             sa::RunKernel(sa::Bench::kSignalWait, kProcIters, true)});
   table.Print();
 
   std::printf("\nReference: procedure call ~7 usec., kernel trap ~19 usec. (Section 2.1)\n");
-  return 0;
+  return record.Finish();
 }

@@ -14,7 +14,6 @@
 
 #include "bench/bench_common.h"
 #include "src/apps/micro.h"
-#include "src/common/table.h"
 #include "src/rt/harness.h"
 #include "src/rt/topaz_runtime.h"
 #include "src/ult/ult_runtime.h"
@@ -61,9 +60,8 @@ double RunKernel(Bench bench, int n, bool heavyweight) {
 }  // namespace
 }  // namespace sa
 
-int main() {
-  sa::bench::WarnIfDebugBuild("bench_table4");
-  using sa::common::Table;
+int main(int argc, char** argv) {
+  sa::bench::Record record("table4", argc, argv);
   using sa::ult::BackendKind;
   constexpr int kIters = 20000;
   constexpr int kProcIters = 2000;
@@ -71,41 +69,29 @@ int main() {
   std::printf("Table 4: Thread Operation Latencies (usec.)\n");
   std::printf("(paper: 34/37 | 37/42 | 948/441 | 11300/1840)\n\n");
 
-  Table table({"Operation", "FastThreads on Topaz threads",
-               "FastThreads on Scheduler Activations", "Topaz threads",
-               "Ultrix processes"});
-  table.AddRow(
-      {"Null Fork",
-       Table::Num(sa::RunUlt(sa::Bench::kNullFork, kIters, BackendKind::kKernelThreads, false)),
-       Table::Num(sa::RunUlt(sa::Bench::kNullFork, kIters,
-                             BackendKind::kSchedulerActivations, false)),
-       Table::Num(sa::RunKernel(sa::Bench::kNullFork, kIters, false)),
-       Table::Num(sa::RunKernel(sa::Bench::kNullFork, kProcIters, true))});
-  table.AddRow(
-      {"Signal-Wait",
-       Table::Num(sa::RunUlt(sa::Bench::kSignalWait, kIters, BackendKind::kKernelThreads, false)),
-       Table::Num(sa::RunUlt(sa::Bench::kSignalWait, kIters,
-                             BackendKind::kSchedulerActivations, false)),
-       Table::Num(sa::RunKernel(sa::Bench::kSignalWait, kIters, false)),
-       Table::Num(sa::RunKernel(sa::Bench::kSignalWait, kProcIters, true))});
+  auto& table = record.AddTable(
+      "latency_us", {{"operation"}, {"fastthreads_on_topaz_threads"},
+                     {"fastthreads_on_scheduler_activations"}, {"topaz_threads"},
+                     {"ultrix_processes"}});
+  for (const sa::Bench bench : {sa::Bench::kNullFork, sa::Bench::kSignalWait}) {
+    table.Row({bench == sa::Bench::kNullFork ? "Null Fork" : "Signal-Wait",
+               sa::RunUlt(bench, kIters, BackendKind::kKernelThreads, false),
+               sa::RunUlt(bench, kIters, BackendKind::kSchedulerActivations, false),
+               sa::RunKernel(bench, kIters, false),
+               sa::RunKernel(bench, kProcIters, true)});
+  }
   table.Print();
 
   std::printf(
       "\nAblation (Section 4.3/5.1): flag-based critical-section marking instead of\n"
       "the zero-overhead copied-critical-section scheme (paper: 49 / 48):\n\n");
-  Table ablation({"Operation", "zero-overhead (default)", "flag-based"});
-  ablation.AddRow(
-      {"Null Fork",
-       Table::Num(sa::RunUlt(sa::Bench::kNullFork, kIters,
-                             BackendKind::kSchedulerActivations, false)),
-       Table::Num(sa::RunUlt(sa::Bench::kNullFork, kIters,
-                             BackendKind::kSchedulerActivations, true))});
-  ablation.AddRow(
-      {"Signal-Wait",
-       Table::Num(sa::RunUlt(sa::Bench::kSignalWait, kIters,
-                             BackendKind::kSchedulerActivations, false)),
-       Table::Num(sa::RunUlt(sa::Bench::kSignalWait, kIters,
-                             BackendKind::kSchedulerActivations, true))});
+  auto& ablation = record.AddTable(
+      "critical_sections_us", {{"operation"}, {"zero_overhead"}, {"flag_based"}});
+  for (const sa::Bench bench : {sa::Bench::kNullFork, sa::Bench::kSignalWait}) {
+    ablation.Row({bench == sa::Bench::kNullFork ? "Null Fork" : "Signal-Wait",
+                  sa::RunUlt(bench, kIters, BackendKind::kSchedulerActivations, false),
+                  sa::RunUlt(bench, kIters, BackendKind::kSchedulerActivations, true)});
+  }
   ablation.Print();
-  return 0;
+  return record.Finish();
 }

@@ -13,12 +13,10 @@
 
 #include "bench/bench_common.h"
 #include "src/apps/experiments.h"
-#include "src/common/table.h"
 
-int main() {
-  sa::bench::WarnIfDebugBuild("bench_table5");
+int main(int argc, char** argv) {
+  sa::bench::Record record("table5", argc, argv);
   using sa::apps::SystemKind;
-  using sa::common::Table;
 
   std::printf("Table 5: Speedup for N-Body Application, Multiprogramming Level = 2,\n");
   std::printf("6 Processors, 100%% of Memory Available\n");
@@ -35,19 +33,21 @@ int main() {
     uni3[s] = sa::apps::RunNBody(systems[s], 3, config, daemons, 1, 7).speedup;
   }
 
-  Table table({"System", "multiprogrammed speedup", "uniprogrammed on 3 procs",
-               "retained"});
+  auto& table = record.AddTable("speedup", {{"system"},
+                                            {"multiprogrammed", 2},
+                                            {"uniprogrammed_3_procs", 2},
+                                            {"retained_pct"}});
   for (int s = 0; s < 3; ++s) {
-    table.AddRow({sa::apps::SystemName(systems[s]), Table::Num(multi[s], 2),
-                  Table::Num(uni3[s], 2),
-                  Table::Num(100 * multi[s] / uni3[s]) + "%"});
+    table.Row({sa::apps::SystemName(systems[s]), multi[s], uni3[s],
+               100 * multi[s] / uni3[s]});
   }
   table.Print();
 
   std::printf("\nPaper's qualitative checks:\n");
-  std::printf("  new FastThreads close to its uniprogrammed 3-proc speedup: %s (%.0f%%)\n",
-              multi[2] / uni3[2] > 0.90 ? "yes" : "NO", 100 * multi[2] / uni3[2]);
-  std::printf("  both baselines collapse well below new FastThreads:       %s\n",
-              (multi[0] < 0.8 * multi[2] && multi[1] < 0.8 * multi[2]) ? "yes" : "NO");
-  return 0;
+  record.Gate(multi[2] / uni3[2] > 0.90,
+              "new FastThreads close to its uniprogrammed 3-proc speedup: " +
+                  sa::common::Table::Num(100 * multi[2] / uni3[2]) + "%");
+  record.Gate(multi[0] < 0.8 * multi[2] && multi[1] < 0.8 * multi[2],
+              "both baselines collapse well below new FastThreads");
+  return record.Finish();
 }

@@ -13,7 +13,6 @@
 
 #include "bench/bench_common.h"
 #include "src/apps/micro.h"
-#include "src/common/table.h"
 #include "src/rt/harness.h"
 #include "src/rt/topaz_runtime.h"
 #include "src/ult/ult_runtime.h"
@@ -48,9 +47,8 @@ double RunTopazSignalWait(int iters) {
 }  // namespace
 }  // namespace sa
 
-int main() {
-  sa::bench::WarnIfDebugBuild("bench_upcall");
-  using sa::common::Table;
+int main(int argc, char** argv) {
+  sa::bench::Record record("upcall", argc, argv);
   constexpr int kIters = 5000;
 
   std::printf("Section 5.2: Upcall Performance\n");
@@ -61,17 +59,16 @@ int main() {
   const double untuned = sa::RunSaKernelSignalWait(false, kIters);
   const double tuned = sa::RunSaKernelSignalWait(true, kIters);
 
-  Table table({"System", "Signal-Wait (usec)", "vs Topaz threads"});
-  table.AddRow({"Topaz kernel threads", Table::Num(topaz), "1.0x"});
-  table.AddRow({"Scheduler activations (untuned prototype)", Table::Num(untuned),
-                Table::Num(untuned / topaz, 1) + "x"});
-  table.AddRow({"Scheduler activations (tuned projection)", Table::Num(tuned),
-                Table::Num(tuned / topaz, 1) + "x"});
+  auto& table = record.AddTable(
+      "signal_wait", {{"system"}, {"signal_wait_us"}, {"vs_topaz_threads", 1}});
+  table.Row({"Topaz kernel threads", topaz, 1.0});
+  table.Row({"Scheduler activations (untuned prototype)", untuned, untuned / topaz});
+  table.Row({"Scheduler activations (tuned projection)", tuned, tuned / topaz});
   table.Print();
 
   std::printf(
       "\nNote: the blocked and unblocked notifications of each iteration are\n"
       "combined into a single upcall (the paper's own combining rule); the\n"
       "untuned per-upcall cost is calibrated to reproduce the published 2.4 ms.\n");
-  return 0;
+  return record.Finish();
 }

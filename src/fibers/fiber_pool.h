@@ -105,30 +105,22 @@ struct FiberPoolStats {
   uint64_t steal_attempts = 0;  // victim deques probed (hit or miss)
   uint64_t parks = 0;          // times a worker blocked with nothing to run
   uint64_t wakeups = 0;        // parked workers woken by PushRunnable
-  // Steal distance split, populated only when the pool was built with
-  // workers_per_socket > 0 (local_steals + remote_steals == steals then).
-  uint64_t local_steals = 0;   // victim in the thief's worker group
-  uint64_t remote_steals = 0;  // steal crossed worker groups
   // Lazy (pcall) spawning — see SpawnLazy.  Every lazy_spawn resolves as
   // exactly one of {lazy_promotions, lazy_inlines}.
   uint64_t lazy_spawns = 0;      // frames pushed by SpawnLazy
   uint64_t lazy_promotions = 0;  // frames promoted into real fibers
   uint64_t lazy_inlines = 0;     // frames run inline by JoinLazy
-  // Timed parks that woke to visible work no push had signalled.  With the
-  // push/park Dekker handshake in place this must stay zero; a nonzero count
-  // means a lost wakeup happened and only the timeout backstop saved it
-  // (regression canary for the fiber_lost_wakeup_test).
+  // Timed parks that woke to visible work no push had signalled while no
+  // searching worker was out.  With the push/park Dekker handshake in place
+  // this must stay zero; a nonzero count means a lost wakeup happened and
+  // only the timeout backstop saved it (regression canary for
+  // fibers_wakeup_test).
   uint64_t timeout_rescues = 0;
 };
 
-// Construction options.  workers_per_socket > 0 partitions workers into
-// contiguous groups of that size (mirroring the simulated machine's sockets
-// — see src/hw/topology.h): the steal scan probes same-group victims before
-// remote ones, and stats() splits steals by distance.  0 keeps the flat
-// random scan.
+// Construction options.
 struct FiberPoolOptions {
   size_t stack_size = 128 * 1024;  // per-fiber stack
-  int workers_per_socket = 0;
   // Whether worker-local pushes wake a parked worker whenever one exists:
   // -1 = auto (eager on multi-CPU hosts, conservative on one CPU — the
   // pusher will dispatch its own push, so a wake just time-slices one
@@ -246,7 +238,6 @@ class FiberPool {
   void RecycleFiber(internal::Fiber* fiber);
 
   const size_t stack_size_;
-  const int workers_per_socket_;  // 0 = no grouping (flat steal scan)
   std::vector<std::unique_ptr<Worker>> workers_;
   std::vector<std::thread> threads_;
   std::atomic<trace::TraceBuffer*> tracer_{nullptr};

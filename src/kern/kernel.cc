@@ -142,22 +142,17 @@ AddressSpace* Kernel::OwnerOf(const hw::Processor* proc) const {
 // ---------------------------------------------------------------------------
 
 hw::Processor* Kernel::FindIdleProcessorFor(AddressSpace* as) {
-  auto usable = [this](hw::Processor* p) {
-    return running_on(p) == nullptr && !p->has_span() &&
-           pending_[static_cast<size_t>(p->id())].kind == PendingAction::Kind::kNone &&
-           !p->interrupt_latched();
-  };
   if (config_.mode == KernelMode::kNativeTopaz) {
     for (int i = 0; i < machine_->num_processors(); ++i) {
       hw::Processor* p = machine_->processor(i);
-      if (usable(p)) {
+      if (IdleInKernel(p)) {
         return p;
       }
     }
     return nullptr;
   }
   for (hw::Processor* p : as->assigned()) {
-    if (usable(p)) {
+    if (IdleInKernel(p)) {
       return p;
     }
   }

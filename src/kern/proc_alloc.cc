@@ -401,15 +401,8 @@ void ProcessorAllocator::RevokeSurplus(AddressSpace* as, int target) {
     if (surplus == 0) {
       break;
     }
-    if (IsOnLoan(proc)) {
-      continue;
-    }
-    if (kernel_->IdleInKernel(proc)) {
-      kernel_->UnassignProcessor(proc);
-      if (as->mode() == AsMode::kSchedulerActivations) {
-        as->sa()->OnProcessorRevoked(proc, nullptr);
-      }
-      free_.PushBack(proc);
+    if (!IsOnLoan(proc) && kernel_->IdleInKernel(proc)) {
+      Revoke(as, proc);
       --surplus;
     }
   }
@@ -418,19 +411,31 @@ void ProcessorAllocator::RevokeSurplus(AddressSpace* as, int target) {
     if (surplus == 0) {
       break;
     }
-    if (IsOnLoan(proc)) {
-      continue;
+    if (IsOnLoan(proc) || kernel_->IdleInKernel(proc)) {
+      continue;  // idle ones were reclaimed above (or already detached)
     }
-    if (kernel_->IdleInKernel(proc)) {
-      continue;  // reclaimed above (or already detached)
-    }
-    PendingAction action;
-    action.kind = PendingAction::Kind::kRevoke;
-    if (kernel_->RequestPreemption(proc, action)) {
-      NotePendingDelta(as, +1);
+    if (Revoke(as, proc)) {
       --surplus;
     }
   }
+}
+
+bool ProcessorAllocator::Revoke(AddressSpace* as, hw::Processor* proc) {
+  if (kernel_->IdleInKernel(proc)) {
+    kernel_->UnassignProcessor(proc);
+    if (as->mode() == AsMode::kSchedulerActivations) {
+      as->sa()->OnProcessorRevoked(proc, nullptr);
+    }
+    free_.PushBack(proc);
+    return true;
+  }
+  PendingAction action;
+  action.kind = PendingAction::Kind::kRevoke;
+  if (!kernel_->RequestPreemption(proc, action)) {
+    return false;
+  }
+  NotePendingDelta(as, +1);
+  return true;
 }
 
 void ProcessorAllocator::GrantFreeProcessors() {
@@ -575,20 +580,7 @@ int ProcessorAllocator::InjectRevocations(int burst, common::Rng& rng) {
     const size_t pick = static_cast<size_t>(rng.Below(owned.size()));
     auto [as, proc] = owned[pick];
     owned.erase(owned.begin() + static_cast<ptrdiff_t>(pick));
-    if (kernel_->running_on(proc) == nullptr && !proc->has_span()) {
-      // Idle in kernel: reclaim immediately (same fast path as Rebalance).
-      kernel_->UnassignProcessor(proc);
-      if (as->mode() == AsMode::kSchedulerActivations) {
-        as->sa()->OnProcessorRevoked(proc, nullptr);
-      }
-      free_.PushBack(proc);
-      ++revoked;
-      continue;
-    }
-    PendingAction action;
-    action.kind = PendingAction::Kind::kRevoke;
-    if (kernel_->RequestPreemption(proc, action)) {
-      NotePendingDelta(as, +1);
+    if (Revoke(as, proc)) {
       ++revoked;
     }
   }

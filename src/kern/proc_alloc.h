@@ -277,6 +277,10 @@ class ProcessorAllocator {
   // Revokes down to `target` for one space (idle fast path or async
   // preemption).
   void RevokeSurplus(AddressSpace* as, int target);
+  // Takes one owned processor from `as`: reclaimed on the spot when idle in
+  // kernel, else a kRevoke preemption.  Returns false when the preemption
+  // could not be requested (an action is already in flight).
+  bool Revoke(AddressSpace* as, hw::Processor* proc);
   // Grants free processors to the deficit heap's top (or, under affinity, a
   // tied space the processor last belonged to) until the heap or pool empty.
   void GrantFreeProcessors();

@@ -33,14 +33,16 @@ namespace {
 // Each round the driver fiber spawns a child and then busy-spins — without
 // yielding, so its own worker cannot run the child — until the child (which
 // can only run on the other worker) reports in.  The other worker runs dry
-// between rounds and heads for the parking lot, so round after round the push
-// lands inside the publish/recheck window.  wake_eagerly = 1 keeps the
-// single-CPU wake policy from masking the handshake on small hosts.
+// between rounds and heads for the parking lot; the driver fiber waits a delay
+// that sweeps across that trip before its next push, so some rounds land
+// the push inside the publish/recheck window whatever the host's timing.
+// wake_eagerly = 1 keeps the single-CPU wake policy from masking the
+// handshake on small hosts.
 TEST(FiberWakeup, LocalPushNeverLosesAWakeup) {
   FiberPoolOptions options;
   options.wake_eagerly = 1;
   FiberPool pool(2, options);
-  constexpr int kRounds = 500;
+  constexpr int kRounds = 4000;
   // Deadline per round: a lost wakeup shows up as an 8 ms (park timeout)
   // stall; a broken wake shows up as a hang.  The deadline only guards
   // against the hang — the real assertion is the rescue counter below.
@@ -58,6 +60,10 @@ TEST(FiberWakeup, LocalPushNeverLosesAWakeup) {
         // here, so the push must have woken the other worker.
       }
       p->Join(child);
+      const auto push_at = std::chrono::steady_clock::now() +
+                           std::chrono::nanoseconds(250 * (round % 32));
+      while (std::chrono::steady_clock::now() < push_at) {
+      }
     }
   });
   pool.Join(driver);

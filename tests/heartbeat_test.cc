@@ -215,6 +215,7 @@ TEST(Heartbeat, RecursiveTreeResolvesEveryFrameOnActivations) {
 // leave a seeded run's exported trace byte-identical — the heartbeat only
 // ever schedules itself when a frame exists, so an eager program never sees
 // it.  This is the gate that makes the feature safe to leave configured.
+// Both FastThreads backends: on scheduler activations and on kernel threads.
 TEST(Heartbeat, DisabledPathLeavesSeededTracesByteIdentical) {
 #if !SA_TRACE_ENABLED
   GTEST_SKIP() << "built with SA_TRACE=OFF";
@@ -225,14 +226,17 @@ TEST(Heartbeat, DisabledPathLeavesSeededTracesByteIdentical) {
   apps::NBodyConfig eager_hb = eager;
   eager_hb.heartbeat_us = 250;
   const apps::DaemonConfig daemons;
-  std::string without_hb;
-  std::string with_hb;
-  apps::RunNBody(apps::SystemKind::kNewFastThreads, /*processors=*/2, eager,
-                 daemons, /*copies=*/1, /*seed=*/11, {}, false, &without_hb);
-  apps::RunNBody(apps::SystemKind::kNewFastThreads, /*processors=*/2, eager_hb,
-                 daemons, /*copies=*/1, /*seed=*/11, {}, false, &with_hb);
-  ASSERT_GT(without_hb.size(), 1000u);
-  EXPECT_EQ(without_hb, with_hb);
+  for (const apps::SystemKind system :
+       {apps::SystemKind::kNewFastThreads, apps::SystemKind::kOrigFastThreads}) {
+    std::string without_hb;
+    std::string with_hb;
+    apps::RunNBody(system, /*processors=*/2, eager, daemons, /*copies=*/1,
+                   /*seed=*/11, {}, false, &without_hb);
+    apps::RunNBody(system, /*processors=*/2, eager_hb, daemons, /*copies=*/1,
+                   /*seed=*/11, {}, false, &with_hb);
+    ASSERT_GT(without_hb.size(), 1000u) << apps::SystemName(system);
+    EXPECT_EQ(without_hb, with_hb) << apps::SystemName(system);
+  }
 #endif
 }
 
