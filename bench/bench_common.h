@@ -18,6 +18,7 @@
 #include <unistd.h>
 
 #include <charconv>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -136,8 +137,8 @@ enum class Sizes { kFullOnly, kWithSmoke };
 // bench with a smoke size), the debug guards, the gate checks and the exit
 // code.  A record is written only to a path given on the command line,
 // under a header naming the bench, build type, size and host (CPU count,
-// 1-minute load, compiler — perfbench's field names) and whether every gate
-// passed.
+// 1-minute load, compiler — perfbench's field names), the bench's host wall
+// time (`wall_s`, construction to Finish) and whether every gate passed.
 class Record {
  public:
   class Table {
@@ -180,7 +181,7 @@ class Record {
   // including --smoke to a bench without a smoke size.
   Record(const char* bench, int argc, char** argv,
          Sizes sizes = Sizes::kFullOnly)
-      : bench_(bench) {
+      : bench_(bench), start_(std::chrono::steady_clock::now()) {
     const std::string binary = "bench_" + bench_;
     const bool has_smoke = sizes == Sizes::kWithSmoke;
     WarnIfDebugBuild(binary.c_str());
@@ -230,6 +231,8 @@ class Record {
       std::perror(path_.c_str());
       return 1;
     }
+    const double wall_s =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - start_).count();
     double load = 0;
     if (getloadavg(&load, 1) != 1) {
       load = 0;
@@ -238,10 +241,10 @@ class Record {
                  "{\n  \"bench\": \"%s\",\n  \"build_type\": \"%s\",\n"
                  "  \"smoke\": %s,\n  \"host\": {\"nproc\": %ld, "
                  "\"loadavg_1m\": %.2f, \"compiler\": %s},\n"
-                 "  \"gates_passed\": %s",
+                 "  \"wall_s\": %s,\n  \"gates_passed\": %s",
                  bench_.c_str(), kBuildType, smoke_ ? "true" : "false",
                  sysconf(_SC_NPROCESSORS_ONLN), load,
-                 Value(__VERSION__).Json().c_str(),
+                 Value(__VERSION__).Json().c_str(), Value(wall_s).Json().c_str(),
                  gates_passed_ ? "true" : "false");
     for (const Table& t : tables_) {
       std::fprintf(f, ",\n  %s: [", Value(t.name_).Json().c_str());
@@ -266,6 +269,7 @@ class Record {
 
  private:
   std::string bench_;
+  std::chrono::steady_clock::time_point start_;
   std::string path_;
   bool smoke_ = false;
   bool gates_passed_ = true;

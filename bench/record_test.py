@@ -4,10 +4,10 @@
     record_test.py <bench binary> <record path> <release|debug>
 
 Release: the bench exits 0 and writes a record that parses as JSON, carries
-the header (bench, build_type, host.nproc, gates_passed), and holds one row
-object per row of every table the bench printed, with the same values: the
-record keeps numbers exact, so each must print as the console cell does when
-rounded to that cell's decimals.
+the header (bench, build_type, host.nproc, wall_s, gates_passed), and holds
+one row object per row of every table the bench printed, with the same
+values: the record keeps numbers exact, so each must print as the console
+cell does when rounded to that cell's decimals.
 Debug: the bench refuses to record — it exits 2 and writes no file.
 """
 
@@ -54,10 +54,11 @@ def main():
     assert run.returncode == 0, f"exited {run.returncode}:\n{run.stdout}{run.stderr}"
     with open(path) as f:
         record = json.load(f)
-    for key in ("bench", "build_type", "host", "gates_passed"):
+    for key in ("bench", "build_type", "host", "wall_s", "gates_passed"):
         assert key in record, f"record lacks {key!r}"
     assert record["build_type"] == "release", record["build_type"]
     assert record["host"]["nproc"] >= 1, record["host"]
+    assert record["wall_s"] > 0, record["wall_s"]
     assert record["gates_passed"] is True
     tables = [v for v in record.values()
               if isinstance(v, list) and v and isinstance(v[0], dict)]

@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/intrusive_list.h"
 #include "src/kern/kthread.h"
 #include "src/kern/sa_iface.h"
 #include "src/kern/vm.h"
@@ -156,6 +157,11 @@ class AddressSpace {
     bool in_surplus = false;  // member of the surplus index
     bool needy = false;       // counted in the allocator's needy tally
     bool pending_refresh = false;  // queued in its tier's changed list
+    // Slot in its tier's rank index of uncapped members: key (rank_key, id)
+    // in the `extra` map (gets a leftover processor) or the `rest` map.
+    bool ranked = false;
+    bool extra = false;
+    int rank_key = 0;  // 0, or -holdings under affinity
     SpaceAllocStats stats;
     std::vector<int> socket_held;  // processors held per socket (affinity)
   };
@@ -178,6 +184,10 @@ class AddressSpace {
     int64_t reclaims = 0;  // loans recalled by this space's demand return
   };
   LoanState& loan_state() const { return loan_state_; }
+
+  // Allocator-private: links the space into its tier's bucket of members
+  // with the same clamped demand.
+  common::ListNode alloc_demand_node;
 
  private:
   mutable AllocState alloc_state_;

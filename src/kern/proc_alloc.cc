@@ -62,8 +62,8 @@ void ProcessorAllocator::RegisterSpace(AddressSpace* as) {
   if (tier.cnt.empty()) {
     tier.cnt.assign(static_cast<size_t>(num_processors_) + 2, 0);
     tier.sum.assign(static_cast<size_t>(num_processors_) + 2, 0);
+    tier.by_demand = std::vector<DemandBucket>(static_cast<size_t>(num_processors_) + 2);
   }
-  tier.by_id[as->id()] = as;
   ++tier.members;
   st.demand = 0;
   if (as->desired_processors() != 0) {
@@ -83,13 +83,20 @@ void ProcessorAllocator::RecordDemand(AddressSpace* as) {
   if (st.demand > 0) {
     FenwickAdd(tier, Clamp(st.demand), -1, -Clamp(st.demand));
     --tier.active;
+    tier.by_demand[static_cast<size_t>(Clamp(st.demand))].Remove(as);
   }
   if (desired > 0) {
     FenwickAdd(tier, Clamp(desired), +1, +Clamp(desired));
     ++tier.active;
+    tier.by_demand[static_cast<size_t>(Clamp(desired))].PushBack(as);
   }
   st.demand = desired;
+  MarkChanged(tier, as);
+}
+
+void ProcessorAllocator::MarkChanged(Tier& tier, AddressSpace* as) {
   tier.dirty = true;
+  AddressSpace::AllocState& st = as->alloc_state();
   if (!st.pending_refresh) {
     st.pending_refresh = true;
     tier.changed.push_back(as);
@@ -155,7 +162,6 @@ void ProcessorAllocator::RefreshTier(Tier& tier, int pool_in) {
   // round gives the capped count and their total demand without touching
   // members.  The loop runs at most once per distinct capping share.
   int capped_cnt = 0;
-  int64_t capped_sum = 0;
   int threshold = 0;
   int pool = pool_in;
   for (;;) {
@@ -172,7 +178,6 @@ void ProcessorAllocator::RefreshTier(Tier& tier, int pool_in) {
     }
     threshold = share;
     capped_cnt = cnt;
-    capped_sum = sum;
     pool = pool_in - static_cast<int>(sum);
   }
   const int uncapped = tier.active - capped_cnt;
@@ -180,77 +185,101 @@ void ProcessorAllocator::RefreshTier(Tier& tier, int pool_in) {
   const int leftover = uncapped > 0 ? pool - share * uncapped : 0;
   const int pool_out = uncapped > 0 ? 0 : pool;
 
-  // If the division summary is unchanged and every changed member sits
-  // strictly above the capping threshold (uncapped then, uncapped now), no
-  // member's target moved: capped members' demands are unchanged (their sum
-  // and count match) and the uncapped membership — hence each member's
-  // id-rank and leftover eligibility — is identical.  Affinity ranks by
-  // holdings, which move without any demand change, so it always sweeps.
-  const bool by_holdings = affinity();
-  bool unchanged = !by_holdings && tier.pool_in == pool_in &&
-                   tier.threshold == threshold && tier.share == share &&
-                   tier.leftover == leftover && tier.capped_cnt == capped_cnt &&
-                   tier.capped_sum == capped_sum && tier.uncapped == uncapped;
-  if (unchanged) {
-    for (const AddressSpace* as : tier.changed) {
-      const int d = as->alloc_state().demand;
-      if (d <= 0 || Clamp(d) <= threshold) {
-        unchanged = false;
-        break;
-      }
-    }
-  }
-  if (!unchanged) {
-    // The leftover goes to the first `leftover` uncapped members in rank
-    // order: id order, or under affinity (DESIGN.md §13) incumbents first,
-    // keyed (-holdings, id), so a leftover that stays put forces no
-    // migration.  `cutoff` is the last key that still gets one.
-    auto incumbency = [](const AddressSpace* as) {
-      return std::make_pair(-static_cast<int>(as->assigned().size()), as->id());
-    };
-    std::pair<int, int> cutoff;
-    if (by_holdings && leftover > 0) {
-      rank_keys_.clear();
-      for (const auto& [id, as] : tier.by_id) {
-        const int d = as->alloc_state().demand;
-        if (d > 0 && Clamp(d) > threshold) {
-          rank_keys_.push_back(incumbency(as));
-        }
-      }
-      const auto nth = rank_keys_.begin() + (leftover - 1);
-      std::nth_element(rank_keys_.begin(), nth, rank_keys_.end());
-      cutoff = *nth;
-    }
-    int rank = 0;
-    for (auto& [id, as] : tier.by_id) {
-      const int d = as->alloc_state().demand;
-      int t = 0;
-      if (d > 0) {
-        if (Clamp(d) <= threshold) {
-          t = d;
-        } else {
-          const bool extra = !by_holdings ? rank < leftover
-                                          : leftover > 0 && incumbency(as) <= cutoff;
-          t = share + (extra ? 1 : 0);
-          ++rank;
-        }
-      }
-      ApplyTarget(as, t);
-    }
-  }
-  for (AddressSpace* as : tier.changed) {
-    as->alloc_state().pending_refresh = false;
-  }
-  tier.changed.clear();
-  tier.dirty = false;
+  // Only members whose target can have moved are visited (DESIGN.md §14):
+  // changed members, members whose class flips because the threshold moved,
+  // members crossing the leftover cutoff, and — only when the share moves,
+  // which moves every uncapped target — the uncapped members.
+  const int old_threshold = tier.threshold;
+  const bool share_moved = tier.share != share;
   tier.pool_in = pool_in;
   tier.pool_out = pool_out;
   tier.threshold = threshold;
   tier.share = share;
   tier.leftover = leftover;
-  tier.capped_cnt = capped_cnt;
-  tier.capped_sum = capped_sum;
-  tier.uncapped = uncapped;
+  if (threshold != old_threshold) {
+    // Capped <-> uncapped: clamped demand between the old and new threshold.
+    // They join the changed members.  The Fenwick counts say how many there
+    // are, so the bucket walk stops at the last one.
+    const int lo = std::min(threshold, old_threshold);
+    const int hi = std::max(threshold, old_threshold);
+    int below_lo = 0;
+    int below_hi = 0;
+    int64_t unused = 0;
+    FenwickPrefix(tier, lo, &below_lo, &unused);
+    FenwickPrefix(tier, hi, &below_hi, &unused);
+    for (int d = lo + 1, left = below_hi - below_lo; left > 0; ++d) {
+      for (AddressSpace* as : tier.by_demand[static_cast<size_t>(d)]) {
+        --left;
+        MarkChanged(tier, as);
+      }
+    }
+  }
+  for (AddressSpace* as : tier.changed) {
+    Rerank(tier, as);
+  }
+  // The leftover goes to the first `leftover` uncapped members in rank
+  // order: id order, or under affinity (DESIGN.md §13) incumbents first,
+  // keyed (-holdings, id), so a leftover that stays put forces no migration.
+  // Move members across the cutoff until `extra` holds exactly those.
+  SA_CHECK(static_cast<int>(tier.extra.size() + tier.rest.size()) == uncapped);
+  while (static_cast<int>(tier.extra.size()) > leftover) {
+    auto node = tier.extra.extract(std::prev(tier.extra.end()));
+    AddressSpace* as = node.mapped();
+    as->alloc_state().extra = false;
+    tier.rest.insert(tier.rest.begin(), std::move(node));
+    ApplyTarget(as, share);
+  }
+  while (static_cast<int>(tier.extra.size()) < leftover) {
+    auto node = tier.rest.extract(tier.rest.begin());
+    AddressSpace* as = node.mapped();
+    as->alloc_state().extra = true;
+    tier.extra.insert(tier.extra.end(), std::move(node));
+    ApplyTarget(as, share + 1);
+  }
+  if (share_moved) {
+    for (const auto& [key, as] : tier.extra) {
+      ApplyTarget(as, share + 1);
+    }
+    for (const auto& [key, as] : tier.rest) {
+      ApplyTarget(as, share);
+    }
+  }
+  // Changed members last, once their slots are final.  A capped member
+  // gets its demand; so does an idle one (0).
+  for (AddressSpace* as : tier.changed) {
+    AddressSpace::AllocState& st = as->alloc_state();
+    st.pending_refresh = false;
+    ApplyTarget(as, st.ranked ? share + (st.extra ? 1 : 0) : st.demand);
+  }
+  tier.changed.clear();
+  tier.dirty = false;
+}
+
+void ProcessorAllocator::Rerank(Tier& tier, AddressSpace* as) {
+  AddressSpace::AllocState& st = as->alloc_state();
+  const bool uncapped = st.demand > 0 && Clamp(st.demand) > tier.threshold;
+  const int key = affinity() ? -static_cast<int>(as->assigned().size()) : 0;
+  if (st.ranked && uncapped && st.rank_key == key) {
+    return;
+  }
+  Unrank(tier, as);
+  if (uncapped) {
+    // A key below `extra`'s last belongs there; the cutoff pass in
+    // RefreshTier then restores `extra`'s size.
+    const RankKey rank{key, as->id()};
+    st.extra = !tier.extra.empty() && rank < tier.extra.rbegin()->first;
+    (st.extra ? tier.extra : tier.rest).emplace(rank, as);
+    st.ranked = true;
+    st.rank_key = key;
+  }
+}
+
+void ProcessorAllocator::Unrank(Tier& tier, AddressSpace* as) {
+  AddressSpace::AllocState& st = as->alloc_state();
+  if (st.ranked) {
+    (st.extra ? tier.extra : tier.rest).erase({st.rank_key, as->id()});
+    st.ranked = false;
+  }
 }
 
 void ProcessorAllocator::ApplyTarget(AddressSpace* as, int target) {
@@ -317,8 +346,8 @@ void ProcessorAllocator::OnAssignedChanged(AddressSpace* as, hw::Processor* proc
     } else if (delta < 0 && as->assigned().empty()) {
       holders_.erase(as->id());
     }
-    if (affinity()) {
-      TierOf(as).dirty = true;  // leftovers follow holdings (RefreshTier)
+    if (st.ranked && affinity()) {
+      MarkChanged(TierOf(as), as);  // its rank key (-holdings, id) moved
     }
   }
   RefreshDerived(as);
@@ -630,7 +659,7 @@ void ProcessorAllocator::ReleaseSpace(AddressSpace* as) {
     tier.changed.erase(std::find(tier.changed.begin(), tier.changed.end(), as));
     st.pending_refresh = false;
   }
-  tier.by_id.erase(as->id());
+  Unrank(tier, as);  // the next refresh moves the cutoff past the gap
   --tier.members;
   const bool tier_empty = tier.members == 0;
   // Leave the dense registry: swap-remove, fixing the moved space's slot.

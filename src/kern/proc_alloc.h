@@ -20,7 +20,7 @@
 // priority tier keeps Fenwick-tree aggregates over its members' demands, so
 // the water-filling division is recomputed from aggregates in O(log P) per
 // round instead of rescanning every space; cached per-space targets are
-// re-derived only for tiers whose demand actually changed.  Grants pop a
+// re-derived only for the members whose target can have moved.  Grants pop a
 // deficit heap keyed (priority, deficit, id); revocations walk a surplus
 // index.  A revocation storm therefore costs O(log n) per processor instead
 // of O(spaces x processors).  This is the only decision path: differential
@@ -33,8 +33,8 @@
 // last owning space (warm cache), revocation victims are chosen to keep each
 // space's holdings socket-compact, and leftover shares break ties toward
 // incumbents.  Each is a key on the same incremental structures — leftover
-// rank (-holdings, id), a holdings change dirtying its tier, a warm regrant
-// checked against the deficit heap's top — so affinity composes with
+// rank (-holdings, id), a holdings change re-keying the space, a warm
+// regrant checked against the deficit heap's top — so affinity composes with
 // lending.  With the flag off (the default) every choice reduces to the
 // original locality-blind policy, byte-identically on seeded traces.
 
@@ -168,23 +168,30 @@ class ProcessorAllocator {
   const trace::LatencyHistogram& reclaim_latency() const { return reclaim_latency_; }
 
  private:
-  // One priority tier.  Members are tracked in id order; demands are
-  // mirrored into Fenwick trees over clamped demand values 1..P+1 (any
-  // demand above the machine size behaves identically, so values are
-  // clamped to keep the tree small).  The cached water-fill summary
-  // describes every member's target: a member with demand d gets
+  // One priority tier.  Demands are mirrored into Fenwick trees over
+  // clamped demand values 1..P+1 (any demand above the machine size behaves
+  // identically, so values are clamped to keep the tree small).  The cached
+  // water-fill summary describes every member's target: a member with
+  // demand d gets
   //   d <= 0         -> 0
   //   clamp(d) <= threshold -> d (capped at its own demand)
   //   otherwise      -> share, plus 1 if its rank among uncapped members
   //                     is below `leftover` (id order; under affinity,
   //                     (-holdings, id)).
+  // The uncapped members are split at that cutoff: `extra` holds the first
+  // `leftover` rank keys, `rest` the others.
+  using RankKey = std::pair<int, int>;  // (0 or -holdings, id)
+  using DemandBucket =
+      common::IntrusiveList<AddressSpace, &AddressSpace::alloc_demand_node>;
   struct Tier {
     int members = 0;  // registered members (including zero-demand)
     int active = 0;   // members with demand > 0
-    std::map<int, AddressSpace*> by_id;
-    std::vector<AddressSpace*> changed;  // demand changes since last refresh
+    std::vector<AddressSpace*> changed;  // to re-rank at the next refresh
     std::vector<int> cnt;                // Fenwick: member count per demand
     std::vector<int64_t> sum;            // Fenwick: demand sum per demand
+    std::vector<DemandBucket> by_demand;  // active members per clamped demand
+    std::map<RankKey, AddressSpace*> extra;
+    std::map<RankKey, AddressSpace*> rest;
     bool dirty = true;
     // Cached water-fill summary, valid for pool_in inbound processors.
     int pool_in = -1;
@@ -192,9 +199,6 @@ class ProcessorAllocator {
     int threshold = 0;
     int share = 0;
     int leftover = 0;
-    int capped_cnt = 0;
-    int64_t capped_sum = 0;
-    int uncapped = 0;
   };
 
   // One open loan.  Keyed by processor id in loans_; at most one loan per
@@ -262,11 +266,19 @@ class ProcessorAllocator {
 
   // Syncs tier aggregates with as->desired_processors().
   void RecordDemand(AddressSpace* as);
+  // Queues `as` for its tier's next refresh.
+  void MarkChanged(Tier& tier, AddressSpace* as);
   // Catches demand poked directly through set_desired_processors (tests).
   void SyncDemands();
   // Recomputes cached targets for dirty tiers (incremental mode).
   void RefreshTargets();
+  // Re-derives the tier's water-fill summary, then the targets of only the
+  // members it can have moved.
   void RefreshTier(Tier& tier, int pool_in);
+  // Moves `as` to the rank-index slot its demand, the tier's threshold and
+  // its rank key call for.
+  void Rerank(Tier& tier, AddressSpace* as);
+  void Unrank(Tier& tier, AddressSpace* as);
   void ApplyTarget(AddressSpace* as, int target);
   // Re-derives heap/surplus/needy membership from the space's cached
   // target, assigned count, and pending revocations.
@@ -309,7 +321,6 @@ class ProcessorAllocator {
   std::set<std::tuple<int, int, int>> deficit_heap_;
   std::set<int> surplus_;  // ids with assigned - pending > target
   int needy_ = 0;          // spaces with assigned - pending < target
-  std::vector<std::pair<int, int>> rank_keys_;  // RefreshTier's rank buffer (affinity)
   int64_t decisions_ = 0;
   bool rebalancing_ = false;
   bool rerun_ = false;

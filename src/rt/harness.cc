@@ -35,6 +35,9 @@ Harness::~Harness() = default;
 void Harness::AddRuntime(Runtime* rt, bool background) {
   SA_CHECK(!started_);
   runtimes_.push_back(Entry{rt, background});
+  if (!background) {
+    foreground_.push_back(rt);
+  }
 }
 
 Runtime* Harness::AddDaemon(const std::string& name, sim::Duration period,
@@ -81,6 +84,7 @@ void Harness::SpawnChurn(int index) {
   Runtime* raw = rt.get();
   owned_.push_back(std::move(rt));
   runtimes_.push_back(Entry{raw, /*background=*/false});
+  foreground_.push_back(raw);
   kern::AddressSpace* as = raw->address_space();
   engine().TraceEmit(trace::cat::kLifecycle, trace::Kind::kLifeSpawn, -1,
                      as != nullptr ? as->id() : -1, static_cast<uint64_t>(index));
@@ -117,11 +121,11 @@ bool Harness::AllDone() const {
       return false;
     }
   }
-  for (const Entry& e : runtimes_) {
-    if (e.background || e.rt->AllDone()) {
+  for (Runtime* rt : foreground_) {
+    if (rt->AllDone()) {
       continue;
     }
-    kern::AddressSpace* as = e.rt->address_space();
+    kern::AddressSpace* as = rt->address_space();
     if (as != nullptr && as->lifecycle() == kern::AsLifecycle::kDead) {
       // Torn down: its threads will never finish, and that is fine.  A space
       // still kTearingDown gates completion — the run must not end while the
@@ -136,10 +140,8 @@ bool Harness::AllDone() const {
 
 size_t Harness::ForegroundFinished() const {
   size_t finished = static_cast<size_t>(kernel_.reaper()->stats().spaces_reaped);
-  for (const Entry& e : runtimes_) {
-    if (!e.background) {
-      finished += e.rt->threads_finished();
-    }
+  for (const Runtime* rt : foreground_) {
+    finished += rt->threads_finished();
   }
   return finished;
 }
@@ -317,11 +319,8 @@ inject::FaultInjector& Harness::EnableFaultInjection(const inject::FaultPlan& pl
 
 kern::AddressSpace* Harness::ForegroundSpace(int index) {
   int i = 0;
-  for (Entry& e : runtimes_) {
-    if (e.background) {
-      continue;
-    }
-    kern::AddressSpace* as = e.rt->address_space();
+  for (Runtime* rt : foreground_) {
+    kern::AddressSpace* as = rt->address_space();
     if (as == nullptr) {
       continue;
     }

@@ -160,7 +160,10 @@ class Harness {
   void ScheduleLifecycleFault(sim::Duration at, int space_index,
                               kern::TeardownCause cause);
 
-  std::vector<Entry> runtimes_;
+  std::vector<Entry> runtimes_;  // registration order (Start, diagnostics)
+  // The non-background runtimes in arrival order, churn spawns included:
+  // the only ones AllDone and the stall watchdog look at.
+  std::vector<Runtime*> foreground_;
   std::vector<std::function<bool()>> completion_gates_;
   std::vector<std::function<void(RunReport&)>> report_hooks_;
   std::vector<std::unique_ptr<Runtime>> owned_;

@@ -8,7 +8,8 @@
 // that two ways:
 //
 //   1. Differential fuzzing: >= 10,000 randomized demand/priority/churn/
-//      storm/release sequences, each run with affinity off on a flat machine
+//      storm/release sequences (one cell with more wanting spaces than
+//      processors), each run with affinity off on a flat machine
 //      and with affinity on across two sockets, drive the real allocator and
 //      RescanModel — an independent, kernel-free model of the full-rescan
 //      policy — in lockstep, comparing targets, holdings, the free pool, and
@@ -450,34 +451,49 @@ class RescanModel {
   std::vector<AllocEvent> log_;
 };
 
+// The shape of one randomized sequence.
+struct Sequence {
+  int processors = 0;
+  int max_spaces = 0;
+  int ops = 0;
+  int initial_spaces = 3;  // starts with 1..initial_spaces spaces
+  int tiers = 4;           // priorities 0..tiers-1
+  int max_demand = -1;     // demands 0..max_demand; -1 means 0..2P+1
+};
+
 // One randomized sequence, mirrored op-for-op onto the real allocator and
 // the rescan model.  After every operation the two must agree on targets,
 // holdings (including grant order), free-pool size, and the entire
 // grant/revoke event history.
-void RunDifferentialSequence(uint64_t seed, int processors, int max_spaces, int ops,
-                             int sockets, bool affinity) {
+void RunDifferentialSequence(uint64_t seed, const Sequence& shape, int sockets,
+                             bool affinity) {
+  const int processors = shape.processors;
   AllocDriver real(processors, sockets, affinity);
   RescanModel model(processors, sockets, affinity);
   common::Rng script(seed);
   common::Rng storm_real(seed ^ 0x9e3779b97f4a7c15ull);
   common::Rng storm_model(seed ^ 0x9e3779b97f4a7c15ull);
+  const uint64_t tiers = static_cast<uint64_t>(shape.tiers);
+  const uint64_t demands = static_cast<uint64_t>(
+      shape.max_demand < 0 ? 2 * processors + 2 : shape.max_demand + 1);
 
-  const int initial = 1 + static_cast<int>(script.Below(3));
+  const int initial =
+      1 + static_cast<int>(script.Below(static_cast<uint64_t>(shape.initial_spaces)));
   for (int i = 0; i < initial; ++i) {
-    const int prio = static_cast<int>(script.Below(4));
+    const int prio = static_cast<int>(script.Below(tiers));
     real.CreateSpace(prio);
     model.CreateSpace(prio);
   }
 
-  for (int op = 0; op < ops; ++op) {
+  for (int op = 0; op < shape.ops; ++op) {
     const uint64_t pick = script.Below(100);
-    if (pick < 12 && static_cast<int>(real.live().size()) < max_spaces) {
-      const int prio = static_cast<int>(script.Below(4));
+    if (pick < 12 && static_cast<int>(real.live().size()) < shape.max_spaces) {
+      const int prio = static_cast<int>(script.Below(tiers));
       real.CreateSpace(prio);
       model.CreateSpace(prio);
     } else if (pick < 60 && !real.live().empty()) {
       const size_t idx = static_cast<size_t>(script.Below(real.live().size()));
-      const int demand = static_cast<int>(script.Below(2 * static_cast<uint64_t>(processors) + 2));
+      const int demand = static_cast<int>(script.Below(demands));
       real.alloc()->SetDesired(real.live()[idx], demand);
       model.SetDesired(model.NthLiveId(idx), demand);
     } else if (pick < 80) {
@@ -506,10 +522,12 @@ void RunDifferentialSequence(uint64_t seed, int processors, int max_spaces, int 
 TEST(AllocDifferentialFuzz, TenThousandSmallSequences) {
   // Small machines, few spaces, short scripts: maximum sequence diversity.
   for (uint64_t seed = 1; seed <= 10000; ++seed) {
-    const int processors = 2 + static_cast<int>(seed % 7);
+    Sequence shape;
+    shape.processors = 2 + static_cast<int>(seed % 7);
+    shape.max_spaces = 8;
+    shape.ops = 14;
     for (bool affinity : {false, true}) {
-      RunDifferentialSequence(seed, processors, /*max_spaces=*/8, /*ops=*/14,
-                              /*sockets=*/affinity ? 2 : 1, affinity);
+      RunDifferentialSequence(seed, shape, /*sockets=*/affinity ? 2 : 1, affinity);
       if (::testing::Test::HasFatalFailure()) {
         return;
       }
@@ -521,10 +539,36 @@ TEST(AllocDifferentialFuzz, DeepSequencesOnLargerMachines) {
   // Fewer seeds, but bigger machines, more spaces, and longer scripts so
   // multi-tier water-fills, deep storms, and release churn interleave.
   for (uint64_t seed = 1; seed <= 120; ++seed) {
-    const int processors = 16 + static_cast<int>(seed % 4) * 16;  // 16..64
+    Sequence shape;
+    shape.processors = 16 + static_cast<int>(seed % 4) * 16;  // 16..64
+    shape.max_spaces = 40;
+    shape.ops = 60;
     for (bool affinity : {false, true}) {
-      RunDifferentialSequence(seed * 31 + 7, processors, /*max_spaces=*/40, /*ops=*/60,
-                              /*sockets=*/affinity ? 2 : 1, affinity);
+      RunDifferentialSequence(seed * 31 + 7, shape, /*sockets=*/affinity ? 2 : 1,
+                              affinity);
+      if (::testing::Test::HasFatalFailure()) {
+        return;
+      }
+    }
+  }
+}
+
+TEST(AllocDifferentialFuzz, OversubscribedTiers) {
+  // More wanting spaces than processors: up to 96 spaces with demands 0-3
+  // in three tiers, so a tier's uncapped members outnumber its pool, the
+  // share is 0 and only the leftover cutoff moves — the regime of many
+  // tenants sharing few processors.
+  for (uint64_t seed = 1; seed <= 60; ++seed) {
+    Sequence shape;
+    shape.processors = 8 + static_cast<int>(seed % 4) * 8;  // 8..32
+    shape.max_spaces = 96;
+    shape.initial_spaces = 96;
+    shape.ops = 200;
+    shape.tiers = 3;
+    shape.max_demand = 3;
+    for (bool affinity : {false, true}) {
+      RunDifferentialSequence(seed * 131 + 3, shape, /*sockets=*/affinity ? 2 : 1,
+                              affinity);
       if (::testing::Test::HasFatalFailure()) {
         return;
       }

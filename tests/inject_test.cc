@@ -493,6 +493,70 @@ TEST(HarnessRobustness, WatchdogFlagsStalledRun) {
   EXPECT_NE(result.diagnostics.find("waiter"), std::string::npos);  // thread rows
 }
 
+TEST(HarnessRobustness, WatchdogIgnoresBackgroundProgress) {
+  // Background threads finishing is not foreground progress: with the
+  // foreground stuck, the watchdog must end the run while a background
+  // runtime is still finishing a thread every millisecond.
+  rt::HarnessConfig config;
+  config.processors = 2;
+  rt::Harness h(config);
+  rt::TopazRuntime stuck(&h.kernel(), "stuck");
+  rt::TopazRuntime busy(&h.kernel(), "busy");
+  h.AddRuntime(&stuck);
+  h.AddRuntime(&busy, /*background=*/true);
+  const int cond = stuck.CreateCond();
+  stuck.Spawn(
+      [cond](rt::ThreadCtx& t) -> sim::Program {
+        co_await t.Wait(cond);  // nobody will ever signal
+      },
+      "waiter");
+  for (int i = 0; i < 200; ++i) {
+    busy.Spawn(
+        [i](rt::ThreadCtx& t) -> sim::Program {
+          co_await t.Io(sim::Msec(i + 1));
+          co_await t.Compute(sim::Usec(100));
+        },
+        "bg" + std::to_string(i));
+  }
+  h.set_stall_timeout(sim::Msec(50));
+  const rt::RunResult result = h.TryRun();
+  EXPECT_EQ(result.outcome, rt::RunOutcome::kStalled);
+  EXPECT_LT(result.end_time, sim::Msec(100));  // the watchdog, not the drain
+  EXPECT_GT(busy.threads_finished(), 0u);
+  EXPECT_LT(busy.threads_finished(), busy.threads_created());
+}
+
+TEST(HarnessRobustness, WatchdogCountsChurnSpawnedProgress) {
+  // The only foreground runtime arrives through churn.  Its threads finish
+  // 20 ms apart over 200 ms: every gap is under the stall timeout, the run
+  // is not, so the run completes only if the spawn's progress counts — and
+  // it must not complete before the spawn's threads have all finished.
+  rt::HarnessConfig config;
+  config.processors = 2;
+  rt::Harness h(config);
+  h.AddDaemon("daemon", sim::Msec(2), sim::Usec(100));
+  rt::Runtime* spawned = nullptr;
+  h.AddChurn(1, sim::Msec(5), [&h, &spawned](int) -> std::unique_ptr<rt::Runtime> {
+    auto rt = std::make_unique<rt::TopazRuntime>(&h.kernel(), "churn");
+    for (int i = 0; i < 10; ++i) {
+      rt->Spawn(
+          [i](rt::ThreadCtx& t) -> sim::Program {
+            co_await t.Io(sim::Msec(20 * (i + 1)));
+            co_await t.Compute(sim::Usec(100));
+          },
+          "tick");
+    }
+    spawned = rt.get();
+    return rt;
+  });
+  h.set_stall_timeout(sim::Msec(50));
+  const rt::RunResult result = h.TryRun();
+  ASSERT_TRUE(result.ok()) << result.diagnostics;
+  ASSERT_NE(spawned, nullptr);
+  EXPECT_EQ(spawned->threads_finished(), 10u);
+  EXPECT_GE(result.end_time, sim::Msec(205));
+}
+
 TEST(HarnessRobustness, ReportPrintsRobustnessCounters) {
   FaultPlan plan;
   plan.io_fail = 1.0;
