@@ -2,22 +2,17 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
 #include "src/common/assert.h"
 
 namespace sa::apps {
 
-int QuadTree::NewNode(double cx, double cy, double half) {
-  Node node;
-  node.cx = cx;
-  node.cy = cy;
-  node.half = half;
-  nodes_.push_back(node);
-  return static_cast<int>(nodes_.size()) - 1;
-}
-
 void QuadTree::Build(const std::vector<Body>& bodies) {
-  nodes_.clear();
+  cells_.clear();
+  order_.resize(bodies.size());
+  scratch_.resize(bodies.size());
+  std::iota(order_.begin(), order_.end(), 0);
   if (bodies.empty()) {
     return;
   }
@@ -28,85 +23,100 @@ void QuadTree::Build(const std::vector<Body>& bodies) {
   }
   const double half = std::max((hi - lo) / 2.0, 1e-9) * 1.001;
   const double cx = (hi + lo) / 2.0;
-  NewNode(cx, cx, half);
-  for (int i = 0; i < static_cast<int>(bodies.size()); ++i) {
-    Insert(0, bodies, i);
-  }
-  Summarize(0, bodies);
+  BuildCell(0, static_cast<int>(bodies.size()), cx, cx, half, bodies);
 }
 
-void QuadTree::Insert(int node_index, const std::vector<Body>& bodies, int body) {
-  int ni = node_index;
-  for (;;) {
-    Node& node = nodes_[static_cast<size_t>(ni)];
-    if (node.count == 0) {
-      node.body = body;
-      node.count = 1;
-      return;
-    }
-    // Split a leaf by pushing its existing body down, then continue with the
-    // new body.
-    if (node.body >= 0) {
-      const int existing = node.body;
-      node.body = -1;
-      // Note: taking quadrant math before the vector may reallocate.
-      const double ecx = node.cx, ecy = node.cy, ehalf = node.half;
-      const Body& eb = bodies[static_cast<size_t>(existing)];
-      const int equad = (eb.x >= ecx ? 1 : 0) | (eb.y >= ecy ? 2 : 0);
-      if (nodes_[static_cast<size_t>(ni)].children[equad] < 0) {
-        const double qh = ehalf / 2.0;
-        const double qcx = ecx + (equad & 1 ? qh : -qh);
-        const double qcy = ecy + (equad & 2 ? qh : -qh);
-        const int child = NewNode(qcx, qcy, qh);
-        nodes_[static_cast<size_t>(ni)].children[equad] = child;
-      }
-      Insert(nodes_[static_cast<size_t>(ni)].children[equad], bodies, existing);
-    }
-    Node& n2 = nodes_[static_cast<size_t>(ni)];
-    ++n2.count;
+// Appends the subtree over the bodies order_[first, last), which lie in the
+// square centred on (cx, cy) with half-width `half`, and leaves that range
+// of order_ in leaf order.
+void QuadTree::BuildCell(int first, int last, double cx, double cy, double half,
+                         const std::vector<Body>& bodies) {
+  const size_t index = cells_.size();
+  const double width2 = (2.0 * half) * (2.0 * half);
+  if (last - first == 1) {
+    const int body = order_[static_cast<size_t>(first)];
     const Body& b = bodies[static_cast<size_t>(body)];
-    const int quad = (b.x >= n2.cx ? 1 : 0) | (b.y >= n2.cy ? 2 : 0);
-    if (n2.children[quad] < 0) {
-      const double qh = n2.half / 2.0;
-      const double qcx = n2.cx + (quad & 1 ? qh : -qh);
-      const double qcy = n2.cy + (quad & 2 ? qh : -qh);
-      const int child = NewNode(qcx, qcy, qh);
-      nodes_[static_cast<size_t>(ni)].children[quad] = child;
-      ni = child;
-    } else {
-      ni = n2.children[quad];
-    }
-  }
-}
-
-void QuadTree::Summarize(int node_index, const std::vector<Body>& bodies) {
-  Node& node = nodes_[static_cast<size_t>(node_index)];
-  if (node.body >= 0) {
-    const Body& b = bodies[static_cast<size_t>(node.body)];
-    node.mass = b.mass;
-    node.comx = b.x;
-    node.comy = b.y;
+    cells_.push_back(Cell{b.x, b.y, b.mass, width2, static_cast<int>(index) + 1, body});
     return;
   }
+  cells_.emplace_back();  // filled in once the children are summed
+  // Coincident bodies never separate: stop once `half` underflows instead of
+  // recursing without end.
+  SA_CHECK(half > 0);
+  const auto quadrant = [&](int body) {
+    const Body& b = bodies[static_cast<size_t>(body)];
+    return (b.x >= cx ? 1 : 0) | (b.y >= cy ? 2 : 0);
+  };
+  // Counting sort by quadrant; the children are laid out in order 3, 2, 1, 0.
+  int count[4] = {0, 0, 0, 0};
+  for (int k = first; k < last; ++k) {
+    ++count[quadrant(order_[static_cast<size_t>(k)])];
+  }
+  int start[4];
+  start[3] = first;
+  for (int quad = 2; quad >= 0; --quad) {
+    start[quad] = start[quad + 1] + count[quad + 1];
+  }
+  int next[4] = {start[0], start[1], start[2], start[3]};
+  for (int k = first; k < last; ++k) {
+    const int body = order_[static_cast<size_t>(k)];
+    scratch_[static_cast<size_t>(next[quadrant(body)]++)] = body;
+  }
+  std::copy(scratch_.begin() + first, scratch_.begin() + last, order_.begin() + first);
+  const double qh = half / 2.0;
+  int children[4] = {-1, -1, -1, -1};
+  for (int quad = 3; quad >= 0; --quad) {
+    if (count[quad] > 0) {
+      children[quad] = static_cast<int>(cells_.size());
+      BuildCell(start[quad], start[quad] + count[quad], cx + (quad & 1 ? qh : -qh),
+                cy + (quad & 2 ? qh : -qh), qh, bodies);
+    }
+  }
+  // Sum over children 0..3: floating-point sums depend on the order.
   double mass = 0, mx = 0, my = 0;
-  for (int c : node.children) {
+  for (int c : children) {
     if (c < 0) {
       continue;
     }
-    Summarize(c, bodies);
-    const Node& child = nodes_[static_cast<size_t>(c)];
+    const Cell& child = cells_[static_cast<size_t>(c)];
     mass += child.mass;
     mx += child.comx * child.mass;
     my += child.comy * child.mass;
   }
-  node.mass = mass;
-  if (mass > 0) {
-    node.comx = mx / mass;
-    node.comy = my / mass;
-  } else {
-    node.comx = node.cx;
-    node.comy = node.cy;
+  cells_[index] = Cell{mass > 0 ? mx / mass : cx, mass > 0 ? my / mass : cy, mass, width2,
+                       static_cast<int>(cells_.size()), -1};
+}
+
+Vec2 QuadTree::ForceOn(const std::vector<Body>& bodies, int i, double theta,
+                       int64_t* interactions) const {
+  Vec2 acc;
+  const Body& b = bodies[static_cast<size_t>(i)];
+  const double theta2 = theta * theta;
+  int64_t terms = 0;
+  const int n = static_cast<int>(cells_.size());
+  for (int c = 0; c < n;) {
+    const Cell& cell = cells_[static_cast<size_t>(c)];
+    if (cell.body == i) {
+      c = cell.skip;  // self
+      continue;
+    }
+    const double dx = cell.comx - b.x;
+    const double dy = cell.comy - b.y;
+    const double d2 = dx * dx + dy * dy + kSoftening2;
+    if (cell.body < 0 && !(cell.width2 < theta2 * d2)) {
+      ++c;  // too close to aggregate: descend into the children
+      continue;
+    }
+    // A single body, or far enough: one interaction with the aggregate.
+    const double inv = 1.0 / std::sqrt(d2);
+    const double f = cell.mass * inv * inv * inv;
+    acc.x += f * dx;
+    acc.y += f * dy;
+    ++terms;
+    c = cell.skip;
   }
+  *interactions += terms;
+  return acc;
 }
 
 Vec2 DirectForce(const std::vector<Body>& bodies, int i) {

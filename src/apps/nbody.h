@@ -9,7 +9,6 @@
 #ifndef SA_APPS_NBODY_H_
 #define SA_APPS_NBODY_H_
 
-#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -32,48 +31,43 @@ struct Vec2 {
   double y = 0;
 };
 
-// Quadtree over a square region.  Nodes live in a pooled vector; index 0 is
-// the root.
+// Quadtree over a square region, stored as one preorder array of cells.  A
+// cell's subtree is the contiguous run [index, skip), so a walk that accepts
+// a cell jumps to its skip and one that opens it steps to index + 1.
+// Children follow their parent in quadrant order 3, 2, 1, 0 (the quadrant of
+// a point is (x >= cx) | (y >= cy) << 1).  Index 0 is the root.
 class QuadTree {
  public:
-  struct Node {
-    double cx = 0, cy = 0, half = 0;   // cell centre and half-width
-    double mass = 0;                   // total mass
-    double comx = 0, comy = 0;         // centre of mass
-    int children[4] = {-1, -1, -1, -1};
-    int body = -1;   // leaf: index of the single body (-1 if internal/empty)
-    int count = 0;   // number of bodies in the subtree
+  struct Cell {
+    double comx = 0, comy = 0;  // centre of mass
+    double mass = 0;            // total mass
+    double width2 = 0;          // squared width of the cell's square
+    int skip = 0;               // one past the last cell of the subtree
+    int body = -1;              // leaf: index of its single body; -1 if internal
   };
 
   // Builds the tree over all bodies.
   void Build(const std::vector<Body>& bodies);
 
   // Computes the gravitational acceleration on body `i` using opening angle
-  // `theta`.  Increments *interactions per force term evaluated and invokes
-  // `visit(node_index, body_index)` for every node/body whose data is read
-  // (body_index >= 0 only for direct body-body terms).
-  template <typename Visitor>
+  // `theta`.  Increments *interactions per force term evaluated.
   Vec2 ForceOn(const std::vector<Body>& bodies, int i, double theta,
-               int64_t* interactions, Visitor&& visit) const;
+               int64_t* interactions) const;
 
-  // Convenience without a visitor.
-  Vec2 ForceOn(const std::vector<Body>& bodies, int i, double theta,
-               int64_t* interactions) const {
-    return ForceOn(bodies, i, theta, interactions, [](int, int) {});
-  }
-
-  const std::vector<Node>& nodes() const { return nodes_; }
-  size_t size() const { return nodes_.size(); }
+  const std::vector<Cell>& cells() const { return cells_; }
+  // Body indices in the order of their leaves in cells().
+  const std::vector<int>& leaf_order() const { return order_; }
 
   // Gravitational softening (avoids singularities in close encounters).
   static constexpr double kSoftening2 = 1e-4;
 
  private:
-  int NewNode(double cx, double cy, double half);
-  void Insert(int node, const std::vector<Body>& bodies, int body);
-  void Summarize(int node, const std::vector<Body>& bodies);
+  void BuildCell(int first, int last, double cx, double cy, double half,
+                 const std::vector<Body>& bodies);
 
-  std::vector<Node> nodes_;
+  std::vector<Cell> cells_;
+  std::vector<int> order_;    // body indices, partitioned into leaf order
+  std::vector<int> scratch_;  // BuildCell's counting-sort buffer
 };
 
 // Direct O(N^2) summation, for validating the tree code.
@@ -85,54 +79,6 @@ std::vector<Body> MakeDisk(int n, common::Rng* rng);
 // Leapfrog integration step (dt small); updates positions and velocities
 // from the accelerations stored in the bodies.
 void Integrate(std::vector<Body>* bodies, double dt);
-
-// ---- template implementation ----
-
-template <typename Visitor>
-Vec2 QuadTree::ForceOn(const std::vector<Body>& bodies, int i, double theta,
-                       int64_t* interactions, Visitor&& visit) const {
-  Vec2 acc;
-  const Body& b = bodies[static_cast<size_t>(i)];
-  if (nodes_.empty()) {
-    return acc;
-  }
-  // Explicit stack: deep recursion is possible for adversarial inputs.
-  std::vector<int> stack;
-  stack.push_back(0);
-  while (!stack.empty()) {
-    const int ni = stack.back();
-    stack.pop_back();
-    const Node& node = nodes_[static_cast<size_t>(ni)];
-    if (node.count == 0) {
-      continue;
-    }
-    if (node.count == 1 && node.body == i) {
-      continue;  // self
-    }
-    const double dx = node.comx - b.x;
-    const double dy = node.comy - b.y;
-    const double d2 = dx * dx + dy * dy + kSoftening2;
-    const double width = 2.0 * node.half;
-    const bool is_leaf = node.body >= 0 || node.count == 1;
-    if (is_leaf || width * width < theta * theta * d2) {
-      // Far enough (or a single body): one interaction with the aggregate.
-      const double inv = 1.0 / std::sqrt(d2);
-      const double f = node.mass * inv * inv * inv;
-      acc.x += f * dx;
-      acc.y += f * dy;
-      ++*interactions;
-      visit(ni, node.body);
-      continue;
-    }
-    visit(ni, -1);  // read the cell to descend
-    for (int c : node.children) {
-      if (c >= 0) {
-        stack.push_back(c);
-      }
-    }
-  }
-  return acc;
-}
 
 }  // namespace sa::apps
 

@@ -1,6 +1,7 @@
 #include "src/apps/nbody_workload.h"
 
 #include <cmath>
+#include <numeric>
 
 namespace sa::apps {
 
@@ -30,18 +31,24 @@ NBodyApp::NBodyApp(const NBodyConfig& config)
 void NBodyApp::BuildStep() {
   tree_.Build(bodies_);
   const int n = static_cast<int>(bodies_.size());
+  // Forces in the tree's leaf order, where consecutive bodies are neighbours
+  // whose walks read mostly the same cells.
+  std::vector<int64_t> body_interactions(static_cast<size_t>(n), 0);
+  for (int i : tree_.leaf_order()) {
+    Body& b = bodies_[static_cast<size_t>(i)];
+    const Vec2 acc =
+        tree_.ForceOn(bodies_, i, config_.theta, &body_interactions[static_cast<size_t>(i)]);
+    b.ax = acc.x;
+    b.ay = acc.y;
+  }
   const int num_tasks = (n + config_.chunk - 1) / config_.chunk;
   tasks_.assign(static_cast<size_t>(num_tasks), Task{});
   for (int task = 0; task < num_tasks; ++task) {
     Task& tk = tasks_[static_cast<size_t>(task)];
-    int64_t interactions = 0;
     const int begin = task * config_.chunk;
     const int end = std::min(n, begin + config_.chunk);
-    for (int i = begin; i < end; ++i) {
-      const Vec2 acc = tree_.ForceOn(bodies_, i, config_.theta, &interactions);
-      bodies_[static_cast<size_t>(i)].ax = acc.x;
-      bodies_[static_cast<size_t>(i)].ay = acc.y;
-    }
+    const int64_t interactions = std::accumulate(body_interactions.begin() + begin,
+                                                 body_interactions.begin() + end, int64_t{0});
     total_interactions_ += interactions;
     tk.cost = interactions * config_.cost_per_interaction;
     // Reference string: a task's own bodies stream through a double buffer

@@ -2,17 +2,229 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "src/apps/buffer_cache.h"
 #include "src/apps/experiments.h"
 #include "src/apps/nbody.h"
 #include "src/apps/nbody_workload.h"
+#include "src/rt/harness.h"
+#include "src/ult/ult_runtime.h"
 
 namespace sa::apps {
 namespace {
 
 // ---- tree code ----
+
+// The reference Barnes-Hut tree: a node pool built by inserting the bodies
+// one at a time, summarized recursively, and walked with an explicit LIFO
+// stack that pushes children 0..3.  QuadTree must reproduce its forces and
+// interaction counts bit for bit.
+class ReferenceTree {
+ public:
+  void Build(const std::vector<Body>& bodies) {
+    nodes_.clear();
+    if (bodies.empty()) {
+      return;
+    }
+    double lo = bodies[0].x, hi = bodies[0].x;
+    for (const Body& b : bodies) {
+      lo = std::min({lo, b.x, b.y});
+      hi = std::max({hi, b.x, b.y});
+    }
+    const double half = std::max((hi - lo) / 2.0, 1e-9) * 1.001;
+    const double cx = (hi + lo) / 2.0;
+    NewNode(cx, cx, half);
+    for (int i = 0; i < static_cast<int>(bodies.size()); ++i) {
+      Insert(0, bodies, i);
+    }
+    Summarize(0, bodies);
+  }
+
+  Vec2 ForceOn(const std::vector<Body>& bodies, int i, double theta,
+               int64_t* interactions) const {
+    Vec2 acc;
+    const Body& b = bodies[static_cast<size_t>(i)];
+    if (nodes_.empty()) {
+      return acc;
+    }
+    std::vector<int> stack;
+    stack.push_back(0);
+    while (!stack.empty()) {
+      const Node& node = nodes_[static_cast<size_t>(stack.back())];
+      stack.pop_back();
+      if (node.count == 0 || (node.count == 1 && node.body == i)) {
+        continue;
+      }
+      const double dx = node.comx - b.x;
+      const double dy = node.comy - b.y;
+      const double d2 = dx * dx + dy * dy + QuadTree::kSoftening2;
+      const double width = 2.0 * node.half;
+      const bool is_leaf = node.body >= 0 || node.count == 1;
+      if (is_leaf || width * width < theta * theta * d2) {
+        const double inv = 1.0 / std::sqrt(d2);
+        const double f = node.mass * inv * inv * inv;
+        acc.x += f * dx;
+        acc.y += f * dy;
+        ++*interactions;
+        continue;
+      }
+      for (int c : node.children) {
+        if (c >= 0) {
+          stack.push_back(c);
+        }
+      }
+    }
+    return acc;
+  }
+
+ private:
+  struct Node {
+    double cx = 0, cy = 0, half = 0;
+    double mass = 0;
+    double comx = 0, comy = 0;
+    int children[4] = {-1, -1, -1, -1};
+    int body = -1;
+    int count = 0;
+  };
+
+  int NewNode(double cx, double cy, double half) {
+    Node node;
+    node.cx = cx;
+    node.cy = cy;
+    node.half = half;
+    nodes_.push_back(node);
+    return static_cast<int>(nodes_.size()) - 1;
+  }
+
+  // Returns the child of `ni` in quadrant `quad`, creating it if absent.
+  int Child(int ni, int quad) {
+    const Node node = nodes_[static_cast<size_t>(ni)];  // NewNode may reallocate
+    if (node.children[quad] >= 0) {
+      return node.children[quad];
+    }
+    const double qh = node.half / 2.0;
+    const int child = NewNode(node.cx + (quad & 1 ? qh : -qh), node.cy + (quad & 2 ? qh : -qh), qh);
+    nodes_[static_cast<size_t>(ni)].children[quad] = child;
+    return child;
+  }
+
+  static int Quadrant(const Node& node, const Body& b) {
+    return (b.x >= node.cx ? 1 : 0) | (b.y >= node.cy ? 2 : 0);
+  }
+
+  void Insert(int ni, const std::vector<Body>& bodies, int body) {
+    for (;;) {
+      Node& node = nodes_[static_cast<size_t>(ni)];
+      if (node.count == 0) {
+        node.body = body;
+        node.count = 1;
+        return;
+      }
+      if (node.body >= 0) {  // split a leaf: push its body down first
+        const int existing = node.body;
+        node.body = -1;
+        const int quad = Quadrant(node, bodies[static_cast<size_t>(existing)]);
+        Insert(Child(ni, quad), bodies, existing);
+      }
+      ++nodes_[static_cast<size_t>(ni)].count;
+      ni = Child(ni, Quadrant(nodes_[static_cast<size_t>(ni)], bodies[static_cast<size_t>(body)]));
+    }
+  }
+
+  void Summarize(int ni, const std::vector<Body>& bodies) {
+    if (nodes_[static_cast<size_t>(ni)].body >= 0) {
+      Node& node = nodes_[static_cast<size_t>(ni)];
+      const Body& b = bodies[static_cast<size_t>(node.body)];
+      node.mass = b.mass;
+      node.comx = b.x;
+      node.comy = b.y;
+      return;
+    }
+    double mass = 0, mx = 0, my = 0;
+    for (int c : nodes_[static_cast<size_t>(ni)].children) {
+      if (c < 0) {
+        continue;
+      }
+      Summarize(c, bodies);
+      const Node& child = nodes_[static_cast<size_t>(c)];
+      mass += child.mass;
+      mx += child.comx * child.mass;
+      my += child.comy * child.mass;
+    }
+    Node& node = nodes_[static_cast<size_t>(ni)];
+    node.mass = mass;
+    node.comx = mass > 0 ? mx / mass : node.cx;
+    node.comy = mass > 0 ? my / mass : node.cy;
+  }
+
+  std::vector<Node> nodes_;
+};
+
+// Holds QuadTree to ReferenceTree bit for bit: both acceleration components
+// and the interaction count of every body.
+void ExpectMatchesReference(const std::vector<Body>& bodies, double theta) {
+  QuadTree tree;
+  tree.Build(bodies);
+  ReferenceTree reference;
+  reference.Build(bodies);
+  int mismatches = 0;
+  int first = -1;
+  for (int i = 0; i < static_cast<int>(bodies.size()); ++i) {
+    int64_t got_n = 0, want_n = 0;
+    const Vec2 got = tree.ForceOn(bodies, i, theta, &got_n);
+    const Vec2 want = reference.ForceOn(bodies, i, theta, &want_n);
+    if (std::bit_cast<uint64_t>(got.x) != std::bit_cast<uint64_t>(want.x) ||
+        std::bit_cast<uint64_t>(got.y) != std::bit_cast<uint64_t>(want.y) || got_n != want_n) {
+      first = first < 0 ? i : first;
+      ++mismatches;
+    }
+  }
+  EXPECT_EQ(mismatches, 0) << "of " << bodies.size() << " bodies at theta " << theta
+                           << "; first is body " << first;
+}
+
+TEST(QuadTree, MatchesReferenceTreeBitForBit) {
+  for (int n : {1, 2, 3, 200, 4000}) {
+    common::Rng rng(static_cast<uint64_t>(n));
+    const auto bodies = MakeDisk(n, &rng);
+    for (double theta : {0.0, 0.5, 0.8, 1.5}) {
+      ExpectMatchesReference(bodies, theta);
+    }
+  }
+}
+
+TEST(QuadTree, MatchesReferenceTreeOnCentreLinesAndInClusters) {
+  // A grid over [-1, 1]^2 puts the root's centre at (0, 0) and a row and a
+  // column of bodies exactly on its centre lines, where the quadrant test's
+  // `>=` decides the side.
+  std::vector<Body> grid;
+  for (int gx = -4; gx <= 4; ++gx) {
+    for (int gy = -4; gy <= 4; ++gy) {
+      Body b;
+      b.x = gx / 4.0;
+      b.y = gy / 4.0;
+      b.mass = 1.0 + 0.01 * static_cast<double>(grid.size());
+      grid.push_back(b);
+    }
+  }
+  // A disk with a tight cluster: bodies 1e-7 apart build a deep tree.
+  common::Rng rng(23);
+  std::vector<Body> cluster = MakeDisk(300, &rng);
+  for (int k = 0; k < 40; ++k) {
+    Body b;
+    b.x = 0.25 + 1e-7 * k;
+    b.y = -0.5 + 1e-7 * ((k * 7) % 40);
+    b.mass = 1.0 / 300;
+    cluster.push_back(b);
+  }
+  for (double theta : {0.0, 0.5, 0.8, 1.5}) {
+    ExpectMatchesReference(grid, theta);
+    ExpectMatchesReference(cluster, theta);
+  }
+}
 
 TEST(QuadTree, MatchesDirectSummationAtSmallTheta) {
   common::Rng rng(17);
@@ -89,19 +301,12 @@ TEST(QuadTree, MassIsConserved) {
   for (const Body& b : bodies) {
     total += b.mass;
   }
-  EXPECT_NEAR(tree.nodes()[0].mass, total, 1e-9);
-  EXPECT_EQ(tree.nodes()[0].count, 300);
-}
-
-TEST(QuadTree, VisitorSeesEveryInteraction) {
-  common::Rng rng(21);
-  const auto bodies = MakeDisk(100, &rng);
-  QuadTree tree;
-  tree.Build(bodies);
-  int64_t interactions = 0;
-  int visits = 0;
-  tree.ForceOn(bodies, 0, 0.8, &interactions, [&](int node, int body) { ++visits; });
-  EXPECT_GE(visits, interactions);  // descends count as extra visits
+  const auto& cells = tree.cells();
+  EXPECT_NEAR(cells[0].mass, total, 1e-9);
+  EXPECT_EQ(cells[0].skip, static_cast<int>(cells.size()));  // the root spans the array
+  EXPECT_EQ(std::count_if(cells.begin(), cells.end(),
+                          [](const QuadTree::Cell& c) { return c.body >= 0; }),
+            300);
 }
 
 TEST(Integrate, MovesBodiesByVelocity) {
@@ -210,6 +415,61 @@ TEST(NBodyWorkload, DeterministicAcrossRepeatedRuns) {
   EXPECT_EQ(a.elapsed, b.elapsed);
   EXPECT_EQ(a.counters.upcalls, b.counters.upcalls);
   EXPECT_EQ(a.cache_misses, b.cache_misses);
+}
+
+// ---- pinned trajectories ----
+
+// FNV-1a over the bytes of the bodies' final state.
+uint64_t BodiesDigest(const std::vector<Body>& bodies) {
+  uint64_t hash = 14695981039346656037ull;
+  const auto* bytes = reinterpret_cast<const unsigned char*>(bodies.data());
+  for (size_t k = 0; k < bodies.size() * sizeof(Body); ++k) {
+    hash = (hash ^ bytes[k]) * 1099511628211ull;
+  }
+  return hash;
+}
+
+struct Trajectory {
+  int64_t interactions = 0;
+  sim::Duration sequential = 0;
+  uint64_t digest = 0;
+};
+
+// Runs the N-body application on new FastThreads; the physics does not depend
+// on the runtime or the processor count.
+Trajectory RunTrajectory(int bodies, int steps) {
+  rt::HarnessConfig config;
+  config.processors = 6;
+  config.kernel.mode = kern::KernelMode::kSchedulerActivations;
+  rt::Harness h(config);
+  ult::UltConfig uc;
+  uc.max_vcpus = 6;
+  ult::UltRuntime runtime(&h.kernel(), "nbody", ult::BackendKind::kSchedulerActivations, uc);
+  h.AddRuntime(&runtime);
+  NBodyConfig nc;
+  nc.bodies = bodies;
+  nc.steps = steps;
+  NBodyApp app(nc);
+  app.InstallOn(&runtime);
+  h.Run();
+  EXPECT_TRUE(app.done());
+  return Trajectory{app.total_interactions(), app.SequentialTime(), BodiesDigest(app.bodies())};
+}
+
+// Pinned from the pool-and-stack tree that the preorder array replaced, with
+// bench_fig1's problem (1200 bodies x 3 steps) and the firefly workload's body
+// count.  The run-vs-run determinism tests cannot see a change that moves
+// the physics the same way on every run; a mismatch here means the forces,
+// the interaction counts or the integration moved.
+TEST(NBodyTrajectory, MatchesPinnedDigests) {
+  const Trajectory fig1 = RunTrajectory(1200, 3);
+  EXPECT_EQ(fig1.interactions, 178427);
+  EXPECT_EQ(fig1.sequential, 3368886000);
+  EXPECT_EQ(fig1.digest, 0xca13ae786cc11ebdull);
+  const Trajectory firefly = RunTrajectory(4000, 2);
+  EXPECT_EQ(firefly.interactions, 498996);
+  EXPECT_EQ(firefly.sequential, 9331268000);
+  EXPECT_EQ(firefly.digest, 0xcd33c77e8408799cull);
 }
 
 }  // namespace
