@@ -447,29 +447,7 @@ void Kernel::HandleAction(hw::Processor* proc, PendingAction action, KThread* st
 
     case PendingAction::Kind::kRevoke: {
       AddressSpace* old_as = OwnerOf(proc);
-      if (old_as != nullptr) {
-        UnassignProcessor(proc);
-      }
-      const bool notify = old_as != nullptr && !old_as->reaped() &&
-                          old_as->mode() == AsMode::kSchedulerActivations;
-      if (stopped != nullptr) {
-        if (notify) {
-          stopped->set_state(KThreadState::kStopped);
-          old_as->sa()->OnProcessorRevoked(proc, stopped);
-        } else if (!stopped->address_space()->reaped()) {
-          stopped->set_state(KThreadState::kReady);
-          DomainFor(stopped->address_space())->ready.PushBack(stopped);
-          // The space may still own an idle processor (e.g. one vacated
-          // between the revocation decision and this interrupt); without a
-          // kick the requeued thread would wait for an unrelated event.
-          hw::Processor* idle = FindIdleProcessorFor(stopped->address_space());
-          if (idle != nullptr) {
-            DispatchOn(idle);
-          }
-        }
-      } else if (notify) {
-        old_as->sa()->OnProcessorRevoked(proc, nullptr);
-      }
+      DetachAndNotify(proc, old_as, stopped);
       proc->BeginKernelSpan(costs().preempt_interrupt, [this, proc, old_as] {
         allocator_->OnRevokeComplete(old_as, proc);
       });
@@ -482,27 +460,10 @@ void Kernel::HandleAction(hw::Processor* proc, PendingAction action, KThread* st
       // preempt upcall — the ledger settles here and the processor goes
       // straight back to the lender, with no grant-loop renegotiation.
       AddressSpace* old_as = OwnerOf(proc);
+      // Settled before the detach, so the borrower's entitlement never dips
+      // below its holdings.
       allocator_->OnLoanReclaimPreempted(proc, action.loan_epoch);
-      if (old_as != nullptr) {
-        UnassignProcessor(proc);
-      }
-      const bool notify = old_as != nullptr && !old_as->reaped() &&
-                          old_as->mode() == AsMode::kSchedulerActivations;
-      if (stopped != nullptr) {
-        if (notify) {
-          stopped->set_state(KThreadState::kStopped);
-          old_as->sa()->OnProcessorRevoked(proc, stopped);
-        } else if (!stopped->address_space()->reaped()) {
-          stopped->set_state(KThreadState::kReady);
-          DomainFor(stopped->address_space())->ready.PushBack(stopped);
-          hw::Processor* idle = FindIdleProcessorFor(stopped->address_space());
-          if (idle != nullptr) {
-            DispatchOn(idle);
-          }
-        }
-      } else if (notify) {
-        old_as->sa()->OnProcessorRevoked(proc, nullptr);
-      }
+      DetachAndNotify(proc, old_as, stopped);
       proc->BeginKernelSpan(costs().preempt_interrupt + costs().loan_reclaim,
                             [this, proc, old_as] {
                               allocator_->OnLoanReclaimComplete(old_as, proc);
@@ -537,6 +498,32 @@ void Kernel::HandleAction(hw::Processor* proc, PendingAction action, KThread* st
       }
       break;
     }
+  }
+}
+
+void Kernel::DetachAndNotify(hw::Processor* proc, AddressSpace* old_as, KThread* stopped) {
+  if (old_as != nullptr) {
+    UnassignProcessor(proc);
+  }
+  const bool notify = old_as != nullptr && !old_as->reaped() &&
+                      old_as->mode() == AsMode::kSchedulerActivations;
+  if (stopped != nullptr) {
+    if (notify) {
+      stopped->set_state(KThreadState::kStopped);
+      old_as->sa()->OnProcessorRevoked(proc, stopped);
+    } else if (!stopped->address_space()->reaped()) {
+      stopped->set_state(KThreadState::kReady);
+      DomainFor(stopped->address_space())->ready.PushBack(stopped);
+      // The space may still own an idle processor (e.g. one vacated between
+      // the revocation decision and this interrupt); without a kick the
+      // requeued thread would wait for an unrelated event.
+      hw::Processor* idle = FindIdleProcessorFor(stopped->address_space());
+      if (idle != nullptr) {
+        DispatchOn(idle);
+      }
+    }
+  } else if (notify) {
+    old_as->sa()->OnProcessorRevoked(proc, nullptr);
   }
 }
 

@@ -289,6 +289,12 @@ class Kernel {
 
   void OnInterrupt(hw::Processor* proc, hw::Interrupt irq);
   void HandleAction(hw::Processor* proc, PendingAction action, KThread* stopped);
+  // The common step of a revocation and a loan reclaim: unassign `proc` from
+  // `old_as` (its owner, if any) and tell the context it stopped.  An SA
+  // owner gets a preempted upcall; a kernel-thread context is requeued and
+  // an idle processor of its space kicked.  `stopped` is nullptr when the
+  // interrupt caught the processor between spans.
+  void DetachAndNotify(hw::Processor* proc, AddressSpace* old_as, KThread* stopped);
   void ChargeDispatchAndRun(hw::Processor* proc, KThread* kt);
   void RunThread(KThread* kt);
   void ArmQuantum(hw::Processor* proc, KThread* kt);

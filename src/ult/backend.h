@@ -1,14 +1,22 @@
 // Virtual-processor backend interface: what FastThreads needs from whatever
-// supplies its processors.  Two implementations:
+// supplies its processors.  Everything else — dispatch, synchronization,
+// kernel I/O, page faults and kernel events — lives in FastThreads, and the
+// kernel tells the two kinds of context apart.  The two implementations
+// differ only where the paper's two FastThreads do: how a virtual processor
+// gets and gives up a processor, and the per-operation costs of Section 5.1.
 //
 //  * KtBackend  — original FastThreads: virtual processors are kernel threads
-//    scheduled obliviously by the (native) kernel.  Kernel events are
-//    invisible; a blocked virtual processor takes its physical processor
-//    with it.
+//    scheduled obliviously by the (native) kernel.  Each is bound for the
+//    whole run, an idle one spins in the user-level scheduler, and a thread
+//    blocked in the kernel takes its processor with it.  No operation pays
+//    an accounting overhead.
 //
 //  * SaBackend  — modified FastThreads: virtual processors are scheduler
-//    activations; kernel events arrive as upcalls and the package notifies
-//    the kernel of allocation-relevant transitions (Table 3).
+//    activations.  Slots bind and unbind as Table 2 upcalls grant, stop and
+//    preempt them; parallelism changes issue the Table 3 downcalls (plus the
+//    priority preempt-processor request), an idle processor is returned
+//    after hysteresis (Section 4.2) or lent, and fork, wait and resume pay
+//    the busy-count and condition-code costs of Section 5.1.
 
 #ifndef SA_ULT_BACKEND_H_
 #define SA_ULT_BACKEND_H_
@@ -26,39 +34,24 @@ class VcpuBackend {
  public:
   virtual ~VcpuBackend() = default;
 
-  virtual const char* name() const = 0;
-
   // Called once the engine is constructed.
   virtual void Attach(FastThreads* ft) = 0;
 
   // Boot: make the initial virtual processors / processor requests happen.
   virtual void Start() = 0;
 
-  // The current thread of `v` performs a blocking kernel I/O.
-  virtual void BlockIo(Vcpu* v, Tcb* t, sim::Duration latency) = 0;
-
-  // The current thread of `v` faults on a non-resident page (the resident
-  // fast path is handled by the engine before this is called).
-  virtual void PageFault(Vcpu* v, Tcb* t, int64_t page, sim::Duration latency) = 0;
-
-  // Kernel-event wait/signal (used by workloads that force kernel-level
-  // synchronization; Section 5.2's upcall benchmark).  `ev` is an opaque
-  // kernel event id owned by the runtime facade.
-  virtual void KernelWait(Vcpu* v, Tcb* t, int event_id) = 0;
-  virtual void KernelSignal(Vcpu* v, Tcb* t, int event_id) = 0;
-
   // The dispatcher found no work on `v`.
   virtual void OnIdle(Vcpu* v) = 0;
 
   // A ready thread appeared while `v` was idle-spinning; backends may need
   // to clear idle bookkeeping before the dispatcher reclaims `v`.
-  virtual void OnIdleWake(Vcpu* v) = 0;
+  virtual void OnIdleWake(Vcpu* /*v*/) {}
 
   // Parallelism bookkeeping hook, called after a change in the number of
   // runnable threads with the vcpu whose context we can charge costs to.
   // The SA backend issues Table-3 downcalls from here; `resume` continues
   // the interrupted user path.
-  virtual void NotifyParallelism(Vcpu* v, std::function<void()> resume) = 0;
+  virtual void NotifyParallelism(Vcpu* /*v*/, std::function<void()> resume) { resume(); }
 
   // A thread was loaded into / unloaded from a virtual processor (the SA
   // backend records which user-level thread runs in which activation).
@@ -66,9 +59,9 @@ class VcpuBackend {
   virtual void OnThreadUnloaded(Vcpu* v) {}
 
   // Per-operation overheads (Section 5.1 / Table 4 calibration).
-  virtual sim::Duration ForkOverhead() const = 0;    // busy-count accounting
-  virtual sim::Duration WaitOverhead() const = 0;    // busy-count accounting
-  virtual sim::Duration ResumeCheckOverhead() const = 0;  // condition-code restore
+  virtual sim::Duration ForkOverhead() const { return 0; }  // busy-count accounting
+  virtual sim::Duration WaitOverhead() const { return 0; }  // busy-count accounting
+  virtual sim::Duration ResumeCheckOverhead() const { return 0; }  // condition codes
 };
 
 }  // namespace sa::ult

@@ -4,6 +4,8 @@
 #include <climits>
 #include <utility>
 
+#include "src/core/activation.h"
+
 namespace sa::ult {
 
 FastThreads::FastThreads(kern::Kernel* kernel, kern::AddressSpace* as, UltConfig config,
@@ -44,6 +46,11 @@ int FastThreads::CreateLock(rt::LockKind kind) {
 int FastThreads::CreateCond() {
   sems_.push_back(std::make_unique<UltSem>());
   return static_cast<int>(sems_.size()) - 1;
+}
+
+int FastThreads::CreateKernelEvent() {
+  kernel_events_.push_back(std::make_unique<KernelEvent>());
+  return static_cast<int>(kernel_events_.size()) - 1;
 }
 
 Tcb* FastThreads::AllocTcb(Vcpu* v, rt::WorkThread* w) {
@@ -92,6 +99,10 @@ void FastThreads::Halt() {
   halted_ = true;
   heartbeat_.Cancel();
   hb_armed_ = false;
+  for (auto& ev : kernel_events_) {
+    ev->pending = 0;
+    ev->waiters.clear();
+  }
 }
 
 void FastThreads::ParkHalted(Vcpu* v) {
@@ -125,24 +136,6 @@ void FastThreads::ChargeMgmt(Vcpu* v, sim::Duration d, std::function<void()> fn)
 // ---------------------------------------------------------------------------
 // Dispatching.
 // ---------------------------------------------------------------------------
-
-Tcb* FastThreads::PopLocal(Vcpu* v) {
-  if (!has_priorities_) {
-    return v->ready.PopFront();  // plain LIFO (Section 4.2 default policy)
-  }
-  // Priority-aware: front-most thread of the highest priority present
-  // (LIFO within a priority level).
-  Tcb* best = nullptr;
-  for (Tcb* t : v->ready) {
-    if (best == nullptr || t->priority > best->priority) {
-      best = t;
-    }
-  }
-  if (best != nullptr) {
-    v->ready.Remove(best);
-  }
-  return best;
-}
 
 int FastThreads::HighestReadyPriority() const {
   int best = INT_MIN;
@@ -219,62 +212,6 @@ sim::Duration FastThreads::NoteSteal(Vcpu* thief, Vcpu* victim) {
   return penalty;
 }
 
-Tcb* FastThreads::Steal(Vcpu* v, sim::Duration* penalty) {
-  if (has_priorities_) {
-    Vcpu* best_victim = nullptr;
-    Tcb* best = nullptr;
-    // Strict `>` plus the locality-ordered scan: among equal priorities a
-    // same-socket victim wins.
-    for (Vcpu* victim : StealOrder(v)) {
-      for (Tcb* t : victim->ready) {
-        if (best == nullptr || t->priority > best->priority) {
-          best = t;
-          best_victim = victim;
-        }
-      }
-    }
-    if (best != nullptr) {
-      best_victim->ready.Remove(best);
-      ++counters_.steals;
-      *penalty += NoteSteal(v, best_victim);
-      if (TraceOn()) {
-        TraceUlt(trace::Kind::kUltSteal, v->proc()->id(),
-                 static_cast<uint64_t>(v->index),
-                 static_cast<uint64_t>(best_victim->index));
-      }
-    }
-    return best;
-  }
-  for (Vcpu* victim : StealOrder(v)) {
-    Tcb* t = victim->ready.PopBack();  // oldest first from a remote list
-    if (t != nullptr) {
-      ++counters_.steals;
-      *penalty += NoteSteal(v, victim);
-      if (TraceOn()) {
-        TraceUlt(trace::Kind::kUltSteal, v->proc()->id(),
-                 static_cast<uint64_t>(v->index), static_cast<uint64_t>(victim->index));
-      }
-      return t;
-    }
-  }
-  // Steal-triggered promotion (DESIGN.md §17): every ready list is dry, but
-  // unpromoted lazy-fork frames are latent parallelism.  Promote the
-  // globally oldest frame to this processor rather than going idle — a
-  // thief never sees (or races) a raw frame, only TCBs on ready lists.
-  if (lazy_outstanding_ > 0) {
-    LazyFrame frame;
-    Vcpu* owner = nullptr;
-    if (PopOldestLazyFrame(&frame, &owner)) {
-      Tcb* t = PromoteFrame(frame, v, trace::HbPromoteSource::kSteal,
-                            v->bound ? v->proc()->id() : -1);
-      t->state = Tcb::State::kReady;  // dispatched by our caller momentarily
-      *penalty += NoteSteal(v, owner);
-      return t;
-    }
-  }
-  return nullptr;
-}
-
 void FastThreads::RunVcpu(Vcpu* v) {
   if (halted_) {
     ParkHalted(v);
@@ -304,6 +241,42 @@ void FastThreads::RunVcpu(Vcpu* v) {
   Dispatch(v);
 }
 
+Tcb* FastThreads::TakeReady(Vcpu* v, Vcpu** owner) {
+  // The scan meets candidates in tie order and strict `>` keeps the first of
+  // equals.  With no priority in play every thread ties, so the first thread
+  // met is the pick: an O(1) local pop, or the oldest thread of the first
+  // non-empty list in StealOrder.
+  Tcb* best = nullptr;
+  const auto settled = [&] { return best != nullptr && !has_priorities_; };
+  const auto consider = [&](Tcb* t, Vcpu* list) {
+    if (best == nullptr || t->priority > best->priority) {
+      best = t;
+      *owner = list;
+    }
+  };
+  for (Tcb* t : v->ready) {
+    consider(t, v);
+    if (settled()) {
+      break;
+    }
+  }
+  if (!settled() && num_vcpus() > 1) {
+    for (Vcpu* victim : StealOrder(v)) {
+      for (Tcb* t = victim->ready.Back(); t != nullptr && !settled();
+           t = victim->ready.Prev(t)) {
+        consider(t, victim);
+      }
+      if (settled()) {
+        break;
+      }
+    }
+  }
+  if (best != nullptr) {
+    (*owner)->ready.Remove(best);
+  }
+  return best;
+}
+
 void FastThreads::Dispatch(Vcpu* v) {
   if (halted_) {
     ParkHalted(v);
@@ -311,40 +284,33 @@ void FastThreads::Dispatch(Vcpu* v) {
   }
   SA_CHECK_MSG(v->bound, "dispatch on an unbound virtual processor");
   SA_CHECK(v->current == nullptr);
-  if (has_priorities_) {
-    DispatchByPriority(v);
-    return;
-  }
-  Tcb* next = PopLocal(v);
-  if (next == nullptr && num_vcpus() > 1) {
-    sim::Duration steal_penalty = 0;
-    next = Steal(v, &steal_penalty);
-    if (next != nullptr) {
-      // Charge the scan (plus any cross-socket migration penalty)
-      // separately, then fall through to the dispatch charge.
-      Tcb* stolen = next;
-      if (TraceOn()) {
-        TraceUlt(trace::Kind::kUltDispatch, v->proc()->id(),
-                 static_cast<uint64_t>(v->index), static_cast<uint64_t>(stolen->id));
-        TraceUlt(trace::Kind::kUltRunnable, v->proc()->id(),
-                 static_cast<uint64_t>(v->index), QueuedReady());
-      }
-      ChargeMgmt(v, kernel_->costs().ult_steal_scan + steal_penalty, [this, v, stolen] {
-        // A promoted lazy frame carries its deferred fork cost
-        // (lazy_promote_charge); the first dispatch pays it.
-        const sim::Duration charge = kernel_->costs().ult_dispatch + FlagCs(1) +
-                                     stolen->lazy_promote_charge +
-                                     (stolen->resume_check
-                                          ? backend_->ResumeCheckOverhead()
-                                          : 0);
-        ChargeMgmt(v, charge, [this, v, stolen] {
-          ++counters_.dispatches;
-          stolen->resume_check = false;
-          stolen->lazy_promote_charge = 0;
-          ContinueThread(v, stolen);
-        });
-      });
-      return;
+  Vcpu* owner = nullptr;
+  Tcb* next = TakeReady(v, &owner);
+  // A thread taken from another list, or a promoted frame, pays the steal
+  // scan (plus any cross-socket migration penalty) as its own span before
+  // the dispatch charge.
+  bool scanned = false;
+  sim::Duration steal_penalty = 0;
+  if (next != nullptr && owner != v) {
+    scanned = true;
+    ++counters_.steals;
+    steal_penalty = NoteSteal(v, owner);
+    if (TraceOn()) {
+      TraceUlt(trace::Kind::kUltSteal, v->proc()->id(), static_cast<uint64_t>(v->index),
+               static_cast<uint64_t>(owner->index));
+    }
+  } else if (next == nullptr && num_vcpus() > 1 && lazy_outstanding_ > 0) {
+    // Steal-triggered promotion (DESIGN.md §17): every ready list is dry, but
+    // unpromoted lazy-fork frames are latent parallelism.  Promote the
+    // globally oldest frame to this processor rather than going idle — a
+    // thief never sees (or races) a raw frame, only TCBs on ready lists.  It
+    // is charged like a steal but not counted as one.
+    LazyFrame frame;
+    if (PopOldestLazyFrame(&frame, &owner)) {
+      scanned = true;
+      next = PromoteFrame(frame, v, trace::HbPromoteSource::kSteal, v->proc()->id());
+      next->state = Tcb::State::kReady;
+      steal_penalty = NoteSteal(v, owner);
     }
   }
   if (next == nullptr) {
@@ -363,69 +329,23 @@ void FastThreads::Dispatch(Vcpu* v) {
     TraceUlt(trace::Kind::kUltRunnable, v->proc()->id(),
              static_cast<uint64_t>(v->index), QueuedReady());
   }
-  const sim::Duration charge = kernel_->costs().ult_dispatch + FlagCs(1) +
-                               next->lazy_promote_charge +
-                               (next->resume_check ? backend_->ResumeCheckOverhead() : 0);
-  ChargeMgmt(v, charge, [this, v, next] {
-    ++counters_.dispatches;
-    next->resume_check = false;
-    next->lazy_promote_charge = 0;
-    ContinueThread(v, next);
-  });
-}
-
-// Priority policy: the highest-priority ready thread anywhere must run
-// before any lower-priority one (ties prefer the local list).
-void FastThreads::DispatchByPriority(Vcpu* v) {
-  Tcb* best = nullptr;
-  Vcpu* owner = nullptr;
-  for (Tcb* t : v->ready) {
-    if (best == nullptr || t->priority > best->priority) {
-      best = t;
-      owner = v;
-    }
-  }
-  for (Vcpu* victim : StealOrder(v)) {
-    for (Tcb* t : victim->ready) {
-      if (best == nullptr || t->priority > best->priority) {
-        best = t;
-        owner = victim;
-      }
-    }
-  }
-  if (best == nullptr) {
-    ++counters_.idles;
-    if (TraceOn()) {
-      TraceUlt(trace::Kind::kUltIdle, v->proc()->id(),
-               static_cast<uint64_t>(v->index), 0);
-    }
-    v->idle_spinning = true;
-    backend_->OnIdle(v);
+  if (!scanned) {
+    ChargeDispatch(v, next);
     return;
   }
-  owner->ready.Remove(best);
-  sim::Duration charge = kernel_->costs().ult_dispatch + FlagCs(1) +
-                         best->lazy_promote_charge +
-                         (best->resume_check ? backend_->ResumeCheckOverhead() : 0);
-  if (owner != v) {
-    ++counters_.steals;
-    charge += kernel_->costs().ult_steal_scan + NoteSteal(v, owner);
-    if (TraceOn()) {
-      TraceUlt(trace::Kind::kUltSteal, v->proc()->id(),
-               static_cast<uint64_t>(v->index), static_cast<uint64_t>(owner->index));
-    }
-  }
-  if (TraceOn()) {
-    TraceUlt(trace::Kind::kUltDispatch, v->proc()->id(),
-             static_cast<uint64_t>(v->index), static_cast<uint64_t>(best->id));
-    TraceUlt(trace::Kind::kUltRunnable, v->proc()->id(),
-             static_cast<uint64_t>(v->index), QueuedReady());
-  }
-  ChargeMgmt(v, charge, [this, v, best] {
+  ChargeMgmt(v, kernel_->costs().ult_steal_scan + steal_penalty,
+             [this, v, next] { ChargeDispatch(v, next); });
+}
+
+void FastThreads::ChargeDispatch(Vcpu* v, Tcb* t) {
+  const sim::Duration charge = kernel_->costs().ult_dispatch + FlagCs(1) +
+                               t->lazy_promote_charge +
+                               (t->resume_check ? backend_->ResumeCheckOverhead() : 0);
+  ChargeMgmt(v, charge, [this, v, t] {
     ++counters_.dispatches;
-    best->resume_check = false;
-    best->lazy_promote_charge = 0;
-    ContinueThread(v, best);
+    t->resume_check = false;
+    t->lazy_promote_charge = 0;
+    ContinueThread(v, t);
   });
 }
 
@@ -603,27 +523,25 @@ void FastThreads::Interpret(Tcb* t) {
       DoSignal(t);
       break;
     case rt::OpKind::kIo:
-      --runnable_;
-      t->state = Tcb::State::kBlockedKernel;
-      backend_->BlockIo(v, t, op.duration);
+      BlockInKernel(v, t);
+      kernel_->SysBlockIo(v->kt, op.duration);
       break;
-    case rt::OpKind::kPageFault: {
+    case rt::OpKind::kPageFault:
       if (as_->vm().IsResident(op.page)) {
         // Minor fault: a kernel trap on the backing context, then continue.
         kernel_->ChargeKernel(v->kt, kernel_->costs().kernel_trap,
                               [this, t] { StepAndInterpret(t); });
         break;
       }
-      --runnable_;
-      t->state = Tcb::State::kBlockedKernel;
-      backend_->PageFault(v, t, op.page, op.duration);
+      // Paging blocks exactly like I/O (the paper treats them uniformly).
+      BlockInKernel(v, t);
+      kernel_->SysPageFault(v->kt, op.page, op.duration, nullptr);
       break;
-    }
     case rt::OpKind::kKernelWait:
-      backend_->KernelWait(v, t, op.sync_id);
+      KernelWait(v, t, op.sync_id);
       break;
     case rt::OpKind::kKernelSignal:
-      backend_->KernelSignal(v, t, op.sync_id);
+      KernelSignal(v, t, op.sync_id);
       break;
     case rt::OpKind::kYield:
       DoYield(t);
@@ -636,6 +554,57 @@ void FastThreads::Interpret(Tcb* t) {
       break;
   }
 }
+
+// ---------------------------------------------------------------------------
+// Kernel operations.  The kernel tells the two backends apart: a kernel
+// thread blocks with the thread loaded and resumes it through RunVcpu; an
+// activation's processor gets a fresh upcall, and the thread comes back in
+// the unblocked event.
+// ---------------------------------------------------------------------------
+
+void FastThreads::BlockInKernel(Vcpu* v, Tcb* t) {
+  --runnable_;
+  t->state = Tcb::State::kBlockedKernel;
+  // An activation carries its thread to the kernel as the user cookie, which
+  // the unblocked upcall hands back.
+  SA_CHECK(!v->kt->is_activation() || v->kt->activation()->user_cookie() == t);
+}
+
+void FastThreads::KernelWait(Vcpu* v, Tcb* t, int event_id) {
+  KernelEvent* ev = kernel_events_[static_cast<size_t>(event_id)].get();
+  kern::KThread* kt = v->kt;
+  kernel_->SysBlockWait(
+      kt,
+      [this, ev, kt, t] {
+        if (ev->pending > 0) {
+          --ev->pending;
+          return false;
+        }
+        ev->waiters.push_back(kt);
+        --runnable_;
+        t->state = Tcb::State::kBlockedKernel;
+        return true;
+      },
+      [this, t] { StepAndInterpret(t); });
+}
+
+void FastThreads::KernelSignal(Vcpu* v, Tcb* t, int event_id) {
+  KernelEvent* ev = kernel_events_[static_cast<size_t>(event_id)].get();
+  if (!ev->waiters.empty()) {
+    kern::KThread* waiter = ev->waiters.front();
+    ev->waiters.pop_front();
+    kernel_->SysWakeup(v->kt, waiter, [this, t] { StepAndInterpret(t); });
+    return;
+  }
+  // Remembered now, when the signal decides it found no waiter, not when its
+  // trap returns: a wait committing on another processor in between must
+  // consume it rather than sleep past it.
+  ++ev->pending;
+  kernel_->ChargeKernel(v->kt, kernel_->costs().kernel_trap,
+                        [this, t] { StepAndInterpret(t); });
+}
+
+// ---------------------------------------------------------------------------
 
 void FastThreads::DoFork(Tcb* parent) {
   Vcpu* v = parent->vcpu;

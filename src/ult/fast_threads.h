@@ -25,6 +25,7 @@
 #ifndef SA_ULT_FAST_THREADS_H_
 #define SA_ULT_FAST_THREADS_H_
 
+#include <deque>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -90,6 +91,9 @@ class FastThreads {
   // ---- setup ----
   int CreateLock(rt::LockKind kind);
   int CreateCond();
+  // A counting event whose wait and signal trap into the kernel
+  // (rt::Runtime::CreateKernelEvent; Section 5.2's upcall benchmark).
+  int CreateKernelEvent();
   // Creates a thread with no cost (pre-start spawn); enqueues it ready.
   Tcb* SpawnThread(rt::WorkThread* w);
 
@@ -99,22 +103,25 @@ class FastThreads {
 
   // Number of threads that are ready or running (parallelism signal).
   int runnable() const { return runnable_; }
-  // True once any thread with a non-default priority exists; enables the
-  // priority-aware dispatch path (kept off the microbenchmark fast path).
+  // True once any thread with a non-default priority exists.  Until then
+  // every ready thread ties, so dispatch takes the first candidate it meets
+  // (the Table 1/4 fast path) and the SA backend never looks for a
+  // lower-priority processor to preempt.
   bool has_priorities() const { return has_priorities_; }
   // Highest priority among ready threads (INT_MIN if none are ready).
   int HighestReadyPriority() const;
   // The bound virtual processor (other than `exclude`) running the
   // lowest-priority thread, or nullptr if none is running a thread.
   Vcpu* LowestPriorityRunningVcpu(const Vcpu* exclude) const;
-  // Mutable access for backends that adjust accounting inside kernel-side
-  // commit callbacks (kernel-event waits).
+  // Mutable access for the SA backend, which counts a thread runnable again
+  // when an unblocked upcall hands it back.
   int& runnable_ref() { return runnable_; }
 
   // ---- execution entry points (called by backends/hosts) ----
   // Continue whatever `v` should be doing: its current thread or a dispatch.
   void RunVcpu(Vcpu* v);
-  // Pick the next ready thread for `v`, or go idle.
+  // Run the next ready thread on `v` (TakeReady), else promote a lazy-fork
+  // frame (DESIGN.md §17), else go idle.
   void Dispatch(Vcpu* v);
   // Load `t` into `v` and continue its execution (saved span, pending
   // spinlock, or coroutine step).
@@ -152,7 +159,9 @@ class FastThreads {
   // Teardown (space reaped): freeze the thread system.  Every execution
   // entry point becomes a no-op that hands its processor back to the kernel
   // (ParkHalted), so in-flight span continuations drain without touching
-  // user state and the reaper can reclaim every processor.
+  // user state and the reaper can reclaim every processor.  Kernel events
+  // lose their waiters and counts but stay allocated: a SysBlockWait check
+  // still in flight may hold one.
   void Halt();
   bool halted() const { return halted_; }
 
@@ -193,7 +202,11 @@ class FastThreads {
   void DoSignal(Tcb* t);
   void DoYield(Tcb* t);
   void DoDone(Tcb* t);
-  void DispatchByPriority(Vcpu* v);
+  // `t` blocks in the kernel on its context v->kt: a kernel thread takes its
+  // processor with it, an activation's processor gets a fresh upcall.
+  void BlockInKernel(Vcpu* v, Tcb* t);
+  void KernelWait(Vcpu* v, Tcb* t, int event_id);
+  void KernelSignal(Vcpu* v, Tcb* t, int event_id);
   void TrySpinAcquire(Vcpu* v, Tcb* t);
   void GrantSpinLock(UltLock* lock);
   void FinishRecovery(Tcb* t);
@@ -219,10 +232,14 @@ class FastThreads {
 
   Tcb* AllocTcb(Vcpu* v, rt::WorkThread* w);
   void FreeTcb(Vcpu* v, Tcb* t);
-  Tcb* PopLocal(Vcpu* v);
-  // Steals a thread for `v`; adds any cross-socket migration penalty to
-  // `*penalty` (never charged on flat machines).
-  Tcb* Steal(Vcpu* v, sim::Duration* penalty);
+  // The one selection rule: removes and returns the highest-priority ready
+  // thread, or nullptr.  Ties go to v's own list, newest first (LIFO,
+  // Section 4.2), then to the other lists in StealOrder, oldest first.
+  // `*owner` is the vcpu whose list held it.
+  Tcb* TakeReady(Vcpu* v, Vcpu** owner);
+  // Charges the dispatch of `t` on `v` (plus a promoted frame's deferred
+  // fork and a resumed thread's condition-code restore), then runs it.
+  void ChargeDispatch(Vcpu* v, Tcb* t);
   // Victim scan order: the Section 4.2 rotation, with same-socket victims
   // partitioned to the front under locality_aware_stealing.
   std::vector<Vcpu*> StealOrder(Vcpu* v);
@@ -255,6 +272,12 @@ class FastThreads {
   std::vector<std::unique_ptr<Tcb>> tcbs_;
   std::vector<std::unique_ptr<UltLock>> locks_;
   std::vector<std::unique_ptr<UltSem>> sems_;
+  // Kernel events: signals not yet consumed, and the blocked contexts.
+  struct KernelEvent {
+    int pending = 0;
+    std::deque<kern::KThread*> waiters;
+  };
+  std::vector<std::unique_ptr<KernelEvent>> kernel_events_;
   int runnable_ = 0;
   int next_tcb_id_ = 0;
   bool has_priorities_ = false;

@@ -11,11 +11,6 @@ KtBackend::KtBackend(kern::Kernel* kernel, kern::AddressSpace* as)
 
 void KtBackend::Attach(FastThreads* ft) { ft_ = ft; }
 
-int KtBackend::CreateKernelEvent() {
-  events_.push_back(std::make_unique<KEvent>());
-  return static_cast<int>(events_.size()) - 1;
-}
-
 void KtBackend::Start() {
   // One kernel thread per virtual processor, permanently bound.
   for (int i = 0; i < ft_->num_vcpus(); ++i) {
@@ -34,14 +29,9 @@ void KtBackend::RunOn(kern::KThread* kt) {
 }
 
 void KtBackend::OnSpaceReaped() {
-  // Freeze the thread system; pending kernel-event state dies with the
-  // space.  The vcpus' kernel threads were already marked dead by the
-  // reaper, so the kernel never dispatches them again.
+  // Freeze the thread system.  The vcpus' kernel threads were already marked
+  // dead by the reaper, so the kernel never dispatches them again.
   ft_->Halt();
-  for (auto& ev : events_) {
-    ev->pending = 0;
-    ev->waiters.clear();
-  }
 }
 
 void KtBackend::OnPreempted(kern::KThread* kt, hw::Interrupt irq) {
@@ -74,49 +64,6 @@ void KtBackend::OnUnblocked(kern::KThread* kt) {
       v->current->work->ctx.last_io_ok = false;
     }
   }
-}
-
-void KtBackend::BlockIo(Vcpu* v, Tcb* t, sim::Duration latency) {
-  // The vcpu's kernel thread blocks with the user-level thread in its
-  // context: the physical processor is lost to the address space.
-  kernel_->SysBlockIo(v->kt, latency);
-}
-
-void KtBackend::PageFault(Vcpu* v, Tcb* t, int64_t page, sim::Duration latency) {
-  // Non-resident: the vcpu's kernel thread blocks, exactly like I/O.
-  kernel_->SysPageFault(v->kt, page, latency, nullptr);
-}
-
-void KtBackend::KernelWait(Vcpu* v, Tcb* t, int event_id) {
-  KEvent* ev = events_[static_cast<size_t>(event_id)].get();
-  kern::KThread* kt = v->kt;
-  kernel_->SysBlockWait(
-      kt,
-      [this, ev, kt, t] {
-        if (ev->pending > 0) {
-          --ev->pending;
-          return false;
-        }
-        ev->waiters.emplace_back(kt, t);
-        --ft_->runnable_ref();
-        t->state = Tcb::State::kBlockedKernel;
-        return true;
-      },
-      [this, t] { ft_->StepAndInterpret(t); });
-}
-
-void KtBackend::KernelSignal(Vcpu* v, Tcb* t, int event_id) {
-  KEvent* ev = events_[static_cast<size_t>(event_id)].get();
-  if (!ev->waiters.empty()) {
-    auto [waiter_kt, waiter_t] = ev->waiters.front();
-    ev->waiters.pop_front();
-    kernel_->SysWakeup(v->kt, waiter_kt, [this, t] { ft_->StepAndInterpret(t); });
-    return;
-  }
-  kernel_->ChargeKernel(v->kt, kernel_->costs().kernel_trap, [this, ev, t] {
-    ++ev->pending;
-    ft_->StepAndInterpret(t);
-  });
 }
 
 void KtBackend::OnIdle(Vcpu* v) {

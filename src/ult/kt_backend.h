@@ -14,10 +14,6 @@
 #ifndef SA_ULT_KT_BACKEND_H_
 #define SA_ULT_KT_BACKEND_H_
 
-#include <deque>
-#include <memory>
-#include <vector>
-
 #include "src/kern/kernel.h"
 #include "src/ult/backend.h"
 
@@ -27,27 +23,10 @@ class KtBackend : public VcpuBackend, public kern::KThreadHost {
  public:
   KtBackend(kern::Kernel* kernel, kern::AddressSpace* as);
 
-  // Kernel-event table shared with the runtime facade.
-  struct KEvent {
-    int pending = 0;
-    std::deque<std::pair<kern::KThread*, Tcb*>> waiters;
-  };
-  int CreateKernelEvent();
-
   // VcpuBackend:
-  const char* name() const override { return "kernel-threads"; }
   void Attach(FastThreads* ft) override;
   void Start() override;
-  void BlockIo(Vcpu* v, Tcb* t, sim::Duration latency) override;
-  void PageFault(Vcpu* v, Tcb* t, int64_t page, sim::Duration latency) override;
-  void KernelWait(Vcpu* v, Tcb* t, int event_id) override;
-  void KernelSignal(Vcpu* v, Tcb* t, int event_id) override;
   void OnIdle(Vcpu* v) override;
-  void OnIdleWake(Vcpu* v) override {}
-  void NotifyParallelism(Vcpu* v, std::function<void()> resume) override { resume(); }
-  sim::Duration ForkOverhead() const override { return 0; }
-  sim::Duration WaitOverhead() const override { return 0; }
-  sim::Duration ResumeCheckOverhead() const override { return 0; }
 
   // kern::KThreadHost:
   void RunOn(kern::KThread* kt) override;
@@ -61,7 +40,6 @@ class KtBackend : public VcpuBackend, public kern::KThreadHost {
   kern::Kernel* kernel_;
   kern::AddressSpace* as_;
   FastThreads* ft_ = nullptr;
-  std::vector<std::unique_ptr<KEvent>> events_;
 };
 
 }  // namespace sa::ult

@@ -17,11 +17,6 @@ SaBackend::~SaBackend() = default;
 
 void SaBackend::Attach(FastThreads* ft) { ft_ = ft; }
 
-int SaBackend::CreateKernelEvent() {
-  events_.push_back(std::make_unique<KEvent>());
-  return static_cast<int>(events_.size()) - 1;
-}
-
 void SaBackend::Start() {
   // Program start: register initial demand; the kernel answers with an
   // add-processor upcall at a fixed entry point (Section 3.1).
@@ -38,31 +33,30 @@ Vcpu* SaBackend::SlotByProcessor(int processor_id) {
   return it == by_proc_.end() ? nullptr : it->second;
 }
 
+void SaBackend::ResetSlot(Vcpu* v, kern::KThread* kt) {
+  v->kt = kt;
+  v->current = nullptr;
+  v->idle_spinning = false;
+  v->idle_transition = false;
+  v->idle_notified = false;
+  v->lend_hinted = false;
+  v->hysteresis.Cancel();
+}
+
 Vcpu* SaBackend::BindSlot(kern::KThread* kt) {
   const int pid = kt->processor()->id();
   Vcpu* v = SlotByProcessor(pid);
   if (v != nullptr) {
     // Rebind: the fresh activation replaces whatever context held this
     // processor (blocked or stopped; its thread state travels in events).
-    v->kt = kt;
-    v->current = nullptr;
-    v->idle_spinning = false;
-    v->idle_transition = false;
-    v->idle_notified = false;
-    v->lend_hinted = false;
-    v->hysteresis.Cancel();
+    ResetSlot(v, kt);
     return v;
   }
   for (int i = 0; i < ft_->num_vcpus(); ++i) {
     Vcpu* candidate = ft_->vcpu(i);
     if (!candidate->bound) {
       candidate->bound = true;
-      candidate->kt = kt;
-      candidate->current = nullptr;
-      candidate->idle_spinning = false;
-      candidate->idle_transition = false;
-      candidate->idle_notified = false;
-      candidate->lend_hinted = false;
+      ResetSlot(candidate, kt);
       by_proc_[pid] = candidate;
       return candidate;
     }
@@ -73,13 +67,7 @@ Vcpu* SaBackend::BindSlot(kern::KThread* kt) {
 void SaBackend::UnbindSlot(Vcpu* v, int processor_id) {
   ft_->NoteUnbound(v, processor_id);
   v->bound = false;
-  v->kt = nullptr;
-  v->current = nullptr;
-  v->idle_spinning = false;
-  v->idle_transition = false;
-  v->idle_notified = false;
-  v->lend_hinted = false;
-  v->hysteresis.Cancel();
+  ResetSlot(v, nullptr);
   by_proc_.erase(processor_id);
 }
 
@@ -130,10 +118,6 @@ void SaBackend::OnSpaceReaped() {
   ft_->Halt();
   inbox_.clear();
   discards_.clear();
-  for (auto& ev : events_) {
-    ev->pending = 0;
-    ev->waiters.clear();
-  }
   for (int i = 0; i < ft_->num_vcpus(); ++i) {
     ft_->vcpu(i)->hysteresis.Cancel();
   }
@@ -324,66 +308,20 @@ void SaBackend::OnPreempted(kern::KThread* kt, hw::Interrupt irq) {
 }
 
 // ---------------------------------------------------------------------------
-// Kernel interaction for user-level threads.
+// Idling and parallelism (Section 4.2, Table 3).
 // ---------------------------------------------------------------------------
 
-void SaBackend::BlockIo(Vcpu* v, Tcb* t, sim::Duration latency) {
-  // The activation blocks in the kernel with the thread in its context; the
-  // kernel immediately upcalls a fresh activation on this processor.
-  SA_CHECK(v->kt->activation()->user_cookie() == t);
-  kernel_->SysBlockIo(v->kt, latency);
-}
-
-void SaBackend::PageFault(Vcpu* v, Tcb* t, int64_t page, sim::Duration latency) {
-  // The activation blocks in the kernel on the paging I/O; the kernel
-  // upcalls a fresh activation on this processor (identical to BlockIo —
-  // the paper treats page faults and I/O uniformly).
-  SA_CHECK(v->kt->activation()->user_cookie() == t);
-  kernel_->SysPageFault(v->kt, page, latency, nullptr);
-}
-
-void SaBackend::KernelWait(Vcpu* v, Tcb* t, int event_id) {
-  KEvent* ev = events_[static_cast<size_t>(event_id)].get();
-  kern::KThread* act = v->kt;
-  kernel_->SysBlockWait(
-      act,
-      [this, ev, act, t] {
-        if (ev->pending > 0) {
-          --ev->pending;
-          return false;
-        }
-        ev->waiters.emplace_back(act, t);
-        --ft_->runnable_ref();
-        t->state = Tcb::State::kBlockedKernel;
-        return true;
-      },
-      [this, t] { ft_->StepAndInterpret(t); });
-}
-
-void SaBackend::KernelSignal(Vcpu* v, Tcb* t, int event_id) {
-  KEvent* ev = events_[static_cast<size_t>(event_id)].get();
-  if (!ev->waiters.empty()) {
-    auto [waiter_act, waiter_t] = ev->waiters.front();
-    ev->waiters.pop_front();
-    kernel_->SysWakeup(v->kt, waiter_act, [this, t] { ft_->StepAndInterpret(t); });
-    return;
-  }
-  kernel_->ChargeKernel(v->kt, kernel_->costs().kernel_trap, [this, ev, t] {
-    ++ev->pending;
-    ft_->StepAndInterpret(t);
-  });
+void SaBackend::NotifyIdle(Vcpu* v) {
+  ft_->BeginIdleTransition(v);
+  v->idle_notified = true;
+  // Re-checks for work; re-enters OnIdle if there is still none.
+  space_->DowncallProcessorIdle(v->kt, [this, v] { ft_->EndIdleTransition(v); });
 }
 
 void SaBackend::OnIdle(Vcpu* v) {
   if (!ft_->config().idle_hysteresis) {
     if (!v->idle_notified) {
-      v->idle_notified = true;
-      ft_->BeginIdleTransition(v);
-      space_->DowncallProcessorIdle(v->kt, [this, v] {
-        // Re-check; re-enters OnIdle if still nothing.  Work that arrived
-        // during the downcall was parked on v's list by EnqueueReady.
-        ft_->EndIdleTransition(v);
-      });
+      NotifyIdle(v);
       return;
     }
     v->proc()->BeginOpenSpan(hw::SpanMode::kIdleSpin);
@@ -426,12 +364,8 @@ void SaBackend::OnIdle(Vcpu* v) {
         if (!vp->bound || !vp->idle_spinning) {
           return;  // got work or lost the processor in the meantime
         }
-        ft_->BeginIdleTransition(vp);
         vp->proc()->EndOpenSpan();
-        vp->idle_notified = true;
-        space_->DowncallProcessorIdle(vp->kt, [this, vp] {
-          ft_->EndIdleTransition(vp);
-        });
+        NotifyIdle(vp);
       });
 }
 

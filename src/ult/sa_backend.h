@@ -35,20 +35,9 @@ class SaBackend : public VcpuBackend, public kern::KThreadHost, public core::Upc
 
   core::SaSpace* space() { return space_.get(); }
 
-  struct KEvent {
-    int pending = 0;
-    std::deque<std::pair<kern::KThread*, Tcb*>> waiters;
-  };
-  int CreateKernelEvent();
-
   // VcpuBackend:
-  const char* name() const override { return "scheduler-activations"; }
   void Attach(FastThreads* ft) override;
   void Start() override;
-  void BlockIo(Vcpu* v, Tcb* t, sim::Duration latency) override;
-  void PageFault(Vcpu* v, Tcb* t, int64_t page, sim::Duration latency) override;
-  void KernelWait(Vcpu* v, Tcb* t, int event_id) override;
-  void KernelSignal(Vcpu* v, Tcb* t, int event_id) override;
   void OnIdle(Vcpu* v) override;
   void OnIdleWake(Vcpu* v) override;
   void NotifyParallelism(Vcpu* v, std::function<void()> resume) override;
@@ -82,6 +71,9 @@ class SaBackend : public VcpuBackend, public kern::KThreadHost, public core::Upc
   // the slot's context is not running there any more.
   void UnbindIdleSlotByProcessor(int processor_id);
   void UnbindSlot(Vcpu* v, int processor_id);
+  // Clears what a slot knows of its previous binding and backs it with `kt`
+  // (nullptr when unbinding).
+  void ResetSlot(Vcpu* v, kern::KThread* kt);
   Vcpu* SlotByProcessor(int processor_id);
   int BoundCount() const;
 
@@ -90,6 +82,10 @@ class SaBackend : public VcpuBackend, public kern::KThreadHost, public core::Upc
   void Drain(kern::KThread* kt, Vcpu* v);
   void FinishDrain(kern::KThread* kt, Vcpu* v);
   void NoteDiscard(int64_t activation_id);
+  // Tells the kernel `v`'s processor is idle (Table 3).  Wakes are blocked
+  // for the downcall; work arriving meanwhile is parked on v's list, where
+  // EndIdleTransition finds it when the downcall returns.
+  void NotifyIdle(Vcpu* v);
   // Post-teardown processor handback for continuations that fire after the
   // space was reaped: detach `kt` and give the kernel a dispatch point.
   void ParkReaped(kern::KThread* kt);
@@ -101,7 +97,6 @@ class SaBackend : public VcpuBackend, public kern::KThreadHost, public core::Upc
   std::map<int, Vcpu*> by_proc_;
   std::deque<core::UpcallEvent> inbox_;
   std::vector<int64_t> discards_;
-  std::vector<std::unique_ptr<KEvent>> events_;
 };
 
 }  // namespace sa::ult

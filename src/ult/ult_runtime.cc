@@ -1,29 +1,23 @@
 #include "src/ult/ult_runtime.h"
 
+#include "src/ult/kt_backend.h"
+
 namespace sa::ult {
 
 UltRuntime::UltRuntime(kern::Kernel* kernel, std::string name, BackendKind backend,
                        UltConfig config, int priority)
-    : name_(std::move(name)), backend_kind_(backend), kernel_(kernel) {
+    : name_(std::move(name)) {
   if (backend == BackendKind::kSchedulerActivations) {
-    as_ = kernel_->CreateAddressSpace(name_, kern::AsMode::kSchedulerActivations, priority);
-    sa_backend_ = std::make_unique<SaBackend>(kernel_, as_);
-    ft_ = std::make_unique<FastThreads>(kernel_, as_, config, sa_backend_.get());
+    as_ = kernel->CreateAddressSpace(name_, kern::AsMode::kSchedulerActivations, priority);
+    backend_ = std::make_unique<SaBackend>(kernel, as_);
   } else {
-    as_ = kernel_->CreateAddressSpace(name_, kern::AsMode::kKernelThreads, priority);
-    kt_backend_ = std::make_unique<KtBackend>(kernel_, as_);
-    ft_ = std::make_unique<FastThreads>(kernel_, as_, config, kt_backend_.get());
+    as_ = kernel->CreateAddressSpace(name_, kern::AsMode::kKernelThreads, priority);
+    backend_ = std::make_unique<KtBackend>(kernel, as_);
   }
+  ft_ = std::make_unique<FastThreads>(kernel, as_, config, backend_.get());
 }
 
 UltRuntime::~UltRuntime() = default;
-
-int UltRuntime::CreateKernelEvent() {
-  if (sa_backend_ != nullptr) {
-    return sa_backend_->CreateKernelEvent();
-  }
-  return kt_backend_->CreateKernelEvent();
-}
 
 int UltRuntime::Spawn(rt::WorkloadFn fn, std::string thread_name) {
   rt::WorkThread* w = ft_->table().Create(std::move(fn), std::move(thread_name));
@@ -34,11 +28,7 @@ int UltRuntime::Spawn(rt::WorkloadFn fn, std::string thread_name) {
 void UltRuntime::Start() {
   SA_CHECK(!started_);
   started_ = true;
-  if (sa_backend_ != nullptr) {
-    sa_backend_->Start();
-  } else {
-    kt_backend_->Start();
-  }
+  backend_->Start();
 }
 
 }  // namespace sa::ult

@@ -11,7 +11,6 @@
 
 #include "src/rt/runtime.h"
 #include "src/ult/fast_threads.h"
-#include "src/ult/kt_backend.h"
 #include "src/ult/sa_backend.h"
 
 namespace sa::ult {
@@ -30,7 +29,7 @@ class UltRuntime : public rt::Runtime {
   const std::string& name() const override { return name_; }
   int CreateLock(rt::LockKind kind) override { return ft_->CreateLock(kind); }
   int CreateCond() override { return ft_->CreateCond(); }
-  int CreateKernelEvent() override;
+  int CreateKernelEvent() override { return ft_->CreateKernelEvent(); }
   int Spawn(rt::WorkloadFn fn, std::string thread_name) override;
   void Start() override;
   bool AllDone() const override { return ft_->table().AllFinished(); }
@@ -42,18 +41,13 @@ class UltRuntime : public rt::Runtime {
 
   FastThreads& fast_threads() { return *ft_; }
   kern::AddressSpace* address_space() override { return as_; }
-  BackendKind backend_kind() const { return backend_kind_; }
   // Non-null only on the scheduler-activation backend.
-  SaBackend* sa_backend() { return sa_backend_.get(); }
-  KtBackend* kt_backend() { return kt_backend_.get(); }
+  SaBackend* sa_backend() { return dynamic_cast<SaBackend*>(backend_.get()); }
 
  private:
   std::string name_;
-  BackendKind backend_kind_;
-  kern::Kernel* kernel_;
   kern::AddressSpace* as_;
-  std::unique_ptr<KtBackend> kt_backend_;
-  std::unique_ptr<SaBackend> sa_backend_;
+  std::unique_ptr<VcpuBackend> backend_;
   std::unique_ptr<FastThreads> ft_;
   bool started_ = false;
 };

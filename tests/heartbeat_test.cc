@@ -122,16 +122,21 @@ TEST(Heartbeat, JoinRunsUnpromotedFramesInline) {
 // Two processors, heartbeat off: the second vcpu runs dry, goes stealing,
 // finds no ready TCB but a non-empty promotion stack — and promotes instead
 // of idling.  Lazy frames become real parallelism exactly when a processor
-// is otherwise idle, without any heartbeat.
-TEST(Heartbeat, DryStealerPromotesLazyFrames) {
-  rt::Harness h(Config(2, kern::KernelMode::kNativeTopaz));
+// is otherwise idle, without any heartbeat.  `kick_priority` puts a priority
+// in play: the dispatcher has one selection path, so a prioritized thread
+// must not switch promotion off.
+constexpr int kDryStealerKids = 8;
+
+UltCounters RunDryStealer(BackendKind backend, int kick_priority) {
+  rt::Harness h(Config(2, backend == BackendKind::kSchedulerActivations
+                              ? kern::KernelMode::kSchedulerActivations
+                              : kern::KernelMode::kNativeTopaz));
   UltConfig uc;
   uc.max_vcpus = 2;
-  UltRuntime ft(&h.kernel(), "app", BackendKind::kKernelThreads, uc);
+  UltRuntime ft(&h.kernel(), "app", backend, uc);
   h.AddRuntime(&ft);
-  constexpr int kKids = 8;
   ft.Spawn(
-      [](rt::ThreadCtx& t) -> sim::Program {
+      [kick_priority](rt::ThreadCtx& t) -> sim::Program {
         // Lazy forks deliberately issue no parallelism downcall, so a second
         // processor only exists if something eager asked for it.  One short
         // eager fork spins vcpu 1 up; when its thread exits the vcpu runs
@@ -140,16 +145,16 @@ TEST(Heartbeat, DryStealerPromotesLazyFrames) {
             [](rt::ThreadCtx& c) -> sim::Program {
               co_await c.Compute(sim::Usec(50));
             },
-            "kick");
+            "kick", kick_priority);
         std::vector<int> kids;
-        for (int i = 0; i < kKids; ++i) {
+        for (int i = 0; i < kDryStealerKids; ++i) {
           kids.push_back(co_await t.ForkLazy(
               [](rt::ThreadCtx& c) -> sim::Program {
                 co_await c.Compute(sim::Msec(2));
               },
               "kid"));
         }
-        co_await t.Compute(sim::Msec(2) * kKids);
+        co_await t.Compute(sim::Msec(2) * kDryStealerKids);
         co_await t.Join(kick);
         for (int kid : kids) {
           co_await t.Join(kid);
@@ -157,11 +162,24 @@ TEST(Heartbeat, DryStealerPromotesLazyFrames) {
       },
       "main");
   h.Run();
-  const auto& c = ft.fast_threads().counters();
-  EXPECT_EQ(c.lazy_forks, kKids);
-  EXPECT_GT(c.lazy_steal_promotions, 0);
-  EXPECT_EQ(c.lazy_forks,
-            c.lazy_promotions + c.lazy_steal_promotions + c.lazy_inlines);
+  return ft.fast_threads().counters();
+}
+
+TEST(Heartbeat, DryStealerPromotesLazyFrames) {
+  for (BackendKind backend :
+       {BackendKind::kKernelThreads, BackendKind::kSchedulerActivations}) {
+    for (int kick_priority : {0, 1}) {
+      SCOPED_TRACE(::testing::Message()
+                   << (backend == BackendKind::kKernelThreads ? "kernel threads"
+                                                              : "activations")
+                   << ", kick priority " << kick_priority);
+      const UltCounters c = RunDryStealer(backend, kick_priority);
+      EXPECT_EQ(c.lazy_forks, kDryStealerKids);
+      EXPECT_GT(c.lazy_steal_promotions, 0);
+      EXPECT_EQ(c.lazy_forks,
+                c.lazy_promotions + c.lazy_steal_promotions + c.lazy_inlines);
+    }
+  }
 }
 
 // The same discipline holds on scheduler activations with more processors

@@ -123,6 +123,48 @@ TEST(Priority, PriorityThreadsRunInOrderOnOneProcessor) {
   EXPECT_EQ(order, (std::vector<int>{3, 2, 1}));
 }
 
+// The selection rule's tie order (DESIGN.md §8) with a priority in play: a
+// vcpu taking work from another vcpu's list takes the oldest of its
+// equal-priority threads, as a plain steal does.
+TEST(Priority, ThiefTakesOldestOfEqualPriorityThreads) {
+  rt::HarnessConfig config;
+  config.processors = 2;
+  config.kernel.mode = kern::KernelMode::kNativeTopaz;
+  rt::Harness h(config);
+  ult::UltConfig uc;
+  uc.max_vcpus = 2;
+  ult::UltRuntime ft(&h.kernel(), "prio", ult::BackendKind::kKernelThreads, uc);
+  h.AddRuntime(&ft);
+  std::vector<int> order;
+  ft.Spawn(
+      [&order](rt::ThreadCtx& t) -> sim::Program {
+        // The priority-1 thread wakes the idle vcpu and holds it while main
+        // queues priority-0 threads 0, 1 and 2 on its own list.
+        const int busy = co_await t.Fork(
+            [](rt::ThreadCtx& c) -> sim::Program { co_await c.Compute(sim::Msec(2)); },
+            "busy", /*priority=*/1);
+        std::vector<int> kids;
+        for (int i = 0; i < 3; ++i) {
+          kids.push_back(co_await t.Fork(
+              [&order, i](rt::ThreadCtx& c) -> sim::Program {
+                order.push_back(i);
+                co_await c.Compute(sim::Usec(500));
+              },
+              "kid"));
+        }
+        // Main keeps its processor, so the other vcpu takes every kid.
+        co_await t.Compute(sim::Msec(10));
+        co_await t.Join(busy);
+        for (int kid : kids) {
+          co_await t.Join(kid);
+        }
+      },
+      "main");
+  h.Run();
+  EXPECT_TRUE(ft.fast_threads().has_priorities());
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+}
+
 TEST(Priority, DefaultPriorityKeepsLifoFastPath) {
   // With no priorities in play the dispatcher must stay on the plain LIFO
   // path (the Table 1/4 microbenchmark latencies depend on it).

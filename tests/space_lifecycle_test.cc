@@ -184,6 +184,50 @@ TEST(SpaceLifecycle, HangDetectionBacksOffExponentially) {
 // An orderly exit that leaks everything: the reaper returns the dead
 // space's processors to the allocator, and the survivors' allocations grow
 // from the three-way fair share (2 of 6 each) to the two-way one (3 each).
+// A space crashes while one of its threads sleeps in the kernel on a kernel
+// event that is never signalled.  Teardown drops the waiter with the rest of
+// the thread system and still returns every processor the space held.
+TEST(SpaceLifecycle, CrashWithKernelEventWaiterConservesProcessors) {
+  rt::Harness h(SaConfig(/*processors=*/3));
+  h.EnableTracing(trace::cat::kAll);
+
+  inject::FaultPlan plan;
+  plan.crash_at = sim::Msec(10);
+  plan.crash_space = 0;
+  h.EnableFaultInjection(plan);
+
+  ult::UltConfig uc;
+  uc.max_vcpus = 2;
+  ult::UltRuntime victim(&h.kernel(), "victim", ult::BackendKind::kSchedulerActivations,
+                         uc);
+  const int ev = victim.CreateKernelEvent();
+  victim.Spawn([ev](rt::ThreadCtx& t) -> sim::Program { co_await t.KernelWait(ev); },
+               "sleeper");
+  victim.Spawn(
+      [](rt::ThreadCtx& t) -> sim::Program { co_await t.Compute(sim::Msec(50)); },
+      "worker");
+  auto survivor = MakeSpace(h, "survivor");
+  h.AddRuntime(&victim);
+  h.AddRuntime(survivor.get());
+
+  const rt::RunResult result = h.TryRun();
+  ASSERT_TRUE(result.ok()) << result.diagnostics;
+
+  kern::AddressSpace* as = victim.address_space();
+  EXPECT_EQ(as->lifecycle(), kern::AsLifecycle::kDead);
+  EXPECT_EQ(as->teardown_cause(), kern::TeardownCause::kCrashed);
+  EXPECT_TRUE(as->assigned().empty());
+  EXPECT_EQ(h.kernel().reaper()->ConservationReport(as), "");
+  EXPECT_EQ(h.kernel().counters().kernel_waits, 1);
+  EXPECT_EQ(victim.threads_finished(), 0u);
+  EXPECT_EQ(survivor->threads_finished(), survivor->threads_created());
+
+#if SA_TRACE_ENABLED
+  const trace::CheckResult check = trace::CheckInvariants(h.trace()->Snapshot());
+  EXPECT_TRUE(check.ok()) << check.Summary();
+#endif
+}
+
 TEST(SpaceLifecycle, ExitReturnsProcessorsToSurvivors) {
   rt::Harness h(SaConfig(/*processors=*/6));
 

@@ -196,5 +196,63 @@ TEST(FastThreads, IoOnSaBackendOverlapsWithComputation) {
   EXPECT_GE(h.kernel().counters().upcalls_unblocked, 1);
 }
 
+// Kernel events (Section 5.2's upcall benchmark): every KernelWait and
+// KernelSignal traps into the kernel, on either backend.  One processor; the
+// kernel-thread backend gets a second vcpu to run the partner while one
+// blocks.  Elapsed time and kernel counters were pinned while each backend
+// still kept its own kernel-event code.
+TEST(FastThreads, KernelEventPingPongOnBothBackends) {
+  struct Case {
+    ult::BackendKind backend;
+    kern::KernelMode mode;
+    int vcpus;
+    sim::Time elapsed;
+  };
+  for (const Case& c :
+       {Case{ult::BackendKind::kKernelThreads, kern::KernelMode::kNativeTopaz, 2,
+             376467000},
+        Case{ult::BackendKind::kSchedulerActivations,
+             kern::KernelMode::kSchedulerActivations, 1, 964022000}}) {
+    SCOPED_TRACE(c.backend == ult::BackendKind::kKernelThreads ? "kernel threads"
+                                                                : "activations");
+    rt::Harness h(OneProc(c.mode));
+    ult::UltConfig uc;
+    uc.max_vcpus = c.vcpus;
+    ult::UltRuntime ft(&h.kernel(), "app", c.backend, uc);
+    h.AddRuntime(&ft);
+    apps::SpawnSignalWait(&ft, 200, /*through_kernel=*/true);
+    EXPECT_EQ(h.Run(), c.elapsed);
+    EXPECT_EQ(h.kernel().counters().kernel_waits, 400);
+    // The pinger's first signal finds no waiter and is remembered.
+    EXPECT_EQ(h.kernel().counters().wakeups, 399);
+  }
+}
+
+// The same ping-pong with the two threads on two processors at once.  A
+// signal that finds no waiter must be remembered before a wait committing on
+// the other processor checks for it, or both threads sleep for good.
+TEST(FastThreads, KernelSignalIsNotLostAcrossProcessors) {
+  for (ult::BackendKind backend :
+       {ult::BackendKind::kKernelThreads, ult::BackendKind::kSchedulerActivations}) {
+    SCOPED_TRACE(backend == ult::BackendKind::kKernelThreads ? "kernel threads"
+                                                             : "activations");
+    rt::HarnessConfig config;
+    config.processors = 2;
+    config.kernel.mode = backend == ult::BackendKind::kKernelThreads
+                             ? kern::KernelMode::kNativeTopaz
+                             : kern::KernelMode::kSchedulerActivations;
+    rt::Harness h(config);
+    ult::UltConfig uc;
+    uc.max_vcpus = 2;
+    ult::UltRuntime ft(&h.kernel(), "app", backend, uc);
+    h.AddRuntime(&ft);
+    apps::SpawnSignalWait(&ft, 200, /*through_kernel=*/true);
+    const rt::RunResult result = h.TryRun();
+    ASSERT_TRUE(result.ok()) << result.diagnostics;
+    EXPECT_EQ(ft.threads_finished(), 2u);
+    EXPECT_EQ(h.kernel().counters().kernel_waits, 400);
+  }
+}
+
 }  // namespace
 }  // namespace sa
