@@ -376,14 +376,12 @@ bool RunChurnSeed(uint64_t seed, int borrower_iters) {
                 h.kernel().allocator()->loans_outstanding());
     ok = false;
   }
-#if SA_TRACE_ENABLED
   const trace::CheckResult check = trace::CheckInvariants(h.trace()->Snapshot());
   if (!check.ok()) {
     std::printf("FAIL: churn seed %llu: %s\n",
                 static_cast<unsigned long long>(seed), check.Summary().c_str());
     ok = false;
   }
-#endif
   return ok;
 }
 

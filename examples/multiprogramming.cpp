@@ -53,10 +53,10 @@ int main() {
                 appA.address_space()->assigned().size(),
                 appB.address_space()->assigned().size());
     if (!harness.AllDone()) {
-      harness.engine().ScheduleAfter(sim::Msec(10), sample);
+      harness.engine().ScheduleIn(sim::Msec(10), sample);
     }
   };
-  harness.engine().ScheduleAfter(sim::Msec(5), sample);
+  harness.engine().ScheduleIn(sim::Msec(5), sample);
 
   const sim::Time elapsed = harness.Run();
   std::printf("\nboth applications finished at %s\n",

@@ -101,15 +101,7 @@ void Processor::BeginSpan(sim::Duration d, SpanMode mode, bool preemptible,
     on_complete_ = nullptr;
     fn();
   };
-  if (preemptible) {
-    completion_ = engine_->ScheduleAfter(d, complete);
-  } else {
-    // Non-preemptible spans are never cancelled (RequestInterrupt latches
-    // instead), so the completion needs no handle.  This covers every
-    // management charge — the simulator's hottest event source.
-    completion_.Reset();
-    engine_->ScheduleIn(d, complete);
-  }
+  completion_ = engine_->ScheduleIn(d, complete);
 }
 
 void Processor::BeginOpenSpan(SpanMode mode) {
@@ -169,7 +161,7 @@ void Processor::RequestInterrupt() {
     return;
   }
   // Cancel the in-flight timed span.
-  completion_.Cancel();
+  engine_->Cancel(completion_);
   const sim::Duration elapsed = engine_->now() - span_start_;
   Interrupt irq;
   irq.mode = mode_;

@@ -156,7 +156,7 @@ class Processor {
   sim::Time span_start_ = 0;
   sim::Duration span_duration_ = 0;
   std::function<void()> on_complete_;
-  sim::EventHandle completion_;
+  sim::EventId completion_ = sim::kNoEvent;
 
   bool interrupt_latched_ = false;
   bool in_handler_ = false;

@@ -174,10 +174,10 @@ class AddressSpace {
     int borrowed_in = 0;  // processors this space holds on loan
     // Dip hysteresis (kernel-thread lenders): armed when demand dips below
     // holdings, ripe once the window expires without the demand returning.
-    // The epoch invalidates in-flight window events when demand recovers.
+    // Whatever clears dip_armed first cancels the pending window.
     bool dip_armed = false;
     bool dip_ripe = false;
-    uint64_t dip_epoch = 0;
+    sim::EventId dip_window = sim::kNoEvent;
     // Lifetime totals for per-space reporting.
     int64_t lends = 0;     // loans this space granted as lender
     int64_t borrows = 0;   // loans this space received as borrower

@@ -273,7 +273,7 @@ void Kernel::ChargeDispatchAndRun(hw::Processor* proc, KThread* kt) {
 }
 
 void Kernel::RunThread(KThread* kt) {
-  kt->bump_dispatch_seq();
+  engine().Cancel(kt->quantum_timer());  // a new dispatch, a new quantum
   ArmQuantum(kt->processor(), kt);
   kt->host()->RunOn(kt);
 }
@@ -295,17 +295,15 @@ void Kernel::ArmQuantum(hw::Processor* proc, KThread* kt) {
   if (DomainOfProcessor(proc) == nullptr) {
     return;  // processor controlled by scheduler activations: no time-slicing
   }
-  const uint64_t seq = kt->dispatch_seq();
   const int proc_id = proc->id();
-  engine().ScheduleIn(costs().kt_quantum,
-                         [this, proc_id, kt, seq] { OnQuantumFire(proc_id, kt, seq); });
+  kt->set_quantum_timer(engine().ScheduleIn(
+      costs().kt_quantum, [this, proc_id, kt] { OnQuantumFire(proc_id, kt); }));
 }
 
-void Kernel::OnQuantumFire(int proc_id, KThread* kt, uint64_t seq) {
+void Kernel::OnQuantumFire(int proc_id, KThread* kt) {
   hw::Processor* proc = machine_->processor(proc_id);
-  if (running_on(proc) != kt || kt->dispatch_seq() != seq ||
-      kt->state() != KThreadState::kRunning) {
-    return;  // stale timer
+  if (running_on(proc) != kt || kt->state() != KThreadState::kRunning) {
+    return;  // the thread left the processor and was not dispatched again
   }
   Domain* domain = DomainOfProcessor(proc);
   if (domain == nullptr) {
@@ -315,8 +313,7 @@ void Kernel::OnQuantumFire(int proc_id, KThread* kt, uint64_t seq) {
                                    PendingAction::Kind::kNone) {
     // Nothing to rotate to (or the processor is already being preempted);
     // check again a quantum later.
-    engine().ScheduleIn(costs().kt_quantum,
-                           [this, proc_id, kt, seq] { OnQuantumFire(proc_id, kt, seq); });
+    ArmQuantum(proc, kt);
     return;
   }
   ++counters_.timeslices;

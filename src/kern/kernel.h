@@ -298,7 +298,7 @@ class Kernel {
   void ChargeDispatchAndRun(hw::Processor* proc, KThread* kt);
   void RunThread(KThread* kt);
   void ArmQuantum(hw::Processor* proc, KThread* kt);
-  void OnQuantumFire(int proc_id, KThread* kt, uint64_t seq);
+  void OnQuantumFire(int proc_id, KThread* kt);
   void OnIoComplete(KThread* kt);
   // Schedules `kt`'s I/O completion `latency` from now.  With an active
   // injector and `injectable`, the completion may fail transiently: the

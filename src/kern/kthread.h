@@ -115,10 +115,10 @@ class KThread {
   void set_activation(core::Activation* a) { activation_ = a; }
   bool is_activation() const { return activation_ != nullptr; }
 
-  // Monotonic count of times this thread was dispatched; used to invalidate
-  // stale per-dispatch events (quantum timers).
-  uint64_t dispatch_seq() const { return dispatch_seq_; }
-  void bump_dispatch_seq() { ++dispatch_seq_; }
+  // The time-slice timer of the current dispatch (sim::kNoEvent if none).
+  // The kernel cancels it when it dispatches the thread again.
+  sim::EventId quantum_timer() const { return quantum_timer_; }
+  void set_quantum_timer(sim::EventId id) { quantum_timer_ = id; }
 
   std::string DebugString() const;
 
@@ -135,7 +135,7 @@ class KThread {
   int priority_ = 0;
   hw::SavedSpan saved_span_;
   core::Activation* activation_ = nullptr;
-  uint64_t dispatch_seq_ = 0;
+  sim::EventId quantum_timer_ = sim::kNoEvent;
   bool io_failed_ = false;
 };
 

@@ -646,13 +646,12 @@ void ProcessorAllocator::ReleaseSpace(AddressSpace* as) {
   st.stats = SpaceAllocStats{};
   // Loans touching the space were settled by ResolveLoansForTeardown (the
   // conservation report checks loaned_out/borrowed_in are zero); wipe the
-  // dip machinery and bump the epoch so scheduled dip callbacks captured
-  // before death see a stale epoch and fall out.  Lifetime lend/borrow
+  // dip machinery and cancel a pending dip window.  Lifetime lend/borrow
   // totals survive for reporting.
   lendable_.erase(as->id());
   as->loan_state().dip_armed = false;
   as->loan_state().dip_ripe = false;
-  ++as->loan_state().dip_epoch;
+  kernel_->engine().Cancel(as->loan_state().dip_window);
   // Leave the tier.
   Tier& tier = TierOf(as);
   if (st.pending_refresh) {
@@ -752,26 +751,23 @@ void ProcessorAllocator::UpdateLoanStateOnDesired(AddressSpace* as) {
   if (desired >= Entitled(as)) {
     ls.dip_armed = false;
     ls.dip_ripe = false;
-    ++ls.dip_epoch;
+    kernel_->engine().Cancel(ls.dip_window);
     lendable_.erase(as->id());
     return;
   }
   if (!ls.dip_armed && !ls.dip_ripe) {
     ls.dip_armed = true;
-    const uint64_t epoch = ++ls.dip_epoch;
-    kernel_->engine().ScheduleIn(kernel_->config().lending.hysteresis,
-                                 [this, as, epoch] { OnDipDeadline(as, epoch); });
+    ls.dip_window = kernel_->engine().ScheduleIn(
+        kernel_->config().lending.hysteresis, [this, as] { OnDipDeadline(as); });
   }
 }
 
-void ProcessorAllocator::OnDipDeadline(AddressSpace* as, uint64_t epoch) {
+void ProcessorAllocator::OnDipDeadline(AddressSpace* as) {
   if (!lending_enabled() || !IsRegistered(as) || as->reaped()) {
     return;
   }
   AddressSpace::LoanState& ls = as->loan_state();
-  if (ls.dip_epoch != epoch || !ls.dip_armed) {
-    return;  // demand recovered (or the space churned) while we waited
-  }
+  SA_DCHECK(ls.dip_armed);  // clearing the flag cancels the window
   ls.dip_armed = false;
   ls.dip_ripe = true;
   lendable_.insert(as->id());

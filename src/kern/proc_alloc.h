@@ -237,7 +237,7 @@ class ProcessorAllocator {
   // SetDesired pre-pass: recalls loans when demand returns, arms/cancels
   // the kt dip-hysteresis window.  No-op when lending is off.
   void UpdateLoanStateOnDesired(AddressSpace* as);
-  void OnDipDeadline(AddressSpace* as, uint64_t epoch);
+  void OnDipDeadline(AddressSpace* as);
   // Lends ripe kt dip surplus to the neediest spaces (rebalance tail pass).
   void LendSurplus();
   AddressSpace* PickBorrower(const AddressSpace* lender);

@@ -60,10 +60,8 @@ void SpaceReaper::InjectHang(AddressSpace* as) {
   as->set_hung(true);
   if (hang_detection_) {
     Watch& w = watches_[as->id()];
-    if (!w.waiting) {
-      w.waiting = true;
+    if (!kernel_->engine().pending(w.deadline)) {
       w.pings = 0;
-      ++w.epoch;
       ArmDeadline(as);
     }
   }
@@ -78,12 +76,10 @@ void SpaceReaper::WatchUpcall(AddressSpace* as) {
     return;
   }
   Watch& w = watches_[as->id()];
-  if (w.waiting) {
+  if (kernel_->engine().pending(w.deadline)) {
     return;  // a deadline is already armed for an earlier delivery
   }
-  w.waiting = true;
   w.pings = 0;
-  ++w.epoch;
   ArmDeadline(as);
 }
 
@@ -95,27 +91,21 @@ void SpaceReaper::AckUpcalls(AddressSpace* as) {
   if (it == watches_.end()) {
     return;
   }
-  it->second.waiting = false;
   it->second.pings = 0;
-  ++it->second.epoch;  // invalidate any in-flight deadline event
+  kernel_->engine().Cancel(it->second.deadline);
 }
 
 void SpaceReaper::ArmDeadline(AddressSpace* as) {
   Watch& w = watches_[as->id()];
-  const sim::Duration deadline = kAckDeadlineBase << w.pings;
-  const uint64_t epoch = w.epoch;
-  kernel_->engine().ScheduleIn(deadline,
-                               [this, as, epoch] { OnDeadline(as, epoch); });
+  w.deadline = kernel_->engine().ScheduleIn(kAckDeadlineBase << w.pings,
+                                            [this, as] { OnDeadline(as); });
 }
 
-void SpaceReaper::OnDeadline(AddressSpace* as, uint64_t epoch) {
+void SpaceReaper::OnDeadline(AddressSpace* as) {
   if (as->reaped()) {
     return;
   }
   Watch& w = watches_[as->id()];
-  if (!w.waiting || w.epoch != epoch) {
-    return;  // acknowledged (or re-armed) since this deadline was scheduled
-  }
   if (as->assigned().empty()) {
     // Delayed notification (Section 4.2): a space holding no processors has
     // nowhere to run its upcall handler, so a missed deadline proves

@@ -35,6 +35,7 @@
 #include <vector>
 
 #include "src/kern/address_space.h"
+#include "src/sim/engine.h"
 #include "src/sim/time.h"
 
 namespace sa::kern {
@@ -117,13 +118,14 @@ class SpaceReaper {
 
  private:
   struct Watch {
-    bool waiting = false;   // an upcall is outstanding, ack expected
-    int pings = 0;          // consecutive missed deadlines
-    uint64_t epoch = 0;     // invalidates stale deadline events
+    int pings = 0;  // consecutive missed deadlines
+    // Pending while an upcall is outstanding and an ack expected; the ack
+    // cancels it.
+    sim::EventId deadline = sim::kNoEvent;
   };
 
   void ArmDeadline(AddressSpace* as);
-  void OnDeadline(AddressSpace* as, uint64_t epoch);
+  void OnDeadline(AddressSpace* as);
   void FinishTeardown(AddressSpace* as);
 
   Kernel* kernel_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <utility>
 
 namespace sa::sim {
 namespace {
@@ -28,103 +29,78 @@ std::string FormatDuration(Duration d) {
   return buf;
 }
 
-bool EventHandle::pending() const {
-  return state_ != nullptr && !state_->cancelled && !state_->fired;
+EventId Engine::Schedule(Time at, std::function<void()> fn) {
+  SA_CHECK_MSG(at >= now_, "event scheduled in the past");
+  SA_CHECK_MSG(next_seq_ < (uint64_t{1} << (64 - kSlotBits)), "event sequence overflow");
+  uint32_t slot;
+  if (free_slots_.empty()) {
+    SA_CHECK_MSG(slots_.size() <= kSlotMask, "too many pending events");
+    slot = static_cast<uint32_t>(slots_.size());
+    slots_.emplace_back();
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  }
+  const EventId id = next_seq_++ << kSlotBits | slot;
+  slots_[slot].id = id;
+  slots_[slot].fn = std::move(fn);
+  heap_.push_back(Key{at, id});
+  std::push_heap(heap_.begin(), heap_.end(), Later{});
+  ++live_events_;
+  return id;
 }
 
-bool EventHandle::Cancel() {
-  if (!pending()) {
-    // Fired, already cancelled, or never scheduled: stays inert.  This holds
-    // even if the State is probed again after the handle was copied — fired
-    // is a one-way latch.
+std::function<void()> Engine::Release(EventId id) {
+  const auto slot = static_cast<uint32_t>(id & kSlotMask);
+  slots_[slot].id = kNoEvent;
+  free_slots_.push_back(slot);
+  --live_events_;
+  return std::exchange(slots_[slot].fn, nullptr);
+}
+
+bool Engine::Cancel(EventId id) {
+  if (!pending(id)) {
     return false;
   }
-  state_->cancelled = true;
-  if (state_->engine != nullptr) {
-    state_->engine->NoteCancelled();
-  }
-  return true;
-}
-
-Engine::~Engine() {
-  // Outstanding handles may be cancelled after the engine is gone; sever the
-  // back-references so Cancel() degrades to a pure state flip.
-  for (Event& ev : queue_) {
-    if (ev.state != nullptr) {
-      ev.state->engine = nullptr;
-    }
-  }
-}
-
-void Engine::PushEvent(Event ev) {
-  queue_.push_back(std::move(ev));
-  std::push_heap(queue_.begin(), queue_.end(), Later{});
-  ++live_events_;
-}
-
-EventHandle Engine::ScheduleAt(Time at, std::function<void()> fn) {
-  SA_CHECK_MSG(at >= now_, "event scheduled in the past");
-  auto state = std::make_shared<EventHandle::State>();
-  state->engine = this;
-  PushEvent(Event{at, next_seq_++, std::move(fn), state});
-  return EventHandle(std::move(state));
-}
-
-void Engine::Schedule(Time at, std::function<void()> fn) {
-  SA_CHECK_MSG(at >= now_, "event scheduled in the past");
-  PushEvent(Event{at, next_seq_++, std::move(fn), nullptr});
-}
-
-void Engine::NoteCancelled() {
-  SA_DCHECK(live_events_ > 0);
-  --live_events_;
+  Release(id);  // the callback is destroyed unrun
   MaybeCompact();
+  return true;
 }
 
 void Engine::MaybeCompact() {
-  const size_t dead = queue_.size() - live_events_;
-  if (queue_.size() < kCompactMinSize || dead * 2 <= queue_.size()) {
+  const size_t dead = heap_.size() - live_events_;
+  if (heap_.size() < kCompactMinSize || dead * 2 <= heap_.size()) {
     return;
   }
-  std::erase_if(queue_, [](const Event& ev) {
-    return ev.state != nullptr && ev.state->cancelled;
-  });
-  std::make_heap(queue_.begin(), queue_.end(), Later{});
-  SA_DCHECK(queue_.size() == live_events_);
+  std::erase_if(heap_, [this](const Key& k) { return !live(k); });
+  std::make_heap(heap_.begin(), heap_.end(), Later{});
+  SA_DCHECK(heap_.size() == live_events_);
 }
 
-void Engine::DropCancelledTop() {
-  while (!queue_.empty() && queue_.front().state != nullptr &&
-         queue_.front().state->cancelled) {
-    std::pop_heap(queue_.begin(), queue_.end(), Later{});
-    queue_.pop_back();
+bool Engine::DropDeadTop() {
+  while (!heap_.empty() && !live(heap_.front())) {
+    std::pop_heap(heap_.begin(), heap_.end(), Later{});
+    heap_.pop_back();
   }
+  return !heap_.empty();
 }
 
-bool Engine::PopNext(Event* out) {
-  DropCancelledTop();
-  if (queue_.empty()) {
-    return false;
-  }
-  std::pop_heap(queue_.begin(), queue_.end(), Later{});
-  *out = std::move(queue_.back());
-  queue_.pop_back();
-  --live_events_;
-  return true;
+void Engine::FireTop() {
+  std::pop_heap(heap_.begin(), heap_.end(), Later{});
+  const Key top = heap_.back();
+  heap_.pop_back();
+  SA_CHECK(top.at >= now_);
+  now_ = top.at;
+  ++events_fired_;
+  const std::function<void()> fn = Release(top.id);
+  fn();
 }
 
 bool Engine::Step() {
-  Event ev;
-  if (!PopNext(&ev)) {
+  if (!DropDeadTop()) {
     return false;
   }
-  SA_CHECK(ev.at >= now_);
-  now_ = ev.at;
-  if (ev.state != nullptr) {
-    ev.state->fired = true;
-  }
-  ++events_fired_;
-  ev.fn();
+  FireTop();
   return true;
 }
 
@@ -137,27 +113,10 @@ void Engine::Run(uint64_t max_events) {
 }
 
 void Engine::RunUntil(Time until) {
-  for (;;) {
-    DropCancelledTop();
-    if (queue_.empty()) {
-      if (now_ < until) {
-        now_ = until;
-      }
-      return;
-    }
-    if (queue_.front().at > until) {
-      now_ = until;
-      return;
-    }
-    Event ev;
-    PopNext(&ev);
-    now_ = ev.at;
-    if (ev.state != nullptr) {
-      ev.state->fired = true;
-    }
-    ++events_fired_;
-    ev.fn();
+  while (DropDeadTop() && heap_.front().at <= until) {
+    FireTop();
   }
+  now_ = std::max(now_, until);
 }
 
 }  // namespace sa::sim

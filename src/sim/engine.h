@@ -1,19 +1,25 @@
 // Discrete-event simulation engine.
 //
 // A single Engine owns the virtual clock and a min-heap of scheduled events.
-// Events scheduled for the same instant fire in scheduling order (stable FIFO
-// by sequence number), which keeps runs deterministic.  Cancellation is lazy:
-// a cancelled heap entry stays in the heap and is discarded when it reaches
-// the top, but the engine tracks live-vs-dead counts exactly (pending_events
-// never counts cancelled entries) and compacts the heap when more than half
-// of it is dead.
+// Scheduling returns an EventId, the one handle on an event: Cancel(id)
+// withdraws it and pending(id) asks whether it is still due.  Events
+// scheduled for the same instant fire in scheduling order (stable FIFO by
+// sequence number), which keeps runs deterministic.
+//
+// The heap holds 16-byte {at, id} keys; callbacks sit in an engine-owned slot
+// array.  An id is `seq << 24 | slot`, so ordering keys by (at, id) orders
+// them by (at, seq).  A key is live while its slot still holds its id:
+// firing or cancelling frees the slot at once, so a stale id can neither
+// cancel nor report the event that later reuses its slot.  Cancellation is
+// lazy on the heap side: a dead key stays until it reaches the top, or until
+// more than half the heap is dead and it is compacted.  pending_events()
+// counts live events only.
 
 #ifndef SA_SIM_ENGINE_H_
 #define SA_SIM_ENGINE_H_
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "src/common/assert.h"
@@ -22,84 +28,53 @@
 
 namespace sa::sim {
 
-class Engine;
-
-// Handle to a scheduled event; allows cancellation.  Default-constructed
-// handles are inert.  Handles do not keep callbacks alive after firing.
-//
-// Cancellation contract:
-//   - Cancel() on a pending event marks it cancelled and returns true; the
-//     callback will never run.
-//   - Cancel() after the event fired (or was already cancelled) returns
-//     false and has no effect — a fired event is inert forever, even if the
-//     handle is later Reset() or reassigned and even if the engine has been
-//     destroyed.  Double-cancel likewise returns false the second time.
-//   - pending() is true only between scheduling and fire/cancel.
-class EventHandle {
- public:
-  EventHandle() = default;
-
-  // True if the event has neither fired nor been cancelled.
-  bool pending() const;
-
-  // Cancels the event if still pending.  Returns true if it was pending.
-  bool Cancel();
-
-  void Reset() { state_.reset(); }
-
- private:
-  friend class Engine;
-  struct State {
-    bool cancelled = false;
-    bool fired = false;
-    Engine* engine = nullptr;  // nulled when the engine dies first
-  };
-  explicit EventHandle(std::shared_ptr<State> state) : state_(std::move(state)) {}
-  std::shared_ptr<State> state_;
-};
+// Names one scheduled event.  kNoEvent is never pending, so it is the
+// natural value for a timer that is not armed.
+using EventId = uint64_t;
+inline constexpr EventId kNoEvent = 0;
 
 class Engine {
  public:
   Engine() = default;
-  ~Engine();
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
   Time now() const { return now_; }
 
-  // Schedules `fn` to run at absolute virtual time `at` (>= now).
-  EventHandle ScheduleAt(Time at, std::function<void()> fn);
+  // Schedules `fn` to run at absolute virtual time `at` (>= now).  Callers
+  // that never cancel may ignore the id.
+  EventId Schedule(Time at, std::function<void()> fn);
 
   // Schedules `fn` to run `delay` (>= 0) after now.
-  EventHandle ScheduleAfter(Duration delay, std::function<void()> fn) {
+  EventId ScheduleIn(Duration delay, std::function<void()> fn) {
     SA_CHECK(delay >= 0);
-    return ScheduleAt(now_ + delay, std::move(fn));
+    return Schedule(now_ + delay, std::move(fn));
   }
 
-  // Handle-free variants for fire-and-forget events that will never be
-  // cancelled or queried: skips the shared_ptr control-block allocation the
-  // handle needs.  This is the hot path — most simulation events (span
-  // completions, I/O completions, timer re-arms) are never cancelled.
-  void Schedule(Time at, std::function<void()> fn);
-  void ScheduleIn(Duration delay, std::function<void()> fn) {
-    SA_CHECK(delay >= 0);
-    Schedule(now_ + delay, std::move(fn));
+  // Withdraws a pending event: its callback never runs.  Returns false, and
+  // does nothing, for kNoEvent or an event that already fired or was
+  // cancelled.
+  bool Cancel(EventId id);
+
+  // True between scheduling and fire/cancel.
+  bool pending(EventId id) const {
+    const uint64_t slot = id & kSlotMask;
+    return id != kNoEvent && slot < slots_.size() && slots_[slot].id == id;
   }
 
-  // Runs the next pending event, if any.  Returns false when the queue is
-  // drained (ignoring cancelled events).
+  // Runs the next pending event, if any.  Returns false when none is left.
   bool Step();
 
   // Runs until the queue drains or `max_events` fire.
   void Run(uint64_t max_events = UINT64_MAX);
 
-  // Runs events with time <= `until`; clock ends at min(until, last event).
+  // Runs events with time <= `until`, then moves the clock to `until`.  An
+  // `until` in the past fires nothing and leaves the clock where it is.
   void RunUntil(Time until);
 
   uint64_t events_fired() const { return events_fired_; }
 
-  // Number of scheduled events that are still live: excludes cancelled
-  // entries that have not yet been discarded from the heap.
+  // Number of scheduled events that have neither fired nor been cancelled.
   size_t pending_events() const { return live_events_; }
 
   // Event tracing (DESIGN.md §10).  The engine stamps records with the
@@ -114,38 +89,40 @@ class Engine {
   }
 
  private:
-  friend class EventHandle;
+  static constexpr int kSlotBits = 24;
+  static constexpr uint64_t kSlotMask = (uint64_t{1} << kSlotBits) - 1;
 
-  struct Event {
+  struct Key {
     Time at;
-    uint64_t seq;
-    std::function<void()> fn;
-    std::shared_ptr<EventHandle::State> state;  // null for handle-free events
+    EventId id;
   };
   struct Later {
-    bool operator()(const Event& a, const Event& b) const {
-      if (a.at != b.at) {
-        return a.at > b.at;
-      }
-      return a.seq > b.seq;
+    bool operator()(const Key& a, const Key& b) const {
+      return a.at != b.at ? a.at > b.at : a.id > b.id;
     }
   };
+  struct Slot {
+    EventId id = kNoEvent;  // the event this slot holds; kNoEvent when free
+    std::function<void()> fn;
+  };
 
-  // Discards cancelled entries sitting at the top of the heap.
-  void DropCancelledTop();
-  // Pops the next non-cancelled event; returns false if none.
-  bool PopNext(Event* out);
-  void PushEvent(Event ev);
-  // EventHandle::Cancel() notification: one live entry became dead.
-  void NoteCancelled();
-  // Rebuilds the heap without its dead entries once >50% are dead.
+  bool live(const Key& k) const { return slots_[k.id & kSlotMask].id == k.id; }
+  // Frees the slot of live event `id`, handing back its callback.
+  std::function<void()> Release(EventId id);
+  // Discards dead keys at the top of the heap; false when no live key is left.
+  bool DropDeadTop();
+  // Pops the live top key, advances the clock to it and runs its callback.
+  void FireTop();
+  // Rebuilds the heap without its dead keys once more than half are dead.
   void MaybeCompact();
 
   Time now_ = 0;
-  uint64_t next_seq_ = 0;
+  uint64_t next_seq_ = 1;
   uint64_t events_fired_ = 0;
-  size_t live_events_ = 0;  // heap entries not cancelled
-  std::vector<Event> queue_;  // min-heap via std::push_heap/pop_heap
+  size_t live_events_ = 0;
+  std::vector<Key> heap_;  // min-heap via std::push_heap/pop_heap
+  std::vector<Slot> slots_;
+  std::vector<uint32_t> free_slots_;
   trace::TraceBuffer* tracer_ = nullptr;
 };
 

@@ -2,18 +2,16 @@
 //
 // A TraceBuffer is a preallocated ring of fixed-size records.  Emission is a
 // bounds check plus a relaxed atomic slot claim — cheap enough to leave
-// compiled in for simulation runs, and safe to call from the native fiber
+// compiled in everywhere, and safe to call from the native fiber
 // pool's worker threads (records are read back only after the pool has
 // quiesced).  Records carry the *virtual* clock for simulated components and
 // the host monotonic clock for the native fiber pool, so a simulated run's
 // trace is a pure function of its seed.
 //
-// Two switches:
-//   - compile time: build with -DSA_TRACE_ENABLED=0 (cmake -DSA_TRACE=OFF)
-//     and every emission macro compiles to nothing; the library itself still
-//     builds so tools keep linking.
-//   - run time: per-category bitmask (set_enabled).  Default: all off; a
-//     buffer only records what a harness or test explicitly asks for.
+// One switch, at run time: a component with a null buffer emits nothing, and
+// a buffer records only the categories in its bitmask (set_enabled).
+// Default: all off; a buffer only records what a harness or test explicitly
+// asks for.
 
 #ifndef SA_TRACE_TRACE_H_
 #define SA_TRACE_TRACE_H_
@@ -22,10 +20,6 @@
 #include <cstdint>
 #include <string>
 #include <vector>
-
-#ifndef SA_TRACE_ENABLED
-#define SA_TRACE_ENABLED 1
-#endif
 
 namespace sa::trace {
 
@@ -216,12 +210,7 @@ class TraceBuffer {
   void set_enabled(uint32_t mask) { enabled_.store(mask, std::memory_order_relaxed); }
   uint32_t enabled_mask() const { return enabled_.load(std::memory_order_relaxed); }
   bool enabled(uint32_t category) const {
-#if SA_TRACE_ENABLED
     return (enabled_.load(std::memory_order_relaxed) & category) != 0;
-#else
-    (void)category;
-    return false;
-#endif
   }
 
   // Appends a record.  Thread-safe (relaxed slot claim); oldest records are
@@ -251,9 +240,8 @@ int64_t HostNow();
 
 }  // namespace sa::trace
 
-// Emission macro for simulated components: compiles out entirely under
-// SA_TRACE_ENABLED=0.  `buf` is a TraceBuffer* (may be null).
-#if SA_TRACE_ENABLED
+// Emission macro for simulated components.  `buf` is a TraceBuffer* (may be
+// null).
 #define SA_TRACE_EMIT(buf, category, kind, ts, cpu, as_id, a0, a1)      \
   do {                                                                  \
     ::sa::trace::TraceBuffer* sa_tb_ = (buf);                           \
@@ -261,10 +249,5 @@ int64_t HostNow();
       sa_tb_->Emit((kind), (ts), (cpu), (as_id), (a0), (a1));           \
     }                                                                   \
   } while (0)
-#else
-#define SA_TRACE_EMIT(buf, category, kind, ts, cpu, as_id, a0, a1) \
-  do {                                                             \
-  } while (0)
-#endif
 
 #endif  // SA_TRACE_TRACE_H_

@@ -97,8 +97,7 @@ Tcb* FastThreads::SpawnThread(rt::WorkThread* w) {
 
 void FastThreads::Halt() {
   halted_ = true;
-  heartbeat_.Cancel();
-  hb_armed_ = false;
+  kernel_->engine().Cancel(heartbeat_);
   for (auto& ev : kernel_events_) {
     ev->pending = 0;
     ev->waiters.clear();
@@ -744,16 +743,15 @@ Tcb* FastThreads::PromoteFrame(const LazyFrame& frame, Vcpu* home,
 }
 
 void FastThreads::ArmHeartbeat() {
-  if (hb_armed_ || config_.heartbeat_us <= 0 || halted_) {
+  if (kernel_->engine().pending(heartbeat_) || config_.heartbeat_us <= 0 ||
+      halted_) {
     return;
   }
-  hb_armed_ = true;
-  heartbeat_ = kernel_->engine().ScheduleAfter(
-      sim::Usec(config_.heartbeat_us), [this] { OnHeartbeat(); });
+  heartbeat_ = kernel_->engine().ScheduleIn(sim::Usec(config_.heartbeat_us),
+                                            [this] { OnHeartbeat(); });
 }
 
 void FastThreads::OnHeartbeat() {
-  hb_armed_ = false;
   if (halted_ || lazy_outstanding_ == 0) {
     return;  // nothing to promote; re-armed by the next lazy fork
   }

@@ -289,8 +289,7 @@ class FastThreads {
   // drains and seeded eager-only traces stay byte-identical.
   int64_t lazy_outstanding_ = 0;
   uint64_t lazy_seq_ = 0;
-  bool hb_armed_ = false;
-  sim::EventHandle heartbeat_;
+  sim::EventId heartbeat_ = sim::kNoEvent;
 };
 
 }  // namespace sa::ult

@@ -40,7 +40,7 @@ void SaBackend::ResetSlot(Vcpu* v, kern::KThread* kt) {
   v->idle_transition = false;
   v->idle_notified = false;
   v->lend_hinted = false;
-  v->hysteresis.Cancel();
+  kernel_->engine().Cancel(v->hysteresis);
 }
 
 Vcpu* SaBackend::BindSlot(kern::KThread* kt) {
@@ -119,7 +119,7 @@ void SaBackend::OnSpaceReaped() {
   inbox_.clear();
   discards_.clear();
   for (int i = 0; i < ft_->num_vcpus(); ++i) {
-    ft_->vcpu(i)->hysteresis.Cancel();
+    kernel_->engine().Cancel(ft_->vcpu(i)->hysteresis);
   }
 }
 
@@ -295,7 +295,7 @@ void SaBackend::OnPreempted(kern::KThread* kt, hw::Interrupt irq) {
       // Idle loop: nothing to save, but the slot is no longer idle-spinning
       // (its processor is being taken).
       v->idle_spinning = false;
-      v->hysteresis.Cancel();
+      kernel_->engine().Cancel(v->hysteresis);
     }
     return;
   }
@@ -343,7 +343,7 @@ void SaBackend::OnIdle(Vcpu* v) {
     // and falls back to the normal idle path (this handler re-enters OnIdle
     // with lend_hinted set); an accepted one stops this activation and the
     // slot unbinds through the ordinary preempted upcall.
-    v->hysteresis = kernel_->engine().ScheduleAfter(
+    v->hysteresis = kernel_->engine().ScheduleIn(
         kernel_->costs().lend_hint_hysteresis, [this, vp] {
           if (!vp->bound || !vp->idle_spinning) {
             return;  // got work or lost the processor in the meantime
@@ -359,7 +359,7 @@ void SaBackend::OnIdle(Vcpu* v) {
         });
     return;
   }
-  v->hysteresis = kernel_->engine().ScheduleAfter(
+  v->hysteresis = kernel_->engine().ScheduleIn(
       kernel_->costs().idle_hysteresis, [this, vp] {
         if (!vp->bound || !vp->idle_spinning) {
           return;  // got work or lost the processor in the meantime
@@ -369,7 +369,7 @@ void SaBackend::OnIdle(Vcpu* v) {
       });
 }
 
-void SaBackend::OnIdleWake(Vcpu* v) { v->hysteresis.Cancel(); }
+void SaBackend::OnIdleWake(Vcpu* v) { kernel_->engine().Cancel(v->hysteresis); }
 
 void SaBackend::NotifyParallelism(Vcpu* v, std::function<void()> resume) {
   // Notify only on a *transition*: more runnable threads than processors,

@@ -116,7 +116,7 @@ struct Vcpu {
   // threads running here.  Newest at the back; the oldest (front) is what
   // the heartbeat and steal-side promotion take.
   std::vector<LazyFrame> lazy_frames;
-  sim::EventHandle hysteresis;
+  sim::EventId hysteresis = sim::kNoEvent;
 
   hw::Processor* proc() const {
     SA_CHECK(kt != nullptr);

@@ -719,9 +719,6 @@ uint64_t TraceDigest(const std::vector<trace::Record>& records) {
 }
 
 void ExpectPinnedTrace(Seeded style, size_t records, uint64_t digest) {
-#if !SA_TRACE_ENABLED
-  GTEST_SKIP() << "the pinned traces need the emission sites (SA_TRACE=OFF)";
-#endif
   const std::vector<trace::Record> trace = RunSeededWorkload(style);
   EXPECT_EQ(trace.size(), records);
   EXPECT_EQ(TraceDigest(trace), digest);

@@ -15,9 +15,6 @@ namespace sa::fibers {
 namespace {
 
 TEST(Fibers, TracerRecordsHostClockEvents) {
-#if !SA_TRACE_ENABLED
-  GTEST_SKIP() << "built with SA_TRACE=OFF";
-#else
   trace::TraceBuffer tb(1u << 14);
   tb.set_enabled(trace::cat::kFibers);
   std::atomic<int> ran{0};
@@ -44,7 +41,6 @@ TEST(Fibers, TracerRecordsHostClockEvents) {
   }
   EXPECT_EQ(spawns, 32u);
   EXPECT_GE(switches, 32u);
-#endif
 }
 
 TEST(Fibers, TracerInstalledWhileWorkersPark) {
@@ -52,9 +48,6 @@ TEST(Fibers, TracerInstalledWhileWorkersPark) {
   // installed under their feet.  Let them park, install it while their timed
   // re-parks read the pointer, then trace a batch; ThreadSanitizer checks
   // the hand-off.
-#if !SA_TRACE_ENABLED
-  GTEST_SKIP() << "built with SA_TRACE=OFF";
-#else
   trace::TraceBuffer tb(1u << 14);
   tb.set_enabled(trace::cat::kFibers);
   std::atomic<int> ran{0};
@@ -77,7 +70,6 @@ TEST(Fibers, TracerInstalledWhileWorkersPark) {
     spawns += static_cast<trace::Kind>(r.kind) == trace::Kind::kFibSpawn ? 1 : 0;
   }
   EXPECT_EQ(spawns, 32u);
-#endif
 }
 
 TEST(Fibers, RunsASingleFiber) {

@@ -81,11 +81,11 @@ TEST_P(RandomProgramFuzz, TerminatesWithAllThreadsFinished) {
       ++violations;
     }
     if (!h.AllDone()) {
-      h.engine().ScheduleAfter(sim::Usec(700), audit);
+      h.engine().ScheduleIn(sim::Usec(700), audit);
     }
   };
   if (sys == Sys::kNewFt) {
-    h.engine().ScheduleAfter(sim::Usec(700), audit);
+    h.engine().ScheduleIn(sim::Usec(700), audit);
     h.EnableTracing(trace::cat::kUpcall | trace::cat::kUlt);
   }
 
@@ -93,14 +93,12 @@ TEST_P(RandomProgramFuzz, TerminatesWithAllThreadsFinished) {
   EXPECT_EQ(rt->threads_finished(), rt->threads_created());
   EXPECT_GE(rt->threads_created(), 6u);
   EXPECT_EQ(violations, 0);
-#if SA_TRACE_ENABLED
   if (sys == Sys::kNewFt) {
     // Trace replay covers every transition, not just the periodic audit.
     const trace::CheckResult result = trace::CheckInvariants(h.trace()->Snapshot());
     EXPECT_TRUE(result.ok()) << result.Summary();
     EXPECT_GT(result.vessel_checks, 0u);
   }
-#endif
 }
 
 std::string FuzzName(const ::testing::TestParamInfo<std::tuple<Sys, uint64_t>>& info) {
@@ -182,7 +180,6 @@ SweepOutcome RunUnderPlan(Sys sys, uint64_t seed, const inject::FaultPlan& plan)
     outcome.detail = "threads lost";
     return outcome;
   }
-#if SA_TRACE_ENABLED
   if (sys == Sys::kNewFt) {
     trace::CheckOptions opts;
     opts.idle_ready_threshold += plan.ExtraIdleSlack();
@@ -193,7 +190,6 @@ SweepOutcome RunUnderPlan(Sys sys, uint64_t seed, const inject::FaultPlan& plan)
       outcome.detail = check.Summary();
     }
   }
-#endif
   return outcome;
 }
 
@@ -278,7 +274,6 @@ SweepOutcome RunChurnPlan(uint64_t seed, const inject::FaultPlan& plan) {
     outcome.detail = "threads lost in a surviving space";
     return outcome;
   }
-#if SA_TRACE_ENABLED
   trace::CheckOptions opts;
   opts.idle_ready_threshold += plan.ExtraIdleSlack();
   const trace::CheckResult check =
@@ -287,7 +282,6 @@ SweepOutcome RunChurnPlan(uint64_t seed, const inject::FaultPlan& plan) {
     outcome.ok = false;
     outcome.detail = check.Summary();
   }
-#endif
   return outcome;
 }
 
@@ -380,7 +374,6 @@ SweepOutcome RunLazyNBodyPlan(Sys sys, uint64_t seed, const inject::FaultPlan& p
     outcome.detail = "lazy frame resolution mismatch";
     return outcome;
   }
-#if SA_TRACE_ENABLED
   if (sys == Sys::kNewFt) {
     trace::CheckOptions opts;
     opts.idle_ready_threshold += plan.ExtraIdleSlack();
@@ -391,7 +384,6 @@ SweepOutcome RunLazyNBodyPlan(Sys sys, uint64_t seed, const inject::FaultPlan& p
       outcome.detail = check.Summary();
     }
   }
-#endif
   return outcome;
 }
 

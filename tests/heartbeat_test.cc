@@ -65,7 +65,6 @@ TEST(Heartbeat, PromotesOldestFrameFirst) {
   EXPECT_EQ(c.lazy_promotions, kKids);
   EXPECT_EQ(c.lazy_inlines, 0);
   EXPECT_EQ(c.lazy_steal_promotions, 0);
-#if SA_TRACE_ENABLED
   // The promotion records leave the stack in fork order: tids ascend.
   std::vector<uint64_t> promoted;
   for (const trace::Record& r : h.trace()->Snapshot()) {
@@ -77,7 +76,6 @@ TEST(Heartbeat, PromotesOldestFrameFirst) {
   for (size_t i = 1; i < promoted.size(); ++i) {
     EXPECT_LT(promoted[i - 1], promoted[i]) << "promotion out of age order";
   }
-#endif
 }
 
 // Join reaches an unpromoted frame first (heartbeat off): the child runs
@@ -235,9 +233,6 @@ TEST(Heartbeat, RecursiveTreeResolvesEveryFrameOnActivations) {
 // it.  This is the gate that makes the feature safe to leave configured.
 // Both FastThreads backends: on scheduler activations and on kernel threads.
 TEST(Heartbeat, DisabledPathLeavesSeededTracesByteIdentical) {
-#if !SA_TRACE_ENABLED
-  GTEST_SKIP() << "built with SA_TRACE=OFF";
-#else
   apps::NBodyConfig eager;  // lazy_fork = false
   eager.bodies = 128;
   eager.steps = 2;
@@ -255,15 +250,11 @@ TEST(Heartbeat, DisabledPathLeavesSeededTracesByteIdentical) {
     ASSERT_GT(without_hb.size(), 1000u) << apps::SystemName(system);
     EXPECT_EQ(without_hb, with_hb) << apps::SystemName(system);
   }
-#endif
 }
 
 // And the lazy port itself is deterministic: same seed, same config, same
 // heartbeat → byte-identical exports across repeats.
 TEST(Heartbeat, LazyNBodyRunIsDeterministic) {
-#if !SA_TRACE_ENABLED
-  GTEST_SKIP() << "built with SA_TRACE=OFF";
-#else
   apps::NBodyConfig config;
   config.bodies = 128;
   config.steps = 2;
@@ -280,7 +271,6 @@ TEST(Heartbeat, LazyNBodyRunIsDeterministic) {
   EXPECT_EQ(first, second);
   // The lazy API actually fired: heartbeat kinds are present.
   EXPECT_NE(first.find("hb-lazy-fork"), std::string::npos);
-#endif
 }
 
 }  // namespace

@@ -380,7 +380,6 @@ TEST(InjectRun, AllocDenialDegradesGracefully) {
   EXPECT_GT(stats.degraded_transitions, 0);
 }
 
-#if SA_TRACE_ENABLED
 TEST(InjectRun, InjectedRunsAreDeterministic) {
   // Same plan, same machine seed: the full trace must be identical — the
   // property the shrinker and `--fault-plan=` replays rely on.
@@ -427,7 +426,6 @@ TEST(InjectRun, InjectedRunsAreDeterministic) {
         << "trace diverged at record " << i;
   }
 }
-#endif
 
 // ---------------------------------------------------------------------------
 // Harness diagnosability: TryRun outcomes, watchdog, report counters.

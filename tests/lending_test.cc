@@ -145,7 +145,6 @@ TEST(Lending, KtDipLendsSurplusAndDemandReturnReclaimsInstantly) {
   EXPECT_EQ(loaned_out, borrowed_in);
   EXPECT_EQ(loaned_out, h.kernel().allocator()->loans_outstanding());
 
-#if SA_TRACE_ENABLED
   const std::vector<trace::Record> records = h.trace()->Snapshot();
   EXPECT_GT(CountKind(records, trace::Kind::kLoanGrant, las->id()), 0);
   EXPECT_GT(CountKind(records, trace::Kind::kLoanReclaimIssue, las->id()), 0);
@@ -153,13 +152,34 @@ TEST(Lending, KtDipLendsSurplusAndDemandReturnReclaimsInstantly) {
   const trace::CheckResult check = trace::CheckInvariants(records);
   EXPECT_TRUE(check.ok()) << check.Summary();
   EXPECT_GT(check.loan_checks, 0u);
-#endif
 
   // The report surfaces the lending section.
   const rt::RunReport report = rt::MakeReport(h);
   EXPECT_TRUE(report.lending_active);
   EXPECT_FALSE(report.lending_spaces.empty());
   EXPECT_NE(report.ToString().find("loans:"), std::string::npos);
+}
+
+// Dips shorter than the hysteresis window never lend, however close
+// together they come: each re-armed window starts a full hysteresis.  The
+// lender sleeps 1.2 ms of every 1.4 ms, so a window left over from one dip
+// would expire 2 ms after that dip began, inside the next one, and lend.
+TEST(Lending, KtDipShorterThanHysteresisNeverLends) {
+  rt::HarnessConfig config = LendingConfig(/*processors=*/4);
+  config.kernel.lending.hysteresis = sim::Msec(2);
+  rt::Harness h(config);
+
+  auto lender = MakeOscillator(h, "lender", 1, sim::Usec(200), sim::Usec(1200),
+                               /*iters=*/1000);
+  h.AddRuntime(lender.get(), /*background=*/true);
+  auto borrower = MakeHungrySpace(h, "borrower", 4, /*iters=*/120);
+  h.AddRuntime(borrower.get());
+
+  const rt::RunResult result = h.TryRun();
+  ASSERT_TRUE(result.ok()) << result.diagnostics;
+  const kern::KernelCounters& c = h.kernel().counters();
+  EXPECT_GT(c.io_blocks, 40);  // the lender dipped dozens of times
+  EXPECT_EQ(c.loans_granted, 0);
 }
 
 TEST(Lending, SaYieldHintLendsIdleProcessor) {
@@ -193,14 +213,12 @@ TEST(Lending, SaYieldHintLendsIdleProcessor) {
   EXPECT_GT(c.loans_granted, 0);
   EXPECT_GT(lender.address_space()->loan_state().lends, 0);
 
-#if SA_TRACE_ENABLED
   const std::vector<trace::Record> records = h.trace()->Snapshot();
   EXPECT_GT(CountKind(records, trace::Kind::kLoanYieldHint,
                       lender.address_space()->id()),
             0);
   const trace::CheckResult check = trace::CheckInvariants(records);
   EXPECT_TRUE(check.ok()) << check.Summary();
-#endif
 }
 
 // ---------------------------------------------------------------------------
@@ -246,7 +264,6 @@ TEST(Lending, WatchdogForceRevokesLoanStalledPastTheDeadlineLadder) {
   EXPECT_EQ(lender->threads_finished(), lender->threads_created());
   EXPECT_EQ(h.kernel().allocator()->loans_outstanding(), 0);
 
-#if SA_TRACE_ENABLED
   const std::vector<trace::Record> records = h.trace()->Snapshot();
   EXPECT_GT(CountKind(records, trace::Kind::kLoanDeadlinePing), 0);
   EXPECT_GT(CountKind(records, trace::Kind::kLoanForceRevoke), 0);
@@ -254,7 +271,6 @@ TEST(Lending, WatchdogForceRevokesLoanStalledPastTheDeadlineLadder) {
   // no-loan-outlives-deadline bound.
   const trace::CheckResult check = trace::CheckInvariants(records);
   EXPECT_TRUE(check.ok()) << check.Summary();
-#endif
 }
 
 // ---------------------------------------------------------------------------
@@ -290,7 +306,6 @@ TEST(Lending, BorrowerCrashReturnsTheProcessorToItsLender) {
   // The lender survived its debtor's death and finished its work.
   EXPECT_EQ(lender->threads_finished(), lender->threads_created());
 
-#if SA_TRACE_ENABLED
   const std::vector<trace::Record> records = h.trace()->Snapshot();
   int borrower_death_returns = 0;
   for (const trace::Record& r : records) {
@@ -302,7 +317,6 @@ TEST(Lending, BorrowerCrashReturnsTheProcessorToItsLender) {
   EXPECT_GT(borrower_death_returns, 0);
   const trace::CheckResult check = trace::CheckInvariants(records);
   EXPECT_TRUE(check.ok()) << check.Summary();
-#endif
 }
 
 TEST(Lending, LenderCrashTransfersOwnershipToTheBorrower) {
@@ -332,12 +346,10 @@ TEST(Lending, LenderCrashTransfersOwnershipToTheBorrower) {
   EXPECT_EQ(h.kernel().allocator()->loans_outstanding(), 0);
   EXPECT_EQ(borrower->threads_finished(), borrower->threads_created());
 
-#if SA_TRACE_ENABLED
   const std::vector<trace::Record> records = h.trace()->Snapshot();
   EXPECT_GT(CountKind(records, trace::Kind::kLoanAdopt, las->id()), 0);
   const trace::CheckResult check = trace::CheckInvariants(records);
   EXPECT_TRUE(check.ok()) << check.Summary();
-#endif
 }
 
 // ---------------------------------------------------------------------------
@@ -376,10 +388,8 @@ TEST(Lending, ChurnWithLoansInFlightConservesProcessors) {
   EXPECT_EQ(loaned_out, borrowed_in);
   EXPECT_EQ(loaned_out, h.kernel().allocator()->loans_outstanding());
 
-#if SA_TRACE_ENABLED
   const trace::CheckResult check = trace::CheckInvariants(h.trace()->Snapshot());
   EXPECT_TRUE(check.ok()) << check.Summary();
-#endif
 }
 
 // ---------------------------------------------------------------------------
@@ -442,12 +452,10 @@ TEST(Lending, ComposesWithAffinityUnderRevocationStorms) {
     EXPECT_EQ(assigned + k.allocator()->num_free() + detaching, config.processors)
         << "seed " << seed;
 
-#if SA_TRACE_ENABLED
     trace::CheckOptions opts;
     opts.idle_ready_threshold += plan.ExtraIdleSlack();
     const trace::CheckResult check = trace::CheckInvariants(h.trace()->Snapshot(), opts);
     EXPECT_TRUE(check.ok()) << "seed " << seed << ":\n" << check.Summary();
-#endif
   }
 }
 
@@ -539,9 +547,7 @@ std::vector<trace::Record> RunSeededStyle(Style style, bool armed) {
 
 void ExpectByteIdentical(const std::vector<trace::Record>& base,
                          const std::vector<trace::Record>& armed) {
-#if SA_TRACE_ENABLED
   ASSERT_GT(base.size(), 0u);
-#endif
   // Nothing lending-flavoured may appear in either run.
   for (const trace::Record& r : armed) {
     const uint16_t k = r.kind;

@@ -121,14 +121,12 @@ TEST(Misbehave, WellBehavedSpacesAreIsolated) {
                          << sim::FormatDuration(with_mis);
   EXPECT_GT(ratio, 0.90);
 
-#if SA_TRACE_ENABLED
   // The protocol invariants hold machine-wide in both runs — including for
   // the adversary's own space, whose kernel-side bookkeeping the kernel
   // maintains no matter what user level does.
   EXPECT_TRUE(coop_check.ok()) << coop_check.Summary();
   EXPECT_TRUE(mis_check.ok()) << mis_check.Summary();
   EXPECT_GT(mis_check.vessel_checks, 0u);
-#endif
 }
 
 // §4.1 isolation under cross-space lending (DESIGN.md §16): an adversary
@@ -208,11 +206,9 @@ TEST(Misbehave, HoardingBorrowerCannotSlowItsLender) {
   EXPECT_LT(ratio, 1.10) << "hoarding borrower slowed its lender";
   EXPECT_GT(ratio, 0.90);
 
-#if SA_TRACE_ENABLED
   EXPECT_TRUE(off_check.ok()) << off_check.Summary();
   EXPECT_TRUE(on_check.ok()) << on_check.Summary();
   EXPECT_GT(on_check.loan_checks, 0u);
-#endif
 }
 
 TEST(Misbehave, AdversaryAloneStillTerminatesForeground) {

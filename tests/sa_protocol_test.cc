@@ -33,13 +33,9 @@ sim::Time RunChecked(rt::Harness& h) {
     h.EnableTracing(trace::cat::kUpcall | trace::cat::kUlt);
   }
   const sim::Time elapsed = h.Run();
-#if SA_TRACE_ENABLED
-  // With SA_TRACE=OFF the emission sites compile out; the protocol behavior
-  // under test is unchanged, only the replay check is unavailable.
   const trace::CheckResult result = trace::CheckInvariants(h.trace()->Snapshot());
   EXPECT_TRUE(result.ok()) << result.Summary();
   EXPECT_GT(result.vessel_checks, 0u);
-#endif
   return elapsed;
 }
 
@@ -73,10 +69,10 @@ TEST(SaProtocol, VesselInvariantHoldsThroughout) {
       ++violations;
     }
     if (!h.AllDone()) {
-      h.engine().ScheduleAfter(sim::Usec(300), audit);
+      h.engine().ScheduleIn(sim::Usec(300), audit);
     }
   };
-  h.engine().ScheduleAfter(sim::Usec(300), audit);
+  h.engine().ScheduleIn(sim::Usec(300), audit);
   RunChecked(h);
   EXPECT_GT(checks, 100);
   EXPECT_EQ(violations, 0);
@@ -206,10 +202,10 @@ TEST(SaProtocol, MultiprogrammingSpaceSharesProcessors) {
       saw_even_split = true;
     }
     if (!h.AllDone()) {
-      h.engine().ScheduleAfter(sim::Msec(1), audit);
+      h.engine().ScheduleIn(sim::Msec(1), audit);
     }
   };
-  h.engine().ScheduleAfter(sim::Msec(5), audit);
+  h.engine().ScheduleIn(sim::Msec(5), audit);
   RunChecked(h);
   EXPECT_TRUE(saw_even_split);
   EXPECT_GE(h.kernel().counters().upcalls_preempted, 1);
@@ -294,13 +290,13 @@ TEST(SaProtocol, DebuggerStopIsInvisibleToThreadSystem) {
   h.EnableTracing(trace::cat::kUpcall | trace::cat::kUlt);
   h.Start();
   // Let it run 2 ms, then debugger-stop the running activation for 5 ms.
-  h.engine().ScheduleAfter(sim::Msec(2), [&] {
+  h.engine().ScheduleIn(sim::Msec(2), [&] {
     kern::KThread* act = h.kernel().running_on(h.machine().processor(0));
     ASSERT_NE(act, nullptr);
     ASSERT_TRUE(act->is_activation());
     const auto upcalls_before = h.kernel().counters().upcalls;
     ft.sa_backend()->space()->DebuggerStop(act);
-    h.engine().ScheduleAfter(sim::Msec(5), [&h, &ft, act, upcalls_before] {
+    h.engine().ScheduleIn(sim::Msec(5), [&h, &ft, act, upcalls_before] {
       // No upcall was generated by the stop.
       EXPECT_EQ(h.kernel().counters().upcalls, upcalls_before);
       ft.sa_backend()->space()->DebuggerResume(act);

@@ -1,12 +1,35 @@
-// Discrete-event engine: ordering, cancellation, clock semantics.
+// Discrete-event engine: ordering, cancellation, clock semantics, allocation.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdlib>
+#include <new>
 #include <string>
 #include <vector>
 
 #include "src/sim/engine.h"
 #include "src/sim/program.h"
+
+// Global operator new, counted while g_count_news is set (see
+// Engine.SteadyStateSchedulingDoesNotAllocate).
+namespace {
+std::atomic<bool> g_count_news{false};
+std::atomic<int64_t> g_news{0};
+}  // namespace
+
+void* operator new(std::size_t n) {
+  if (g_count_news.load(std::memory_order_relaxed)) {
+    g_news.fetch_add(1, std::memory_order_relaxed);
+  }
+  if (void* p = std::malloc(n == 0 ? 1 : n)) {
+    return p;
+  }
+  throw std::bad_alloc();
+}
+// Out of line, so the compiler does not see free() meet a new-expression.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace sa::sim {
 namespace {
@@ -20,9 +43,9 @@ TEST(Engine, StartsAtTimeZero) {
 TEST(Engine, RunsEventsInTimeOrder) {
   Engine e;
   std::vector<int> order;
-  e.ScheduleAt(Usec(30), [&] { order.push_back(3); });
-  e.ScheduleAt(Usec(10), [&] { order.push_back(1); });
-  e.ScheduleAt(Usec(20), [&] { order.push_back(2); });
+  e.Schedule(Usec(30), [&] { order.push_back(3); });
+  e.Schedule(Usec(10), [&] { order.push_back(1); });
+  e.Schedule(Usec(20), [&] { order.push_back(2); });
   e.Run();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
   EXPECT_EQ(e.now(), Usec(30));
@@ -32,7 +55,7 @@ TEST(Engine, SameTimestampIsFifo) {
   Engine e;
   std::vector<int> order;
   for (int i = 0; i < 10; ++i) {
-    e.ScheduleAt(Usec(5), [&order, i] { order.push_back(i); });
+    e.Schedule(Usec(5), [&order, i] { order.push_back(i); });
   }
   e.Run();
   for (int i = 0; i < 10; ++i) {
@@ -40,11 +63,11 @@ TEST(Engine, SameTimestampIsFifo) {
   }
 }
 
-TEST(Engine, ScheduleAfterIsRelative) {
+TEST(Engine, ScheduleInIsRelative) {
   Engine e;
   Time seen = -1;
-  e.ScheduleAt(Usec(10), [&] {
-    e.ScheduleAfter(Usec(5), [&] { seen = e.now(); });
+  e.Schedule(Usec(10), [&] {
+    e.ScheduleIn(Usec(5), [&] { seen = e.now(); });
   });
   e.Run();
   EXPECT_EQ(seen, Usec(15));
@@ -53,11 +76,11 @@ TEST(Engine, ScheduleAfterIsRelative) {
 TEST(Engine, CancelPreventsExecution) {
   Engine e;
   bool ran = false;
-  EventHandle h = e.ScheduleAt(Usec(10), [&] { ran = true; });
-  EXPECT_TRUE(h.pending());
-  EXPECT_TRUE(h.Cancel());
-  EXPECT_FALSE(h.pending());
-  EXPECT_FALSE(h.Cancel());  // second cancel is a no-op
+  const EventId id = e.Schedule(Usec(10), [&] { ran = true; });
+  EXPECT_TRUE(e.pending(id));
+  EXPECT_TRUE(e.Cancel(id));
+  EXPECT_FALSE(e.pending(id));
+  EXPECT_FALSE(e.Cancel(id));  // second cancel is a no-op
   e.Run();
   EXPECT_FALSE(ran);
 }
@@ -68,17 +91,17 @@ TEST(Engine, CancelPreventsExecution) {
 TEST(Engine, PendingEventsExcludesCancelled) {
   Engine e;
   constexpr int kN = 10;
-  std::vector<EventHandle> handles;
+  std::vector<EventId> ids;
   for (int i = 0; i < kN; ++i) {
-    handles.push_back(e.ScheduleAt(Usec(i + 1), [] {}));
+    ids.push_back(e.Schedule(Usec(i + 1), [] {}));
   }
   EXPECT_EQ(e.pending_events(), static_cast<size_t>(kN));
   for (int i = 0; i < kN - 1; ++i) {
-    EXPECT_TRUE(handles[static_cast<size_t>(i)].Cancel());
+    EXPECT_TRUE(e.Cancel(ids[static_cast<size_t>(i)]));
   }
   EXPECT_EQ(e.pending_events(), 1u);
   int fired = 0;
-  e.ScheduleAt(Usec(100), [&] { ++fired; });  // keep the survivor company
+  e.Schedule(Usec(100), [&] { ++fired; });  // keep the survivor company
   EXPECT_EQ(e.pending_events(), 2u);
   e.Run();
   EXPECT_EQ(fired, 1);
@@ -92,20 +115,19 @@ TEST(Engine, PendingEventsExcludesCancelled) {
 TEST(Engine, CompactionPreservesLiveEvents) {
   Engine e;
   constexpr int kN = 1000;
-  std::vector<EventHandle> handles;
+  std::vector<EventId> ids;
   std::vector<int> order;
   for (int i = 0; i < kN; ++i) {
-    handles.push_back(
-        e.ScheduleAt(Usec(i + 1), [&order, i] { order.push_back(i); }));
+    ids.push_back(e.Schedule(Usec(i + 1), [&order, i] { order.push_back(i); }));
   }
   // Cancel all the odd ones (well past the >50% dead threshold together with
   // interleaved scheduling below).
   for (int i = 1; i < kN; i += 2) {
-    EXPECT_TRUE(handles[static_cast<size_t>(i)].Cancel());
+    EXPECT_TRUE(e.Cancel(ids[static_cast<size_t>(i)]));
   }
   for (int i = 0; i < kN; i += 2) {
     if (i % 4 == 0) {
-      EXPECT_TRUE(handles[static_cast<size_t>(i)].Cancel());
+      EXPECT_TRUE(e.Cancel(ids[static_cast<size_t>(i)]));
     }
   }
   EXPECT_EQ(e.pending_events(), static_cast<size_t>(kN / 4));
@@ -115,51 +137,48 @@ TEST(Engine, CompactionPreservesLiveEvents) {
     EXPECT_LT(order[i - 1], order[i]);
   }
   // Cancelling after the run is inert.
-  for (auto& h : handles) {
-    EXPECT_FALSE(h.Cancel());
+  for (EventId id : ids) {
+    EXPECT_FALSE(e.Cancel(id));
   }
   EXPECT_EQ(e.pending_events(), 0u);
 }
 
-// Contract: Cancel() after the event fired returns false and stays inert —
-// including across Reset() and handle reassignment, and in any order of
-// repeated calls.
+// Contract: Cancel() after the event fired returns false and stays inert, in
+// any order of repeated calls, and after the next event reuses its slot: the
+// old id can neither cancel nor report the event that now holds the slot.
 TEST(Engine, CancelAfterFireIsInert) {
   Engine e;
   int runs = 0;
-  EventHandle h = e.ScheduleAt(Usec(1), [&] { ++runs; });
+  const EventId fired = e.Schedule(Usec(1), [&] { ++runs; });
   e.Run();
   EXPECT_EQ(runs, 1);
-  EXPECT_FALSE(h.pending());
-  EXPECT_FALSE(h.Cancel());
-  EXPECT_FALSE(h.Cancel());  // double-cancel after fire
+  EXPECT_FALSE(e.pending(fired));
+  EXPECT_FALSE(e.Cancel(fired));
+  EXPECT_FALSE(e.Cancel(fired));  // double-cancel after fire
   EXPECT_EQ(e.pending_events(), 0u);
 
-  // Reassigning the handle to a new event must not resurrect the old state:
-  // the new event is independently cancellable, the old one stays fired.
-  EventHandle old = h;
-  h = e.ScheduleAt(Usec(2), [&] { ++runs; });
-  EXPECT_TRUE(h.pending());
-  EXPECT_FALSE(old.Cancel());
-  EXPECT_TRUE(h.Cancel());
+  // An id is `seq << 24 | slot`: the one free slot is reused under a new id.
+  const EventId reused = e.Schedule(Usec(2), [&] { ++runs; });
+  EXPECT_EQ(reused & 0xFFFFFF, fired & 0xFFFFFF);
+  EXPECT_NE(reused, fired);
+  EXPECT_FALSE(e.pending(fired));
+  EXPECT_FALSE(e.Cancel(fired));
+  EXPECT_TRUE(e.pending(reused));
+  EXPECT_EQ(e.pending_events(), 1u);
+  EXPECT_TRUE(e.Cancel(reused));
   e.Run();
   EXPECT_EQ(runs, 1);
 
-  // Reset() drops the reference; the handle is inert afterwards.
-  EventHandle h2 = e.ScheduleAt(Usec(3), [&] { ++runs; });
-  h2.Reset();
-  EXPECT_FALSE(h2.pending());
-  EXPECT_FALSE(h2.Cancel());
-  e.Run();
-  EXPECT_EQ(runs, 2);  // Reset() is not Cancel(): the event still fires
+  EXPECT_FALSE(e.pending(kNoEvent));
+  EXPECT_FALSE(e.Cancel(kNoEvent));
 }
 
 TEST(Engine, CancelDuringEventCallbackIsCounted) {
   Engine e;
   bool victim_ran = false;
-  EventHandle victim = e.ScheduleAt(Usec(10), [&] { victim_ran = true; });
-  e.ScheduleAt(Usec(5), [&] {
-    EXPECT_TRUE(victim.Cancel());
+  const EventId victim = e.Schedule(Usec(10), [&] { victim_ran = true; });
+  e.Schedule(Usec(5), [&] {
+    EXPECT_TRUE(e.Cancel(victim));
     EXPECT_EQ(e.pending_events(), 0u);
   });
   EXPECT_EQ(e.pending_events(), 2u);
@@ -167,32 +186,23 @@ TEST(Engine, CancelDuringEventCallbackIsCounted) {
   EXPECT_FALSE(victim_ran);
 }
 
-// A handle may outlive the engine; Cancel() must not touch freed memory.
-TEST(Engine, CancelAfterEngineDestructionIsSafe) {
-  EventHandle h;
-  {
-    Engine e;
-    h = e.ScheduleAt(Usec(1), [] {});
-  }
-  EXPECT_TRUE(h.pending());  // never fired, never cancelled
-  EXPECT_TRUE(h.Cancel());   // flips state only; engine is gone
-  EXPECT_FALSE(h.Cancel());
-}
-
 TEST(Engine, HandleReportsFiredState) {
   Engine e;
-  EventHandle h = e.ScheduleAt(Usec(1), [] {});
+  bool pending_inside = true;
+  EventId id = kNoEvent;
+  id = e.Schedule(Usec(1), [&] { pending_inside = e.pending(id); });
   e.Run();
-  EXPECT_FALSE(h.pending());
-  EXPECT_FALSE(h.Cancel());
+  EXPECT_FALSE(pending_inside);  // a firing event is no longer pending
+  EXPECT_FALSE(e.pending(id));
+  EXPECT_FALSE(e.Cancel(id));
 }
 
 TEST(Engine, ZeroDelayEventRunsAfterCurrentEvent) {
   Engine e;
   std::vector<int> order;
-  e.ScheduleAt(Usec(10), [&] {
+  e.Schedule(Usec(10), [&] {
     order.push_back(1);
-    e.ScheduleAfter(0, [&] { order.push_back(2); });
+    e.ScheduleIn(0, [&] { order.push_back(2); });
     order.push_back(3);  // still inside the first event
   });
   e.Run();
@@ -202,9 +212,9 @@ TEST(Engine, ZeroDelayEventRunsAfterCurrentEvent) {
 TEST(Engine, RunUntilStopsAtBoundary) {
   Engine e;
   int count = 0;
-  e.ScheduleAt(Usec(10), [&] { ++count; });
-  e.ScheduleAt(Usec(20), [&] { ++count; });
-  e.ScheduleAt(Usec(30), [&] { ++count; });
+  e.Schedule(Usec(10), [&] { ++count; });
+  e.Schedule(Usec(20), [&] { ++count; });
+  e.Schedule(Usec(30), [&] { ++count; });
   e.RunUntil(Usec(20));
   EXPECT_EQ(count, 2);  // inclusive boundary
   EXPECT_EQ(e.now(), Usec(20));
@@ -218,10 +228,27 @@ TEST(Engine, RunUntilAdvancesClockWhenIdle) {
   EXPECT_EQ(e.now(), Msec(5));
 }
 
+// Regression: with an event pending past `until`, RunUntil used to set the
+// clock to `until` even when that lay in the past, so a later event could be
+// scheduled (and fire) before events that had already run.
+TEST(Engine, RunUntilNeverRewindsClock) {
+  Engine e;
+  int fired = 0;
+  e.Schedule(Usec(100), [&] { ++fired; });
+  e.RunUntil(Usec(50));
+  EXPECT_EQ(e.now(), Usec(50));
+  e.RunUntil(Usec(20));
+  EXPECT_EQ(e.now(), Usec(50));
+  EXPECT_EQ(fired, 0);
+  e.RunUntil(Usec(100));
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(e.now(), Usec(100));
+}
+
 TEST(Engine, StepReturnsFalseWhenEmpty) {
   Engine e;
   EXPECT_FALSE(e.Step());
-  e.ScheduleAt(1, [] {});
+  e.Schedule(1, [] {});
   EXPECT_TRUE(e.Step());
   EXPECT_FALSE(e.Step());
   EXPECT_EQ(e.events_fired(), 1u);
@@ -232,10 +259,10 @@ TEST(Engine, CascadedEventsRunToCompletion) {
   int depth = 0;
   std::function<void()> chain = [&] {
     if (++depth < 100) {
-      e.ScheduleAfter(Usec(1), chain);
+      e.ScheduleIn(Usec(1), chain);
     }
   };
-  e.ScheduleAt(0, chain);
+  e.Schedule(0, chain);
   e.Run();
   EXPECT_EQ(depth, 100);
   EXPECT_EQ(e.now(), Usec(99));
@@ -245,10 +272,37 @@ TEST(Engine, MaxEventsBoundsExecution) {
   Engine e;
   int count = 0;
   for (int i = 0; i < 10; ++i) {
-    e.ScheduleAt(i, [&] { ++count; });
+    e.Schedule(i, [&] { ++count; });
   }
   e.Run(4);
   EXPECT_EQ(count, 4);
+}
+
+// Rounds of 64 cancellable events, half of them cancelled: once the first
+// round has sized the engine's heap, slot and free-slot arrays, scheduling,
+// cancelling and firing allocate nothing.
+TEST(Engine, SteadyStateSchedulingDoesNotAllocate) {
+  Engine e;
+  int fired = 0;
+  std::vector<EventId> ids(64);
+  const auto round = [&] {
+    for (size_t i = 0; i < ids.size(); ++i) {
+      ids[i] = e.ScheduleIn(Usec(static_cast<int64_t>(i % 7) + 1), [&fired] { ++fired; });
+    }
+    for (size_t i = 0; i < ids.size(); i += 2) {
+      e.Cancel(ids[i]);
+    }
+    e.Run();
+  };
+  round();  // warm-up
+  const int64_t before = g_news.load();
+  g_count_news = true;
+  for (int r = 0; r < 100; ++r) {
+    round();
+  }
+  g_count_news = false;
+  EXPECT_EQ(g_news.load() - before, 0);
+  EXPECT_EQ(fired, 101 * 32);
 }
 
 TEST(TimeFormat, AutoSelectsUnits) {

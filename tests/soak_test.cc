@@ -64,20 +64,18 @@ TEST(Soak, MixedSystemsLongRun) {
     }
     ++audits;
     if (!h.AllDone()) {
-      h.engine().ScheduleAfter(sim::Usec(900), audit);
+      h.engine().ScheduleIn(sim::Usec(900), audit);
     }
   };
-  h.engine().ScheduleAfter(sim::Usec(900), audit);
+  h.engine().ScheduleIn(sim::Usec(900), audit);
 
   h.EnableTracing(trace::cat::kUpcall | trace::cat::kUlt);
   h.Run();
-#if SA_TRACE_ENABLED
   // Trace replay audits both SA spaces at every protocol transition, on top
   // of the coarse periodic audit above.
   const trace::CheckResult result = trace::CheckInvariants(h.trace()->Snapshot());
   EXPECT_TRUE(result.ok()) << result.Summary();
   EXPECT_GT(result.vessel_checks, 0u);
-#endif
   EXPECT_EQ(violations, 0);
   EXPECT_GT(audits, 50);
   EXPECT_EQ(sa_a.threads_finished(), sa_a.threads_created());
@@ -96,9 +94,6 @@ TEST(GoldenTrace, CanonicalBlockUnblockUpcallOrdering) {
   // blocks in the kernel, a fresh activation takes the processor, and on
   // completion the notification preempts the processor, carrying both the
   // unblocked and the preempted thread in one upcall.
-#if !SA_TRACE_ENABLED
-  GTEST_SKIP() << "the upcall queue is read from the trace (SA_TRACE=OFF)";
-#endif
   rt::HarnessConfig config;
   config.processors = 1;
   config.kernel.mode = kern::KernelMode::kSchedulerActivations;

@@ -56,7 +56,6 @@ rt::HarnessConfig SaConfig(int processors, uint64_t seed = 1) {
   return config;
 }
 
-#if SA_TRACE_ENABLED
 std::vector<trace::Record> LifecycleRecords(const std::vector<trace::Record>& all,
                                             trace::Kind kind, int as_id) {
   std::vector<trace::Record> out;
@@ -67,7 +66,6 @@ std::vector<trace::Record> LifecycleRecords(const std::vector<trace::Record>& al
   }
   return out;
 }
-#endif
 
 // An injected crash quarantines the space and reclaims everything it held:
 // threads, activations, processors, queued upcalls.  ConservationReport —
@@ -112,7 +110,6 @@ TEST(SpaceLifecycle, CrashReclaimsEverything) {
   // The survivor rode out its neighbour's death untouched.
   EXPECT_EQ(survivor->threads_finished(), survivor->threads_created());
 
-#if SA_TRACE_ENABLED
   const std::vector<trace::Record> records = h.trace()->Snapshot();
   EXPECT_EQ(LifecycleRecords(records, trace::Kind::kLifeCrash, as->id()).size(), 1u);
   EXPECT_EQ(LifecycleRecords(records, trace::Kind::kLifeQuarantine, as->id()).size(), 1u);
@@ -123,7 +120,6 @@ TEST(SpaceLifecycle, CrashReclaimsEverything) {
   // teardown completed, and the survivor's protocol invariants still hold.
   const trace::CheckResult check = trace::CheckInvariants(records);
   EXPECT_TRUE(check.ok()) << check.Summary();
-#endif
 }
 
 // A hung runtime is invisible to the kernel until the upcall-ack watchdog
@@ -164,7 +160,6 @@ TEST(SpaceLifecycle, HangDetectionBacksOffExponentially) {
   EXPECT_EQ(td.cause, kern::TeardownCause::kHung);
   EXPECT_LE(td.begin, plan.hang_at + sim::Msec(71));
 
-#if SA_TRACE_ENABLED
   const std::vector<trace::Record> records = h.trace()->Snapshot();
   const auto pings = LifecycleRecords(records, trace::Kind::kLifeHangPing, as->id());
   ASSERT_EQ(pings.size(), 3u);
@@ -178,7 +173,6 @@ TEST(SpaceLifecycle, HangDetectionBacksOffExponentially) {
   const auto hung = LifecycleRecords(records, trace::Kind::kLifeHang, as->id());
   ASSERT_EQ(hung.size(), 1u);
   EXPECT_EQ(hung[0].ts, pings[2].ts);  // third miss declares, same instant
-#endif
 }
 
 // An orderly exit that leaks everything: the reaper returns the dead
@@ -222,10 +216,8 @@ TEST(SpaceLifecycle, CrashWithKernelEventWaiterConservesProcessors) {
   EXPECT_EQ(victim.threads_finished(), 0u);
   EXPECT_EQ(survivor->threads_finished(), survivor->threads_created());
 
-#if SA_TRACE_ENABLED
   const trace::CheckResult check = trace::CheckInvariants(h.trace()->Snapshot());
   EXPECT_TRUE(check.ok()) << check.Summary();
-#endif
 }
 
 TEST(SpaceLifecycle, ExitReturnsProcessorsToSurvivors) {
@@ -301,12 +293,10 @@ TEST(SpaceLifecycle, ChurnSoakSurvivesRandomLifecycleFaults) {
           << "seed " << seed;
     }
 
-#if SA_TRACE_ENABLED
     trace::CheckOptions opts;
     opts.idle_ready_threshold += plan.ExtraIdleSlack();
     const trace::CheckResult check = trace::CheckInvariants(h.trace()->Snapshot(), opts);
     EXPECT_TRUE(check.ok()) << "seed " << seed << ":\n" << check.Summary();
-#endif
   }
 }
 
@@ -334,9 +324,7 @@ TEST(SpaceLifecycle, InactivePlanIsZeroPerturbation) {
 
   const std::vector<trace::Record> baseline = run(false);
   const std::vector<trace::Record> injected = run(true);
-#if SA_TRACE_ENABLED
   ASSERT_GT(baseline.size(), 0u);
-#endif
   ASSERT_EQ(baseline.size(), injected.size());
   for (size_t i = 0; i < baseline.size(); ++i) {
     const trace::Record& a = baseline[i];

@@ -33,12 +33,7 @@ Record Rec(Kind kind, int64_t ts, int cpu, int as_id, uint64_t a0, uint64_t a1) 
 TEST(TraceBuffer, DisabledCategoryIsNotRecorded) {
   trace::TraceBuffer tb(16);
   tb.set_enabled(trace::cat::kKernel);
-#if SA_TRACE_ENABLED
   EXPECT_TRUE(tb.enabled(trace::cat::kKernel));
-#else
-  // The compile-time kill switch overrides the runtime mask entirely.
-  EXPECT_FALSE(tb.enabled(trace::cat::kKernel));
-#endif
   EXPECT_FALSE(tb.enabled(trace::cat::kUlt));
 }
 
@@ -285,9 +280,6 @@ TEST(ChromeExport, PairsSpansAndEscapesNothingUnexpected) {
 // Chrome traces.  Any hidden host state (pointers, wall-clock reads, hash
 // iteration order) in the simulated path would break this.
 TEST(TraceDeterminism, SeededFig1RunExportsByteIdenticalTraces) {
-#if !SA_TRACE_ENABLED
-  GTEST_SKIP() << "built with SA_TRACE=OFF";
-#else
   const apps::NBodyConfig config;  // bench_fig1's config
   const apps::DaemonConfig daemons;
   std::string first;
@@ -302,7 +294,6 @@ TEST(TraceDeterminism, SeededFig1RunExportsByteIdenticalTraces) {
   EXPECT_NE(first.find("upcall-deliver"), std::string::npos);
   EXPECT_NE(first.find("ult-dispatch"), std::string::npos);
   EXPECT_NE(first.find("syscall"), std::string::npos);
-#endif
 }
 
 }  // namespace

@@ -243,9 +243,7 @@ std::vector<trace::Record> RunSeededSaWorkload(bool attach_inactive_generator) {
 TEST(TrafficZeroPerturbation, InactiveGeneratorLeavesSeededTraceByteIdentical) {
   const std::vector<trace::Record> without = RunSeededSaWorkload(false);
   const std::vector<trace::Record> with = RunSeededSaWorkload(true);
-#if SA_TRACE_ENABLED
   ASSERT_GT(without.size(), 0u);
-#endif
   ASSERT_EQ(without.size(), with.size());
   for (size_t i = 0; i < without.size(); ++i) {
     const trace::Record& a = without[i];
