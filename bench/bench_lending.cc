@@ -4,7 +4,7 @@
 // cell and only trims the fixed work per borrower):
 //
 //   1. Lending ablation, paired runs (same seed and workload, only
-//      config.kernel.lending.enabled flipped) across a {2-space dip/surge} x
+//      config.kernel.lending flipped) across a {2-space dip/surge} x
 //      {512-processor tenant-mix} oversubscription grid.  The baseline parks
 //      a dipped lender's processors behind the §4.2 idle hysteresis (5ms)
 //      before they can move; lending hands them over after the 500us
@@ -163,7 +163,7 @@ PairSide RunPairSide(const PairSpec& spec, bool lending) {
   config.processors = spec.processors;
   config.seed = 17;
   config.kernel.mode = kern::KernelMode::kSchedulerActivations;
-  config.kernel.lending.enabled = lending;
+  config.kernel.lending = lending;
   rt::Harness h(config);
 
   std::vector<std::unique_ptr<rt::Runtime>> tenants;
@@ -248,7 +248,7 @@ bool RunBesideHoarder(uint64_t seed, bool delay_reclaims, int64_t* p999,
   config.processors = 6;
   config.seed = seed;
   config.kernel.mode = kern::KernelMode::kSchedulerActivations;
-  config.kernel.lending.enabled = true;
+  config.kernel.lending = true;
   rt::Harness h(config);
   if (delay_reclaims) {
     inject::FaultPlan plan;
@@ -319,7 +319,7 @@ bool RunChurnSeed(uint64_t seed, int borrower_iters) {
   config.processors = 4;
   config.seed = seed;
   config.kernel.mode = kern::KernelMode::kSchedulerActivations;
-  config.kernel.lending.enabled = true;
+  config.kernel.lending = true;
   rt::Harness h(config);
   h.EnableTracing(trace::cat::kLending | trace::cat::kLifecycle);
 

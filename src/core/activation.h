@@ -13,6 +13,10 @@
 
 #include "src/core/upcall.h"
 
+namespace sa::kern {
+class KThread;
+}  // namespace sa::kern
+
 namespace sa::core {
 
 class Activation {

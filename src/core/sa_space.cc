@@ -453,9 +453,8 @@ void SaSpace::DowncallProcessorIdle(kern::KThread* caller, std::function<void()>
 
 void SaSpace::DowncallYieldHint(kern::KThread* caller, std::function<void(bool)> done) {
   kern::ProcessorAllocator* alloc = kernel_->allocator();
-  if (!kernel_->config().lending.enabled || as_->reaped() ||
-      !alloc->WantsLoanFrom(as_)) {
-    if (kernel_->config().lending.enabled) {
+  if (!kernel_->config().lending || as_->reaped() || !alloc->WantsLoanFrom(as_)) {
+    if (kernel_->config().lending) {
       ++kernel_->counters().yield_hints_declined;
     }
     done(false);  // cost-free: no charge, no trace, no events

@@ -33,8 +33,8 @@ namespace sa::core {
 class SaSpace : public kern::SaSpaceIface {
  public:
   // `act_host` is the user-level thread system's host for activation
-  // contexts: its RunOn processes a fresh activation's event inbox (via the
-  // thread system's UpcallHandler) and then dispatches user-level threads.
+  // contexts: its RunOn processes a fresh activation's event inbox and then
+  // dispatches user-level threads.
   SaSpace(kern::Kernel* kernel, kern::AddressSpace* as, kern::KThreadHost* act_host);
   ~SaSpace() override;
 

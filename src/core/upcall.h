@@ -11,13 +11,8 @@
 #define SA_CORE_UPCALL_H_
 
 #include <cstdint>
-#include <vector>
 
 #include "src/hw/processor.h"
-
-namespace sa::kern {
-class KThread;
-}  // namespace sa::kern
 
 namespace sa::core {
 
@@ -54,17 +49,6 @@ struct UpcallEvent {
 };
 
 const char* UpcallEventKindName(UpcallEvent::Kind kind);
-
-// Implemented by the user-level thread system (src/ult/sa_backend).  Called
-// in the context of a fresh activation after the kernel's upcall delivery
-// cost has been charged; the handler processes the events and then uses the
-// activation as an ordinary vessel for running user-level threads.
-class UpcallHandler {
- public:
-  virtual ~UpcallHandler() = default;
-  virtual void HandleUpcall(kern::KThread* upcall_activation,
-                            std::vector<UpcallEvent> events) = 0;
-};
 
 }  // namespace sa::core
 

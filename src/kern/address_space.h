@@ -168,7 +168,7 @@ class AddressSpace {
   AllocState& alloc_state() const { return alloc_state_; }
 
   // Cross-space lending state (DESIGN.md §16), owned by the allocator like
-  // AllocState.  All zero unless Config::lending.enabled.
+  // AllocState.  All zero unless Config::lending.
   struct LoanState {
     int loaned_out = 0;   // processors this space has lent to others
     int borrowed_in = 0;  // processors this space holds on loan

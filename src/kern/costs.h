@@ -98,8 +98,6 @@ struct CostModel {
   // section.  Null Fork crosses 4 critical sections, Signal-Wait 2, giving
   // the published 49/48 us when enabled.
   sim::Duration cs_flag_overhead = sim::Usec(3);
-  int cs_crossings_fork = 4;
-  int cs_crossings_signal_wait = 2;
 
   // ---- scheduler activation upcalls (Section 5.2) ----
   // The prototype's upcall path is untuned Modula-2+; a blocked/unblocked
@@ -129,7 +127,6 @@ struct CostModel {
   int sa_discard_batch = 8;
 
   // ---- processor (re)allocation ----
-  sim::Duration alloc_decision = sim::Usec(30);    // allocator bookkeeping per event
   sim::Duration preempt_interrupt = sim::Usec(25);  // inter-processor interrupt + save
   // User-level idle hysteresis before notifying the kernel (Section 4.2).
   sim::Duration idle_hysteresis = sim::Msec(5);

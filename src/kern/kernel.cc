@@ -17,7 +17,7 @@ Kernel::Kernel(hw::Machine* machine, Config config)
     machine_->processor(i)->set_interrupt_handler(
         [this](hw::Processor* proc, hw::Interrupt irq) { OnInterrupt(proc, std::move(irq)); });
   }
-  if (config_.lending.enabled) {
+  if (config_.lending) {
     SA_CHECK_MSG(config_.mode == KernelMode::kSchedulerActivations,
                  "cross-space lending requires the explicit allocator");
   }
@@ -337,15 +337,12 @@ void Kernel::DispatchOn(hw::Processor* proc) {
   AddressSpace* owner = OwnerOf(proc);
   if (owner != nullptr && owner->reaped()) {
     // Catch-all for teardown: a processor of a quarantined space that
-    // reaches a dispatch point with no revocation latched is detached here.
+    // reaches a dispatch point with no revocation latched is revoked here.
     // Any still-pending action belonged to the dead space; drop it so its
     // IPI cannot fire against the processor's next owner.
     pending_[pid] = PendingAction{};
     ClearRunning(proc);
-    UnassignProcessor(proc);
-    proc->BeginKernelSpan(costs().preempt_interrupt, [this, owner, proc] {
-      allocator_->OnRevokeComplete(owner, proc);
-    });
+    RevokeNow(proc, /*stopped=*/nullptr);
     return;
   }
   Domain* domain = DomainOfProcessor(proc);
@@ -442,29 +439,21 @@ void Kernel::HandleAction(hw::Processor* proc, PendingAction action, KThread* st
       break;
     }
 
-    case PendingAction::Kind::kRevoke: {
-      AddressSpace* old_as = OwnerOf(proc);
-      DetachAndNotify(proc, old_as, stopped);
-      proc->BeginKernelSpan(costs().preempt_interrupt, [this, proc, old_as] {
-        allocator_->OnRevokeComplete(old_as, proc);
-      });
+    case PendingAction::Kind::kRevoke:
+      RevokeNow(proc, stopped);
       break;
-    }
 
     case PendingAction::Kind::kLoanReclaim: {
       // Instant-reclaim fast path (DESIGN.md §16): the lender's demand
       // returned, so the borrower loses the loaned processor with a single
       // preempt upcall — the ledger settles here and the processor goes
       // straight back to the lender, with no grant-loop renegotiation.
-      AddressSpace* old_as = OwnerOf(proc);
       // Settled before the detach, so the borrower's entitlement never dips
       // below its holdings.
       allocator_->OnLoanReclaimPreempted(proc, action.loan_epoch);
-      DetachAndNotify(proc, old_as, stopped);
+      DetachAndNotify(proc, stopped);
       proc->BeginKernelSpan(costs().preempt_interrupt + costs().loan_reclaim,
-                            [this, proc, old_as] {
-                              allocator_->OnLoanReclaimComplete(old_as, proc);
-                            });
+                            [this, proc] { allocator_->OnLoanReclaimComplete(proc); });
       break;
     }
 
@@ -472,11 +461,8 @@ void Kernel::HandleAction(hw::Processor* proc, PendingAction action, KThread* st
       AddressSpace* owner = OwnerOf(proc);
       if (owner != nullptr && owner->reaped()) {
         // The space died while this delivery interrupt was in flight; the
-        // processor is simply detached instead.
-        UnassignProcessor(proc);
-        proc->BeginKernelSpan(costs().preempt_interrupt, [this, proc, owner] {
-          allocator_->OnRevokeComplete(owner, proc);
-        });
+        // processor is revoked instead.
+        RevokeNow(proc, stopped);
         break;
       }
       if (stopped != nullptr) {
@@ -498,7 +484,15 @@ void Kernel::HandleAction(hw::Processor* proc, PendingAction action, KThread* st
   }
 }
 
-void Kernel::DetachAndNotify(hw::Processor* proc, AddressSpace* old_as, KThread* stopped) {
+void Kernel::RevokeNow(hw::Processor* proc, KThread* stopped) {
+  AddressSpace* old_as = DetachAndNotify(proc, stopped);
+  proc->BeginKernelSpan(costs().preempt_interrupt, [this, proc, old_as] {
+    allocator_->OnRevokeComplete(old_as, proc);
+  });
+}
+
+AddressSpace* Kernel::DetachAndNotify(hw::Processor* proc, KThread* stopped) {
+  AddressSpace* old_as = OwnerOf(proc);
   if (old_as != nullptr) {
     UnassignProcessor(proc);
   }
@@ -522,6 +516,7 @@ void Kernel::DetachAndNotify(hw::Processor* proc, AddressSpace* old_as, KThread*
   } else if (notify) {
     old_as->sa()->OnProcessorRevoked(proc, nullptr);
   }
+  return old_as;
 }
 
 // ---------------------------------------------------------------------------
@@ -784,16 +779,19 @@ bool Kernel::AbortSyscallIfReaped(KThread* caller, hw::Processor* proc) {
     return false;
   }
   // The caller died mid-syscall (its space was quarantined while a kernel
-  // span was charging).  Drop the continuation and give the processor a
-  // dispatch point: DispatchOn consumes the latched revocation, or detaches
-  // the processor through the reaped-owner catch-all.
-  if (running_on(proc) == caller) {
+  // span was charging): drop the continuation.
+  ParkReaped(proc, caller->address_space());
+  return true;
+}
+
+void Kernel::ParkReaped(hw::Processor* proc, const AddressSpace* as) {
+  const KThread* running = running_on(proc);
+  if (running != nullptr && running->address_space() == as) {
     ClearRunning(proc);
   }
   if (!proc->has_span()) {
     DispatchOn(proc);
   }
-  return true;
 }
 
 void Kernel::ChargeKernel(KThread* caller, sim::Duration d, std::function<void()> done) {

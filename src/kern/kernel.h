@@ -45,23 +45,6 @@ enum class KernelMode {
   kSchedulerActivations,
 };
 
-// Cross-space processor lending (DESIGN.md §16).  Off by default: with
-// `enabled` false the allocator takes no lending decisions, schedules no
-// lending events, and seeded traces stay byte-identical to a build without
-// the feature.
-struct LendingConfig {
-  bool enabled = false;
-  // How long a kernel-thread space's demand must sit below its holdings
-  // before its surplus becomes lendable (guards against demand flutter).
-  sim::Duration hysteresis = sim::Msec(2);
-  // Reclaim-deadline watchdog: virtual time a borrower may sit on a reclaim
-  // preemption before the first ping; doubles per ping, and after
-  // `max_pings` unanswered pings the borrower is force-revoked and
-  // quarantined through the space reaper's escalation ladder.
-  sim::Duration reclaim_deadline = sim::Msec(5);
-  int max_pings = 2;
-};
-
 struct Config {
   CostModel costs;
   KernelMode mode = KernelMode::kNativeTopaz;
@@ -76,9 +59,12 @@ struct Config {
   // cache), picks revocation victims that keep each space's holdings
   // socket-compact, and breaks fair-share leftover ties toward incumbency.
   bool affinity_allocation = false;
-  // Cross-space processor lending (DESIGN.md §16).  Composes with
-  // affinity_allocation: both ride the one incremental decision path.
-  LendingConfig lending;
+  // Cross-space processor lending (DESIGN.md §16).  Off by default: the
+  // allocator then takes no lending decisions, schedules no lending events,
+  // and seeded traces stay byte-identical to a build without the feature.
+  // Composes with affinity_allocation: both ride the one incremental
+  // decision path.  Its timings are ProcessorAllocator constants.
+  bool lending = false;
 };
 
 // Event counters for experiments and tests.
@@ -118,9 +104,9 @@ struct KernelCounters {
   int64_t ult_steals_local = 0;   // user-level steals within a socket
   int64_t ult_steals_remote = 0;  // user-level steals across sockets
   // Cross-space processor lending (DESIGN.md §16).  All zero unless
-  // Config::lending.enabled.
+  // Config::lending.
   int64_t loans_granted = 0;         // loans opened (dip surplus or yield hint)
-  int64_t loans_reclaimed = 0;       // loans closed by lender demand return
+  int64_t loans_reclaimed = 0;       // recalled loans that returned their processor
   int64_t loans_reclaimed_fast = 0;  // of those, synchronous (borrower idle)
   int64_t loans_adopted = 0;         // loans converted to ownership transfers
   int64_t loans_force_revoked = 0;   // watchdog gave up; borrower quarantined
@@ -264,6 +250,13 @@ class Kernel {
   // allocator: desired = runnable thread count.
   void UpdateKtDemand(AddressSpace* as);
 
+  // Hands back a processor of the torn-down space `as` from a continuation
+  // that fired after the teardown: clears `as`'s context off `proc` and, if
+  // the processor has no span, gives the kernel a dispatch point, where it
+  // consumes a latched revocation or revokes through the reaped-owner
+  // catch-all (RevokeNow).
+  void ParkReaped(hw::Processor* proc, const AddressSpace* as);
+
   // Effective upcall delivery cost (honours tuned_upcalls).
   sim::Duration UpcallCost() const;
 
@@ -289,12 +282,18 @@ class Kernel {
 
   void OnInterrupt(hw::Processor* proc, hw::Interrupt irq);
   void HandleAction(hw::Processor* proc, PendingAction action, KThread* stopped);
-  // The common step of a revocation and a loan reclaim: unassign `proc` from
-  // `old_as` (its owner, if any) and tell the context it stopped.  An SA
-  // owner gets a preempted upcall; a kernel-thread context is requeued and
-  // an idle processor of its space kicked.  `stopped` is nullptr when the
-  // interrupt caught the processor between spans.
-  void DetachAndNotify(hw::Processor* proc, AddressSpace* old_as, KThread* stopped);
+  // Every hand-off of a processor starts here: unassign `proc` from its
+  // owner, if any, and tell the context it stopped.  A live SA owner gets a
+  // preempted upcall; a kernel-thread context is requeued and an idle
+  // processor of its space kicked.  `stopped` is nullptr when the processor
+  // was caught between spans.  Returns the old owner.  Outside tests, the
+  // only caller of UnassignProcessor and SaSpaceIface::OnProcessorRevoked.
+  AddressSpace* DetachAndNotify(hw::Processor* proc, KThread* stopped);
+  // The one revoke step: detach `proc`, charge the preempt interrupt, then
+  // hand it to the allocator (OnRevokeComplete).  Serves kRevoke, an upcall
+  // delivery that finds its space reaped, and DispatchOn's reaped-owner
+  // catch-all.
+  void RevokeNow(hw::Processor* proc, KThread* stopped);
   void ChargeDispatchAndRun(hw::Processor* proc, KThread* kt);
   void RunThread(KThread* kt);
   void ArmQuantum(hw::Processor* proc, KThread* kt);
@@ -314,10 +313,9 @@ class Kernel {
   // Applies the injector's latency-spike perturbation (if any) to a blocking
   // I/O's latency, tracing the spike.  Identity when injection is off.
   sim::Duration MaybePerturbLatency(KThread* caller, sim::Duration latency);
-  // If `caller`'s space has been reaped mid-syscall, abandon the syscall:
-  // detach the caller from `proc` and let DispatchOn consume any latched
-  // revocation (or the reaped-owner catch-all) so the processor is
-  // reclaimed.  Returns true when the continuation must stop.
+  // If `caller`'s space has been reaped mid-syscall, abandon the syscall
+  // and hand the processor back (ParkReaped).  Returns true when the
+  // continuation must stop.
   bool AbortSyscallIfReaped(KThread* caller, hw::Processor* proc);
   hw::Processor* FindIdleProcessorFor(AddressSpace* as);
   // Native mode: place a high-priority wakeup at a random processor

@@ -402,19 +402,8 @@ void ProcessorAllocator::RevokeSurplus(AddressSpace* as, int target) {
   // to the borrower with no processor motion, so Section 4.1 reclaims the
   // lender's paper capacity without a preemption.  Loans mid-reclaim are
   // skipped — their in-flight completion would strand an adopted processor.
-  while (surplus > 0 && !loans_.empty()) {
-    const Loan* pick = nullptr;
-    for (const auto& [pid, loan] : loans_) {
-      if (loan.lender == as && !loan.reclaiming &&
-          (pick == nullptr || loan.epoch > pick->epoch)) {
-        pick = &loan;
-      }
-    }
-    if (pick == nullptr) {
-      break;
-    }
+  for (Loan* pick; surplus > 0 && (pick = NewestLoanOf(as)) != nullptr; --surplus) {
     AdoptLoan(*pick);
-    --surplus;
   }
   if (surplus <= 0) {
     return;
@@ -451,10 +440,7 @@ void ProcessorAllocator::RevokeSurplus(AddressSpace* as, int target) {
 
 bool ProcessorAllocator::Revoke(AddressSpace* as, hw::Processor* proc) {
   if (kernel_->IdleInKernel(proc)) {
-    kernel_->UnassignProcessor(proc);
-    if (as->mode() == AsMode::kSchedulerActivations) {
-      as->sa()->OnProcessorRevoked(proc, nullptr);
-    }
+    kernel_->DetachAndNotify(proc, /*stopped=*/nullptr);
     free_.PushBack(proc);
     return true;
   }
@@ -676,38 +662,27 @@ void ProcessorAllocator::ReleaseSpace(AddressSpace* as) {
 }
 
 void ProcessorAllocator::OnRevokeComplete(AddressSpace* old_as, hw::Processor* proc) {
-  ++decisions_;
   if (old_as != nullptr && IsRegistered(old_as) &&
       old_as->alloc_state().pending_revokes > 0) {
     NotePendingDelta(old_as, -1);
   }
-  // A processor detaching from a settled loan (borrower-death teardown
-  // revocation) goes straight home to its lender, not the free pool.
-  auto rt = return_to_.find(proc->id());
-  if (rt != return_to_.end()) {
-    AddressSpace* lender = rt->second.lender;
-    return_to_.erase(rt);
-    if (lender != nullptr && IsRegistered(lender) && !lender->reaped()) {
-      Grant(proc, lender);
-      RebalanceInternal();
-      return;
-    }
-  }
-  free_.PushBack(proc);
-  RebalanceInternal();
+  // The rest is a loan reclaim's landing: a processor detaching from a
+  // settled loan (borrower-death teardown revocation) goes straight home to
+  // its lender, any other to the free pool.
+  OnLoanReclaimComplete(proc);
 }
 
 // ---------------------------------------------------------------------------
 // Cross-space lending (DESIGN.md §16).
 //
 // All lending state is empty and every hook below is inert unless
-// Config::lending.enabled: Entitled() collapses to assigned().size(),
+// Config::lending: Entitled() collapses to assigned().size(),
 // EffectiveDemand() to desired_processors(), and no events, trace records,
 // or RNG draws are produced — seeded traces stay byte-identical.
 // ---------------------------------------------------------------------------
 
 bool ProcessorAllocator::lending_enabled() const {
-  return kernel_->config().lending.enabled;
+  return kernel_->config().lending;
 }
 
 int ProcessorAllocator::Entitled(const AddressSpace* as) const {
@@ -757,8 +732,8 @@ void ProcessorAllocator::UpdateLoanStateOnDesired(AddressSpace* as) {
   }
   if (!ls.dip_armed && !ls.dip_ripe) {
     ls.dip_armed = true;
-    ls.dip_window = kernel_->engine().ScheduleIn(
-        kernel_->config().lending.hysteresis, [this, as] { OnDipDeadline(as); });
+    ls.dip_window =
+        kernel_->engine().ScheduleIn(kDipHysteresis, [this, as] { OnDipDeadline(as); });
   }
 }
 
@@ -805,7 +780,8 @@ void ProcessorAllocator::LendSurplus() {
       if (borrower == nullptr) {
         break;
       }
-      LendOne(proc, lender, borrower);
+      ++decisions_;
+      OpenLoan(proc, lender, borrower, /*stopped=*/nullptr);
       --surplus;
     }
   }
@@ -836,16 +812,15 @@ AddressSpace* ProcessorAllocator::PickBorrower(const AddressSpace* lender) {
   return best;
 }
 
-void ProcessorAllocator::LendOne(hw::Processor* proc, AddressSpace* lender,
-                                 AddressSpace* borrower) {
-  ++decisions_;
-  Loan loan;
+void ProcessorAllocator::OpenLoan(hw::Processor* proc, AddressSpace* lender,
+                                  AddressSpace* borrower, KThread* stopped) {
+  auto [it, fresh] = loans_.try_emplace(proc->id());
+  SA_CHECK(fresh);  // at most one loan per processor
+  Loan& loan = it->second;
   loan.proc = proc;
   loan.lender = lender;
   loan.borrower = borrower;
   loan.epoch = ++loan_epoch_;
-  loan.granted_at = kernel_->engine().now();
-  loans_[proc->id()] = loan;
   lender->loan_state().loaned_out += 1;
   borrower->loan_state().borrowed_in += 1;
   ++lender->loan_state().lends;
@@ -858,10 +833,7 @@ void ProcessorAllocator::LendOne(hw::Processor* proc, AddressSpace* lender,
   // across the two physical transitions below (loaned_out/borrowed_in
   // offset the assigned() moves), so the deficit/surplus indexes see no
   // transient spike.
-  kernel_->UnassignProcessor(proc);
-  if (lender->mode() == AsMode::kSchedulerActivations) {
-    lender->sa()->OnProcessorRevoked(proc, nullptr);
-  }
+  kernel_->DetachAndNotify(proc, stopped);
   Grant(proc, borrower);
   RecordDemand(lender);  // the effective-demand floor may have engaged
   RefreshDerived(lender);
@@ -883,56 +855,16 @@ void ProcessorAllocator::LendYieldedProcessor(AddressSpace* lender,
     // never chain, so the hint closes the loan instead — a zero-cost return
     // for the original lender (counted as a fast reclaim when one was in
     // flight).
-    const Loan loan = it->second;
-    SA_CHECK(loan.borrower == lender);
-    const bool was_reclaiming = loan.reclaiming;
-    CloseLoan(loan, static_cast<int>(trace::LoanReturnReason::kReclaimFast));
-    if (was_reclaiming) {
-      ++kernel_->counters().loans_reclaimed;
-      ++kernel_->counters().loans_reclaimed_fast;
-      reclaim_latency_.Add(kernel_->engine().now() - loan.reclaim_issued_at);
-    }
-    kernel_->UnassignProcessor(proc);
-    lender->sa()->OnProcessorRevoked(proc, caller);
-    AddressSpace* home = loan.lender;
-    if (home != nullptr && IsRegistered(home) && !home->reaped()) {
-      Grant(proc, home);
-    } else {
-      free_.PushBack(proc);
-    }
-    RebalanceInternal();
-    return;
-  }
-  AddressSpace* borrower = PickBorrower(lender);
-  if (borrower == nullptr) {
+    SA_CHECK(it->second.borrower == lender);
+    ReturnLoanNow(it->second, caller);
+  } else if (AddressSpace* borrower = PickBorrower(lender); borrower != nullptr) {
+    OpenLoan(proc, lender, borrower, caller);
+  } else {
     // The taker vanished between the hint and the downcall charge: detach
     // and pool the processor; the rebalance re-grants it if anyone wants it.
-    kernel_->UnassignProcessor(proc);
-    lender->sa()->OnProcessorRevoked(proc, caller);
+    kernel_->DetachAndNotify(proc, caller);
     free_.PushBack(proc);
-    RebalanceInternal();
-    return;
   }
-  Loan loan;
-  loan.proc = proc;
-  loan.lender = lender;
-  loan.borrower = borrower;
-  loan.epoch = ++loan_epoch_;
-  loan.granted_at = kernel_->engine().now();
-  loans_[proc->id()] = loan;
-  lender->loan_state().loaned_out += 1;
-  borrower->loan_state().borrowed_in += 1;
-  ++lender->loan_state().lends;
-  ++borrower->loan_state().borrows;
-  ++kernel_->counters().loans_granted;
-  kernel_->engine().TraceEmit(trace::cat::kLending, trace::Kind::kLoanGrant,
-                              proc->id(), lender->id(), loan.epoch,
-                              static_cast<uint64_t>(borrower->id()));
-  kernel_->UnassignProcessor(proc);
-  lender->sa()->OnProcessorRevoked(proc, caller);
-  Grant(proc, borrower);
-  RecordDemand(lender);
-  RefreshDerived(lender);
   RebalanceInternal();
 }
 
@@ -948,41 +880,39 @@ void ProcessorAllocator::RecallExcessLoans(AddressSpace* lender) {
   }
 }
 
+ProcessorAllocator::Loan* ProcessorAllocator::NewestLoanOf(const AddressSpace* lender) {
+  Loan* pick = nullptr;
+  for (auto& [pid, loan] : loans_) {
+    if (loan.lender == lender && !loan.reclaiming &&
+        (pick == nullptr || loan.epoch > pick->epoch)) {
+      pick = &loan;
+    }
+  }
+  return pick;
+}
+
+ProcessorAllocator::Loan& ProcessorAllocator::LoanAt(int proc_id, uint64_t epoch) {
+  auto it = loans_.find(proc_id);
+  SA_CHECK(it != loans_.end() && it->second.epoch == epoch);
+  return it->second;
+}
+
 void ProcessorAllocator::ReclaimLoans(AddressSpace* lender, int k) {
   for (int i = 0; i < k; ++i) {
-    // Newest loan not already being recalled.
-    Loan* pick = nullptr;
-    for (auto& [pid, loan] : loans_) {
-      if (loan.lender == lender && !loan.reclaiming &&
-          (pick == nullptr || loan.epoch > pick->epoch)) {
-        pick = &loan;
-      }
-    }
-    if (pick == nullptr) {
+    Loan* loan = NewestLoanOf(lender);
+    if (loan == nullptr) {
       return;
     }
     ++decisions_;
-    pick->reclaiming = true;
-    pick->reclaim_issued_at = kernel_->engine().now();
+    loan->reclaiming = true;
+    loan->reclaim_issued_at = kernel_->engine().now();
     ++lender->loan_state().reclaims;
     kernel_->engine().TraceEmit(trace::cat::kLending, trace::Kind::kLoanReclaimIssue,
-                                pick->proc->id(), lender->id(), pick->epoch, 0);
-    hw::Processor* proc = pick->proc;
-    const uint64_t epoch = pick->epoch;
+                                loan->proc->id(), lender->id(), loan->epoch, 0);
     // Instant-reclaim fast path: an idle borrower processor comes back
     // synchronously, with zero recall latency and no preemption at all.
-    if (kernel_->IdleInKernel(proc)) {
-      const Loan loan = *pick;
-      CloseLoan(loan, static_cast<int>(trace::LoanReturnReason::kReclaimFast));
-      ++kernel_->counters().loans_reclaimed;
-      ++kernel_->counters().loans_reclaimed_fast;
-      reclaim_latency_.Add(0);
-      kernel_->UnassignProcessor(proc);
-      if (loan.borrower->mode() == AsMode::kSchedulerActivations &&
-          !loan.borrower->reaped()) {
-        loan.borrower->sa()->OnProcessorRevoked(proc, nullptr);
-      }
-      Grant(proc, lender);
+    if (kernel_->IdleInKernel(loan->proc)) {
+      ReturnLoanNow(*loan, /*stopped=*/nullptr);
       continue;
     }
     // Busy borrower: a single bounded-latency preemption (no grant-loop
@@ -992,53 +922,33 @@ void ProcessorAllocator::ReclaimLoans(AddressSpace* lender, int k) {
     const sim::Duration delay =
         injector != nullptr ? injector->LoanReclaimDelay() : 0;
     if (delay > 0) {
-      const int pid2 = proc->id();
-      kernel_->engine().ScheduleIn(delay, [this, pid2, epoch] {
-        IssueReclaimIpi(pid2, epoch);
-      });
-    } else {
-      IssueReclaimIpi(proc->id(), epoch);
+      const int pid = loan->proc->id();
+      const uint64_t epoch = loan->epoch;
+      loan->issue = kernel_->engine().ScheduleIn(
+          delay, [this, pid, epoch] { IssueReclaimIpi(LoanAt(pid, epoch)); });
+    } else if (!IssueReclaimIpi(*loan)) {
+      continue;
     }
-    ArmLoanDeadline(proc->id(), epoch);
+    ArmLoanDeadline(*loan);
   }
 }
 
-void ProcessorAllocator::IssueReclaimIpi(int proc_id, uint64_t epoch) {
-  auto it = loans_.find(proc_id);
-  if (it == loans_.end() || it->second.epoch != epoch || !it->second.reclaiming) {
-    return;  // settled (teardown, hint-back) while the issue was in flight
-  }
-  Loan& loan = it->second;
+bool ProcessorAllocator::IssueReclaimIpi(Loan& loan) {
   loan.ipi_sent = true;
-  hw::Processor* proc = loan.proc;
-  if (kernel_->IdleInKernel(proc)) {
+  if (kernel_->IdleInKernel(loan.proc)) {
     // The borrower went idle while the issue (or an injected delay) was
     // pending: synchronous completion, no preemption needed.
-    const Loan copy = loan;
-    CloseLoan(copy, static_cast<int>(trace::LoanReturnReason::kReclaimFast));
-    ++kernel_->counters().loans_reclaimed;
-    ++kernel_->counters().loans_reclaimed_fast;
-    reclaim_latency_.Add(kernel_->engine().now() - copy.reclaim_issued_at);
-    kernel_->UnassignProcessor(proc);
-    if (copy.borrower->mode() == AsMode::kSchedulerActivations &&
-        !copy.borrower->reaped()) {
-      copy.borrower->sa()->OnProcessorRevoked(proc, nullptr);
-    }
-    AddressSpace* lender = copy.lender;
-    if (lender != nullptr && IsRegistered(lender) && !lender->reaped()) {
-      Grant(proc, lender);
-    } else {
-      free_.PushBack(proc);
-    }
+    ReturnLoanNow(loan, /*stopped=*/nullptr);
     RebalanceInternal();
-    return;
+    return false;
   }
   PendingAction action;
   action.kind = PendingAction::Kind::kLoanReclaim;
-  action.loan_epoch = epoch;
+  action.loan_epoch = loan.epoch;
   // A false return (slot already latched) is tolerated: the deadline
   // watchdog retries until the loan settles or the borrower is quarantined.
-  kernel_->RequestPreemption(proc, action);
+  kernel_->RequestPreemption(loan.proc, action);
+  return true;
 }
 
 void ProcessorAllocator::OnLoanReclaimPreempted(hw::Processor* proc, uint64_t epoch) {
@@ -1048,85 +958,64 @@ void ProcessorAllocator::OnLoanReclaimPreempted(hw::Processor* proc, uint64_t ep
   }
   // Settle the ledger at preempt time — before the processor detaches — so
   // the borrower's entitlement never transiently dips below its holdings.
-  const Loan loan = it->second;
+  const Loan& loan = it->second;
+  return_to_[proc->id()] = PendingReturn{loan.lender, loan.reclaim_issued_at};
   CloseLoan(loan, static_cast<int>(trace::LoanReturnReason::kReclaimPreempt));
-  ++kernel_->counters().loans_reclaimed;
-  PendingReturn ret;
-  ret.lender = loan.lender;
-  ret.issued_at = loan.reclaim_issued_at;
-  return_to_[proc->id()] = ret;
 }
 
-void ProcessorAllocator::OnLoanReclaimComplete(AddressSpace* old_as,
-                                               hw::Processor* proc) {
-  (void)old_as;  // the ledger was settled in OnLoanReclaimPreempted
+void ProcessorAllocator::OnLoanReclaimComplete(hw::Processor* proc) {
   ++decisions_;
-  AddressSpace* lender = nullptr;
-  sim::Time issued_at = -1;
+  PendingReturn ret;
   auto rt = return_to_.find(proc->id());
   if (rt != return_to_.end()) {
-    lender = rt->second.lender;
-    issued_at = rt->second.issued_at;
+    ret = rt->second;
     return_to_.erase(rt);
   }
-  if (issued_at >= 0) {
-    reclaim_latency_.Add(kernel_->engine().now() - issued_at);
-  }
-  if (lender != nullptr && IsRegistered(lender) && !lender->reaped()) {
-    Grant(proc, lender);
-  } else {
-    free_.PushBack(proc);
-  }
+  Land(proc, ret.lender, ret.issued_at);
   RebalanceInternal();
 }
 
-void ProcessorAllocator::ArmLoanDeadline(int proc_id, uint64_t epoch) {
-  auto it = loans_.find(proc_id);
-  if (it == loans_.end() || it->second.epoch != epoch) {
-    return;
-  }
+void ProcessorAllocator::ArmLoanDeadline(Loan& loan) {
   // The deadline doubles per unanswered ping (space_reaper's ladder shape).
-  const int pings = std::min(it->second.pings, 20);
-  const sim::Duration delay = kernel_->config().lending.reclaim_deadline << pings;
-  kernel_->engine().ScheduleIn(delay, [this, proc_id, epoch] {
-    OnLoanDeadline(proc_id, epoch);
-  });
+  const int pid = loan.proc->id();
+  const uint64_t epoch = loan.epoch;
+  loan.deadline = kernel_->engine().ScheduleIn(
+      kReclaimDeadline << loan.pings,
+      [this, pid, epoch] { OnLoanDeadline(LoanAt(pid, epoch)); });
 }
 
-void ProcessorAllocator::OnLoanDeadline(int proc_id, uint64_t epoch) {
-  auto it = loans_.find(proc_id);
-  if (it == loans_.end() || it->second.epoch != epoch || !it->second.reclaiming) {
-    return;  // the loan settled in time
-  }
-  Loan& loan = it->second;
+void ProcessorAllocator::OnLoanDeadline(Loan& loan) {
   ++loan.pings;
   ++kernel_->counters().loan_deadline_pings;
   kernel_->engine().TraceEmit(trace::cat::kLending, trace::Kind::kLoanDeadlinePing,
-                              proc_id, loan.lender->id(), epoch,
+                              loan.proc->id(), loan.lender->id(), loan.epoch,
                               static_cast<uint64_t>(loan.pings));
-  if (loan.pings >= kernel_->config().lending.max_pings) {
+  if (loan.pings >= kMaxReclaimPings) {
     // The borrower sat on the reclaim deadline: force-revoke.  Quarantining
     // it through the reaper settles every loan it touches
     // (ResolveLoansForTeardown) and routes this processor home via
     // return_to_ when the teardown revocation lands.
-    const Loan copy = loan;
     ++kernel_->counters().loans_force_revoked;
     kernel_->engine().TraceEmit(trace::cat::kLending, trace::Kind::kLoanForceRevoke,
-                                proc_id, copy.lender->id(), epoch,
-                                static_cast<uint64_t>(copy.borrower->id()));
-    if (!copy.borrower->reaped()) {
-      kernel_->reaper()->BeginTeardown(copy.borrower, TeardownCause::kHoarded);
-    }
+                                loan.proc->id(), loan.lender->id(), loan.epoch,
+                                static_cast<uint64_t>(loan.borrower->id()));
+    kernel_->reaper()->BeginTeardown(loan.borrower, TeardownCause::kHoarded);
     return;
   }
-  if (loan.ipi_sent) {
-    // The interrupt was actually issued but the preemption slot was taken;
-    // retry.  (While an injected delay still holds the issue back, pings
-    // escalate without re-issuing — that is what makes force-revocation
-    // reachable under a reclaim-delay fault.)
-    IssueReclaimIpi(proc_id, epoch);
+  // The interrupt was actually issued but the preemption slot was taken;
+  // retry.  (While an injected delay still holds the issue back, pings
+  // escalate without re-issuing — that is what makes force-revocation
+  // reachable under a reclaim-delay fault.)
+  if (loan.ipi_sent && !IssueReclaimIpi(loan)) {
+    return;
   }
-  ArmLoanDeadline(proc_id, epoch);
+  ArmLoanDeadline(loan);
+}
+
+void ProcessorAllocator::ReturnLoanNow(Loan loan, KThread* stopped) {
+  CloseLoan(loan, static_cast<int>(trace::LoanReturnReason::kReclaimFast));
+  kernel_->DetachAndNotify(loan.proc, stopped);
+  Land(loan.proc, loan.lender, loan.reclaiming ? loan.reclaim_issued_at : -1);
 }
 
 void ProcessorAllocator::AdoptLoan(Loan loan) {
@@ -1142,10 +1031,12 @@ void ProcessorAllocator::AdoptLoan(Loan loan) {
   rerun_ = true;  // entitlements moved; re-derive targets if mid-rebalance
 }
 
-void ProcessorAllocator::CloseLoan(const Loan& loan, int reason) {
+void ProcessorAllocator::CloseLoan(Loan loan, int reason) {
   auto it = loans_.find(loan.proc->id());
   SA_CHECK(it != loans_.end() && it->second.epoch == loan.epoch);
   loans_.erase(it);
+  kernel_->engine().Cancel(loan.issue);
+  kernel_->engine().Cancel(loan.deadline);
   AddressSpace* lender = loan.lender;
   AddressSpace* borrower = loan.borrower;
   SA_CHECK(lender->loan_state().loaned_out > 0);
@@ -1156,6 +1047,12 @@ void ProcessorAllocator::CloseLoan(const Loan& loan, int reason) {
     kernel_->engine().TraceEmit(trace::cat::kLending, trace::Kind::kLoanReturn,
                                 loan.proc->id(), lender->id(), loan.epoch,
                                 static_cast<uint64_t>(reason));
+    if (loan.reclaiming) {
+      ++kernel_->counters().loans_reclaimed;
+      if (reason == static_cast<int>(trace::LoanReturnReason::kReclaimFast)) {
+        ++kernel_->counters().loans_reclaimed_fast;
+      }
+    }
   }
   if (IsRegistered(lender)) {
     RecordDemand(lender);
@@ -1164,6 +1061,18 @@ void ProcessorAllocator::CloseLoan(const Loan& loan, int reason) {
   if (IsRegistered(borrower)) {
     RecordDemand(borrower);
     RefreshDerived(borrower);
+  }
+}
+
+void ProcessorAllocator::Land(hw::Processor* proc, AddressSpace* lender,
+                              sim::Time issued_at) {
+  if (issued_at >= 0) {
+    reclaim_latency_.Add(kernel_->engine().now() - issued_at);
+  }
+  if (lender != nullptr && IsRegistered(lender) && !lender->reaped()) {
+    Grant(proc, lender);
+  } else {
+    free_.PushBack(proc);
   }
 }
 
@@ -1190,15 +1099,9 @@ void ProcessorAllocator::ResolveLoansForTeardown(AddressSpace* as) {
   // revokes every assigned processor; return_to_ reroutes these from the
   // free pool back to their lenders when those revocations land.
   for (const Loan& loan : borrower_side) {
-    const bool was_reclaiming = loan.reclaiming;
     CloseLoan(loan, static_cast<int>(trace::LoanReturnReason::kBorrowerDeath));
-    if (was_reclaiming) {
-      ++kernel_->counters().loans_reclaimed;
-    }
-    PendingReturn ret;
-    ret.lender = loan.lender;
-    ret.issued_at = was_reclaiming ? loan.reclaim_issued_at : sim::Time{-1};
-    return_to_[loan.proc->id()] = ret;
+    return_to_[loan.proc->id()] =
+        PendingReturn{loan.lender, loan.reclaiming ? loan.reclaim_issued_at : -1};
   }
 }
 

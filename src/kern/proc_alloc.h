@@ -53,6 +53,7 @@
 #include "src/common/rng.h"
 #include "src/hw/processor.h"
 #include "src/kern/address_space.h"
+#include "src/sim/engine.h"
 #include "src/trace/histogram.h"
 
 namespace sa::kern {
@@ -123,7 +124,17 @@ class ProcessorAllocator {
   int64_t decisions() const { return decisions_; }
 
   // ---- cross-space lending (DESIGN.md §16) ----
-  // Every entry point below is inert unless Config::lending.enabled.
+  // Every entry point below is inert unless Config::lending.
+
+  // How long a kernel-thread space's demand must sit below its holdings
+  // before its surplus becomes lendable (guards against demand flutter).
+  static constexpr sim::Duration kDipHysteresis = sim::Msec(2);
+  // Reclaim-deadline watchdog: virtual time a borrower may sit on a recall
+  // before the first ping, doubled per ping.  After kMaxReclaimPings
+  // unanswered pings (5 + 10 = 15ms after the recall) the borrower is
+  // force-revoked and quarantined through the space reaper.
+  static constexpr sim::Duration kReclaimDeadline = sim::Msec(5);
+  static constexpr int kMaxReclaimPings = 2;
 
   // Is `proc` currently out on loan (ledger entry open)?
   bool IsOnLoan(const hw::Processor* proc) const {
@@ -155,8 +166,9 @@ class ProcessorAllocator {
   // adoption while the interrupt was in flight.
   void OnLoanReclaimPreempted(hw::Processor* proc, uint64_t epoch);
   // The kLoanReclaim preemption's kernel span finished: hand the processor
-  // straight back to its lender (no grant-loop renegotiation).
-  void OnLoanReclaimComplete(AddressSpace* old_as, hw::Processor* proc);
+  // straight back to its lender (no grant-loop renegotiation).  Unlike
+  // OnRevokeComplete it leaves the borrower's pending revocations alone.
+  void OnLoanReclaimComplete(hw::Processor* proc);
 
   // Teardown hook (space_reaper): settle every loan touching `as` before
   // its processors are revoked.  Lender death transfers ownership to the
@@ -164,7 +176,8 @@ class ProcessorAllocator {
   // lender with conservation intact.
   void ResolveLoansForTeardown(AddressSpace* as);
 
-  // Loan-recall latency (reclaim issue -> processor back with the lender).
+  // Loan-recall latency (reclaim issue -> processor back with the lender),
+  // one sample per loans_reclaimed.
   const trace::LatencyHistogram& reclaim_latency() const { return reclaim_latency_; }
 
  private:
@@ -202,18 +215,23 @@ class ProcessorAllocator {
   };
 
   // One open loan.  Keyed by processor id in loans_; at most one loan per
-  // processor (no chains: a borrower never re-lends).
+  // processor (no chains: a borrower never re-lends).  A loan opens one way
+  // (OpenLoan) and closes in CloseLoan, which cancels its timers.
   struct Loan {
     hw::Processor* proc = nullptr;
     AddressSpace* lender = nullptr;
     AddressSpace* borrower = nullptr;
-    uint64_t epoch = 0;  // unique, monotone; tags trace records and events
-    sim::Time granted_at = 0;
+    // Unique, monotone: names the loan in trace records and in a kLoanReclaim
+    // interrupt, which cannot be cancelled once in flight.
+    uint64_t epoch = 0;
     sim::Time reclaim_issued_at = 0;
     bool reclaiming = false;
     bool ipi_sent = false;  // the reclaim interrupt has actually been issued
                             // (false while an injected delay holds it back)
     int pings = 0;          // unanswered reclaim-deadline watchdog pings
+    sim::EventId issue = sim::kNoEvent;     // reclaim interrupt held back by
+                                            // an injected delay
+    sim::EventId deadline = sim::kNoEvent;  // reclaim-deadline watchdog
   };
 
   // Where a processor detaching from a settled loan must land: back with
@@ -241,22 +259,44 @@ class ProcessorAllocator {
   // Lends ripe kt dip surplus to the neediest spaces (rebalance tail pass).
   void LendSurplus();
   AddressSpace* PickBorrower(const AddressSpace* lender);
-  void LendOne(hw::Processor* proc, AddressSpace* lender, AddressSpace* borrower);
+  // Opens a loan of `lender`'s processor `proc` to `borrower`: detaches it
+  // (telling `stopped`, the activation a yield hint stopped, or nobody for
+  // a dip lend) and grants it.  The one way a loan opens.
+  void OpenLoan(hw::Processor* proc, AddressSpace* lender, AddressSpace* borrower,
+                KThread* stopped);
+  // `lender`'s newest loan not already being recalled, or null.
+  Loan* NewestLoanOf(const AddressSpace* lender);
+  // The open loan on processor `proc_id`, which must be the one named
+  // `epoch`: a loan's timers die with it, so a firing timer finds it open.
+  Loan& LoanAt(int proc_id, uint64_t epoch);
   // Recalls up to `k` of `lender`'s loans, newest first.  Idle borrower
   // processors come back synchronously (the instant-reclaim fast path);
   // busy ones get a kLoanReclaim preemption with a deadline watchdog.
   void ReclaimLoans(AddressSpace* lender, int k);
-  void IssueReclaimIpi(int proc_id, uint64_t epoch);
-  void ArmLoanDeadline(int proc_id, uint64_t epoch);
-  void OnLoanDeadline(int proc_id, uint64_t epoch);
+  // Sends the reclaim interrupt, or returns the loan on the spot when its
+  // processor has gone idle in the kernel meanwhile; false in that case
+  // (the loan is closed).
+  bool IssueReclaimIpi(Loan& loan);
+  void ArmLoanDeadline(Loan& loan);
+  void OnLoanDeadline(Loan& loan);
+  // The one synchronous return: closes `loan` as kReclaimFast, detaches its
+  // processor (telling `stopped`, or nobody) and lands it.  No rebalance:
+  // each caller rebalances where it always has.
+  void ReturnLoanNow(Loan loan, KThread* stopped);
   // Converts a loan into an ownership transfer (no processor motion): the
   // pressured lender stops vouching for it and the borrower's entitlement
   // absorbs it.  Used when §4.1 wants the lender's capacity back for a
   // higher claim, and when a lender dies.
   void AdoptLoan(Loan loan);
-  // Closes the ledger entry and both sides' counters.  `reason` feeds the
-  // kLoanReturn trace record.
-  void CloseLoan(const Loan& loan, int reason);
+  // Closes the ledger entry and both sides' counters and cancels the loan's
+  // timers.  `reason` feeds the kLoanReturn trace record (-1: adoption, no
+  // record); a recalled loan that returns its processor counts in
+  // loans_reclaimed, and in loans_reclaimed_fast as kReclaimFast.
+  void CloseLoan(Loan loan, int reason);
+  // The one landing of a processor leaving a loan: back with `lender` while
+  // it is registered and alive, else the free pool.  `issued_at >= 0` is
+  // the recall's issue time, whose latency is recorded here.
+  void Land(hw::Processor* proc, AddressSpace* lender, sim::Time issued_at);
 
   bool affinity() const;  // Config::affinity_allocation
   int Clamp(int demand) const;
@@ -325,7 +365,7 @@ class ProcessorAllocator {
   bool rebalancing_ = false;
   bool rerun_ = false;
 
-  // ---- lending state (all empty/zero unless Config::lending.enabled) ----
+  // ---- lending state (all empty/zero unless Config::lending) ----
   std::map<int, Loan> loans_;  // open loans by processor id
   uint64_t loan_epoch_ = 0;
   std::set<int> lendable_;  // ids of spaces with a ripe dip window

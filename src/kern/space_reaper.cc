@@ -218,11 +218,9 @@ void SpaceReaper::BeginTeardown(AddressSpace* as, TeardownCause cause) {
       if (!as->IsAssigned(proc)) {
         continue;  // already reclaimed by a reentrant rebalance
       }
-      const size_t pid = static_cast<size_t>(proc->id());
-      if (kernel_->running_on(proc) == nullptr && !proc->has_span() &&
-          kernel_->pending_[pid].kind == PendingAction::Kind::kNone &&
-          !proc->interrupt_latched()) {
-        kernel_->UnassignProcessor(proc);  // fires NoteProcessorDetached
+      if (kernel_->IdleInKernel(proc)) {
+        // The detach fires NoteProcessorDetached; a dead space is not told.
+        kernel_->DetachAndNotify(proc, /*stopped=*/nullptr);
         alloc->OnRevokeComplete(as, proc);
         continue;
       }

@@ -41,7 +41,7 @@ RunReport MakeReport(Harness& harness) {
     report.inject_active = true;
     report.inject = harness.injector()->stats();
   }
-  if (harness.kernel().config().lending.enabled) {
+  if (harness.kernel().config().lending) {
     report.lending_active = true;
     report.reclaim_latency = harness.kernel().allocator()->reclaim_latency();
     for (const auto& as : harness.kernel().spaces()) {

@@ -59,9 +59,8 @@ struct RunReport {
   bool inject_active = false;
   inject::InjectStats inject;
   // Cross-space lending (DESIGN.md §16); populated when the run was
-  // configured with Config::lending.enabled (counter totals live in
-  // `counters`; these add the recall-latency distribution and the per-space
-  // breakdown).
+  // configured with Config::lending (counter totals live in `counters`;
+  // these add the recall-latency distribution and the per-space breakdown).
   bool lending_active = false;
   // Reclaim-issue -> processor-home latency (ns); 0 entries are fast-path
   // recalls of idle borrower processors.

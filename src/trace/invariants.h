@@ -57,9 +57,9 @@ struct CheckOptions {
   // dispatch charges.
   int64_t idle_ready_threshold = 3'000'000;
   // Max duration a reclaim-issued loan may stay open (ns).  The default
-  // covers the untuned watchdog ladder at LendingConfig defaults —
-  // reclaim_deadline (5 ms) doubled per ping through max_pings (2), i.e.
-  // 5 + 10 = 15 ms to force-revocation — plus slack for the teardown settle.
+  // covers the allocator's watchdog ladder — kReclaimDeadline (5 ms)
+  // doubled per ping through kMaxReclaimPings (2), i.e. 5 + 10 = 15 ms to
+  // force-revocation — plus slack for the teardown settle.
   int64_t loan_reclaim_bound = 20'000'000;
 };
 

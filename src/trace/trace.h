@@ -133,8 +133,7 @@ enum class Kind : uint16_t {
 
   // cat::kLending — cross-space processor loans (DESIGN.md §16).  `as_id` is
   // the lender throughout; arg0 is the loan epoch unless noted.  Emitted only
-  // with Config::lending.enabled, so seeded traces without lending are
-  // byte-identical.
+  // with Config::lending, so seeded traces without lending are byte-identical.
   kLoanGrant = 144,          // cpu lent; arg1 = borrower space id
   kLoanReclaimIssue = 145,   // lender's demand returned; recall begins
   kLoanReturn = 146,         // loan closed; arg1 = reason (LoanReturnReason)
@@ -169,7 +168,8 @@ enum class LoanReturnReason : uint64_t {
   kReclaimFast = 0,     // borrower idle: synchronous direct return
   kReclaimPreempt = 1,  // borrower preempted by the kLoanReclaim fast path
   kBorrowerDeath = 2,   // teardown of the borrower returned it
-  kForced = 3,          // force-revoked (watchdog) or settled at teardown
+  kForced = 3,          // never emitted: a force-revoked loan closes as
+                        // kBorrowerDeath (kept: the format is append-only)
 };
 
 const char* KindName(Kind kind);

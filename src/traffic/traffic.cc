@@ -192,9 +192,6 @@ void TrafficGenerator::RecordCompletion(size_t i, int64_t seq) {
   ++t.stats.completions;
   ++total_completions_;
   t.stats.sojourn.Add(sojourn);
-  if (config_.record_samples) {
-    t.stats.samples.Add(static_cast<double>(sojourn));
-  }
   if (sojourn > t.spec.slo.latency) {
     ++t.stats.completed_violations;
   }

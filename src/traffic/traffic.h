@@ -9,9 +9,8 @@
 // one thread spawned at arrival time whose body computes (and optionally
 // blocks on I/O) for a service time sampled at arrival.  Sojourn latency —
 // arrival to completion, queueing included — feeds a per-tenant
-// trace::LatencyHistogram (and optionally exact common::Samples), and a
-// harness report hook surfaces p50/p99/p999 plus SLO-violation fractions in
-// RunReport's per-tenant table.
+// trace::LatencyHistogram, and a harness report hook surfaces p50/p99/p999
+// plus SLO-violation fractions in RunReport's per-tenant table.
 //
 // Determinism: every draw comes from per-tenant Rng streams forked from one
 // run-level seed at construction, and arrival times are functions of those
@@ -29,7 +28,6 @@
 #include <vector>
 
 #include "src/common/rng.h"
-#include "src/common/stats.h"
 #include "src/rt/harness.h"
 #include "src/rt/report.h"
 #include "src/rt/topaz_runtime.h"
@@ -102,7 +100,6 @@ struct TrafficConfig {
   sim::Duration horizon = sim::Sec(2);
   sim::Duration drain = sim::Sec(1);
   uint64_t seed = 1;
-  bool record_samples = false;   // keep exact per-request Samples too
   bool record_arrivals = false;  // keep the arrival event log (tests)
 
   bool active() const { return !tenants.empty(); }
@@ -126,7 +123,6 @@ struct TenantStats {
   int64_t completions = 0;
   int64_t completed_violations = 0;  // completed, but over the SLO bound
   trace::LatencyHistogram sojourn;
-  common::Samples samples;                   // iff record_samples
   std::map<int64_t, sim::Time> outstanding;  // request seq -> arrival time
 };
 

@@ -105,16 +105,8 @@ void FastThreads::Halt() {
 }
 
 void FastThreads::ParkHalted(Vcpu* v) {
-  if (v == nullptr || !v->bound || v->kt == nullptr) {
-    return;
-  }
-  hw::Processor* proc = v->proc();
-  kern::KThread* running = kernel_->running_on(proc);
-  if (running != nullptr && running->address_space() == as_) {
-    kernel_->ClearRunning(proc);
-  }
-  if (!proc->has_span()) {
-    kernel_->DispatchOn(proc);
+  if (v != nullptr && v->bound && v->kt != nullptr) {
+    kernel_->ParkReaped(v->proc(), as_);
   }
 }
 

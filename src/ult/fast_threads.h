@@ -247,9 +247,8 @@ class FastThreads {
   // returns the virtual-time penalty to fold into the thief's steal charge.
   sim::Duration NoteSteal(Vcpu* thief, Vcpu* victim);
 
-  // Post-halt processor handback: detach the dead space's context from v's
-  // processor and give the kernel a dispatch point, where it either consumes
-  // a latched revocation or hits the reaped-owner catch-all.
+  // Post-halt processor handback (Kernel::ParkReaped) for v's processor, if
+  // v is still bound to one.
   void ParkHalted(Vcpu* v);
 
   // Tracing (cat::kUlt).  TraceOn() gates sites whose arguments (queued

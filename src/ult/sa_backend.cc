@@ -99,17 +99,6 @@ void SaBackend::UnbindIdleSlotByProcessor(int processor_id) {
 // Activation host.
 // ---------------------------------------------------------------------------
 
-void SaBackend::ParkReaped(kern::KThread* kt) {
-  hw::Processor* proc = kt->processor();
-  if (kernel_->running_on(proc) != nullptr &&
-      kernel_->running_on(proc)->address_space() == as_) {
-    kernel_->ClearRunning(proc);
-  }
-  if (!proc->has_span()) {
-    kernel_->DispatchOn(proc);
-  }
-}
-
 void SaBackend::OnSpaceReaped() {
   // Freeze the thread system and drop user-level state that would otherwise
   // keep feeding work into the dead space.  Slot bindings are deliberately
@@ -126,7 +115,7 @@ void SaBackend::OnSpaceReaped() {
 void SaBackend::RunOn(kern::KThread* kt) {
   SA_CHECK(kt->is_activation());
   if (as_->reaped()) {
-    ParkReaped(kt);
+    kernel_->ParkReaped(kt->processor(), as_);
     return;
   }
   core::Activation* act = kt->activation();
@@ -168,7 +157,7 @@ void SaBackend::HandleUpcall(kern::KThread* upcall_activation,
 
 void SaBackend::Drain(kern::KThread* kt, Vcpu* v) {
   if (as_->reaped()) {
-    ParkReaped(kt);
+    kernel_->ParkReaped(kt->processor(), as_);
     return;
   }
   if (inbox_.empty()) {
@@ -336,8 +325,7 @@ void SaBackend::OnIdle(Vcpu* v) {
   // Spin for the hysteresis period before notifying (Section 4.2).
   v->proc()->BeginOpenSpan(hw::SpanMode::kIdleSpin);
   Vcpu* vp = v;
-  if (ft_->config().lend_idle && kernel_->config().lending.enabled &&
-      !v->lend_hinted) {
+  if (ft_->config().lend_idle && kernel_->config().lending && !v->lend_hinted) {
     // Lending (DESIGN.md §16): offer the processor to the kernel's loan
     // pool first, after a short grace period.  A declined hint is cost-free
     // and falls back to the normal idle path (this handler re-enters OnIdle

@@ -28,7 +28,7 @@
 
 namespace sa::ult {
 
-class SaBackend : public VcpuBackend, public kern::KThreadHost, public core::UpcallHandler {
+class SaBackend : public VcpuBackend, public kern::KThreadHost {
  public:
   SaBackend(kern::Kernel* kernel, kern::AddressSpace* as);
   ~SaBackend() override;
@@ -52,13 +52,14 @@ class SaBackend : public VcpuBackend, public kern::KThreadHost, public core::Upc
   void OnPreempted(kern::KThread* kt, hw::Interrupt irq) override;
   void OnSpaceReaped() override;
 
-  // core::UpcallHandler:
-  void HandleUpcall(kern::KThread* upcall_activation,
-                    std::vector<core::UpcallEvent> events) override;
-
   int64_t pending_discards() const { return static_cast<int64_t>(discards_.size()); }
 
  private:
+  // Processes an upcall's events (Table 2) in the context of the fresh
+  // activation that carries them, after the kernel charged the delivery;
+  // the activation then serves as an ordinary vessel for user-level threads.
+  void HandleUpcall(kern::KThread* upcall_activation,
+                    std::vector<core::UpcallEvent> events);
   // Binds the vcpu slot for kt's processor to kt; returns nullptr if every
   // slot is in use (surplus processor).
   Vcpu* BindSlot(kern::KThread* kt);
@@ -86,9 +87,6 @@ class SaBackend : public VcpuBackend, public kern::KThreadHost, public core::Upc
   // for the downcall; work arriving meanwhile is parked on v's list, where
   // EndIdleTransition finds it when the downcall returns.
   void NotifyIdle(Vcpu* v);
-  // Post-teardown processor handback for continuations that fire after the
-  // space was reaped: detach `kt` and give the kernel a dispatch point.
-  void ParkReaped(kern::KThread* kt);
 
   kern::Kernel* kernel_;
   kern::AddressSpace* as_;

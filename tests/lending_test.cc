@@ -8,8 +8,9 @@
 // force-revoked and quarantined through the space reaper.  These tests
 // drive the loan ledger end to end: dip-lending, yield-hint lending,
 // instant reclaim, the deadline watchdog, loan settlement across teardown
-// in both directions, churn with loans in flight, and the zero-perturbation
-// guarantee when the feature is disabled.
+// in both directions, churn with loans in flight, the zero-perturbation
+// guarantee when the feature is disabled, and pinned digests of seeded
+// lending-on traces.
 
 #include <gtest/gtest.h>
 
@@ -21,6 +22,7 @@
 #include "src/kern/proc_alloc.h"
 #include "src/kern/space_reaper.h"
 #include "src/rt/harness.h"
+#include "src/rt/misbehaving_runtime.h"
 #include "src/rt/report.h"
 #include "src/rt/topaz_runtime.h"
 #include "src/trace/invariants.h"
@@ -30,12 +32,12 @@
 namespace sa {
 namespace {
 
-rt::HarnessConfig LendingConfig(int processors, uint64_t seed = 1) {
+rt::HarnessConfig LendingOn(int processors, uint64_t seed = 1) {
   rt::HarnessConfig config;
   config.processors = processors;
   config.seed = seed;
   config.kernel.mode = kern::KernelMode::kSchedulerActivations;
-  config.kernel.lending.enabled = true;
+  config.kernel.lending = true;
   return config;
 }
 
@@ -97,23 +99,210 @@ std::unique_ptr<ult::UltRuntime> MakeHungrySpace(rt::Harness& h,
 }
 
 // ---------------------------------------------------------------------------
+// Seeded scenarios.  The property tests below and the pinned LendingDigest
+// runs build the same runs through these.
+// ---------------------------------------------------------------------------
+
+// A lending run set up but not started: the harness and the runtimes it
+// drives, lender first.
+struct Scenario {
+  explicit Scenario(const rt::HarnessConfig& config) : h(config) {}
+  void Add(std::unique_ptr<rt::Runtime> runtime, bool background = false) {
+    h.AddRuntime(runtime.get(), background);
+    runtimes.push_back(std::move(runtime));
+  }
+  rt::Runtime* lender() { return runtimes.front().get(); }
+  rt::Runtime* borrower() { return runtimes.back().get(); }
+
+  rt::Harness h;
+  std::vector<std::unique_ptr<rt::Runtime>> runtimes;
+};
+
+// A kt lender (2 workers, busy 3ms / asleep 9ms: each sleep phase clears the
+// 2ms dip hysteresis with room to spare) beside a compute-bound SA borrower,
+// permanently short two processors.  `plan`, when given, is installed first.
+std::unique_ptr<Scenario> KtLenderBesideBorrower(
+    int lender_iters, bool lender_background, int borrower_iters,
+    bool borrower_background, const inject::FaultPlan* plan = nullptr) {
+  auto s = std::make_unique<Scenario>(LendingOn(/*processors=*/4));
+  if (plan != nullptr) {
+    s->h.EnableFaultInjection(*plan);
+  }
+  s->Add(MakeOscillator(s->h, "lender", 2, sim::Msec(3), sim::Msec(9), lender_iters),
+         lender_background);
+  s->Add(MakeHungrySpace(s->h, "borrower", 4, borrower_iters), borrower_background);
+  return s;
+}
+
+// The lender oscillates for as long as the borrower runs.
+std::unique_ptr<Scenario> KtDip() {
+  return KtLenderBesideBorrower(/*lender_iters=*/1000, /*lender_background=*/true,
+                                /*borrower_iters=*/120, /*borrower_background=*/false);
+}
+
+// An SA lender with lend_idle on: one long thread and one short one — when
+// the short thread exits, its vcpu idles past the lend-hint grace period and
+// offers the processor.
+std::unique_ptr<Scenario> SaYieldHint() {
+  auto s = std::make_unique<Scenario>(LendingOn(/*processors=*/4));
+  ult::UltConfig uc;
+  uc.max_vcpus = 2;
+  uc.lend_idle = true;
+  auto lender = std::make_unique<ult::UltRuntime>(
+      &s->h.kernel(), "sa-lender", ult::BackendKind::kSchedulerActivations, uc);
+  lender->Spawn(
+      [](rt::ThreadCtx& t) -> sim::Program { co_await t.Compute(sim::Msec(40)); },
+      "long");
+  lender->Spawn(
+      [](rt::ThreadCtx& t) -> sim::Program { co_await t.Compute(sim::Msec(2)); },
+      "short");
+  s->Add(std::move(lender));
+  s->Add(MakeHungrySpace(s->h, "borrower", 4, /*iters=*/100));
+  return s;
+}
+
+// Every reclaim interrupt is deferred far past the watchdog ladder (5ms +
+// 10ms of deadlines), so the borrower looks like it is sitting on the
+// recall.  A finite lender: one dip (lend), then demand returns (reclaim —
+// stalled).  The borrower never idles, so the stalled recall cannot resolve
+// through the fast path; background, since the watchdog tears it down.
+std::unique_ptr<Scenario> StalledReclaim() {
+  inject::FaultPlan plan;
+  plan.reclaim_delay = 1.0;
+  plan.reclaim_delay_for = sim::Msec(60);
+  return KtLenderBesideBorrower(/*lender_iters=*/6, /*lender_background=*/false,
+                                /*borrower_iters=*/100000,
+                                /*borrower_background=*/true, &plan);
+}
+
+// Space `crash_space` (0 = lender, 1 = borrower) crashes mid-sleep-phase,
+// while the loan is outstanding (the lend lands at ~5ms: 3ms busy + 2ms
+// hysteresis).
+std::unique_ptr<Scenario> CrashMidLoan(int crash_space, int lender_iters,
+                                       int borrower_iters) {
+  inject::FaultPlan plan;
+  plan.crash_at = sim::Msec(7);
+  plan.crash_space = crash_space;
+  return KtLenderBesideBorrower(lender_iters, /*lender_background=*/false,
+                                borrower_iters, /*borrower_background=*/false, &plan);
+}
+
+// Borrower spaces arrive and depart mid-run, so grants, recalls, and
+// rebalances interleave with space creation and release.  With `lend_idle`
+// the SA spaces also hint their idle processors away.
+std::unique_ptr<Scenario> ChurnBesideLender(const rt::HarnessConfig& config,
+                                            int anchor_threads, bool lend_idle,
+                                            const inject::FaultPlan* plan = nullptr) {
+  auto s = std::make_unique<Scenario>(config);
+  if (plan != nullptr) {
+    s->h.EnableFaultInjection(*plan);
+  }
+  s->Add(MakeOscillator(s->h, "lender", 2, sim::Msec(3), sim::Msec(9), /*iters=*/1000),
+         /*background=*/true);
+  s->Add(MakeHungrySpace(s->h, "anchor", anchor_threads, /*iters=*/120, lend_idle));
+  rt::Harness* h = &s->h;
+  s->h.AddChurn(3, sim::Msec(6), [h, lend_idle](int i) {
+    return MakeHungrySpace(*h, "churn-" + std::to_string(i), 2, /*iters=*/30,
+                           lend_idle);
+  });
+  return s;
+}
+
+std::unique_ptr<Scenario> Churn() {
+  return ChurnBesideLender(LendingOn(/*processors=*/4, /*seed=*/5),
+                           /*anchor_threads=*/3, /*lend_idle=*/false);
+}
+
+// Both allocator features on a 2-socket machine under 1 ms revocation
+// storms: the kt lender oscillates, and the SA anchor plus three churned SA
+// spaces hint their idle processors away.  Upcalls are tuned: an untuned one
+// (2.05 ms) outlasts the storm period, so once a space is down to one
+// processor every re-grant upcall is revoked again before its thread runs —
+// a livelock with or without either feature.
+rt::HarnessConfig AffinityStormConfig(uint64_t seed) {
+  rt::HarnessConfig config = LendingOn(/*processors=*/8, seed);
+  config.topology.sockets = 2;
+  config.kernel.affinity_allocation = true;
+  config.kernel.tuned_upcalls = true;
+  return config;
+}
+
+inject::FaultPlan StormPlan(uint64_t seed) {
+  inject::FaultPlan plan;
+  plan.seed = seed;
+  plan.storm_period = sim::Msec(1);
+  plan.storm_burst = 2;
+  return plan;
+}
+
+std::unique_ptr<Scenario> AffinityStorm(uint64_t seed) {
+  const inject::FaultPlan plan = StormPlan(seed);
+  return ChurnBesideLender(AffinityStormConfig(seed), /*anchor_threads=*/4,
+                           /*lend_idle=*/true, &plan);
+}
+
+// Both lending faults at once.  An SA lender's vcpus idle through its
+// threads' I/O sleeps and hint their processors away, and half the hints lie
+// (the loan is recalled the instant it lands); a kt lender dips too.  Half
+// the recalls of a busy borrower processor are held back past the first
+// watchdog deadline.  Both lenders feed one hungry SA borrower.
+std::unique_ptr<Scenario> LyingHintsAndDelayedReclaims() {
+  auto s = std::make_unique<Scenario>(LendingOn(/*processors=*/6, /*seed=*/3));
+  inject::FaultPlan plan;
+  plan.seed = 3;
+  plan.yield_lie = 0.5;
+  plan.reclaim_delay = 0.5;
+  plan.reclaim_delay_for = sim::Msec(8);
+  s->h.EnableFaultInjection(plan);
+  s->Add(MakeOscillator(s->h, "kt-lender", 2, sim::Msec(3), sim::Msec(9), /*iters=*/1000),
+         /*background=*/true);
+  ult::UltConfig uc;
+  uc.max_vcpus = 3;
+  uc.lend_idle = true;
+  auto sa_lender = std::make_unique<ult::UltRuntime>(
+      &s->h.kernel(), "sa-lender", ult::BackendKind::kSchedulerActivations, uc);
+  for (int i = 0; i < 3; ++i) {
+    sa_lender->Spawn(
+        [](rt::ThreadCtx& t) -> sim::Program {
+          for (int k = 0; k < 30; ++k) {
+            co_await t.Compute(sim::Msec(1));
+            co_await t.Io(sim::Msec(3));
+          }
+        },
+        "sa-lender-" + std::to_string(i));
+  }
+  s->Add(std::move(sa_lender));
+  s->Add(MakeHungrySpace(s->h, "borrower", 6, /*iters=*/300));
+  return s;
+}
+
+// A kt lender dipping into a hoarding borrower that takes every loan,
+// ignores every upcall and never yields (the adversarial sweep of
+// bench_lending), optionally with 40% of recalls held back 3ms.
+std::unique_ptr<Scenario> Hoarder(bool delay_reclaims) {
+  auto s = std::make_unique<Scenario>(LendingOn(/*processors=*/6, /*seed=*/2));
+  if (delay_reclaims) {
+    inject::FaultPlan plan;
+    plan.seed = 2;
+    plan.reclaim_delay = 0.4;
+    plan.reclaim_delay_for = sim::Msec(3);
+    s->h.EnableFaultInjection(plan);
+  }
+  s->Add(MakeOscillator(s->h, "lender", 2, sim::Msec(4), sim::Msec(8), /*iters=*/12));
+  s->Add(std::make_unique<rt::MisbehavingRuntime>(&s->h.kernel(), "hoarder",
+                                                  /*claimed_demand=*/6),
+         /*background=*/true);
+  return s;
+}
+
+// ---------------------------------------------------------------------------
 // Dip-lending and instant reclaim.
 // ---------------------------------------------------------------------------
 
 TEST(Lending, KtDipLendsSurplusAndDemandReturnReclaimsInstantly) {
-  rt::Harness h(LendingConfig(/*processors=*/4));
+  const std::unique_ptr<Scenario> s = KtDip();
+  rt::Harness& h = s->h;
   h.EnableTracing(trace::cat::kAll);
-
-  // Lender: 2 kt workers, busy 3ms / asleep 9ms — each sleep phase clears
-  // the 2ms dip hysteresis with room to spare.  Background: it oscillates
-  // for as long as the borrower runs.
-  auto lender = MakeOscillator(h, "lender", 2, sim::Msec(3), sim::Msec(9),
-                               /*iters=*/1000);
-  h.AddRuntime(lender.get(), /*background=*/true);
-
-  // Borrower: compute-bound SA space, permanently short two processors.
-  auto borrower = MakeHungrySpace(h, "borrower", 4, /*iters=*/120);
-  h.AddRuntime(borrower.get());
 
   const rt::RunResult result = h.TryRun();
   ASSERT_TRUE(result.ok()) << result.diagnostics;
@@ -132,8 +321,8 @@ TEST(Lending, KtDipLendsSurplusAndDemandReturnReclaimsInstantly) {
   EXPECT_LT(lat.max(), sim::Msec(1));
 
   // Ledger and per-space bookkeeping agree machine-wide.
-  kern::AddressSpace* las = lender->address_space();
-  kern::AddressSpace* bas = borrower->address_space();
+  kern::AddressSpace* las = s->lender()->address_space();
+  kern::AddressSpace* bas = s->borrower()->address_space();
   EXPECT_GT(las->loan_state().lends, 0);
   EXPECT_GT(bas->loan_state().borrows, 0);
   EXPECT_EQ(las->loan_state().borrowed_in, 0);
@@ -165,9 +354,8 @@ TEST(Lending, KtDipLendsSurplusAndDemandReturnReclaimsInstantly) {
 // lender sleeps 1.2 ms of every 1.4 ms, so a window left over from one dip
 // would expire 2 ms after that dip began, inside the next one, and lend.
 TEST(Lending, KtDipShorterThanHysteresisNeverLends) {
-  rt::HarnessConfig config = LendingConfig(/*processors=*/4);
-  config.kernel.lending.hysteresis = sim::Msec(2);
-  rt::Harness h(config);
+  static_assert(kern::ProcessorAllocator::kDipHysteresis == sim::Msec(2));
+  rt::Harness h(LendingOn(/*processors=*/4));
 
   auto lender = MakeOscillator(h, "lender", 1, sim::Usec(200), sim::Usec(1200),
                                /*iters=*/1000);
@@ -183,40 +371,21 @@ TEST(Lending, KtDipShorterThanHysteresisNeverLends) {
 }
 
 TEST(Lending, SaYieldHintLendsIdleProcessor) {
-  rt::Harness h(LendingConfig(/*processors=*/4));
+  const std::unique_ptr<Scenario> s = SaYieldHint();
+  rt::Harness& h = s->h;
   h.EnableTracing(trace::cat::kLending | trace::cat::kUpcall);
-
-  // Lender: SA space with lend_idle on.  One long thread and one short one
-  // — when the short thread exits, its vcpu idles past the lend-hint grace
-  // period and offers the processor.
-  ult::UltConfig uc;
-  uc.max_vcpus = 2;
-  uc.lend_idle = true;
-  ult::UltRuntime lender(&h.kernel(), "sa-lender",
-                         ult::BackendKind::kSchedulerActivations, uc);
-  lender.Spawn(
-      [](rt::ThreadCtx& t) -> sim::Program { co_await t.Compute(sim::Msec(40)); },
-      "long");
-  lender.Spawn(
-      [](rt::ThreadCtx& t) -> sim::Program { co_await t.Compute(sim::Msec(2)); },
-      "short");
-  h.AddRuntime(&lender);
-
-  auto borrower = MakeHungrySpace(h, "borrower", 4, /*iters=*/100);
-  h.AddRuntime(borrower.get());
 
   const rt::RunResult result = h.TryRun();
   ASSERT_TRUE(result.ok()) << result.diagnostics;
 
   const kern::KernelCounters& c = h.kernel().counters();
+  kern::AddressSpace* las = s->lender()->address_space();
   EXPECT_GT(c.downcalls_yield_hint, 0);
   EXPECT_GT(c.loans_granted, 0);
-  EXPECT_GT(lender.address_space()->loan_state().lends, 0);
+  EXPECT_GT(las->loan_state().lends, 0);
 
   const std::vector<trace::Record> records = h.trace()->Snapshot();
-  EXPECT_GT(CountKind(records, trace::Kind::kLoanYieldHint,
-                      lender.address_space()->id()),
-            0);
+  EXPECT_GT(CountKind(records, trace::Kind::kLoanYieldHint, las->id()), 0);
   const trace::CheckResult check = trace::CheckInvariants(records);
   EXPECT_TRUE(check.ok()) << check.Summary();
 }
@@ -226,26 +395,9 @@ TEST(Lending, SaYieldHintLendsIdleProcessor) {
 // ---------------------------------------------------------------------------
 
 TEST(Lending, WatchdogForceRevokesLoanStalledPastTheDeadlineLadder) {
-  rt::Harness h(LendingConfig(/*processors=*/4));
+  const std::unique_ptr<Scenario> s = StalledReclaim();
+  rt::Harness& h = s->h;
   h.EnableTracing(trace::cat::kLending | trace::cat::kLifecycle);
-
-  // Every reclaim interrupt is deferred far past the watchdog ladder
-  // (5ms + 10ms of deadlines at the defaults), so the borrower looks like
-  // it is sitting on the recall.
-  inject::FaultPlan plan;
-  plan.reclaim_delay = 1.0;
-  plan.reclaim_delay_for = sim::Msec(60);
-  h.EnableFaultInjection(plan);
-
-  // Finite lender: one dip (lend), then demand returns (reclaim — stalled).
-  auto lender = MakeOscillator(h, "lender", 2, sim::Msec(3), sim::Msec(9),
-                               /*iters=*/6);
-  h.AddRuntime(lender.get());
-
-  // The borrower never idles, so the stalled recall cannot resolve through
-  // the fast path; background, since the watchdog tears it down.
-  auto borrower = MakeHungrySpace(h, "borrower", 4, /*iters=*/100000);
-  h.AddRuntime(borrower.get(), /*background=*/true);
 
   const rt::RunResult result = h.TryRun();
   ASSERT_TRUE(result.ok()) << result.diagnostics;
@@ -253,15 +405,19 @@ TEST(Lending, WatchdogForceRevokesLoanStalledPastTheDeadlineLadder) {
   const kern::KernelCounters& c = h.kernel().counters();
   EXPECT_GT(c.loans_force_revoked, 0);
   EXPECT_GE(c.loan_deadline_pings, 2);
+  // Every recalled loan is one latency sample, the force-revoked ones (the
+  // slowest) included.
+  EXPECT_EQ(h.kernel().allocator()->reclaim_latency().count(),
+            static_cast<uint64_t>(c.loans_reclaimed));
 
   // The hoarder was quarantined through the reaper with a clean audit, and
   // the lender got its processors back and finished.
-  kern::AddressSpace* bas = borrower->address_space();
+  kern::AddressSpace* bas = s->borrower()->address_space();
   EXPECT_EQ(bas->lifecycle(), kern::AsLifecycle::kDead);
   EXPECT_EQ(bas->teardown_cause(), kern::TeardownCause::kHoarded);
   EXPECT_EQ(h.kernel().reaper()->ConservationReport(bas), "");
   EXPECT_GE(h.kernel().reaper()->stats().hoards, 1);
-  EXPECT_EQ(lender->threads_finished(), lender->threads_created());
+  EXPECT_EQ(s->lender()->threads_finished(), s->lender()->threads_created());
   EXPECT_EQ(h.kernel().allocator()->loans_outstanding(), 0);
 
   const std::vector<trace::Record> records = h.trace()->Snapshot();
@@ -278,33 +434,22 @@ TEST(Lending, WatchdogForceRevokesLoanStalledPastTheDeadlineLadder) {
 // ---------------------------------------------------------------------------
 
 TEST(Lending, BorrowerCrashReturnsTheProcessorToItsLender) {
-  rt::Harness h(LendingConfig(/*processors=*/4));
+  const std::unique_ptr<Scenario> s =
+      CrashMidLoan(/*crash_space=*/1, /*lender_iters=*/4, /*borrower_iters=*/100000);
+  rt::Harness& h = s->h;
   h.EnableTracing(trace::cat::kLending | trace::cat::kLifecycle);
-
-  // The borrower crashes mid-sleep-phase, while the loan is outstanding
-  // (lend lands at ~5ms: 3ms busy + 2ms hysteresis).
-  inject::FaultPlan plan;
-  plan.crash_at = sim::Msec(7);
-  plan.crash_space = 1;
-  h.EnableFaultInjection(plan);
-
-  auto lender = MakeOscillator(h, "lender", 2, sim::Msec(3), sim::Msec(9),
-                               /*iters=*/4);
-  h.AddRuntime(lender.get());
-  auto borrower = MakeHungrySpace(h, "borrower", 4, /*iters=*/100000);
-  h.AddRuntime(borrower.get());
 
   const rt::RunResult result = h.TryRun();
   ASSERT_TRUE(result.ok()) << result.diagnostics;
 
   EXPECT_GT(h.kernel().counters().loans_granted, 0);
-  kern::AddressSpace* bas = borrower->address_space();
+  kern::AddressSpace* bas = s->borrower()->address_space();
   EXPECT_EQ(bas->lifecycle(), kern::AsLifecycle::kDead);
   EXPECT_EQ(h.kernel().reaper()->ConservationReport(bas), "");
-  EXPECT_EQ(lender->address_space()->loan_state().loaned_out, 0);
+  EXPECT_EQ(s->lender()->address_space()->loan_state().loaned_out, 0);
   EXPECT_EQ(h.kernel().allocator()->loans_outstanding(), 0);
   // The lender survived its debtor's death and finished its work.
-  EXPECT_EQ(lender->threads_finished(), lender->threads_created());
+  EXPECT_EQ(s->lender()->threads_finished(), s->lender()->threads_created());
 
   const std::vector<trace::Record> records = h.trace()->Snapshot();
   int borrower_death_returns = 0;
@@ -320,19 +465,10 @@ TEST(Lending, BorrowerCrashReturnsTheProcessorToItsLender) {
 }
 
 TEST(Lending, LenderCrashTransfersOwnershipToTheBorrower) {
-  rt::Harness h(LendingConfig(/*processors=*/4));
+  const std::unique_ptr<Scenario> s =
+      CrashMidLoan(/*crash_space=*/0, /*lender_iters=*/1000, /*borrower_iters=*/60);
+  rt::Harness& h = s->h;
   h.EnableTracing(trace::cat::kLending | trace::cat::kLifecycle);
-
-  inject::FaultPlan plan;
-  plan.crash_at = sim::Msec(7);  // mid-loan, see above
-  plan.crash_space = 0;
-  h.EnableFaultInjection(plan);
-
-  auto lender = MakeOscillator(h, "lender", 2, sim::Msec(3), sim::Msec(9),
-                               /*iters=*/1000);
-  h.AddRuntime(lender.get());
-  auto borrower = MakeHungrySpace(h, "borrower", 4, /*iters=*/60);
-  h.AddRuntime(borrower.get());
 
   const rt::RunResult result = h.TryRun();
   ASSERT_TRUE(result.ok()) << result.diagnostics;
@@ -340,11 +476,11 @@ TEST(Lending, LenderCrashTransfersOwnershipToTheBorrower) {
   // The loan became the borrower's outright: no processor motion, clean
   // conservation on the dead lender, nothing left in the ledger.
   EXPECT_GT(h.kernel().counters().loans_adopted, 0);
-  kern::AddressSpace* las = lender->address_space();
+  kern::AddressSpace* las = s->lender()->address_space();
   EXPECT_EQ(las->lifecycle(), kern::AsLifecycle::kDead);
   EXPECT_EQ(h.kernel().reaper()->ConservationReport(las), "");
   EXPECT_EQ(h.kernel().allocator()->loans_outstanding(), 0);
-  EXPECT_EQ(borrower->threads_finished(), borrower->threads_created());
+  EXPECT_EQ(s->borrower()->threads_finished(), s->borrower()->threads_created());
 
   const std::vector<trace::Record> records = h.trace()->Snapshot();
   EXPECT_GT(CountKind(records, trace::Kind::kLoanAdopt, las->id()), 0);
@@ -357,24 +493,16 @@ TEST(Lending, LenderCrashTransfersOwnershipToTheBorrower) {
 // ---------------------------------------------------------------------------
 
 TEST(Lending, ChurnWithLoansInFlightConservesProcessors) {
-  rt::Harness h(LendingConfig(/*processors=*/4, /*seed=*/5));
+  const std::unique_ptr<Scenario> s = Churn();
+  rt::Harness& h = s->h;
   h.EnableTracing(trace::cat::kLending | trace::cat::kLifecycle);
-
-  auto lender = MakeOscillator(h, "lender", 2, sim::Msec(3), sim::Msec(9),
-                               /*iters=*/1000);
-  h.AddRuntime(lender.get(), /*background=*/true);
-  auto anchor = MakeHungrySpace(h, "anchor", 3, /*iters=*/120);
-  h.AddRuntime(anchor.get());
-  // Borrower spaces arrive and depart mid-run, so grants, recalls, and
-  // rebalances interleave with space creation and release.
-  h.AddChurn(3, sim::Msec(6), [&h](int i) {
-    return MakeHungrySpace(h, "churn-" + std::to_string(i), 2, /*iters=*/30);
-  });
 
   const rt::RunResult result = h.TryRun();
   ASSERT_TRUE(result.ok()) << result.diagnostics;
 
   EXPECT_GT(h.kernel().counters().loans_granted, 0);
+  EXPECT_EQ(h.kernel().allocator()->reclaim_latency().count(),
+            static_cast<uint64_t>(h.kernel().counters().loans_reclaimed));
   // Machine-wide conservation: every processor is either free or assigned
   // to exactly one space, and the ledger's two sides agree.
   int assigned = 0, loaned_out = 0, borrowed_in = 0;
@@ -397,35 +525,12 @@ TEST(Lending, ChurnWithLoansInFlightConservesProcessors) {
 // ---------------------------------------------------------------------------
 
 TEST(Lending, ComposesWithAffinityUnderRevocationStorms) {
-  // Both allocator features on a 2-socket machine under 1 ms revocation
-  // storms: a kt lender oscillates, and an SA anchor plus three churned SA
-  // spaces hint their idle processors away.  Loans, warm regrants and storm
-  // revocations interleave on the one allocator decision path.  Upcalls are
-  // tuned: an untuned one (2.05 ms) outlasts the storm period, so once a
-  // space is down to one processor every re-grant upcall is revoked again
-  // before its thread runs — a livelock with or without either feature.
+  // Loans, warm regrants and storm revocations interleave on the one
+  // allocator decision path.
   for (uint64_t seed = 1; seed <= 6; ++seed) {
-    rt::HarnessConfig config = LendingConfig(/*processors=*/8, seed);
-    config.topology.sockets = 2;
-    config.kernel.affinity_allocation = true;
-    config.kernel.tuned_upcalls = true;
-    rt::Harness h(config);
-    inject::FaultPlan plan;
-    plan.seed = seed;
-    plan.storm_period = sim::Msec(1);
-    plan.storm_burst = 2;
-    h.EnableFaultInjection(plan);
+    const std::unique_ptr<Scenario> s = AffinityStorm(seed);
+    rt::Harness& h = s->h;
     h.EnableTracing(trace::cat::kAll);
-
-    auto lender = MakeOscillator(h, "lender", 2, sim::Msec(3), sim::Msec(9),
-                                 /*iters=*/1000);
-    h.AddRuntime(lender.get(), /*background=*/true);
-    auto anchor = MakeHungrySpace(h, "anchor", 4, /*iters=*/120, /*lend_idle=*/true);
-    h.AddRuntime(anchor.get());
-    h.AddChurn(3, sim::Msec(6), [&h](int i) {
-      return MakeHungrySpace(h, "churn-" + std::to_string(i), 2, /*iters=*/30,
-                             /*lend_idle=*/true);
-    });
 
     const rt::RunResult result = h.TryRun();
     ASSERT_TRUE(result.ok()) << "seed " << seed << ":\n" << result.diagnostics;
@@ -442,21 +547,134 @@ TEST(Lending, ComposesWithAffinityUnderRevocationStorms) {
     // Conservation: every processor is assigned, free, or still detaching
     // (unowned with a span or a pending action) — storms can leave one
     // mid-revocation when the run stops.
+    const int processors = h.config().processors;
     int detaching = 0;
-    for (int i = 0; i < config.processors; ++i) {
+    for (int i = 0; i < processors; ++i) {
       const hw::Processor* proc = k.machine()->processor(i);
       if (k.OwnerOf(proc) == nullptr && (proc->has_span() || k.HasPendingAction(proc))) {
         ++detaching;
       }
     }
-    EXPECT_EQ(assigned + k.allocator()->num_free() + detaching, config.processors)
+    EXPECT_EQ(assigned + k.allocator()->num_free() + detaching, processors)
         << "seed " << seed;
 
     trace::CheckOptions opts;
-    opts.idle_ready_threshold += plan.ExtraIdleSlack();
+    opts.idle_ready_threshold += StormPlan(seed).ExtraIdleSlack();
     const trace::CheckResult check = trace::CheckInvariants(h.trace()->Snapshot(), opts);
     EXPECT_TRUE(check.ok()) << "seed " << seed << ":\n" << check.Summary();
   }
+}
+
+// ---------------------------------------------------------------------------
+// Pinned lending-on traces.  Each scenario's full trace (every category) and
+// loan counters must match the pinned values: a lending change that moves a
+// single record, or opens, recalls, adopts or force-revokes one loan more or
+// fewer, fails here.  Simulator event counts are deliberately not pinned: a
+// closed loan cancels its timers, so they fall without any record moving.
+// ---------------------------------------------------------------------------
+
+// FNV-1a over every field of every record.
+uint64_t TraceDigest(const std::vector<trace::Record>& records) {
+  uint64_t digest = 14695981039346656037ull;
+  auto mix = [&digest](uint64_t v) {
+    for (int byte = 0; byte < 8; ++byte) {
+      digest ^= (v >> (8 * byte)) & 0xffu;
+      digest *= 1099511628211ull;
+    }
+  };
+  for (const trace::Record& r : records) {
+    mix(static_cast<uint64_t>(r.ts));
+    mix(static_cast<uint64_t>(static_cast<int64_t>(r.cpu)));
+    mix(static_cast<uint64_t>(static_cast<int64_t>(r.as_id)));
+    mix(r.kind);
+    mix(r.arg0);
+    mix(r.arg1);
+  }
+  return digest;
+}
+
+struct Pin {
+  size_t records;
+  uint64_t digest;
+  int64_t granted;
+  int64_t reclaimed;
+  int64_t adopted;
+  int64_t force_revoked;
+};
+
+void ExpectPinned(Scenario& s, const Pin& pin) {
+  s.h.EnableTracing(trace::cat::kAll);
+  const rt::RunResult result = s.h.TryRun();
+  ASSERT_TRUE(result.ok()) << result.diagnostics;
+  const std::vector<trace::Record> records = s.h.trace()->Snapshot();
+  const kern::KernelCounters& c = s.h.kernel().counters();
+  EXPECT_EQ(records.size(), pin.records);
+  EXPECT_EQ(TraceDigest(records), pin.digest);
+  EXPECT_EQ(c.loans_granted, pin.granted);
+  EXPECT_EQ(c.loans_reclaimed, pin.reclaimed);
+  EXPECT_EQ(c.loans_adopted, pin.adopted);
+  EXPECT_EQ(c.loans_force_revoked, pin.force_revoked);
+}
+
+TEST(LendingDigest, KtDipWithReclaim) {
+  ExpectPinned(*KtDip(), {1810, 0x87401434ed81480dull, 16, 16, 0, 0});
+}
+
+TEST(LendingDigest, SaYieldHint) {
+  ExpectPinned(*SaYieldHint(), {967, 0x136140a2062e86b1ull, 2, 0, 0, 0});
+}
+
+TEST(LendingDigest, WatchdogForceRevoke) {
+  ExpectPinned(*StalledReclaim(), {600, 0x6fdb46c551c6395aull, 2, 2, 0, 1});
+}
+
+TEST(LendingDigest, BorrowerCrash) {
+  ExpectPinned(*CrashMidLoan(/*crash_space=*/1, /*lender_iters=*/4,
+                             /*borrower_iters=*/100000),
+               {209, 0x4dffe5494541acc5ull, 2, 0, 0, 0});
+}
+
+TEST(LendingDigest, LenderCrashAdoption) {
+  ExpectPinned(*CrashMidLoan(/*crash_space=*/0, /*lender_iters=*/1000,
+                             /*borrower_iters=*/60),
+               {603, 0x16d9b0073d9eb00bull, 2, 0, 2, 0});
+}
+
+TEST(LendingDigest, Churn) {
+  ExpectPinned(*Churn(), {2089, 0x9eb8adc2ba47bb77ull, 11, 8, 3, 0});
+}
+
+TEST(LendingDigest, AffinityUnderRevocationStorms) {
+  const Pin pins[] = {
+      {7264, 0x31b3c53c24cadea9ull, 14, 6, 6, 0},
+      {7276, 0x2c55bda1c95ef429ull, 12, 6, 4, 0},
+      {7313, 0x6d6a534f65f5ca30ull, 15, 7, 6, 0},
+      {6649, 0xae7eab883817b7a2ull, 11, 4, 5, 0},
+      {7433, 0x5e90f8f636f8baa5ull, 13, 8, 4, 0},
+      {7261, 0xef109e52c7949dfcull, 12, 6, 4, 0},
+  };
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    ExpectPinned(*AffinityStorm(seed), pins[seed - 1]);
+  }
+}
+
+TEST(LendingDigest, Hoarder) {
+  ExpectPinned(*Hoarder(/*delay_reclaims=*/false),
+               {2165, 0x571ae4396eba7705ull, 24, 24, 0, 0});
+}
+
+TEST(LendingDigest, HoarderWithDelayedReclaims) {
+  ExpectPinned(*Hoarder(/*delay_reclaims=*/true),
+               {2408, 0xdb416ad597264216ull, 25, 22, 3, 0});
+}
+
+TEST(LendingDigest, LyingHintsAndDelayedReclaims) {
+  const std::unique_ptr<Scenario> s = LyingHintsAndDelayedReclaims();
+  ExpectPinned(*s, {10266, 0xd5fbed1526dd22c0ull, 35, 25, 9, 0});
+  // Both faults actually fired.
+  EXPECT_GT(s->h.injector()->stats().yield_hint_lies, 0);
+  EXPECT_GT(s->h.injector()->stats().loan_reclaim_delays, 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -465,21 +683,15 @@ TEST(Lending, ComposesWithAffinityUnderRevocationStorms) {
 
 enum class Style { kProtocol, kStorm, kMultitenant };
 
-// `armed` plants every disabled-lending hook on the hot paths: non-default
-// lending tunables behind enabled=false, lend_idle on every SA space, and
-// zero-probability lending fault fields on an (inactive) injector.  None of
-// it may move a single record.
+// `armed` plants every disabled-lending hook on the hot paths behind the
+// off switch: lend_idle on every SA space, and zero-probability lending
+// fault fields on an (inactive) injector.  None of it may move a single
+// record.
 std::vector<trace::Record> RunSeededStyle(Style style, bool armed) {
   rt::HarnessConfig config;
   config.processors = 6;
   config.seed = 11;
   config.kernel.mode = kern::KernelMode::kSchedulerActivations;
-  if (armed) {
-    config.kernel.lending.enabled = false;  // the feature switch stays off...
-    config.kernel.lending.hysteresis = sim::Usec(1);  // ...so these are inert
-    config.kernel.lending.reclaim_deadline = sim::Usec(1);
-    config.kernel.lending.max_pings = 1;
-  }
   rt::Harness h(config);
   h.EnableTracing(trace::cat::kAll);
   if (style == Style::kStorm) {

@@ -141,7 +141,7 @@ sim::Time RunLenderBesideHoarder(bool lending, int64_t* loans_hoarded,
   rt::HarnessConfig config;
   config.processors = kProcessors;
   config.kernel.mode = kern::KernelMode::kSchedulerActivations;
-  config.kernel.lending.enabled = lending;
+  config.kernel.lending = lending;
   rt::Harness h(config);
   h.EnableTracing(trace::cat::kUpcall | trace::cat::kUlt | trace::cat::kLending);
 

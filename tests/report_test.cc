@@ -97,7 +97,7 @@ TEST(RunReport, LendingSectionAppearsOnlyWhenConfigured) {
   HarnessConfig config;
   config.processors = 4;
   config.kernel.mode = kern::KernelMode::kSchedulerActivations;
-  config.kernel.lending.enabled = true;
+  config.kernel.lending = true;
   Harness h(config);
 
   TopazRuntime lender(&h.kernel(), "lender");
