@@ -345,13 +345,16 @@ bool RunChurnSeed(uint64_t seed, int borrower_iters) {
                 static_cast<unsigned long long>(seed));
     ok = false;
   }
-  // Machine-wide conservation: every processor free or assigned to exactly
-  // one space, both sides of the ledger agree, reaped spaces audited clean.
-  int assigned = 0, loaned_out = 0, borrowed_in = 0;
+  // Machine-wide conservation: every processor free, held by exactly one
+  // space or detaching, the ledger agrees with every space's counts, and
+  // reaped spaces audited clean.
+  const std::string leak = h.kernel().allocator()->CheckConservation();
+  if (!leak.empty()) {
+    std::printf("FAIL: churn seed %llu: %s\n", static_cast<unsigned long long>(seed),
+                leak.c_str());
+    ok = false;
+  }
   for (const auto& as : h.kernel().spaces()) {
-    assigned += static_cast<int>(as->assigned().size());
-    loaned_out += as->loan_state().loaned_out;
-    borrowed_in += as->loan_state().borrowed_in;
     if (as->lifecycle() == kern::AsLifecycle::kDead) {
       const std::string report = h.kernel().reaper()->ConservationReport(as.get());
       if (!report.empty()) {
@@ -361,20 +364,6 @@ bool RunChurnSeed(uint64_t seed, int borrower_iters) {
         ok = false;
       }
     }
-  }
-  if (assigned + h.kernel().allocator()->num_free() != config.processors) {
-    std::printf("FAIL: churn seed %llu: %d assigned + %d free != %d processors\n",
-                static_cast<unsigned long long>(seed), assigned,
-                h.kernel().allocator()->num_free(), config.processors);
-    ok = false;
-  }
-  if (loaned_out != borrowed_in ||
-      loaned_out != h.kernel().allocator()->loans_outstanding()) {
-    std::printf("FAIL: churn seed %llu: ledger sides disagree (%d loaned, %d "
-                "borrowed, %d outstanding)\n",
-                static_cast<unsigned long long>(seed), loaned_out, borrowed_in,
-                h.kernel().allocator()->loans_outstanding());
-    ok = false;
   }
   const trace::CheckResult check = trace::CheckInvariants(h.trace()->Snapshot());
   if (!check.ok()) {

@@ -111,8 +111,7 @@ void SaSpace::QueueEvent(UpcallEvent ev) {
 // §3.1 upcall page-fault window are all instants where the protocol is
 // legitimately mid-transition, so no snapshot is taken.
 void SaSpace::TraceVessel() {
-  if (!pending_.empty() || upcall_requested_ || upcall_fault_pending_ ||
-      inject_defers_pending_ > 0) {
+  if (!pending_.empty() || upcall_requested_ || Holding()) {
     return;
   }
   kernel_->engine().TraceEmit(trace::cat::kUpcall, trace::Kind::kVessel, -1,
@@ -134,23 +133,22 @@ void SaSpace::OnProcessorGranted(hw::Processor* proc) {
   TraceVessel();
 }
 
-void SaSpace::OnProcessorRevoked(hw::Processor* proc, kern::KThread* stopped) {
+void SaSpace::QueuePreempted(hw::Processor* proc, kern::KThread* stopped) {
+  UpcallEvent ev;
+  ev.kind = UpcallEvent::Kind::kPreempted;
+  ev.processor_id = proc->id();
   if (stopped != nullptr) {
     SA_CHECK(stopped->is_activation());
-    UpcallEvent ev;
-    ev.kind = UpcallEvent::Kind::kPreempted;
     ev.activation_id = stopped->activation()->id();
-    ev.processor_id = proc->id();
     ev.state = CaptureUserState(stopped);
-    QueueEvent(std::move(ev));
-  } else {
-    // The processor was caught with no activation (transient); notify the
-    // loss of the processor with an anonymous preemption event.
-    UpcallEvent ev;
-    ev.kind = UpcallEvent::Kind::kPreempted;
-    ev.processor_id = proc->id();
-    QueueEvent(std::move(ev));
   }
+  QueueEvent(std::move(ev));
+}
+
+void SaSpace::OnProcessorRevoked(hw::Processor* proc, kern::KThread* stopped) {
+  // With no activation stopped (the processor was caught between spans) the
+  // event is anonymous: it notifies the loss of the processor alone.
+  QueuePreempted(proc, stopped);
   if (as_->assigned().empty()) {
     // Last processor gone: the paper delays notification until the space is
     // re-allocated a processor.
@@ -193,13 +191,7 @@ void SaSpace::OnThreadUnblockedInKernel(kern::KThread* unblocked) {
 void SaSpace::OnUpcallProcessorReady(hw::Processor* proc, kern::KThread* stopped) {
   upcall_requested_ = false;
   if (stopped != nullptr) {
-    SA_CHECK(stopped->is_activation());
-    UpcallEvent ev;
-    ev.kind = UpcallEvent::Kind::kPreempted;
-    ev.activation_id = stopped->activation()->id();
-    ev.processor_id = proc->id();
-    ev.state = CaptureUserState(stopped);
-    QueueEvent(std::move(ev));
+    QueuePreempted(proc, stopped);
   }
   DeliverOn(proc);
   TraceVessel();
@@ -209,10 +201,10 @@ void SaSpace::EnsureDelivery() {
   if (as_->reaped()) {
     return;
   }
-  // An injected deferral in flight already has a retry scheduled that will
-  // deliver (or re-enter here); starting another preemption meanwhile would
-  // stop a second processor for the same batch.
-  if (pending_.empty() || upcall_requested_ || inject_defers_pending_ > 0) {
+  // A held delivery (page-in or injected deferral) will deliver the batch,
+  // or re-enter here, when it ends; starting another preemption meanwhile
+  // would stop a second processor only to hold it too.
+  if (pending_.empty() || upcall_requested_ || Holding()) {
     return;
   }
   UpdateDemand();
@@ -242,50 +234,48 @@ void SaSpace::DeliverOn(hw::Processor* proc) {
   SA_CHECK_MSG(as_->IsAssigned(proc), "upcall on a processor we do not own");
   SA_CHECK(!proc->has_span());
   upcall_requested_ = false;
+  TryDeliver(proc, /*draw=*/true);
+}
+
+bool SaSpace::Usable(const hw::Processor* proc) const {
+  return as_->IsAssigned(proc) && !proc->has_span() &&
+         kernel_->running_on(proc) == nullptr;
+}
+
+void SaSpace::TryDeliver(hw::Processor* proc, bool draw) {
   // Section 3.1: "an upcall to notify the program of a page fault may in
   // turn page fault on the same location; the kernel must check for this,
   // and when it occurs, delay the subsequent upcall until the page fault
-  // completes."
+  // completes."  One page-in serves every processor that faults meanwhile.
   if (!as_->vm().IsResident(kern::VmSpace::kUpcallEntryPage)) {
-    if (!upcall_fault_pending_) {
-      upcall_fault_pending_ = true;
+    std::vector<hw::Processor*>& paging = held_.paging;
+    if (std::find(paging.begin(), paging.end(), proc) != paging.end()) {
+      return;
+    }
+    paging.push_back(proc);
+    if (paging.size() == 1) {
       ++kernel_->counters().upcall_page_fault_delays;
-      kernel_->engine().TraceEmit(trace::cat::kUpcall,
-                                  trace::Kind::kUpcallFaultBegin, proc->id(),
-                                  as_->id());
-      kernel_->engine().ScheduleIn(kernel_->costs().disk_latency, [this, proc] {
-        upcall_fault_pending_ = false;
-        if (as_->reaped()) {
-          return;  // the space died while its upcall path was paging in
-        }
-        kernel_->engine().TraceEmit(trace::cat::kUpcall,
-                                    trace::Kind::kUpcallFaultEnd, proc->id(),
-                                    as_->id());
-        as_->vm().MakeResident(kern::VmSpace::kUpcallEntryPage);
-        if (as_->IsAssigned(proc) && !proc->has_span() &&
-            kernel_->running_on(proc) == nullptr) {
-          DeliverOn(proc);
-        } else {
-          EnsureDelivery();
-        }
-      });
+      kernel_->engine().TraceEmit(trace::cat::kUpcall, trace::Kind::kUpcallFaultBegin,
+                                  proc->id(), as_->id());
+      kernel_->engine().ScheduleIn(kernel_->costs().disk_latency,
+                                   [this, proc] { Resume(proc, Hold::kPageIn); });
     }
     return;
   }
   // Injected delivery faults (DESIGN.md §11): a denied activation allocation
   // when delivery would need a fresh one, or a protocol-legal delay of the
-  // upcall itself.  Either defers delivery; the retry re-validates the
-  // processor exactly like the §3.1 fault path above.  An alloc-denial retry
-  // re-enters DeliverOn so a denial burst plays out (bursts are bounded by
-  // the injector); a delayed delivery is never re-delayed.
-  if (inject::FaultInjector* injector = kernel_->injector(); injector != nullptr) {
+  // upcall itself.  A denial's retry draws again, so a denial burst plays
+  // out (bursts are bounded by the injector); a delayed delivery is never
+  // re-delayed.
+  inject::FaultInjector* injector = kernel_->injector();
+  if (draw && injector != nullptr) {
     sim::Duration defer = 0;
-    bool redraw = false;
+    Hold why = Hold::kDelayed;
     const bool needs_fresh_alloc =
         cache_.empty() || !kernel_->config().recycle_activations;
     if (needs_fresh_alloc && injector->ShouldDenyActivationAlloc()) {
       defer = injector->plan().alloc_retry;
-      redraw = true;
+      why = Hold::kAllocDenied;
       kernel_->engine().TraceEmit(trace::cat::kInject,
                                   trace::Kind::kInjectAllocDeny, proc->id(),
                                   as_->id(), static_cast<uint64_t>(defer));
@@ -295,41 +285,55 @@ void SaSpace::DeliverOn(hw::Processor* proc) {
                                   as_->id(), static_cast<uint64_t>(defer));
     }
     if (defer > 0) {
-      ++inject_defers_pending_;
-      kernel_->engine().ScheduleIn(defer, [this, proc, redraw] {
-        --inject_defers_pending_;
-        if (as_->reaped()) {
-          return;  // the space died while the delivery was deferred
-        }
-        const bool proc_usable = as_->IsAssigned(proc) && !proc->has_span() &&
-                                 kernel_->running_on(proc) == nullptr;
-        if (pending_.empty()) {
-          // Another delivery path drained the batch meanwhile.  If this
-          // processor is still ours and bare, re-offer it to user level
-          // (protocol-legal "add this processor") instead of stranding it.
-          if (proc_usable) {
-            UpcallEvent ev;
-            ev.kind = UpcallEvent::Kind::kAddProcessor;
-            ev.processor_id = proc->id();
-            QueueEvent(std::move(ev));
-            DeliverNow(proc);
-          }
-          return;
-        }
-        if (proc_usable) {
-          if (redraw) {
-            DeliverOn(proc);
-          } else {
-            DeliverNow(proc);
-          }
-        } else {
-          EnsureDelivery();
-        }
-      });
+      ++held_.injected;
+      kernel_->engine().ScheduleIn(defer, [this, proc, why] { Resume(proc, why); });
       return;
     }
   }
   DeliverNow(proc);
+}
+
+void SaSpace::Resume(hw::Processor* proc, Hold why) {
+  std::vector<hw::Processor*> waiting;
+  if (why == Hold::kPageIn) {
+    waiting = std::exchange(held_.paging, {});
+  } else {
+    --held_.injected;
+    waiting.push_back(proc);
+  }
+  if (as_->reaped()) {
+    return;  // the space died while its delivery was held
+  }
+  if (why == Hold::kPageIn) {
+    kernel_->engine().TraceEmit(trace::cat::kUpcall, trace::Kind::kUpcallFaultEnd,
+                                proc->id(), as_->id());
+    as_->vm().MakeResident(kern::VmSpace::kUpcallEntryPage);
+  }
+  bool stranded = false;
+  for (hw::Processor* p : waiting) {
+    if (!Usable(p)) {
+      stranded = true;  // revoked or busy meanwhile
+      continue;
+    }
+    const bool reoffer = pending_.empty();
+    if (reoffer) {
+      // Another delivery drained the batch meanwhile (an earlier waiter's,
+      // or another path's).  Re-offer the bare processor to user level
+      // (protocol-legal "add this processor") instead of stranding it.
+      UpcallEvent ev;
+      ev.kind = UpcallEvent::Kind::kAddProcessor;
+      ev.processor_id = p->id();
+      QueueEvent(std::move(ev));
+    }
+    if (reoffer || why == Hold::kDelayed) {
+      TryDeliver(p, /*draw=*/false);
+    } else {
+      DeliverOn(p);  // a denial's retry, or the page-in's, draws again
+    }
+  }
+  if (stranded) {
+    EnsureDelivery();  // events left without a waiting processor
+  }
 }
 
 void SaSpace::DeliverNow(hw::Processor* proc) {

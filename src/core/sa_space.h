@@ -99,13 +99,32 @@ class SaSpace : public kern::SaSpaceIface {
   // Delivers pending events: picks one of our processors (second preemption)
   // or waits for / requests a grant.
   void EnsureDelivery();
-  // Fresh activation + upcall on `proc` (which must be span-free and ours).
-  // Checks the §3.1 upcall page-fault window and injected delivery faults
-  // (DESIGN.md §11); defers through either before committing.
+  // Fresh activation + upcall on `proc` (which must be span-free and ours),
+  // through TryDeliver.
   void DeliverOn(hw::Processor* proc);
+  // Why a delivery is held back (DESIGN.md §8).
+  enum class Hold {
+    kPageIn,       // §3.1: the upcall entry page is being read in
+    kAllocDenied,  // injected activation-allocation denial: the retry draws again
+    kDelayed,      // injected upcall delay: the retry is never delayed again
+  };
+  // The one deferral step: holds delivery on `proc` back while the upcall
+  // path pages in (a processor that faults during a page-in joins it), or
+  // when the injector (DESIGN.md §11) denies or delays it — drawn only when
+  // `draw`.  Otherwise delivers now.
+  void TryDeliver(hw::Processor* proc, bool draw);
+  // A hold ended: serves every processor that waited on it.
+  void Resume(hw::Processor* proc, Hold why);
+  // `proc` is still ours and bare: no span, no context running.
+  bool Usable(const hw::Processor* proc) const;
+  // Is a delivery held back?  No upcall starts in the space meanwhile.
+  bool Holding() const { return held_.injected > 0 || !held_.paging.empty(); }
   // The delivery itself: batch pending events into a fresh activation and
-  // run it on `proc`.  Only called once DeliverOn's delay checks passed.
+  // run it on `proc`.  Only called once TryDeliver's holds passed.
   void DeliverNow(hw::Processor* proc);
+  // Queues the preempted event of `stopped` (its user state travels up), or
+  // an anonymous loss of `proc` when no activation was stopped.
+  void QueuePreempted(hw::Processor* proc, kern::KThread* stopped);
   void UpdateDemand();
   // Vessel-invariant trace snapshot at protocol-quiescent points (§10).
   void TraceVessel();
@@ -116,8 +135,14 @@ class SaSpace : public kern::SaSpaceIface {
 
   std::vector<UpcallEvent> pending_;
   bool upcall_requested_ = false;  // a kUpcallDeliver preemption is in flight
-  bool upcall_fault_pending_ = false;  // upcall path itself is being paged in
-  int inject_defers_pending_ = 0;  // injected delivery delays in flight
+  // Deliveries held back and the processors waiting on them.
+  struct Held {
+    int injected = 0;  // injected denials and delays in flight, one processor each
+    // Processors waiting on the §3.1 page-in, first the one that started
+    // it; non-empty exactly while a page-in runs.
+    std::vector<hw::Processor*> paging;
+  };
+  Held held_;
   std::vector<kern::KThread*> cache_;  // recycled activations
   std::map<int64_t, kern::KThread*> activations_;
   std::vector<std::unique_ptr<Activation>> owned_;

@@ -20,7 +20,6 @@
 #include <string>
 
 #include "src/common/assert.h"
-#include "src/common/intrusive_list.h"
 #include "src/sim/engine.h"
 #include "src/sim/time.h"
 
@@ -124,14 +123,6 @@ class Processor {
   // true (the caller then runs the preemption path itself, with the current
   // execution already at a clean boundary).
   bool ConsumeLatchedInterrupt();
-
-  // --- processor-allocator bookkeeping (kern::ProcessorAllocator) ---
-  // Kept on the processor itself so the allocator's hot paths are plain
-  // field loads, not hash-map lookups: the id of the address space that
-  // last owned this processor (-1 = never owned, used for warm/cold grant
-  // classification) and the link for the allocator's free pool.
-  int alloc_last_owner = -1;
-  common::ListNode alloc_free_node;
 
   // --- accounting ---
   sim::Duration time_in(SpanMode mode) const;

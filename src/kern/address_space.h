@@ -104,18 +104,9 @@ class AddressSpace {
   int desired_processors() const { return desired_processors_; }
   void set_desired_processors(int n) { desired_processors_ = n; }
 
-  // Processors currently assigned by the explicit allocator.
+  // Processors currently assigned by the explicit allocator, in grant
+  // order.  Only ProcessorAllocator::Grant and Unassign change it.
   const std::vector<hw::Processor*>& assigned() const { return assigned_; }
-  void AddAssigned(hw::Processor* p) { assigned_.push_back(p); }
-  void RemoveAssigned(hw::Processor* p) {
-    for (auto it = assigned_.begin(); it != assigned_.end(); ++it) {
-      if (*it == p) {
-        assigned_.erase(it);
-        return;
-      }
-    }
-    SA_CHECK_MSG(false, "processor not assigned to this address space");
-  }
   bool IsAssigned(const hw::Processor* p) const {
     for (auto* q : assigned_) {
       if (q == p) {
@@ -190,6 +181,18 @@ class AddressSpace {
   common::ListNode alloc_demand_node;
 
  private:
+  friend class ProcessorAllocator;  // the one writer of assigned_
+  void AddAssigned(hw::Processor* p) { assigned_.push_back(p); }
+  void RemoveAssigned(hw::Processor* p) {
+    for (auto it = assigned_.begin(); it != assigned_.end(); ++it) {
+      if (*it == p) {
+        assigned_.erase(it);
+        return;
+      }
+    }
+    SA_CHECK_MSG(false, "processor not assigned to this address space");
+  }
+
   mutable AllocState alloc_state_;
   mutable LoanState loan_state_;
   const int id_;

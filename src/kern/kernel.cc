@@ -12,7 +12,6 @@ Kernel::Kernel(hw::Machine* machine, Config config)
   const size_t n = static_cast<size_t>(machine_->num_processors());
   running_.assign(n, nullptr);
   pending_.assign(n, PendingAction{});
-  owner_.assign(n, nullptr);
   for (int i = 0; i < machine_->num_processors(); ++i) {
     machine_->processor(i)->set_interrupt_handler(
         [this](hw::Processor* proc, hw::Interrupt irq) { OnInterrupt(proc, std::move(irq)); });
@@ -23,9 +22,6 @@ Kernel::Kernel(hw::Machine* machine, Config config)
   }
   if (config_.mode == KernelMode::kSchedulerActivations) {
     allocator_ = std::make_unique<ProcessorAllocator>(this);
-    for (int i = 0; i < machine_->num_processors(); ++i) {
-      allocator_->AddFree(machine_->processor(i));
-    }
   }
   reaper_ = std::make_unique<SpaceReaper>(this);
 }
@@ -100,41 +96,15 @@ Kernel::Domain* Kernel::DomainOfProcessor(hw::Processor* proc) {
   if (config_.mode == KernelMode::kNativeTopaz) {
     return &global_domain_;
   }
-  AddressSpace* as = owner_[static_cast<size_t>(proc->id())];
+  AddressSpace* as = allocator_->HolderOf(proc);
   if (as == nullptr || as->mode() != AsMode::kKernelThreads) {
     return nullptr;
   }
   return DomainFor(as);
 }
 
-void Kernel::AssignProcessor(hw::Processor* proc, AddressSpace* as) {
-  SA_CHECK(owner_[static_cast<size_t>(proc->id())] == nullptr);
-  owner_[static_cast<size_t>(proc->id())] = as;
-  as->AddAssigned(proc);
-  engine().TraceEmit(trace::cat::kAlloc, trace::Kind::kProcGrant, proc->id(),
-                     as->id(), static_cast<uint64_t>(as->assigned().size()));
-  if (allocator_ != nullptr) {
-    allocator_->OnAssignedChanged(as, proc, +1);
-  }
-}
-
-void Kernel::UnassignProcessor(hw::Processor* proc) {
-  AddressSpace* as = owner_[static_cast<size_t>(proc->id())];
-  SA_CHECK(as != nullptr);
-  as->RemoveAssigned(proc);
-  owner_[static_cast<size_t>(proc->id())] = nullptr;
-  engine().TraceEmit(trace::cat::kAlloc, trace::Kind::kProcRevoke, proc->id(),
-                     as->id(), static_cast<uint64_t>(as->assigned().size()));
-  if (allocator_ != nullptr) {
-    allocator_->OnAssignedChanged(as, proc, -1);
-  }
-  if (as->reaped()) {
-    reaper_->NoteProcessorDetached(as);
-  }
-}
-
 AddressSpace* Kernel::OwnerOf(const hw::Processor* proc) const {
-  return owner_[static_cast<size_t>(proc->id())];
+  return allocator_ != nullptr ? allocator_->HolderOf(proc) : nullptr;
 }
 
 // ---------------------------------------------------------------------------
@@ -494,7 +464,10 @@ void Kernel::RevokeNow(hw::Processor* proc, KThread* stopped) {
 AddressSpace* Kernel::DetachAndNotify(hw::Processor* proc, KThread* stopped) {
   AddressSpace* old_as = OwnerOf(proc);
   if (old_as != nullptr) {
-    UnassignProcessor(proc);
+    allocator_->Unassign(proc);
+    if (old_as->reaped()) {
+      reaper_->NoteProcessorDetached(old_as);
+    }
   }
   const bool notify = old_as != nullptr && !old_as->reaped() &&
                       old_as->mode() == AsMode::kSchedulerActivations;

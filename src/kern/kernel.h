@@ -241,9 +241,8 @@ class Kernel {
     running_[static_cast<size_t>(proc->id())] = kt;
   }
 
-  // Explicit-allocation ownership bookkeeping (SA mode).
-  void AssignProcessor(hw::Processor* proc, AddressSpace* as);
-  void UnassignProcessor(hw::Processor* proc);
+  // The space the explicit allocator has given `proc` to: null while it is
+  // free or detaching, and always in native mode.
   AddressSpace* OwnerOf(const hw::Processor* proc) const;
 
   // Demand bookkeeping for kKernelThreads spaces under the explicit
@@ -287,7 +286,8 @@ class Kernel {
   // preempted upcall; a kernel-thread context is requeued and an idle
   // processor of its space kicked.  `stopped` is nullptr when the processor
   // was caught between spans.  Returns the old owner.  Outside tests, the
-  // only caller of UnassignProcessor and SaSpaceIface::OnProcessorRevoked.
+  // only caller of ProcessorAllocator::Unassign and
+  // SaSpaceIface::OnProcessorRevoked.
   AddressSpace* DetachAndNotify(hw::Processor* proc, KThread* stopped);
   // The one revoke step: detach `proc`, charge the preempt interrupt, then
   // hand it to the allocator (OnRevokeComplete).  Serves kRevoke, an upcall
@@ -343,7 +343,6 @@ class Kernel {
   std::vector<std::unique_ptr<AddressSpace>> spaces_;
   std::vector<KThread*> running_;           // per processor id
   std::vector<PendingAction> pending_;      // per processor id
-  std::vector<AddressSpace*> owner_;        // per processor id (SA mode)
   Domain global_domain_;                    // native mode
   std::vector<std::unique_ptr<Domain>> kt_domains_;  // SA mode, per kt space
   int64_t next_thread_id_ = 1;

@@ -1,6 +1,8 @@
 #include "src/kern/proc_alloc.h"
 
 #include <algorithm>
+#include <string>
+#include <utility>
 
 #include "src/hw/topology.h"
 #include "src/inject/fault_injector.h"
@@ -11,7 +13,16 @@
 namespace sa::kern {
 
 ProcessorAllocator::ProcessorAllocator(Kernel* kernel)
-    : kernel_(kernel), num_processors_(kernel->machine()->num_processors()) {}
+    : kernel_(kernel),
+      num_processors_(kernel->machine()->num_processors()),
+      slots_(static_cast<size_t>(num_processors_)) {
+  // Every processor boots in the pool, lowest id at the front.
+  for (int i = 0; i < num_processors_; ++i) {
+    Slot& slot = slots_[static_cast<size_t>(i)];
+    slot.proc = kernel->machine()->processor(i);
+    free_.PushBack(&slot);
+  }
+}
 
 bool ProcessorAllocator::affinity() const {
   return kernel_->config().affinity_allocation;
@@ -70,8 +81,6 @@ void ProcessorAllocator::RegisterSpace(AddressSpace* as) {
     RecordDemand(as);
   }
 }
-
-void ProcessorAllocator::AddFree(hw::Processor* proc) { free_.PushBack(proc); }
 
 void ProcessorAllocator::RecordDemand(AddressSpace* as) {
   AddressSpace::AllocState& st = as->alloc_state();
@@ -441,7 +450,7 @@ void ProcessorAllocator::RevokeSurplus(AddressSpace* as, int target) {
 bool ProcessorAllocator::Revoke(AddressSpace* as, hw::Processor* proc) {
   if (kernel_->IdleInKernel(proc)) {
     kernel_->DetachAndNotify(proc, /*stopped=*/nullptr);
-    free_.PushBack(proc);
+    Pool(proc);
     return true;
   }
   PendingAction action;
@@ -469,11 +478,10 @@ void ProcessorAllocator::GrantFreeProcessors() {
     // common case after a revocation burst, where each robbed space is owed
     // exactly one processor and the id tie-break would shuffle them.
     const AddressSpace::AllocState& top = best->alloc_state();
-    hw::Processor* warm = nullptr;
+    Slot* warm = nullptr;
     AddressSpace* to = best;
-    for (hw::Processor* p = affinity() ? free_.Back() : nullptr; p != nullptr;
-         p = free_.Prev(p)) {
-      auto owner = by_id_.find(p->alloc_last_owner);
+    for (Slot* p = affinity() ? free_.Back() : nullptr; p != nullptr; p = free_.Prev(p)) {
+      auto owner = by_id_.find(p->last_owner);
       if (owner == by_id_.end()) {
         continue;
       }
@@ -488,13 +496,13 @@ void ProcessorAllocator::GrantFreeProcessors() {
     if (warm != nullptr) {
       free_.Remove(warm);
     }
-    Grant(warm != nullptr ? warm : PickFreeProcessor(best), to);
+    Grant(warm != nullptr ? warm->proc : PickFreeProcessor(best), to);
   }
 }
 
 hw::Processor* ProcessorAllocator::PickFreeProcessor(const AddressSpace* as) {
   SA_CHECK(!free_.empty());
-  hw::Processor* pick = free_.Back();  // default policy: most recently freed
+  Slot* pick = free_.Back();  // default policy: most recently freed
   if (affinity()) {
     const hw::Topology& topo = kernel_->machine()->topology();
     const auto& held = as->alloc_state().socket_held;
@@ -502,12 +510,12 @@ hw::Processor* ProcessorAllocator::PickFreeProcessor(const AddressSpace* as) {
     // already occupies.  `>=` so ties go to the most recently freed,
     // matching the default policy's choice.
     int best_score = -1;
-    for (hw::Processor* p : free_) {
+    for (Slot* p : free_) {
       int score = 0;
-      if (p->alloc_last_owner == as->id()) {
+      if (p->last_owner == as->id()) {
         score += 2;
       }
-      if (!held.empty() && held[static_cast<size_t>(topo.SocketOf(p->id()))] > 0) {
+      if (!held.empty() && held[static_cast<size_t>(topo.SocketOf(p->proc->id()))] > 0) {
         score += 1;
       }
       if (score >= best_score) {
@@ -517,7 +525,7 @@ hw::Processor* ProcessorAllocator::PickFreeProcessor(const AddressSpace* as) {
     }
   }
   free_.Remove(pick);
-  return pick;
+  return pick->proc;
 }
 
 std::vector<hw::Processor*> ProcessorAllocator::RevocationOrder(
@@ -542,7 +550,10 @@ std::vector<hw::Processor*> ProcessorAllocator::RevocationOrder(
 }
 
 void ProcessorAllocator::Grant(hw::Processor* proc, AddressSpace* as) {
-  const int prev_owner = proc->alloc_last_owner;
+  Slot& slot = SlotOf(proc);
+  SA_CHECK_MSG(slot.holder == nullptr && !slot.free_node.linked(),
+               "granting a processor that is held or still pooled");
+  const int prev_owner = slot.last_owner;
   const bool warm = prev_owner == as->id();
   SpaceAllocStats& st = as->alloc_state().stats;
   if (warm) {
@@ -563,13 +574,84 @@ void ProcessorAllocator::Grant(hw::Processor* proc, AddressSpace* as) {
                                   proc->id(), as->id(), socket, prev_arg);
     }
   }
-  proc->alloc_last_owner = as->id();
-  kernel_->AssignProcessor(proc, as);
+  slot.last_owner = as->id();
+  slot.holder = as;
+  as->AddAssigned(proc);
+  kernel_->engine().TraceEmit(trace::cat::kAlloc, trace::Kind::kProcGrant, proc->id(),
+                              as->id(), static_cast<uint64_t>(as->assigned().size()));
+  OnAssignedChanged(as, proc, +1);
   if (as->mode() == AsMode::kSchedulerActivations) {
     as->sa()->OnProcessorGranted(proc);
   } else {
     kernel_->DispatchOn(proc);
   }
+}
+
+void ProcessorAllocator::Unassign(hw::Processor* proc) {
+  Slot& slot = SlotOf(proc);
+  AddressSpace* as = slot.holder;
+  SA_CHECK_MSG(as != nullptr, "unassigning a processor nobody holds");
+  as->RemoveAssigned(proc);
+  slot.holder = nullptr;
+  kernel_->engine().TraceEmit(trace::cat::kAlloc, trace::Kind::kProcRevoke, proc->id(),
+                              as->id(), static_cast<uint64_t>(as->assigned().size()));
+  OnAssignedChanged(as, proc, -1);
+}
+
+void ProcessorAllocator::Pool(hw::Processor* proc) {
+  Slot& slot = SlotOf(proc);
+  SA_CHECK_MSG(slot.holder == nullptr, "pooling a processor that is held");
+  free_.PushBack(&slot);
+}
+
+std::string ProcessorAllocator::CheckConservation() const {
+  std::string err;
+  auto flag = [&err](const hw::Processor* proc, const std::string& what) {
+    err += "processor " + std::to_string(proc->id()) + " " + what + "; ";
+  };
+  const auto& spaces = kernel_->spaces();
+  std::vector<int> lent(spaces.size(), 0);
+  std::vector<int> borrowed(spaces.size(), 0);
+  size_t held = 0;
+  for (const Slot& slot : slots_) {
+    const hw::Processor* proc = slot.proc;
+    const bool pooled = slot.free_node.linked();
+    if (slot.holder != nullptr) {
+      ++held;
+      const std::vector<hw::Processor*>& list = slot.holder->assigned();
+      if (pooled || std::count(list.begin(), list.end(), proc) != 1) {
+        flag(proc, "held by as " + std::to_string(slot.holder->id()) +
+                       " but pooled or not listed once by it");
+      }
+    } else if (!pooled && !proc->has_span() && !kernel_->HasPendingAction(proc)) {
+      flag(proc, "is neither pooled, held, nor detaching");
+    }
+    if (slot.loan.open()) {
+      ++lent[static_cast<size_t>(slot.loan.lender->id())];
+      ++borrowed[static_cast<size_t>(slot.loan.borrower->id())];
+      if (slot.holder != slot.loan.borrower) {
+        flag(proc, "is on loan but not held by its borrower");
+      }
+    }
+  }
+  // Each held processor is listed by its holder; no space lists another.
+  size_t listed = 0;
+  for (const auto& as : spaces) {
+    listed += as->assigned().size();
+    const AddressSpace::LoanState& ls = as->loan_state();
+    const auto i = static_cast<size_t>(as->id());
+    if (ls.loaned_out != lent[i] || ls.borrowed_in != borrowed[i]) {
+      err += "as " + std::to_string(as->id()) + " counts " +
+             std::to_string(ls.loaned_out) + " lent and " +
+             std::to_string(ls.borrowed_in) + " borrowed, the ledger " +
+             std::to_string(lent[i]) + " and " + std::to_string(borrowed[i]) + "; ";
+    }
+  }
+  if (listed != held) {
+    err += "spaces list " + std::to_string(listed) + " processors but " +
+           std::to_string(held) + " are held; ";
+  }
+  return err;
 }
 
 int ProcessorAllocator::InjectRevocations(int burst, common::Rng& rng) {
@@ -814,9 +896,8 @@ AddressSpace* ProcessorAllocator::PickBorrower(const AddressSpace* lender) {
 
 void ProcessorAllocator::OpenLoan(hw::Processor* proc, AddressSpace* lender,
                                   AddressSpace* borrower, KThread* stopped) {
-  auto [it, fresh] = loans_.try_emplace(proc->id());
-  SA_CHECK(fresh);  // at most one loan per processor
-  Loan& loan = it->second;
+  Loan& loan = SlotOf(proc).loan;
+  SA_CHECK(!loan.open());  // at most one loan per processor
   loan.proc = proc;
   loan.lender = lender;
   loan.borrower = borrower;
@@ -849,21 +930,20 @@ void ProcessorAllocator::LendYieldedProcessor(AddressSpace* lender,
   ++decisions_;
   caller->set_state(KThreadState::kStopped);
   kernel_->ClearRunning(proc);
-  auto it = loans_.find(proc->id());
-  if (it != loans_.end()) {
+  if (const Loan& loan = SlotOf(proc).loan; loan.open()) {
     // The space hinting here is the *borrower* of an existing loan: loans
     // never chain, so the hint closes the loan instead — a zero-cost return
     // for the original lender (counted as a fast reclaim when one was in
     // flight).
-    SA_CHECK(it->second.borrower == lender);
-    ReturnLoanNow(it->second, caller);
+    SA_CHECK(loan.borrower == lender);
+    ReturnLoanNow(loan, caller);
   } else if (AddressSpace* borrower = PickBorrower(lender); borrower != nullptr) {
     OpenLoan(proc, lender, borrower, caller);
   } else {
     // The taker vanished between the hint and the downcall charge: detach
     // and pool the processor; the rebalance re-grants it if anyone wants it.
     kernel_->DetachAndNotify(proc, caller);
-    free_.PushBack(proc);
+    Pool(proc);
   }
   RebalanceInternal();
 }
@@ -880,9 +960,20 @@ void ProcessorAllocator::RecallExcessLoans(AddressSpace* lender) {
   }
 }
 
+int ProcessorAllocator::loans_outstanding() const {
+  return static_cast<int>(std::count_if(slots_.begin(), slots_.end(),
+                                        [](const Slot& slot) { return slot.loan.open(); }));
+}
+
 ProcessorAllocator::Loan* ProcessorAllocator::NewestLoanOf(const AddressSpace* lender) {
+  // RevokeSurplus asks on every surplus revocation, lending on or off: a
+  // space with nothing lent skips the walk over every slot.
+  if (lender->loan_state().loaned_out == 0) {
+    return nullptr;
+  }
   Loan* pick = nullptr;
-  for (auto& [pid, loan] : loans_) {
+  for (Slot& slot : slots_) {
+    Loan& loan = slot.loan;
     if (loan.lender == lender && !loan.reclaiming &&
         (pick == nullptr || loan.epoch > pick->epoch)) {
       pick = &loan;
@@ -892,9 +983,9 @@ ProcessorAllocator::Loan* ProcessorAllocator::NewestLoanOf(const AddressSpace* l
 }
 
 ProcessorAllocator::Loan& ProcessorAllocator::LoanAt(int proc_id, uint64_t epoch) {
-  auto it = loans_.find(proc_id);
-  SA_CHECK(it != loans_.end() && it->second.epoch == epoch);
-  return it->second;
+  Loan& loan = slots_[static_cast<size_t>(proc_id)].loan;
+  SA_CHECK(loan.open() && loan.epoch == epoch);
+  return loan;
 }
 
 void ProcessorAllocator::ReclaimLoans(AddressSpace* lender, int k) {
@@ -952,26 +1043,22 @@ bool ProcessorAllocator::IssueReclaimIpi(Loan& loan) {
 }
 
 void ProcessorAllocator::OnLoanReclaimPreempted(hw::Processor* proc, uint64_t epoch) {
-  auto it = loans_.find(proc->id());
-  if (it == loans_.end() || it->second.epoch != epoch) {
+  Slot& slot = SlotOf(proc);
+  if (!slot.loan.open() || slot.loan.epoch != epoch) {
     return;  // settled by adoption/teardown while the interrupt was in flight
   }
   // Settle the ledger at preempt time — before the processor detaches — so
   // the borrower's entitlement never transiently dips below its holdings.
-  const Loan& loan = it->second;
-  return_to_[proc->id()] = PendingReturn{loan.lender, loan.reclaim_issued_at};
-  CloseLoan(loan, static_cast<int>(trace::LoanReturnReason::kReclaimPreempt));
+  slot.land_with = slot.loan.lender;
+  slot.land_issued_at = slot.loan.reclaim_issued_at;
+  CloseLoan(slot.loan, static_cast<int>(trace::LoanReturnReason::kReclaimPreempt));
 }
 
 void ProcessorAllocator::OnLoanReclaimComplete(hw::Processor* proc) {
   ++decisions_;
-  PendingReturn ret;
-  auto rt = return_to_.find(proc->id());
-  if (rt != return_to_.end()) {
-    ret = rt->second;
-    return_to_.erase(rt);
-  }
-  Land(proc, ret.lender, ret.issued_at);
+  Slot& slot = SlotOf(proc);
+  AddressSpace* lender = std::exchange(slot.land_with, nullptr);
+  Land(proc, lender, std::exchange(slot.land_issued_at, -1));
   RebalanceInternal();
 }
 
@@ -993,8 +1080,8 @@ void ProcessorAllocator::OnLoanDeadline(Loan& loan) {
   if (loan.pings >= kMaxReclaimPings) {
     // The borrower sat on the reclaim deadline: force-revoke.  Quarantining
     // it through the reaper settles every loan it touches
-    // (ResolveLoansForTeardown) and routes this processor home via
-    // return_to_ when the teardown revocation lands.
+    // (ResolveLoansForTeardown) and routes this processor home by its
+    // landing note when the teardown revocation lands.
     ++kernel_->counters().loans_force_revoked;
     kernel_->engine().TraceEmit(trace::cat::kLending, trace::Kind::kLoanForceRevoke,
                                 loan.proc->id(), loan.lender->id(), loan.epoch,
@@ -1032,9 +1119,9 @@ void ProcessorAllocator::AdoptLoan(Loan loan) {
 }
 
 void ProcessorAllocator::CloseLoan(Loan loan, int reason) {
-  auto it = loans_.find(loan.proc->id());
-  SA_CHECK(it != loans_.end() && it->second.epoch == loan.epoch);
-  loans_.erase(it);
+  Loan& open = SlotOf(loan.proc).loan;
+  SA_CHECK(open.open() && open.epoch == loan.epoch);
+  open = Loan{};
   kernel_->engine().Cancel(loan.issue);
   kernel_->engine().Cancel(loan.deadline);
   AddressSpace* lender = loan.lender;
@@ -1072,22 +1159,22 @@ void ProcessorAllocator::Land(hw::Processor* proc, AddressSpace* lender,
   if (lender != nullptr && IsRegistered(lender) && !lender->reaped()) {
     Grant(proc, lender);
   } else {
-    free_.PushBack(proc);
+    Pool(proc);
   }
 }
 
 void ProcessorAllocator::ResolveLoansForTeardown(AddressSpace* as) {
-  if (loans_.empty()) {
+  if (loans_outstanding() == 0) {
     return;
   }
   ++decisions_;
   std::vector<Loan> lender_side;
   std::vector<Loan> borrower_side;
-  for (const auto& [pid, loan] : loans_) {
-    if (loan.lender == as) {
-      lender_side.push_back(loan);
-    } else if (loan.borrower == as) {
-      borrower_side.push_back(loan);
+  for (const Slot& slot : slots_) {
+    if (slot.loan.lender == as) {
+      lender_side.push_back(slot.loan);
+    } else if (slot.loan.open() && slot.loan.borrower == as) {
+      borrower_side.push_back(slot.loan);
     }
   }
   // Lender death: each loan becomes the borrower's outright — adoption, no
@@ -1096,12 +1183,13 @@ void ProcessorAllocator::ResolveLoansForTeardown(AddressSpace* as) {
     AdoptLoan(loan);
   }
   // Borrower death: the processor comes home.  The reaper's teardown sweep
-  // revokes every assigned processor; return_to_ reroutes these from the
-  // free pool back to their lenders when those revocations land.
+  // revokes every assigned processor; the landing note reroutes these from
+  // the free pool back to their lenders when those revocations land.
   for (const Loan& loan : borrower_side) {
     CloseLoan(loan, static_cast<int>(trace::LoanReturnReason::kBorrowerDeath));
-    return_to_[loan.proc->id()] =
-        PendingReturn{loan.lender, loan.reclaiming ? loan.reclaim_issued_at : -1};
+    Slot& slot = SlotOf(loan.proc);
+    slot.land_with = loan.lender;
+    slot.land_issued_at = loan.reclaiming ? loan.reclaim_issued_at : -1;
   }
 }
 

@@ -12,6 +12,12 @@
 // and the processor arrives in OnRevokeComplete once its user-level state has
 // been saved and its space notified.
 //
+// Where each processor is lives here alone, in one slot per processor
+// (DESIGN.md §14): its holder, last owner, free-pool link, open loan and
+// landing note.  Grant and Unassign are the only writers of a holder and of
+// AddressSpace::assigned(), and CheckConservation holds every processor to
+// exactly one place: the pool, one holder, or detaching in between.
+//
 // Simplification vs. the paper: fractional shares are not time-sliced among
 // same-priority spaces; leftover processors are granted whole (deterministic
 // by space id).  The experiments reproduced here use exact divisions.
@@ -45,6 +51,7 @@
 #include <functional>
 #include <map>
 #include <set>
+#include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -76,8 +83,21 @@ class ProcessorAllocator {
   // A revoked processor has been fully stopped and detached.
   void OnRevokeComplete(AddressSpace* old_as, hw::Processor* proc);
 
-  // A processor with no owner and no work (boot, space exit).
-  void AddFree(hw::Processor* proc);
+  // Takes `proc` from its holder: the one way a processor leaves a space
+  // (Kernel::DetachAndNotify is the caller).  The processor is then
+  // detaching until it lands in the pool or with a new holder.
+  void Unassign(hw::Processor* proc);
+
+  // The space holding `proc`, or null while it is free or detaching.
+  AddressSpace* HolderOf(const hw::Processor* proc) const {
+    return slots_[static_cast<size_t>(proc->id())].holder;
+  }
+
+  // Every processor is in exactly one place — the free pool, listed by
+  // exactly one holder, or detaching with its span or pending action in
+  // flight — and the loan ledger agrees with each space's loaned_out and
+  // borrowed_in.  Returns a description of every breach (empty = holds).
+  std::string CheckConservation() const;
 
   // The reaper finished tearing `as` down: forget it entirely (demand,
   // in-flight revocation bookkeeping, registration) and rebalance so the
@@ -113,12 +133,6 @@ class ProcessorAllocator {
   // last (Kernel::NoteMigration).
   void NoteSpaceMigration(const AddressSpace* as) { ++as->alloc_state().stats.migrations; }
 
-  // Kernel::AssignProcessor / UnassignProcessor hook: `proc` entered or left
-  // as->assigned() (delta is +1 or -1).  Keeps the deficit/surplus indexes
-  // and the per-socket holding counts exact even for detachments the
-  // allocator did not itself initiate (revoke completion, reaper teardown).
-  void OnAssignedChanged(AddressSpace* as, hw::Processor* proc, int delta);
-
   // Allocator entry points processed (decision-cost denominator for
   // bench_alloc_scale).
   int64_t decisions() const { return decisions_; }
@@ -138,9 +152,9 @@ class ProcessorAllocator {
 
   // Is `proc` currently out on loan (ledger entry open)?
   bool IsOnLoan(const hw::Processor* proc) const {
-    return loans_.count(proc->id()) > 0;
+    return slots_[static_cast<size_t>(proc->id())].loan.open();
   }
-  int loans_outstanding() const { return static_cast<int>(loans_.size()); }
+  int loans_outstanding() const;
 
   // Would some space take a processor from `lender` right now?  Cost-free
   // query the SA yield-hint downcall uses to decline without perturbation.
@@ -214,12 +228,12 @@ class ProcessorAllocator {
     int leftover = 0;
   };
 
-  // One open loan.  Keyed by processor id in loans_; at most one loan per
-  // processor (no chains: a borrower never re-lends).  A loan opens one way
+  // One open loan, kept in its processor's slot: at most one per processor
+  // (no chains: a borrower never re-lends).  A loan opens one way
   // (OpenLoan) and closes in CloseLoan, which cancels its timers.
   struct Loan {
     hw::Processor* proc = nullptr;
-    AddressSpace* lender = nullptr;
+    AddressSpace* lender = nullptr;  // null: no loan open
     AddressSpace* borrower = nullptr;
     // Unique, monotone: names the loan in trace records and in a kLoanReclaim
     // interrupt, which cannot be cancelled once in flight.
@@ -232,15 +246,36 @@ class ProcessorAllocator {
     sim::EventId issue = sim::kNoEvent;     // reclaim interrupt held back by
                                             // an injected delay
     sim::EventId deadline = sim::kNoEvent;  // reclaim-deadline watchdog
+
+    bool open() const { return lender != nullptr; }
   };
 
-  // Where a processor detaching from a settled loan must land: back with
-  // its lender.  `issued_at >= 0` marks a demand-return reclaim whose
-  // latency should be recorded at completion.
-  struct PendingReturn {
-    AddressSpace* lender = nullptr;
-    sim::Time issued_at = -1;
+  // Where one processor is.  Indexed by processor id, never resized (the
+  // free list links into it).  Free: `free_node` linked.  Held: `holder`
+  // set, and the holder's assigned() lists it.  Detaching: neither.
+  struct Slot {
+    hw::Processor* proc = nullptr;
+    AddressSpace* holder = nullptr;
+    int last_owner = -1;  // id of the last space granted it (-1: never)
+    common::ListNode free_node;
+    Loan loan;
+    // Landing note of a processor detaching from a settled loan: it goes
+    // back to `land_with` (while that lender lives), and `land_issued_at
+    // >= 0` is the recall's issue time, whose latency is recorded when it
+    // lands.
+    AddressSpace* land_with = nullptr;
+    sim::Time land_issued_at = -1;
   };
+
+  Slot& SlotOf(const hw::Processor* proc) {
+    return slots_[static_cast<size_t>(proc->id())];
+  }
+  // Puts a detached processor in the free pool.
+  void Pool(hw::Processor* proc);
+  // Grant's and Unassign's index upkeep: `proc` entered or left
+  // as->assigned() (delta is +1 or -1).  Keeps the deficit/surplus indexes
+  // and the per-socket holding counts exact.
+  void OnAssignedChanged(AddressSpace* as, hw::Processor* proc, int delta);
 
   bool lending_enabled() const;
   // A space's entitlement: processors it owns outright.  Loaned-out
@@ -336,6 +371,9 @@ class ProcessorAllocator {
   // Grants free processors to the deficit heap's top (or, under affinity, a
   // tied space the processor last belonged to) until the heap or pool empty.
   void GrantFreeProcessors();
+  // The one way a processor enters a space: from the pool (already
+  // unlinked) or from detaching, to `as`, which is told (add-processor
+  // upcall or kernel dispatch).
   void Grant(hw::Processor* proc, AddressSpace* as);
   // Removes and returns the free processor to grant to `as`: the affinity
   // policy's pick when enabled, else the most recently freed.
@@ -355,7 +393,8 @@ class ProcessorAllocator {
   // storm RNG streams are unchanged.
   std::map<int, AddressSpace*> holders_;
   std::map<int, Tier, std::greater<int>> tiers_;  // highest priority first
-  common::IntrusiveList<hw::Processor, &hw::Processor::alloc_free_node> free_;
+  std::vector<Slot> slots_;  // per processor id
+  common::IntrusiveList<Slot, &Slot::free_node> free_;
   // Spaces owed processors, keyed (-priority, -deficit, id): begin() is the
   // full scan's pick (highest priority, largest deficit, lowest id).
   std::set<std::tuple<int, int, int>> deficit_heap_;
@@ -366,12 +405,8 @@ class ProcessorAllocator {
   bool rerun_ = false;
 
   // ---- lending state (all empty/zero unless Config::lending) ----
-  std::map<int, Loan> loans_;  // open loans by processor id
   uint64_t loan_epoch_ = 0;
   std::set<int> lendable_;  // ids of spaces with a ripe dip window
-  // Settled loans whose processor is still detaching: route it back to the
-  // recorded lender instead of the free pool when the revocation lands.
-  std::map<int, PendingReturn> return_to_;
   trace::LatencyHistogram reclaim_latency_;
 };
 

@@ -294,7 +294,7 @@ std::string SpaceReaper::ConservationReport(const AddressSpace* as) const {
     if (running != nullptr && running->address_space() == as) {
       leak += "processor " + std::to_string(i) + " still runs a dead thread; ";
     }
-    if (kernel_->owner_[static_cast<size_t>(i)] == as) {
+    if (kernel_->OwnerOf(proc) == as) {
       leak += "processor " + std::to_string(i) + " still owned by the space; ";
     }
   }

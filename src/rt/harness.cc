@@ -193,6 +193,11 @@ RunResult Harness::TryRun(uint64_t max_events) {
     }
   }
   result.end_time = engine().now();
+  if (result.ok() && kernel_.allocator() != nullptr) {
+    // Every processor is pooled, held by one space, or detaching.
+    const std::string leak = kernel_.allocator()->CheckConservation();
+    SA_CHECK_MSG(leak.empty(), leak.c_str());
+  }
   if (!result.ok()) {
     char reason[128];
     std::snprintf(reason, sizeof(reason), "%s after %" PRIu64 " events",

@@ -106,7 +106,9 @@ class Harness {
   sim::Time Run(uint64_t max_events = 500000000);
 
   // Like Run, but reports failure (with diagnostics attached) instead of
-  // aborting — the form fuzzers and fault sweeps use.
+  // aborting — the form fuzzers and fault sweeps use.  A completed run
+  // under the explicit allocator must conserve processors
+  // (ProcessorAllocator::CheckConservation); a breach aborts (SA_CHECK).
   RunResult TryRun(uint64_t max_events = 500000000);
 
   // Virtual-time progress watchdog for TryRun/Run: if no foreground thread

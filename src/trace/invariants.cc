@@ -111,6 +111,8 @@ CheckResult CheckInvariants(const std::vector<Record>& records,
   std::map<int32_t, SpaceUltState> ult;
   std::map<int32_t, int64_t> dead;   // as_id -> teardown-done ts
   std::map<int32_t, LoanInterval> loans;  // cpu -> open loan
+  std::map<int32_t, int32_t> holder;      // cpu -> space holding it
+  std::map<int32_t, uint64_t> holding;    // as_id -> processors it holds
 
   auto idle_overlap_start = [](const SpaceUltState& s, const IdleState& v) {
     return v.since > s.runnable_since ? v.since : s.runnable_since;
@@ -193,6 +195,41 @@ CheckResult CheckInvariants(const std::vector<Record>& records,
           FlagLoanOverdue(r.cpu, it->second, r.ts, "only closed", &out);
         }
         loans.erase(it);
+        break;
+      }
+      case Kind::kProcGrant:
+      case Kind::kProcRevoke: {
+        ++out.alloc_checks;
+        const bool grant = kind == Kind::kProcGrant;
+        auto it = holder.find(r.cpu);
+        const int32_t held_by = it == holder.end() ? -1 : it->second;
+        if (grant ? held_by >= 0 : held_by != r.as_id) {
+          char buf[256];
+          std::snprintf(buf, sizeof(buf),
+                        "ownership violated: cpu %d %s as %d at t=%" PRId64
+                        " while held by as %d",
+                        r.cpu, grant ? "granted to" : "given up by", r.as_id, r.ts,
+                        held_by);
+          out.violations.push_back(buf);
+        }
+        uint64_t& count = holding[r.as_id];
+        if (grant) {
+          holder[r.cpu] = r.as_id;
+          ++count;
+        } else {
+          holder.erase(r.cpu);
+          count -= count > 0 ? 1 : 0;
+        }
+        if (r.arg0 != count) {
+          char buf[256];
+          std::snprintf(buf, sizeof(buf),
+                        "holding count violated: as %d records %" PRIu64
+                        " processors at t=%" PRId64 " (cpu %d %s) but holds %" PRIu64,
+                        r.as_id, r.arg0, r.ts, r.cpu, grant ? "granted" : "revoked",
+                        count);
+          out.violations.push_back(buf);
+          count = r.arg0;  // resynchronise: report each slip once
+        }
         break;
       }
       case Kind::kVessel: {

@@ -1,6 +1,6 @@
 // Trace-driven invariant checker (DESIGN.md §10).
 //
-// Replays a TraceBuffer snapshot and asserts two properties of the
+// Replays a TraceBuffer snapshot and asserts four properties of the
 // scheduler-activation protocol:
 //
 //  1. The vessel invariant (paper §3): at every instant, the number of
@@ -38,6 +38,12 @@
 //     clears any constant threshold.  An unbind closes the interval without
 //     extending it: a vcpu whose processor was revoked cannot run work, so
 //     later queueing is allocator latency, not a lost wakeup.
+//
+//  4. Processor ownership (paper §4.1): cat::kAlloc kProcGrant/kProcRevoke
+//     records move a processor between the pool and exactly one space.  A
+//     processor is never granted while a space holds it, only its holder
+//     gives it up, and each record's arg0 equals the space's holding count
+//     replayed from the records before it.
 
 #ifndef SA_TRACE_INVARIANTS_H_
 #define SA_TRACE_INVARIANTS_H_
@@ -67,6 +73,7 @@ struct CheckResult {
   std::vector<std::string> violations;
   uint64_t vessel_checks = 0;  // snapshots asserted
   uint64_t loan_checks = 0;    // loan intervals matched grant-to-close
+  uint64_t alloc_checks = 0;   // grant and revoke records replayed
   bool ok() const { return violations.empty(); }
   // All violations joined, for test failure messages.
   std::string Summary() const;

@@ -59,8 +59,8 @@ enum class Kind : uint16_t {
   kPageFault = 23,    // arg0 = thread id, arg1 = page
 
   // cat::kAlloc.
-  kProcGrant = 32,    // cpu granted to as_id
-  kProcRevoke = 33,   // cpu revoked from as_id
+  kProcGrant = 32,    // cpu granted to as_id; arg0 = as_id's holding after
+  kProcRevoke = 33,   // cpu revoked from as_id; arg0 = as_id's holding after
   kProcDesired = 34,  // arg0 = desired, arg1 = currently assigned
 
   // cat::kUpcall.

@@ -111,7 +111,7 @@ class AllocDriver {
       if (!as->IsAssigned(proc)) {
         continue;  // reclaimed by a reentrant rebalance
       }
-      kernel_->UnassignProcessor(proc);
+      alloc()->Unassign(proc);
       alloc()->OnRevokeComplete(as, proc);
     }
     alloc()->ReleaseSpace(as);

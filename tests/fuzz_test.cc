@@ -86,7 +86,7 @@ TEST_P(RandomProgramFuzz, TerminatesWithAllThreadsFinished) {
   };
   if (sys == Sys::kNewFt) {
     h.engine().ScheduleIn(sim::Usec(700), audit);
-    h.EnableTracing(trace::cat::kUpcall | trace::cat::kUlt);
+    h.EnableTracing(trace::cat::kUpcall | trace::cat::kUlt | trace::cat::kAlloc);
   }
 
   h.Run();  // SA_CHECKs inside would abort on protocol violations
@@ -163,7 +163,7 @@ SweepOutcome RunUnderPlan(Sys sys, uint64_t seed, const inject::FaultPlan& plan)
   h.AddRuntime(rt.get());
   h.AddDaemon("daemon", sim::Msec(3), sim::Usec(300));
   if (sys == Sys::kNewFt) {
-    h.EnableTracing(trace::cat::kUpcall | trace::cat::kUlt);
+    h.EnableTracing(trace::cat::kUpcall | trace::cat::kUlt | trace::cat::kAlloc);
   }
 
   apps::SpawnRandomProgram(rt.get(), /*threads=*/6, /*ops=*/25, seed * 977 + 13);
@@ -239,7 +239,8 @@ SweepOutcome RunChurnPlan(uint64_t seed, const inject::FaultPlan& plan) {
   rt::Harness h(config);
   h.EnableFaultInjection(plan);
   h.set_stall_timeout(sim::Msec(30000) + 100 * plan.ExtraIdleSlack());
-  h.EnableTracing(trace::cat::kUpcall | trace::cat::kUlt | trace::cat::kLifecycle);
+  h.EnableTracing(trace::cat::kUpcall | trace::cat::kUlt | trace::cat::kLifecycle |
+                  trace::cat::kAlloc);
 
   ult::UltConfig uc;
   uc.max_vcpus = 3;
@@ -340,7 +341,7 @@ SweepOutcome RunLazyNBodyPlan(Sys sys, uint64_t seed, const inject::FaultPlan& p
   h.AddRuntime(rt.get());
   h.AddDaemon("daemon", sim::Msec(3), sim::Usec(300));
   if (sys == Sys::kNewFt) {
-    h.EnableTracing(trace::cat::kUpcall | trace::cat::kUlt);
+    h.EnableTracing(trace::cat::kUpcall | trace::cat::kUlt | trace::cat::kAlloc);
   }
 
   apps::NBodyConfig nc;

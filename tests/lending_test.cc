@@ -326,13 +326,7 @@ TEST(Lending, KtDipLendsSurplusAndDemandReturnReclaimsInstantly) {
   EXPECT_GT(las->loan_state().lends, 0);
   EXPECT_GT(bas->loan_state().borrows, 0);
   EXPECT_EQ(las->loan_state().borrowed_in, 0);
-  int loaned_out = 0, borrowed_in = 0;
-  for (const auto& as : h.kernel().spaces()) {
-    loaned_out += as->loan_state().loaned_out;
-    borrowed_in += as->loan_state().borrowed_in;
-  }
-  EXPECT_EQ(loaned_out, borrowed_in);
-  EXPECT_EQ(loaned_out, h.kernel().allocator()->loans_outstanding());
+  EXPECT_EQ(h.kernel().allocator()->CheckConservation(), "");
 
   const std::vector<trace::Record> records = h.trace()->Snapshot();
   EXPECT_GT(CountKind(records, trace::Kind::kLoanGrant, las->id()), 0);
@@ -341,6 +335,7 @@ TEST(Lending, KtDipLendsSurplusAndDemandReturnReclaimsInstantly) {
   const trace::CheckResult check = trace::CheckInvariants(records);
   EXPECT_TRUE(check.ok()) << check.Summary();
   EXPECT_GT(check.loan_checks, 0u);
+  EXPECT_GT(check.alloc_checks, 0u);
 
   // The report surfaces the lending section.
   const rt::RunReport report = rt::MakeReport(h);
@@ -503,18 +498,9 @@ TEST(Lending, ChurnWithLoansInFlightConservesProcessors) {
   EXPECT_GT(h.kernel().counters().loans_granted, 0);
   EXPECT_EQ(h.kernel().allocator()->reclaim_latency().count(),
             static_cast<uint64_t>(h.kernel().counters().loans_reclaimed));
-  // Machine-wide conservation: every processor is either free or assigned
-  // to exactly one space, and the ledger's two sides agree.
-  int assigned = 0, loaned_out = 0, borrowed_in = 0;
-  for (const auto& as : h.kernel().spaces()) {
-    assigned += static_cast<int>(as->assigned().size());
-    loaned_out += as->loan_state().loaned_out;
-    borrowed_in += as->loan_state().borrowed_in;
-  }
-  EXPECT_EQ(assigned + h.kernel().allocator()->num_free(),
-            h.config().processors);
-  EXPECT_EQ(loaned_out, borrowed_in);
-  EXPECT_EQ(loaned_out, h.kernel().allocator()->loans_outstanding());
+  // Machine-wide conservation: every processor is free, held by exactly one
+  // space or detaching, and the ledger agrees with every space's counts.
+  EXPECT_EQ(h.kernel().allocator()->CheckConservation(), "");
 
   const trace::CheckResult check = trace::CheckInvariants(h.trace()->Snapshot());
   EXPECT_TRUE(check.ok()) << check.Summary();
@@ -538,25 +524,13 @@ TEST(Lending, ComposesWithAffinityUnderRevocationStorms) {
     kern::Kernel& k = h.kernel();
     EXPECT_GT(k.counters().loans_granted, 0) << "seed " << seed;
     int64_t warm = 0;
-    int assigned = 0;
     for (const auto& as : k.spaces()) {
       warm += k.allocator()->stats_for(as.get()).warm_grants;
-      assigned += static_cast<int>(as->assigned().size());
     }
     EXPECT_GT(warm, 0) << "seed " << seed;
-    // Conservation: every processor is assigned, free, or still detaching
-    // (unowned with a span or a pending action) — storms can leave one
-    // mid-revocation when the run stops.
-    const int processors = h.config().processors;
-    int detaching = 0;
-    for (int i = 0; i < processors; ++i) {
-      const hw::Processor* proc = k.machine()->processor(i);
-      if (k.OwnerOf(proc) == nullptr && (proc->has_span() || k.HasPendingAction(proc))) {
-        ++detaching;
-      }
-    }
-    EXPECT_EQ(assigned + k.allocator()->num_free() + detaching, processors)
-        << "seed " << seed;
+    // Conservation: storms can leave a processor mid-revocation when the
+    // run stops; it counts as detaching.
+    EXPECT_EQ(k.allocator()->CheckConservation(), "") << "seed " << seed;
 
     trace::CheckOptions opts;
     opts.idle_ready_threshold += StormPlan(seed).ExtraIdleSlack();

@@ -6,6 +6,7 @@
 
 #include "src/rt/harness.h"
 #include "src/rt/topaz_runtime.h"
+#include "src/trace/invariants.h"
 #include "src/ult/ult_runtime.h"
 
 namespace sa {
@@ -121,6 +122,49 @@ TEST(PageFault, UpcallThatWouldFaultIsDelayed) {
   // The run took at least the 50 ms page-in (vs ~3 ms without the eviction).
   EXPECT_GT(sim::ToMsec(elapsed), 50.0);
   EXPECT_EQ(ft.threads_finished(), 1u);
+}
+
+TEST(PageFault, UpcallFaultWindowStrandsNoProcessor) {
+  // While the upcall path pages in for one processor's delivery, a second
+  // processor of the space asks for delivery too (its thread blocks in
+  // I/O).  It must be served when the page-in ends, not left idle until an
+  // unrelated event: four 20 ms threads keep both processors wanted.
+  rt::HarnessConfig config;
+  config.processors = 2;
+  config.kernel.mode = kern::KernelMode::kSchedulerActivations;
+  config.kernel.tuned_upcalls = true;
+  rt::Harness h(config);
+  h.EnableTracing(trace::cat::kAll);
+  ult::UltConfig uc;
+  uc.max_vcpus = 2;
+  ult::UltRuntime ft(&h.kernel(), "app", ult::BackendKind::kSchedulerActivations, uc);
+  h.AddRuntime(&ft);
+  ft.Spawn(
+      [&ft](rt::ThreadCtx& t) -> sim::Program {
+        co_await t.Compute(sim::Msec(1));
+        ft.address_space()->vm().Evict(kern::VmSpace::kUpcallEntryPage);
+        co_await t.Io(sim::Msec(2));
+      },
+      "evictor");
+  ft.Spawn(
+      [](rt::ThreadCtx& t) -> sim::Program {
+        co_await t.Compute(sim::Msec(3));
+        co_await t.Io(sim::Msec(2));
+        co_await t.Compute(sim::Msec(1));
+      },
+      "second");
+  for (int i = 0; i < 4; ++i) {
+    ft.Spawn([](rt::ThreadCtx& t) -> sim::Program { co_await t.Compute(sim::Msec(20)); },
+             "cpu");
+  }
+  const sim::Time elapsed = h.Run();
+  const trace::CheckResult check = trace::CheckInvariants(h.trace()->Snapshot());
+  EXPECT_TRUE(check.ok()) << check.Summary();
+  EXPECT_EQ(ft.threads_finished(), 6u);
+  EXPECT_GE(h.kernel().counters().upcall_page_fault_delays, 1);
+  // 80 ms of compute on two processors plus one 50 ms page-in: a stranded
+  // processor (the old behaviour) pushed the end past 110 ms.
+  EXPECT_LT(sim::ToMsec(elapsed), 100.0);
 }
 
 TEST(PageFault, WorkloadMixesFaultsAndIoOnAllSystems) {

@@ -69,7 +69,7 @@ TEST(Soak, MixedSystemsLongRun) {
   };
   h.engine().ScheduleIn(sim::Usec(900), audit);
 
-  h.EnableTracing(trace::cat::kUpcall | trace::cat::kUlt);
+  h.EnableTracing(trace::cat::kUpcall | trace::cat::kUlt | trace::cat::kAlloc);
   h.Run();
   // Trace replay audits both SA spaces at every protocol transition, on top
   // of the coarse periodic audit above.

@@ -273,7 +273,8 @@ TEST(SpaceLifecycle, ChurnSoakSurvivesRandomLifecycleFaults) {
     plan.io_retries = std::max(plan.io_retries, 6);
     h.EnableFaultInjection(plan);
     h.set_stall_timeout(sim::Msec(30000) + 100 * plan.ExtraIdleSlack());
-    h.EnableTracing(trace::cat::kUpcall | trace::cat::kUlt | trace::cat::kLifecycle);
+    h.EnableTracing(trace::cat::kUpcall | trace::cat::kUlt | trace::cat::kLifecycle |
+                    trace::cat::kAlloc);
 
     auto initial = MakeSpace(h, "init");
     h.AddRuntime(initial.get());
