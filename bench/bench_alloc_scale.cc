@@ -63,7 +63,7 @@ class AllocBench {
   void CreateSpaces(int n) {
     for (int i = 0; i < n; ++i) {
       kern::AddressSpace* as = kernel_->CreateAddressSpace(
-          "s" + std::to_string(i), kern::AsMode::kSchedulerActivations,
+          std::string("s").append(std::to_string(i)), kern::AsMode::kSchedulerActivations,
           /*priority=*/i % 4);
       stubs_.push_back(std::make_unique<StubSaSpace>());
       as->set_sa(stubs_.back().get());

@@ -85,7 +85,7 @@ rt::RunReport RunCell(int sockets, bool affinity, uint64_t seed, int threads,
               }
             }
           },
-          "w" + std::to_string(i));
+          std::string("w").append(std::to_string(i)));
     }
   }
   h.Run();

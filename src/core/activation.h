@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "src/core/upcall.h"
+#include "src/sim/callback.h"
 
 namespace sa::kern {
 class KThread;
@@ -34,7 +35,13 @@ class Activation {
   void set_user_cookie(void* cookie) { user_cookie_ = cookie; }
 
   // Events to vector when this (fresh) activation first reaches user level.
+  // The thread system takes the batch and hands the emptied buffer back to
+  // the space (SaSpace::ReturnBatch), so a cached activation holds none.
   std::vector<UpcallEvent>& inbox() { return inbox_; }
+
+  // The caller's continuation of the downcall this activation is making,
+  // held while the kernel charges the call (SaSpace's downcalls).
+  sim::Callback& downcall_done() { return downcall_done_; }
 
   // Set when the user level returned this activation for reuse.
   bool discarded() const { return discarded_; }
@@ -49,6 +56,7 @@ class Activation {
   void Recycle() {
     user_cookie_ = nullptr;
     inbox_.clear();
+    downcall_done_ = nullptr;
     discarded_ = false;
     debugged_ = false;
   }
@@ -58,6 +66,7 @@ class Activation {
   kern::KThread* const kt_;
   void* user_cookie_ = nullptr;
   std::vector<UpcallEvent> inbox_;
+  sim::Callback downcall_done_;
   bool discarded_ = false;
   bool debugged_ = false;
 };

@@ -341,17 +341,16 @@ void SaSpace::DeliverNow(hw::Processor* proc) {
     return;
   }
   SA_CHECK(as_->IsAssigned(proc) && !proc->has_span());
-  std::vector<UpcallEvent> events = std::move(pending_);
-  pending_.clear();
-  SA_CHECK(!events.empty());
+  SA_CHECK(!pending_.empty());
 
   auto& counters = kernel_->counters();
   ++counters.upcalls;
-  counters.upcall_events += static_cast<int64_t>(events.size());
+  counters.upcall_events += static_cast<int64_t>(pending_.size());
 
   sim::Duration setup_cost = 0;
   Activation* fresh = NewActivation(&setup_cost);
-  fresh->inbox() = std::move(events);
+  // The activation carries the batch; the spare buffer collects the next.
+  fresh->inbox() = std::exchange(pending_, std::move(spare_));
   kernel_->engine().TraceEmit(trace::cat::kUpcall, trace::Kind::kUpcallDeliver,
                               proc->id(), as_->id(), fresh->inbox().size(),
                               static_cast<uint64_t>(fresh->id()));
@@ -371,9 +370,19 @@ void SaSpace::DeliverNow(hw::Processor* proc) {
   kernel_->RunContextOn(proc, fresh->kthread(), kernel_->UpcallCost() + setup_cost);
 }
 
+void SaSpace::ReturnBatch(std::vector<UpcallEvent> batch) {
+  // Overlapping deliveries return several buffers; keep the roomiest.
+  batch.clear();
+  if (batch.capacity() > spare_.capacity()) {
+    spare_ = std::move(batch);
+  }
+}
+
 int SaSpace::OnSpaceReaped() {
   const int discarded = static_cast<int>(pending_.size());
   pending_.clear();
+  returning_.clear();
+  returning_batches_.clear();
   upcall_requested_ = false;
   cache_.clear();  // the reaper marks every cached activation dead
   debug_stopped_.clear();
@@ -428,45 +437,57 @@ void SaSpace::BootDemand(int desired) {
 // Downcalls (Table 3).
 // ---------------------------------------------------------------------------
 
+void SaSpace::Downcall(kern::KThread* caller, sim::Duration cost, sim::Callback done,
+                       sim::Callback then) {
+  SA_CHECK(caller->is_activation());
+  caller->activation()->downcall_done() = std::move(done);
+  kernel_->ChargeKernel(caller, cost, std::move(then));
+}
+
+void SaSpace::ResumeCaller(kern::KThread* caller) {
+  sim::Callback done = std::move(caller->activation()->downcall_done());
+  done();
+}
+
 void SaSpace::DowncallAddProcessors(kern::KThread* caller, int additional,
-                                    std::function<void()> done) {
+                                    sim::Callback done) {
   SA_CHECK(additional > 0);
   ++kernel_->counters().downcalls_add_more;
   kernel_->engine().TraceEmit(trace::cat::kUpcall, trace::Kind::kDowncallAddProcs,
                               caller->processor()->id(), as_->id(),
                               static_cast<uint64_t>(additional));
-  kernel_->ChargeKernel(caller, kernel_->costs().downcall,
-                        [this, additional, done = std::move(done)] {
-                          user_desired_ = num_assigned() + additional;
-                          UpdateDemand();
-                          done();
-                        });
+  Downcall(caller, kernel_->costs().downcall, std::move(done),
+           [this, caller, additional] {
+             user_desired_ = num_assigned() + additional;
+             UpdateDemand();
+             ResumeCaller(caller);
+           });
 }
 
-void SaSpace::DowncallProcessorIdle(kern::KThread* caller, std::function<void()> done) {
+void SaSpace::DowncallProcessorIdle(kern::KThread* caller, sim::Callback done) {
   ++kernel_->counters().downcalls_idle;
   kernel_->engine().TraceEmit(trace::cat::kUpcall, trace::Kind::kDowncallIdle,
                               caller->processor()->id(), as_->id(),
                               static_cast<uint64_t>(caller->activation()->id()));
-  kernel_->ChargeKernel(caller, kernel_->costs().downcall, [this, done = std::move(done)] {
+  Downcall(caller, kernel_->costs().downcall, std::move(done), [this, caller] {
     user_desired_ = std::max(0, std::min(user_desired_, num_assigned() - 1));
     UpdateDemand();
-    done();
+    ResumeCaller(caller);
   });
 }
 
-void SaSpace::DowncallYieldHint(kern::KThread* caller, std::function<void(bool)> done) {
+void SaSpace::DowncallYieldHint(kern::KThread* caller, sim::Callback declined) {
   kern::ProcessorAllocator* alloc = kernel_->allocator();
   if (!kernel_->config().lending || as_->reaped() || !alloc->WantsLoanFrom(as_)) {
     if (kernel_->config().lending) {
       ++kernel_->counters().yield_hints_declined;
     }
-    done(false);  // cost-free: no charge, no trace, no events
+    declined();  // cost-free: no charge, no trace, no events
     return;
   }
   hw::Processor* proc = caller->processor();
-  kernel_->ChargeKernel(
-      caller, kernel_->costs().downcall, [this, caller, proc, done = std::move(done)] {
+  Downcall(
+      caller, kernel_->costs().downcall, std::move(declined), [this, caller, proc] {
         kern::ProcessorAllocator* alloc = kernel_->allocator();
         // Re-validate after the charge: the taker (or this very processor)
         // may have vanished while the downcall was in flight — and a latched
@@ -477,9 +498,10 @@ void SaSpace::DowncallYieldHint(kern::KThread* caller, std::function<void(bool)>
             kernel_->running_on(proc) != caller ||
             kernel_->HasPendingAction(proc) || !alloc->WantsLoanFrom(as_)) {
           ++kernel_->counters().yield_hints_declined;
-          done(false);
+          ResumeCaller(caller);
           return;
         }
+        caller->activation()->downcall_done() = nullptr;  // accepted: never resumed
         ++kernel_->counters().downcalls_yield_hint;
         kernel_->engine().TraceEmit(trace::cat::kLending, trace::Kind::kLoanYieldHint,
                                     proc->id(), as_->id(),
@@ -504,44 +526,49 @@ void SaSpace::DowncallYieldHint(kern::KThread* caller, std::function<void(bool)>
       });
 }
 
-void SaSpace::DowncallReturnDiscards(kern::KThread* caller, std::vector<int64_t> ids,
-                                     std::function<void()> done) {
+void SaSpace::DowncallReturnDiscards(kern::KThread* caller, std::vector<int64_t>&& ids,
+                                     sim::Callback done) {
   ++kernel_->counters().downcalls_discard;
-  kernel_->ChargeKernel(
-      caller, kernel_->costs().sa_discard_downcall,
-      [this, ids = std::move(ids), done = std::move(done)] {
-        for (int64_t id : ids) {
-          kern::KThread* kt = LookupActivation(id);
-          SA_CHECK_MSG(kt->state() == kern::KThreadState::kStopped,
-                       "discarding an activation the kernel has not stopped");
-          kt->activation()->set_discarded(true);
-          if (kernel_->config().recycle_activations) {
-            cache_.push_back(kt);
-          } else {
-            kt->set_state(kern::KThreadState::kDead);
-          }
-        }
-        done();
-      });
+  returning_.insert(returning_.end(), ids.begin(), ids.end());
+  returning_batches_.emplace_back(caller, ids.size());
+  ids.clear();
+  Downcall(caller, kernel_->costs().sa_discard_downcall, std::move(done), [this, caller] {
+    SA_CHECK_MSG(!returning_batches_.empty() && returning_batches_.front().first == caller,
+                 "discard downcalls ended out of order");
+    const auto n = static_cast<std::ptrdiff_t>(returning_batches_.front().second);
+    returning_batches_.erase(returning_batches_.begin());
+    for (auto it = returning_.begin(); it != returning_.begin() + n; ++it) {
+      kern::KThread* kt = LookupActivation(*it);
+      SA_CHECK_MSG(kt->state() == kern::KThreadState::kStopped,
+                   "discarding an activation the kernel has not stopped");
+      kt->activation()->set_discarded(true);
+      if (kernel_->config().recycle_activations) {
+        cache_.push_back(kt);
+      } else {
+        kt->set_state(kern::KThreadState::kDead);
+      }
+    }
+    returning_.erase(returning_.begin(), returning_.begin() + n);
+    ResumeCaller(caller);
+  });
 }
 
 void SaSpace::DowncallPreemptProcessor(kern::KThread* caller, int processor_id,
-                                       std::function<void()> done) {
+                                       sim::Callback done) {
   ++kernel_->counters().downcalls_preempt_request;
-  kernel_->ChargeKernel(
-      caller, kernel_->costs().downcall,
-      [this, processor_id, done = std::move(done)] {
-        hw::Processor* proc = kernel_->machine()->processor(processor_id);
-        if (as_->IsAssigned(proc)) {
-          kern::PendingAction action;
-          action.kind = kern::PendingAction::Kind::kUpcallDeliver;
-          action.space = this;
-          if (kernel_->RequestPreemption(proc, action)) {
-            upcall_requested_ = true;
-          }
-        }
-        done();
-      });
+  Downcall(caller, kernel_->costs().downcall, std::move(done),
+           [this, caller, processor_id] {
+             hw::Processor* proc = kernel_->machine()->processor(processor_id);
+             if (as_->IsAssigned(proc)) {
+               kern::PendingAction action;
+               action.kind = kern::PendingAction::Kind::kUpcallDeliver;
+               action.space = this;
+               if (kernel_->RequestPreemption(proc, action)) {
+                 upcall_requested_ = true;
+               }
+             }
+             ResumeCaller(caller);
+           });
 }
 
 // ---------------------------------------------------------------------------

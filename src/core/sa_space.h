@@ -18,15 +18,16 @@
 #define SA_CORE_SA_SPACE_H_
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "src/core/activation.h"
 #include "src/core/upcall.h"
 #include "src/kern/kernel.h"
 #include "src/kern/sa_iface.h"
+#include "src/sim/callback.h"
 
 namespace sa::core {
 
@@ -46,28 +47,39 @@ class SaSpace : public kern::SaSpaceIface {
   void BootDemand(int desired);
 
   // ---- downcalls from the user level (Table 3) ----
+  // Each is made by a running activation `caller`; `done` resumes it once
+  // the kernel has charged the call and acted on it.
   // "Add more processors (additional # of processors needed)".
-  void DowncallAddProcessors(kern::KThread* caller, int additional,
-                             std::function<void()> done);
+  void DowncallAddProcessors(kern::KThread* caller, int additional, sim::Callback done);
   // "This processor is idle ()".
-  void DowncallProcessorIdle(kern::KThread* caller, std::function<void()> done);
+  void DowncallProcessorIdle(kern::KThread* caller, sim::Callback done);
   // Cross-space lending (DESIGN.md §16): "this processor is idle — lend it
   // if someone wants it right now".  When lending is off or no space would
   // take the processor, the hint declines synchronously and cost-free
-  // (done(false): no charge, no trace, no events).  On acceptance the
-  // calling activation is stopped, the processor travels to the borrower
-  // through the loan ledger, and `done` is never invoked — the space hears
-  // about the loss through the ordinary preempted upcall.
-  void DowncallYieldHint(kern::KThread* caller, std::function<void(bool)> done);
-  // Return discarded activations for reuse, in bulk (Section 4.3).
-  void DowncallReturnDiscards(kern::KThread* caller, std::vector<int64_t> ids,
-                              std::function<void()> done);
+  // (`declined` runs at once: no charge, no trace, no events).  On
+  // acceptance the calling activation is stopped, the processor travels to
+  // the borrower through the loan ledger, and `declined` is dropped unrun —
+  // the space hears about the loss through the ordinary preempted upcall.
+  void DowncallYieldHint(kern::KThread* caller, sim::Callback declined);
+  // Return discarded activations for reuse, in bulk (Section 4.3).  Takes
+  // the ids before the charge begins, leaving `ids` empty with its
+  // capacity, so the caller's buffer is ready for the next batch even when
+  // `done` runs at once.
+  void DowncallReturnDiscards(kern::KThread* caller, std::vector<int64_t>&& ids,
+                              sim::Callback done);
   // Priority extension (Section 3.1): the user level knows exactly which
   // thread runs on each of its processors, so it can ask the kernel to
   // interrupt one of its *own* processors that is running a low-priority
   // thread; the kernel answers with the usual preempted upcall.
   void DowncallPreemptProcessor(kern::KThread* caller, int processor_id,
-                                std::function<void()> done);
+                                sim::Callback done);
+
+  // The user level took the events of an upcall (Activation::inbox) and
+  // hands over the buffer, which carries a later batch.  The caller's vector
+  // is always left empty, kept or not.  Upcall batches cycle between
+  // pending_ and one spare, so a warmed space whose deliveries do not
+  // overlap delivers without allocating.
+  void ReturnBatch(std::vector<UpcallEvent> batch);
 
   // ---- kernel event entry points (kern::SaSpaceIface) ----
   void OnProcessorGranted(hw::Processor* proc) override;
@@ -128,12 +140,19 @@ class SaSpace : public kern::SaSpaceIface {
   void UpdateDemand();
   // Vessel-invariant trace snapshot at protocol-quiescent points (§10).
   void TraceVessel();
+  // Starts downcall `then` for `caller`, keeping `done` on its activation
+  // until ResumeCaller.
+  void Downcall(kern::KThread* caller, sim::Duration cost, sim::Callback done,
+                sim::Callback then);
+  // Resumes the caller of a charged downcall.
+  static void ResumeCaller(kern::KThread* caller);
 
   kern::Kernel* kernel_;
   kern::AddressSpace* as_;
   kern::KThreadHost* act_host_;
 
   std::vector<UpcallEvent> pending_;
+  std::vector<UpcallEvent> spare_;  // the next batch's buffer (ReturnBatch)
   bool upcall_requested_ = false;  // a kUpcallDeliver preemption is in flight
   // Deliveries held back and the processors waiting on them.
   struct Held {
@@ -144,6 +163,12 @@ class SaSpace : public kern::SaSpaceIface {
   };
   Held held_;
   std::vector<kern::KThread*> cache_;  // recycled activations
+  // Ids of the DowncallReturnDiscards batches in flight, back to back, and
+  // each batch's caller and size, oldest first.  Every such downcall charges
+  // the same non-preemptible kernel span, so they end in the order they
+  // started.
+  std::vector<int64_t> returning_;
+  std::vector<std::pair<kern::KThread*, size_t>> returning_batches_;
   std::map<int64_t, kern::KThread*> activations_;
   std::vector<std::unique_ptr<Activation>> owned_;
   int64_t next_activation_id_ = 1;

@@ -16,10 +16,10 @@
 #define SA_HW_PROCESSOR_H_
 
 #include <array>
-#include <functional>
 #include <string>
 
 #include "src/common/assert.h"
+#include "src/sim/callback.h"
 #include "src/sim/engine.h"
 #include "src/sim/time.h"
 
@@ -47,7 +47,7 @@ struct Interrupt {
   bool was_idle = false;  // processor had no span at all
   // The cancelled continuation of a timed span; re-issue with
   // BeginSpan(remaining, ...) to continue the preempted execution.
-  std::function<void()> on_complete;
+  sim::Callback on_complete;
 };
 
 // State captured from a preempted timed span so it can be continued later.
@@ -55,7 +55,7 @@ struct SavedSpan {
   sim::Duration remaining = 0;
   SpanMode mode = SpanMode::kUser;
   bool critical_section = false;
-  std::function<void()> on_complete;
+  sim::Callback on_complete;
 
   bool valid() const { return static_cast<bool>(on_complete); }
   void Clear() {
@@ -76,7 +76,7 @@ struct SavedSpan {
 
 class Processor {
  public:
-  using InterruptHandler = std::function<void(Processor*, Interrupt)>;
+  using InterruptHandler = sim::InlineFunction<void(Processor*, Interrupt)>;
 
   Processor(sim::Engine* engine, int id);
   Processor(const Processor&) = delete;
@@ -98,10 +98,10 @@ class Processor {
   // preemptible, the handler fires immediately (remaining = full duration)
   // instead of the span starting.  d == 0 runs on_complete synchronously.
   void BeginSpan(sim::Duration d, SpanMode mode, bool preemptible, bool critical_section,
-                 std::function<void()> on_complete);
+                 sim::Callback on_complete);
 
   // Convenience for non-preemptible kernel-mode work.
-  void BeginKernelSpan(sim::Duration d, std::function<void()> on_complete) {
+  void BeginKernelSpan(sim::Duration d, sim::Callback on_complete) {
     BeginSpan(d, SpanMode::kKernel, /*preemptible=*/false, /*critical_section=*/false,
               std::move(on_complete));
   }
@@ -146,7 +146,7 @@ class Processor {
   SpanMode mode_ = SpanMode::kIdle;
   sim::Time span_start_ = 0;
   sim::Duration span_duration_ = 0;
-  std::function<void()> on_complete_;
+  sim::Callback on_complete_;
   sim::EventId completion_ = sim::kNoEvent;
 
   bool interrupt_latched_ = false;

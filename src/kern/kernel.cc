@@ -12,6 +12,7 @@ Kernel::Kernel(hw::Machine* machine, Config config)
   const size_t n = static_cast<size_t>(machine_->num_processors());
   running_.assign(n, nullptr);
   pending_.assign(n, PendingAction{});
+  calls_.resize(n);
   for (int i = 0; i < machine_->num_processors(); ++i) {
     machine_->processor(i)->set_interrupt_handler(
         [this](hw::Processor* proc, hw::Interrupt irq) { OnInterrupt(proc, std::move(irq)); });
@@ -496,7 +497,18 @@ AddressSpace* Kernel::DetachAndNotify(hw::Processor* proc, KThread* stopped) {
 // Syscall services.
 // ---------------------------------------------------------------------------
 
-void Kernel::SysFork(KThread* caller, KThread* child, std::function<void()> done) {
+void Kernel::BeginCall(const hw::Processor* proc, Call call) {
+  Call& slot = calls_[static_cast<size_t>(proc->id())];
+  SA_CHECK_MSG(slot.done == nullptr && slot.block_check == nullptr,
+               "a kernel call is already charging on this processor");
+  slot = std::move(call);
+}
+
+Kernel::Call Kernel::TakeCall(const hw::Processor* proc) {
+  return std::exchange(calls_[static_cast<size_t>(proc->id())], Call{});
+}
+
+void Kernel::SysFork(KThread* caller, KThread* child, sim::Callback done) {
   ++counters_.forks;
   engine().TraceEmit(trace::cat::kKernel, trace::Kind::kSyscall,
                      caller->processor()->id(), caller->address_space()->id(),
@@ -505,13 +517,15 @@ void Kernel::SysFork(KThread* caller, KThread* child, std::function<void()> done
   SA_CHECK(caller->state() == KThreadState::kRunning);
   SA_CHECK(child->state() == KThreadState::kBorn);
   hw::Processor* proc = caller->processor();
+  BeginCall(proc, Call{std::move(done), nullptr, child});
   proc->BeginKernelSpan(costs().kernel_trap + CreateCost(caller->address_space()),
-                        [this, caller, proc, child, done = std::move(done)] {
+                        [this, caller, proc] {
+                          Call call = TakeCall(proc);
                           if (AbortSyscallIfReaped(caller, proc)) {
                             return;
                           }
-                          MakeReady(child);
-                          done();
+                          MakeReady(call.peer);
+                          call.done();
                         });
 }
 
@@ -547,44 +561,43 @@ void Kernel::SysExit(KThread* caller) {
       });
 }
 
-void Kernel::FinishBlock(KThread* caller, bool io, sim::Duration latency,
-                         bool injectable, std::function<bool()> block_check,
-                         std::function<void()> not_blocked) {
+void Kernel::FinishBlock(KThread* caller) {
   SA_CHECK(caller->state() == KThreadState::kRunning);
   hw::Processor* proc = caller->processor();
-  proc->BeginKernelSpan(
-      costs().kernel_trap + BlockCost(caller->address_space()),
-      [this, caller, proc, io, latency, injectable,
-       block_check = std::move(block_check),
-       not_blocked = std::move(not_blocked)] {
-        if (AbortSyscallIfReaped(caller, proc)) {
-          return;
-        }
-        if (block_check != nullptr && !block_check()) {
-          // The awaited condition arrived before we committed to sleeping.
-          SA_CHECK(not_blocked != nullptr);
-          not_blocked();
-          return;
-        }
-        caller->set_state(KThreadState::kBlocked);
-        AddressSpace* as = caller->address_space();
-        engine().TraceEmit(trace::cat::kKernel, trace::Kind::kThreadBlock,
-                           proc->id(), as->id(),
-                           static_cast<uint64_t>(caller->id()), io ? 1 : 0);
-        --as->runnable_threads;
-        ClearRunning(proc);  // before the demand update, as in SysExit
-        UpdateKtDemand(as);
-        if (io) {
-          ScheduleIoCompletion(caller, latency, injectable, /*attempt=*/0);
-        }
-        if (as->mode() == AsMode::kSchedulerActivations) {
-          as->sa()->OnThreadBlockedInKernel(caller, proc);
-        } else if (!proc->has_span() && running_on(proc) == nullptr) {
-          // As in SysExit: the demand update may have synchronously
-          // reclaimed and re-granted this processor.
-          DispatchOn(proc);
-        }
-      });
+  proc->BeginKernelSpan(costs().kernel_trap + BlockCost(caller->address_space()),
+                        [this, caller, proc] { CommitBlock(caller, proc); });
+}
+
+void Kernel::CommitBlock(KThread* caller, hw::Processor* proc) {
+  Call call = TakeCall(proc);
+  if (AbortSyscallIfReaped(caller, proc)) {
+    return;
+  }
+  if (call.block_check != nullptr && !call.block_check()) {
+    // The awaited condition arrived before we committed to sleeping.
+    SA_CHECK(call.done != nullptr);
+    call.done();
+    return;
+  }
+  const bool io = caller->device_wait().io;
+  caller->set_state(KThreadState::kBlocked);
+  AddressSpace* as = caller->address_space();
+  engine().TraceEmit(trace::cat::kKernel, trace::Kind::kThreadBlock,
+                     proc->id(), as->id(),
+                     static_cast<uint64_t>(caller->id()), io ? 1 : 0);
+  --as->runnable_threads;
+  ClearRunning(proc);  // before the demand update, as in SysExit
+  UpdateKtDemand(as);
+  if (io) {
+    ScheduleIoCompletion(caller);
+  }
+  if (as->mode() == AsMode::kSchedulerActivations) {
+    as->sa()->OnThreadBlockedInKernel(caller, proc);
+  } else if (!proc->has_span() && running_on(proc) == nullptr) {
+    // As in SysExit: the demand update may have synchronously
+    // reclaimed and re-granted this processor.
+    DispatchOn(proc);
+  }
 }
 
 void Kernel::SysBlockIo(KThread* caller, sim::Duration latency) {
@@ -594,11 +607,12 @@ void Kernel::SysBlockIo(KThread* caller, sim::Duration latency) {
                      static_cast<uint64_t>(trace::Syscall::kBlockIo),
                      static_cast<uint64_t>(caller->id()));
   latency = MaybePerturbLatency(caller, latency);
-  FinishBlock(caller, /*io=*/true, latency, /*injectable=*/true, nullptr, nullptr);
+  caller->device_wait() = {latency, /*attempt=*/0, /*io=*/true, /*injectable=*/true};
+  FinishBlock(caller);
 }
 
 void Kernel::SysPageFault(KThread* caller, int64_t page, sim::Duration latency,
-                          std::function<void()> done) {
+                          sim::Callback done) {
   AddressSpace* as = caller->address_space();
   if (as->vm().IsResident(page)) {
     // Minor fault: kernel touches the page tables and returns.
@@ -617,18 +631,20 @@ void Kernel::SysPageFault(KThread* caller, int64_t page, sim::Duration latency,
   // never failed/retried — see ScheduleIoCompletion.
   latency = MaybePerturbLatency(caller, latency);
   engine().ScheduleIn(latency, [as, page] { as->vm().MakeResident(page); });
-  FinishBlock(caller, /*io=*/true, latency, /*injectable=*/false, nullptr, nullptr);
+  caller->device_wait() = {latency, /*attempt=*/0, /*io=*/true, /*injectable=*/false};
+  FinishBlock(caller);
 }
 
-void Kernel::SysBlockWait(KThread* caller, std::function<bool()> block_check,
-                          std::function<void()> not_blocked) {
+void Kernel::SysBlockWait(KThread* caller, sim::InlineFunction<bool()> block_check,
+                          sim::Callback not_blocked) {
   ++counters_.kernel_waits;
   engine().TraceEmit(trace::cat::kKernel, trace::Kind::kSyscall,
                      caller->processor()->id(), caller->address_space()->id(),
                      static_cast<uint64_t>(trace::Syscall::kBlockWait),
                      static_cast<uint64_t>(caller->id()));
-  FinishBlock(caller, /*io=*/false, 0, /*injectable=*/false, std::move(block_check),
-              std::move(not_blocked));
+  caller->device_wait() = {};
+  BeginCall(caller->processor(), Call{std::move(not_blocked), std::move(block_check), nullptr});
+  FinishBlock(caller);
 }
 
 void Kernel::SysYield(KThread* caller) {
@@ -665,18 +681,14 @@ sim::Duration Kernel::MaybePerturbLatency(KThread* caller, sim::Duration latency
   return perturbed;
 }
 
-void Kernel::ScheduleIoCompletion(KThread* kt, sim::Duration latency,
-                                  bool injectable, int attempt) {
+void Kernel::ScheduleIoCompletion(KThread* kt) {
   // With injection off this is exactly the one ScheduleIn the pre-injection
   // kernel issued — same delay, same event ordering — so a linked-but-idle
   // injector leaves seeded traces byte-identical.
-  engine().ScheduleIn(latency, [this, kt, latency, injectable, attempt] {
-    FinishIo(kt, latency, injectable, attempt);
-  });
+  engine().ScheduleIn(kt->device_wait().latency, [this, kt] { FinishIo(kt); });
 }
 
-void Kernel::FinishIo(KThread* kt, sim::Duration latency, bool injectable,
-                      int attempt) {
+void Kernel::FinishIo(KThread* kt) {
   if (kt->address_space()->reaped()) {
     // Lazy cancellation: the completion event outlived its space.  The
     // thread is already dead, so the result has no consumer — discard.
@@ -684,18 +696,18 @@ void Kernel::FinishIo(KThread* kt, sim::Duration latency, bool injectable,
     return;
   }
   inject::FaultInjector* injector = this->injector();
-  if (injectable && injector != nullptr && injector->ShouldFailIo()) {
+  KThread::DeviceWait& wait = kt->device_wait();
+  if (wait.injectable && injector != nullptr && injector->ShouldFailIo()) {
     AddressSpace* as = kt->address_space();
-    if (attempt < injector->plan().io_retries) {
+    if (wait.attempt < injector->plan().io_retries) {
       // Transient device failure: the kernel retries after an exponential
       // backoff, all while the thread stays blocked.
-      const sim::Duration backoff = injector->IoBackoff(attempt);
+      const sim::Duration backoff = injector->IoBackoff(wait.attempt);
+      ++wait.attempt;
       engine().TraceEmit(trace::cat::kInject, trace::Kind::kInjectIoRetry, -1,
                          as->id(), static_cast<uint64_t>(kt->id()),
-                         static_cast<uint64_t>(attempt + 1));
-      engine().ScheduleIn(backoff, [this, kt, latency, attempt] {
-        ScheduleIoCompletion(kt, latency, /*injectable=*/true, attempt + 1);
-      });
+                         static_cast<uint64_t>(wait.attempt));
+      engine().ScheduleIn(backoff, [this, kt] { ScheduleIoCompletion(kt); });
       return;
     }
     // Retry budget exhausted: complete the operation with an error.  The
@@ -722,7 +734,7 @@ void Kernel::OnIoComplete(KThread* kt) {
   MakeReady(kt);
 }
 
-void Kernel::SysWakeup(KThread* caller, KThread* target, std::function<void()> done) {
+void Kernel::SysWakeup(KThread* caller, KThread* target, sim::Callback done) {
   ++counters_.wakeups;
   engine().TraceEmit(trace::cat::kKernel, trace::Kind::kSyscall,
                      caller->processor()->id(), caller->address_space()->id(),
@@ -733,17 +745,17 @@ void Kernel::SysWakeup(KThread* caller, KThread* target, std::function<void()> d
                    target->address_space()->reaped(),
                "waking a non-blocked thread");
   hw::Processor* proc = caller->processor();
+  BeginCall(proc, Call{std::move(done), nullptr, target});
   proc->BeginKernelSpan(costs().kernel_trap + WakeupCost(caller->address_space()),
-                        [this, caller, proc, target, done = std::move(done)] {
+                        [this, caller, proc] {
+                          Call call = TakeCall(proc);
                           if (AbortSyscallIfReaped(caller, proc)) {
                             return;
                           }
-                          if (target->address_space()->reaped()) {
-                            done();  // the sleeper died with its space
-                            return;
-                          }
-                          OnIoComplete(target);
-                          done();
+                          if (!call.peer->address_space()->reaped()) {
+                            OnIoComplete(call.peer);
+                          }  // else the sleeper died with its space
+                          call.done();
                         });
 }
 
@@ -767,13 +779,15 @@ void Kernel::ParkReaped(hw::Processor* proc, const AddressSpace* as) {
   }
 }
 
-void Kernel::ChargeKernel(KThread* caller, sim::Duration d, std::function<void()> done) {
+void Kernel::ChargeKernel(KThread* caller, sim::Duration d, sim::Callback done) {
   hw::Processor* proc = caller->processor();
-  proc->BeginKernelSpan(d, [this, caller, proc, done = std::move(done)] {
+  BeginCall(proc, Call{std::move(done), nullptr, nullptr});
+  proc->BeginKernelSpan(d, [this, caller, proc] {
+    Call call = TakeCall(proc);
     if (AbortSyscallIfReaped(caller, proc)) {
       return;
     }
-    done();
+    call.done();
   });
 }
 

@@ -17,13 +17,14 @@
 // All kernel services charge virtual time on the calling context's processor
 // and complete through continuations.  Continuations must never capture a
 // Processor pointer directly — always re-read `kt->processor()` — because a
-// preempted execution may be continued on a different processor.
+// preempted execution may be continued on a different processor.  (A kernel
+// span is the exception: it is never preempted, so its own continuation may
+// hold the processor it began on.)
 
 #ifndef SA_KERN_KERNEL_H_
 #define SA_KERN_KERNEL_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -33,6 +34,7 @@
 #include "src/kern/address_space.h"
 #include "src/kern/costs.h"
 #include "src/kern/kthread.h"
+#include "src/sim/callback.h"
 #include "src/trace/histogram.h"
 
 namespace sa::kern {
@@ -171,7 +173,7 @@ class Kernel {
   // `caller->processor()`.  `done` resumes the caller's user execution.
 
   // Create a new thread in the caller's space (Topaz Fork).
-  void SysFork(KThread* caller, KThread* child, std::function<void()> done);
+  void SysFork(KThread* caller, KThread* child, sim::Callback done);
   // Terminate the calling thread.
   void SysExit(KThread* caller);
   // Block in the kernel for a device operation of the given latency.
@@ -180,20 +182,20 @@ class Kernel {
   // resumes the caller).  Not resident: the caller blocks for `latency`
   // exactly like I/O and the page becomes resident at completion.
   void SysPageFault(KThread* caller, int64_t page, sim::Duration latency,
-                    std::function<void()> done);
+                    sim::Callback done);
   // Block in the kernel until SysWakeup(target=caller).  `block_check` runs
   // atomically inside the kernel at commit point: return true to block
   // (register on a wait queue there), false to abort the sleep (lost-wakeup
   // avoidance); on abort, `not_blocked` resumes the caller.
-  void SysBlockWait(KThread* caller, std::function<bool()> block_check,
-                    std::function<void()> not_blocked);
+  void SysBlockWait(KThread* caller, sim::InlineFunction<bool()> block_check,
+                    sim::Callback not_blocked);
   // Voluntarily yield the processor (requeue at the back of the domain).
   void SysYield(KThread* caller);
   // Make a kernel-blocked thread runnable again.
-  void SysWakeup(KThread* caller, KThread* target, std::function<void()> done);
+  void SysWakeup(KThread* caller, KThread* target, sim::Callback done);
   // Charge an arbitrary kernel-mode span on the caller's processor (traps
   // that do not block: TAS fallback paths, downcalls).
-  void ChargeKernel(KThread* caller, sim::Duration d, std::function<void()> done);
+  void ChargeKernel(KThread* caller, sim::Duration d, sim::Callback done);
 
   // ---- scheduling (kKernelThreads spaces) ----
   void MakeReady(KThread* kt);
@@ -299,17 +301,33 @@ class Kernel {
   void ArmQuantum(hw::Processor* proc, KThread* kt);
   void OnQuantumFire(int proc_id, KThread* kt);
   void OnIoComplete(KThread* kt);
-  // Schedules `kt`'s I/O completion `latency` from now.  With an active
-  // injector and `injectable`, the completion may fail transiently: the
-  // kernel retries with exponential backoff up to the plan's budget, then
-  // completes with an error flagged on the thread (take_io_failed).  Paging
-  // I/O is not injectable — page residency is scheduled independently and
-  // must not desynchronize from the thread's wake-up.
-  void ScheduleIoCompletion(KThread* kt, sim::Duration latency, bool injectable,
-                            int attempt);
-  void FinishIo(KThread* kt, sim::Duration latency, bool injectable, int attempt);
-  void FinishBlock(KThread* caller, bool io, sim::Duration latency, bool injectable,
-                   std::function<bool()> block_check, std::function<void()> not_blocked);
+  // Schedules the completion of `kt`'s device wait, its latency from now.
+  // With an active injector and an injectable wait, the completion may fail
+  // transiently: the kernel retries with exponential backoff up to the
+  // plan's budget, then completes with an error flagged on the thread
+  // (take_io_failed).  Paging I/O is not injectable — page residency is
+  // scheduled independently and must not desynchronize from the thread's
+  // wake-up.
+  void ScheduleIoCompletion(KThread* kt);
+  void FinishIo(KThread* kt);
+  // The trap of every blocking call: charges the block, then commits —
+  // SysBlockWait's check first — and starts the caller's device wait.
+  void FinishBlock(KThread* caller);
+  void CommitBlock(KThread* caller, hw::Processor* proc);
+
+  // The kernel call charging on a processor: what its span's continuation
+  // needs besides the caller.  Kept once per processor because a kernel
+  // span is never preempted: the call ends on the processor that began it,
+  // so the continuation captures only pointers.
+  struct Call {
+    sim::Callback done;                       // resumes the caller
+    sim::InlineFunction<bool()> block_check;  // SysBlockWait's commit check
+    KThread* peer = nullptr;                  // SysFork's child, SysWakeup's target
+  };
+  // Files `call` for the kernel span `proc` is about to begin.
+  void BeginCall(const hw::Processor* proc, Call call);
+  // Hands back the call of `proc`'s ending kernel span.
+  Call TakeCall(const hw::Processor* proc);
   // Applies the injector's latency-spike perturbation (if any) to a blocking
   // I/O's latency, tracing the spike.  Identity when injection is off.
   sim::Duration MaybePerturbLatency(KThread* caller, sim::Duration latency);
@@ -343,6 +361,7 @@ class Kernel {
   std::vector<std::unique_ptr<AddressSpace>> spaces_;
   std::vector<KThread*> running_;           // per processor id
   std::vector<PendingAction> pending_;      // per processor id
+  std::vector<Call> calls_;                 // per processor id
   Domain global_domain_;                    // native mode
   std::vector<std::unique_ptr<Domain>> kt_domains_;  // SA mode, per kt space
   int64_t next_thread_id_ = 1;

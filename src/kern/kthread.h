@@ -15,7 +15,6 @@
 #define SA_KERN_KTHREAD_H_
 
 #include <cstdint>
-#include <functional>
 #include <string>
 
 #include "src/common/intrusive_list.h"
@@ -110,6 +109,18 @@ class KThread {
     return failed;
   }
 
+  // The device wait in flight (kernel only): set when a blocking I/O or a
+  // page-in is issued, read where the block commits and at each completion
+  // attempt.  It lives here, not in the continuations, so those capture
+  // only pointers.
+  struct DeviceWait {
+    sim::Duration latency = 0;
+    int attempt = 0;          // failed completions retried so far
+    bool io = false;          // the block waits on a device (not SysBlockWait)
+    bool injectable = false;  // the completion may fail (not paging)
+  };
+  DeviceWait& device_wait() { return device_wait_; }
+
   // Activation state; null for plain kernel threads.
   core::Activation* activation() const { return activation_; }
   void set_activation(core::Activation* a) { activation_ = a; }
@@ -130,12 +141,13 @@ class KThread {
   AddressSpace* const as_;
   KThreadHost* host_;
   KThreadState state_ = KThreadState::kBorn;
+  int priority_ = 0;
   hw::Processor* processor_ = nullptr;
   void* host_data_ = nullptr;
-  int priority_ = 0;
   hw::SavedSpan saved_span_;
   core::Activation* activation_ = nullptr;
   sim::EventId quantum_timer_ = sim::kNoEvent;
+  DeviceWait device_wait_;
   bool io_failed_ = false;
 };
 

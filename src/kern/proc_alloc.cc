@@ -386,8 +386,8 @@ void ProcessorAllocator::RebalanceInternal() {
     // surplus index in id order visits exactly the spaces a full scan
     // would revoke from.
     if (needy_ > 0 && !surplus_.empty()) {
-      const std::vector<int> ids(surplus_.begin(), surplus_.end());
-      for (int id : ids) {
+      surplus_snapshot_.assign(surplus_.begin(), surplus_.end());
+      for (int id : surplus_snapshot_) {
         auto it = by_id_.find(id);
         if (it != by_id_.end()) {
           RevokeSurplus(it->second, it->second->alloc_state().target);
@@ -403,6 +403,7 @@ void ProcessorAllocator::RebalanceInternal() {
 }
 
 void ProcessorAllocator::RevokeSurplus(AddressSpace* as, int target) {
+  SA_DCHECK(rebalancing_);  // so revocation_order_ is not refilled under us
   int surplus = Entitled(as) - as->alloc_state().pending_revokes - target;
   if (surplus <= 0) {
     return;
@@ -417,7 +418,7 @@ void ProcessorAllocator::RevokeSurplus(AddressSpace* as, int target) {
   if (surplus <= 0) {
     return;
   }
-  const std::vector<hw::Processor*> candidates = RevocationOrder(as);
+  const std::vector<hw::Processor*>& candidates = RevocationOrder(as);
   // Pass 1: idle-in-kernel processors reclaim immediately and displace
   // nothing; take those first regardless of recency, so a surplus never
   // preempts a running thread while a sibling processor sits idle.  A
@@ -528,11 +529,12 @@ hw::Processor* ProcessorAllocator::PickFreeProcessor(const AddressSpace* as) {
   return pick->proc;
 }
 
-std::vector<hw::Processor*> ProcessorAllocator::RevocationOrder(
-    const AddressSpace* as) const {
+const std::vector<hw::Processor*>& ProcessorAllocator::RevocationOrder(
+    const AddressSpace* as) {
   // Most recently granted first: long-held (warm) processors stay with
   // their space longest.
-  std::vector<hw::Processor*> order(as->assigned().rbegin(), as->assigned().rend());
+  std::vector<hw::Processor*>& order = revocation_order_;
+  order.assign(as->assigned().rbegin(), as->assigned().rend());
   const hw::Topology& topo = kernel_->machine()->topology();
   if (!affinity() || !topo.hierarchical()) {
     return order;
@@ -663,7 +665,8 @@ int ProcessorAllocator::InjectRevocations(int burst, common::Rng& rng) {
   // holdings contributed nothing — so seeded storms are reproducible
   // regardless of release-time swap-removals in the dense registry, and a
   // storm costs O(processors), not O(spaces).
-  std::vector<std::pair<AddressSpace*, hw::Processor*>> owned;
+  std::vector<std::pair<AddressSpace*, hw::Processor*>>& owned = storm_candidates_;
+  owned.clear();
   for (auto& [id, as] : holders_) {
     for (hw::Processor* proc : as->assigned()) {
       if (IsOnLoan(proc)) {

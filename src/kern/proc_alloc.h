@@ -380,7 +380,8 @@ class ProcessorAllocator {
   hw::Processor* PickFreeProcessor(const AddressSpace* as);
   // Revocation victims for `as`, best-first.  Default: most recently granted
   // first.  Affinity: least-held socket first so holdings stay compact.
-  std::vector<hw::Processor*> RevocationOrder(const AddressSpace* as) const;
+  // Fills and returns revocation_order_.
+  const std::vector<hw::Processor*>& RevocationOrder(const AddressSpace* as);
 
   Kernel* kernel_;
   int num_processors_ = 0;
@@ -403,6 +404,14 @@ class ProcessorAllocator {
   int64_t decisions_ = 0;
   bool rebalancing_ = false;
   bool rerun_ = false;
+
+  // Scratch buffers, reused across decisions instead of rebuilt per call.
+  // RebalanceInternal never re-enters (a nested call only sets rerun_), so
+  // its surplus snapshot and RevokeSurplus's victim order stay intact while
+  // it walks them; no revocation reaches InjectRevocations.
+  std::vector<int> surplus_snapshot_;
+  std::vector<hw::Processor*> revocation_order_;
+  std::vector<std::pair<AddressSpace*, hw::Processor*>> storm_candidates_;
 
   // ---- lending state (all empty/zero unless Config::lending) ----
   uint64_t loan_epoch_ = 0;

@@ -201,18 +201,17 @@ void TopazRuntime::Interpret(WorkThread* w) {
 }
 
 void TopazRuntime::DoAcquire(WorkThread* w, TzLock* lock) {
-  kern::KThread* kt = KtOf(w);
   // User-level test-and-set; kernel involved only under contention.
-  kt->processor()->BeginSpan(
+  KtOf(w)->processor()->BeginSpan(
       kernel_->costs().kt_lock_tas, hw::SpanMode::kUser, /*preemptible=*/true,
-      /*critical_section=*/false, [this, w, lock, kt] {
+      /*critical_section=*/false, [this, w, lock] {
         if (lock->owner == nullptr) {
           lock->owner = w;
           StepAndInterpret(w);
           return;
         }
         kernel_->SysBlockWait(
-            kt,
+            KtOf(w),
             [w, lock] {
               if (lock->owner == nullptr) {
                 lock->owner = w;
@@ -226,10 +225,9 @@ void TopazRuntime::DoAcquire(WorkThread* w, TzLock* lock) {
 }
 
 void TopazRuntime::DoRelease(WorkThread* w, TzLock* lock) {
-  kern::KThread* kt = KtOf(w);
-  kt->processor()->BeginSpan(
+  KtOf(w)->processor()->BeginSpan(
       kernel_->costs().kt_lock_tas, hw::SpanMode::kUser, /*preemptible=*/true,
-      /*critical_section=*/false, [this, w, lock, kt] {
+      /*critical_section=*/false, [this, w, lock] {
         SA_CHECK_MSG(lock->owner == w, "release by non-owner");
         if (lock->waiters.empty()) {
           lock->owner = nullptr;
@@ -239,7 +237,7 @@ void TopazRuntime::DoRelease(WorkThread* w, TzLock* lock) {
         WorkThread* next = lock->waiters.front();
         lock->waiters.pop_front();
         lock->owner = next;  // direct handoff
-        kernel_->SysWakeup(kt, KtOf(next), [this, w] { StepAndInterpret(w); });
+        kernel_->SysWakeup(KtOf(w), KtOf(next), [this, w] { StepAndInterpret(w); });
       });
 }
 

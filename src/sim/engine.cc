@@ -29,7 +29,7 @@ std::string FormatDuration(Duration d) {
   return buf;
 }
 
-EventId Engine::Schedule(Time at, std::function<void()> fn) {
+EventId Engine::Schedule(Time at, Callback fn) {
   SA_CHECK_MSG(at >= now_, "event scheduled in the past");
   SA_CHECK_MSG(next_seq_ < (uint64_t{1} << (64 - kSlotBits)), "event sequence overflow");
   uint32_t slot;
@@ -50,12 +50,12 @@ EventId Engine::Schedule(Time at, std::function<void()> fn) {
   return id;
 }
 
-std::function<void()> Engine::Release(EventId id) {
+Callback Engine::Release(EventId id) {
   const auto slot = static_cast<uint32_t>(id & kSlotMask);
   slots_[slot].id = kNoEvent;
   free_slots_.push_back(slot);
   --live_events_;
-  return std::exchange(slots_[slot].fn, nullptr);
+  return std::move(slots_[slot].fn);
 }
 
 bool Engine::Cancel(EventId id) {
@@ -92,7 +92,7 @@ void Engine::FireTop() {
   SA_CHECK(top.at >= now_);
   now_ = top.at;
   ++events_fired_;
-  const std::function<void()> fn = Release(top.id);
+  Callback fn = Release(top.id);
   fn();
 }
 

@@ -6,8 +6,8 @@
 // scheduled for the same instant fire in scheduling order (stable FIFO by
 // sequence number), which keeps runs deterministic.
 //
-// The heap holds 16-byte {at, id} keys; callbacks sit in an engine-owned slot
-// array.  An id is `seq << 24 | slot`, so ordering keys by (at, id) orders
+// The heap holds 16-byte {at, id} keys; callbacks (sim::Callback, inline up
+// to 24 bytes of capture) sit in an engine-owned slot array.  An id is `seq << 24 | slot`, so ordering keys by (at, id) orders
 // them by (at, seq).  A key is live while its slot still holds its id:
 // firing or cancelling frees the slot at once, so a stale id can neither
 // cancel nor report the event that later reuses its slot.  Cancellation is
@@ -19,10 +19,10 @@
 #define SA_SIM_ENGINE_H_
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "src/common/assert.h"
+#include "src/sim/callback.h"
 #include "src/sim/time.h"
 #include "src/trace/trace.h"
 
@@ -43,10 +43,10 @@ class Engine {
 
   // Schedules `fn` to run at absolute virtual time `at` (>= now).  Callers
   // that never cancel may ignore the id.
-  EventId Schedule(Time at, std::function<void()> fn);
+  EventId Schedule(Time at, Callback fn);
 
   // Schedules `fn` to run `delay` (>= 0) after now.
-  EventId ScheduleIn(Duration delay, std::function<void()> fn) {
+  EventId ScheduleIn(Duration delay, Callback fn) {
     SA_CHECK(delay >= 0);
     return Schedule(now_ + delay, std::move(fn));
   }
@@ -103,12 +103,12 @@ class Engine {
   };
   struct Slot {
     EventId id = kNoEvent;  // the event this slot holds; kNoEvent when free
-    std::function<void()> fn;
+    Callback fn;
   };
 
   bool live(const Key& k) const { return slots_[k.id & kSlotMask].id == k.id; }
   // Frees the slot of live event `id`, handing back its callback.
-  std::function<void()> Release(EventId id);
+  Callback Release(EventId id);
   // Discards dead keys at the top of the heap; false when no live key is left.
   bool DropDeadTop();
   // Pops the live top key, advances the clock to it and runs its callback.

@@ -155,7 +155,7 @@ void TrafficGenerator::Arrive(size_t i) {
 
   const int64_t seq = t.stats.arrivals++;
   ++total_arrivals_;
-  t.stats.outstanding.emplace(seq, now);
+  t.stats.outstanding.push_back(now);
   ++outstanding_total_;
   if (config_.record_arrivals) {
     arrival_log_.push_back(ArrivalEvent{static_cast<int>(i), now,
@@ -183,11 +183,10 @@ void TrafficGenerator::Arrive(size_t i) {
 
 void TrafficGenerator::RecordCompletion(size_t i, int64_t seq) {
   Tenant& t = tenants_[i];
-  auto it = t.stats.outstanding.find(seq);
-  SA_CHECK(it != t.stats.outstanding.end());
-  const sim::Time arrived_at = it->second;
+  sim::Time& arrived_at = t.stats.outstanding[static_cast<size_t>(seq)];
+  SA_CHECK(arrived_at >= 0);
   const sim::Duration sojourn = harness_->engine().now() - arrived_at;
-  t.stats.outstanding.erase(it);
+  arrived_at = -1;
   --outstanding_total_;
   ++t.stats.completions;
   ++total_completions_;
@@ -222,8 +221,8 @@ void TrafficGenerator::FillReport(rt::RunReport& report) const {
     // past the bound at run end (a request nobody served is the worst kind
     // of SLO miss, not a free pass).
     int64_t violations = t.stats.completed_violations;
-    for (const auto& [seq, arrived] : t.stats.outstanding) {
-      if (now - arrived > t.spec.slo.latency) {
+    for (const sim::Time arrived : t.stats.outstanding) {
+      if (arrived >= 0 && now - arrived > t.spec.slo.latency) {
         ++violations;
       }
     }

@@ -22,7 +22,6 @@
 #define SA_TRAFFIC_TRAFFIC_H_
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -123,7 +122,9 @@ struct TenantStats {
   int64_t completions = 0;
   int64_t completed_violations = 0;  // completed, but over the SLO bound
   trace::LatencyHistogram sojourn;
-  std::map<int64_t, sim::Time> outstanding;  // request seq -> arrival time
+  // Arrival time by request seq (the tenant's arrival count when it came);
+  // -1 once the request completed.
+  std::vector<sim::Time> outstanding;
 };
 
 class TrafficGenerator {

@@ -21,8 +21,7 @@
 #ifndef SA_ULT_BACKEND_H_
 #define SA_ULT_BACKEND_H_
 
-#include <functional>
-
+#include "src/sim/callback.h"
 #include "src/sim/time.h"
 #include "src/ult/tcb.h"
 
@@ -51,7 +50,7 @@ class VcpuBackend {
   // runnable threads with the vcpu whose context we can charge costs to.
   // The SA backend issues Table-3 downcalls from here; `resume` continues
   // the interrupted user path.
-  virtual void NotifyParallelism(Vcpu* /*v*/, std::function<void()> resume) { resume(); }
+  virtual void NotifyParallelism(Vcpu* /*v*/, sim::Callback resume) { resume(); }
 
   // A thread was loaded into / unloaded from a virtual processor (the SA
   // backend records which user-level thread runs in which activation).

@@ -110,7 +110,7 @@ void FastThreads::ParkHalted(Vcpu* v) {
   }
 }
 
-void FastThreads::ChargeMgmt(Vcpu* v, sim::Duration d, std::function<void()> fn) {
+void FastThreads::ChargeMgmt(Vcpu* v, sim::Duration d, sim::Callback fn) {
   if (halted_) {
     ParkHalted(v);
     return;
@@ -152,21 +152,31 @@ Vcpu* FastThreads::LowestPriorityRunningVcpu(const Vcpu* exclude) const {
   return lowest;
 }
 
-std::vector<Vcpu*> FastThreads::StealOrder(Vcpu* v) {
-  std::vector<Vcpu*> order;
-  order.reserve(static_cast<size_t>(num_vcpus() - 1));
-  for (int k = 1; k < num_vcpus(); ++k) {
-    order.push_back(vcpus_[static_cast<size_t>((v->index + k) % num_vcpus())].get());
-  }
+const std::vector<Vcpu*>& FastThreads::StealOrder(Vcpu* v) {
+  std::vector<Vcpu*>& order = steal_order_;
+  order.clear();
+  const auto victim = [&](int k) {
+    return vcpus_[static_cast<size_t>((v->index + k) % num_vcpus())].get();
+  };
   const hw::Topology& topo = kernel_->machine()->topology();
-  if (config_.locality_aware_stealing && topo.hierarchical() && v->bound) {
-    // Same-socket victims first; the stable partition keeps the rotation
-    // order within each group.  Unbound victims have no location and scan
-    // with the remote group.
-    const int home = topo.SocketOf(v->proc()->id());
-    std::stable_partition(order.begin(), order.end(), [&](Vcpu* u) {
-      return u->bound && topo.SocketOf(u->proc()->id()) == home;
-    });
+  if (!config_.locality_aware_stealing || !topo.hierarchical() || !v->bound) {
+    for (int k = 1; k < num_vcpus(); ++k) {
+      order.push_back(victim(k));
+    }
+    return order;
+  }
+  // Same-socket victims first, then the rest, each in rotation order.
+  // Unbound victims have no location and scan with the remote group.
+  const int home = topo.SocketOf(v->proc()->id());
+  const auto local = [&](const Vcpu* u) {
+    return u->bound && topo.SocketOf(u->proc()->id()) == home;
+  };
+  for (const bool pass_local : {true, false}) {
+    for (int k = 1; k < num_vcpus(); ++k) {
+      if (local(victim(k)) == pass_local) {
+        order.push_back(victim(k));
+      }
+    }
   }
   return order;
 }
@@ -529,7 +539,7 @@ void FastThreads::Interpret(Tcb* t) {
       kernel_->SysPageFault(v->kt, op.page, op.duration, nullptr);
       break;
     case rt::OpKind::kKernelWait:
-      KernelWait(v, t, op.sync_id);
+      KernelWait(v, t);
       break;
     case rt::OpKind::kKernelSignal:
       KernelSignal(v, t, op.sync_id);
@@ -561,12 +571,14 @@ void FastThreads::BlockInKernel(Vcpu* v, Tcb* t) {
   SA_CHECK(!v->kt->is_activation() || v->kt->activation()->user_cookie() == t);
 }
 
-void FastThreads::KernelWait(Vcpu* v, Tcb* t, int event_id) {
-  KernelEvent* ev = kernel_events_[static_cast<size_t>(event_id)].get();
+void FastThreads::KernelWait(Vcpu* v, Tcb* t) {
   kern::KThread* kt = v->kt;
   kernel_->SysBlockWait(
       kt,
-      [this, ev, kt, t] {
+      [this, kt, t] {
+        // The wait op stays current until the thread steps again.
+        KernelEvent* ev =
+            kernel_events_[static_cast<size_t>(t->work->ctx.op.sync_id)].get();
         if (ev->pending > 0) {
           --ev->pending;
           return false;
@@ -608,9 +620,10 @@ void FastThreads::DoFork(Tcb* parent) {
   // fork *buys* and what lazy inlining avoids.
   counters_.fork_time +=
       charge + kernel_->costs().ult_dispatch + kernel_->costs().ult_exit;
-  const int child_priority = parent->work->ctx.op.fork_priority;
-  ChargeMgmt(v, charge, [this, parent, child_work, child_priority] {
+  ChargeMgmt(v, charge, [this, parent, child_work] {
     Vcpu* v2 = parent->vcpu;
+    // The fork op stays current until the parent steps again.
+    const int child_priority = parent->work->ctx.op.fork_priority;
     Tcb* child = AllocTcb(v2, child_work);
     child->priority = child_priority;
     if (child_priority != 0) {
@@ -1039,9 +1052,6 @@ void FastThreads::DoDone(Tcb* t) {
       EnqueueReady(v2, joiner);
     }
     w->joiners.clear();
-    if (on_thread_done) {
-      on_thread_done(t);
-    }
     v2->current = nullptr;
     backend_->OnThreadUnloaded(v2);
     FreeTcb(v2, t);
@@ -1053,7 +1063,7 @@ void FastThreads::DoDone(Tcb* t) {
 // Critical-section recovery (Section 3.3).
 // ---------------------------------------------------------------------------
 
-void FastThreads::RecoverOrReady(Vcpu* v, Tcb* t, std::function<void(Vcpu*)> after) {
+void FastThreads::RecoverOrReady(Vcpu* v, Tcb* t, sim::InlineFunction<void(Vcpu*)> after) {
   if (halted_) {
     ParkHalted(v);
     return;
@@ -1086,10 +1096,12 @@ void FastThreads::FinishRecovery(Tcb* t) {
   t->state = Tcb::State::kStopped;  // leaves kRunning before re-queueing
   t->resume_check = true;
   EnqueueReady(v, t);
-  std::function<void(Vcpu*)> after = std::move(t->recovery_after);
-  t->recovery_after = nullptr;
   // Relinquish control back to the original upcall via a user-level switch.
-  ChargeMgmt(v, kernel_->costs().ult_dispatch, [v, after = std::move(after)] { after(v); });
+  v->recovery_after = std::move(t->recovery_after);
+  ChargeMgmt(v, kernel_->costs().ult_dispatch, [v] {
+    sim::InlineFunction<void(Vcpu*)> after = std::move(v->recovery_after);
+    after(v);
+  });
 }
 
 }  // namespace sa::ult

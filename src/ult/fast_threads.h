@@ -26,12 +26,12 @@
 #define SA_ULT_FAST_THREADS_H_
 
 #include <deque>
-#include <functional>
 #include <memory>
 #include <vector>
 
 #include "src/kern/kernel.h"
 #include "src/rt/runtime.h"
+#include "src/sim/callback.h"
 #include "src/ult/backend.h"
 #include "src/ult/config.h"
 #include "src/ult/tcb.h"
@@ -170,10 +170,7 @@ class FastThreads {
   // critical section, then run `after` with the vcpu on which processing
   // resumes (recovery can migrate across processors).  If `t` holds no lock
   // this readies it immediately and runs `after` synchronously.
-  void RecoverOrReady(Vcpu* v, Tcb* t, std::function<void(Vcpu*)> after);
-
-  // Called by the runtime facade when a thread body finished.
-  std::function<void(Tcb*)> on_thread_done;
+  void RecoverOrReady(Vcpu* v, Tcb* t, sim::InlineFunction<void(Vcpu*)> after);
 
   // ---- cost helpers ----
   sim::Duration FlagCs(int crossings) const {
@@ -184,7 +181,7 @@ class FastThreads {
 
   // Charge a management span (non-preemptible; see file comment) on v's
   // processor, then run `fn`.
-  void ChargeMgmt(Vcpu* v, sim::Duration d, std::function<void()> fn);
+  void ChargeMgmt(Vcpu* v, sim::Duration d, sim::Callback fn);
 
   // Interpret the pending op of `t` (public for the runtime facade).
   void Interpret(Tcb* t);
@@ -205,7 +202,8 @@ class FastThreads {
   // `t` blocks in the kernel on its context v->kt: a kernel thread takes its
   // processor with it, an activation's processor gets a fresh upcall.
   void BlockInKernel(Vcpu* v, Tcb* t);
-  void KernelWait(Vcpu* v, Tcb* t, int event_id);
+  // Waits on the kernel event named by t's current op.
+  void KernelWait(Vcpu* v, Tcb* t);
   void KernelSignal(Vcpu* v, Tcb* t, int event_id);
   void TrySpinAcquire(Vcpu* v, Tcb* t);
   void GrantSpinLock(UltLock* lock);
@@ -241,8 +239,9 @@ class FastThreads {
   // fork and a resumed thread's condition-code restore), then runs it.
   void ChargeDispatch(Vcpu* v, Tcb* t);
   // Victim scan order: the Section 4.2 rotation, with same-socket victims
-  // partitioned to the front under locality_aware_stealing.
-  std::vector<Vcpu*> StealOrder(Vcpu* v);
+  // moved to the front under locality_aware_stealing (each group keeps its
+  // rotation order).  Fills and returns steal_order_, reused across calls.
+  const std::vector<Vcpu*>& StealOrder(Vcpu* v);
   // Classifies a successful steal by topology distance (counters + trace);
   // returns the virtual-time penalty to fold into the thief's steal charge.
   sim::Duration NoteSteal(Vcpu* thief, Vcpu* victim);
@@ -268,6 +267,7 @@ class FastThreads {
   UltCounters counters_;
 
   std::vector<std::unique_ptr<Vcpu>> vcpus_;
+  std::vector<Vcpu*> steal_order_;  // StealOrder's buffer
   std::vector<std::unique_ptr<Tcb>> tcbs_;
   std::vector<std::unique_ptr<UltLock>> locks_;
   std::vector<std::unique_ptr<UltSem>> sems_;

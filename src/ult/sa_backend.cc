@@ -106,6 +106,7 @@ void SaBackend::OnSpaceReaped() {
   // and the kernel owns every KThread for the lifetime of the run.
   ft_->Halt();
   inbox_.clear();
+  inbox_head_ = 0;
   discards_.clear();
   for (int i = 0; i < ft_->num_vcpus(); ++i) {
     kernel_->engine().Cancel(ft_->vcpu(i)->hysteresis);
@@ -120,9 +121,9 @@ void SaBackend::RunOn(kern::KThread* kt) {
   }
   core::Activation* act = kt->activation();
   if (!act->inbox().empty()) {
-    std::vector<core::UpcallEvent> events = std::move(act->inbox());
-    act->inbox().clear();
-    HandleUpcall(kt, std::move(events));
+    HandleUpcall(kt, act->inbox());
+    // A direct resume must find nothing to replay.
+    SA_CHECK(act->inbox().empty());
     return;
   }
   // Direct resume (debugger): continue where the slot left off.
@@ -132,8 +133,9 @@ void SaBackend::RunOn(kern::KThread* kt) {
 }
 
 void SaBackend::HandleUpcall(kern::KThread* upcall_activation,
-                             std::vector<core::UpcallEvent> events) {
+                             std::vector<core::UpcallEvent>& events) {
   if (as_->hung()) {
+    space_->ReturnBatch(std::move(events));
     // Injected hang (DESIGN.md §12): the user-level scheduler is wedged.  It
     // absorbs the upcall without processing or acknowledging it and spins,
     // holding the processor, until the kernel's deadline watchdog gives up
@@ -146,6 +148,7 @@ void SaBackend::HandleUpcall(kern::KThread* upcall_activation,
   for (auto& ev : events) {
     inbox_.push_back(std::move(ev));
   }
+  space_->ReturnBatch(std::move(events));
   Vcpu* v = BindSlot(upcall_activation);
   // The thread system's event handling runs at user level in the fresh
   // activation's context.
@@ -155,17 +158,28 @@ void SaBackend::HandleUpcall(kern::KThread* upcall_activation,
       [this, upcall_activation, v] { Drain(upcall_activation, v); });
 }
 
+bool SaBackend::TakeEvent(core::UpcallEvent* ev) {
+  if (inbox_head_ == inbox_.size()) {
+    return false;
+  }
+  *ev = std::move(inbox_[inbox_head_++]);
+  if (inbox_head_ == inbox_.size()) {
+    inbox_.clear();
+    inbox_head_ = 0;
+  }
+  return true;
+}
+
 void SaBackend::Drain(kern::KThread* kt, Vcpu* v) {
   if (as_->reaped()) {
     kernel_->ParkReaped(kt->processor(), as_);
     return;
   }
-  if (inbox_.empty()) {
+  core::UpcallEvent ev;
+  if (!TakeEvent(&ev)) {
     FinishDrain(kt, v);
     return;
   }
-  core::UpcallEvent ev = std::move(inbox_.front());
-  inbox_.pop_front();
 
   switch (ev.kind) {
     case core::UpcallEvent::Kind::kAddProcessor: {
@@ -256,9 +270,7 @@ void SaBackend::NoteDiscard(int64_t activation_id) {
 void SaBackend::FinishDrain(kern::KThread* kt, Vcpu* v) {
   // Discarded activations are returned to the kernel in bulk (Section 4.3).
   if (static_cast<int>(discards_.size()) >= kernel_->costs().sa_discard_batch) {
-    std::vector<int64_t> batch = std::move(discards_);
-    discards_.clear();
-    space_->DowncallReturnDiscards(kt, std::move(batch),
+    space_->DowncallReturnDiscards(kt, std::move(discards_),
                                    [this, kt, v] { FinishDrain(kt, v); });
     return;
   }
@@ -339,11 +351,7 @@ void SaBackend::OnIdle(Vcpu* v) {
           vp->lend_hinted = true;  // one offer per idle episode
           ft_->BeginIdleTransition(vp);
           vp->proc()->EndOpenSpan();
-          space_->DowncallYieldHint(vp->kt, [this, vp](bool accepted) {
-            if (!accepted) {
-              ft_->EndIdleTransition(vp);
-            }
-          });
+          space_->DowncallYieldHint(vp->kt, [this, vp] { ft_->EndIdleTransition(vp); });
         });
     return;
   }
@@ -359,7 +367,7 @@ void SaBackend::OnIdle(Vcpu* v) {
 
 void SaBackend::OnIdleWake(Vcpu* v) { kernel_->engine().Cancel(v->hysteresis); }
 
-void SaBackend::NotifyParallelism(Vcpu* v, std::function<void()> resume) {
+void SaBackend::NotifyParallelism(Vcpu* v, sim::Callback resume) {
   // Notify only on a *transition*: more runnable threads than processors,
   // and more than the demand the kernel already knows about (the demand is
   // persistent kernel state, so no request tracking is needed — if nothing

@@ -17,7 +17,6 @@
 #ifndef SA_ULT_SA_BACKEND_H_
 #define SA_ULT_SA_BACKEND_H_
 
-#include <deque>
 #include <map>
 #include <memory>
 #include <vector>
@@ -40,7 +39,7 @@ class SaBackend : public VcpuBackend, public kern::KThreadHost {
   void Start() override;
   void OnIdle(Vcpu* v) override;
   void OnIdleWake(Vcpu* v) override;
-  void NotifyParallelism(Vcpu* v, std::function<void()> resume) override;
+  void NotifyParallelism(Vcpu* v, sim::Callback resume) override;
   void OnThreadLoaded(Vcpu* v, Tcb* t) override;
   void OnThreadUnloaded(Vcpu* v) override;
   sim::Duration ForkOverhead() const override;
@@ -58,8 +57,10 @@ class SaBackend : public VcpuBackend, public kern::KThreadHost {
   // Processes an upcall's events (Table 2) in the context of the fresh
   // activation that carries them, after the kernel charged the delivery;
   // the activation then serves as an ordinary vessel for user-level threads.
+  // The events move to the shared inbox and their buffer goes back to the
+  // space for the next batch, leaving `events` empty.
   void HandleUpcall(kern::KThread* upcall_activation,
-                    std::vector<core::UpcallEvent> events);
+                    std::vector<core::UpcallEvent>& events);
   // Binds the vcpu slot for kt's processor to kt; returns nullptr if every
   // slot is in use (surplus processor).
   Vcpu* BindSlot(kern::KThread* kt);
@@ -81,6 +82,8 @@ class SaBackend : public VcpuBackend, public kern::KThreadHost {
   // Drains the shared event inbox in the context of `kt` / slot `v`
   // (v == nullptr for a surplus processor), then dispatches.
   void Drain(kern::KThread* kt, Vcpu* v);
+  // Pops the inbox's oldest event; false when it is empty.
+  bool TakeEvent(core::UpcallEvent* ev);
   void FinishDrain(kern::KThread* kt, Vcpu* v);
   void NoteDiscard(int64_t activation_id);
   // Tells the kernel `v`'s processor is idle (Table 3).  Wakes are blocked
@@ -93,8 +96,11 @@ class SaBackend : public VcpuBackend, public kern::KThreadHost {
   FastThreads* ft_ = nullptr;
   std::unique_ptr<core::SaSpace> space_;
   std::map<int, Vcpu*> by_proc_;
-  std::deque<core::UpcallEvent> inbox_;
-  std::vector<int64_t> discards_;
+  // Events not yet processed are inbox_[inbox_head_..]; the vector is
+  // emptied (keeping its capacity) whenever the head catches up.
+  std::vector<core::UpcallEvent> inbox_;
+  size_t inbox_head_ = 0;
+  std::vector<int64_t> discards_;  // keeps its capacity across batches
 };
 
 }  // namespace sa::ult

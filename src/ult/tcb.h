@@ -4,13 +4,13 @@
 #ifndef SA_ULT_TCB_H_
 #define SA_ULT_TCB_H_
 
-#include <functional>
 #include <vector>
 
 #include "src/common/intrusive_list.h"
 #include "src/hw/processor.h"
 #include "src/kern/kthread.h"
 #include "src/rt/runtime.h"
+#include "src/sim/callback.h"
 #include "src/sim/engine.h"
 
 namespace sa::ult {
@@ -54,7 +54,7 @@ struct Tcb {
   // Continuation to run when a critical-section recovery completes (the
   // original upcall processing; Section 3.3).  Receives the virtual
   // processor on which processing resumes (the recovery may have migrated).
-  std::function<void(Vcpu*)> recovery_after;
+  sim::InlineFunction<void(Vcpu*)> recovery_after;
 
   // Heartbeat promotion (DESIGN.md §17).  A promoted frame's deferred fork
   // cost (TCB allocation + enqueue, charged to whoever first dispatches the
@@ -117,6 +117,9 @@ struct Vcpu {
   // the heartbeat and steal-side promotion take.
   std::vector<LazyFrame> lazy_frames;
   sim::EventId hysteresis = sim::kNoEvent;
+  // A finished critical-section recovery's continuation (Tcb::recovery_after),
+  // held while this vcpu charges the switch back to it.
+  sim::InlineFunction<void(Vcpu*)> recovery_after;
 
   hw::Processor* proc() const {
     SA_CHECK(kt != nullptr);

@@ -94,7 +94,8 @@ class AllocDriver {
 
   AddressSpace* CreateSpace(int priority) {
     AddressSpace* as = kernel_->CreateAddressSpace(
-        "s" + std::to_string(live_.size()), AsMode::kSchedulerActivations, priority);
+        std::string("s").append(std::to_string(live_.size())), AsMode::kSchedulerActivations,
+        priority);
     stubs_.push_back(std::make_unique<LoggingSaSpace>(as->id(), &log_));
     as->set_sa(stubs_.back().get());
     live_.push_back(as);
@@ -688,10 +689,10 @@ std::vector<trace::Record> RunSeededWorkload(Seeded style) {
         }
       }
     };
-    sa1.Spawn(body, "a" + std::to_string(i));
-    sa2.Spawn(body, "b" + std::to_string(i));
+    sa1.Spawn(body, std::string("a").append(std::to_string(i)));
+    sa2.Spawn(body, std::string("b").append(std::to_string(i)));
     if (i % 2 == 0) {
-      kt.Spawn(body, "k" + std::to_string(i));
+      kt.Spawn(body, std::string("k").append(std::to_string(i)));
     }
   }
   h.Run();

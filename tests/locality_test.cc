@@ -92,7 +92,7 @@ void SpawnMixedLoad(ult::UltRuntime* rt, int threads, int iters) {
             }
           }
         },
-        "w" + std::to_string(i));
+        std::string("w").append(std::to_string(i)));
   }
 }
 
@@ -289,7 +289,7 @@ StormTotals RunStormCell(bool affinity) {
                 }
               }
             },
-            "w" + std::to_string(i));
+            std::string("w").append(std::to_string(i)));
       }
     }
     h.Run();

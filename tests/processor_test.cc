@@ -2,8 +2,33 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdlib>
+#include <new>
+
 #include "src/hw/machine.h"
 #include "src/hw/processor.h"
+
+// Global operator new, counted while g_count_news is set (see
+// ProcessorTest.SpanLifecycleDoesNotAllocate).
+namespace {
+std::atomic<bool> g_count_news{false};
+std::atomic<int64_t> g_news{0};
+}  // namespace
+
+[[gnu::noinline]] void* operator new(std::size_t n) {
+  if (g_count_news.load(std::memory_order_relaxed)) {
+    g_news.fetch_add(1, std::memory_order_relaxed);
+  }
+  if (void* p = std::malloc(n == 0 ? 1 : n)) {
+    return p;
+  }
+  throw std::bad_alloc();
+}
+// Out of line, so the compiler does not see malloc() and free() meet
+// new-expressions.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace sa::hw {
 namespace {
@@ -159,6 +184,43 @@ TEST_F(ProcessorTest, PreemptedElapsedTimeIsAccounted) {
   proc_->RequestInterrupt();
   proc_->FlushAccounting();
   EXPECT_EQ(proc_->time_in(SpanMode::kUser), sim::Usec(30));
+}
+
+// A timed span whose continuation captures three pointers (24 bytes) is
+// begun and completed, then begun again, preempted and resumed from its
+// SavedSpan: once the engine's arrays are warm, none of it allocates.
+TEST_F(ProcessorTest, SpanLifecycleDoesNotAllocate) {
+  int completions = 0;
+  sim::Time last_done = -1;
+  sim::Engine* engine = &this->engine();
+  const auto done = [&completions, &last_done, engine] {
+    ++completions;
+    last_done = engine->now();
+  };
+  static_assert(sizeof(done) == 24, "a three-pointer capture");
+  const auto cycle = [&] {
+    proc_->BeginSpan(sim::Usec(10), SpanMode::kUser, true, false, done);
+    engine->Run();
+    proc_->BeginSpan(sim::Usec(10), SpanMode::kUser, true, false, done);
+    engine->RunUntil(engine->now() + sim::Usec(4));
+    proc_->RequestInterrupt();
+    SavedSpan saved = SavedSpan::FromInterrupt(std::move(last_));
+    ASSERT_TRUE(saved.valid());
+    proc_->BeginSpan(saved.remaining, saved.mode, true, saved.critical_section,
+                     std::move(saved.on_complete));
+    engine->Run();
+  };
+  cycle();  // warm-up
+  const int64_t before = g_news.load();
+  g_count_news = true;
+  for (int r = 0; r < 100; ++r) {
+    cycle();
+  }
+  g_count_news = false;
+  EXPECT_EQ(g_news.load() - before, 0);
+  EXPECT_EQ(completions, 101 * 2);
+  EXPECT_EQ(interrupts_, 101);
+  EXPECT_EQ(last_done, engine->now());
 }
 
 TEST(Machine, BuildsRequestedProcessors) {

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "src/core/activation.h"
 #include "src/rt/harness.h"
 #include "src/trace/invariants.h"
 #include "src/ult/ult_runtime.h"
@@ -306,6 +309,54 @@ TEST(SaProtocol, DebuggerStopIsInvisibleToThreadSystem) {
   EXPECT_TRUE(finished);
   // The 5 ms stop delayed completion past 10 ms.
   EXPECT_GT(sim::ToMsec(elapsed), 14.0);
+}
+
+// Two processors granted at boot deliver overlapping upcalls, so the space
+// gets two batch buffers back while it has room for one.  Each activation
+// must still have handed its whole batch over: a direct resume finds an
+// empty inbox and continues the thread, rather than replaying old events.
+TEST(SaProtocol, DebuggerResumeAfterOverlappingDeliveriesReplaysNoEvents) {
+  rt::Harness h(SaConfig(2));
+  ult::UltRuntime ft(&h.kernel(), "app", ult::BackendKind::kSchedulerActivations,
+                     Vcpus(2));
+  h.AddRuntime(&ft);
+  int finished = 0;
+  for (int i = 0; i < 2; ++i) {
+    ft.Spawn(
+        [&finished](rt::ThreadCtx& t) -> sim::Program {
+          co_await t.Compute(sim::Msec(20));
+          ++finished;
+        },
+        "debuggee");
+  }
+  h.EnableTracing(trace::cat::kUpcall | trace::cat::kUlt);
+  h.Start();
+  // At 5 ms both activations have long reached user level.
+  h.engine().ScheduleIn(sim::Msec(5), [&] {
+    std::vector<kern::KThread*> stopped;
+    for (int p = 0; p < 2; ++p) {
+      kern::KThread* act = h.kernel().running_on(h.machine().processor(p));
+      ASSERT_NE(act, nullptr);
+      ASSERT_TRUE(act->is_activation());
+      EXPECT_TRUE(act->activation()->inbox().empty()) << "processor " << p;
+      stopped.push_back(act);
+    }
+    const auto upcalls_before = h.kernel().counters().upcalls;
+    const auto events_before = h.kernel().counters().upcall_events;
+    for (kern::KThread* act : stopped) {
+      ft.sa_backend()->space()->DebuggerStop(act);
+    }
+    h.engine().ScheduleIn(sim::Msec(5), [&h, &ft, stopped, upcalls_before, events_before] {
+      for (kern::KThread* act : stopped) {
+        ft.sa_backend()->space()->DebuggerResume(act);
+      }
+      EXPECT_EQ(h.kernel().counters().upcalls, upcalls_before);
+      EXPECT_EQ(h.kernel().counters().upcall_events, events_before);
+    });
+  });
+  const sim::Time elapsed = RunChecked(h);
+  EXPECT_EQ(finished, 2);
+  EXPECT_GT(sim::ToMsec(elapsed), 24.0);
 }
 
 }  // namespace

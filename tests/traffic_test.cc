@@ -168,7 +168,7 @@ TEST(TrafficSlo, HighTierMeetsSloUnderSaturatingLowTierLoad) {
   // ~24 processors on a 16-processor machine.
   for (int i = 0; i < 12; ++i) {
     TenantSpec low;
-    low.name = "low" + std::to_string(i);
+    low.name = std::string("low").append(std::to_string(i));
     low.priority = 0;
     low.arrivals.rate = 200.0;
     low.mix = {RequestClass{"req", 1.0, sim::Msec(10), RequestClass::Dist::kFixed, 0}};
@@ -229,9 +229,9 @@ std::vector<trace::Record> RunSeededSaWorkload(bool attach_inactive_generator) {
         }
       }
     };
-    sa1.Spawn(body, "a" + std::to_string(i));
+    sa1.Spawn(body, std::string("a").append(std::to_string(i)));
     if (i % 2 == 0) {
-      kt.Spawn(body, "k" + std::to_string(i));
+      kt.Spawn(body, std::string("k").append(std::to_string(i)));
     }
   }
   h.Run();
