@@ -48,9 +48,10 @@ class Activation {
   void set_discarded(bool d) { discarded_ = d; }
 
   // Section 4.4: activations under debugger control run on a "logical
-  // processor" — debugger stops do not generate upcalls.
-  bool debugged() const { return debugged_; }
-  void set_debugged(bool d) { debugged_ = d; }
+  // processor" — debugger stops do not generate upcalls.  The processor a
+  // debugger stop left bare, held until the direct resume; null otherwise.
+  hw::Processor* debug_processor() const { return debug_processor_; }
+  void set_debug_processor(hw::Processor* proc) { debug_processor_ = proc; }
 
   // Reset for recycling (Section 4.3).
   void Recycle() {
@@ -58,7 +59,7 @@ class Activation {
     inbox_.clear();
     downcall_done_ = nullptr;
     discarded_ = false;
-    debugged_ = false;
+    debug_processor_ = nullptr;
   }
 
  private:
@@ -67,8 +68,8 @@ class Activation {
   void* user_cookie_ = nullptr;
   std::vector<UpcallEvent> inbox_;
   sim::Callback downcall_done_;
+  hw::Processor* debug_processor_ = nullptr;
   bool discarded_ = false;
-  bool debugged_ = false;
 };
 
 }  // namespace sa::core

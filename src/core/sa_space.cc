@@ -34,9 +34,9 @@ SaSpace::~SaSpace() = default;
 
 int SaSpace::num_running_activations() const {
   int n = 0;
-  for (const auto& [id, kt] : activations_) {
-    if (kt->state() == kern::KThreadState::kRunning &&
-        !kt->activation()->debugged()) {
+  for (const auto& act : owned_) {
+    if (act->kthread()->state() == kern::KThreadState::kRunning &&
+        act->debug_processor() == nullptr) {
       ++n;
     }
   }
@@ -53,27 +53,24 @@ Activation* SaSpace::NewActivation(sim::Duration* setup_cost) {
     return kt->activation();
   }
   kern::KThread* kt = kernel_->CreateThread(as_, act_host_, nullptr);
-  auto act = std::make_unique<Activation>(next_activation_id_++, kt);
-  kt->set_activation(act.get());
-  activations_[act->id()] = kt;
-  Activation* raw = act.get();
-  owned_.push_back(std::move(act));
+  owned_.push_back(
+      std::make_unique<Activation>(static_cast<int64_t>(owned_.size()) + 1, kt));
+  Activation* raw = owned_.back().get();
+  kt->set_activation(raw);
   ++kernel_->counters().activation_allocs;
   *setup_cost = kernel_->costs().sa_activation_alloc;
   return raw;
 }
 
 kern::KThread* SaSpace::LookupActivation(int64_t id) {
-  auto it = activations_.find(id);
-  SA_CHECK_MSG(it != activations_.end(), "unknown activation id");
-  return it->second;
+  SA_CHECK_MSG(id >= 1 && id <= static_cast<int64_t>(owned_.size()), "unknown activation id");
+  return owned_[static_cast<size_t>(id - 1)]->kthread();
 }
 
 UserThreadState SaSpace::CaptureUserState(kern::KThread* act) {
   UserThreadState state;
   state.cookie = act->activation()->user_cookie();
-  state.saved = std::move(act->saved_span());
-  act->saved_span().Clear();
+  state.saved = std::exchange(act->saved_span(), {});
   act->activation()->set_user_cookie(nullptr);
   return state;
 }
@@ -385,7 +382,6 @@ int SaSpace::OnSpaceReaped() {
   returning_batches_.clear();
   upcall_requested_ = false;
   cache_.clear();  // the reaper marks every cached activation dead
-  debug_stopped_.clear();
   return discarded;
 }
 
@@ -579,8 +575,7 @@ void SaSpace::DebuggerStop(kern::KThread* act) {
   SA_CHECK(act->is_activation());
   SA_CHECK(act->state() == kern::KThreadState::kRunning);
   hw::Processor* proc = act->processor();
-  act->activation()->set_debugged(true);
-  debug_stopped_[act->activation()->id()] = proc;
+  act->activation()->set_debug_processor(proc);
   kernel_->engine().TraceEmit(trace::cat::kUpcall, trace::Kind::kDebugStop,
                               proc->id(), as_->id(),
                               static_cast<uint64_t>(act->activation()->id()));
@@ -592,15 +587,14 @@ void SaSpace::DebuggerStop(kern::KThread* act) {
 
 void SaSpace::DebuggerResume(kern::KThread* act) {
   SA_CHECK(act->is_activation());
-  auto it = debug_stopped_.find(act->activation()->id());
-  SA_CHECK_MSG(it != debug_stopped_.end(), "activation is not debugger-stopped");
-  hw::Processor* proc = it->second;
-  debug_stopped_.erase(it);
-  act->activation()->set_debugged(false);
+  hw::Processor* proc = act->activation()->debug_processor();
+  SA_CHECK_MSG(proc != nullptr, "activation is not debugger-stopped");
+  act->activation()->set_debug_processor(nullptr);
   kernel_->engine().TraceEmit(trace::cat::kUpcall, trace::Kind::kDebugResume,
                               proc->id(), as_->id(),
                               static_cast<uint64_t>(act->activation()->id()));
-  // The single sanctioned direct resume: transparent to the thread system.
+  // The single sanctioned direct resume, transparent to the thread system:
+  // the activation's host continues the span the stop filed in it.
   kernel_->RunContextOn(proc, act, 0);
 }
 

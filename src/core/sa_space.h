@@ -18,7 +18,6 @@
 #define SA_CORE_SA_SPACE_H_
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -169,13 +168,10 @@ class SaSpace : public kern::SaSpaceIface {
   // started.
   std::vector<int64_t> returning_;
   std::vector<std::pair<kern::KThread*, size_t>> returning_batches_;
-  std::map<int64_t, kern::KThread*> activations_;
+  // Every activation made, in creation order: ids count up from 1, so
+  // activation `id` is owned_[id - 1].
   std::vector<std::unique_ptr<Activation>> owned_;
-  int64_t next_activation_id_ = 1;
   int user_desired_ = 0;
-
-  // Debugger state: activation id -> saved processor while stopped.
-  std::map<int64_t, hw::Processor*> debug_stopped_;
 };
 
 }  // namespace sa::core

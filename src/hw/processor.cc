@@ -1,5 +1,7 @@
 #include "src/hw/processor.h"
 
+#include <utility>
+
 namespace sa::hw {
 
 const char* SpanModeName(SpanMode mode) {
@@ -64,11 +66,7 @@ void Processor::BeginSpan(sim::Duration d, SpanMode mode, bool preemptible,
   if (interrupt_latched_ && preemptible) {
     interrupt_latched_ = false;
     Interrupt irq;
-    irq.mode = mode;
-    irq.elapsed = 0;
-    irq.remaining = d;
-    irq.critical_section = critical_section;
-    irq.on_complete = std::move(on_complete);
+    irq.span = {d, mode, critical_section, std::move(on_complete)};
     FireInterrupt(std::move(irq));
     return;
   }
@@ -103,12 +101,18 @@ void Processor::BeginSpan(sim::Duration d, SpanMode mode, bool preemptible,
   completion_ = engine_->ScheduleIn(d, complete);
 }
 
+void Processor::Resume(SavedSpan& saved) {
+  SavedSpan span = std::exchange(saved, {});
+  BeginSpan(span.remaining, span.mode, /*preemptible=*/true, span.critical_section,
+            std::move(span.on_complete));
+}
+
 void Processor::BeginOpenSpan(SpanMode mode) {
   SA_CHECK_MSG(!span_active_, "processor already executing a span");
   if (interrupt_latched_) {
     interrupt_latched_ = false;
     Interrupt irq;
-    irq.mode = mode;
+    irq.span.mode = mode;
     irq.open = true;
     FireInterrupt(std::move(irq));
     return;
@@ -143,7 +147,7 @@ void Processor::RequestInterrupt() {
   }
   if (open_) {
     Interrupt irq;
-    irq.mode = mode_;
+    irq.span.mode = mode_;
     irq.elapsed = engine_->now() - span_start_;
     irq.open = true;
     AccumulateTo(engine_->now());
@@ -163,11 +167,8 @@ void Processor::RequestInterrupt() {
   engine_->Cancel(completion_);
   const sim::Duration elapsed = engine_->now() - span_start_;
   Interrupt irq;
-  irq.mode = mode_;
+  irq.span = {span_duration_ - elapsed, mode_, critical_section_, std::move(on_complete_)};
   irq.elapsed = elapsed;
-  irq.remaining = span_duration_ - elapsed;
-  irq.critical_section = critical_section_;
-  irq.on_complete = std::move(on_complete_);
   AccumulateTo(engine_->now());
   span_active_ = false;
   engine_->TraceEmit(trace::cat::kProcessor, trace::Kind::kSpanPreempt, id_, -1,

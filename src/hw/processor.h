@@ -5,9 +5,10 @@
 // idle loop that lasts until an external actor ends it).  Preemption is
 // modelled with RequestInterrupt(): a preemptible span is cancelled on the
 // spot and the interrupt handler receives everything needed to resume the
-// span later (remaining duration + the original continuation); a
-// non-preemptible span (kernel mode) latches the request, which fires at the
-// next preemptible BeginSpan or is consumed at an explicit dispatch point.
+// span later (a SavedSpan: remaining duration + the original continuation,
+// which Resume() continues); a non-preemptible span (kernel mode) latches
+// the request, which fires at the next preemptible BeginSpan or is consumed
+// at an explicit dispatch point.
 //
 // Time spent is accounted per SpanMode so experiments can report processor
 // busy/spin/idle breakdowns.
@@ -37,20 +38,9 @@ constexpr int kNumSpanModes = 6;
 
 const char* SpanModeName(SpanMode mode);
 
-// Delivered to the interrupt handler when a span is preempted.
-struct Interrupt {
-  SpanMode mode = SpanMode::kIdle;
-  sim::Duration elapsed = 0;    // time spent in the span before preemption
-  sim::Duration remaining = 0;  // unfinished work (timed spans only)
-  bool critical_section = false;
-  bool open = false;      // span was open-ended (spin/idle loop)
-  bool was_idle = false;  // processor had no span at all
-  // The cancelled continuation of a timed span; re-issue with
-  // BeginSpan(remaining, ...) to continue the preempted execution.
-  sim::Callback on_complete;
-};
-
-// State captured from a preempted timed span so it can be continued later.
+// The unfinished part of a preempted timed span.  The kernel files it in the
+// stopped context (kern::KThread::saved_span) and Processor::Resume continues
+// it; an activation's span travels up in an upcall instead (DESIGN.md §3).
 struct SavedSpan {
   sim::Duration remaining = 0;
   SpanMode mode = SpanMode::kUser;
@@ -58,20 +48,15 @@ struct SavedSpan {
   sim::Callback on_complete;
 
   bool valid() const { return static_cast<bool>(on_complete); }
-  void Clear() {
-    remaining = 0;
-    critical_section = false;
-    on_complete = nullptr;
-  }
+};
 
-  static SavedSpan FromInterrupt(Interrupt&& irq) {
-    SavedSpan s;
-    s.remaining = irq.remaining;
-    s.mode = irq.mode;
-    s.critical_section = irq.critical_section;
-    s.on_complete = std::move(irq.on_complete);
-    return s;
-  }
+// Delivered to the interrupt handler when a span is preempted.
+struct Interrupt {
+  // The cut timed span, valid() only then; an open span sets only its mode.
+  SavedSpan span;
+  sim::Duration elapsed = 0;  // time spent in the span before preemption
+  bool open = false;      // span was open-ended (spin/idle loop)
+  bool was_idle = false;  // processor had no span at all
 };
 
 class Processor {
@@ -105,6 +90,11 @@ class Processor {
     BeginSpan(d, SpanMode::kKernel, /*preemptible=*/false, /*critical_section=*/false,
               std::move(on_complete));
   }
+
+  // Continues a preempted span where it left off, preemptibly as it was
+  // begun, and leaves `saved` empty first: a latched interrupt may cut the
+  // continued span at once and file it again.
+  void Resume(SavedSpan& saved);
 
   // Begins an open-ended busy span (spin or user-level idle loop); always
   // preemptible.  If an interrupt is latched it fires immediately.

@@ -372,7 +372,13 @@ void Kernel::OnInterrupt(hw::Processor* proc, hw::Interrupt irq) {
     // A reaped space's context is not saved and not notified: the thread is
     // already dead, so the interrupt just strips the processor (stopped
     // stays null and the action below treats it as caught-between-spans).
-    kt->host()->OnPreempted(kt, std::move(irq));
+    // A live context keeps the span the interrupt cut, as a kernel keeps a
+    // stopped context's registers (§3.1).
+    if (irq.span.valid()) {
+      SA_CHECK_MSG(!kt->saved_span().valid(), "context stopped twice without resuming");
+      kt->saved_span() = std::move(irq.span);
+    }
+    kt->host()->OnPreempted(kt, irq);
     stopped = kt;
   }
   ClearRunning(proc);
@@ -730,7 +736,6 @@ void Kernel::OnIoComplete(KThread* kt) {
     as->sa()->OnThreadUnblockedInKernel(kt);
     return;
   }
-  kt->host()->OnUnblocked(kt);
   MakeReady(kt);
 }
 
@@ -757,6 +762,17 @@ void Kernel::SysWakeup(KThread* caller, KThread* target, sim::Callback done) {
                           }  // else the sleeper died with its space
                           call.done();
                         });
+}
+
+void Kernel::SysEventSignal(KThread* caller, KernelEvent* ev, sim::Callback done) {
+  if (!ev->waiters.empty()) {
+    KThread* waiter = ev->waiters.front();
+    ev->waiters.pop_front();
+    SysWakeup(caller, waiter, std::move(done));
+    return;
+  }
+  ++ev->pending;
+  ChargeKernel(caller, costs().kernel_trap, std::move(done));
 }
 
 bool Kernel::AbortSyscallIfReaped(KThread* caller, hw::Processor* proc) {

@@ -25,6 +25,7 @@
 #define SA_KERN_KERNEL_H_
 
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <string>
 #include <vector>
@@ -134,6 +135,26 @@ struct PendingAction {
   uint64_t loan_epoch = 0;         // kLoanReclaim: which loan this recalls
 };
 
+// A counting kernel event (a Topaz-style semaphore): signals not yet
+// consumed, and the contexts blocked on it, oldest first.  A wait commits
+// through SysBlockWait with Block as its check; a signal goes through
+// SysEventSignal.
+struct KernelEvent {
+  int pending = 0;
+  std::deque<KThread*> waiters;
+
+  // A wait's commit check: consumes a pending signal (false: do not sleep)
+  // or queues `kt` (true: sleep until signalled).
+  bool Block(KThread* kt) {
+    if (pending > 0) {
+      --pending;
+      return false;
+    }
+    waiters.push_back(kt);
+    return true;
+  }
+};
+
 class Kernel {
  public:
   Kernel(hw::Machine* machine, Config config);
@@ -193,6 +214,10 @@ class Kernel {
   void SysYield(KThread* caller);
   // Make a kernel-blocked thread runnable again.
   void SysWakeup(KThread* caller, KThread* target, sim::Callback done);
+  // Signal `ev`: wake its oldest waiter, or count the signal.  A signal that
+  // finds no waiter is counted before its trap, so a wait committing on
+  // another processor meanwhile consumes it instead of sleeping past it.
+  void SysEventSignal(KThread* caller, KernelEvent* ev, sim::Callback done);
   // Charge an arbitrary kernel-mode span on the caller's processor (traps
   // that do not block: TAS fallback paths, downcalls).
   void ChargeKernel(KThread* caller, sim::Duration d, sim::Callback done);

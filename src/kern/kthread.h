@@ -42,25 +42,25 @@ const char* KThreadStateName(KThreadState s);
 
 // User-side behaviour of a kernel context.  Implementations live in the
 // runtime layers; the kernel calls these without knowing what they host.
+// The kernel is the one writer of a stopped or waiting context's state: it
+// files a preempted span and a failed I/O in the KThread, and a host reads
+// them where the context resumes (Processor::Resume, take_io_failed).
 class KThreadHost {
  public:
   virtual ~KThreadHost() = default;
 
   // `kt` has been given processor `kt->processor()`; begin or continue its
-  // user-level execution.  Called after the kernel's dispatch cost has been
+  // user-level execution, resuming a span the kernel filed in
+  // `kt->saved_span()`.  Called after the kernel's dispatch cost has been
   // charged.
   virtual void RunOn(KThread* kt) = 0;
 
-  // `kt`'s user-mode span was interrupted (preemption).  Save whatever is
-  // needed to continue later; the kernel completes the preemption protocol
-  // after this returns.  `irq.was_idle` is possible if the processor was
-  // caught between spans.
-  virtual void OnPreempted(KThread* kt, hw::Interrupt irq) = 0;
-
-  // `kt` blocked in the kernel earlier and the awaited event has completed;
-  // in kernel-thread semantics it will be resumed directly later (RunOn).
-  // Gives the host a chance to update bookkeeping.  Default: nothing.
-  virtual void OnUnblocked(KThread* kt) {}
+  // `kt`'s span was interrupted (preemption); the kernel completes the
+  // preemption protocol after this returns.  A cut timed span is already
+  // filed in `kt->saved_span()` (irq.span is empty), so a host keeps only
+  // its own bookkeeping, such as for an open span (spin or idle loop).
+  // Default: nothing.
+  virtual void OnPreempted(KThread* kt, const hw::Interrupt& irq) {}
 
   // The address space this host serves has been quarantined by the reaper;
   // release user-level state (vcpu bindings, run queues) — none of this
@@ -94,14 +94,16 @@ class KThread {
   int priority() const { return priority_; }
   void set_priority(int p) { priority_ = p; }
 
-  // Saved user-mode execution state from the last preemption; continued by
-  // the host on the next RunOn (kernel-thread semantics) or shipped to user
-  // level in an upcall (activation semantics).
+  // The span the last preemption cut, filed here by the kernel
+  // (Kernel::OnInterrupt); continued by Processor::Resume where the context
+  // resumes (kernel-thread semantics, a debugger's direct resume) or
+  // shipped to user level in an upcall (activation semantics).
   hw::SavedSpan& saved_span() { return saved_span_; }
 
   // Set when the kernel completed this thread's blocking I/O with an error
-  // (fault injection past the retry budget); consumed exactly once on the
-  // unblock path so the hosting runtime can surface it to IoRead().
+  // (fault injection past the retry budget); consumed exactly once where
+  // the thread resumes (or shipped in the unblocked upcall) so the hosting
+  // runtime can surface it to IoRead().
   void set_io_failed(bool failed) { io_failed_ = failed; }
   bool take_io_failed() {
     const bool failed = io_failed_;

@@ -78,9 +78,10 @@ void MisbehavingRuntime::Burn(kern::KThread* kt) {
                              [this, kt] { Burn(kt); });
 }
 
-void MisbehavingRuntime::OnPreempted(kern::KThread*, hw::Interrupt) {
-  // Drop the interrupted burn loop on the floor; the next activation (if
-  // any) starts a fresh one.  A real client saves irq.on_complete here.
+void MisbehavingRuntime::OnPreempted(kern::KThread*, const hw::Interrupt&) {
+  // The kernel filed the interrupted burn loop in the stopped activation,
+  // and it travels up in the preempted event, which RunOn throws away; the
+  // next activation (if any) starts a fresh loop.
   ++preemptions_dropped_;
 }
 

@@ -67,7 +67,7 @@ class MisbehavingRuntime : public Runtime, private kern::KThreadHost {
  private:
   // kern::KThreadHost (activation contexts):
   void RunOn(kern::KThread* kt) override;
-  void OnPreempted(kern::KThread* kt, hw::Interrupt irq) override;
+  void OnPreempted(kern::KThread* kt, const hw::Interrupt& irq) override;
 
   void Burn(kern::KThread* kt);
 

@@ -56,12 +56,10 @@ int TopazRuntime::CreateLock(LockKind kind) {
 }
 
 int TopazRuntime::CreateCond() {
-  sems_.push_back(std::make_unique<TzSem>());
-  return static_cast<int>(sems_.size()) - 1;
+  events_.push_back(std::make_unique<kern::KernelEvent>());
+  return static_cast<int>(events_.size()) - 1;
 }
 
-// With kernel threads, a "kernel event" is just a condition: everything
-// already goes through the kernel.
 int TopazRuntime::CreateKernelEvent() { return CreateCond(); }
 
 int TopazRuntime::Spawn(WorkloadFn fn, std::string thread_name) {
@@ -85,33 +83,18 @@ void TopazRuntime::Start() {
   initial_.clear();
 }
 
-void TopazRuntime::OnPreempted(kern::KThread* kt, hw::Interrupt irq) {
-  // Kernel-thread semantics: the kernel saves the context in the thread's
-  // control block and will continue it, unchanged, at the next dispatch.
-  if (irq.on_complete != nullptr) {
-    kt->saved_span() = hw::SavedSpan::FromInterrupt(std::move(irq));
-  }
-}
-
-void TopazRuntime::OnUnblocked(kern::KThread* kt) {
-  // The kernel may have completed the blocking I/O with an injected error;
-  // surface it to the workload before the thread resumes (IoRead).
-  if (kt->take_io_failed()) {
-    WorkOf(kt)->ctx.last_io_ok = false;
-  }
-}
-
 void TopazRuntime::RunOn(kern::KThread* kt) {
-  WorkThread* w = WorkOf(kt);
   if (kt->saved_span().valid()) {
-    // Continue the span that a preemption interrupted.
-    hw::SavedSpan saved = std::move(kt->saved_span());
-    kt->saved_span().Clear();
-    kt->processor()->BeginSpan(saved.remaining, saved.mode, /*preemptible=*/true,
-                               saved.critical_section, std::move(saved.on_complete));
+    kt->processor()->Resume(kt->saved_span());
     return;
   }
   // First run, or return from a kernel block (the awaited op completed).
+  // The kernel may have completed a blocking I/O with an injected error;
+  // surface it to the workload before the thread steps (IoRead).
+  WorkThread* w = WorkOf(kt);
+  if (kt->take_io_failed()) {
+    w->ctx.last_io_ok = false;
+  }
   StepAndInterpret(w);
 }
 
@@ -169,12 +152,16 @@ void TopazRuntime::Interpret(WorkThread* w) {
       DoRelease(w, locks_[static_cast<size_t>(op.sync_id)].get());
       break;
     case OpKind::kWait:
-    case OpKind::kKernelWait:
-      DoWait(w, sems_[static_cast<size_t>(op.sync_id)].get());
+    case OpKind::kKernelWait: {
+      kern::KernelEvent* ev = events_[static_cast<size_t>(op.sync_id)].get();
+      kernel_->SysBlockWait(
+          kt, [ev, kt] { return ev->Block(kt); }, [this, w] { StepAndInterpret(w); });
       break;
+    }
     case OpKind::kSignal:
     case OpKind::kKernelSignal:
-      DoSignal(w, sems_[static_cast<size_t>(op.sync_id)].get());
+      kernel_->SysEventSignal(kt, events_[static_cast<size_t>(op.sync_id)].get(),
+                              [this, w] { StepAndInterpret(w); });
       break;
 
     case OpKind::kIo:
@@ -239,35 +226,6 @@ void TopazRuntime::DoRelease(WorkThread* w, TzLock* lock) {
         lock->owner = next;  // direct handoff
         kernel_->SysWakeup(KtOf(w), KtOf(next), [this, w] { StepAndInterpret(w); });
       });
-}
-
-void TopazRuntime::DoWait(WorkThread* w, TzSem* sem) {
-  kernel_->SysBlockWait(
-      KtOf(w),
-      [w, sem] {
-        if (sem->pending > 0) {
-          --sem->pending;
-          return false;
-        }
-        sem->waiters.push_back(w);
-        return true;
-      },
-      [this, w] { StepAndInterpret(w); });
-}
-
-void TopazRuntime::DoSignal(WorkThread* w, TzSem* sem) {
-  kern::KThread* kt = KtOf(w);
-  if (!sem->waiters.empty()) {
-    WorkThread* next = sem->waiters.front();
-    sem->waiters.pop_front();
-    kernel_->SysWakeup(kt, KtOf(next), [this, w] { StepAndInterpret(w); });
-    return;
-  }
-  // No waiter: remember the signal; still a kernel operation.
-  kernel_->ChargeKernel(kt, kernel_->costs().kernel_trap, [this, w, sem] {
-    ++sem->pending;
-    StepAndInterpret(w);
-  });
 }
 
 void TopazRuntime::FinishThread(WorkThread* w) {

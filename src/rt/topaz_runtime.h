@@ -48,15 +48,9 @@ class TopazRuntime : public Runtime, private kern::KThreadHost {
     WorkThread* owner = nullptr;
     std::deque<WorkThread*> waiters;
   };
-  struct TzSem {  // condition with memory (counting)
-    int pending = 0;
-    std::deque<WorkThread*> waiters;
-  };
 
   // kern::KThreadHost:
   void RunOn(kern::KThread* kt) override;
-  void OnPreempted(kern::KThread* kt, hw::Interrupt irq) override;
-  void OnUnblocked(kern::KThread* kt) override;
 
   kern::KThread* KtOf(WorkThread* w) { return static_cast<kern::KThread*>(w->impl); }
   WorkThread* WorkOf(kern::KThread* kt) { return static_cast<WorkThread*>(kt->host_data()); }
@@ -65,8 +59,6 @@ class TopazRuntime : public Runtime, private kern::KThreadHost {
   void Interpret(WorkThread* w);
   void DoAcquire(WorkThread* w, TzLock* lock);
   void DoRelease(WorkThread* w, TzLock* lock);
-  void DoWait(WorkThread* w, TzSem* sem);
-  void DoSignal(WorkThread* w, TzSem* sem);
   void FinishThread(WorkThread* w);
   void WakeJoinersThenExit(WorkThread* w, size_t index);
 
@@ -75,7 +67,9 @@ class TopazRuntime : public Runtime, private kern::KThreadHost {
   kern::AddressSpace* as_;
   ThreadTable table_;
   std::vector<std::unique_ptr<TzLock>> locks_;
-  std::vector<std::unique_ptr<TzSem>> sems_;
+  // Conditions and kernel events alike: a condition is a counting kernel
+  // event, since every thread operation goes through the kernel.
+  std::vector<std::unique_ptr<kern::KernelEvent>> events_;
   std::vector<WorkThread*> initial_;
   bool started_ = false;
 };

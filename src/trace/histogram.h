@@ -87,8 +87,8 @@ class LatencyHistogram {
   // (The pre-interpolation code returned the bucket upper bound outright,
   // overstating p999 by up to 2x whenever the rank fell low in its bucket.)
   // Within-bucket sample placement is unknowable, so the estimate assumes
-  // rank-uniformity over the observed range; exact percentiles need
-  // common::Samples.
+  // rank-uniformity over the observed range; exact percentiles need every
+  // sample.
   int64_t Quantile(double q) const {
     if (count_ == 0) {
       return 0;

@@ -1,9 +1,12 @@
 // Virtual-processor backend interface: what FastThreads needs from whatever
 // supplies its processors.  Everything else — dispatch, synchronization,
-// kernel I/O, page faults and kernel events — lives in FastThreads, and the
-// kernel tells the two kinds of context apart.  The two implementations
-// differ only where the paper's two FastThreads do: how a virtual processor
-// gets and gives up a processor, and the per-operation costs of Section 5.1.
+// kernel I/O, page faults and kernel-event waits — lives in FastThreads, and
+// the kernel tells the two kinds of context apart: it keeps each kernel
+// event (kern::KernelEvent) and files a stopped context's span and failed
+// I/O, so as kernel-context hosts the backends do only open-span (spin and
+// idle loop) bookkeeping when preempted.  The two implementations differ
+// only where the paper's two FastThreads do: how a virtual processor gets
+// and gives up a processor, and the per-operation costs of Section 5.1.
 //
 //  * KtBackend  — original FastThreads: virtual processors are kernel threads
 //    scheduled obliviously by the (native) kernel.  Each is bound for the

@@ -49,7 +49,7 @@ int FastThreads::CreateCond() {
 }
 
 int FastThreads::CreateKernelEvent() {
-  kernel_events_.push_back(std::make_unique<KernelEvent>());
+  kernel_events_.push_back(std::make_unique<kern::KernelEvent>());
   return static_cast<int>(kernel_events_.size()) - 1;
 }
 
@@ -71,7 +71,7 @@ Tcb* FastThreads::AllocTcb(Vcpu* v, rt::WorkThread* w) {
   t->actively_spinning = false;
   t->resume_check = false;
   t->lazy_promote_charge = 0;
-  t->saved.Clear();
+  t->saved = {};
   w->impl = t;
   return t;
 }
@@ -99,8 +99,7 @@ void FastThreads::Halt() {
   halted_ = true;
   kernel_->engine().Cancel(heartbeat_);
   for (auto& ev : kernel_events_) {
-    ev->pending = 0;
-    ev->waiters.clear();
+    *ev = {};
   }
 }
 
@@ -221,11 +220,7 @@ void FastThreads::RunVcpu(Vcpu* v) {
   if (v->current != nullptr) {
     Tcb* t = v->current;
     if (v->kt->saved_span().valid()) {
-      // Continue the interrupted span where it left off.
-      hw::SavedSpan saved = std::move(v->kt->saved_span());
-      v->kt->saved_span().Clear();
-      v->proc()->BeginSpan(saved.remaining, saved.mode, /*preemptible=*/true,
-                           saved.critical_section, std::move(saved.on_complete));
+      v->proc()->Resume(v->kt->saved_span());
       return;
     }
     if (t->state == Tcb::State::kBlockedKernel) {
@@ -362,10 +357,7 @@ void FastThreads::ContinueThread(Vcpu* v, Tcb* t) {
   backend_->OnThreadLoaded(v, t);
   if (t->saved.valid()) {
     t->state = Tcb::State::kRunning;
-    hw::SavedSpan saved = std::move(t->saved);
-    t->saved.Clear();
-    v->proc()->BeginSpan(saved.remaining, saved.mode, /*preemptible=*/true,
-                         saved.critical_section, std::move(saved.on_complete));
+    v->proc()->Resume(t->saved);
     return;
   }
   if (t->waiting_lock != nullptr) {
@@ -478,6 +470,9 @@ void FastThreads::ResumeAfterKernel(Vcpu* v, Tcb* t) {
     return;
   }
   SA_CHECK(t->state == Tcb::State::kBlockedKernel);
+  if (v->kt->take_io_failed()) {
+    t->work->ctx.last_io_ok = false;
+  }
   t->state = Tcb::State::kRunning;
   ++runnable_;
   StepAndInterpret(t);
@@ -542,7 +537,8 @@ void FastThreads::Interpret(Tcb* t) {
       KernelWait(v, t);
       break;
     case rt::OpKind::kKernelSignal:
-      KernelSignal(v, t, op.sync_id);
+      kernel_->SysEventSignal(v->kt, kernel_events_[static_cast<size_t>(op.sync_id)].get(),
+                              [this, t] { StepAndInterpret(t); });
       break;
     case rt::OpKind::kYield:
       DoYield(t);
@@ -577,34 +573,14 @@ void FastThreads::KernelWait(Vcpu* v, Tcb* t) {
       kt,
       [this, kt, t] {
         // The wait op stays current until the thread steps again.
-        KernelEvent* ev =
-            kernel_events_[static_cast<size_t>(t->work->ctx.op.sync_id)].get();
-        if (ev->pending > 0) {
-          --ev->pending;
+        if (!kernel_events_[static_cast<size_t>(t->work->ctx.op.sync_id)]->Block(kt)) {
           return false;
         }
-        ev->waiters.push_back(kt);
         --runnable_;
         t->state = Tcb::State::kBlockedKernel;
         return true;
       },
       [this, t] { StepAndInterpret(t); });
-}
-
-void FastThreads::KernelSignal(Vcpu* v, Tcb* t, int event_id) {
-  KernelEvent* ev = kernel_events_[static_cast<size_t>(event_id)].get();
-  if (!ev->waiters.empty()) {
-    kern::KThread* waiter = ev->waiters.front();
-    ev->waiters.pop_front();
-    kernel_->SysWakeup(v->kt, waiter, [this, t] { StepAndInterpret(t); });
-    return;
-  }
-  // Remembered now, when the signal decides it found no waiter, not when its
-  // trap returns: a wait committing on another processor in between must
-  // consume it rather than sleep past it.
-  ++ev->pending;
-  kernel_->ChargeKernel(v->kt, kernel_->costs().kernel_trap,
-                        [this, t] { StepAndInterpret(t); });
 }
 
 // ---------------------------------------------------------------------------

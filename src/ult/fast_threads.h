@@ -25,7 +25,6 @@
 #ifndef SA_ULT_FAST_THREADS_H_
 #define SA_ULT_FAST_THREADS_H_
 
-#include <deque>
 #include <memory>
 #include <vector>
 
@@ -134,7 +133,8 @@ class FastThreads {
   void EnqueueReady(Vcpu* from, Tcb* t, bool front = true);
 
   // The kernel event/IO op of `t` completed while it stayed bound to `v`
-  // (kernel-thread backend): resume the coroutine.
+  // (kernel-thread backend): surface a failed I/O the kernel filed in v's
+  // context, then resume the coroutine.
   void ResumeAfterKernel(Vcpu* v, Tcb* t);
 
   // Idle transitions.  A backend that must block wakes while it notifies the
@@ -204,7 +204,6 @@ class FastThreads {
   void BlockInKernel(Vcpu* v, Tcb* t);
   // Waits on the kernel event named by t's current op.
   void KernelWait(Vcpu* v, Tcb* t);
-  void KernelSignal(Vcpu* v, Tcb* t, int event_id);
   void TrySpinAcquire(Vcpu* v, Tcb* t);
   void GrantSpinLock(UltLock* lock);
   void FinishRecovery(Tcb* t);
@@ -271,12 +270,7 @@ class FastThreads {
   std::vector<std::unique_ptr<Tcb>> tcbs_;
   std::vector<std::unique_ptr<UltLock>> locks_;
   std::vector<std::unique_ptr<UltSem>> sems_;
-  // Kernel events: signals not yet consumed, and the blocked contexts.
-  struct KernelEvent {
-    int pending = 0;
-    std::deque<kern::KThread*> waiters;
-  };
-  std::vector<std::unique_ptr<KernelEvent>> kernel_events_;
+  std::vector<std::unique_ptr<kern::KernelEvent>> kernel_events_;
   int runnable_ = 0;
   int next_tcb_id_ = 0;
   bool has_priorities_ = false;

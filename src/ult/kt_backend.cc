@@ -1,7 +1,5 @@
 #include "src/ult/kt_backend.h"
 
-#include <utility>
-
 #include "src/ult/fast_threads.h"
 
 namespace sa::ult {
@@ -34,35 +32,22 @@ void KtBackend::OnSpaceReaped() {
   ft_->Halt();
 }
 
-void KtBackend::OnPreempted(kern::KThread* kt, hw::Interrupt irq) {
-  Vcpu* v = VcpuOf(kt);
-  Tcb* t = v->current;
-  if (irq.open) {
-    if (t != nullptr && t->state == Tcb::State::kSpinning) {
-      // The spinner's processor is gone; it no longer burns cycles, and the
-      // lock holder's release must not pick it until it runs again.
-      t->actively_spinning = false;
-    } else {
-      // Idle loop: nothing to save.
-      v->idle_spinning = false;
-    }
+void KtBackend::OnPreempted(kern::KThread* kt, const hw::Interrupt& irq) {
+  // A cut timed span stays filed in this kernel thread's context and
+  // continues at its next dispatch (RunVcpu).  An open span leaves nothing
+  // to continue.
+  if (!irq.open) {
     return;
   }
-  if (irq.on_complete != nullptr) {
-    // Kernel-thread semantics: the interrupted user execution stays loaded
-    // in this kernel thread's context and continues at its next dispatch.
-    kt->saved_span() = hw::SavedSpan::FromInterrupt(std::move(irq));
-  }
-}
-
-void KtBackend::OnUnblocked(kern::KThread* kt) {
-  // An injected I/O error rides back on the vcpu's kernel thread; the
-  // blocked user-level thread is still loaded in its context (v->current).
-  if (kt->take_io_failed()) {
-    Vcpu* v = VcpuOf(kt);
-    if (v->current != nullptr && v->current->work != nullptr) {
-      v->current->work->ctx.last_io_ok = false;
-    }
+  Vcpu* v = VcpuOf(kt);
+  Tcb* t = v->current;
+  if (t != nullptr && t->state == Tcb::State::kSpinning) {
+    // The spinner's processor is gone; it no longer burns cycles, and the
+    // lock holder's release must not pick it until it runs again.
+    t->actively_spinning = false;
+  } else {
+    // Idle loop: nothing to save.
+    v->idle_spinning = false;
   }
 }
 

@@ -30,8 +30,7 @@ class KtBackend : public VcpuBackend, public kern::KThreadHost {
 
   // kern::KThreadHost:
   void RunOn(kern::KThread* kt) override;
-  void OnPreempted(kern::KThread* kt, hw::Interrupt irq) override;
-  void OnUnblocked(kern::KThread* kt) override;
+  void OnPreempted(kern::KThread* kt, const hw::Interrupt& irq) override;
   void OnSpaceReaped() override;
 
  private:

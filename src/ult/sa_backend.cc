@@ -9,7 +9,9 @@
 namespace sa::ult {
 
 SaBackend::SaBackend(kern::Kernel* kernel, kern::AddressSpace* as)
-    : kernel_(kernel), as_(as) {
+    : kernel_(kernel),
+      as_(as),
+      proc_slots_(static_cast<size_t>(kernel->machine()->num_processors()), nullptr) {
   space_ = std::make_unique<core::SaSpace>(kernel_, as_, this);
 }
 
@@ -24,13 +26,10 @@ void SaBackend::Start() {
   space_->BootDemand(want);
 }
 
-int SaBackend::BoundCount() const {
-  return static_cast<int>(by_proc_.size());
-}
+int SaBackend::BoundCount() const { return bound_slots_; }
 
 Vcpu* SaBackend::SlotByProcessor(int processor_id) {
-  auto it = by_proc_.find(processor_id);
-  return it == by_proc_.end() ? nullptr : it->second;
+  return proc_slots_[static_cast<size_t>(processor_id)];
 }
 
 void SaBackend::ResetSlot(Vcpu* v, kern::KThread* kt) {
@@ -57,7 +56,8 @@ Vcpu* SaBackend::BindSlot(kern::KThread* kt) {
     if (!candidate->bound) {
       candidate->bound = true;
       ResetSlot(candidate, kt);
-      by_proc_[pid] = candidate;
+      proc_slots_[static_cast<size_t>(pid)] = candidate;
+      ++bound_slots_;
       return candidate;
     }
   }
@@ -68,14 +68,16 @@ void SaBackend::UnbindSlot(Vcpu* v, int processor_id) {
   ft_->NoteUnbound(v, processor_id);
   v->bound = false;
   ResetSlot(v, nullptr);
-  by_proc_.erase(processor_id);
+  proc_slots_[static_cast<size_t>(processor_id)] = nullptr;
+  --bound_slots_;
 }
 
 void SaBackend::UnbindSlotOfActivation(int64_t activation_id) {
-  for (auto& [pid, v] : by_proc_) {
-    if (v->kt != nullptr && v->kt->is_activation() &&
+  for (size_t pid = 0; pid < proc_slots_.size(); ++pid) {
+    Vcpu* v = proc_slots_[pid];
+    if (v != nullptr && v->kt != nullptr && v->kt->is_activation() &&
         v->kt->activation()->id() == activation_id) {
-      UnbindSlot(v, pid);
+      UnbindSlot(v, static_cast<int>(pid));
       return;
     }
   }
@@ -84,11 +86,10 @@ void SaBackend::UnbindSlotOfActivation(int64_t activation_id) {
 }
 
 void SaBackend::UnbindIdleSlotByProcessor(int processor_id) {
-  auto it = by_proc_.find(processor_id);
-  if (it == by_proc_.end()) {
+  Vcpu* v = SlotByProcessor(processor_id);
+  if (v == nullptr) {
     return;
   }
-  Vcpu* v = it->second;
   if (v->kt != nullptr && v->kt->state() == kern::KThreadState::kRunning) {
     return;  // the processor came back before we processed the notification
   }
@@ -284,7 +285,7 @@ void SaBackend::FinishDrain(kern::KThread* kt, Vcpu* v) {
       kt, [kt] { kt->processor()->BeginOpenSpan(hw::SpanMode::kIdleSpin); });
 }
 
-void SaBackend::OnPreempted(kern::KThread* kt, hw::Interrupt irq) {
+void SaBackend::OnPreempted(kern::KThread* kt, const hw::Interrupt& irq) {
   SA_CHECK(kt->is_activation());
   Vcpu* v = SlotByProcessor(kt->processor()->id());
   Tcb* t = (v != nullptr && v->kt == kt) ? v->current : nullptr;
@@ -300,11 +301,10 @@ void SaBackend::OnPreempted(kern::KThread* kt, hw::Interrupt irq) {
     }
     return;
   }
-  if (irq.on_complete != nullptr) {
-    kt->saved_span() = hw::SavedSpan::FromInterrupt(std::move(irq));
-    if (t != nullptr) {
-      t->state = Tcb::State::kStopped;
-    }
+  // The kernel filed the cut span in the activation; it travels up in the
+  // preempted event.
+  if (t != nullptr) {
+    t->state = Tcb::State::kStopped;
   }
 }
 

@@ -17,7 +17,6 @@
 #ifndef SA_ULT_SA_BACKEND_H_
 #define SA_ULT_SA_BACKEND_H_
 
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -48,7 +47,7 @@ class SaBackend : public VcpuBackend, public kern::KThreadHost {
 
   // kern::KThreadHost (activation contexts):
   void RunOn(kern::KThread* kt) override;
-  void OnPreempted(kern::KThread* kt, hw::Interrupt irq) override;
+  void OnPreempted(kern::KThread* kt, const hw::Interrupt& irq) override;
   void OnSpaceReaped() override;
 
   int64_t pending_discards() const { return static_cast<int64_t>(discards_.size()); }
@@ -95,7 +94,10 @@ class SaBackend : public VcpuBackend, public kern::KThreadHost {
   kern::AddressSpace* as_;
   FastThreads* ft_ = nullptr;
   std::unique_ptr<core::SaSpace> space_;
-  std::map<int, Vcpu*> by_proc_;
+  // The slot bound on each processor (nullptr if none), indexed by
+  // processor id, and how many slots are bound.
+  std::vector<Vcpu*> proc_slots_;
+  int bound_slots_ = 0;
   // Events not yet processed are inbox_[inbox_head_..]; the vector is
   // emptied (keeping its capacity) whenever the head catches up.
   std::vector<core::UpcallEvent> inbox_;

@@ -58,10 +58,10 @@ namespace sa {
 namespace {
 
 // Allocations per event each shape makes, plus 20 % headroom (rounded up).
-// Measured: tenants 1.156, firefly 0.468, storms 0.251.
+// Measured: tenants 1.156, firefly 0.468, storms 0.239.
 constexpr double kTenantsBudget = 1.39;
 constexpr double kFireflyBudget = 0.57;
-constexpr double kStormsBudget = 0.31;
+constexpr double kStormsBudget = 0.29;
 
 struct Counted {
   int64_t news = 0;

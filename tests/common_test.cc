@@ -1,4 +1,4 @@
-// Common utilities: RNG determinism, statistics, tables, intrusive lists.
+// Common utilities: RNG determinism, tables, intrusive lists.
 
 #include <gtest/gtest.h>
 
@@ -7,7 +7,6 @@
 
 #include "src/common/intrusive_list.h"
 #include "src/common/rng.h"
-#include "src/common/stats.h"
 #include "src/common/table.h"
 
 namespace sa::common {
@@ -130,63 +129,6 @@ TEST(Rng, RangeIsDeterministicAcrossWideAndNarrowSpans) {
                       std::numeric_limits<int64_t>::max()));
     EXPECT_EQ(a.Range(-5, 5), b.Range(-5, 5));
   }
-}
-
-// ---- stats ----
-
-TEST(RunningStats, BasicMoments) {
-  RunningStats s;
-  for (double v : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) {
-    s.Add(v);
-  }
-  EXPECT_EQ(s.count(), 8);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_DOUBLE_EQ(s.min(), 2.0);
-  EXPECT_DOUBLE_EQ(s.max(), 9.0);
-  EXPECT_NEAR(s.stddev(), 2.1380899, 1e-6);  // sample stddev
-}
-
-TEST(RunningStats, EmptyIsSafe) {
-  RunningStats s;
-  EXPECT_EQ(s.count(), 0);
-  EXPECT_EQ(s.mean(), 0.0);
-  EXPECT_EQ(s.stddev(), 0.0);
-}
-
-TEST(Samples, ExactPercentiles) {
-  Samples s;
-  for (int i = 1; i <= 100; ++i) {
-    s.Add(i);
-  }
-  EXPECT_DOUBLE_EQ(s.Percentile(0), 1.0);
-  EXPECT_DOUBLE_EQ(s.Percentile(100), 100.0);
-  EXPECT_NEAR(s.Median(), 50.5, 1e-9);
-  EXPECT_NEAR(s.Percentile(90), 90.1, 1e-9);
-}
-
-TEST(Samples, SingleValue) {
-  Samples s;
-  s.Add(42);
-  EXPECT_DOUBLE_EQ(s.Median(), 42.0);
-  EXPECT_DOUBLE_EQ(s.Percentile(99), 42.0);
-}
-
-// Regression: Percentile/Median used to be non-const (the lazy sort mutated
-// the object), forcing report code to hold non-const references or copy the
-// sample set.  The sort is a cache; a const Samples must answer quantiles.
-TEST(Samples, PercentilesAreCallableOnConstObjects) {
-  Samples s;
-  for (int i = 10; i >= 1; --i) {  // reverse order: the const call must sort
-    s.Add(i);
-  }
-  const Samples& cs = s;
-  EXPECT_NEAR(cs.Median(), 5.5, 1e-9);
-  EXPECT_DOUBLE_EQ(cs.Percentile(0), 1.0);
-  EXPECT_DOUBLE_EQ(cs.Percentile(100), 10.0);
-  // Adding after a const query invalidates the cache; both views stay exact.
-  s.Add(11);
-  EXPECT_DOUBLE_EQ(cs.Percentile(100), 11.0);
-  EXPECT_NEAR(cs.Median(), 6.0, 1e-9);
 }
 
 // ---- table ----

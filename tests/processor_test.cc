@@ -76,13 +76,13 @@ TEST_F(ProcessorTest, PreemptionDeliversRemainingWork) {
   EXPECT_EQ(interrupts_, 1);
   EXPECT_FALSE(completed);
   EXPECT_EQ(last_.elapsed, sim::Usec(40));
-  EXPECT_EQ(last_.remaining, sim::Usec(60));
-  EXPECT_EQ(last_.mode, SpanMode::kUser);
-  ASSERT_TRUE(last_.on_complete != nullptr);
+  EXPECT_EQ(last_.span.remaining, sim::Usec(60));
+  EXPECT_EQ(last_.span.mode, SpanMode::kUser);
+  ASSERT_TRUE(last_.span.on_complete != nullptr);
 
   // Continue the span with its saved continuation.
-  proc_->BeginSpan(last_.remaining, last_.mode, true, false,
-                   std::move(last_.on_complete));
+  proc_->BeginSpan(last_.span.remaining, last_.span.mode, true, false,
+                   std::move(last_.span.on_complete));
   engine().Run();
   EXPECT_TRUE(completed);
   EXPECT_EQ(engine().now(), sim::Usec(100));
@@ -94,7 +94,7 @@ TEST_F(ProcessorTest, CriticalSectionFlagTravelsWithPreemption) {
   EXPECT_TRUE(proc_->in_critical_section());
   engine().RunUntil(sim::Usec(10));
   proc_->RequestInterrupt();
-  EXPECT_TRUE(last_.critical_section);
+  EXPECT_TRUE(last_.span.critical_section);
 }
 
 TEST_F(ProcessorTest, NonPreemptibleSpanLatchesInterrupt) {
@@ -118,7 +118,7 @@ TEST_F(ProcessorTest, LatchedInterruptFiresAtNextPreemptibleSpan) {
   proc_->BeginSpan(sim::Usec(20), SpanMode::kUser, true, false, [&] { started = true; });
   EXPECT_EQ(interrupts_, 1);
   EXPECT_FALSE(started);
-  EXPECT_EQ(last_.remaining, sim::Usec(20));
+  EXPECT_EQ(last_.span.remaining, sim::Usec(20));
   EXPECT_EQ(last_.elapsed, 0);
 }
 
@@ -187,8 +187,9 @@ TEST_F(ProcessorTest, PreemptedElapsedTimeIsAccounted) {
 }
 
 // A timed span whose continuation captures three pointers (24 bytes) is
-// begun and completed, then begun again, preempted and resumed from its
-// SavedSpan: once the engine's arrays are warm, none of it allocates.
+// begun and completed, then begun again, preempted and resumed from the
+// interrupt's SavedSpan: once the engine's arrays are warm, none of it
+// allocates.
 TEST_F(ProcessorTest, SpanLifecycleDoesNotAllocate) {
   int completions = 0;
   sim::Time last_done = -1;
@@ -204,10 +205,9 @@ TEST_F(ProcessorTest, SpanLifecycleDoesNotAllocate) {
     proc_->BeginSpan(sim::Usec(10), SpanMode::kUser, true, false, done);
     engine->RunUntil(engine->now() + sim::Usec(4));
     proc_->RequestInterrupt();
-    SavedSpan saved = SavedSpan::FromInterrupt(std::move(last_));
-    ASSERT_TRUE(saved.valid());
-    proc_->BeginSpan(saved.remaining, saved.mode, true, saved.critical_section,
-                     std::move(saved.on_complete));
+    ASSERT_TRUE(last_.span.valid());
+    proc_->Resume(last_.span);
+    ASSERT_FALSE(last_.span.valid());
     engine->Run();
   };
   cycle();  // warm-up

@@ -46,12 +46,6 @@ class MockHost : public kern::KThreadHost {
     }
     kt->processor()->BeginOpenSpan(hw::SpanMode::kIdleSpin);
   }
-
-  void OnPreempted(kern::KThread* kt, hw::Interrupt irq) override {
-    if (irq.on_complete != nullptr) {
-      kt->saved_span() = hw::SavedSpan::FromInterrupt(std::move(irq));
-    }
-  }
 };
 
 class SaSpaceTest : public ::testing::Test {

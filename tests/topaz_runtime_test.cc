@@ -142,5 +142,35 @@ TEST(TopazRuntime, IoOverlapsWithComputation) {
   EXPECT_LT(sim::ToMsec(elapsed), 60.0);
 }
 
+// Regression: a signal that finds no waiter is counted when it decides, not
+// when its trap returns, so a wait committing on the other processor in
+// between consumes it instead of sleeping past it.  Counting after the trap
+// deadlocked both cases at 200.18 ms after 3 kernel waits and 0 wakeups.
+// The one-processor run is Table 1's, and must not move.
+TEST(TopazRuntime, SignalIsNotLostAcrossProcessors) {
+  for (const bool through_kernel : {false, true}) {
+    SCOPED_TRACE(through_kernel ? "kernel events" : "conditions");
+    for (const int processors : {2, 1}) {
+      SCOPED_TRACE(processors);
+      rt::HarnessConfig config;
+      config.processors = processors;
+      rt::Harness h(config);
+      rt::TopazRuntime topaz(&h.kernel(), "app");
+      h.AddRuntime(&topaz);
+      apps::SpawnSignalWait(&topaz, 200, through_kernel);
+      const rt::RunResult result = h.TryRun();
+      ASSERT_TRUE(result.ok()) << result.diagnostics;
+      EXPECT_EQ(topaz.threads_finished(), 2u);
+      EXPECT_EQ(h.kernel().counters().kernel_waits, 400);
+      if (processors == 1) {
+        EXPECT_EQ(result.end_time, sim::Usec(177072));
+        EXPECT_EQ(h.kernel().counters().wakeups, 400);
+      } else {
+        EXPECT_EQ(result.end_time, sim::Usec(37780));
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace sa

@@ -4,10 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
+#include <vector>
 
 #include "src/apps/experiments.h"
-#include "src/common/stats.h"
 #include "src/trace/chrome_export.h"
 #include "src/trace/histogram.h"
 #include "src/trace/invariants.h"
@@ -124,24 +125,35 @@ TEST(Histogram, SumSaturatesInsteadOfWrapping) {
   EXPECT_EQ(h.count(), 4u);
 }
 
+// The exact p-th percentile (p in [0, 100]) of `values`, interpolated
+// linearly between the closest ranks: the oracle for the histogram's
+// interpolated quantiles.
+double ExactPercentile(std::vector<double> values, double p) {
+  std::sort(values.begin(), values.end());
+  const double rank = p / 100.0 * static_cast<double>(values.size() - 1);
+  const size_t lo = static_cast<size_t>(rank);
+  const size_t hi = std::min(lo + 1, values.size() - 1);
+  return values[lo] + (rank - static_cast<double>(lo)) * (values[hi] - values[lo]);
+}
+
 // Regression (red on the pre-interpolation Quantile): pin p50/p99/p999
-// against common::Samples exact percentiles on the same data.  The old code
+// against exact percentiles on the same data.  The old code
 // returned the log-2 bucket upper bound outright, so on values spread over
 // [1000, 9000] it reported p50 = 8191 (true ~5000) and p999 = 16383 (true
 // ~8992) — up to ~2x overstatement.  Count-weighted interpolation across each
 // bucket's observed value range must land within a few percent of exact.
 TEST(Histogram, InterpolatedQuantilesTrackExactPercentiles) {
   trace::LatencyHistogram h;
-  common::Samples exact;
+  std::vector<double> exact;
   // Deterministic near-uniform sweep of [1000, 9000]; spans five buckets.
   constexpr int kN = 10000;
   for (int i = 0; i < kN; ++i) {
     const int64_t v = 1000 + (static_cast<int64_t>(i) * 8000) / (kN - 1);
     h.Add(v);
-    exact.Add(static_cast<double>(v));
+    exact.push_back(static_cast<double>(v));
   }
   for (const double q : {0.50, 0.99, 0.999}) {
-    const double want = exact.Percentile(q * 100.0);
+    const double want = ExactPercentile(exact, q * 100.0);
     const double got = static_cast<double>(h.Quantile(q));
     EXPECT_NEAR(got, want, 0.06 * want)
         << "q=" << q << " exact=" << want << " histogram=" << got;
@@ -153,16 +165,16 @@ TEST(Histogram, InterpolatedQuantilesTrackExactPercentiles) {
 // bulk's observed range rather than a nominal power-of-two bound.
 TEST(Histogram, OutlierDoesNotInflateTailQuantiles) {
   trace::LatencyHistogram h;
-  common::Samples exact;
+  std::vector<double> exact;
   constexpr int kN = 10000;
   for (int i = 0; i < kN; ++i) {
     const int64_t v = 1000 + (static_cast<int64_t>(i) * 8000) / (kN - 1);
     h.Add(v);
-    exact.Add(static_cast<double>(v));
+    exact.push_back(static_cast<double>(v));
   }
   h.Add(10'000'000);
-  exact.Add(10'000'000.0);
-  const double want = exact.Percentile(99.9);  // ~8992, outlier censored
+  exact.push_back(10'000'000.0);
+  const double want = ExactPercentile(exact, 99.9);  // ~8992, outlier censored
   const double got = static_cast<double>(h.Quantile(0.999));
   EXPECT_NEAR(got, want, 0.06 * want);
   // The outlier itself is still reachable at the very top.
