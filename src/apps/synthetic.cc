@@ -58,13 +58,13 @@ void SpawnIoStorm(rt::Runtime* rt, int threads, int iters, sim::Duration compute
 
 namespace {
 
-// Shared synchronization objects for a random program.  Owned by shared_ptr
-// captured in each thread's body lambda (which outlives the coroutine
-// frame); the coroutine itself takes only trivially-destructible parameters
-// — by-value owning coroutine parameters are avoided throughout this code
-// base (GCC 12 destroys such parameter copies twice in some nesting
-// patterns).
-struct RandomEnv {
+// Shared synchronization objects for a random program.  Every thread's body
+// lambda holds a shared_ptr to it, since a closure lives only until its own
+// thread finishes and a forked child may outlive its parent.  The coroutine
+// itself takes only trivially-destructible parameters — by-value owning
+// coroutine parameters are avoided throughout this code base (GCC 12
+// destroys such parameter copies twice in some nesting patterns).
+struct RandomEnv : std::enable_shared_from_this<RandomEnv> {
   std::vector<int> locks;
   std::vector<int> sems;
 };
@@ -111,11 +111,14 @@ sim::Program RandomBody(rt::ThreadCtx& t, const RandomEnv* env, int ops, uint64_
         }
         const uint64_t child_seed = rng.Next();
         const int child_ops = static_cast<int>(rng.Range(1, 4));
-        const int kid = co_await t.Fork(
-            [env, child_ops, child_seed, depth](rt::ThreadCtx& c) -> sim::Program {
-              return RandomBody(c, env, child_ops, child_seed, depth + 1);
-            },
-            "rand-child");
+        // The child's closure owns its own reference, and is a named local:
+        // under GCC 12 an owning temporary inside the co_await expression
+        // can be freed while still in use.
+        auto child = [owner = env->shared_from_this(), child_ops, child_seed,
+                      depth](rt::ThreadCtx& c) -> sim::Program {
+          return RandomBody(c, owner.get(), child_ops, child_seed, depth + 1);
+        };
+        const int kid = co_await t.Fork(std::move(child), "rand-child");
         if (rng.Bernoulli(0.5)) {
           co_await t.Join(kid);
         }
@@ -138,8 +141,9 @@ RandomProgramStats SpawnRandomProgram(rt::Runtime* rt, int threads, int ops,
   common::Rng top(seed);
   for (int i = 0; i < threads; ++i) {
     const uint64_t thread_seed = top.Next();
-    // The shared_ptr capture lives in the thread's WorkloadFn, which
-    // outlives the coroutine frame; the frame only sees a raw pointer.
+    // The shared_ptr capture lives in the thread's WorkloadFn, which the
+    // runtime destroys after the coroutine frame; the frame only sees a raw
+    // pointer.
     rt->Spawn(
         [env, ops, thread_seed](rt::ThreadCtx& t) -> sim::Program {
           return RandomBody(t, env.get(), ops, thread_seed, 0);

@@ -108,6 +108,11 @@ void SaSpace::QueueEvent(UpcallEvent ev) {
 // §3.1 upcall page-fault window are all instants where the protocol is
 // legitimately mid-transition, so no snapshot is taken.
 void SaSpace::TraceVessel() {
+  // The count walks every activation, so it is taken only for a tracer.
+  const trace::TraceBuffer* tb = kernel_->engine().tracer();
+  if (tb == nullptr || !tb->enabled(trace::cat::kUpcall)) {
+    return;
+  }
   if (!pending_.empty() || upcall_requested_ || Holding()) {
     return;
   }

@@ -116,12 +116,25 @@ class AddressSpace {
     return false;
   }
 
-  // Thread registry (owns the KThreads of this space).
+  // Thread registry (owns the KThreads of this space).  A record holds one
+  // thread at a time: an exited thread's record waits here until
+  // Kernel::CreateThread reuses it, so the registry follows the peak number
+  // of live threads, not every thread the space ever ran.
   KThread* AddThread(std::unique_ptr<KThread> kt) {
     threads_.push_back(std::move(kt));
     return threads_.back().get();
   }
   const std::vector<std::unique_ptr<KThread>>& threads() const { return threads_; }
+  void ReturnExited(KThread* kt) { exited_.push_back(kt); }
+  // An exited thread's record, or null if none waits.
+  KThread* TakeExited() {
+    if (exited_.empty()) {
+      return nullptr;
+    }
+    KThread* kt = exited_.back();
+    exited_.pop_back();
+    return kt;
+  }
 
   // Live-thread accounting used by the kernel-thread demand estimate.
   int runnable_threads = 0;  // ready + running (kKernelThreads spaces)
@@ -209,6 +222,7 @@ class AddressSpace {
   int kt_domain_index_ = -1;
   std::vector<hw::Processor*> assigned_;
   std::vector<std::unique_ptr<KThread>> threads_;
+  std::vector<KThread*> exited_;  // records of exited threads, for reuse
 };
 
 }  // namespace sa::kern

@@ -62,11 +62,17 @@ AddressSpace* Kernel::CreateAddressSpace(const std::string& name, AsMode mode, i
 }
 
 KThread* Kernel::CreateThread(AddressSpace* as, KThreadHost* host, void* host_data) {
-  auto kt = std::make_unique<KThread>(next_thread_id_++, as, host);
+  // Ids count up whether or not the record is new, so traces do not tell.
+  KThread* kt = as->TakeExited();
+  if (kt != nullptr) {
+    kt->Reincarnate(next_thread_id_++, host);
+  } else {
+    kt = as->AddThread(std::make_unique<KThread>(next_thread_id_++, as, host));
+  }
   kt->set_host_data(host_data);
   kt->set_priority(as->priority());
   ++live_threads_;
-  return as->AddThread(std::move(kt));
+  return kt;
 }
 
 void Kernel::StartThread(KThread* kt) {
@@ -267,12 +273,17 @@ void Kernel::ArmQuantum(hw::Processor* proc, KThread* kt) {
     return;  // processor controlled by scheduler activations: no time-slicing
   }
   const int proc_id = proc->id();
-  kt->set_quantum_timer(engine().ScheduleIn(
-      costs().kt_quantum, [this, proc_id, kt] { OnQuantumFire(proc_id, kt); }));
+  const uint32_t incarnation = kt->incarnation();
+  auto fire = [this, kt, proc_id, incarnation] { OnQuantumFire(proc_id, kt, incarnation); };
+  static_assert(sizeof(fire) <= 24, "a quantum timer fits sim::Callback's inline bytes");
+  kt->set_quantum_timer(engine().ScheduleIn(costs().kt_quantum, std::move(fire)));
 }
 
-void Kernel::OnQuantumFire(int proc_id, KThread* kt) {
+void Kernel::OnQuantumFire(int proc_id, KThread* kt, uint32_t incarnation) {
   hw::Processor* proc = machine_->processor(proc_id);
+  if (kt->incarnation() != incarnation) {
+    return;  // the thread exited and its record serves another thread now
+  }
   if (running_on(proc) != kt || kt->state() != KThreadState::kRunning) {
     return;  // the thread left the processor and was not dispatched again
   }
@@ -564,6 +575,7 @@ void Kernel::SysExit(KThread* caller) {
         if (!proc->has_span() && running_on(proc) == nullptr) {
           DispatchOn(proc);
         }
+        as->ReturnExited(caller);  // the next CreateThread in `as` reuses it
       });
 }
 

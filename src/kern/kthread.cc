@@ -24,6 +24,20 @@ const char* KThreadStateName(KThreadState s) {
   return "?";
 }
 
+void KThread::Reincarnate(int64_t id, KThreadHost* host) {
+  SA_CHECK(state_ == KThreadState::kDead && !queue_node.linked());
+  SA_CHECK(!saved_span_.valid() && activation_ == nullptr);
+  id_ = id;
+  host_ = host;
+  ++incarnation_;
+  state_ = KThreadState::kBorn;
+  processor_ = nullptr;
+  host_data_ = nullptr;
+  quantum_timer_ = sim::kNoEvent;
+  device_wait_ = {};
+  io_failed_ = false;
+}
+
 std::string KThread::DebugString() const {
   char buf[128];
   std::snprintf(buf, sizeof(buf), "kt%lld(%s,%s%s,p%d)", static_cast<long long>(id_),

@@ -76,7 +76,15 @@ class KThread {
   KThread(const KThread&) = delete;
   KThread& operator=(const KThread&) = delete;
 
+  // Makes an exited thread's record a new, unborn thread `id` of the same
+  // space (Kernel::CreateThread reuses records so they follow live threads).
+  // A timer the old thread left armed still fires; it reads the bumped
+  // incarnation and does nothing.
+  void Reincarnate(int64_t id, KThreadHost* host);
+
   int64_t id() const { return id_; }
+  // How many threads this record served before the current one.
+  uint32_t incarnation() const { return incarnation_; }
   AddressSpace* address_space() const { return as_; }
   KThreadHost* host() const { return host_; }
   void set_host(KThreadHost* host) { host_ = host; }
@@ -129,7 +137,8 @@ class KThread {
   bool is_activation() const { return activation_ != nullptr; }
 
   // The time-slice timer of the current dispatch (sim::kNoEvent if none).
-  // The kernel cancels it when it dispatches the thread again.
+  // The kernel cancels it when it dispatches the thread again; an exited
+  // thread leaves it armed.
   sim::EventId quantum_timer() const { return quantum_timer_; }
   void set_quantum_timer(sim::EventId id) { quantum_timer_ = id; }
 
@@ -139,7 +148,7 @@ class KThread {
   common::ListNode queue_node;
 
  private:
-  const int64_t id_;
+  int64_t id_;
   AddressSpace* const as_;
   KThreadHost* host_;
   KThreadState state_ = KThreadState::kBorn;
@@ -151,6 +160,7 @@ class KThread {
   sim::EventId quantum_timer_ = sim::kNoEvent;
   DeviceWait device_wait_;
   bool io_failed_ = false;
+  uint32_t incarnation_ = 0;
 };
 
 }  // namespace sa::kern

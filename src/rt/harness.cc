@@ -36,8 +36,14 @@ void Harness::AddRuntime(Runtime* rt, bool background) {
   SA_CHECK(!started_);
   runtimes_.push_back(Entry{rt, background});
   if (!background) {
-    foreground_.push_back(rt);
+    AddForeground(rt);
   }
+}
+
+void Harness::AddForeground(Runtime* rt) {
+  foreground_.push_back(rt);
+  finished_threads_ += rt->threads_finished();
+  rt->CountFinishesInto(&finished_threads_);
 }
 
 Runtime* Harness::AddDaemon(const std::string& name, sim::Duration period,
@@ -84,7 +90,7 @@ void Harness::SpawnChurn(int index) {
   Runtime* raw = rt.get();
   owned_.push_back(std::move(rt));
   runtimes_.push_back(Entry{raw, /*background=*/false});
-  foreground_.push_back(raw);
+  AddForeground(raw);
   kern::AddressSpace* as = raw->address_space();
   engine().TraceEmit(trace::cat::kLifecycle, trace::Kind::kLifeSpawn, -1,
                      as != nullptr ? as->id() : -1, static_cast<uint64_t>(index));
@@ -121,6 +127,14 @@ bool Harness::AllDone() const {
       return false;
     }
   }
+  // Only a finished thread, a completed teardown or a new runtime can turn
+  // the foreground done, so a walk that found work left holds until one of
+  // them happens.
+  const size_t finished = ForegroundFinished();
+  if (undone_.set && finished == undone_.finished &&
+      foreground_.size() == undone_.runtimes) {
+    return false;
+  }
   for (Runtime* rt : foreground_) {
     if (rt->AllDone()) {
       continue;
@@ -133,17 +147,15 @@ bool Harness::AllDone() const {
       // not be asserted (and no post-mortem record would exist).
       continue;
     }
+    undone_ = {true, finished, foreground_.size()};
     return false;
   }
+  undone_ = {};
   return true;
 }
 
 size_t Harness::ForegroundFinished() const {
-  size_t finished = static_cast<size_t>(kernel_.reaper()->stats().spaces_reaped);
-  for (const Runtime* rt : foreground_) {
-    finished += rt->threads_finished();
-  }
-  return finished;
+  return finished_threads_ + static_cast<size_t>(kernel_.reaper()->stats().spaces_reaped);
 }
 
 sim::Time Harness::Run(uint64_t max_events) {

@@ -151,6 +151,9 @@ class Harness {
   // Sum of finished threads across foreground runtimes, plus completed
   // teardowns (watchdog progress: a reap is forward progress too).
   size_t ForegroundFinished() const;
+  // Registers a foreground runtime and hooks its finished threads into
+  // finished_threads_.
+  void AddForeground(Runtime* rt);
   void ScheduleStormTick();
   void SpawnChurn(int index);
   // The `index`-th foreground runtime's address space, in arrival order
@@ -166,6 +169,16 @@ class Harness {
   // The non-background runtimes in arrival order, churn spawns included:
   // the only ones AllDone and the stall watchdog look at.
   std::vector<Runtime*> foreground_;
+  // Threads finished across foreground_, counted by their thread tables.
+  size_t finished_threads_ = 0;
+  // What AllDone's last walk saw when it found a foreground runtime not
+  // done: ForegroundFinished() and the number of foreground runtimes.
+  struct Undone {
+    bool set = false;
+    size_t finished = 0;
+    size_t runtimes = 0;
+  };
+  mutable Undone undone_;
   std::vector<std::function<bool()>> completion_gates_;
   std::vector<std::function<void(RunReport&)>> report_hooks_;
   std::vector<std::unique_ptr<Runtime>> owned_;

@@ -49,6 +49,7 @@ class MisbehavingRuntime : public Runtime, private kern::KThreadHost {
   bool AllDone() const override { return true; }
   size_t threads_created() const override { return 0; }
   size_t threads_finished() const override { return 0; }
+  void CountFinishesInto(size_t*) override {}  // runs no threads
 
   core::SaSpace* space() { return space_.get(); }
   kern::AddressSpace* address_space() { return as_; }

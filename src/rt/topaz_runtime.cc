@@ -131,11 +131,14 @@ void TopazRuntime::Interpret(WorkThread* w) {
     }
 
     case OpKind::kJoin: {
-      WorkThread* target = table_.Get(op.target_tid);
+      // The check runs after the block span: by then the target may have
+      // exited and its record serve another thread, so it goes by tid.
+      const int tid = op.target_tid;
       kernel_->SysBlockWait(
-          KtOf(w),
-          [w, target] {
-            if (target->finished) {
+          kt,
+          [this, w, tid] {
+            WorkThread* target = table_.Find(tid);
+            if (target == nullptr || target->finished) {
               return false;  // already dead: don't sleep
             }
             target->joiners.push_back(w);
@@ -238,6 +241,7 @@ void TopazRuntime::WakeJoinersThenExit(WorkThread* w, size_t index) {
   if (index >= w->joiners.size()) {
     w->joiners.clear();
     kernel_->SysExit(KtOf(w));
+    table_.Release(w);  // the exit's kernel span no longer needs it
     return;
   }
   WorkThread* joiner = w->joiners[index];

@@ -36,9 +36,11 @@ class TopazRuntime : public Runtime, private kern::KThreadHost {
   bool AllDone() const override { return table_.AllFinished(); }
   size_t threads_created() const override { return table_.size(); }
   size_t threads_finished() const override { return table_.finished(); }
+  void CountFinishesInto(size_t* counter) override { table_.CountFinishesInto(counter); }
   void DescribeThreads(std::string* out) const override {
     table_.DescribeUnfinished(out);
   }
+  const ThreadTable& table() const { return table_; }
 
   kern::AddressSpace* address_space() override { return as_; }
 

@@ -85,6 +85,14 @@ class ThreadCtx {
 
   int tid() const { return tid_; }
 
+  // A fresh context for thread `tid` (a reused thread record).
+  void Reset(int tid) {
+    tid_ = tid;
+    op = Op{};
+    last_forked_tid = -1;
+    last_io_ok = true;
+  }
+
   // --- awaitable builders (each records the op and suspends) ---
   sim::TrapAwait Compute(sim::Duration d) {
     op.kind = OpKind::kCompute;
@@ -204,7 +212,7 @@ class ThreadCtx {
   bool last_io_ok = true;
 
  private:
-  const int tid_;
+  int tid_;
 };
 
 }  // namespace sa::rt

@@ -769,6 +769,7 @@ void FastThreads::DoneInline(Tcb* t) {
     }
     child->joiners.clear();
     child->impl = nullptr;
+    table_.Release(child);
     t->work = t->work_stack.back();
     t->work_stack.pop_back();
     // The caller was suspended at its Join of this child; the inline return
@@ -782,8 +783,8 @@ void FastThreads::DoneInline(Tcb* t) {
 void FastThreads::DoJoin(Tcb* t) {
   Vcpu* v = t->vcpu;
   const int target_tid = t->work->ctx.op.target_tid;
-  rt::WorkThread* target = table_.Get(target_tid);
-  if (target->finished) {
+  const rt::WorkThread* target = table_.Find(target_tid);
+  if (target == nullptr || target->finished) {
     counters_.fork_time += kernel_->costs().procedure_call;
     ChargeMgmt(v, kernel_->costs().procedure_call, [this, t] { StepAndInterpret(t); });
     return;
@@ -813,9 +814,12 @@ void FastThreads::DoJoin(Tcb* t) {
   const sim::Duration charge = kernel_->costs().ult_wait + backend_->WaitOverhead();
   counters_.fork_time +=
       charge + kernel_->costs().ult_signal + kernel_->costs().ult_dispatch;
-  ChargeMgmt(v, charge, [this, t, target] {
+  ChargeMgmt(v, charge, [this, t, target_tid] {
     Vcpu* v2 = t->vcpu;
-    if (target->finished) {  // finished while we were blocking
+    // Looked up again: a target that finished during the charge may have
+    // left its record to another thread.
+    rt::WorkThread* target = table_.Find(target_tid);
+    if (target == nullptr || target->finished) {  // finished while we were blocking
       StepAndInterpret(t);
       return;
     }
@@ -1031,6 +1035,7 @@ void FastThreads::DoDone(Tcb* t) {
     v2->current = nullptr;
     backend_->OnThreadUnloaded(v2);
     FreeTcb(v2, t);
+    table_.Release(w);
     Dispatch(v2);
   });
 }

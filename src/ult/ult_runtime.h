@@ -35,6 +35,9 @@ class UltRuntime : public rt::Runtime {
   bool AllDone() const override { return ft_->table().AllFinished(); }
   size_t threads_created() const override { return ft_->table().size(); }
   size_t threads_finished() const override { return ft_->table().finished(); }
+  void CountFinishesInto(size_t* counter) override {
+    ft_->table().CountFinishesInto(counter);
+  }
   void DescribeThreads(std::string* out) const override {
     ft_->table().DescribeUnfinished(out);
   }

@@ -3,12 +3,15 @@
 // Small harness runs shaped like the repository benchmark's three simulator
 // workloads count `operator new` over TryRun only (set-up excluded) and hold
 // allocations per event to a budget: the count this code makes plus 20 %
-// headroom.  What still allocates per event is per-thread state (kernel
-// threads, coroutine frames, TCBs), the allocator's node containers and
-// upcall batches beyond the one spare buffer a space keeps.  A continuation
-// whose capture outgrows sim::Callback's 24 inline bytes, or a container
-// rebuilt per event, pushes a run over its budget.  A last case checks that
-// a warmed scheduler-activation space delivers upcalls without allocating.
+// headroom.  What still allocates per event is per-thread state (coroutine
+// frames and closures, TCBs), the allocator's node containers and upcall
+// batches beyond the one spare buffer a space keeps.  A continuation whose
+// capture outgrows sim::Callback's 24 inline bytes, or a container rebuilt
+// per event, pushes a run over its budget.  The tenants- and firefly-shaped
+// runs also hold the high-water mark of outstanding blocks (news minus
+// deletes) to a budget, so keeping finished threads' records fails here.  A
+// last case checks that a warmed scheduler-activation space delivers
+// upcalls without allocating.
 
 #include <gtest/gtest.h>
 
@@ -25,17 +28,29 @@
 #include "src/rt/harness.h"
 #include "src/traffic/traffic.h"
 #include "src/ult/ult_runtime.h"
+#include "tests/trace_digest.h"
 
-// Global operator new, counted while g_count_news is set.
+// Global operator new and delete, counted while g_count_news is set:
+// allocations, and outstanding blocks with their high-water mark.
 namespace {
 std::atomic<bool> g_count_news{false};
 std::atomic<int64_t> g_news{0};
+std::atomic<int64_t> g_outstanding{0};
+std::atomic<int64_t> g_peak_outstanding{0};
+
+void CountNew() {
+  if (g_count_news.load(std::memory_order_relaxed)) {
+    g_news.fetch_add(1, std::memory_order_relaxed);
+    const int64_t outstanding = g_outstanding.fetch_add(1, std::memory_order_relaxed) + 1;
+    if (outstanding > g_peak_outstanding.load(std::memory_order_relaxed)) {
+      g_peak_outstanding.store(outstanding, std::memory_order_relaxed);
+    }
+  }
+}
 }  // namespace
 
 [[gnu::noinline]] void* operator new(std::size_t n) {
-  if (g_count_news.load(std::memory_order_relaxed)) {
-    g_news.fetch_add(1, std::memory_order_relaxed);
-  }
+  CountNew();
   if (void* p = std::malloc(n == 0 ? 1 : n)) {
     return p;
   }
@@ -44,43 +59,55 @@ std::atomic<int64_t> g_news{0};
 // std::stable_sort's temporary buffer comes from the nothrow form; it must
 // pair with the free() below (and counts like any other allocation).
 [[gnu::noinline]] void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
-  if (g_count_news.load(std::memory_order_relaxed)) {
-    g_news.fetch_add(1, std::memory_order_relaxed);
-  }
+  CountNew();
   return std::malloc(n == 0 ? 1 : n);
 }
 // Out of line, so the compiler does not see malloc() and free() meet
 // new-expressions.
-[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
-[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p) noexcept {
+  if (p != nullptr && g_count_news.load(std::memory_order_relaxed)) {
+    g_outstanding.fetch_sub(1, std::memory_order_relaxed);
+  }
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { operator delete(p); }
 
 namespace sa {
 namespace {
 
 // Allocations per event each shape makes, plus 20 % headroom (rounded up).
-// Measured: tenants 1.156, firefly 0.468, storms 0.239.
-constexpr double kTenantsBudget = 1.39;
-constexpr double kFireflyBudget = 0.57;
+// Measured: tenants 1.030, firefly 0.407, storms 0.240.
+constexpr double kTenantsBudget = 1.24;
+constexpr double kFireflyBudget = 0.49;
 constexpr double kStormsBudget = 0.29;
+// High-water marks of outstanding blocks, plus 20 % headroom (rounded up).
+// Measured: tenants 2172, firefly 919.
+constexpr int64_t kTenantsPeakBlocks = 2607;
+constexpr int64_t kFireflyPeakBlocks = 1103;
 
 struct Counted {
   int64_t news = 0;
+  int64_t peak_outstanding = 0;  // blocks, relative to the run's start
   int64_t events = 0;
   double per_event() const {
     return static_cast<double>(news) / static_cast<double>(std::max<int64_t>(events, 1));
   }
 };
 
-// Runs `harness` to completion, counting allocations and events over TryRun.
+// Runs `harness` to completion, counting allocations, outstanding blocks and
+// events over TryRun.
 Counted CountRun(rt::Harness& harness) {
   const uint64_t fired_before = harness.engine().events_fired();
   const int64_t news_before = g_news.load();
+  g_outstanding = 0;
+  g_peak_outstanding = 0;
   g_count_news = true;
   const rt::RunResult result = harness.TryRun(50'000'000);
   g_count_news = false;
   EXPECT_TRUE(result.ok()) << result.diagnostics;
   Counted c;
   c.news = g_news.load() - news_before;
+  c.peak_outstanding = g_peak_outstanding.load();
   c.events = static_cast<int64_t>(harness.engine().events_fired() - fired_before);
   return c;
 }
@@ -90,15 +117,10 @@ std::string Name(const char* prefix, int i) {
 }
 
 // `tenants`: kernel-thread tenants in three priority tiers, open loop, on
-// the explicit allocator.  Each request is a fresh kernel thread with a
-// coroutine frame, so this budget is per-request state plus little else.
-TEST(AllocBudget, TenantsShapedRun) {
+// the explicit allocator, 16 processors.  Each request is a kernel thread
+// running a coroutine, so what this shape allocates is per-request state.
+traffic::TrafficConfig TenantsShape() {
   constexpr int kProcessors = 16;
-  rt::HarnessConfig config;
-  config.processors = kProcessors;
-  config.seed = 5;
-  config.kernel.mode = kern::KernelMode::kSchedulerActivations;
-  rt::Harness harness(config);
   traffic::TrafficConfig tc;
   tc.seed = 6;
   tc.horizon = sim::Msec(300);
@@ -136,11 +158,44 @@ TEST(AllocBudget, TenantsShapedRun) {
                                    i % 4 == 0 ? sim::Msec(1) : 0}};
     tc.tenants.push_back(t);
   }
-  traffic::TrafficGenerator gen(&harness, tc);
+  return tc;
+}
+
+rt::HarnessConfig TenantsMachine() {
+  rt::HarnessConfig config;
+  config.processors = 16;
+  config.seed = 5;
+  config.kernel.mode = kern::KernelMode::kSchedulerActivations;
+  return config;
+}
+
+TEST(AllocBudget, TenantsShapedRun) {
+  rt::Harness harness(TenantsMachine());
+  traffic::TrafficGenerator gen(&harness, TenantsShape());
   const Counted c = CountRun(harness);
   ASSERT_GT(gen.total_completions(), 400);
   EXPECT_LE(c.per_event(), kTenantsBudget) << c.news << " allocations for " << c.events
                                            << " events";
+  EXPECT_LE(c.peak_outstanding, kTenantsPeakBlocks);
+}
+
+// The same run traced: every record and the event count are pinned from the
+// code that gave each thread a fresh record, so reusing records must leave
+// them alone.  Most requests leave their 200 ms time-slice timer armed when
+// they exit, and a record reused by a request running on the same processor
+// must not be time-sliced when that timer fires.
+TEST(AllocBudget, TenantsShapedTraceIsPinned) {
+  rt::Harness harness(TenantsMachine());
+  traffic::TrafficGenerator gen(&harness, TenantsShape());
+  harness.EnableTracing(trace::cat::kAll, 1u << 14);
+  const rt::RunResult result = harness.TryRun();
+  ASSERT_TRUE(result.ok()) << result.diagnostics;
+  const std::vector<trace::Record> records = harness.trace()->Snapshot();
+  EXPECT_EQ(harness.trace()->dropped(), 0u);
+  EXPECT_EQ(records.size(), 11723u);
+  EXPECT_EQ(TraceDigest(records), 0x7eb529dd4d6988eeull);
+  EXPECT_EQ(harness.engine().events_fired(), 5167u);
+  EXPECT_EQ(harness.kernel().counters().timeslices, 0);
 }
 
 // `firefly`: two N-body copies on FastThreads over scheduler activations,
@@ -176,6 +231,7 @@ TEST(AllocBudget, FireflyShapedRun) {
   }
   EXPECT_LE(c.per_event(), kFireflyBudget) << c.news << " allocations for " << c.events
                                            << " events";
+  EXPECT_LE(c.peak_outstanding, kFireflyPeakBlocks);
 }
 
 // An SA space of `threads` threads alternating ~100 µs slices with I/O

@@ -28,6 +28,7 @@
 #include "src/trace/invariants.h"
 #include "src/traffic/traffic.h"
 #include "src/ult/ult_runtime.h"
+#include "tests/trace_digest.h"
 
 namespace sa {
 namespace {
@@ -546,26 +547,6 @@ TEST(Lending, ComposesWithAffinityUnderRevocationStorms) {
 // fewer, fails here.  Simulator event counts are deliberately not pinned: a
 // closed loan cancels its timers, so they fall without any record moving.
 // ---------------------------------------------------------------------------
-
-// FNV-1a over every field of every record.
-uint64_t TraceDigest(const std::vector<trace::Record>& records) {
-  uint64_t digest = 14695981039346656037ull;
-  auto mix = [&digest](uint64_t v) {
-    for (int byte = 0; byte < 8; ++byte) {
-      digest ^= (v >> (8 * byte)) & 0xffu;
-      digest *= 1099511628211ull;
-    }
-  };
-  for (const trace::Record& r : records) {
-    mix(static_cast<uint64_t>(r.ts));
-    mix(static_cast<uint64_t>(static_cast<int64_t>(r.cpu)));
-    mix(static_cast<uint64_t>(static_cast<int64_t>(r.as_id)));
-    mix(r.kind);
-    mix(r.arg0);
-    mix(r.arg1);
-  }
-  return digest;
-}
 
 struct Pin {
   size_t records;

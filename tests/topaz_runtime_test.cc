@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "src/apps/micro.h"
+#include "src/apps/synthetic.h"
 #include "src/rt/harness.h"
 #include "src/rt/topaz_runtime.h"
 
@@ -170,6 +171,70 @@ TEST(TopazRuntime, SignalIsNotLostAcrossProcessors) {
       }
     }
   }
+}
+
+// A finished thread's kernel-thread and thread records serve the next
+// threads the runtime creates: rounds of forks and joins keep both at the
+// peak number of live threads (the parent plus one round of children).
+TEST(TopazRuntime, FinishedThreadRecordsAreReused) {
+  rt::Harness h(OneProcessor());
+  rt::TopazRuntime topaz(&h.kernel(), "app");
+  h.AddRuntime(&topaz);
+  apps::SpawnForkStorm(&topaz, /*rounds=*/50, /*width=*/4, sim::Usec(50));
+  const rt::RunResult result = h.TryRun();
+  ASSERT_TRUE(result.ok()) << result.diagnostics;
+  EXPECT_EQ(topaz.threads_created(), 201u);
+  EXPECT_EQ(topaz.threads_finished(), 201u);
+  EXPECT_EQ(topaz.address_space()->threads().size(), 5u);
+  EXPECT_EQ(topaz.table().records(), 5u);
+}
+
+// A join whose target exits while the joiner's block span (kernel_trap +
+// kt_block) is still charging, and whose record a new thread takes before
+// the join commits: the commit check must find the target gone, not queue
+// the joiner on the new thread.  The new thread waits for the joiner's
+// signal, so a joiner queued on it deadlocks the run.
+TEST(TopazRuntime, JoinCommitFindsTargetGoneAfterItsRecordIsReused) {
+  rt::HarnessConfig config;
+  config.processors = 3;
+  rt::Harness h(config);
+  rt::TopazRuntime topaz(&h.kernel(), "app");
+  h.AddRuntime(&topaz);
+  const int cond = topaz.CreateCond();
+  const sim::Engine& engine = h.engine();
+  constexpr sim::Time kJoinAt = sim::Msec(2);
+  sim::Time target_done = -1;
+  sim::Time forked = -1;
+  sim::Time join_returned = -1;
+  const int target = topaz.Spawn(
+      [&](rt::ThreadCtx& t) -> sim::Program {
+        co_await t.Compute(kJoinAt + sim::Usec(20) - engine.now());
+        target_done = engine.now();
+      },
+      "target");
+  topaz.Spawn(
+      [&, target](rt::ThreadCtx& t) -> sim::Program {
+        co_await t.Compute(kJoinAt - engine.now());
+        co_await t.Join(target);
+        join_returned = engine.now();
+        co_await t.Signal(cond);
+      },
+      "joiner");
+  topaz.Spawn(
+      [&](rt::ThreadCtx& t) -> sim::Program {
+        co_await t.Compute(kJoinAt + sim::Usec(60) - engine.now());
+        forked = engine.now();
+        co_await t.Fork(
+            [cond](rt::ThreadCtx& c) -> sim::Program { co_await c.Wait(cond); }, "reuser");
+      },
+      "forker");
+  const rt::RunResult result = h.TryRun();
+  ASSERT_TRUE(result.ok()) << result.diagnostics;
+  EXPECT_LT(target_done, forked);
+  const kern::CostModel& costs = h.kernel().costs();
+  EXPECT_EQ(join_returned, kJoinAt + costs.kernel_trap + costs.kt_block);
+  EXPECT_LT(forked, join_returned);
+  EXPECT_EQ(topaz.table().records(), 3u);  // the reuser took the target's
 }
 
 }  // namespace

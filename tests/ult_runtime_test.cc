@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "src/apps/micro.h"
+#include "src/apps/synthetic.h"
 #include "src/rt/harness.h"
 #include "src/ult/ult_runtime.h"
 
@@ -252,6 +253,76 @@ TEST(FastThreads, KernelSignalIsNotLostAcrossProcessors) {
     EXPECT_EQ(ft.threads_finished(), 2u);
     EXPECT_EQ(h.kernel().counters().kernel_waits, 400);
   }
+}
+
+// A finished thread's record serves the next thread forked: rounds of
+// forks and joins keep the runtime's records at the peak number of live
+// threads (the parent plus one round of children).
+TEST(FastThreads, FinishedThreadRecordsAreReused) {
+  rt::Harness h(OneProc(kern::KernelMode::kSchedulerActivations));
+  ult::UltRuntime ft(&h.kernel(), "app", ult::BackendKind::kSchedulerActivations,
+                     OneVcpu());
+  h.AddRuntime(&ft);
+  apps::SpawnForkStorm(&ft, /*rounds=*/50, /*width=*/4, sim::Usec(50));
+  const rt::RunResult result = h.TryRun();
+  ASSERT_TRUE(result.ok()) << result.diagnostics;
+  EXPECT_EQ(ft.threads_created(), 201u);
+  EXPECT_EQ(ft.threads_finished(), 201u);
+  EXPECT_EQ(ft.fast_threads().table().records(), 5u);
+}
+
+// A join whose target finishes while the joiner's ChargeMgmt span (ult_wait
+// plus the backend's wait overhead) is still charging, and whose record a
+// new thread takes before the charge ends: the joiner must find the target
+// gone, not queue on the new thread.  The new thread waits for the joiner's
+// signal, so a joiner queued on it leaves the run stuck.
+TEST(FastThreads, JoinFindsTargetGoneAfterItsRecordIsReused) {
+  rt::HarnessConfig config;
+  config.processors = 3;
+  config.kernel.mode = kern::KernelMode::kSchedulerActivations;
+  rt::Harness h(config);
+  ult::UltConfig uc;
+  uc.max_vcpus = 3;
+  ult::UltRuntime ft(&h.kernel(), "app", ult::BackendKind::kSchedulerActivations, uc);
+  h.AddRuntime(&ft);
+  h.set_stall_timeout(sim::Sec(1));
+  const int cond = ft.CreateCond();
+  const sim::Engine& engine = h.engine();
+  // Late enough that the space holds all three processors.
+  constexpr sim::Time kJoinAt = sim::Msec(20);
+  sim::Time target_done = -1;
+  sim::Time forked = -1;
+  sim::Time join_returned = -1;
+  const int target = ft.Spawn(
+      [&](rt::ThreadCtx& t) -> sim::Program {
+        co_await t.Compute(kJoinAt + sim::Usec(1) - engine.now());
+        target_done = engine.now();
+      },
+      "target");
+  ft.Spawn(
+      [&, target](rt::ThreadCtx& t) -> sim::Program {
+        co_await t.Compute(kJoinAt - engine.now());
+        co_await t.Join(target);
+        join_returned = engine.now();
+        co_await t.Signal(cond);
+      },
+      "joiner");
+  ft.Spawn(
+      [&](rt::ThreadCtx& t) -> sim::Program {
+        co_await t.Compute(kJoinAt + sim::Usec(12) - engine.now());
+        forked = engine.now();
+        co_await t.Fork(
+            [cond](rt::ThreadCtx& c) -> sim::Program { co_await c.Wait(cond); }, "reuser");
+      },
+      "forker");
+  const rt::RunResult result = h.TryRun();
+  ASSERT_TRUE(result.ok()) << result.diagnostics;
+  const kern::CostModel& costs = h.kernel().costs();
+  // The target's record went back at its exit charge's end, before the fork.
+  EXPECT_LT(target_done + costs.ult_exit, forked);
+  EXPECT_EQ(join_returned, kJoinAt + costs.ult_wait + costs.sa_busy_accounting);
+  EXPECT_LT(forked, join_returned);
+  EXPECT_EQ(ft.fast_threads().table().records(), 3u);  // the reuser took the target's
 }
 
 }  // namespace
