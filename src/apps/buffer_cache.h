@@ -62,10 +62,6 @@ class BufferCache {
 
   int64_t hits() const { return hits_; }
   int64_t misses() const { return misses_; }
-  void ResetStats() {
-    hits_ = 0;
-    misses_ = 0;
-  }
 
  private:
   size_t capacity_;

@@ -48,6 +48,22 @@ enum class TeardownCause {
 const char* AsLifecycleName(AsLifecycle s);
 const char* TeardownCauseName(TeardownCause c);
 
+// Per-teardown post-mortem record (surfaced through rt::RunReport and the
+// EXPERIMENTS.md reclamation-latency table).
+struct TeardownRecord {
+  int as_id = 0;
+  TeardownCause cause = TeardownCause::kNone;
+  sim::Time begin = 0;
+  sim::Time end = 0;
+  int procs_returned = 0;
+  int threads_reclaimed = 0;
+  int upcalls_discarded = 0;
+  sim::Duration latency() const { return end - begin; }
+};
+
+// Kernel threads ready to run, oldest first.
+using ReadyQueue = common::IntrusiveList<KThread, &KThread::queue_node>;
+
 // Per-space grant classification and migration counters, surfaced through
 // ProcessorAllocator::stats_for().  Counted regardless of policy flags
 // (bookkeeping only; never affects placement).
@@ -96,6 +112,17 @@ class AddressSpace {
   // gives up) but its user level silently drops every upcall.
   bool hung() const { return hung_; }
   void set_hung(bool h) { hung_ = h; }
+  // The reaper's state for this space (owned by kern::SpaceReaper): the
+  // hang watchdog, and the post-mortem record while kTearingDown.  Reset
+  // when the teardown finishes.
+  struct ReapState {
+    int pings = 0;  // consecutive missed ack deadlines
+    // Pending while an upcall is outstanding and an ack expected; the ack
+    // cancels it.
+    sim::EventId deadline = sim::kNoEvent;
+    TeardownRecord record;
+  };
+  ReapState& reap_state() { return reap_state_; }
 
   // --- processor-allocator bookkeeping (both modes, Section 4.1) ---
   // How many processors this space currently wants.  For SA spaces this is
@@ -139,20 +166,17 @@ class AddressSpace {
   // Live-thread accounting used by the kernel-thread demand estimate.
   int runnable_threads = 0;  // ready + running (kKernelThreads spaces)
 
-  // Slot of this space's ready-queue domain in the kernel's kt_domains_
-  // registry (-1 until first use).  Domains are created once and never
-  // erased, so caching the index makes Kernel::DomainFor O(1) instead of a
-  // linear scan — with hundreds of kt tenants the scan sat on every ready/
-  // dispatch path and turned scheduling O(spaces).
-  int kt_domain_index() const { return kt_domain_index_; }
-  void set_kt_domain_index(int i) { kt_domain_index_ = i; }
+  // This space's kernel threads waiting for one of its processors: its own
+  // Topaz scheduler under the explicit allocator (Kernel::ReadyQueueOf).
+  // The native kernel keeps one global queue instead.
+  ReadyQueue& ready_queue() { return ready_queue_; }
 
   // --- allocator-private bookkeeping (owned by kern::ProcessorAllocator) ---
   // Lives on the space so the allocator's hot paths are plain field loads
   // instead of hash-map lookups.  Mutable because stats accrue through
   // const pointers (stats_for / NoteSpaceMigration).
   struct AllocState {
-    int index = -1;           // slot in the allocator's dense registry (-1 = unregistered)
+    bool registered = false;  // between RegisterSpace and ReleaseSpace
     int pending_revokes = 0;  // revocations in flight
     int demand = 0;           // demand the allocator's tier aggregates reflect
     int target = 0;           // cached fair-share target (incremental policy)
@@ -218,8 +242,9 @@ class AddressSpace {
   AsLifecycle lifecycle_ = AsLifecycle::kAlive;
   TeardownCause teardown_cause_ = TeardownCause::kNone;
   bool hung_ = false;
+  ReapState reap_state_;
   int desired_processors_ = 0;
-  int kt_domain_index_ = -1;
+  ReadyQueue ready_queue_;
   std::vector<hw::Processor*> assigned_;
   std::vector<std::unique_ptr<KThread>> threads_;
   std::vector<KThread*> exited_;  // records of exited threads, for reuse

@@ -80,34 +80,24 @@ void Kernel::StartThread(KThread* kt) {
   MakeReady(kt);
 }
 
-Kernel::Domain* Kernel::DomainFor(AddressSpace* as) {
+ReadyQueue& Kernel::ReadyQueueOf(AddressSpace* as) {
   if (config_.mode == KernelMode::kNativeTopaz) {
-    return &global_domain_;
+    return global_ready_;
   }
   SA_CHECK_MSG(as->mode() == AsMode::kKernelThreads,
                "scheduler-activation spaces have no kernel ready queue");
-  // Domains are append-only, so the index cached on the space stays valid
-  // for its lifetime; the lookup must be O(1) or scheduling a machine full
-  // of kt tenants degrades to O(spaces) per dispatch.
-  const int cached = as->kt_domain_index();
-  if (cached >= 0) {
-    return kt_domains_[static_cast<size_t>(cached)].get();
-  }
-  as->set_kt_domain_index(static_cast<int>(kt_domains_.size()));
-  kt_domains_.push_back(std::make_unique<Domain>());
-  kt_domains_.back()->as = as;
-  return kt_domains_.back().get();
+  return as->ready_queue();
 }
 
-Kernel::Domain* Kernel::DomainOfProcessor(hw::Processor* proc) {
+ReadyQueue* Kernel::QueueOfProcessor(const hw::Processor* proc) {
   if (config_.mode == KernelMode::kNativeTopaz) {
-    return &global_domain_;
+    return &global_ready_;
   }
-  AddressSpace* as = allocator_->HolderOf(proc);
+  AddressSpace* as = OwnerOf(proc);
   if (as == nullptr || as->mode() != AsMode::kKernelThreads) {
     return nullptr;
   }
-  return DomainFor(as);
+  return &as->ready_queue();
 }
 
 AddressSpace* Kernel::OwnerOf(const hw::Processor* proc) const {
@@ -186,24 +176,22 @@ void Kernel::MakeReady(KThread* kt) {
     if (PlaceHighPriority(kt)) {
       return;
     }
-    DomainFor(as)->ready.PushBack(kt);
+    ReadyQueueOf(as).PushBack(kt);
     return;
   }
 
   hw::Processor* idle = FindIdleProcessorFor(as);
-  if (idle != nullptr) {
-    Domain* domain = DomainFor(as);
-    if (domain->ready.empty()) {
-      ChargeDispatchAndRun(idle, kt);
-    } else {
-      // FIFO: an older ready thread (e.g. one requeued after a revocation
-      // preemption) runs first; the new arrival takes its queue turn.
-      domain->ready.PushBack(kt);
-      DispatchOn(idle);
-    }
+  ReadyQueue& ready = ReadyQueueOf(as);
+  if (idle != nullptr && ready.empty()) {
+    ChargeDispatchAndRun(idle, kt);
     return;
   }
-  DomainFor(as)->ready.PushBack(kt);
+  // FIFO: an older ready thread (e.g. one requeued after a revocation
+  // preemption) runs first; the new arrival takes its queue turn.
+  ready.PushBack(kt);
+  if (idle != nullptr) {
+    DispatchOn(idle);
+  }
 }
 
 sim::Duration Kernel::NoteMigration(hw::Processor* proc, const KThread* kt) {
@@ -269,7 +257,7 @@ void Kernel::RunContextOn(hw::Processor* proc, KThread* kt, sim::Duration extra_
 }
 
 void Kernel::ArmQuantum(hw::Processor* proc, KThread* kt) {
-  if (DomainOfProcessor(proc) == nullptr) {
+  if (QueueOfProcessor(proc) == nullptr) {
     return;  // processor controlled by scheduler activations: no time-slicing
   }
   const int proc_id = proc->id();
@@ -287,12 +275,12 @@ void Kernel::OnQuantumFire(int proc_id, KThread* kt, uint32_t incarnation) {
   if (running_on(proc) != kt || kt->state() != KThreadState::kRunning) {
     return;  // the thread left the processor and was not dispatched again
   }
-  Domain* domain = DomainOfProcessor(proc);
-  if (domain == nullptr) {
+  const ReadyQueue* ready = QueueOfProcessor(proc);
+  if (ready == nullptr) {
     return;
   }
-  if (domain->ready.empty() || pending_[static_cast<size_t>(proc_id)].kind !=
-                                   PendingAction::Kind::kNone) {
+  if (ready->empty() || pending_[static_cast<size_t>(proc_id)].kind !=
+                            PendingAction::Kind::kNone) {
     // Nothing to rotate to (or the processor is already being preempted);
     // check again a quantum later.
     ArmQuantum(proc, kt);
@@ -327,17 +315,17 @@ void Kernel::DispatchOn(hw::Processor* proc) {
     RevokeNow(proc, /*stopped=*/nullptr);
     return;
   }
-  Domain* domain = DomainOfProcessor(proc);
-  if (domain == nullptr) {
+  ReadyQueue* ready = QueueOfProcessor(proc);
+  if (ready == nullptr) {
     // Unowned processor (free pool) or SA-controlled: nothing to dispatch.
     ClearRunning(proc);
     return;
   }
-  KThread* next = domain->ready.PopFront();
+  KThread* next = ready->PopFront();
   if (next == nullptr) {
     ClearRunning(proc);
-    if (domain->as != nullptr) {
-      UpdateKtDemand(domain->as);
+    if (owner != nullptr) {
+      UpdateKtDemand(owner);
     }
     return;
   }
@@ -405,7 +393,7 @@ void Kernel::HandleAction(hw::Processor* proc, PendingAction action, KThread* st
     case PendingAction::Kind::kTimeslice: {
       if (stopped != nullptr) {
         stopped->set_state(KThreadState::kReady);
-        DomainFor(stopped->address_space())->ready.PushBack(stopped);
+        ReadyQueueOf(stopped->address_space()).PushBack(stopped);
       }
       proc->BeginKernelSpan(costs().preempt_interrupt, [this, proc] { DispatchOn(proc); });
       break;
@@ -414,7 +402,7 @@ void Kernel::HandleAction(hw::Processor* proc, PendingAction action, KThread* st
     case PendingAction::Kind::kDispatchThread: {
       if (stopped != nullptr) {
         stopped->set_state(KThreadState::kReady);
-        DomainFor(stopped->address_space())->ready.PushBack(stopped);
+        ReadyQueueOf(stopped->address_space()).PushBack(stopped);
       }
       KThread* target = action.thread;
       if (target->state() != KThreadState::kReady) {
@@ -495,7 +483,7 @@ AddressSpace* Kernel::DetachAndNotify(hw::Processor* proc, KThread* stopped) {
       old_as->sa()->OnProcessorRevoked(proc, stopped);
     } else if (!stopped->address_space()->reaped()) {
       stopped->set_state(KThreadState::kReady);
-      DomainFor(stopped->address_space())->ready.PushBack(stopped);
+      ReadyQueueOf(stopped->address_space()).PushBack(stopped);
       // The space may still own an idle processor (e.g. one vacated between
       // the revocation decision and this interrupt); without a kick the
       // requeued thread would wait for an unrelated event.
@@ -679,7 +667,7 @@ void Kernel::SysYield(KThread* caller) {
     AddressSpace* as = caller->address_space();
     ClearRunning(proc);
     caller->set_state(KThreadState::kReady);
-    DomainFor(as)->ready.PushBack(caller);
+    ReadyQueueOf(as).PushBack(caller);
     DispatchOn(proc);
   });
 }

@@ -210,7 +210,7 @@ class Kernel {
   // avoidance); on abort, `not_blocked` resumes the caller.
   void SysBlockWait(KThread* caller, sim::InlineFunction<bool()> block_check,
                     sim::Callback not_blocked);
-  // Voluntarily yield the processor (requeue at the back of the domain).
+  // Voluntarily yield the processor (requeue at the back of the ready queue).
   void SysYield(KThread* caller);
   // Make a kernel-blocked thread runnable again.
   void SysWakeup(KThread* caller, KThread* target, sim::Callback done);
@@ -225,7 +225,7 @@ class Kernel {
   // ---- scheduling (kKernelThreads spaces) ----
   void MakeReady(KThread* kt);
   // Gives `proc` (which must have no span) something to do: runs a latched
-  // action, dispatches from its domain queue, or leaves it idle.
+  // action, dispatches from its ready queue, or leaves it idle.
   void DispatchOn(hw::Processor* proc);
 
   KThread* running_on(const hw::Processor* proc) const {
@@ -294,17 +294,13 @@ class Kernel {
   friend class ProcessorAllocator;
   friend class SpaceReaper;
 
-  // Per-scheduling-domain state.  Native mode: a single global domain.
-  // SA mode: one domain per kKernelThreads space.
-  struct Domain {
-    AddressSpace* as = nullptr;  // null for the global native domain
-    common::IntrusiveList<KThread, &KThread::queue_node> ready;
-  };
-
-  Domain* DomainFor(AddressSpace* as);
-  // The domain whose queue feeds this processor (native: global; SA mode:
-  // the kt-space the processor is assigned to, if any).
-  Domain* DomainOfProcessor(hw::Processor* proc);
+  // The ready queue of kernel-thread space `as`: the one global queue under
+  // the native kernel, the space's own under the explicit allocator.
+  ReadyQueue& ReadyQueueOf(AddressSpace* as);
+  // The ready queue that feeds `proc`: the global one under the native
+  // kernel, else its owner's if that is a kernel-thread space (null for a
+  // free or scheduler-activation processor).
+  ReadyQueue* QueueOfProcessor(const hw::Processor* proc);
 
   void OnInterrupt(hw::Processor* proc, hw::Interrupt irq);
   void HandleAction(hw::Processor* proc, PendingAction action, KThread* stopped);
@@ -388,8 +384,7 @@ class Kernel {
   std::vector<KThread*> running_;           // per processor id
   std::vector<PendingAction> pending_;      // per processor id
   std::vector<Call> calls_;                 // per processor id
-  Domain global_domain_;                    // native mode
-  std::vector<std::unique_ptr<Domain>> kt_domains_;  // SA mode, per kt space
+  ReadyQueue global_ready_;                 // native mode
   int64_t next_thread_id_ = 1;
   int64_t live_threads_ = 0;
   trace::LatencyHistogram upcall_latency_;

@@ -1,6 +1,5 @@
 #include "src/kern/kthread.h"
 
-#include <cstdio>
 
 #include "src/kern/address_space.h"
 
@@ -36,15 +35,6 @@ void KThread::Reincarnate(int64_t id, KThreadHost* host) {
   quantum_timer_ = sim::kNoEvent;
   device_wait_ = {};
   io_failed_ = false;
-}
-
-std::string KThread::DebugString() const {
-  char buf[128];
-  std::snprintf(buf, sizeof(buf), "kt%lld(%s,%s%s,p%d)", static_cast<long long>(id_),
-                as_ != nullptr ? as_->name().c_str() : "?", KThreadStateName(state_),
-                is_activation() ? ",act" : "",
-                processor_ != nullptr ? processor_->id() : -1);
-  return buf;
 }
 
 }  // namespace sa::kern

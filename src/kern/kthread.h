@@ -87,7 +87,6 @@ class KThread {
   uint32_t incarnation() const { return incarnation_; }
   AddressSpace* address_space() const { return as_; }
   KThreadHost* host() const { return host_; }
-  void set_host(KThreadHost* host) { host_ = host; }
 
   KThreadState state() const { return state_; }
   void set_state(KThreadState s) { state_ = s; }
@@ -141,8 +140,6 @@ class KThread {
   // thread leaves it armed.
   sim::EventId quantum_timer() const { return quantum_timer_; }
   void set_quantum_timer(sim::EventId id) { quantum_timer_ = id; }
-
-  std::string DebugString() const;
 
   // Scheduler linkage (ready queues, wait queues).
   common::ListNode queue_node;

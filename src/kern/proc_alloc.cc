@@ -41,6 +41,10 @@ ProcessorAllocator::Tier& ProcessorAllocator::TierOf(const AddressSpace* as) {
   return it->second;
 }
 
+AddressSpace* ProcessorAllocator::SpaceById(int id) const {
+  return kernel_->spaces()[static_cast<size_t>(id)].get();
+}
+
 void ProcessorAllocator::FenwickAdd(Tier& tier, int demand, int dcnt, int64_t dsum) {
   for (int i = demand; i <= num_processors_ + 1; i += i & -i) {
     tier.cnt[static_cast<size_t>(i)] += dcnt;
@@ -62,10 +66,8 @@ void ProcessorAllocator::FenwickPrefix(const Tier& tier, int demand, int* cnt,
 
 void ProcessorAllocator::RegisterSpace(AddressSpace* as) {
   AddressSpace::AllocState& st = as->alloc_state();
-  SA_CHECK(st.index < 0);
-  st.index = static_cast<int>(spaces_.size());
-  spaces_.push_back(as);
-  by_id_[as->id()] = as;
+  SA_CHECK(!st.registered);
+  st.registered = true;
   if (!as->assigned().empty()) {
     holders_[as->id()] = as;
   }
@@ -113,9 +115,9 @@ void ProcessorAllocator::MarkChanged(Tier& tier, AddressSpace* as) {
 }
 
 void ProcessorAllocator::SyncDemands() {
-  for (AddressSpace* as : spaces_) {
-    if (as->alloc_state().demand != EffectiveDemand(as)) {
-      RecordDemand(as);
+  for (const auto& as : kernel_->spaces()) {
+    if (IsRegistered(as.get()) && as->alloc_state().demand != EffectiveDemand(as.get())) {
+      RecordDemand(as.get());
     }
   }
 }
@@ -144,9 +146,11 @@ void ProcessorAllocator::SetDesired(AddressSpace* as, int desired) {
 std::vector<int> ProcessorAllocator::ComputeTargets() {
   SyncDemands();
   RefreshTargets();
-  std::vector<int> target(spaces_.size(), 0);
-  for (const AddressSpace* as : spaces_) {
-    target[static_cast<size_t>(as->alloc_state().index)] = as->alloc_state().target;
+  std::vector<int> target;
+  for (const auto& as : kernel_->spaces()) {
+    if (IsRegistered(as.get())) {
+      target.push_back(as->alloc_state().target);
+    }
   }
   return target;
 }
@@ -300,7 +304,7 @@ void ProcessorAllocator::ApplyTarget(AddressSpace* as, int target) {
 
 void ProcessorAllocator::RefreshDerived(AddressSpace* as) {
   AddressSpace::AllocState& st = as->alloc_state();
-  if (st.index < 0) {
+  if (!st.registered) {
     return;
   }
   // Entitlement, not raw holdings: a lender's loaned-out processors still
@@ -349,7 +353,7 @@ void ProcessorAllocator::OnAssignedChanged(AddressSpace* as, hw::Processor* proc
     st.socket_held.assign(static_cast<size_t>(topo.num_sockets()), 0);
   }
   st.socket_held[static_cast<size_t>(topo.SocketOf(proc->id()))] += delta;
-  if (st.index >= 0) {
+  if (st.registered) {
     if (delta > 0 && as->assigned().size() == 1) {
       holders_[as->id()] = as;
     } else if (delta < 0 && as->assigned().empty()) {
@@ -388,9 +392,9 @@ void ProcessorAllocator::RebalanceInternal() {
     if (needy_ > 0 && !surplus_.empty()) {
       surplus_snapshot_.assign(surplus_.begin(), surplus_.end());
       for (int id : surplus_snapshot_) {
-        auto it = by_id_.find(id);
-        if (it != by_id_.end()) {
-          RevokeSurplus(it->second, it->second->alloc_state().target);
+        AddressSpace* as = SpaceById(id);
+        if (IsRegistered(as)) {  // a teardown may finish under a revocation
+          RevokeSurplus(as, as->alloc_state().target);
         }
       }
     }
@@ -472,7 +476,7 @@ void ProcessorAllocator::GrantFreeProcessors() {
     if (deficit_heap_.empty()) {
       return;  // idle processors stay in the free pool
     }
-    AddressSpace* best = by_id_.find(std::get<2>(*deficit_heap_.begin()))->second;
+    AddressSpace* best = SpaceById(std::get<2>(*deficit_heap_.begin()));
     // Affinity: a space tied with `best` on priority and deficit has an
     // equal claim, so if a pooled processor's last owner is among the tied
     // spaces, hand it straight back (most recently freed first) — the
@@ -482,15 +486,15 @@ void ProcessorAllocator::GrantFreeProcessors() {
     Slot* warm = nullptr;
     AddressSpace* to = best;
     for (Slot* p = affinity() ? free_.Back() : nullptr; p != nullptr; p = free_.Prev(p)) {
-      auto owner = by_id_.find(p->last_owner);
-      if (owner == by_id_.end()) {
+      if (p->last_owner < 0) {
         continue;
       }
-      const AddressSpace::AllocState& st = owner->second->alloc_state();
+      AddressSpace* owner = SpaceById(p->last_owner);
+      const AddressSpace::AllocState& st = owner->alloc_state();
       if (st.in_heap && st.heap_deficit == top.heap_deficit &&
-          owner->second->priority() == best->priority()) {
+          owner->priority() == best->priority()) {
         warm = p;
-        to = owner->second;
+        to = owner;
         break;
       }
     }
@@ -662,8 +666,7 @@ int ProcessorAllocator::InjectRevocations(int burst, common::Rng& rng) {
   // revocation protocol to exercise (and pushing it to free_ again would
   // corrupt the pool).  Holder spaces iterate in id order — the registration
   // order the original implementation walked, minus spaces whose empty
-  // holdings contributed nothing — so seeded storms are reproducible
-  // regardless of release-time swap-removals in the dense registry, and a
+  // holdings contributed nothing — so seeded storms are reproducible and a
   // storm costs O(processors), not O(spaces).
   std::vector<std::pair<AddressSpace*, hw::Processor*>>& owned = storm_candidates_;
   owned.clear();
@@ -695,7 +698,7 @@ int ProcessorAllocator::InjectRevocations(int burst, common::Rng& rng) {
 void ProcessorAllocator::ReleaseSpace(AddressSpace* as) {
   ++decisions_;
   AddressSpace::AllocState& st = as->alloc_state();
-  SA_CHECK(st.index >= 0);
+  SA_CHECK(st.registered);
   as->set_desired_processors(0);
   RecordDemand(as);  // zero demand leaves the tier aggregates
   // Drop out of the decision structures.
@@ -732,13 +735,7 @@ void ProcessorAllocator::ReleaseSpace(AddressSpace* as) {
   Unrank(tier, as);  // the next refresh moves the cutoff past the gap
   --tier.members;
   const bool tier_empty = tier.members == 0;
-  // Leave the dense registry: swap-remove, fixing the moved space's slot.
-  AddressSpace* last = spaces_.back();
-  spaces_[static_cast<size_t>(st.index)] = last;
-  last->alloc_state().index = st.index;
-  spaces_.pop_back();
-  st.index = -1;
-  by_id_.erase(as->id());
+  st.registered = false;
   holders_.erase(as->id());
   if (tier_empty) {
     tiers_.erase(as->priority());
@@ -840,12 +837,8 @@ void ProcessorAllocator::LendSurplus() {
   }
   const std::vector<int> ids(lendable_.begin(), lendable_.end());
   for (int id : ids) {
-    auto it = by_id_.find(id);
-    if (it == by_id_.end()) {
-      continue;
-    }
-    AddressSpace* lender = it->second;
-    if (!lender->loan_state().dip_ripe || lender->reaped()) {
+    AddressSpace* lender = SpaceById(id);
+    if (!IsRegistered(lender) || !lender->loan_state().dip_ripe || lender->reaped()) {
       continue;
     }
     int surplus = Entitled(lender) - lender->desired_processors();
@@ -875,8 +868,9 @@ void ProcessorAllocator::LendSurplus() {
 AddressSpace* ProcessorAllocator::PickBorrower(const AddressSpace* lender) {
   AddressSpace* best = nullptr;
   int best_unmet = 0;
-  for (auto& [id, as] : by_id_) {
-    if (as == lender || as->reaped()) {
+  for (const auto& owned : kernel_->spaces()) {
+    AddressSpace* as = owned.get();
+    if (!IsRegistered(as) || as == lender || as->reaped()) {
       continue;
     }
     const AddressSpace::LoanState& ls = as->loan_state();

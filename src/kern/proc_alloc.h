@@ -114,15 +114,14 @@ class ProcessorAllocator {
 
   int num_free() const { return static_cast<int>(free_.size()); }
 
-  // Fair-share targets, index-aligned with spaces().  Exposed for tests.
-  // Synchronizes demand bookkeeping first, since tests poke demand directly
-  // through AddressSpace::set_desired_processors.
+  // Fair-share targets of the registered spaces, in id order.  Exposed for
+  // tests.  Synchronizes demand bookkeeping first, since tests poke demand
+  // directly through AddressSpace::set_desired_processors.
   std::vector<int> ComputeTargets();
 
-  const std::vector<AddressSpace*>& spaces() const { return spaces_; }
-
-  // O(1): is `as` currently registered with the allocator?
-  bool IsRegistered(const AddressSpace* as) const { return as->alloc_state().index >= 0; }
+  // Is `as` currently registered with the allocator?  The registered spaces
+  // are those of Kernel::spaces() between RegisterSpace and ReleaseSpace.
+  bool IsRegistered(const AddressSpace* as) const { return as->alloc_state().registered; }
 
   // Per-space grant classification against the processor's previous owner,
   // plus the space's kernel-thread migrations (reported by the kernel's
@@ -270,6 +269,8 @@ class ProcessorAllocator {
   Slot& SlotOf(const hw::Processor* proc) {
     return slots_[static_cast<size_t>(proc->id())];
   }
+  // The space with id `id`, registered or not (Kernel::spaces()).
+  AddressSpace* SpaceById(int id) const;
   // Puts a detached processor in the free pool.
   void Pool(hw::Processor* proc);
   // Grant's and Unassign's index upkeep: `proc` entered or left
@@ -385,13 +386,11 @@ class ProcessorAllocator {
 
   Kernel* kernel_;
   int num_processors_ = 0;
-  std::vector<AddressSpace*> spaces_;   // dense registry (swap-removed)
-  std::map<int, AddressSpace*> by_id_;  // id-ordered registry
   // Registered spaces currently holding >= 1 processor, id-ordered.  Bounds
   // storm-candidate collection by the machine size instead of the space
-  // count; iterating it yields exactly the (space, processor) pairs the
-  // full by_id_ walk would (empty holdings contribute none), so seeded
-  // storm RNG streams are unchanged.
+  // count; iterating it yields exactly the (space, processor) pairs a walk
+  // of every registered space in id order would (empty holdings contribute
+  // none), so seeded storm RNG streams are unchanged.
   std::map<int, AddressSpace*> holders_;
   std::map<int, Tier, std::greater<int>> tiers_;  // highest priority first
   std::vector<Slot> slots_;  // per processor id

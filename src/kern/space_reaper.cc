@@ -1,6 +1,7 @@
 #include "src/kern/space_reaper.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "src/kern/kernel.h"
 #include "src/kern/proc_alloc.h"
@@ -59,7 +60,7 @@ void SpaceReaper::InjectHang(AddressSpace* as) {
   // an upcall were in flight (the hang swallows whatever delivery is next).
   as->set_hung(true);
   if (hang_detection_) {
-    Watch& w = watches_[as->id()];
+    AddressSpace::ReapState& w = as->reap_state();
     if (!kernel_->engine().pending(w.deadline)) {
       w.pings = 0;
       ArmDeadline(as);
@@ -75,7 +76,7 @@ void SpaceReaper::WatchUpcall(AddressSpace* as) {
   if (!hang_detection_ || as->reaped()) {
     return;
   }
-  Watch& w = watches_[as->id()];
+  AddressSpace::ReapState& w = as->reap_state();
   if (kernel_->engine().pending(w.deadline)) {
     return;  // a deadline is already armed for an earlier delivery
   }
@@ -87,16 +88,12 @@ void SpaceReaper::AckUpcalls(AddressSpace* as) {
   if (!hang_detection_) {
     return;
   }
-  auto it = watches_.find(as->id());
-  if (it == watches_.end()) {
-    return;
-  }
-  it->second.pings = 0;
-  kernel_->engine().Cancel(it->second.deadline);
+  as->reap_state().pings = 0;
+  kernel_->engine().Cancel(as->reap_state().deadline);
 }
 
 void SpaceReaper::ArmDeadline(AddressSpace* as) {
-  Watch& w = watches_[as->id()];
+  AddressSpace::ReapState& w = as->reap_state();
   w.deadline = kernel_->engine().ScheduleIn(kAckDeadlineBase << w.pings,
                                             [this, as] { OnDeadline(as); });
 }
@@ -105,7 +102,7 @@ void SpaceReaper::OnDeadline(AddressSpace* as) {
   if (as->reaped()) {
     return;
   }
-  Watch& w = watches_[as->id()];
+  AddressSpace::ReapState& w = as->reap_state();
   if (as->assigned().empty()) {
     // Delayed notification (Section 4.2): a space holding no processors has
     // nowhere to run its upcall handler, so a missed deadline proves
@@ -150,7 +147,7 @@ void SpaceReaper::BeginTeardown(AddressSpace* as, TeardownCause cause) {
                               trace::Kind::kLifeQuarantine, -1, as->id(),
                               static_cast<uint64_t>(cause));
 
-  TeardownRecord rec;
+  TeardownRecord& rec = as->reap_state().record;
   rec.as_id = as->id();
   rec.cause = cause;
   rec.begin = kernel_->engine().now();
@@ -175,7 +172,7 @@ void SpaceReaper::BeginTeardown(AddressSpace* as, TeardownCause cause) {
   }
 
   // 3. Reclaim every kernel thread and activation.  Ready threads leave
-  //    their domain queue now; running ones are stopped by the revocation
+  //    their ready queue now; running ones are stopped by the revocation
   //    interrupts below; blocked ones never wake (their I/O completions are
   //    discarded at fire time — see Kernel::FinishIo).
   for (const auto& owned : as->threads()) {
@@ -184,7 +181,7 @@ void SpaceReaper::BeginTeardown(AddressSpace* as, TeardownCause cause) {
       continue;  // recycled-off activation discards are already dead
     }
     if (kt->state() == KThreadState::kReady && kt->queue_node.linked()) {
-      kernel_->DomainFor(as)->ready.Remove(kt);
+      kernel_->ReadyQueueOf(as).Remove(kt);
     }
     kt->set_state(KThreadState::kDead);
     --kernel_->live_threads_;
@@ -198,7 +195,6 @@ void SpaceReaper::BeginTeardown(AddressSpace* as, TeardownCause cause) {
                               static_cast<uint64_t>(rec.upcalls_discarded));
   stats_.threads_reclaimed += rec.threads_reclaimed;
   stats_.upcalls_discarded += rec.upcalls_discarded;
-  active_[as->id()] = rec;
 
   // 4. Return the processors.  Demand drops to zero first so a reentrant
   //    rebalance cannot grant anything back; each held processor is either
@@ -238,11 +234,10 @@ void SpaceReaper::BeginTeardown(AddressSpace* as, TeardownCause cause) {
 }
 
 void SpaceReaper::NoteProcessorDetached(AddressSpace* as) {
-  auto it = active_.find(as->id());
-  if (it == active_.end()) {
+  if (as->lifecycle() != AsLifecycle::kTearingDown) {
     return;
   }
-  ++it->second.procs_returned;
+  ++as->reap_state().record.procs_returned;
   ++stats_.procs_returned;
   if (as->assigned().empty()) {
     FinishTeardown(as);
@@ -258,12 +253,8 @@ void SpaceReaper::NoteIoDiscarded(const KThread* kt) {
 }
 
 void SpaceReaper::FinishTeardown(AddressSpace* as) {
-  auto it = active_.find(as->id());
-  SA_CHECK(it != active_.end());
   SA_CHECK(as->lifecycle() == AsLifecycle::kTearingDown);
-  TeardownRecord rec = it->second;
-  active_.erase(it);
-  watches_.erase(as->id());
+  TeardownRecord rec = std::exchange(as->reap_state(), {}).record;
   as->set_lifecycle(AsLifecycle::kDead);
   rec.end = kernel_->engine().now();
 

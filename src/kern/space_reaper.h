@@ -30,7 +30,6 @@
 #define SA_KERN_SPACE_REAPER_H_
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -41,19 +40,6 @@
 namespace sa::kern {
 
 class Kernel;
-
-// Per-teardown post-mortem record (surfaced through rt::RunReport and the
-// EXPERIMENTS.md reclamation-latency table).
-struct TeardownRecord {
-  int as_id = 0;
-  TeardownCause cause = TeardownCause::kNone;
-  sim::Time begin = 0;
-  sim::Time end = 0;
-  int procs_returned = 0;
-  int threads_reclaimed = 0;
-  int upcalls_discarded = 0;
-  sim::Duration latency() const { return end - begin; }
-};
 
 struct ReaperStats {
   int64_t spaces_reaped = 0;
@@ -86,7 +72,6 @@ class SpaceReaper {
   // Arms the watchdog machinery.  Off by default so runs without lifecycle
   // faults schedule no watchdog events (zero-perturbation guarantee).
   void EnableHangDetection() { hang_detection_ = true; }
-  bool hang_detection() const { return hang_detection_; }
 
   // --- fault entry points (driven by the harness fault plan) ---
   void InjectCrash(AddressSpace* as);
@@ -100,7 +85,7 @@ class SpaceReaper {
   void AckUpcalls(AddressSpace* as);
 
   // --- teardown progress hooks (called from the kernel) ---
-  // A processor owned by a tearing-down space was detached.
+  // A processor of `as` was detached (counted while `as` is kTearingDown).
   void NoteProcessorDetached(AddressSpace* as);
   // An I/O completion fired for a thread of a reaped space and was discarded.
   void NoteIoDiscarded(const KThread* kt);
@@ -117,21 +102,12 @@ class SpaceReaper {
   const std::vector<TeardownRecord>& teardowns() const { return teardowns_; }
 
  private:
-  struct Watch {
-    int pings = 0;  // consecutive missed deadlines
-    // Pending while an upcall is outstanding and an ack expected; the ack
-    // cancels it.
-    sim::EventId deadline = sim::kNoEvent;
-  };
-
   void ArmDeadline(AddressSpace* as);
   void OnDeadline(AddressSpace* as);
   void FinishTeardown(AddressSpace* as);
 
   Kernel* kernel_;
   bool hang_detection_ = false;
-  std::map<int, Watch> watches_;          // space id -> watchdog state
-  std::map<int, TeardownRecord> active_;  // space id -> in-flight teardown
   ReaperStats stats_;
   std::vector<TeardownRecord> teardowns_;
 };

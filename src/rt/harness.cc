@@ -43,7 +43,7 @@ void Harness::AddRuntime(Runtime* rt, bool background) {
 void Harness::AddForeground(Runtime* rt) {
   foreground_.push_back(rt);
   finished_threads_ += rt->threads_finished();
-  rt->CountFinishesInto(&finished_threads_);
+  rt->threads().CountFinishesInto(&finished_threads_);
 }
 
 Runtime* Harness::AddDaemon(const std::string& name, sim::Duration period,
@@ -91,9 +91,8 @@ void Harness::SpawnChurn(int index) {
   owned_.push_back(std::move(rt));
   runtimes_.push_back(Entry{raw, /*background=*/false});
   AddForeground(raw);
-  kern::AddressSpace* as = raw->address_space();
   engine().TraceEmit(trace::cat::kLifecycle, trace::Kind::kLifeSpawn, -1,
-                     as != nullptr ? as->id() : -1, static_cast<uint64_t>(index));
+                     raw->address_space()->id(), static_cast<uint64_t>(index));
   raw->Start();
 }
 
@@ -139,8 +138,7 @@ bool Harness::AllDone() const {
     if (rt->AllDone()) {
       continue;
     }
-    kern::AddressSpace* as = rt->address_space();
-    if (as != nullptr && as->lifecycle() == kern::AsLifecycle::kDead) {
+    if (rt->address_space()->lifecycle() == kern::AsLifecycle::kDead) {
       // Torn down: its threads will never finish, and that is fine.  A space
       // still kTearingDown gates completion — the run must not end while the
       // reaper's revocation interrupts are in flight, or conservation could
@@ -239,7 +237,7 @@ std::string Harness::DumpDiagnostics(const std::string& reason) {
          e.rt->name().c_str(), e.background ? "(background)" : "(foreground)",
          e.rt->threads_created(), e.rt->threads_finished(),
          e.rt->AllDone() ? ", done" : "");
-    e.rt->DescribeThreads(&out);
+    e.rt->threads().DescribeUnfinished(&out);
   }
   const kern::KernelCounters& c = kernel_.counters();
   line("kernel: %lld live threads | %lld upcalls (%lld events), %lld timeslices, "
@@ -312,6 +310,11 @@ std::string Harness::DumpDiagnostics(const std::string& reason) {
 
 inject::FaultInjector& Harness::EnableFaultInjection(const inject::FaultPlan& plan) {
   SA_CHECK_MSG(injector_ == nullptr, "fault injection already enabled");
+  // The reaper returns a failed space's processors through the allocator's
+  // revocations; without them a teardown would finish while the dead
+  // space's threads still ran.
+  SA_CHECK_MSG(!plan.lifecycle_active() || kernel_.allocator() != nullptr,
+               "lifecycle faults require the explicit allocator");
   injector_ = std::make_unique<inject::FaultInjector>(plan);
   machine_.set_injector(injector_.get());
   if (plan.storm_period > 0) {
@@ -335,18 +338,10 @@ inject::FaultInjector& Harness::EnableFaultInjection(const inject::FaultPlan& pl
 }
 
 kern::AddressSpace* Harness::ForegroundSpace(int index) {
-  int i = 0;
-  for (Runtime* rt : foreground_) {
-    kern::AddressSpace* as = rt->address_space();
-    if (as == nullptr) {
-      continue;
-    }
-    if (i == index) {
-      return as;
-    }
-    ++i;
+  if (index < 0 || index >= static_cast<int>(foreground_.size())) {
+    return nullptr;
   }
-  return nullptr;
+  return foreground_[static_cast<size_t>(index)]->address_space();
 }
 
 void Harness::ScheduleLifecycleFault(sim::Duration at, int space_index,

@@ -123,7 +123,9 @@ class Harness {
   // built from `plan` on the machine (kernel and SA spaces pick it up from
   // there) and, if the plan asks for revocation storms, schedules them.
   // Call before Start(); at most once.  With no active plan the injector
-  // perturbs nothing and seeded traces stay byte-identical.
+  // perturbs nothing and seeded traces stay byte-identical.  Lifecycle
+  // faults (crash, hang, exit) need the explicit allocator: under the
+  // native kernel such a plan aborts.
   inject::FaultInjector& EnableFaultInjection(const inject::FaultPlan& plan);
   // The installed injector, or null if fault injection was never enabled.
   inject::FaultInjector* injector() { return injector_.get(); }
@@ -151,8 +153,8 @@ class Harness {
   // Sum of finished threads across foreground runtimes, plus completed
   // teardowns (watchdog progress: a reap is forward progress too).
   size_t ForegroundFinished() const;
-  // Registers a foreground runtime and hooks its finished threads into
-  // finished_threads_.
+  // Registers a foreground runtime and hooks its thread table's finishes
+  // into finished_threads_.
   void AddForeground(Runtime* rt);
   void ScheduleStormTick();
   void SpawnChurn(int index);

@@ -8,14 +8,11 @@ namespace sa::rt {
 
 MisbehavingRuntime::MisbehavingRuntime(kern::Kernel* kernel, std::string name,
                                        int claimed_demand, int priority)
-    : kernel_(kernel),
-      name_(std::move(name)),
+    : Runtime(kernel, std::move(name), kern::AsMode::kSchedulerActivations, priority),
       claimed_demand_(claimed_demand),
       burn_slice_(sim::Msec(1)) {
   SA_CHECK(claimed_demand_ > 0);
-  as_ = kernel_->CreateAddressSpace(name_, kern::AsMode::kSchedulerActivations,
-                                    priority);
-  space_ = std::make_unique<core::SaSpace>(kernel_, as_,
+  space_ = std::make_unique<core::SaSpace>(kernel_, address_space(),
                                            static_cast<kern::KThreadHost*>(this));
 }
 

@@ -14,10 +14,10 @@
 //     (so the kernel's recycle cache stays empty for this space);
 //   * every processor it holds burns in an endless user-mode compute loop.
 //
-// It hosts no workload threads (background-only); Spawn and the sync-object
-// factories abort.  Tests co-run it with well-behaved spaces and assert the
-// isolation property: the others' completion time is unaffected beyond the
-// fair-share split.
+// It hosts no workload threads (background-only: its empty thread table is
+// always done); Spawn and the sync-object factories abort.  Tests co-run it
+// with well-behaved spaces and assert the isolation property: the others'
+// completion time is unaffected beyond the fair-share split.
 
 #ifndef SA_RT_MISBEHAVING_RUNTIME_H_
 #define SA_RT_MISBEHAVING_RUNTIME_H_
@@ -39,20 +39,13 @@ class MisbehavingRuntime : public Runtime, private kern::KThreadHost {
                      int priority = 0);
   ~MisbehavingRuntime() override;
 
-  const std::string& name() const override { return name_; }
   int CreateLock(LockKind kind) override;
   int CreateCond() override;
   int CreateKernelEvent() override;
   int Spawn(WorkloadFn fn, std::string thread_name) override;
   void Start() override;
-  // Background-only: never gates harness completion.
-  bool AllDone() const override { return true; }
-  size_t threads_created() const override { return 0; }
-  size_t threads_finished() const override { return 0; }
-  void CountFinishesInto(size_t*) override {}  // runs no threads
 
   core::SaSpace* space() { return space_.get(); }
-  kern::AddressSpace* address_space() { return as_; }
 
   // Misbehavior counters (tests assert these are non-zero, i.e. the
   // adversary actually adversed).
@@ -63,7 +56,7 @@ class MisbehavingRuntime : public Runtime, private kern::KThreadHost {
   // a hoarder, never volunteered back.  It burns on every processor it
   // holds, so each reclaim must preempt it (no fast path); with an injected
   // reclaim delay it sits on the deadline until force-revoked.
-  int64_t loans_hoarded() const { return as_->loan_state().borrows; }
+  int64_t loans_hoarded() const { return address_space()->loan_state().borrows; }
 
  private:
   // kern::KThreadHost (activation contexts):
@@ -72,9 +65,6 @@ class MisbehavingRuntime : public Runtime, private kern::KThreadHost {
 
   void Burn(kern::KThread* kt);
 
-  kern::Kernel* kernel_;
-  std::string name_;
-  kern::AddressSpace* as_;
   std::unique_ptr<core::SaSpace> space_;
   const int claimed_demand_;
   const sim::Duration burn_slice_;

@@ -1,4 +1,5 @@
-// Abstract runtime: hosts workload threads on one of the modelled systems.
+// The runtime base: hosts workload threads on one of the modelled systems,
+// in the one address space it creates.
 
 #ifndef SA_RT_RUNTIME_H_
 #define SA_RT_RUNTIME_H_
@@ -11,6 +12,8 @@
 
 namespace sa::kern {
 class AddressSpace;
+class Kernel;
+enum class AsMode;
 }  // namespace sa::kern
 
 namespace sa::rt {
@@ -52,8 +55,8 @@ struct WorkThread {
 // records are: once nothing the runtime runs holds a finished thread, the
 // runtime releases its record and the next Create reuses it, so records
 // follow the peak number of live threads, not every thread ever run.  A
-// continuation therefore never holds a record across a span; it looks a
-// thread that may finish meanwhile up again by tid (Find).
+// continuation therefore never holds a record across a span; it names a
+// thread that may finish meanwhile by tid (Finished, Join).
 class ThreadTable {
  public:
   WorkThread* Create(WorkloadFn fn, std::string name) {
@@ -75,11 +78,28 @@ class ThreadTable {
     by_tid_.push_back(w);
     return w;
   }
-  // Thread `tid`'s record; null once the thread finished and its record was
-  // released.
-  WorkThread* Find(int tid) const {
-    SA_CHECK(tid >= 0 && tid < static_cast<int>(by_tid_.size()));
-    return by_tid_[static_cast<size_t>(tid)];
+  // True once thread `tid` finished, even if its record serves another
+  // thread by now.
+  bool Finished(int tid) const {
+    const WorkThread* w = Find(tid);
+    return w == nullptr || w->finished;
+  }
+  // The join commit: queues `joiner` to be woken when thread `tid`
+  // finishes, or returns false and queues nothing if it already has.
+  bool Join(int tid, WorkThread* joiner) {
+    if (Finished(tid)) {
+      return false;
+    }
+    Find(tid)->joiners.push_back(joiner);
+    return true;
+  }
+  // `w`'s body ran to completion: marks it finished and counts it.
+  void Finish(WorkThread* w) {
+    w->finished = true;
+    ++finished_;
+    if (finish_counter_ != nullptr) {
+      ++*finish_counter_;
+    }
   }
   // Takes back a finished thread's record for reuse.  Its coroutine frame
   // goes before its closure, since a lambda body reads its captures through
@@ -94,12 +114,6 @@ class ThreadTable {
   size_t size() const { return by_tid_.size(); }          // threads created
   size_t records() const { return records_.size(); }      // records made
   size_t finished() const { return finished_; }
-  void NoteFinished() {
-    ++finished_;
-    if (finish_counter_ != nullptr) {
-      ++*finish_counter_;
-    }
-  }
   bool AllFinished() const { return finished_ == by_tid_.size(); }
   // Also counts every thread that finishes from now on into `*counter`.
   void CountFinishesInto(size_t* counter) { finish_counter_ = counter; }
@@ -118,6 +132,13 @@ class ThreadTable {
   }
 
  private:
+  // Thread `tid`'s record; null once the thread finished and its record was
+  // released.
+  WorkThread* Find(int tid) const {
+    SA_CHECK(tid >= 0 && tid < static_cast<int>(by_tid_.size()));
+    return by_tid_[static_cast<size_t>(tid)];
+  }
+
   std::vector<WorkThread*> by_tid_;                   // null once released
   std::vector<std::unique_ptr<WorkThread>> records_;  // owns every record
   std::vector<WorkThread*> free_;                     // released records
@@ -125,12 +146,16 @@ class ThreadTable {
   size_t* finish_counter_ = nullptr;
 };
 
-// The runtime interface the harness and workloads program against.
+// The runtime the harness and workloads program against.  It creates the
+// address space it runs in and owns the threads it hosts; a runtime kind
+// supplies only how threads run and synchronize.
 class Runtime {
  public:
-  virtual ~Runtime() = default;
-
-  virtual const std::string& name() const = 0;
+  // Creates the address space `name` (of `mode` and `priority`) in `kernel`.
+  Runtime(kern::Kernel* kernel, std::string name, kern::AsMode mode, int priority);
+  virtual ~Runtime();
+  Runtime(const Runtime&) = delete;
+  Runtime& operator=(const Runtime&) = delete;
 
   // Synchronization object factories (call before Start).
   virtual int CreateLock(LockKind kind) = 0;
@@ -143,23 +168,22 @@ class Runtime {
   // Boots the runtime: initial threads become runnable.
   virtual void Start() = 0;
 
+  const std::string& name() const { return name_; }
+  kern::AddressSpace* address_space() const { return as_; }
+  ThreadTable& threads() { return threads_; }
+
   // True once every thread (spawned or forked) has finished.
-  virtual bool AllDone() const = 0;
+  bool AllDone() const { return threads_.AllFinished(); }
+  size_t threads_created() const { return threads_.size(); }
+  size_t threads_finished() const { return threads_.finished(); }
 
-  virtual size_t threads_created() const = 0;
-  virtual size_t threads_finished() const = 0;
-  // Makes the runtime also count every thread that finishes from now on
-  // into `*counter` (the harness's completion and stall checks).
-  virtual void CountFinishesInto(size_t* counter) = 0;
+ protected:
+  kern::Kernel* const kernel_;
 
-  // Appends one line per unfinished thread to `out` (harness failure
-  // diagnostics).  Default: nothing to describe.
-  virtual void DescribeThreads(std::string* out) const { (void)out; }
-
-  // The kernel address space hosting this runtime, when it has exactly one
-  // (the harness uses it to target lifecycle faults and to drop reaped
-  // spaces from run completion).  Null for runtimes without a space.
-  virtual kern::AddressSpace* address_space() { return nullptr; }
+ private:
+  const std::string name_;
+  kern::AddressSpace* const as_;
+  ThreadTable threads_;
 };
 
 }  // namespace sa::rt

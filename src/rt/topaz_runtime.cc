@@ -42,9 +42,8 @@ const char* OpKindName(OpKind kind) {
 
 TopazRuntime::TopazRuntime(kern::Kernel* kernel, std::string name, bool heavyweight,
                            int priority)
-    : kernel_(kernel), name_(std::move(name)) {
-  as_ = kernel_->CreateAddressSpace(name_, kern::AsMode::kKernelThreads, priority);
-  as_->set_heavyweight(heavyweight);
+    : Runtime(kernel, std::move(name), kern::AsMode::kKernelThreads, priority) {
+  address_space()->set_heavyweight(heavyweight);
 }
 
 TopazRuntime::~TopazRuntime() = default;
@@ -63,8 +62,8 @@ int TopazRuntime::CreateCond() {
 int TopazRuntime::CreateKernelEvent() { return CreateCond(); }
 
 int TopazRuntime::Spawn(WorkloadFn fn, std::string thread_name) {
-  WorkThread* w = table_.Create(std::move(fn), std::move(thread_name));
-  kern::KThread* kt = kernel_->CreateThread(as_, this, w);
+  WorkThread* w = threads().Create(std::move(fn), std::move(thread_name));
+  kern::KThread* kt = kernel_->CreateThread(address_space(), this, w);
   w->impl = kt;
   if (started_) {
     kernel_->StartThread(kt);
@@ -98,7 +97,18 @@ void TopazRuntime::RunOn(kern::KThread* kt) {
   StepAndInterpret(w);
 }
 
+bool TopazRuntime::ParkIfReaped(WorkThread* w) {
+  if (!address_space()->reaped()) {
+    return false;
+  }
+  kernel_->ParkReaped(KtOf(w)->processor(), address_space());
+  return true;
+}
+
 void TopazRuntime::StepAndInterpret(WorkThread* w) {
+  if (ParkIfReaped(w)) {
+    return;
+  }
   w->Step();
   Interpret(w);
 }
@@ -120,8 +130,8 @@ void TopazRuntime::Interpret(WorkThread* w) {
     // user-level frame machinery).
     case OpKind::kForkLazy:
     case OpKind::kFork: {
-      WorkThread* child = table_.Create(op.fork_fn, op.fork_name);
-      kern::KThread* child_kt = kernel_->CreateThread(as_, this, child);
+      WorkThread* child = threads().Create(op.fork_fn, op.fork_name);
+      kern::KThread* child_kt = kernel_->CreateThread(address_space(), this, child);
       child->impl = child_kt;
       kernel_->SysFork(kt, child_kt, [this, w, child] {
         w->ctx.last_forked_tid = child->tid();
@@ -135,15 +145,7 @@ void TopazRuntime::Interpret(WorkThread* w) {
       // exited and its record serve another thread, so it goes by tid.
       const int tid = op.target_tid;
       kernel_->SysBlockWait(
-          kt,
-          [this, w, tid] {
-            WorkThread* target = table_.Find(tid);
-            if (target == nullptr || target->finished) {
-              return false;  // already dead: don't sleep
-            }
-            target->joiners.push_back(w);
-            return true;
-          },
+          kt, [this, w, tid] { return threads().Join(tid, w); },
           [this, w] { StepAndInterpret(w); });
       break;
     }
@@ -181,7 +183,8 @@ void TopazRuntime::Interpret(WorkThread* w) {
       break;
 
     case OpKind::kDone:
-      FinishThread(w);
+      threads().Finish(w);
+      WakeJoinersThenExit(w, 0);
       break;
 
     case OpKind::kNone:
@@ -195,6 +198,9 @@ void TopazRuntime::DoAcquire(WorkThread* w, TzLock* lock) {
   KtOf(w)->processor()->BeginSpan(
       kernel_->costs().kt_lock_tas, hw::SpanMode::kUser, /*preemptible=*/true,
       /*critical_section=*/false, [this, w, lock] {
+        if (ParkIfReaped(w)) {
+          return;
+        }
         if (lock->owner == nullptr) {
           lock->owner = w;
           StepAndInterpret(w);
@@ -218,6 +224,9 @@ void TopazRuntime::DoRelease(WorkThread* w, TzLock* lock) {
   KtOf(w)->processor()->BeginSpan(
       kernel_->costs().kt_lock_tas, hw::SpanMode::kUser, /*preemptible=*/true,
       /*critical_section=*/false, [this, w, lock] {
+        if (ParkIfReaped(w)) {
+          return;
+        }
         SA_CHECK_MSG(lock->owner == w, "release by non-owner");
         if (lock->waiters.empty()) {
           lock->owner = nullptr;
@@ -231,17 +240,11 @@ void TopazRuntime::DoRelease(WorkThread* w, TzLock* lock) {
       });
 }
 
-void TopazRuntime::FinishThread(WorkThread* w) {
-  w->finished = true;
-  table_.NoteFinished();
-  WakeJoinersThenExit(w, 0);
-}
-
 void TopazRuntime::WakeJoinersThenExit(WorkThread* w, size_t index) {
   if (index >= w->joiners.size()) {
     w->joiners.clear();
     kernel_->SysExit(KtOf(w));
-    table_.Release(w);  // the exit's kernel span no longer needs it
+    threads().Release(w);  // the exit's kernel span no longer needs it
     return;
   }
   WorkThread* joiner = w->joiners[index];

@@ -27,22 +27,11 @@ class TopazRuntime : public Runtime, private kern::KThreadHost {
                int priority = 0);
   ~TopazRuntime() override;
 
-  const std::string& name() const override { return name_; }
   int CreateLock(LockKind kind) override;
   int CreateCond() override;
   int CreateKernelEvent() override;
   int Spawn(WorkloadFn fn, std::string thread_name) override;
   void Start() override;
-  bool AllDone() const override { return table_.AllFinished(); }
-  size_t threads_created() const override { return table_.size(); }
-  size_t threads_finished() const override { return table_.finished(); }
-  void CountFinishesInto(size_t* counter) override { table_.CountFinishesInto(counter); }
-  void DescribeThreads(std::string* out) const override {
-    table_.DescribeUnfinished(out);
-  }
-  const ThreadTable& table() const { return table_; }
-
-  kern::AddressSpace* address_space() override { return as_; }
 
  private:
   struct TzLock {
@@ -57,17 +46,16 @@ class TopazRuntime : public Runtime, private kern::KThreadHost {
   kern::KThread* KtOf(WorkThread* w) { return static_cast<kern::KThread*>(w->impl); }
   WorkThread* WorkOf(kern::KThread* kt) { return static_cast<WorkThread*>(kt->host_data()); }
 
+  // Once the space is torn down, a continuation of `w` still in flight
+  // hands its processor back (Kernel::ParkReaped) instead of running the
+  // dead thread; returns true in that case.
+  bool ParkIfReaped(WorkThread* w);
   void StepAndInterpret(WorkThread* w);
   void Interpret(WorkThread* w);
   void DoAcquire(WorkThread* w, TzLock* lock);
   void DoRelease(WorkThread* w, TzLock* lock);
-  void FinishThread(WorkThread* w);
   void WakeJoinersThenExit(WorkThread* w, size_t index);
 
-  kern::Kernel* kernel_;
-  std::string name_;
-  kern::AddressSpace* as_;
-  ThreadTable table_;
   std::vector<std::unique_ptr<TzLock>> locks_;
   // Conditions and kernel events alike: a condition is a counting kernel
   // event, since every thread operation goes through the kernel.

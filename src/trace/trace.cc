@@ -116,10 +116,6 @@ uint64_t TraceBuffer::dropped() const {
   return total > cap ? total - cap : 0;
 }
 
-void TraceBuffer::Clear() {
-  next_.store(0, std::memory_order_relaxed);
-}
-
 int64_t HostNow() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              std::chrono::steady_clock::now().time_since_epoch())

@@ -208,7 +208,6 @@ class TraceBuffer {
   // Runtime category switch.  Emission for a disabled category is a single
   // branch.  Not thread-safe against concurrent Emit; set before the run.
   void set_enabled(uint32_t mask) { enabled_.store(mask, std::memory_order_relaxed); }
-  uint32_t enabled_mask() const { return enabled_.load(std::memory_order_relaxed); }
   bool enabled(uint32_t category) const {
     return (enabled_.load(std::memory_order_relaxed) & category) != 0;
   }
@@ -226,8 +225,6 @@ class TraceBuffer {
   // Records lost to ring wrap-around.
   uint64_t dropped() const;
   size_t capacity() const { return ring_.size(); }
-
-  void Clear();
 
  private:
   std::vector<Record> ring_;

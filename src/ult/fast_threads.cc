@@ -9,8 +9,8 @@
 namespace sa::ult {
 
 FastThreads::FastThreads(kern::Kernel* kernel, kern::AddressSpace* as, UltConfig config,
-                         VcpuBackend* backend)
-    : kernel_(kernel), as_(as), config_(config), backend_(backend) {
+                         VcpuBackend* backend, rt::ThreadTable& table)
+    : kernel_(kernel), as_(as), config_(config), backend_(backend), table_(table) {
   SA_CHECK(config_.max_vcpus >= 1);
   for (int i = 0; i < config_.max_vcpus; ++i) {
     auto v = std::make_unique<Vcpu>();
@@ -758,16 +758,7 @@ void FastThreads::DoneInline(Tcb* t) {
       static_cast<sim::Duration>(child->joiners.size()) * kernel_->costs().ult_signal;
   counters_.fork_time += charge;
   ChargeMgmt(v, charge, [this, t, child] {
-    Vcpu* v2 = t->vcpu;
-    child->finished = true;
-    table_.NoteFinished();
-    for (rt::WorkThread* jw : child->joiners) {
-      Tcb* joiner = static_cast<Tcb*>(jw->impl);
-      ++runnable_;
-      joiner->resume_check = true;
-      EnqueueReady(v2, joiner);
-    }
-    child->joiners.clear();
+    FinishWork(t->vcpu, child);
     child->impl = nullptr;
     table_.Release(child);
     t->work = t->work_stack.back();
@@ -783,8 +774,7 @@ void FastThreads::DoneInline(Tcb* t) {
 void FastThreads::DoJoin(Tcb* t) {
   Vcpu* v = t->vcpu;
   const int target_tid = t->work->ctx.op.target_tid;
-  const rt::WorkThread* target = table_.Find(target_tid);
-  if (target == nullptr || target->finished) {
+  if (table_.Finished(target_tid)) {
     counters_.fork_time += kernel_->costs().procedure_call;
     ChargeMgmt(v, kernel_->costs().procedure_call, [this, t] { StepAndInterpret(t); });
     return;
@@ -815,20 +805,11 @@ void FastThreads::DoJoin(Tcb* t) {
   counters_.fork_time +=
       charge + kernel_->costs().ult_signal + kernel_->costs().ult_dispatch;
   ChargeMgmt(v, charge, [this, t, target_tid] {
-    Vcpu* v2 = t->vcpu;
-    // Looked up again: a target that finished during the charge may have
-    // left its record to another thread.
-    rt::WorkThread* target = table_.Find(target_tid);
-    if (target == nullptr || target->finished) {  // finished while we were blocking
+    if (!table_.Join(target_tid, t->work)) {  // finished while we were blocking
       StepAndInterpret(t);
       return;
     }
-    target->joiners.push_back(t->work);
-    --runnable_;
-    t->state = Tcb::State::kBlockedSync;
-    v2->current = nullptr;
-    backend_->OnThreadUnloaded(v2);
-    Dispatch(v2);
+    BlockSync(t);
   });
 }
 
@@ -836,7 +817,6 @@ void FastThreads::DoAcquire(Tcb* t) {
   Vcpu* v = t->vcpu;
   UltLock* lock = locks_[static_cast<size_t>(t->work->ctx.op.sync_id)].get();
   ChargeMgmt(v, kernel_->costs().ult_lock_acquire, [this, t, lock] {
-    Vcpu* v2 = t->vcpu;
     if (lock->kind == rt::LockKind::kSpin) {
       if (lock->owner == nullptr) {
         lock->owner = t;
@@ -850,7 +830,7 @@ void FastThreads::DoAcquire(Tcb* t) {
       lock->spinners.push_back(t);
       t->state = Tcb::State::kSpinning;
       t->actively_spinning = true;
-      v2->proc()->BeginOpenSpan(hw::SpanMode::kSpin);
+      t->vcpu->proc()->BeginOpenSpan(hw::SpanMode::kSpin);
       return;
     }
     // Mutex: block at user level under contention.
@@ -860,11 +840,7 @@ void FastThreads::DoAcquire(Tcb* t) {
       return;
     }
     lock->waiters.PushBack(t);
-    --runnable_;
-    t->state = Tcb::State::kBlockedSync;
-    v2->current = nullptr;
-    backend_->OnThreadUnloaded(v2);
-    Dispatch(v2);
+    BlockSync(t);
   });
 }
 
@@ -959,13 +935,8 @@ void FastThreads::DoWait(Tcb* t) {
       StepAndInterpret(t);
       return;
     }
-    Vcpu* v2 = t->vcpu;
     sem->waiters.PushBack(t);
-    --runnable_;
-    t->state = Tcb::State::kBlockedSync;
-    v2->current = nullptr;
-    backend_->OnThreadUnloaded(v2);
-    Dispatch(v2);
+    BlockSync(t);
   });
 }
 
@@ -1008,6 +979,26 @@ void FastThreads::DoYield(Tcb* t) {
   });
 }
 
+void FastThreads::BlockSync(Tcb* t) {
+  Vcpu* v = t->vcpu;
+  --runnable_;
+  t->state = Tcb::State::kBlockedSync;
+  v->current = nullptr;
+  backend_->OnThreadUnloaded(v);
+  Dispatch(v);
+}
+
+void FastThreads::FinishWork(Vcpu* v, rt::WorkThread* w) {
+  table_.Finish(w);
+  for (rt::WorkThread* jw : w->joiners) {
+    Tcb* joiner = static_cast<Tcb*>(jw->impl);
+    ++runnable_;
+    joiner->resume_check = true;
+    EnqueueReady(v, joiner);
+  }
+  w->joiners.clear();
+}
+
 void FastThreads::DoDone(Tcb* t) {
   if (!t->work_stack.empty()) {
     DoneInline(t);  // an inline (pcall) body finished, not the TCB itself
@@ -1021,17 +1012,9 @@ void FastThreads::DoDone(Tcb* t) {
   ChargeMgmt(v, charge, [this, t, w] {
     Vcpu* v2 = t->vcpu;
     ++counters_.exits;
-    w->finished = true;
-    table_.NoteFinished();
     --runnable_;
     t->state = Tcb::State::kDone;
-    for (rt::WorkThread* jw : w->joiners) {
-      Tcb* joiner = static_cast<Tcb*>(jw->impl);
-      ++runnable_;
-      joiner->resume_check = true;
-      EnqueueReady(v2, joiner);
-    }
-    w->joiners.clear();
+    FinishWork(v2, w);
     v2->current = nullptr;
     backend_->OnThreadUnloaded(v2);
     FreeTcb(v2, t);

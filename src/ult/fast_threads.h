@@ -77,15 +77,13 @@ struct UltCounters {
 
 class FastThreads {
  public:
+  // `table` is the hosting runtime's: it creates, finishes and releases
+  // the threads this package runs.
   FastThreads(kern::Kernel* kernel, kern::AddressSpace* as, UltConfig config,
-              VcpuBackend* backend);
+              VcpuBackend* backend, rt::ThreadTable& table);
 
-  kern::Kernel* kernel() { return kernel_; }
-  kern::AddressSpace* address_space() { return as_; }
   const UltConfig& config() const { return config_; }
   UltCounters& counters() { return counters_; }
-  rt::ThreadTable& table() { return table_; }
-  const rt::ThreadTable& table() const { return table_; }
 
   // ---- setup ----
   int CreateLock(rt::LockKind kind);
@@ -163,7 +161,6 @@ class FastThreads {
   // lose their waiters and counts but stay allocated: a SysBlockWait check
   // still in flight may hold one.
   void Halt();
-  bool halted() const { return halted_; }
 
   // Critical-section recovery (Section 3.3): `t` arrived from the kernel
   // stopped while holding a spinlock.  Continue it on `v` until it exits the
@@ -188,8 +185,6 @@ class FastThreads {
   void StepAndInterpret(Tcb* t);
 
  private:
-  friend class UltRuntime;
-
   void DoFork(Tcb* parent);
   void DoForkLazy(Tcb* parent);
   void DoJoin(Tcb* t);
@@ -199,6 +194,11 @@ class FastThreads {
   void DoSignal(Tcb* t);
   void DoYield(Tcb* t);
   void DoDone(Tcb* t);
+  // Blocks the running thread `t` at user level (it is already queued
+  // where its waker finds it) and dispatches its vcpu.
+  void BlockSync(Tcb* t);
+  // `w`'s body finished: marks it finished and readies its joiners.
+  void FinishWork(Vcpu* v, rt::WorkThread* w);
   // `t` blocks in the kernel on its context v->kt: a kernel thread takes its
   // processor with it, an activation's processor gets a fresh upcall.
   void BlockInKernel(Vcpu* v, Tcb* t);
@@ -262,7 +262,7 @@ class FastThreads {
   kern::AddressSpace* as_;
   UltConfig config_;
   VcpuBackend* backend_;
-  rt::ThreadTable table_;
+  rt::ThreadTable& table_;
   UltCounters counters_;
 
   std::vector<std::unique_ptr<Vcpu>> vcpus_;

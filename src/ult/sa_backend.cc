@@ -189,10 +189,8 @@ void SaBackend::Drain(kern::KThread* kt, Vcpu* v) {
       // downcalls are serialized, Section 3.2).  A reap elsewhere can flood
       // the free pool and leave this space holding more processors than it
       // currently wants, so only renew while the bound count still trails.
-      const int want = std::min(ft_->runnable(), ft_->num_vcpus());
-      if (want > BoundCount() && want > space_->user_desired()) {
-        space_->DowncallAddProcessors(kt, want - BoundCount(),
-                                      [this, kt, v] { Drain(kt, v); });
+      if (const int more = ProcessorsToAsk(); more > 0) {
+        space_->DowncallAddProcessors(kt, more, [this, kt, v] { Drain(kt, v); });
         return;
       }
       Drain(kt, v);
@@ -320,18 +318,14 @@ void SaBackend::NotifyIdle(Vcpu* v) {
 }
 
 void SaBackend::OnIdle(Vcpu* v) {
-  if (!ft_->config().idle_hysteresis) {
-    if (!v->idle_notified) {
-      NotifyIdle(v);
-      return;
-    }
-    v->proc()->BeginOpenSpan(hw::SpanMode::kIdleSpin);
-    return;
-  }
   if (v->idle_notified) {
     // Already told the kernel; keep spinning until work arrives or the
     // processor is reclaimed.
     v->proc()->BeginOpenSpan(hw::SpanMode::kIdleSpin);
+    return;
+  }
+  if (!ft_->config().idle_hysteresis) {
+    NotifyIdle(v);
     return;
   }
   // Spin for the hysteresis period before notifying (Section 4.2).
@@ -367,14 +361,18 @@ void SaBackend::OnIdle(Vcpu* v) {
 
 void SaBackend::OnIdleWake(Vcpu* v) { kernel_->engine().Cancel(v->hysteresis); }
 
-void SaBackend::NotifyParallelism(Vcpu* v, sim::Callback resume) {
-  // Notify only on a *transition*: more runnable threads than processors,
-  // and more than the demand the kernel already knows about (the demand is
+int SaBackend::ProcessorsToAsk() const {
+  // Only on a *transition*: more runnable threads than processors, and more
+  // than the demand the kernel already knows about (the demand is
   // persistent kernel state, so no request tracking is needed — if nothing
   // can be granted now, the allocator grants when a processor frees up).
   const int want = std::min(ft_->runnable(), ft_->num_vcpus());
-  if (want > BoundCount() && want > space_->user_desired()) {
-    space_->DowncallAddProcessors(v->kt, want - BoundCount(), std::move(resume));
+  return want > BoundCount() && want > space_->user_desired() ? want - BoundCount() : 0;
+}
+
+void SaBackend::NotifyParallelism(Vcpu* v, sim::Callback resume) {
+  if (const int more = ProcessorsToAsk(); more > 0) {
+    space_->DowncallAddProcessors(v->kt, more, std::move(resume));
     return;
   }
   // Priority extension (Section 3.1): if a ready thread outranks a running

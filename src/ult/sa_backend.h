@@ -50,8 +50,6 @@ class SaBackend : public VcpuBackend, public kern::KThreadHost {
   void OnPreempted(kern::KThread* kt, const hw::Interrupt& irq) override;
   void OnSpaceReaped() override;
 
-  int64_t pending_discards() const { return static_cast<int64_t>(discards_.size()); }
-
  private:
   // Processes an upcall's events (Table 2) in the context of the fresh
   // activation that carries them, after the kernel charged the delivery;
@@ -77,6 +75,10 @@ class SaBackend : public VcpuBackend, public kern::KThreadHost {
   void ResetSlot(Vcpu* v, kern::KThread* kt);
   Vcpu* SlotByProcessor(int processor_id);
   int BoundCount() const;
+  // Processors to ask the kernel for in an add-processors downcall: how
+  // far the bound count trails the runnable threads the slots could run,
+  // when that also exceeds the demand the kernel knows (0: none).
+  int ProcessorsToAsk() const;
 
   // Drains the shared event inbox in the context of `kt` / slot `v`
   // (v == nullptr for a surplus processor), then dispatches.

@@ -6,21 +6,24 @@ namespace sa::ult {
 
 UltRuntime::UltRuntime(kern::Kernel* kernel, std::string name, BackendKind backend,
                        UltConfig config, int priority)
-    : name_(std::move(name)) {
+    : rt::Runtime(kernel, std::move(name),
+                  backend == BackendKind::kSchedulerActivations
+                      ? kern::AsMode::kSchedulerActivations
+                      : kern::AsMode::kKernelThreads,
+                  priority) {
   if (backend == BackendKind::kSchedulerActivations) {
-    as_ = kernel->CreateAddressSpace(name_, kern::AsMode::kSchedulerActivations, priority);
-    backend_ = std::make_unique<SaBackend>(kernel, as_);
+    backend_ = std::make_unique<SaBackend>(kernel, address_space());
   } else {
-    as_ = kernel->CreateAddressSpace(name_, kern::AsMode::kKernelThreads, priority);
-    backend_ = std::make_unique<KtBackend>(kernel, as_);
+    backend_ = std::make_unique<KtBackend>(kernel, address_space());
   }
-  ft_ = std::make_unique<FastThreads>(kernel, as_, config, backend_.get());
+  ft_ = std::make_unique<FastThreads>(kernel, address_space(), config, backend_.get(),
+                                      threads());
 }
 
 UltRuntime::~UltRuntime() = default;
 
 int UltRuntime::Spawn(rt::WorkloadFn fn, std::string thread_name) {
-  rt::WorkThread* w = ft_->table().Create(std::move(fn), std::move(thread_name));
+  rt::WorkThread* w = threads().Create(std::move(fn), std::move(thread_name));
   ft_->SpawnThread(w);
   return w->tid();
 }

@@ -26,30 +26,17 @@ class UltRuntime : public rt::Runtime {
              UltConfig config, int priority = 0);
   ~UltRuntime() override;
 
-  const std::string& name() const override { return name_; }
   int CreateLock(rt::LockKind kind) override { return ft_->CreateLock(kind); }
   int CreateCond() override { return ft_->CreateCond(); }
   int CreateKernelEvent() override { return ft_->CreateKernelEvent(); }
   int Spawn(rt::WorkloadFn fn, std::string thread_name) override;
   void Start() override;
-  bool AllDone() const override { return ft_->table().AllFinished(); }
-  size_t threads_created() const override { return ft_->table().size(); }
-  size_t threads_finished() const override { return ft_->table().finished(); }
-  void CountFinishesInto(size_t* counter) override {
-    ft_->table().CountFinishesInto(counter);
-  }
-  void DescribeThreads(std::string* out) const override {
-    ft_->table().DescribeUnfinished(out);
-  }
 
   FastThreads& fast_threads() { return *ft_; }
-  kern::AddressSpace* address_space() override { return as_; }
   // Non-null only on the scheduler-activation backend.
   SaBackend* sa_backend() { return dynamic_cast<SaBackend*>(backend_.get()); }
 
  private:
-  std::string name_;
-  kern::AddressSpace* as_;
   std::unique_ptr<VcpuBackend> backend_;
   std::unique_ptr<FastThreads> ft_;
   bool started_ = false;

@@ -17,6 +17,7 @@
 #include "src/inject/fault_plan.h"
 #include "src/kern/space_reaper.h"
 #include "src/rt/harness.h"
+#include "src/rt/topaz_runtime.h"
 #include "src/trace/invariants.h"
 #include "src/ult/ult_runtime.h"
 
@@ -260,6 +261,117 @@ TEST(SpaceLifecycle, ExitReturnsProcessorsToSurvivors) {
 
   EXPECT_EQ(survivor_a->threads_finished(), survivor_a->threads_created());
   EXPECT_EQ(survivor_b->threads_finished(), survivor_b->threads_created());
+}
+
+// Two kernel-thread (Topaz) spaces share two processors, and space 0
+// crashes at every instant of a window, 10us apart.  A continuation of one
+// of its threads can still fire after the crash (a user span ending at the
+// crash instant, the kernel's dispatch span), and must hand its processor
+// back instead of driving the dead thread into a syscall.  Every thread
+// crosses each Topaz path: mutex, compute, I/O, fork and join, yield, and a
+// kernel-event wait or signal.
+TEST(SpaceLifecycle, TopazSpaceSurvivesTeardownAtAnyInstant) {
+  for (sim::Duration at = sim::Usec(100); at <= sim::Msec(4); at += sim::Usec(10)) {
+    rt::Harness h(SaConfig(/*processors=*/2));
+    inject::FaultPlan plan;
+    plan.crash_at = at;
+    plan.crash_space = 0;
+    h.EnableFaultInjection(plan);
+
+    std::vector<std::unique_ptr<rt::TopazRuntime>> spaces;
+    for (int s = 0; s < 2; ++s) {
+      auto topaz = std::make_unique<rt::TopazRuntime>(&h.kernel(), "topaz" + std::to_string(s));
+      const int lock = topaz->CreateLock(rt::LockKind::kMutex);
+      const int ev = topaz->CreateKernelEvent();
+      for (int k = 0; k < 3; ++k) {
+        topaz->Spawn(
+            [lock, ev, k](rt::ThreadCtx& t) -> sim::Program {
+              for (int round = 0; round < 8; ++round) {
+                co_await t.Acquire(lock);
+                co_await t.Compute(sim::Usec(100));
+                co_await t.Release(lock);
+                co_await t.Io(sim::Usec(50));
+                rt::WorkloadFn child = [](rt::ThreadCtx& c) -> sim::Program {
+                  co_await c.Compute(sim::Usec(30));
+                };
+                const int tid = co_await t.Fork(std::move(child));
+                co_await t.Join(tid);
+                co_await t.Yield();
+                if (k == 0) {
+                  co_await t.KernelWait(ev);  // signalled 16 times per 8 waits
+                } else {
+                  co_await t.KernelSignal(ev);
+                }
+              }
+            },
+            std::string("w").append(std::to_string(k)));
+      }
+      h.AddRuntime(topaz.get());
+      spaces.push_back(std::move(topaz));
+    }
+
+    const rt::RunResult result = h.TryRun();
+    ASSERT_TRUE(result.ok()) << "crash at " << at << ":\n" << result.diagnostics;
+    kern::AddressSpace* as = spaces[0]->address_space();
+    ASSERT_EQ(as->lifecycle(), kern::AsLifecycle::kDead) << "crash at " << at;
+    ASSERT_EQ(h.kernel().reaper()->ConservationReport(as), "") << "crash at " << at;
+    ASSERT_EQ(spaces[1]->threads_finished(), spaces[1]->threads_created())
+        << "crash at " << at;
+  }
+}
+
+// The same, aimed at the test-and-set spans around a contended lock: thread
+// b's acquire span ends (at 232us) while a holds the lock, and a's release
+// span ends (at 1184us) with b waiting.  A crash at that very instant fires
+// before the revocation interrupt, so the span's continuation still runs,
+// and must neither block the dead thread on the lock nor wake the dead
+// waiter.
+TEST(SpaceLifecycle, TopazLockSpanEndingAtTeardownParks) {
+  for (sim::Duration at = sim::Usec(150); at <= sim::Usec(1250); at += sim::Usec(1)) {
+    rt::Harness h(SaConfig(/*processors=*/2));
+    inject::FaultPlan plan;
+    plan.crash_at = at;
+    plan.crash_space = 0;
+    h.EnableFaultInjection(plan);
+
+    rt::TopazRuntime topaz(&h.kernel(), "topaz");
+    const int lock = topaz.CreateLock(rt::LockKind::kMutex);
+    topaz.Spawn(
+        [lock](rt::ThreadCtx& t) -> sim::Program {
+          co_await t.Acquire(lock);
+          co_await t.Compute(sim::Usec(1000));
+          co_await t.Release(lock);
+        },
+        "a");
+    topaz.Spawn(
+        [lock](rt::ThreadCtx& t) -> sim::Program {
+          co_await t.Compute(sim::Usec(50));
+          co_await t.Acquire(lock);
+          co_await t.Release(lock);
+        },
+        "b");
+    h.AddRuntime(&topaz);
+
+    const rt::RunResult result = h.TryRun();
+    ASSERT_TRUE(result.ok()) << "crash at " << at << ":\n" << result.diagnostics;
+    ASSERT_EQ(h.kernel().reaper()->ConservationReport(topaz.address_space()), "")
+        << "crash at " << at;
+  }
+}
+
+// Without the explicit allocator the reaper cannot take a space's
+// processors back, so a teardown would finish with a dead thread still
+// running.  The harness refuses such a plan up front.
+TEST(SpaceLifecycleDeathTest, LifecycleFaultsNeedTheExplicitAllocator) {
+  inject::FaultPlan plan;
+  plan.crash_at = sim::Msec(1);
+  rt::HarnessConfig config;  // native Topaz kernel
+  EXPECT_DEATH(
+      {
+        rt::Harness h(config);
+        h.EnableFaultInjection(plan);
+      },
+      "lifecycle faults require the explicit allocator");
 }
 
 // Churn soak: spaces arriving mid-run while random lifecycle faults kill

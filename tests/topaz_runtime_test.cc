@@ -186,7 +186,7 @@ TEST(TopazRuntime, FinishedThreadRecordsAreReused) {
   EXPECT_EQ(topaz.threads_created(), 201u);
   EXPECT_EQ(topaz.threads_finished(), 201u);
   EXPECT_EQ(topaz.address_space()->threads().size(), 5u);
-  EXPECT_EQ(topaz.table().records(), 5u);
+  EXPECT_EQ(topaz.threads().records(), 5u);
 }
 
 // A join whose target exits while the joiner's block span (kernel_trap +
@@ -234,7 +234,7 @@ TEST(TopazRuntime, JoinCommitFindsTargetGoneAfterItsRecordIsReused) {
   const kern::CostModel& costs = h.kernel().costs();
   EXPECT_EQ(join_returned, kJoinAt + costs.kernel_trap + costs.kt_block);
   EXPECT_LT(forked, join_returned);
-  EXPECT_EQ(topaz.table().records(), 3u);  // the reuser took the target's
+  EXPECT_EQ(topaz.threads().records(), 3u);  // the reuser took the target's
 }
 
 }  // namespace

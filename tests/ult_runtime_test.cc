@@ -268,7 +268,7 @@ TEST(FastThreads, FinishedThreadRecordsAreReused) {
   ASSERT_TRUE(result.ok()) << result.diagnostics;
   EXPECT_EQ(ft.threads_created(), 201u);
   EXPECT_EQ(ft.threads_finished(), 201u);
-  EXPECT_EQ(ft.fast_threads().table().records(), 5u);
+  EXPECT_EQ(ft.threads().records(), 5u);
 }
 
 // A join whose target finishes while the joiner's ChargeMgmt span (ult_wait
@@ -322,7 +322,7 @@ TEST(FastThreads, JoinFindsTargetGoneAfterItsRecordIsReused) {
   EXPECT_LT(target_done + costs.ult_exit, forked);
   EXPECT_EQ(join_returned, kJoinAt + costs.ult_wait + costs.sa_busy_accounting);
   EXPECT_LT(forked, join_returned);
-  EXPECT_EQ(ft.fast_threads().table().records(), 3u);  // the reuser took the target's
+  EXPECT_EQ(ft.threads().records(), 3u);  // the reuser took the target's
 }
 
 }  // namespace
