@@ -495,7 +495,7 @@ void SaSpace::DowncallYieldHint(kern::KThread* caller, sim::Callback declined) {
         // interrupt action (upcall delivery, revocation) makes the processor
         // spoken for: lending it under the action's feet would fire the old
         // owner's action on the borrower.
-        if (as_->reaped() || !as_->IsAssigned(proc) ||
+        if (!as_->IsAssigned(proc) ||
             kernel_->running_on(proc) != caller ||
             kernel_->HasPendingAction(proc) || !alloc->WantsLoanFrom(as_)) {
           ++kernel_->counters().yield_hints_declined;

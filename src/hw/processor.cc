@@ -96,6 +96,9 @@ void Processor::BeginSpan(sim::Duration d, SpanMode mode, bool preemptible,
                        static_cast<uint64_t>(mode_),
                        static_cast<uint64_t>(span_duration_));
     sim::Callback fn = std::move(on_complete_);
+    if (span_end_check_ != nullptr && span_end_check_(this)) {
+      return;  // the span's context is dead: its continuation is dropped
+    }
     fn();
   };
   completion_ = engine_->ScheduleIn(d, complete);

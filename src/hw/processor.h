@@ -8,7 +8,8 @@
 // span later (a SavedSpan: remaining duration + the original continuation,
 // which Resume() continues); a non-preemptible span (kernel mode) latches
 // the request, which fires at the next preemptible BeginSpan or is consumed
-// at an explicit dispatch point.
+// at an explicit dispatch point.  Where a timed span ends, the kernel's
+// span-end check may drop the continuation of a context that died meanwhile.
 //
 // Time spent is accounted per SpanMode so experiments can report processor
 // busy/spin/idle breakdowns.
@@ -62,6 +63,10 @@ struct Interrupt {
 class Processor {
  public:
   using InterruptHandler = sim::InlineFunction<void(Processor*, Interrupt)>;
+  // Runs where a timed span ends, before its continuation.  True means the
+  // context that began the span is dead: the processor then drops the
+  // continuation, and the check has already handed the processor back.
+  using SpanEndCheck = sim::InlineFunction<bool(Processor*)>;
 
   Processor(sim::Engine* engine, int id);
   Processor(const Processor&) = delete;
@@ -73,6 +78,7 @@ class Processor {
   void set_interrupt_handler(InterruptHandler handler) {
     interrupt_handler_ = std::move(handler);
   }
+  void set_span_end_check(SpanEndCheck check) { span_end_check_ = std::move(check); }
 
   bool has_span() const { return span_active_; }
   bool span_open() const { return span_active_ && open_; }
@@ -127,6 +133,7 @@ class Processor {
   sim::Engine* engine_;
   const int id_;
   InterruptHandler interrupt_handler_;
+  SpanEndCheck span_end_check_;
 
   // Current span.
   bool span_active_ = false;

@@ -16,6 +16,8 @@ Kernel::Kernel(hw::Machine* machine, Config config)
   for (int i = 0; i < machine_->num_processors(); ++i) {
     machine_->processor(i)->set_interrupt_handler(
         [this](hw::Processor* proc, hw::Interrupt irq) { OnInterrupt(proc, std::move(irq)); });
+    machine_->processor(i)->set_span_end_check(
+        [this](hw::Processor* proc) { return StopIfReaped(proc); });
   }
   if (config_.lending) {
     SA_CHECK_MSG(config_.mode == KernelMode::kSchedulerActivations,
@@ -370,7 +372,8 @@ void Kernel::OnInterrupt(hw::Processor* proc, hw::Interrupt irq) {
   if (kt != nullptr && !irq.was_idle && !kt->address_space()->reaped()) {
     // A reaped space's context is not saved and not notified: the thread is
     // already dead, so the interrupt just strips the processor (stopped
-    // stays null and the action below treats it as caught-between-spans).
+    // stays null and the action below treats it as caught-between-spans),
+    // and the reaper hears of it.
     // A live context keeps the span the interrupt cut, as a kernel keeps a
     // stopped context's registers (§3.1).
     if (irq.span.valid()) {
@@ -381,6 +384,9 @@ void Kernel::OnInterrupt(hw::Processor* proc, hw::Interrupt irq) {
     stopped = kt;
   }
   ClearRunning(proc);
+  if (kt != nullptr) {
+    reaper_->FinishIfDrained(kt->address_space());  // a dead context came off
+  }
   HandleAction(proc, action, stopped);
 }
 
@@ -405,13 +411,13 @@ void Kernel::HandleAction(hw::Processor* proc, PendingAction action, KThread* st
         ReadyQueueOf(stopped->address_space()).PushBack(stopped);
       }
       KThread* target = action.thread;
-      if (target->state() != KThreadState::kReady) {
-        // The target died (space reaped) between the request and delivery.
-        proc->BeginKernelSpan(costs().preempt_interrupt, [this, proc] { DispatchOn(proc); });
-        break;
-      }
-      proc->BeginKernelSpan(costs().preempt_interrupt,
-                            [this, proc, target] { ChargeDispatchAndRun(proc, target); });
+      proc->BeginKernelSpan(costs().preempt_interrupt, [this, proc, target] {
+        if (target->state() == KThreadState::kReady) {
+          ChargeDispatchAndRun(proc, target);
+        } else {
+          DispatchOn(proc);  // the target died with its space meanwhile
+        }
+      });
       break;
     }
 
@@ -524,11 +530,8 @@ void Kernel::SysFork(KThread* caller, KThread* child, sim::Callback done) {
   hw::Processor* proc = caller->processor();
   BeginCall(proc, Call{std::move(done), nullptr, child});
   proc->BeginKernelSpan(costs().kernel_trap + CreateCost(caller->address_space()),
-                        [this, caller, proc] {
+                        [this, proc] {
                           Call call = TakeCall(proc);
-                          if (AbortSyscallIfReaped(caller, proc)) {
-                            return;
-                          }
                           MakeReady(call.peer);
                           call.done();
                         });
@@ -544,9 +547,6 @@ void Kernel::SysExit(KThread* caller) {
   hw::Processor* proc = caller->processor();
   proc->BeginKernelSpan(
       costs().kernel_trap + ExitCost(caller->address_space()), [this, caller, proc] {
-        if (AbortSyscallIfReaped(caller, proc)) {
-          return;  // the reaper already reclaimed the caller
-        }
         caller->set_state(KThreadState::kDead);
         --live_threads_;
         AddressSpace* as = caller->address_space();
@@ -576,9 +576,6 @@ void Kernel::FinishBlock(KThread* caller) {
 
 void Kernel::CommitBlock(KThread* caller, hw::Processor* proc) {
   Call call = TakeCall(proc);
-  if (AbortSyscallIfReaped(caller, proc)) {
-    return;
-  }
   if (call.block_check != nullptr && !call.block_check()) {
     // The awaited condition arrived before we committed to sleeping.
     SA_CHECK(call.done != nullptr);
@@ -661,9 +658,6 @@ void Kernel::SysYield(KThread* caller) {
                      static_cast<uint64_t>(caller->id()));
   hw::Processor* proc = caller->processor();
   proc->BeginKernelSpan(costs().kernel_trap, [this, caller, proc] {
-    if (AbortSyscallIfReaped(caller, proc)) {
-      return;
-    }
     AddressSpace* as = caller->address_space();
     ClearRunning(proc);
     caller->set_state(KThreadState::kReady);
@@ -746,20 +740,13 @@ void Kernel::SysWakeup(KThread* caller, KThread* target, sim::Callback done) {
                      static_cast<uint64_t>(trace::Syscall::kWakeup),
                      static_cast<uint64_t>(caller->id()));
   SA_CHECK(caller->state() == KThreadState::kRunning);
-  SA_CHECK_MSG(target->state() == KThreadState::kBlocked ||
-                   target->address_space()->reaped(),
-               "waking a non-blocked thread");
+  SA_CHECK_MSG(target->state() == KThreadState::kBlocked, "waking a non-blocked thread");
   hw::Processor* proc = caller->processor();
   BeginCall(proc, Call{std::move(done), nullptr, target});
   proc->BeginKernelSpan(costs().kernel_trap + WakeupCost(caller->address_space()),
-                        [this, caller, proc] {
+                        [this, proc] {
                           Call call = TakeCall(proc);
-                          if (AbortSyscallIfReaped(caller, proc)) {
-                            return;
-                          }
-                          if (!call.peer->address_space()->reaped()) {
-                            OnIoComplete(call.peer);
-                          }  // else the sleeper died with its space
+                          OnIoComplete(call.peer);
                           call.done();
                         });
 }
@@ -775,36 +762,21 @@ void Kernel::SysEventSignal(KThread* caller, KernelEvent* ev, sim::Callback done
   ChargeKernel(caller, costs().kernel_trap, std::move(done));
 }
 
-bool Kernel::AbortSyscallIfReaped(KThread* caller, hw::Processor* proc) {
-  if (!caller->address_space()->reaped()) {
-    return false;
-  }
-  // The caller died mid-syscall (its space was quarantined while a kernel
-  // span was charging): drop the continuation.
-  ParkReaped(proc, caller->address_space());
-  return true;
-}
-
-void Kernel::ParkReaped(hw::Processor* proc, const AddressSpace* as) {
-  const KThread* running = running_on(proc);
-  if (running != nullptr && running->address_space() == as) {
-    ClearRunning(proc);
-  }
-  if (!proc->has_span()) {
-    DispatchOn(proc);
-  }
-}
-
 void Kernel::ChargeKernel(KThread* caller, sim::Duration d, sim::Callback done) {
   hw::Processor* proc = caller->processor();
   BeginCall(proc, Call{std::move(done), nullptr, nullptr});
-  proc->BeginKernelSpan(d, [this, caller, proc] {
-    Call call = TakeCall(proc);
-    if (AbortSyscallIfReaped(caller, proc)) {
-      return;
-    }
-    call.done();
-  });
+  proc->BeginKernelSpan(d, [this, proc] { TakeCall(proc).done(); });
+}
+
+void Kernel::ParkReaped(hw::Processor* proc) {
+  // The span's context died with its space while the span ran (a span that
+  // ends at the teardown instant fires before the revocation interrupt, and
+  // a kernel span is not preemptible): nothing of it runs on.
+  TakeCall(proc);
+  AddressSpace* as = running_on(proc)->address_space();
+  ClearRunning(proc);
+  reaper_->FinishIfDrained(as);
+  DispatchOn(proc);
 }
 
 void Kernel::UpdateKtDemand(AddressSpace* as) {

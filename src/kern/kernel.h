@@ -15,7 +15,9 @@
 //    kSchedulerActivations spaces receive events via upcalls (src/core/).
 //
 // All kernel services charge virtual time on the calling context's processor
-// and complete through continuations.  Continuations must never capture a
+// and complete through continuations, which run only for a live space: the
+// kernel's span-end check drops a dead space's continuation where its span
+// ends (StopIfReaped, DESIGN.md §12).  Continuations must never capture a
 // Processor pointer directly — always re-read `kt->processor()` — because a
 // preempted execution may be continued on a different processor.  (A kernel
 // span is the exception: it is never preempted, so its own continuation may
@@ -276,13 +278,6 @@ class Kernel {
   // allocator: desired = runnable thread count.
   void UpdateKtDemand(AddressSpace* as);
 
-  // Hands back a processor of the torn-down space `as` from a continuation
-  // that fired after the teardown: clears `as`'s context off `proc` and, if
-  // the processor has no span, gives the kernel a dispatch point, where it
-  // consumes a latched revocation or revokes through the reaped-owner
-  // catch-all (RevokeNow).
-  void ParkReaped(hw::Processor* proc, const AddressSpace* as);
-
   // Effective upcall delivery cost (honours tuned_upcalls).
   sim::Duration UpcallCost() const;
 
@@ -353,10 +348,22 @@ class Kernel {
   // Applies the injector's latency-spike perturbation (if any) to a blocking
   // I/O's latency, tracing the spike.  Identity when injection is off.
   sim::Duration MaybePerturbLatency(KThread* caller, sim::Duration latency);
-  // If `caller`'s space has been reaped mid-syscall, abandon the syscall
-  // and hand the processor back (ParkReaped).  Returns true when the
-  // continuation must stop.
-  bool AbortSyscallIfReaped(KThread* caller, hw::Processor* proc);
+  // Every processor's span-end check, the one place a torn-down space's
+  // continuation stops (DESIGN.md §12): if the context on `proc` belongs to
+  // a reaped space, parks the processor and returns true, so the processor
+  // drops the span's continuation too.  Inline: it runs at every span end.
+  bool StopIfReaped(hw::Processor* proc) {
+    const KThread* kt = running_on(proc);
+    if (kt == nullptr || !kt->address_space()->reaped()) {
+      return false;
+    }
+    ParkReaped(proc);
+    return true;
+  }
+  // Drops the filed call of `proc`'s ended span, takes the dead context off
+  // and gives the kernel a dispatch point there, where a latched action is
+  // consumed or the reaped-owner catch-all revokes the processor.
+  void ParkReaped(hw::Processor* proc);
   hw::Processor* FindIdleProcessorFor(AddressSpace* as);
   // Native mode: place a high-priority wakeup at a random processor
   // (modelling interrupt-local delivery); may preempt lower-priority work.

@@ -62,10 +62,11 @@ class KThreadHost {
   // Default: nothing.
   virtual void OnPreempted(KThread* kt, const hw::Interrupt& irq) {}
 
-  // The address space this host serves has been quarantined by the reaper;
-  // release user-level state (vcpu bindings, run queues) — none of this
-  // host's threads will ever run again.  Called once per distinct host of a
-  // reaped space.  Default: nothing.
+  // The address space this host serves has been quarantined by the reaper:
+  // none of this host's threads will ever run again.  The kernel drops each
+  // of their span continuations where the span ends, so a host adds no
+  // teardown guard of its own; it only stops its own timers here.  Called
+  // once per distinct host of a reaped space.  Default: nothing.
   virtual void OnSpaceReaped() {}
 };
 

@@ -200,9 +200,21 @@ void SpaceReaper::BeginTeardown(AddressSpace* as, TeardownCause cause) {
   //    rebalance cannot grant anything back; each held processor is either
   //    reclaimed on the spot (idle in kernel) or funnelled through the
   //    normal revocation interrupt, whose reaped-space path detaches it
-  //    without notifying the dead runtime.
+  //    without notifying the dead runtime.  The native kernel holds no
+  //    processor for a space: it stops each one running a dead thread with
+  //    a timeslice instead, and the next ready thread runs there.
   ProcessorAllocator* alloc = kernel_->allocator();
-  if (alloc != nullptr) {
+  if (alloc == nullptr) {
+    for (int i = 0; i < kernel_->machine()->num_processors(); ++i) {
+      hw::Processor* proc = kernel_->machine()->processor(i);
+      if (RunsThreadOf(proc, as)) {
+        // An action already pending strips the dead thread the same way.  A
+        // latched one fires where the span ends, once the kernel parked the
+        // dead context there (Kernel::StopIfReaped).
+        kernel_->RequestPreemption(proc, {PendingAction::Kind::kTimeslice});
+      }
+    }
+  } else {
     // Settle every loan touching the space first: a dead lender's loans
     // become the borrowers' outright (adoption); a dead borrower's loans
     // close now so the revocation sweep below routes those processors back
@@ -223,14 +235,12 @@ void SpaceReaper::BeginTeardown(AddressSpace* as, TeardownCause cause) {
       PendingAction action;
       action.kind = PendingAction::Kind::kRevoke;
       // A false return means another action is already pending on `proc`;
-      // that action drains through the reaped guards and detaches it too.
+      // that action reaches a dispatch point and detaches it too.
       kernel_->RequestPreemption(proc, action);
     }
   }
 
-  if (as->lifecycle() == AsLifecycle::kTearingDown && as->assigned().empty()) {
-    FinishTeardown(as);  // held no processors (or all were idle in kernel)
-  }
+  FinishIfDrained(as);  // held no processors (or all were idle in kernel)
 }
 
 void SpaceReaper::NoteProcessorDetached(AddressSpace* as) {
@@ -239,9 +249,24 @@ void SpaceReaper::NoteProcessorDetached(AddressSpace* as) {
   }
   ++as->reap_state().record.procs_returned;
   ++stats_.procs_returned;
-  if (as->assigned().empty()) {
-    FinishTeardown(as);
+  FinishIfDrained(as);
+}
+
+void SpaceReaper::FinishIfDrained(AddressSpace* as) {
+  if (as->lifecycle() != AsLifecycle::kTearingDown || !as->assigned().empty()) {
+    return;
   }
+  for (int i = 0; i < kernel_->machine()->num_processors(); ++i) {
+    if (RunsThreadOf(kernel_->machine()->processor(i), as)) {
+      return;  // stopped by its interrupt, or parked where its span ends
+    }
+  }
+  FinishTeardown(as);
+}
+
+bool SpaceReaper::RunsThreadOf(const hw::Processor* proc, const AddressSpace* as) const {
+  const KThread* running = kernel_->running_on(proc);
+  return running != nullptr && running->address_space() == as;
 }
 
 void SpaceReaper::NoteIoDiscarded(const KThread* kt) {
@@ -281,8 +306,7 @@ std::string SpaceReaper::ConservationReport(const AddressSpace* as) const {
   hw::Machine* machine = kernel_->machine_;
   for (int i = 0; i < machine->num_processors(); ++i) {
     const hw::Processor* proc = machine->processor(i);
-    const KThread* running = kernel_->running_on(proc);
-    if (running != nullptr && running->address_space() == as) {
+    if (RunsThreadOf(proc, as)) {
       leak += "processor " + std::to_string(i) + " still runs a dead thread; ";
     }
     if (kernel_->OwnerOf(proc) == as) {

@@ -4,9 +4,11 @@
 // kernel protects itself" from a runtime that crashes, wedges, or exits
 // without releasing what it was given.  This module is that protection: a
 // teardown state machine that quarantines a failed space, funnels its
-// processors back to the allocator through the normal revocation protocol,
-// reclaims every activation and kernel thread, discards undelivered upcalls
-// and in-flight I/O, and asserts machine-wide conservation when done.
+// processors back to the allocator through the normal revocation protocol
+// (under the native kernel, stops each processor running one of its threads
+// with a timeslice), reclaims every activation and kernel thread, discards
+// undelivered upcalls and in-flight I/O, and asserts machine-wide
+// conservation when done.
 //
 // Three entry points mirror the three failure modes injected by
 // src/inject/fault_plan.h:
@@ -23,8 +25,9 @@
 //                  it has none (delayed notification is legal, Section 4.2).
 //
 // Lifecycle: kAlive → kTearingDown (BeginTeardown: threads reclaimed, upcalls
-// discarded, revocations issued) → kDead (last processor detached; the
-// allocator forgets the space and survivors rebalance to their fair share).
+// discarded, revocations issued) → kDead (last processor detached and no
+// processor runs a thread of the space; the allocator forgets the space and
+// survivors rebalance to their fair share).
 
 #ifndef SA_KERN_SPACE_REAPER_H_
 #define SA_KERN_SPACE_REAPER_H_
@@ -87,6 +90,10 @@ class SpaceReaper {
   // --- teardown progress hooks (called from the kernel) ---
   // A processor of `as` was detached (counted while `as` is kTearingDown).
   void NoteProcessorDetached(AddressSpace* as);
+  // Finishes a teardown of `as` once nothing of it is left on a processor:
+  // none assigned, and none running one of its threads.  Also called when
+  // the kernel takes a dead context of `as` off a processor.
+  void FinishIfDrained(AddressSpace* as);
   // An I/O completion fired for a thread of a reaped space and was discarded.
   void NoteIoDiscarded(const KThread* kt);
 
@@ -105,6 +112,7 @@ class SpaceReaper {
   void ArmDeadline(AddressSpace* as);
   void OnDeadline(AddressSpace* as);
   void FinishTeardown(AddressSpace* as);
+  bool RunsThreadOf(const hw::Processor* proc, const AddressSpace* as) const;
 
   Kernel* kernel_;
   bool hang_detection_ = false;

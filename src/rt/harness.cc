@@ -310,11 +310,10 @@ std::string Harness::DumpDiagnostics(const std::string& reason) {
 
 inject::FaultInjector& Harness::EnableFaultInjection(const inject::FaultPlan& plan) {
   SA_CHECK_MSG(injector_ == nullptr, "fault injection already enabled");
-  // The reaper returns a failed space's processors through the allocator's
-  // revocations; without them a teardown would finish while the dead
-  // space's threads still ran.
-  SA_CHECK_MSG(!plan.lifecycle_active() || kernel_.allocator() != nullptr,
-               "lifecycle faults require the explicit allocator");
+  // A hung space stops acknowledging upcalls, and the native kernel
+  // delivers none, so its watchdog could never declare the hang.
+  SA_CHECK_MSG(plan.hang_at == 0 || kernel_.mode() == kern::KernelMode::kSchedulerActivations,
+               "hang faults require scheduler activations");
   injector_ = std::make_unique<inject::FaultInjector>(plan);
   machine_.set_injector(injector_.get());
   if (plan.storm_period > 0) {
@@ -348,8 +347,9 @@ void Harness::ScheduleLifecycleFault(sim::Duration at, int space_index,
                                      kern::TeardownCause cause) {
   engine().ScheduleIn(at, [this, space_index, cause] {
     kern::AddressSpace* as = ForegroundSpace(space_index);
-    if (as == nullptr || as->reaped() || as->hung()) {
-      return;  // target never existed, or already failing: nothing to inject
+    if (as == nullptr || as->hung()) {
+      return;  // target never existed, or hung: nothing to inject (the
+               // reaper ignores a fault on a space already torn down)
     }
     switch (cause) {
       case kern::TeardownCause::kCrashed:

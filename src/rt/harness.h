@@ -123,9 +123,9 @@ class Harness {
   // built from `plan` on the machine (kernel and SA spaces pick it up from
   // there) and, if the plan asks for revocation storms, schedules them.
   // Call before Start(); at most once.  With no active plan the injector
-  // perturbs nothing and seeded traces stay byte-identical.  Lifecycle
-  // faults (crash, hang, exit) need the explicit allocator: under the
-  // native kernel such a plan aborts.
+  // perturbs nothing and seeded traces stay byte-identical.  Crash and
+  // exit faults work under either kernel; a hang needs upcalls to leave
+  // unacknowledged, so under the native kernel a hang plan aborts.
   inject::FaultInjector& EnableFaultInjection(const inject::FaultPlan& plan);
   // The installed injector, or null if fault injection was never enabled.
   inject::FaultInjector* injector() { return injector_.get(); }

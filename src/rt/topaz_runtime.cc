@@ -97,18 +97,7 @@ void TopazRuntime::RunOn(kern::KThread* kt) {
   StepAndInterpret(w);
 }
 
-bool TopazRuntime::ParkIfReaped(WorkThread* w) {
-  if (!address_space()->reaped()) {
-    return false;
-  }
-  kernel_->ParkReaped(KtOf(w)->processor(), address_space());
-  return true;
-}
-
 void TopazRuntime::StepAndInterpret(WorkThread* w) {
-  if (ParkIfReaped(w)) {
-    return;
-  }
   w->Step();
   Interpret(w);
 }
@@ -198,9 +187,6 @@ void TopazRuntime::DoAcquire(WorkThread* w, TzLock* lock) {
   KtOf(w)->processor()->BeginSpan(
       kernel_->costs().kt_lock_tas, hw::SpanMode::kUser, /*preemptible=*/true,
       /*critical_section=*/false, [this, w, lock] {
-        if (ParkIfReaped(w)) {
-          return;
-        }
         if (lock->owner == nullptr) {
           lock->owner = w;
           StepAndInterpret(w);
@@ -224,9 +210,6 @@ void TopazRuntime::DoRelease(WorkThread* w, TzLock* lock) {
   KtOf(w)->processor()->BeginSpan(
       kernel_->costs().kt_lock_tas, hw::SpanMode::kUser, /*preemptible=*/true,
       /*critical_section=*/false, [this, w, lock] {
-        if (ParkIfReaped(w)) {
-          return;
-        }
         SA_CHECK_MSG(lock->owner == w, "release by non-owner");
         if (lock->waiters.empty()) {
           lock->owner = nullptr;

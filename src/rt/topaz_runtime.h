@@ -4,7 +4,10 @@
 // Every thread operation involves the kernel: fork and exit are syscalls,
 // contended locks block in the kernel, signal/wait are kernel wakeup/block
 // pairs.  Uncontended application locks are acquired with a user-level
-// test-and-set, as Topaz did (Section 5.3).
+// test-and-set, as Topaz did (Section 5.3).  The runtime keeps no teardown
+// state: once its space is reaped, the kernel drops each of its span
+// continuations where the span ends, so none of its code runs for a dead
+// thread.
 
 #ifndef SA_RT_TOPAZ_RUNTIME_H_
 #define SA_RT_TOPAZ_RUNTIME_H_
@@ -46,10 +49,6 @@ class TopazRuntime : public Runtime, private kern::KThreadHost {
   kern::KThread* KtOf(WorkThread* w) { return static_cast<kern::KThread*>(w->impl); }
   WorkThread* WorkOf(kern::KThread* kt) { return static_cast<WorkThread*>(kt->host_data()); }
 
-  // Once the space is torn down, a continuation of `w` still in flight
-  // hands its processor back (Kernel::ParkReaped) instead of running the
-  // dead thread; returns true in that case.
-  bool ParkIfReaped(WorkThread* w);
   void StepAndInterpret(WorkThread* w);
   void Interpret(WorkThread* w);
   void DoAcquire(WorkThread* w, TzLock* lock);

@@ -26,6 +26,26 @@ bool IsLifecycleKind(Kind kind) {
          k <= static_cast<uint16_t>(Kind::kLifeSpawn) + 15;
 }
 
+// Records only a live space makes: its user level's (the thread package,
+// lazy forks, downcalls, an accepted yield hint) and those a kernel service
+// makes for one of its threads (syscalls, ready/block/wake, dispatch, page
+// faults, upcall queue and delivery).  From its quarantine on, the kernel
+// stops every continuation of the space where its span ends, so none of
+// these may follow.
+bool IsLiveSpaceKind(Kind kind) {
+  const auto in = [kind](Kind lo, Kind hi) { return kind >= lo && kind <= hi; };
+  return in(Kind::kSyscall, Kind::kDispatch) || kind == Kind::kPageFault ||
+         in(Kind::kUpcallQueued, Kind::kDowncallIdle) ||
+         in(Kind::kUltDispatch, Kind::kUltUnbind) || in(Kind::kHbLazyFork, Kind::kHbInline) ||
+         kind == Kind::kLoanYieldHint;
+}
+
+// When a space's teardown began and completed (-1: not yet).
+struct Teardown {
+  int64_t began = -1;
+  int64_t done = -1;
+};
+
 // Per-(space, vcpu) idle interval.
 struct IdleState {
   bool idle = false;
@@ -109,7 +129,7 @@ CheckResult CheckInvariants(const std::vector<Record>& records,
   CheckResult out;
   std::map<int32_t, VesselState> vessel;
   std::map<int32_t, SpaceUltState> ult;
-  std::map<int32_t, int64_t> dead;   // as_id -> teardown-done ts
+  std::map<int32_t, Teardown> teardown;
   std::map<int32_t, LoanInterval> loans;  // cpu -> open loan
   std::map<int32_t, int32_t> holder;      // cpu -> space holding it
   std::map<int32_t, uint64_t> holding;    // as_id -> processors it holds
@@ -120,14 +140,16 @@ CheckResult CheckInvariants(const std::vector<Record>& records,
 
   for (const Record& r : records) {
     const Kind kind = static_cast<Kind>(r.kind);
-    {
-      auto it = dead.find(r.as_id);
-      if (it != dead.end() && !IsLifecycleKind(kind)) {
+    if (auto it = teardown.find(r.as_id); it != teardown.end()) {
+      const Teardown& td = it->second;
+      const bool dead = td.done >= 0;
+      if (dead ? !IsLifecycleKind(kind) : IsLiveSpaceKind(kind)) {
         char buf[256];
         std::snprintf(buf, sizeof(buf),
-                      "dead-space activity: as %d emitted %s at t=%" PRId64
-                      " after its teardown completed at t=%" PRId64,
-                      r.as_id, KindName(kind), r.ts, it->second);
+                      "%s-space activity: as %d emitted %s at t=%" PRId64
+                      " after its teardown %s at t=%" PRId64,
+                      dead ? "dead" : "quarantined", r.as_id, KindName(kind), r.ts,
+                      dead ? "completed" : "began", dead ? td.done : td.began);
         out.violations.push_back(buf);
       }
     }
@@ -139,10 +161,11 @@ CheckResult CheckInvariants(const std::vector<Record>& records,
         vs.has_candidate = false;
         vs.quarantined = true;
         ult.erase(r.as_id);
+        teardown[r.as_id].began = r.ts;
         break;
       }
       case Kind::kLifeTeardownDone: {
-        dead[r.as_id] = r.ts;
+        teardown[r.as_id].done = r.ts;
         break;
       }
       case Kind::kLoanGrant: {

@@ -44,6 +44,13 @@
 //     processor is never granted while a space holds it, only its holder
 //     gives it up, and each record's arg0 equals the space's holding count
 //     replayed from the records before it.
+//
+//  5. Nothing of a dead space runs (DESIGN.md §12).  After a space's
+//     kLifeQuarantine, no record of its user level (kUlt*, kHb*, downcalls,
+//     an accepted yield hint) and none a kernel service makes for one of its
+//     threads (syscall, ready/block/wake, dispatch, page fault, upcall queue
+//     and delivery) may follow; after its kLifeTeardownDone, no record but a
+//     lifecycle one.
 
 #ifndef SA_TRACE_INVARIANTS_H_
 #define SA_TRACE_INVARIANTS_H_

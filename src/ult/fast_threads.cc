@@ -95,25 +95,9 @@ Tcb* FastThreads::SpawnThread(rt::WorkThread* w) {
   return t;
 }
 
-void FastThreads::Halt() {
-  halted_ = true;
-  kernel_->engine().Cancel(heartbeat_);
-  for (auto& ev : kernel_events_) {
-    *ev = {};
-  }
-}
-
-void FastThreads::ParkHalted(Vcpu* v) {
-  if (v != nullptr && v->bound && v->kt != nullptr) {
-    kernel_->ParkReaped(v->proc(), as_);
-  }
-}
+void FastThreads::Halt() { kernel_->engine().Cancel(heartbeat_); }
 
 void FastThreads::ChargeMgmt(Vcpu* v, sim::Duration d, sim::Callback fn) {
-  if (halted_) {
-    ParkHalted(v);
-    return;
-  }
   SA_CHECK(v->bound);
   counters_.mgmt_time += d;
   // Internal critical sections are modelled as non-preemptible management
@@ -213,10 +197,6 @@ sim::Duration FastThreads::NoteSteal(Vcpu* thief, Vcpu* victim) {
 }
 
 void FastThreads::RunVcpu(Vcpu* v) {
-  if (halted_) {
-    ParkHalted(v);
-    return;
-  }
   if (v->current != nullptr) {
     Tcb* t = v->current;
     if (v->kt->saved_span().valid()) {
@@ -274,10 +254,6 @@ Tcb* FastThreads::TakeReady(Vcpu* v, Vcpu** owner) {
 }
 
 void FastThreads::Dispatch(Vcpu* v) {
-  if (halted_) {
-    ParkHalted(v);
-    return;
-  }
   SA_CHECK_MSG(v->bound, "dispatch on an unbound virtual processor");
   SA_CHECK(v->current == nullptr);
   Vcpu* owner = nullptr;
@@ -346,10 +322,6 @@ void FastThreads::ChargeDispatch(Vcpu* v, Tcb* t) {
 }
 
 void FastThreads::ContinueThread(Vcpu* v, Tcb* t) {
-  if (halted_) {
-    ParkHalted(v);
-    return;
-  }
   SA_CHECK(v->current == nullptr);
   SA_CHECK(v->bound);
   t->vcpu = v;
@@ -369,9 +341,6 @@ void FastThreads::ContinueThread(Vcpu* v, Tcb* t) {
 }
 
 void FastThreads::EnqueueReady(Vcpu* from, Tcb* t, bool front) {
-  if (halted_) {
-    return;  // dropped: the space is being torn down
-  }
   SA_CHECK(t->state != Tcb::State::kReady && t->state != Tcb::State::kRunning);
   t->state = Tcb::State::kReady;
   t->vcpu = nullptr;
@@ -431,10 +400,6 @@ void FastThreads::BeginIdleTransition(Vcpu* v) {
 }
 
 void FastThreads::EndIdleTransition(Vcpu* v) {
-  if (halted_) {
-    ParkHalted(v);
-    return;
-  }
   if (!v->idle_transition) {
     return;  // slot was unbound or rebound while the downcall was in flight
   }
@@ -452,10 +417,6 @@ void FastThreads::NoteUnbound(Vcpu* v, int processor_id) {
 }
 
 void FastThreads::StepAndInterpret(Tcb* t) {
-  if (halted_) {
-    ParkHalted(t->vcpu);
-    return;
-  }
   if (t->cs_recovery && t->cs_depth == 0) {
     FinishRecovery(t);
     return;
@@ -465,10 +426,6 @@ void FastThreads::StepAndInterpret(Tcb* t) {
 }
 
 void FastThreads::ResumeAfterKernel(Vcpu* v, Tcb* t) {
-  if (halted_) {
-    ParkHalted(v);
-    return;
-  }
   SA_CHECK(t->state == Tcb::State::kBlockedKernel);
   if (v->kt->take_io_failed()) {
     t->work->ctx.last_io_ok = false;
@@ -483,10 +440,6 @@ void FastThreads::ResumeAfterKernel(Vcpu* v, Tcb* t) {
 // ---------------------------------------------------------------------------
 
 void FastThreads::Interpret(Tcb* t) {
-  if (halted_) {
-    ParkHalted(t->vcpu);
-    return;
-  }
   Vcpu* v = t->vcpu;
   SA_CHECK(v != nullptr);
   const rt::Op& op = t->work->ctx.op;
@@ -724,8 +677,7 @@ Tcb* FastThreads::PromoteFrame(const LazyFrame& frame, Vcpu* home,
 }
 
 void FastThreads::ArmHeartbeat() {
-  if (kernel_->engine().pending(heartbeat_) || config_.heartbeat_us <= 0 ||
-      halted_) {
+  if (kernel_->engine().pending(heartbeat_) || config_.heartbeat_us <= 0) {
     return;
   }
   heartbeat_ = kernel_->engine().ScheduleIn(sim::Usec(config_.heartbeat_us),
@@ -733,7 +685,7 @@ void FastThreads::ArmHeartbeat() {
 }
 
 void FastThreads::OnHeartbeat() {
-  if (halted_ || lazy_outstanding_ == 0) {
+  if (lazy_outstanding_ == 0) {
     return;  // nothing to promote; re-armed by the next lazy fork
   }
   LazyFrame frame;
@@ -845,10 +797,6 @@ void FastThreads::DoAcquire(Tcb* t) {
 }
 
 void FastThreads::TrySpinAcquire(Vcpu* v, Tcb* t) {
-  if (halted_) {
-    ParkHalted(v);
-    return;
-  }
   UltLock* lock = t->waiting_lock;
   SA_CHECK(lock != nullptr);
   if (lock->owner == nullptr) {
@@ -873,9 +821,6 @@ void FastThreads::TrySpinAcquire(Vcpu* v, Tcb* t) {
 }
 
 void FastThreads::GrantSpinLock(UltLock* lock) {
-  if (halted_) {
-    return;
-  }
   if (lock->owner != nullptr) {
     return;
   }
@@ -1028,10 +973,6 @@ void FastThreads::DoDone(Tcb* t) {
 // ---------------------------------------------------------------------------
 
 void FastThreads::RecoverOrReady(Vcpu* v, Tcb* t, sim::InlineFunction<void(Vcpu*)> after) {
-  if (halted_) {
-    ParkHalted(v);
-    return;
-  }
   if (t->cs_depth > 0) {
     // The stopped thread holds a spinlock: continue it via a user-level
     // context switch until it exits the critical section (deadlock freedom;

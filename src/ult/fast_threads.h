@@ -154,12 +154,10 @@ class FastThreads {
   // processors.
   void NoteUnbound(Vcpu* v, int processor_id);
 
-  // Teardown (space reaped): freeze the thread system.  Every execution
-  // entry point becomes a no-op that hands its processor back to the kernel
-  // (ParkHalted), so in-flight span continuations drain without touching
-  // user state and the reaper can reclaim every processor.  Kernel events
-  // lose their waiters and counts but stay allocated: a SysBlockWait check
-  // still in flight may hold one.
+  // Teardown (space reaped): cancels the heartbeat, the one timer of the
+  // package itself.  Nothing else is needed: the kernel drops every span
+  // continuation of a dead space where the span ends (Kernel::StopIfReaped),
+  // so no code of this package runs for the space again.
   void Halt();
 
   // Critical-section recovery (Section 3.3): `t` arrived from the kernel
@@ -245,10 +243,6 @@ class FastThreads {
   // returns the virtual-time penalty to fold into the thief's steal charge.
   sim::Duration NoteSteal(Vcpu* thief, Vcpu* victim);
 
-  // Post-halt processor handback (Kernel::ParkReaped) for v's processor, if
-  // v is still bound to one.
-  void ParkHalted(Vcpu* v);
-
   // Tracing (cat::kUlt).  TraceOn() gates sites whose arguments (queued
   // ready count) cost something to compute.
   bool TraceOn() const;
@@ -274,7 +268,6 @@ class FastThreads {
   int runnable_ = 0;
   int next_tcb_id_ = 0;
   bool has_priorities_ = false;
-  bool halted_ = false;
 
   // Heartbeat promotion state.  lazy_outstanding_ gates every lazy check on
   // the hot paths (a single integer compare when the feature is unused);

@@ -23,12 +23,13 @@ void KtBackend::Start() {
 void KtBackend::RunOn(kern::KThread* kt) {
   Vcpu* v = VcpuOf(kt);
   v->idle_spinning = false;  // being (re)dispatched always re-enters the loop
-  ft_->RunVcpu(v);  // halted: hands the processor straight back (ParkHalted)
+  ft_->RunVcpu(v);
 }
 
 void KtBackend::OnSpaceReaped() {
-  // Freeze the thread system.  The vcpus' kernel threads were already marked
-  // dead by the reaper, so the kernel never dispatches them again.
+  // The vcpus' kernel threads were already marked dead by the reaper, so the
+  // kernel never dispatches them again, and drops any span of theirs still
+  // running where it ends.
   ft_->Halt();
 }
 

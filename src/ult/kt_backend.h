@@ -29,6 +29,8 @@ class KtBackend : public VcpuBackend, public kern::KThreadHost {
   void OnIdle(Vcpu* v) override;
 
   // kern::KThreadHost:
+  // Runs the vcpu the kernel dispatched.  Only a live space gets here: the
+  // kernel drops a dead space's dispatch where its span ends.
   void RunOn(kern::KThread* kt) override;
   void OnPreempted(kern::KThread* kt, const hw::Interrupt& irq) override;
   void OnSpaceReaped() override;

@@ -101,14 +101,10 @@ void SaBackend::UnbindIdleSlotByProcessor(int processor_id) {
 // ---------------------------------------------------------------------------
 
 void SaBackend::OnSpaceReaped() {
-  // Freeze the thread system and drop user-level state that would otherwise
-  // keep feeding work into the dead space.  Slot bindings are deliberately
-  // kept: in-flight continuations still derive their processor from v->kt,
-  // and the kernel owns every KThread for the lifetime of the run.
+  // Stop the package's timers (heartbeat, hysteresis, lend hints): the
+  // kernel drops every span continuation of the dead space, so nothing else
+  // of it runs.
   ft_->Halt();
-  inbox_.clear();
-  inbox_head_ = 0;
-  discards_.clear();
   for (int i = 0; i < ft_->num_vcpus(); ++i) {
     kernel_->engine().Cancel(ft_->vcpu(i)->hysteresis);
   }
@@ -116,10 +112,6 @@ void SaBackend::OnSpaceReaped() {
 
 void SaBackend::RunOn(kern::KThread* kt) {
   SA_CHECK(kt->is_activation());
-  if (as_->reaped()) {
-    kernel_->ParkReaped(kt->processor(), as_);
-    return;
-  }
   core::Activation* act = kt->activation();
   if (!act->inbox().empty()) {
     HandleUpcall(kt, act->inbox());
@@ -172,10 +164,6 @@ bool SaBackend::TakeEvent(core::UpcallEvent* ev) {
 }
 
 void SaBackend::Drain(kern::KThread* kt, Vcpu* v) {
-  if (as_->reaped()) {
-    kernel_->ParkReaped(kt->processor(), as_);
-    return;
-  }
   core::UpcallEvent ev;
   if (!TakeEvent(&ev)) {
     FinishDrain(kt, v);

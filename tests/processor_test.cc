@@ -223,6 +223,46 @@ TEST_F(ProcessorTest, SpanLifecycleDoesNotAllocate) {
   EXPECT_EQ(last_done, engine->now());
 }
 
+// The kernel's span-end check: where a timed span ends and its context is
+// dead, the check hands the processor back (here: begins the next kernel
+// span) and the processor drops the span's continuation, with no
+// allocation.
+TEST_F(ProcessorTest, SpanEndCheckDropsADeadContextsContinuation) {
+  bool dead = false;
+  int parked = 0;
+  int kernel_done = 0;
+  proc_->set_span_end_check([&dead, &parked, &kernel_done](Processor* p) {
+    if (!dead) {
+      return false;
+    }
+    dead = false;  // the context is taken off the processor
+    ++parked;
+    p->BeginKernelSpan(sim::Usec(5), [&kernel_done] { ++kernel_done; });
+    return true;
+  });
+  int user_done = 0;
+  const auto done = [&user_done] { ++user_done; };
+  proc_->BeginSpan(sim::Usec(10), SpanMode::kUser, true, false, done);  // warm-up
+  engine().Run();
+  ASSERT_EQ(user_done, 1);
+
+  const int64_t before = g_news.load();
+  g_count_news = true;
+  proc_->BeginSpan(sim::Usec(10), SpanMode::kUser, true, false, done);
+  dead = true;  // the context dies while its span runs
+  engine().RunUntil(engine().now() + sim::Usec(10));
+  EXPECT_EQ(user_done, 1);  // dropped
+  EXPECT_EQ(parked, 1);
+  EXPECT_TRUE(proc_->has_span());  // only the hand-back's kernel span
+  EXPECT_EQ(proc_->current_mode(), SpanMode::kKernel);
+  engine().Run();
+  g_count_news = false;
+  EXPECT_EQ(g_news.load() - before, 0);
+  EXPECT_EQ(kernel_done, 1);
+  EXPECT_FALSE(proc_->has_span());
+  EXPECT_EQ(interrupts_, 0);
+}
+
 TEST(Machine, BuildsRequestedProcessors) {
   Machine m(6, 42);
   EXPECT_EQ(m.num_processors(), 6);

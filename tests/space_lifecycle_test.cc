@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -263,51 +264,120 @@ TEST(SpaceLifecycle, ExitReturnsProcessorsToSurvivors) {
   EXPECT_EQ(survivor_b->threads_finished(), survivor_b->threads_created());
 }
 
-// Two kernel-thread (Topaz) spaces share two processors, and space 0
-// crashes at every instant of a window, 10us apart.  A continuation of one
-// of its threads can still fire after the crash (a user span ending at the
-// crash instant, the kernel's dispatch span), and must hand its processor
-// back instead of driving the dead thread into a syscall.  Every thread
-// crosses each Topaz path: mutex, compute, I/O, fork and join, yield, and a
-// kernel-event wait or signal.
-TEST(SpaceLifecycle, TopazSpaceSurvivesTeardownAtAnyInstant) {
+// Every runtime kind torn down at every instant of a window.  Two spaces of
+// one kind share two processors, and space 0 crashes at an instant swept
+// 0.1-4 ms, 10us apart, on the SA kernel and on the native one (which has
+// no upcalls to hang).  A span of the dead space still running at the crash
+// ends after it (a span ending at the crash instant fires before the
+// revocation interrupt, and a kernel or management span is not
+// preemptible); the kernel must drop its continuation there, so no record
+// of the space's user level or of its threads' kernel services follows the
+// quarantine (trace::CheckInvariants), the teardown completes and every
+// processor comes back.  Every thread crosses each path of its runtime:
+// mutex, compute, I/O, fork and join, yield, a kernel-event wait or signal,
+// and on FastThreads a spinlock section.  On the native kernel a Topaz space
+// also dies at priority 1, whose wakeups preempt the other space's threads
+// (a dispatch whose target dies during the preempt interrupt).
+enum class SweepKind {
+  kTopaz,
+  kHeavyweightTopaz,
+  kFtKernelThreads,
+  kFtActivations,
+  kPriorityTopaz,
+};
+
+struct SweepCase {
+  SweepKind kind;
+  kern::KernelMode mode;
+};
+
+std::string SweepName(const SweepCase& c) {
+  static const char* const kKinds[] = {"Topaz", "HeavyweightTopaz", "FtKernelThreads",
+                                       "FtActivations", "PriorityTopaz"};
+  return std::string(kKinds[static_cast<int>(c.kind)]) +
+         (c.mode == kern::KernelMode::kNativeTopaz ? "_Native" : "_SA");
+}
+
+void PrintTo(const SweepCase& c, std::ostream* os) { *os << SweepName(c); }
+
+std::unique_ptr<rt::Runtime> MakeSweepSpace(rt::Harness& h, SweepKind kind,
+                                            const std::string& name, int priority) {
+  std::unique_ptr<rt::Runtime> space;
+  switch (kind) {
+    case SweepKind::kTopaz:
+    case SweepKind::kHeavyweightTopaz:
+    case SweepKind::kPriorityTopaz:
+      space = std::make_unique<rt::TopazRuntime>(
+          &h.kernel(), name, kind == SweepKind::kHeavyweightTopaz, priority);
+      break;
+    case SweepKind::kFtKernelThreads:
+    case SweepKind::kFtActivations: {
+      ult::UltConfig uc;
+      uc.max_vcpus = 2;
+      space = std::make_unique<ult::UltRuntime>(
+          &h.kernel(), name,
+          kind == SweepKind::kFtActivations ? ult::BackendKind::kSchedulerActivations
+                                            : ult::BackendKind::kKernelThreads,
+          uc);
+      break;
+    }
+  }
+  const bool spin = kind == SweepKind::kFtKernelThreads || kind == SweepKind::kFtActivations;
+  const int mutex = space->CreateLock(rt::LockKind::kMutex);
+  const int spinlock = spin ? space->CreateLock(rt::LockKind::kSpin) : -1;
+  const int ev = space->CreateKernelEvent();
+  for (int k = 0; k < 3; ++k) {
+    space->Spawn(
+        [mutex, spinlock, ev, k](rt::ThreadCtx& t) -> sim::Program {
+          for (int round = 0; round < 8; ++round) {
+            co_await t.Acquire(mutex);
+            co_await t.Compute(sim::Usec(100));
+            co_await t.Release(mutex);
+            if (spinlock >= 0) {
+              co_await t.Acquire(spinlock);
+              co_await t.Compute(sim::Usec(20));
+              co_await t.Release(spinlock);
+            }
+            co_await t.Io(sim::Usec(50));
+            rt::WorkloadFn child = [](rt::ThreadCtx& c) -> sim::Program {
+              co_await c.Compute(sim::Usec(30));
+            };
+            const int tid = co_await t.Fork(std::move(child));
+            co_await t.Join(tid);
+            co_await t.Yield();
+            if (k == 0) {
+              co_await t.KernelWait(ev);  // signalled 16 times per 8 waits
+            } else {
+              co_await t.KernelSignal(ev);
+            }
+          }
+        },
+        std::string("w").append(std::to_string(k)));
+  }
+  return space;
+}
+
+class TeardownSweep : public ::testing::TestWithParam<SweepCase> {};
+
+TEST_P(TeardownSweep, SpaceSurvivesTeardownAtAnyInstant) {
+  const SweepCase c = GetParam();
   for (sim::Duration at = sim::Usec(100); at <= sim::Msec(4); at += sim::Usec(10)) {
-    rt::Harness h(SaConfig(/*processors=*/2));
+    rt::HarnessConfig config = SaConfig(/*processors=*/2);
+    config.kernel.mode = c.mode;
+    rt::Harness h(config);
+    // A run emits under 800 of these records; the default million-record
+    // ring would zero-fill 40 MB per run.
+    h.EnableTracing(trace::cat::kAll & ~trace::cat::kProcessor, /*capacity=*/1 << 13);
     inject::FaultPlan plan;
     plan.crash_at = at;
     plan.crash_space = 0;
     h.EnableFaultInjection(plan);
 
-    std::vector<std::unique_ptr<rt::TopazRuntime>> spaces;
+    std::vector<std::unique_ptr<rt::Runtime>> spaces;
     for (int s = 0; s < 2; ++s) {
-      auto topaz = std::make_unique<rt::TopazRuntime>(&h.kernel(), "topaz" + std::to_string(s));
-      const int lock = topaz->CreateLock(rt::LockKind::kMutex);
-      const int ev = topaz->CreateKernelEvent();
-      for (int k = 0; k < 3; ++k) {
-        topaz->Spawn(
-            [lock, ev, k](rt::ThreadCtx& t) -> sim::Program {
-              for (int round = 0; round < 8; ++round) {
-                co_await t.Acquire(lock);
-                co_await t.Compute(sim::Usec(100));
-                co_await t.Release(lock);
-                co_await t.Io(sim::Usec(50));
-                rt::WorkloadFn child = [](rt::ThreadCtx& c) -> sim::Program {
-                  co_await c.Compute(sim::Usec(30));
-                };
-                const int tid = co_await t.Fork(std::move(child));
-                co_await t.Join(tid);
-                co_await t.Yield();
-                if (k == 0) {
-                  co_await t.KernelWait(ev);  // signalled 16 times per 8 waits
-                } else {
-                  co_await t.KernelSignal(ev);
-                }
-              }
-            },
-            std::string("w").append(std::to_string(k)));
-      }
-      h.AddRuntime(topaz.get());
-      spaces.push_back(std::move(topaz));
+      const int priority = c.kind == SweepKind::kPriorityTopaz && s == 0 ? 1 : 0;
+      spaces.push_back(MakeSweepSpace(h, c.kind, "space" + std::to_string(s), priority));
+      h.AddRuntime(spaces.back().get());
     }
 
     const rt::RunResult result = h.TryRun();
@@ -317,8 +387,25 @@ TEST(SpaceLifecycle, TopazSpaceSurvivesTeardownAtAnyInstant) {
     ASSERT_EQ(h.kernel().reaper()->ConservationReport(as), "") << "crash at " << at;
     ASSERT_EQ(spaces[1]->threads_finished(), spaces[1]->threads_created())
         << "crash at " << at;
+    const trace::CheckResult check = trace::CheckInvariants(h.trace()->Snapshot());
+    ASSERT_TRUE(check.ok()) << "crash at " << at << ":\n" << check.Summary();
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Kinds, TeardownSweep,
+    ::testing::Values(SweepCase{SweepKind::kTopaz, kern::KernelMode::kSchedulerActivations},
+                      SweepCase{SweepKind::kHeavyweightTopaz,
+                                kern::KernelMode::kSchedulerActivations},
+                      SweepCase{SweepKind::kFtKernelThreads,
+                                kern::KernelMode::kSchedulerActivations},
+                      SweepCase{SweepKind::kFtActivations,
+                                kern::KernelMode::kSchedulerActivations},
+                      SweepCase{SweepKind::kTopaz, kern::KernelMode::kNativeTopaz},
+                      SweepCase{SweepKind::kHeavyweightTopaz, kern::KernelMode::kNativeTopaz},
+                      SweepCase{SweepKind::kFtKernelThreads, kern::KernelMode::kNativeTopaz},
+                      SweepCase{SweepKind::kPriorityTopaz, kern::KernelMode::kNativeTopaz}),
+    [](const ::testing::TestParamInfo<SweepCase>& info) { return SweepName(info.param); });
 
 // The same, aimed at the test-and-set spans around a contended lock: thread
 // b's acquire span ends (at 232us) while a holds the lock, and a's release
@@ -359,19 +446,20 @@ TEST(SpaceLifecycle, TopazLockSpanEndingAtTeardownParks) {
   }
 }
 
-// Without the explicit allocator the reaper cannot take a space's
-// processors back, so a teardown would finish with a dead thread still
-// running.  The harness refuses such a plan up front.
-TEST(SpaceLifecycleDeathTest, LifecycleFaultsNeedTheExplicitAllocator) {
+// A hang is a space that stops acknowledging upcalls, and the native kernel
+// delivers none, so its watchdog could never declare one.  The harness
+// refuses a hang plan there up front (crash and exit plans run: see
+// TeardownSweep).
+TEST(SpaceLifecycleDeathTest, HangFaultsNeedUpcalls) {
   inject::FaultPlan plan;
-  plan.crash_at = sim::Msec(1);
+  plan.hang_at = sim::Msec(1);
   rt::HarnessConfig config;  // native Topaz kernel
   EXPECT_DEATH(
       {
         rt::Harness h(config);
         h.EnableFaultInjection(plan);
       },
-      "lifecycle faults require the explicit allocator");
+      "hang faults require scheduler activations");
 }
 
 // Churn soak: spaces arriving mid-run while random lifecycle faults kill
