@@ -1,12 +1,31 @@
 #include "src/apps/nbody.h"
 
+#include <pthread.h>
+#include <sched.h>
+#include <signal.h>
+
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <system_error>
 
 #include "src/common/assert.h"
 
 namespace sa::apps {
+
+namespace {
+
+// CPUs in the process's affinity mask; 1 if the mask cannot be read.
+int AffinityCpus() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) != 0) {
+    return 1;
+  }
+  return CPU_COUNT(&set);
+}
+
+}  // namespace
 
 void QuadTree::Build(const std::vector<Body>& bodies) {
   cells_.clear();
@@ -117,6 +136,100 @@ Vec2 QuadTree::ForceOn(const std::vector<Body>& bodies, int i, double theta,
   }
   *interactions += terms;
   return acc;
+}
+
+ForcePass::~ForcePass() {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    stop_ = true;
+  }
+  wake_.notify_all();
+  for (std::thread& t : threads_) {
+    t.join();
+  }
+}
+
+void ForcePass::Run(const QuadTree& tree, const std::vector<Body>& bodies, double theta) {
+  const int n = static_cast<int>(tree.leaf_order().size());
+  results_.resize(static_cast<size_t>(n));
+  tree_ = &tree;
+  bodies_ = &bodies;
+  theta_ = theta;
+  blocks_ = (n + kBlock - 1) / kBlock;
+  next_block_.store(0, std::memory_order_relaxed);
+  if (!started_) {
+    started_ = true;
+    const int max_workers = max_workers_ >= 0 ? max_workers_ : AffinityCpus() - 1;
+    StartWorkers(std::min(max_workers, blocks_ - 1));
+  }
+  if (threads_.empty()) {
+    ClaimBlocks();
+    return;
+  }
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    ++pass_;
+    busy_ = workers();
+  }
+  wake_.notify_all();
+  ClaimBlocks();
+  std::unique_lock<std::mutex> lock(mu_);
+  idle_.wait(lock, [this] { return busy_ == 0; });
+}
+
+void ForcePass::StartWorkers(int count) {
+  if (count <= 0) {
+    return;
+  }
+  threads_.reserve(static_cast<size_t>(count));
+  // A thread inherits its creator's signal mask: block every signal while
+  // the workers start, so that a process-directed signal (a timer's, a
+  // profiler's) is delivered to the calling thread.
+  sigset_t all;
+  sigset_t old;
+  sigfillset(&all);
+  pthread_sigmask(SIG_SETMASK, &all, &old);
+  try {
+    while (workers() < count) {
+      threads_.emplace_back([this] { WorkerLoop(); });
+    }
+  } catch (const std::system_error&) {
+    // The host has no thread to spare: the passes run on those started.
+  }
+  pthread_sigmask(SIG_SETMASK, &old, nullptr);
+}
+
+void ForcePass::WorkerLoop() {
+  uint64_t seen = 0;  // the workers start before the first pass
+  for (;;) {
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      wake_.wait(lock, [&] { return stop_ || pass_ != seen; });
+      if (stop_) {
+        return;
+      }
+      seen = pass_;
+    }
+    ClaimBlocks();
+    std::lock_guard<std::mutex> lock(mu_);
+    if (--busy_ == 0) {
+      idle_.notify_one();
+    }
+  }
+}
+
+void ForcePass::ClaimBlocks() {
+  const std::vector<int>& order = tree_->leaf_order();
+  const int n = static_cast<int>(order.size());
+  for (int block = next_block_.fetch_add(1, std::memory_order_relaxed); block < blocks_;
+       block = next_block_.fetch_add(1, std::memory_order_relaxed)) {
+    const int end = std::min(n, (block + 1) * kBlock);
+    for (int k = block * kBlock; k < end; ++k) {
+      Result& r = results_[static_cast<size_t>(k)];
+      r.interactions = 0;
+      r.acc = tree_->ForceOn(*bodies_, order[static_cast<size_t>(k)], theta_, &r.interactions);
+    }
+  }
 }
 
 Vec2 DirectForce(const std::vector<Body>& bodies, int i) {

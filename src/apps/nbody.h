@@ -9,7 +9,11 @@
 #ifndef SA_APPS_NBODY_H_
 #define SA_APPS_NBODY_H_
 
+#include <atomic>
+#include <condition_variable>
 #include <cstdint>
+#include <mutex>
+#include <thread>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -68,6 +72,62 @@ class QuadTree {
   std::vector<Cell> cells_;
   std::vector<int> order_;    // body indices, partitioned into leaf order
   std::vector<int> scratch_;  // BuildCell's counting-sort buffer
+};
+
+// One time step's forces: ForceOn for every body of a built tree, spread over
+// the host's cores.  The calling thread and up to `max_workers` host threads
+// claim blocks of kBlock consecutive leaves from a shared counter, and each
+// result goes to its leaf's own slot, so every acceleration and count is bit
+// for bit that of a sequential ForceOn loop, for any number of workers.
+// The workers start on the first Run (one per block beyond the caller's,
+// at most `max_workers`), block every signal, allocate nothing, sleep on a
+// condition variable between passes and are joined by the destructor.
+class ForcePass {
+ public:
+  struct Result {
+    Vec2 acc;
+    int64_t interactions = 0;
+  };
+  static constexpr int kBlock = 64;
+
+  // As many workers as the process has CPUs to run on besides the caller,
+  // read from its affinity mask at the first pass.
+  ForcePass() = default;
+  // At most `max_workers` (>= 0) workers.
+  explicit ForcePass(int max_workers) : max_workers_(max_workers) {}
+  ~ForcePass();
+  ForcePass(const ForcePass&) = delete;
+  ForcePass& operator=(const ForcePass&) = delete;
+
+  // Computes results()[k] = ForceOn(bodies, tree.leaf_order()[k], theta).
+  void Run(const QuadTree& tree, const std::vector<Body>& bodies, double theta);
+  // By position in the tree's leaf order.
+  const std::vector<Result>& results() const { return results_; }
+  int workers() const { return static_cast<int>(threads_.size()); }
+
+ private:
+  void StartWorkers(int count);
+  void WorkerLoop();
+  // Computes blocks until none is left.
+  void ClaimBlocks();
+
+  int max_workers_ = -1;  // -1: from the affinity mask
+  std::vector<Result> results_;
+  // The pass in flight, set before the workers are woken.
+  const QuadTree* tree_ = nullptr;
+  const std::vector<Body>* bodies_ = nullptr;
+  double theta_ = 0;
+  int blocks_ = 0;
+  std::atomic<int> next_block_{0};
+  bool started_ = false;
+
+  std::mutex mu_;
+  std::condition_variable wake_;  // workers: a new pass, or stop
+  std::condition_variable idle_;  // Run: every worker left the pass
+  uint64_t pass_ = 0;             // guarded by mu_
+  int busy_ = 0;                  // workers still in the pass; guarded by mu_
+  bool stop_ = false;             // guarded by mu_
+  std::vector<std::thread> threads_;
 };
 
 // Direct O(N^2) summation, for validating the tree code.

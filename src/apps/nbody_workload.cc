@@ -32,14 +32,16 @@ void NBodyApp::BuildStep() {
   tree_.Build(bodies_);
   const int n = static_cast<int>(bodies_.size());
   // Forces in the tree's leaf order, where consecutive bodies are neighbours
-  // whose walks read mostly the same cells.
-  std::vector<int64_t> body_interactions(static_cast<size_t>(n), 0);
-  for (int i : tree_.leaf_order()) {
-    Body& b = bodies_[static_cast<size_t>(i)];
-    const Vec2 acc =
-        tree_.ForceOn(bodies_, i, config_.theta, &body_interactions[static_cast<size_t>(i)]);
-    b.ax = acc.x;
-    b.ay = acc.y;
+  // whose walks read mostly the same cells, on the host's cores.
+  forces_.Run(tree_, bodies_, config_.theta);
+  body_interactions_.resize(bodies_.size());
+  const std::vector<int>& order = tree_.leaf_order();
+  for (size_t k = 0; k < order.size(); ++k) {
+    const ForcePass::Result& r = forces_.results()[k];
+    const size_t i = static_cast<size_t>(order[k]);
+    bodies_[i].ax = r.acc.x;
+    bodies_[i].ay = r.acc.y;
+    body_interactions_[i] = r.interactions;
   }
   const int num_tasks = (n + config_.chunk - 1) / config_.chunk;
   tasks_.assign(static_cast<size_t>(num_tasks), Task{});
@@ -47,8 +49,8 @@ void NBodyApp::BuildStep() {
     Task& tk = tasks_[static_cast<size_t>(task)];
     const int begin = task * config_.chunk;
     const int end = std::min(n, begin + config_.chunk);
-    const int64_t interactions = std::accumulate(body_interactions.begin() + begin,
-                                                 body_interactions.begin() + end, int64_t{0});
+    const int64_t interactions = std::accumulate(body_interactions_.begin() + begin,
+                                                 body_interactions_.begin() + end, int64_t{0});
     total_interactions_ += interactions;
     tk.cost = interactions * config_.cost_per_interaction;
     // Reference string: a task's own bodies stream through a double buffer
@@ -58,23 +60,17 @@ void NBodyApp::BuildStep() {
     // a fraction of tasks reads one remote page, mostly from a hot subset
     // (the densely-populated centre of the disk).
     if (touch_rng_.NextDouble() < config_.remote_touch_fraction) {
-      int64_t page;
-      if (touch_rng_.NextDouble() < config_.hot_probability) {
-        page = static_cast<int64_t>(touch_rng_.Below(static_cast<uint64_t>(hot_pages_)));
-      } else {
-        page = static_cast<int64_t>(touch_rng_.Below(static_cast<uint64_t>(num_pages_)));
-      }
-      tk.pages.push_back(page);
+      const int64_t pages =
+          touch_rng_.NextDouble() < config_.hot_probability ? hot_pages_ : num_pages_;
+      tk.page = static_cast<int64_t>(touch_rng_.Below(static_cast<uint64_t>(pages)));
     }
   }
 }
 
 sim::Program NBodyApp::TaskThread(rt::ThreadCtx& t, int task_index) {
-  Task& task = tasks_[static_cast<size_t>(task_index)];
-  for (int64_t page : task.pages) {
-    if (!cache_->Touch(page)) {
-      co_await t.Io(config_.miss_latency);  // blocks in the kernel, 50 ms
-    }
+  const Task& task = tasks_[static_cast<size_t>(task_index)];
+  if (task.page >= 0 && !cache_->Touch(task.page)) {
+    co_await t.Io(config_.miss_latency);  // blocks in the kernel, 50 ms
   }
   co_await t.Compute(task.cost);
   co_await t.Acquire(lock_);
@@ -101,11 +97,9 @@ sim::Program NBodyApp::LazyRangeThread(rt::ThreadCtx& t, int lo, int hi) {
     hi = mid;
   }
   // Leaf: the per-task ops, identical to the eager port's TaskThread.
-  Task& task = tasks_[static_cast<size_t>(lo)];
-  for (int64_t page : task.pages) {
-    if (!cache_->Touch(page)) {
-      co_await t.Io(config_.miss_latency);
-    }
+  const Task& task = tasks_[static_cast<size_t>(lo)];
+  if (task.page >= 0 && !cache_->Touch(task.page)) {
+    co_await t.Io(config_.miss_latency);
   }
   co_await t.Compute(task.cost);
   co_await t.Acquire(lock_);

@@ -11,6 +11,9 @@
 //
 // The physics is identical across runtimes (forces are computed from the
 // real tree), so the sequential-time baseline is the same for every system.
+// The host computes each step's forces on its spare cores (ForcePass), all
+// within the one event that builds the step, so virtual time cannot see how
+// many cores it used.
 
 #ifndef SA_APPS_NBODY_WORKLOAD_H_
 #define SA_APPS_NBODY_WORKLOAD_H_
@@ -91,7 +94,7 @@ class NBodyApp {
  private:
   struct Task {
     sim::Duration cost = 0;
-    std::vector<int64_t> pages;
+    int64_t page = -1;  // the remote body page it reads; -1 for none
   };
 
   void BuildStep();
@@ -105,6 +108,8 @@ class NBodyApp {
   common::Rng touch_rng_;
   std::vector<Body> bodies_;
   QuadTree tree_;
+  ForcePass forces_;
+  std::vector<int64_t> body_interactions_;  // this step's, by body
   std::unique_ptr<BufferCache> cache_;
   std::vector<Task> tasks_;
   int64_t num_pages_ = 0;

@@ -1,6 +1,7 @@
 #include "src/trace/trace.h"
 
 #include <chrono>
+#include <cstdlib>
 
 #include "src/common/assert.h"
 
@@ -81,39 +82,42 @@ const char* KindName(Kind kind) {
   return "?";
 }
 
-TraceBuffer::TraceBuffer(size_t capacity) : ring_(capacity > 0 ? capacity : 1) {}
+TraceBuffer::TraceBuffer(size_t capacity)
+    : capacity_(capacity > 0 ? capacity : 1),
+      ring_(static_cast<Record*>(std::malloc(capacity_ * sizeof(Record)))) {
+  SA_CHECK(ring_ != nullptr);
+}
 
 void TraceBuffer::Emit(Kind kind, int64_t ts, int cpu, int as_id, uint64_t arg0,
                        uint64_t arg1) {
   const uint64_t slot = next_.fetch_add(1, std::memory_order_relaxed);
-  Record& r = ring_[slot % ring_.size()];
+  Record r;
   r.ts = ts;
   r.cpu = static_cast<int32_t>(cpu);
   r.as_id = static_cast<int32_t>(as_id);
   r.kind = static_cast<uint16_t>(kind);
   r.arg0 = arg0;
   r.arg1 = arg1;
+  ring_[slot % capacity_] = r;  // the padding fields too
 }
 
 std::vector<Record> TraceBuffer::Snapshot() const {
   const uint64_t total = next_.load(std::memory_order_acquire);
-  const size_t cap = ring_.size();
-  std::vector<Record> out;
-  if (total <= cap) {
-    out.assign(ring_.begin(), ring_.begin() + static_cast<ptrdiff_t>(total));
-    return out;
+  const Record* ring = ring_.get();
+  if (total <= capacity_) {
+    return std::vector<Record>(ring, ring + total);
   }
-  out.reserve(cap);
-  const size_t start = static_cast<size_t>(total % cap);
-  out.insert(out.end(), ring_.begin() + static_cast<ptrdiff_t>(start), ring_.end());
-  out.insert(out.end(), ring_.begin(), ring_.begin() + static_cast<ptrdiff_t>(start));
+  const size_t start = static_cast<size_t>(total % capacity_);
+  std::vector<Record> out;
+  out.reserve(capacity_);
+  out.insert(out.end(), ring + start, ring + capacity_);
+  out.insert(out.end(), ring, ring + start);
   return out;
 }
 
 uint64_t TraceBuffer::dropped() const {
   const uint64_t total = next_.load(std::memory_order_relaxed);
-  const uint64_t cap = ring_.size();
-  return total > cap ? total - cap : 0;
+  return total > capacity_ ? total - capacity_ : 0;
 }
 
 int64_t HostNow() {

@@ -18,6 +18,8 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstdlib>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -203,6 +205,8 @@ static_assert(sizeof(Record) == 40, "trace records are 40 bytes");
 class TraceBuffer {
  public:
   // Capacity is fixed at construction; the ring never allocates afterwards.
+  // Its memory is left untouched until records land in it, so a large ring
+  // costs a short run only the pages it fills.
   explicit TraceBuffer(size_t capacity = 1u << 20);
 
   // Runtime category switch.  Emission for a disabled category is a single
@@ -224,10 +228,17 @@ class TraceBuffer {
   uint64_t total_emitted() const { return next_.load(std::memory_order_relaxed); }
   // Records lost to ring wrap-around.
   uint64_t dropped() const;
-  size_t capacity() const { return ring_.size(); }
+  size_t capacity() const { return capacity_; }
 
  private:
-  std::vector<Record> ring_;
+  struct Free {
+    void operator()(Record* p) const { std::free(p); }
+  };
+
+  const size_t capacity_;
+  // Uninitialised storage: Emit writes whole records and Snapshot reads
+  // only written ones.
+  std::unique_ptr<Record[], Free> ring_;
   std::atomic<uint64_t> next_{0};
   std::atomic<uint32_t> enabled_{0};
 };

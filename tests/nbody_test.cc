@@ -309,6 +309,77 @@ TEST(QuadTree, MassIsConserved) {
             300);
 }
 
+// ---- parallel force pass ----
+
+// Counts the leaves whose ForcePass result differs from a plain ForceOn loop
+// over the leaf order in the bits of either acceleration component or in the
+// interaction count.  The results are copied first, so a pass that returned
+// before its workers finished shows as mismatches.
+int PassMismatches(const ForcePass& pass, const QuadTree& tree,
+                   const std::vector<Body>& bodies, double theta) {
+  const std::vector<ForcePass::Result> results = pass.results();
+  const std::vector<int>& order = tree.leaf_order();
+  EXPECT_EQ(results.size(), order.size());
+  int mismatches = 0;
+  for (size_t k = 0; k < order.size() && k < results.size(); ++k) {
+    int64_t want_n = 0;
+    const Vec2 want = tree.ForceOn(bodies, order[k], theta, &want_n);
+    const ForcePass::Result& got = results[k];
+    if (std::bit_cast<uint64_t>(got.acc.x) != std::bit_cast<uint64_t>(want.x) ||
+        std::bit_cast<uint64_t>(got.acc.y) != std::bit_cast<uint64_t>(want.y) ||
+        got.interactions != want_n) {
+      ++mismatches;
+    }
+  }
+  return mismatches;
+}
+
+TEST(ForcePass, EqualsTheSequentialWalkForAnyWorkerCount) {
+  for (int n : {1, 2, 63, 64, 65, 1200, 4000}) {
+    common::Rng rng(static_cast<uint64_t>(n));
+    const auto bodies = MakeDisk(n, &rng);
+    QuadTree tree;
+    tree.Build(bodies);
+    const int blocks = (n + ForcePass::kBlock - 1) / ForcePass::kBlock;
+    for (int max_workers : {0, 1, 3}) {
+      ForcePass pass(max_workers);
+      pass.Run(tree, bodies, 0.8);
+      // One worker per block beyond the caller's, at most max_workers.
+      EXPECT_EQ(pass.workers(), std::min(max_workers, blocks - 1));
+      EXPECT_EQ(PassMismatches(pass, tree, bodies, 0.8), 0)
+          << n << " bodies, " << max_workers << " workers";
+    }
+  }
+}
+
+TEST(ForcePass, UnusedWorkerSetIsDestroyedCleanly) {
+  ForcePass pass(3);
+  EXPECT_EQ(pass.workers(), 0);  // the workers start with the first pass
+}
+
+// One worker set serves a whole run: many passes over moving bodies, each
+// equal to the sequential walk, then a clean join.
+TEST(ForcePass, ServesManyPasses) {
+  common::Rng rng(29);
+  std::vector<Body> bodies = MakeDisk(700, &rng);
+  QuadTree tree;
+  ForcePass pass(3);
+  int mismatches = 0;
+  for (int step = 0; step < 40; ++step) {
+    tree.Build(bodies);
+    pass.Run(tree, bodies, 0.8);
+    mismatches += PassMismatches(pass, tree, bodies, 0.8);
+    for (size_t k = 0; k < bodies.size(); ++k) {
+      Body& b = bodies[static_cast<size_t>(tree.leaf_order()[k])];
+      b.ax = pass.results()[k].acc.x;
+      b.ay = pass.results()[k].acc.y;
+    }
+    Integrate(&bodies, 0.05);
+  }
+  EXPECT_EQ(mismatches, 0);
+  EXPECT_EQ(pass.workers(), 3);
+}
+
 TEST(Integrate, MovesBodiesByVelocity) {
   std::vector<Body> bodies(1);
   bodies[0].vx = 2.0;
