@@ -138,6 +138,20 @@ Vec2 QuadTree::ForceOn(const std::vector<Body>& bodies, int i, double theta,
   return acc;
 }
 
+std::thread StartHostThread(std::function<void()> body) {
+  // A thread inherits its creator's signal mask: block every signal while
+  // it starts.
+  sigset_t all;
+  sigset_t old;
+  sigfillset(&all);
+  pthread_sigmask(SIG_SETMASK, &all, &old);
+  struct Restore {
+    const sigset_t& old;
+    ~Restore() { pthread_sigmask(SIG_SETMASK, &old, nullptr); }
+  } restore{old};
+  return std::thread(std::move(body));
+}
+
 ForcePass::~ForcePass() {
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -182,21 +196,13 @@ void ForcePass::StartWorkers(int count) {
     return;
   }
   threads_.reserve(static_cast<size_t>(count));
-  // A thread inherits its creator's signal mask: block every signal while
-  // the workers start, so that a process-directed signal (a timer's, a
-  // profiler's) is delivered to the calling thread.
-  sigset_t all;
-  sigset_t old;
-  sigfillset(&all);
-  pthread_sigmask(SIG_SETMASK, &all, &old);
   try {
     while (workers() < count) {
-      threads_.emplace_back([this] { WorkerLoop(); });
+      threads_.push_back(StartHostThread([this] { WorkerLoop(); }));
     }
   } catch (const std::system_error&) {
     // The host has no thread to spare: the passes run on those started.
   }
-  pthread_sigmask(SIG_SETMASK, &old, nullptr);
 }
 
 void ForcePass::WorkerLoop() {

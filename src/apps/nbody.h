@@ -12,6 +12,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -74,14 +75,22 @@ class QuadTree {
   std::vector<int> scratch_;  // BuildCell's counting-sort buffer
 };
 
+// Starts a host thread running `body` with every signal blocked, so that a
+// process-directed signal (a timer's, a profiler's) is delivered to the
+// simulation's thread.  Throws std::system_error if the host has no thread
+// to spare.
+std::thread StartHostThread(std::function<void()> body);
+
 // One time step's forces: ForceOn for every body of a built tree, spread over
-// the host's cores.  The calling thread and up to `max_workers` host threads
-// claim blocks of kBlock consecutive leaves from a shared counter, and each
-// result goes to its leaf's own slot, so every acceleration and count is bit
-// for bit that of a sequential ForceOn loop, for any number of workers.
-// The workers start on the first Run (one per block beyond the caller's,
-// at most `max_workers`), block every signal, allocate nothing, sleep on a
-// condition variable between passes and are joined by the destructor.
+// the host's cores.  The calling thread (in the N-body workload, the
+// application's producer thread, which computes the trajectory ahead of the
+// simulation) and up to `max_workers` host threads claim blocks of kBlock
+// consecutive leaves from a shared counter, and each result goes to its
+// leaf's own slot, so every acceleration and count is bit for bit that of a
+// sequential ForceOn loop, for any number of workers.  The workers start on
+// the first Run (one per block beyond the caller's, at most `max_workers`),
+// block every signal, allocate nothing, sleep on a condition variable
+// between passes and are joined by the destructor.
 class ForcePass {
  public:
   struct Result {

@@ -28,29 +28,75 @@ NBodyApp::NBodyApp(const NBodyConfig& config)
   }
 }
 
-void NBodyApp::BuildStep() {
-  tree_.Build(bodies_);
-  const int n = static_cast<int>(bodies_.size());
-  // Forces in the tree's leaf order, where consecutive bodies are neighbours
-  // whose walks read mostly the same cells, on the host's cores.
-  forces_.Run(tree_, bodies_, config_.theta);
-  body_interactions_.resize(bodies_.size());
-  const std::vector<int>& order = tree_.leaf_order();
-  for (size_t k = 0; k < order.size(); ++k) {
-    const ForcePass::Result& r = forces_.results()[k];
-    const size_t i = static_cast<size_t>(order[k]);
-    bodies_[i].ax = r.acc.x;
-    bodies_[i].ay = r.acc.y;
-    body_interactions_[i] = r.interactions;
+NBodyApp::~NBodyApp() {
+  if (!producer_.joinable()) {
+    return;
   }
+  {
+    std::lock_guard<std::mutex> lock(ring_mu_);
+    stop_ = true;
+  }
+  freed_.notify_one();
+  producer_.join();
+}
+
+int NBodyApp::steps_produced() const {
+  std::lock_guard<std::mutex> lock(ring_mu_);
+  return produced_;
+}
+
+// An exception here ends the program, as one in the simulation's
+// coroutines does (sim::Program terminates on one).
+void NBodyApp::Produce() {
+  for (int step = 0; step < config_.steps; ++step) {
+    {
+      std::unique_lock<std::mutex> lock(ring_mu_);
+      freed_.wait(lock, [&] { return stop_ || step - taken_ < kRingDepth; });
+      if (stop_) {
+        return;
+      }
+    }
+    tree_.Build(bodies_);
+    // Forces in the tree's leaf order, where consecutive bodies are
+    // neighbours whose walks read mostly the same cells, on the host's cores.
+    forces_.Run(tree_, bodies_, config_.theta);
+    const std::vector<int>& order = tree_.leaf_order();
+    std::vector<int64_t>& counts = ring_[static_cast<size_t>(step % kRingDepth)];
+    counts.resize(bodies_.size());
+    for (size_t k = 0; k < order.size(); ++k) {
+      const ForcePass::Result& r = forces_.results()[k];
+      const size_t i = static_cast<size_t>(order[k]);
+      bodies_[i].ax = r.acc.x;
+      bodies_[i].ay = r.acc.y;
+      counts[i] = r.interactions;
+    }
+    Integrate(&bodies_, config_.dt);
+    {
+      std::lock_guard<std::mutex> lock(ring_mu_);
+      produced_ = step + 1;
+    }
+    filled_.notify_one();
+  }
+}
+
+void NBodyApp::BuildStep() {
+  if (!producer_.joinable()) {
+    producer_ = StartHostThread([this] { Produce(); });
+  }
+  {
+    std::unique_lock<std::mutex> lock(ring_mu_);
+    filled_.wait(lock, [this] { return produced_ > step_; });
+  }
+  const std::vector<int64_t>& counts = ring_[static_cast<size_t>(step_ % kRingDepth)];
+  const int n = config_.bodies;
   const int num_tasks = (n + config_.chunk - 1) / config_.chunk;
   tasks_.assign(static_cast<size_t>(num_tasks), Task{});
   for (int task = 0; task < num_tasks; ++task) {
     Task& tk = tasks_[static_cast<size_t>(task)];
     const int begin = task * config_.chunk;
     const int end = std::min(n, begin + config_.chunk);
-    const int64_t interactions = std::accumulate(body_interactions_.begin() + begin,
-                                                 body_interactions_.begin() + end, int64_t{0});
+    const int64_t interactions =
+        std::accumulate(counts.begin() + begin, counts.begin() + end, int64_t{0});
     total_interactions_ += interactions;
     tk.cost = interactions * config_.cost_per_interaction;
     // Reference string: a task's own bodies stream through a double buffer
@@ -65,6 +111,11 @@ void NBodyApp::BuildStep() {
       tk.page = static_cast<int64_t>(touch_rng_.Below(static_cast<uint64_t>(pages)));
     }
   }
+  {
+    std::lock_guard<std::mutex> lock(ring_mu_);
+    taken_ = step_ + 1;
+  }
+  freed_.notify_one();
 }
 
 sim::Program NBodyApp::TaskThread(rt::ThreadCtx& t, int task_index) {
@@ -141,7 +192,6 @@ sim::Program NBodyApp::MainThread(rt::ThreadCtx& t) {
         co_await t.Join(tid);
       }
     }
-    Integrate(&bodies_, config_.dt);
     co_await t.Compute(config_.integrate_per_body * config_.bodies);
   }
   done_ = true;

@@ -11,14 +11,23 @@
 //
 // The physics is identical across runtimes (forces are computed from the
 // real tree), so the sequential-time baseline is the same for every system.
-// The host computes each step's forces on its spare cores (ForcePass), all
-// within the one event that builds the step, so virtual time cannot see how
-// many cores it used.
+// The whole trajectory (trees, forces, interaction counts, positions)
+// depends only on the seed, never on the simulated schedule, so a host
+// producer thread computes it ahead of the simulation: each step's tree
+// build, force pass (ForcePass, on the host's spare cores) and integration
+// fill one slot of a kRingDepth-slot ring, and the event that starts a step
+// only takes that step's interaction counts from its slot, waiting if the
+// producer is behind.  Virtual time reads nothing but the counts, so it
+// cannot see how far ahead the producer ran or how many cores it used.
 
 #ifndef SA_APPS_NBODY_WORKLOAD_H_
 #define SA_APPS_NBODY_WORKLOAD_H_
 
+#include <array>
+#include <condition_variable>
 #include <memory>
+#include <mutex>
+#include <thread>
 #include <vector>
 
 #include "src/apps/buffer_cache.h"
@@ -73,7 +82,15 @@ struct NBodyConfig {
 
 class NBodyApp {
  public:
+  // Slots of the ring between the producer and the simulation.
+  static constexpr int kRingDepth = 2;
+
   explicit NBodyApp(const NBodyConfig& config);
+  // Stops and joins the producer, wherever it is: computing a step, or
+  // waiting on a full ring because the run ended before the app did.
+  ~NBodyApp();
+  NBodyApp(const NBodyApp&) = delete;
+  NBodyApp& operator=(const NBodyApp&) = delete;
 
   // Spawns the main application thread on `rt`.  Call before harness.Run().
   void InstallOn(rt::Runtime* rt);
@@ -85,7 +102,11 @@ class NBodyApp {
   int64_t total_interactions() const { return total_interactions_; }
   int total_tasks_run() const { return total_tasks_; }
   const BufferCache& cache() const { return *cache_; }
+  // The initial bodies before the run, the final ones once done(); the
+  // producer moves them in between.
   const std::vector<Body>& bodies() const { return bodies_; }
+  // Steps the producer has finished so far.
+  int steps_produced() const;
 
   // Analytic sequential execution time for the identical computation
   // (valid after the run; misses excluded — used at 100% memory).
@@ -97,7 +118,12 @@ class NBodyApp {
     int64_t page = -1;  // the remote body page it reads; -1 for none
   };
 
+  // Takes step step_'s interaction counts from the ring (starting the
+  // producer at the first step) and derives the step's tasks.
   void BuildStep();
+  // The producer thread: computes steps into the ring until every step is
+  // done or the app stops it.
+  void Produce();
   sim::Program MainThread(rt::ThreadCtx& t);
   sim::Program TaskThread(rt::ThreadCtx& t, int task_index);
   // Lazy-fork port: computes tasks [lo, hi) by recursive halving.
@@ -106,10 +132,21 @@ class NBodyApp {
   NBodyConfig config_;
   common::Rng rng_;
   common::Rng touch_rng_;
+  // Touched only by the producer thread while it runs.
   std::vector<Body> bodies_;
   QuadTree tree_;
   ForcePass forces_;
-  std::vector<int64_t> body_interactions_;  // this step's, by body
+  // Step s's interaction counts, by body, in slot s % kRingDepth.  A slot
+  // belongs to the producer until it publishes the step, then to the
+  // simulation until it takes the step.
+  std::array<std::vector<int64_t>, kRingDepth> ring_;
+  mutable std::mutex ring_mu_;
+  std::condition_variable filled_;  // the simulation: a step was published
+  std::condition_variable freed_;   // the producer: a slot was freed, or stop
+  int produced_ = 0;                // steps published; guarded by ring_mu_
+  int taken_ = 0;                   // steps taken; guarded by ring_mu_
+  bool stop_ = false;               // guarded by ring_mu_
+  std::thread producer_;
   std::unique_ptr<BufferCache> cache_;
   std::vector<Task> tasks_;
   int64_t num_pages_ = 0;

@@ -67,6 +67,9 @@ KThread* Kernel::CreateThread(AddressSpace* as, KThreadHost* host, void* host_da
   // Ids count up whether or not the record is new, so traces do not tell.
   KThread* kt = as->TakeExited();
   if (kt != nullptr) {
+    // Its exit cancelled its time-slice timer, so no timer of the thread it
+    // served can reach the new one.
+    SA_CHECK(!engine().pending(kt->quantum_timer()));
     kt->Reincarnate(next_thread_id_++, host);
   } else {
     kt = as->AddThread(std::make_unique<KThread>(next_thread_id_++, as, host));
@@ -263,17 +266,13 @@ void Kernel::ArmQuantum(hw::Processor* proc, KThread* kt) {
     return;  // processor controlled by scheduler activations: no time-slicing
   }
   const int proc_id = proc->id();
-  const uint32_t incarnation = kt->incarnation();
-  auto fire = [this, kt, proc_id, incarnation] { OnQuantumFire(proc_id, kt, incarnation); };
+  auto fire = [this, kt, proc_id] { OnQuantumFire(proc_id, kt); };
   static_assert(sizeof(fire) <= 24, "a quantum timer fits sim::Callback's inline bytes");
   kt->set_quantum_timer(engine().ScheduleIn(costs().kt_quantum, std::move(fire)));
 }
 
-void Kernel::OnQuantumFire(int proc_id, KThread* kt, uint32_t incarnation) {
+void Kernel::OnQuantumFire(int proc_id, KThread* kt) {
   hw::Processor* proc = machine_->processor(proc_id);
-  if (kt->incarnation() != incarnation) {
-    return;  // the thread exited and its record serves another thread now
-  }
   if (running_on(proc) != kt || kt->state() != KThreadState::kRunning) {
     return;  // the thread left the processor and was not dispatched again
   }
@@ -548,6 +547,7 @@ void Kernel::SysExit(KThread* caller) {
   proc->BeginKernelSpan(
       costs().kernel_trap + ExitCost(caller->address_space()), [this, caller, proc] {
         caller->set_state(KThreadState::kDead);
+        engine().Cancel(caller->quantum_timer());  // a dead thread is not time-sliced
         --live_threads_;
         AddressSpace* as = caller->address_space();
         --as->runnable_threads;

@@ -315,8 +315,8 @@ class Kernel {
   void ChargeDispatchAndRun(hw::Processor* proc, KThread* kt);
   void RunThread(KThread* kt);
   void ArmQuantum(hw::Processor* proc, KThread* kt);
-  // A time slice of `kt`'s `incarnation` ended on processor `proc_id`.
-  void OnQuantumFire(int proc_id, KThread* kt, uint32_t incarnation);
+  // A time slice of `kt` ended on processor `proc_id`.
+  void OnQuantumFire(int proc_id, KThread* kt);
   void OnIoComplete(KThread* kt);
   // Schedules the completion of `kt`'s device wait, its latency from now.
   // With an active injector and an injectable wait, the completion may fail

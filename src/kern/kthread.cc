@@ -28,7 +28,6 @@ void KThread::Reincarnate(int64_t id, KThreadHost* host) {
   SA_CHECK(!saved_span_.valid() && activation_ == nullptr);
   id_ = id;
   host_ = host;
-  ++incarnation_;
   state_ = KThreadState::kBorn;
   processor_ = nullptr;
   host_data_ = nullptr;

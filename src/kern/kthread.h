@@ -79,13 +79,10 @@ class KThread {
 
   // Makes an exited thread's record a new, unborn thread `id` of the same
   // space (Kernel::CreateThread reuses records so they follow live threads).
-  // A timer the old thread left armed still fires; it reads the bumped
-  // incarnation and does nothing.
+  // The old thread's exit cancelled its time-slice timer.
   void Reincarnate(int64_t id, KThreadHost* host);
 
   int64_t id() const { return id_; }
-  // How many threads this record served before the current one.
-  uint32_t incarnation() const { return incarnation_; }
   AddressSpace* address_space() const { return as_; }
   KThreadHost* host() const { return host_; }
 
@@ -158,7 +155,6 @@ class KThread {
   sim::EventId quantum_timer_ = sim::kNoEvent;
   DeviceWait device_wait_;
   bool io_failed_ = false;
-  uint32_t incarnation_ = 0;
 };
 
 }  // namespace sa::kern

@@ -135,35 +135,6 @@ Vcpu* FastThreads::LowestPriorityRunningVcpu(const Vcpu* exclude) const {
   return lowest;
 }
 
-const std::vector<Vcpu*>& FastThreads::StealOrder(Vcpu* v) {
-  std::vector<Vcpu*>& order = steal_order_;
-  order.clear();
-  const auto victim = [&](int k) {
-    return vcpus_[static_cast<size_t>((v->index + k) % num_vcpus())].get();
-  };
-  const hw::Topology& topo = kernel_->machine()->topology();
-  if (!config_.locality_aware_stealing || !topo.hierarchical() || !v->bound) {
-    for (int k = 1; k < num_vcpus(); ++k) {
-      order.push_back(victim(k));
-    }
-    return order;
-  }
-  // Same-socket victims first, then the rest, each in rotation order.
-  // Unbound victims have no location and scan with the remote group.
-  const int home = topo.SocketOf(v->proc()->id());
-  const auto local = [&](const Vcpu* u) {
-    return u->bound && topo.SocketOf(u->proc()->id()) == home;
-  };
-  for (const bool pass_local : {true, false}) {
-    for (int k = 1; k < num_vcpus(); ++k) {
-      if (local(victim(k)) == pass_local) {
-        order.push_back(victim(k));
-      }
-    }
-  }
-  return order;
-}
-
 sim::Duration FastThreads::NoteSteal(Vcpu* thief, Vcpu* victim) {
   const hw::Topology& topo = kernel_->machine()->topology();
   if (!topo.hierarchical() || !thief->bound) {
@@ -221,7 +192,7 @@ Tcb* FastThreads::TakeReady(Vcpu* v, Vcpu** owner) {
   // The scan meets candidates in tie order and strict `>` keeps the first of
   // equals.  With no priority in play every thread ties, so the first thread
   // met is the pick: an O(1) local pop, or the oldest thread of the first
-  // non-empty list in StealOrder.
+  // non-empty victim list.
   Tcb* best = nullptr;
   const auto settled = [&] { return best != nullptr && !has_priorities_; };
   const auto consider = [&](Tcb* t, Vcpu* list) {
@@ -237,13 +208,28 @@ Tcb* FastThreads::TakeReady(Vcpu* v, Vcpu** owner) {
     }
   }
   if (!settled() && num_vcpus() > 1) {
-    for (Vcpu* victim : StealOrder(v)) {
-      for (Tcb* t = victim->ready.Back(); t != nullptr && !settled();
-           t = victim->ready.Prev(t)) {
-        consider(t, victim);
-      }
-      if (settled()) {
-        break;
+    // Then the victims in the Section 4.2 rotation from v->index + 1, walked
+    // in place.  Under locality-aware stealing on a hierarchical machine a
+    // bound v scans its own socket's victims first, then the rest, each
+    // group in rotation order; unbound victims have no location and scan
+    // with the rest.
+    const hw::Topology& topo = kernel_->machine()->topology();
+    const bool by_socket = config_.locality_aware_stealing && topo.hierarchical() && v->bound;
+    const int home = by_socket ? topo.SocketOf(v->proc()->id()) : -1;
+    const int n = num_vcpus();
+    for (int pass = by_socket ? 0 : 1; pass < 2 && !settled(); ++pass) {
+      for (int k = 1, i = v->index; k < n && !settled(); ++k) {
+        i = i + 1 == n ? 0 : i + 1;
+        Vcpu* victim = vcpus_[static_cast<size_t>(i)].get();
+        if (victim->ready.empty() ||
+            (by_socket && (victim->bound && topo.SocketOf(victim->proc()->id()) == home) !=
+                              (pass == 0))) {
+          continue;
+        }
+        for (Tcb* t = victim->ready.Back(); t != nullptr && !settled();
+             t = victim->ready.Prev(t)) {
+          consider(t, victim);
+        }
       }
     }
   }

@@ -229,16 +229,14 @@ class FastThreads {
   void FreeTcb(Vcpu* v, Tcb* t);
   // The one selection rule: removes and returns the highest-priority ready
   // thread, or nullptr.  Ties go to v's own list, newest first (LIFO,
-  // Section 4.2), then to the other lists in StealOrder, oldest first.
+  // Section 4.2), then to the other lists in victim order (the Section 4.2
+  // rotation, same-socket victims first under locality_aware_stealing),
+  // oldest first.
   // `*owner` is the vcpu whose list held it.
   Tcb* TakeReady(Vcpu* v, Vcpu** owner);
   // Charges the dispatch of `t` on `v` (plus a promoted frame's deferred
   // fork and a resumed thread's condition-code restore), then runs it.
   void ChargeDispatch(Vcpu* v, Tcb* t);
-  // Victim scan order: the Section 4.2 rotation, with same-socket victims
-  // moved to the front under locality_aware_stealing (each group keeps its
-  // rotation order).  Fills and returns steal_order_, reused across calls.
-  const std::vector<Vcpu*>& StealOrder(Vcpu* v);
   // Classifies a successful steal by topology distance (counters + trace);
   // returns the virtual-time penalty to fold into the thief's steal charge.
   sim::Duration NoteSteal(Vcpu* thief, Vcpu* victim);
@@ -260,7 +258,6 @@ class FastThreads {
   UltCounters counters_;
 
   std::vector<std::unique_ptr<Vcpu>> vcpus_;
-  std::vector<Vcpu*> steal_order_;  // StealOrder's buffer
   std::vector<std::unique_ptr<Tcb>> tcbs_;
   std::vector<std::unique_ptr<UltLock>> locks_;
   std::vector<std::unique_ptr<UltSem>> sems_;

@@ -4,12 +4,16 @@
 
 #include <algorithm>
 #include <bit>
+#include <chrono>
 #include <cmath>
+#include <memory>
+#include <thread>
 
 #include "src/apps/buffer_cache.h"
 #include "src/apps/experiments.h"
 #include "src/apps/nbody.h"
 #include "src/apps/nbody_workload.h"
+#include "src/inject/fault_plan.h"
 #include "src/rt/harness.h"
 #include "src/ult/ult_runtime.h"
 
@@ -486,6 +490,100 @@ TEST(NBodyWorkload, DeterministicAcrossRepeatedRuns) {
   EXPECT_EQ(a.elapsed, b.elapsed);
   EXPECT_EQ(a.counters.upcalls, b.counters.upcalls);
   EXPECT_EQ(a.cache_misses, b.cache_misses);
+}
+
+// ---- the trajectory pipeline ----
+
+// NBodyTrajectory's fig1 run (3 steps) must outrun the producer's ring, so
+// that its pinned digest covers a reused slot.
+static_assert(NBodyApp::kRingDepth < 3);
+
+// An N-body application of `steps` steps of 600 bodies on new FastThreads
+// over scheduler activations, four processors.
+struct PipelineRun {
+  explicit PipelineRun(int steps)
+      : harness(Machine()),
+        runtime(&harness.kernel(), "nbody", ult::BackendKind::kSchedulerActivations,
+                Vcpus(4)) {
+    harness.AddRuntime(&runtime);
+    NBodyConfig nc;
+    nc.bodies = 600;
+    nc.steps = steps;
+    app = std::make_unique<NBodyApp>(nc);
+    app->InstallOn(&runtime);
+  }
+
+  static ult::UltConfig Vcpus(int n) {
+    ult::UltConfig uc;
+    uc.max_vcpus = n;
+    return uc;
+  }
+
+  static rt::HarnessConfig Machine() {
+    rt::HarnessConfig config;
+    config.processors = 4;
+    config.kernel.mode = kern::KernelMode::kSchedulerActivations;
+    return config;
+  }
+
+  // True once the producer has finished `steps` steps; false after 60 s.
+  bool AwaitProduced(int steps) const {
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(60);
+    while (app->steps_produced() < steps) {
+      if (std::chrono::steady_clock::now() > deadline) {
+        return false;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return true;
+  }
+
+  // Destroys the application; returns how long that took, in seconds.
+  double DestroyApp() {
+    const auto start = std::chrono::steady_clock::now();
+    app.reset();
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+  }
+
+  rt::Harness harness;
+  ult::UltRuntime runtime;
+  std::unique_ptr<NBodyApp> app;
+};
+
+TEST(NBodyPipeline, AppThatNeverRanStartsNoProducer) {
+  PipelineRun run(8);
+  EXPECT_EQ(run.app->steps_produced(), 0);
+  EXPECT_LT(run.DestroyApp(), 2.0);
+}
+
+// A run cut short (here by an event budget, inside step 0) leaves the
+// producer ahead of it: it fills the ring and waits for a slot that will
+// never be freed.  The application's destructor must wake and join it.
+TEST(NBodyPipeline, AppDestroyedWithItsProducerAheadJoinsPromptly) {
+  PipelineRun run(8);
+  EXPECT_EQ(run.harness.TryRun(/*max_events=*/200).outcome, rt::RunOutcome::kEventBudget);
+  ASSERT_GT(run.app->total_interactions(), 0);  // step 0 was taken ...
+  ASSERT_LT(run.app->total_tasks_run(), 200);   // ... and not finished
+  ASSERT_TRUE(run.AwaitProduced(1 + NBodyApp::kRingDepth));
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(run.app->steps_produced(), 1 + NBodyApp::kRingDepth);  // the ring is full
+  EXPECT_LT(run.DestroyApp(), 2.0);
+}
+
+// A fault plan crashes the application's space inside step 0 (whose tree
+// build is charged 24 ms): the run completes without it, and its producer
+// fills the ring and waits, until the destructor wakes and joins it.
+TEST(NBodyPipeline, AppOfACrashedSpaceJoinsPromptly) {
+  inject::FaultPlan plan;
+  plan.crash_at = sim::Msec(10);
+  plan.crash_space = 0;
+  PipelineRun run(8);
+  run.harness.EnableFaultInjection(plan);
+  const rt::RunResult result = run.harness.TryRun();
+  ASSERT_TRUE(result.ok()) << result.diagnostics;
+  EXPECT_FALSE(run.app->done());
+  ASSERT_TRUE(run.AwaitProduced(1 + NBodyApp::kRingDepth));
+  EXPECT_LT(run.DestroyApp(), 2.0);
 }
 
 // ---- pinned trajectories ----
