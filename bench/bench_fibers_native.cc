@@ -33,12 +33,24 @@ BENCHMARK(BM_ProcedureCall);
 
 // ---- Null Fork: create, schedule, execute and complete a null thread ----
 
+// The bench thread is outside the pool, so each fork ends in an external
+// join: it spins while a CPU is free and sleeps otherwise (or once the spin
+// runs out), and the fiber it joined goes back to the shared free list.
 void BM_NullFork_Fiber(benchmark::State& state) {
   sa::fibers::FiberPool pool(1);
   for (auto _ : state) {
     auto h = pool.Spawn([] { NullProcedure(); });
     pool.Join(h);
   }
+  const auto s = pool.stats();
+  state.counters["ext_joins_spun"] =
+      benchmark::Counter(static_cast<double>(s.ext_joins_spun));
+  state.counters["ext_joins_slept"] =
+      benchmark::Counter(static_cast<double>(s.ext_joins_slept));
+  state.counters["ext_join_spin_timeouts"] =
+      benchmark::Counter(static_cast<double>(s.ext_join_spin_timeouts));
+  state.counters["fibers_created"] =
+      benchmark::Counter(static_cast<double>(s.fibers_created));
 }
 BENCHMARK(BM_NullFork_Fiber);
 

@@ -1,7 +1,6 @@
 #include "src/apps/nbody.h"
 
 #include <pthread.h>
-#include <sched.h>
 #include <signal.h>
 
 #include <algorithm>
@@ -9,23 +8,10 @@
 #include <numeric>
 #include <system_error>
 
+#include "src/common/affinity.h"
 #include "src/common/assert.h"
 
 namespace sa::apps {
-
-namespace {
-
-// CPUs in the process's affinity mask; 1 if the mask cannot be read.
-int AffinityCpus() {
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  if (sched_getaffinity(0, sizeof(set), &set) != 0) {
-    return 1;
-  }
-  return CPU_COUNT(&set);
-}
-
-}  // namespace
 
 void QuadTree::Build(const std::vector<Body>& bodies) {
   cells_.clear();
@@ -173,7 +159,7 @@ void ForcePass::Run(const QuadTree& tree, const std::vector<Body>& bodies, doubl
   next_block_.store(0, std::memory_order_relaxed);
   if (!started_) {
     started_ = true;
-    const int max_workers = max_workers_ >= 0 ? max_workers_ : AffinityCpus() - 1;
+    const int max_workers = max_workers_ >= 0 ? max_workers_ : common::AffinityCpus() - 1;
     StartWorkers(std::min(max_workers, blocks_ - 1));
   }
   if (threads_.empty()) {

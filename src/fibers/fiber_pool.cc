@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <utility>
 
+#include "src/common/affinity.h"
 #include "src/common/assert.h"
 #include "src/fibers/work_stealing_deque.h"
 
@@ -115,6 +116,14 @@ constexpr size_t kMaxOverflowBatch = 16;
 // regression test asserts.
 constexpr auto kParkTimeout = std::chrono::milliseconds(8);
 
+// How long an external Join spins before it sleeps on the pool's condition
+// variable: about one kernel wake-up, the price the sleep would pay.
+// BM_SignalWait_KernelThread (bench_fibers_native), a round trip of two
+// wake-ups, took 15.5 us on one 4-vCPU x86-64 VM and 7.5 us on another.
+// A time bound, not a count of pauses: one pause costs from about 10 to
+// about 140 cycles across x86 generations.
+constexpr auto kJoinSpin = std::chrono::microseconds(8);
+
 // Every this many dispatch-loop iterations a worker with pending lazy
 // frames promotes its oldest one — the native analogue of the simulated
 // virtual-time heartbeat, polled at dispatch boundaries (there is no safe
@@ -134,6 +143,15 @@ uint64_t SplitMix64(uint64_t x) {
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
   x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
   return x ^ (x >> 31);
+}
+
+// Whether the fiber a handle names has finished: done==true (acquire pairs
+// with the completion's store, making the fiber's effects visible) or a
+// generation mismatch (the fiber was recycled and respawned — ours must
+// have finished first).
+bool Finished(const internal::Fiber* fiber, uint64_t generation) {
+  return fiber->done.load(std::memory_order_acquire) ||
+         fiber->generation.load(std::memory_order_acquire) != generation;
 }
 
 }  // namespace
@@ -188,12 +206,10 @@ FiberPool::FiberPool(int workers, size_t stack_size)
     : FiberPool(workers, FiberPoolOptions{stack_size}) {}
 
 FiberPool::FiberPool(int workers, const FiberPoolOptions& options)
-    : stack_size_(options.stack_size) {
+    : stack_size_(options.stack_size), cpus_(common::AffinityCpus()) {
   SA_CHECK(workers >= 1);
   spin_rounds_ = kSpinRounds;
-  wake_eagerly_ = options.wake_eagerly < 0
-                      ? std::thread::hardware_concurrency() > 1
-                      : options.wake_eagerly != 0;
+  wake_eagerly_ = options.wake_eagerly < 0 ? cpus_ > 1 : options.wake_eagerly != 0;
   workers_.reserve(static_cast<size_t>(workers));
   for (int i = 0; i < workers; ++i) {
     workers_.push_back(std::make_unique<Worker>(i));
@@ -302,6 +318,7 @@ internal::Fiber* FiberPool::AllocFiber() {
     return f;
   }
   all_fibers_.push_back(std::make_unique<internal::Fiber>());
+  fibers_created_.store(all_fibers_.size(), std::memory_order_relaxed);
   internal::Fiber* f = all_fibers_.back().get();
   // Left uninitialised: untouched stack pages never become resident.
   f->stack = std::make_unique_for_overwrite<char[]>(stack_size_);
@@ -311,8 +328,11 @@ internal::Fiber* FiberPool::AllocFiber() {
 }
 
 void FiberPool::RecycleFiber(internal::Fiber* fiber) {
+  // A fiber spawned from outside goes back where external spawns draw from:
+  // on this worker's list it would sit idle while the next external Spawn
+  // made a fresh fiber and stack.
   WorkerState* state = tls_worker;
-  if (state != nullptr && state->pool == this &&
+  if (!fiber->external && state != nullptr && state->pool == this &&
       state->worker->free_fibers.size() < kMaxLocalFree) {
     state->worker->free_fibers.push_back(fiber);
     return;
@@ -335,10 +355,11 @@ FiberHandle FiberPool::Spawn(std::function<void()> fn) {
   fiber->exiting = false;
   fiber->fn = std::move(fn);
   WorkerState* state = tls_worker;
-  if (state != nullptr && state->pool == this) {
-    Bump(state->worker->live_delta, int64_t{1});
-  } else {
+  fiber->external = state == nullptr || state->pool != this;
+  if (fiber->external) {
     live_external_.fetch_add(1, std::memory_order_relaxed);
+  } else {
+    Bump(state->worker->live_delta, int64_t{1});
   }
   fiber->sp = MakeContext(fiber->stack.get(), fiber->stack_size,
                           &FiberPool::FiberMain, fiber);
@@ -349,9 +370,8 @@ FiberHandle FiberPool::Spawn(std::function<void()> fn) {
 #endif
   const FiberHandle handle(fiber, generation);
   SA_TRACE_EMIT(tracer(), trace::cat::kFibers, trace::Kind::kFibSpawn,
-                trace::HostNow(),
-                state != nullptr && state->pool == this ? state->worker->index : -1,
-                -1, generation, 0);
+                trace::HostNow(), fiber->external ? -1 : state->worker->index, -1,
+                generation, 0);
   PushRunnable(fiber);
   return handle;
 }
@@ -764,16 +784,26 @@ void FiberPool::Yield() {
       pool, self);
 }
 
+bool FiberPool::SpinJoin(const FiberHandle& handle) {
+  if (!CpuFreeForSpin()) {
+    return false;
+  }
+  const auto deadline = std::chrono::steady_clock::now() + kJoinSpin;
+  while (!Finished(handle.fiber_, handle.generation_)) {
+    if (!CpuFreeForSpin() || std::chrono::steady_clock::now() >= deadline) {
+      ext_join_spin_timeouts_.fetch_add(1, std::memory_order_relaxed);
+      return false;
+    }
+    CpuRelax();
+  }
+  return true;
+}
+
 void FiberPool::Join(FiberHandle handle) {
   internal::Fiber* target = handle.fiber_;
   SA_CHECK_MSG(target != nullptr, "joining a null fiber handle");
-  // Lock-free fast path: done==true (acquire pairs with the completion's
-  // store, making the fiber's effects visible) or a generation mismatch
-  // (the fiber was recycled and respawned — ours must have finished first).
-  if (target->done.load(std::memory_order_acquire) ||
-      target->generation.load(std::memory_order_acquire) !=
-          handle.generation_) {
-    return;
+  if (Finished(target, handle.generation_)) {
+    return;  // the lock-free fast path
   }
   WorkerState* state = tls_worker;
   if (state != nullptr && state->current != nullptr && state->pool == this) {
@@ -793,9 +823,16 @@ void FiberPool::Join(FiberHandle handle) {
     SwitchOutUnlock(&target->join_mu);
     return;
   }
-  // External join: block the calling kernel thread.  The per-fiber waiter
+  // External join, first phase: spin while a CPU is free for it, for about
+  // what the sleep below would pay in a kernel wake-up.
+  if (SpinJoin(handle)) {
+    ext_joins_spun_.fetch_add(1, std::memory_order_relaxed);
+    return;
+  }
+  // Second phase: block the calling kernel thread.  The per-fiber waiter
   // count means fibers nobody is externally joining complete without ever
   // touching the pool mutex or condvar.
+  ext_joins_slept_.fetch_add(1, std::memory_order_relaxed);
   target->ext_waiters.fetch_add(1, std::memory_order_seq_cst);
   {
     std::unique_lock<std::mutex> lock(mu_);
@@ -935,6 +972,10 @@ FiberPoolStats FiberPool::stats() const {
     s.lazy_inlines += wp->lazy_inlines.load(std::memory_order_relaxed);
     s.timeout_rescues += wp->timeout_rescues.load(std::memory_order_relaxed);
   }
+  s.ext_joins_spun = ext_joins_spun_.load(std::memory_order_relaxed);
+  s.ext_joins_slept = ext_joins_slept_.load(std::memory_order_relaxed);
+  s.ext_join_spin_timeouts = ext_join_spin_timeouts_.load(std::memory_order_relaxed);
+  s.fibers_created = fibers_created_.load(std::memory_order_relaxed);
   return s;
 }
 

@@ -19,6 +19,15 @@
 // overflow queue, fiber-slab allocation and shutdown.  (It deliberately does
 // NOT get scheduler activations: that requires the kernel support this
 // repository simulates — the point of the paper.)
+//
+// A thread outside the pool forks at user-level cost too.  Its Join first
+// spins, for about one kernel wake-up and only while fewer workers are
+// unparked than the affinity mask has CPUs (so the spinner takes no CPU the
+// fiber needs), and sleeps on the pool's condition variable only after
+// that: the joiner's version of FastThreads' idle hysteresis (Section 4.2),
+// where an idle processor spins a while before it goes back to the kernel.
+// A fiber spawned from outside goes back to the shared free list the next
+// external Spawn draws from, so a fork-join loop reuses one or two stacks.
 
 #ifndef SA_FIBERS_FIBER_POOL_H_
 #define SA_FIBERS_FIBER_POOL_H_
@@ -61,6 +70,7 @@ struct Fiber {
   Fiber* joiners_head = nullptr;  // fibers blocked in Join; guarded by join_mu
   Fiber* next_joiner = nullptr;   // intrusive link in another fiber's joiners
   std::atomic<int> ext_waiters{0};  // external threads blocked in Join on us
+  bool external = false;  // spawned from outside the pool (set by Spawn)
 
   bool exiting = false;       // set just before the final switch-out
   void* tsan_fiber = nullptr;  // ThreadSanitizer fiber context (if enabled)
@@ -116,16 +126,25 @@ struct FiberPoolStats {
   // only the timeout backstop saved it (regression canary for
   // fibers_wakeup_test).
   uint64_t timeout_rescues = 0;
+  // External joins (from threads outside the pool) that found the fiber
+  // unfinished.  Each either saw it finish while spinning (ext_joins_spun)
+  // or slept on the pool's condition variable (ext_joins_slept);
+  // ext_join_spin_timeouts counts the sleepers that spun first.
+  uint64_t ext_joins_spun = 0;
+  uint64_t ext_joins_slept = 0;
+  uint64_t ext_join_spin_timeouts = 0;
+  uint64_t fibers_created = 0;  // fiber records (each with a stack) made
 };
 
 // Construction options.
 struct FiberPoolOptions {
   size_t stack_size = 128 * 1024;  // per-fiber stack
   // Whether worker-local pushes wake a parked worker whenever one exists:
-  // -1 = auto (eager on multi-CPU hosts, conservative on one CPU — the
-  // pusher will dispatch its own push, so a wake just time-slices one
-  // processor), 0 = conservative, 1 = eager.  Tests force 1 to exercise the
-  // push/park wakeup handshake deterministically regardless of host shape.
+  // -1 = auto (eager when the affinity mask holds several CPUs, conservative
+  // on one — the pusher will dispatch its own push, so a wake just
+  // time-slices one processor), 0 = conservative, 1 = eager.  Tests force 1
+  // to exercise the push/park wakeup handshake deterministically regardless
+  // of host shape.
   int wake_eagerly = -1;
 };
 
@@ -237,7 +256,17 @@ class FiberPool {
   internal::Fiber* AllocFiber();
   void RecycleFiber(internal::Fiber* fiber);
 
+  // External Join's first phase: spins until the fiber finishes (true), the
+  // time bound runs out or a CPU is no longer free for spinning (false).
+  bool SpinJoin(const FiberHandle& handle);
+  // Whether a thread can spin beside the unparked workers without taking a
+  // CPU one of them needs: fewer workers unparked than CPUs in the mask.
+  bool CpuFreeForSpin() const {
+    return num_workers() - num_parked_.load(std::memory_order_relaxed) < cpus_;
+  }
+
   const size_t stack_size_;
+  const int cpus_;  // CPUs in the constructing thread's affinity mask
   std::vector<std::unique_ptr<Worker>> workers_;
   std::vector<std::thread> threads_;
   std::atomic<trace::TraceBuffer*> tracer_{nullptr};
@@ -265,6 +294,12 @@ class FiberPool {
   // Fibers spawned from non-worker threads; worker-side spawns and all
   // completions are tracked in per-worker deltas (summed at destruction).
   std::atomic<int64_t> live_external_{0};
+  // External-join and slab counters (FiberPoolStats); joins come from any
+  // thread, so these take atomic adds.
+  std::atomic<uint64_t> ext_joins_spun_{0};
+  std::atomic<uint64_t> ext_joins_slept_{0};
+  std::atomic<uint64_t> ext_join_spin_timeouts_{0};
+  std::atomic<uint64_t> fibers_created_{0};  // written under mu_
 
   // Cold state: external joins, overflow run queue, fiber-slab ownership.
   std::mutex mu_;

@@ -22,6 +22,17 @@
 
 namespace sa::fibers {
 
+// One step of a spin-wait loop.  `pause` tells the core the thread is
+// busy-waiting: it hands pipeline resources to a sibling hyperthread, and
+// the loop ends without a memory-order mis-speculation.
+inline void CpuRelax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#else
+  std::this_thread::yield();
+#endif
+}
+
 class SpinLock {
  public:
   SpinLock() = default;
@@ -53,14 +64,6 @@ class SpinLock {
 
  private:
   static constexpr int kSpinsBeforeYield = 64;
-
-  static void CpuRelax() {
-#if defined(__x86_64__) || defined(__i386__)
-    __builtin_ia32_pause();
-#else
-    std::this_thread::yield();
-#endif
-  }
 
   std::atomic<bool> locked_{false};
 };

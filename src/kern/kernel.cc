@@ -228,13 +228,21 @@ sim::Duration Kernel::NoteMigration(hw::Processor* proc, const KThread* kt) {
   return penalty;
 }
 
+void Kernel::MarkRunning(hw::Processor* proc, KThread* kt) {
+  // The thread counts as running from here, through the dispatch's kernel
+  // span, so a time-slice timer left from its last dispatch goes now: fired
+  // inside the span, it would slice the new dispatch before its quantum.
+  engine().Cancel(kt->quantum_timer());
+  running_[static_cast<size_t>(proc->id())] = kt;
+  kt->set_processor(proc);
+  kt->set_state(KThreadState::kRunning);
+}
+
 void Kernel::ChargeDispatchAndRun(hw::Processor* proc, KThread* kt) {
   SA_CHECK(running_on(proc) == nullptr);
   SA_CHECK(kt->state() == KThreadState::kReady);
   const sim::Duration migration = NoteMigration(proc, kt);
-  SetRunning(proc, kt);
-  kt->set_processor(proc);
-  kt->set_state(KThreadState::kRunning);
+  MarkRunning(proc, kt);
   ++counters_.dispatches;
   engine().TraceEmit(trace::cat::kKernel, trace::Kind::kDispatch, proc->id(),
                      kt->address_space()->id(), static_cast<uint64_t>(kt->id()));
@@ -243,17 +251,14 @@ void Kernel::ChargeDispatchAndRun(hw::Processor* proc, KThread* kt) {
 }
 
 void Kernel::RunThread(KThread* kt) {
-  engine().Cancel(kt->quantum_timer());  // a new dispatch, a new quantum
-  ArmQuantum(kt->processor(), kt);
+  ArmQuantum(kt->processor(), kt);  // a new dispatch, a new quantum
   kt->host()->RunOn(kt);
 }
 
 void Kernel::RunContextOn(hw::Processor* proc, KThread* kt, sim::Duration extra_kernel_cost) {
   SA_CHECK(running_on(proc) == nullptr);
   extra_kernel_cost += NoteMigration(proc, kt);
-  SetRunning(proc, kt);
-  kt->set_processor(proc);
-  kt->set_state(KThreadState::kRunning);
+  MarkRunning(proc, kt);
   if (extra_kernel_cost > 0) {
     proc->BeginKernelSpan(extra_kernel_cost, [this, kt] { RunThread(kt); });
   } else {

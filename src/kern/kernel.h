@@ -266,9 +266,6 @@ class Kernel {
   void ClearRunning(hw::Processor* proc) {
     running_[static_cast<size_t>(proc->id())] = nullptr;
   }
-  void SetRunning(hw::Processor* proc, KThread* kt) {
-    running_[static_cast<size_t>(proc->id())] = kt;
-  }
 
   // The space the explicit allocator has given `proc` to: null while it is
   // free or detaching, and always in native mode.
@@ -312,6 +309,8 @@ class Kernel {
   // delivery that finds its space reaped, and DispatchOn's reaped-owner
   // catch-all.
   void RevokeNow(hw::Processor* proc, KThread* stopped);
+  // Makes `kt` the thread running on `proc` where a dispatch starts.
+  void MarkRunning(hw::Processor* proc, KThread* kt);
   void ChargeDispatchAndRun(hw::Processor* proc, KThread* kt);
   void RunThread(KThread* kt);
   void ArmQuantum(hw::Processor* proc, KThread* kt);

@@ -2,13 +2,16 @@
 // joining and synchronization on real hardware.
 
 #include <gtest/gtest.h>
+#include <sched.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <thread>
 #include <vector>
 
+#include "src/common/affinity.h"
 #include "src/fibers/fiber_pool.h"
 
 namespace sa::fibers {
@@ -256,6 +259,130 @@ TEST(Fibers, SwitchCountTracksActivity) {
   });
   pool.Join(h);
   EXPECT_GE(pool.switches() - before, 20u);
+}
+
+// ---- Fork-join from threads outside the pool ------------------------------
+
+TEST(ExternalJoin, ForkJoinLoopReusesItsFibers) {
+  // An externally spawned fiber goes back to the list external spawns draw
+  // from.  Each worker holds at most one finished fiber it has not yet
+  // recycled when the joiner returns, so 1000 forks need at most one fiber
+  // per worker plus the one running.
+  FiberPool pool(2);
+  uint64_t slot = 0;
+  uint64_t sum = 0;
+  for (uint64_t i = 1; i <= 1000; ++i) {
+    pool.Join(pool.Spawn([&slot, i] { slot = i; }));
+    sum += slot;
+  }
+  EXPECT_EQ(sum, 1000u * 1001u / 2);
+  const FiberPoolStats s = pool.stats();
+  EXPECT_LE(s.fibers_created, 3u);
+  // Every join that missed the fast path either spun or slept.
+  EXPECT_LE(s.ext_joins_spun + s.ext_joins_slept, 1000u);
+  EXPECT_LE(s.ext_join_spin_timeouts, s.ext_joins_slept);
+}
+
+TEST(ExternalJoin, ThreadsForkJoinConcurrently) {
+  // Four threads fork-join on one pool at once.  Every fiber also forks a
+  // child from its worker, which may reuse a fiber an external spawn left
+  // on the shared list, so both kinds of spawn recycle through each other.
+  FiberPool pool(2);
+  constexpr int kThreads = 4;
+  constexpr uint64_t kForks = 500;
+  std::vector<uint64_t> sums(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&pool, &sums, t] {
+      for (uint64_t i = 0; i < kForks; ++i) {
+        const uint64_t value = static_cast<uint64_t>(t + 1) * 1000003 + i;
+        uint64_t slot = 0;
+        uint64_t child_slot = 0;
+        pool.Join(pool.Spawn([&slot, &child_slot, value] {
+          FiberPool* p = FiberPool::Current();
+          p->Join(p->Spawn([&child_slot, value] { child_slot = value; }));
+          slot = child_slot + value;
+        }));
+        sums[static_cast<size_t>(t)] += slot;
+      }
+    });
+  }
+  for (std::thread& th : threads) {
+    th.join();
+  }
+  for (int t = 0; t < kThreads; ++t) {
+    const uint64_t base = static_cast<uint64_t>(t + 1) * 1000003;
+    EXPECT_EQ(sums[static_cast<size_t>(t)], 2 * (base * kForks + kForks * (kForks - 1) / 2))
+        << "thread " << t;
+  }
+}
+
+TEST(ExternalJoin, PoolDestroyedRightAfterAJoinReturns) {
+  // A join may return while the worker that ran the fiber is still
+  // finishing its completion (waking joiners, recycling the fiber).
+  // Destroying the pool at once must wait for that, not race it.
+  for (int i = 0; i < 1000; ++i) {
+    int ran = 0;
+    {
+      FiberPool pool(1 + i % 2);
+      pool.Join(pool.Spawn([&ran] { ran = 1; }));
+    }
+    ASSERT_EQ(ran, 1) << "iteration " << i;
+  }
+}
+
+// Pins the calling thread (and the threads it creates) to one CPU of its
+// affinity mask, and restores the mask when it goes out of scope.
+class OneCpuMask {
+ public:
+  OneCpuMask() {
+    CPU_ZERO(&saved_);
+    ok_ = sched_getaffinity(0, sizeof(saved_), &saved_) == 0;
+    int cpu = 0;
+    while (ok_ && cpu < CPU_SETSIZE && !CPU_ISSET(cpu, &saved_)) {
+      ++cpu;
+    }
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(cpu, &one);
+    ok_ = ok_ && cpu < CPU_SETSIZE && sched_setaffinity(0, sizeof(one), &one) == 0;
+  }
+  ~OneCpuMask() {
+    if (ok_) {
+      sched_setaffinity(0, sizeof(saved_), &saved_);
+    }
+  }
+  OneCpuMask(const OneCpuMask&) = delete;
+  OneCpuMask& operator=(const OneCpuMask&) = delete;
+  bool ok() const { return ok_; }
+
+ private:
+  cpu_set_t saved_;
+  bool ok_ = false;
+};
+
+TEST(ExternalJoin, OneCpuJoinNeverSpins) {
+  // On one CPU a spinning joiner would hold the processor the fiber it
+  // waits for needs, so an external join goes straight to sleep.
+  const int cpus_before = common::AffinityCpus();
+  FiberPoolStats s;
+  uint64_t sum = 0;
+  {
+    OneCpuMask mask;
+    ASSERT_TRUE(mask.ok());
+    ASSERT_EQ(common::AffinityCpus(), 1);
+    FiberPool pool(2);
+    uint64_t slot = 0;
+    for (uint64_t i = 1; i <= 1000; ++i) {
+      pool.Join(pool.Spawn([&slot, i] { slot = i; }));
+      sum += slot;
+    }
+    s = pool.stats();
+  }
+  EXPECT_EQ(common::AffinityCpus(), cpus_before);  // the mask is restored
+  EXPECT_EQ(sum, 1000u * 1001u / 2);
+  EXPECT_EQ(s.ext_joins_spun, 0u);
+  EXPECT_EQ(s.ext_join_spin_timeouts, 0u);
 }
 
 }  // namespace

@@ -96,6 +96,50 @@ TEST(Kernel, QuantumDoesNotFireWithoutCompetition) {
   EXPECT_EQ(h.kernel().counters().timeslices, 0);
 }
 
+TEST(Kernel, RedispatchInsideTheOldQuantumStartsAFullQuantum) {
+  // A high-priority thread computes most of a quantum, then blocks on an I/O
+  // that completes while a low-priority thread holds the only processor; it
+  // preempts that thread and is dispatched again.  Sweeping the I/O's end
+  // over the last 600 us of the old quantum puts the old quantum's expiry
+  // inside the re-dispatch's kernel span (where the thread already counts
+  // as running, with the preempted thread ready) in some runs.  A quantum
+  // timer left from the first dispatch must not slice the second: it
+  // starts a full quantum, and the thread finishes in half of one.
+  int expired_in_span = 0;
+  for (int offset_us = 0; offset_us <= 600; offset_us += 20) {
+    rt::HarnessConfig config;
+    config.processors = 1;
+    rt::Harness h(config);
+    rt::TopazRuntime high(&h.kernel(), "high", false, /*priority=*/1);
+    rt::TopazRuntime low(&h.kernel(), "low", false, /*priority=*/0);
+    h.AddRuntime(&high);
+    h.AddRuntime(&low);
+    const sim::Duration quantum = h.kernel().costs().kt_quantum;
+    sim::Time armed = -1;
+    sim::Time redispatched = -1;
+    high.Spawn(
+        [&](rt::ThreadCtx& t) -> sim::Program {
+          armed = h.engine().now();  // the first quantum starts here
+          co_await t.Compute(quantum - sim::Msec(2));
+          co_await t.Io(armed + quantum - sim::Usec(offset_us) - h.engine().now());
+          redispatched = h.engine().now();  // the second quantum starts here
+          co_await t.Compute(quantum / 2);
+        },
+        "high");
+    low.Spawn([&](rt::ThreadCtx& t) -> sim::Program { co_await t.Compute(quantum); },
+              "low");
+    h.Run();
+    ASSERT_GE(redispatched, 0);
+    const sim::Time expiry = armed + quantum;
+    if (expiry > redispatched - h.kernel().costs().kt_dispatch && expiry < redispatched) {
+      ++expired_in_span;
+    }
+    EXPECT_EQ(h.kernel().counters().timeslices, 0) << "I/O ends " << offset_us
+                                                   << " us before the old quantum";
+  }
+  EXPECT_GT(expired_in_span, 0);  // the sweep reached the window it is about
+}
+
 TEST(Kernel, BlockedThreadsDoNotHoldProcessors) {
   rt::HarnessConfig config;
   config.processors = 1;
