@@ -168,8 +168,9 @@ struct FiberPool::Worker {
   WorkStealingDeque<internal::Fiber*> deque;
   std::vector<internal::Fiber*> free_fibers;  // owner-only
 
-  // Parking lot slot.  `parked` is claimed (true -> false) by exactly one
-  // waker per park; `notified` is the condvar predicate under park_mu.
+  // Parking lot slot.  `parked` is the one claim on a park: whoever clears
+  // it (ClaimPark) takes the park out of num_parked_.  `notified` is the
+  // condvar predicate under park_mu.
   std::mutex park_mu;
   std::condition_variable park_cv;
   std::atomic<bool> parked{false};
@@ -426,10 +427,7 @@ void FiberPool::WakeOne() {
   }
   for (auto& wp : workers_) {
     Worker* w = wp.get();
-    bool expected = true;
-    if (w->parked.compare_exchange_strong(expected, false,
-                                          std::memory_order_seq_cst)) {
-      num_parked_.fetch_sub(1, std::memory_order_relaxed);
+    if (ClaimPark(w)) {
       // Transfer the searching token to the woken worker before it can run,
       // so a second push does not wake a second worker in the window before
       // the first one resumes.  It assumes the token when it sees
@@ -446,6 +444,21 @@ void FiberPool::WakeOne() {
       return;  // wake at most one — no notify storms
     }
   }
+}
+
+bool FiberPool::ClaimPark(Worker* w) {
+  // Load first: a wake scans every worker, and a CAS that fails still takes
+  // the cache line exclusive: the line holding the owner's dispatch state.
+  if (!w->parked.load(std::memory_order_relaxed)) {
+    return false;
+  }
+  bool expected = true;
+  if (!w->parked.compare_exchange_strong(expected, false,
+                                         std::memory_order_seq_cst)) {
+    return false;
+  }
+  num_parked_.fetch_sub(1, std::memory_order_relaxed);
+  return true;
 }
 
 internal::Fiber* FiberPool::PopOverflow(Worker* w) {
@@ -549,50 +562,44 @@ void FiberPool::ParkWorker(Worker* w) {
   // either their load sees our increment (they wake us) or this recheck
   // sees their work.
   if (AnyWorkVisible(w) || stopping_.load(std::memory_order_relaxed)) {
-    bool expected = true;
-    if (w->parked.compare_exchange_strong(expected, false,
-                                          std::memory_order_seq_cst)) {
-      num_parked_.fetch_sub(1, std::memory_order_relaxed);
-    }
-    // else a waker claimed us and already decremented; it may also set
-    // `notified`, which the next park consumes as a spurious wake.
+    // If a waker claimed us first, it took us out of the count and set
+    // `notified`, which a later park consumes as a stale wake.
+    ClaimPark(w);
     return;
   }
   Bump(w->parks);
   SA_TRACE_EMIT(tracer(), trace::cat::kFibers, trace::Kind::kFibPark,
                 trace::HostNow(), w->index, -1, 0, 0);
-  bool claimed;
+  bool notified;
   {
     std::unique_lock<std::mutex> lk(w->park_mu);
     w->park_cv.wait_for(lk, kParkTimeout, [&] {
       return w->notified || stopping_.load(std::memory_order_relaxed);
     });
-    claimed = w->notified;
+    notified = w->notified;
     w->notified = false;
   }
-  if (claimed) {
-    // The waker transferred the searching token to us (WakeOne).
+  if (notified) {
+    // A waker transferred the searching token to us (WakeOne).  It claimed
+    // either this park or, stale, an earlier one during its recheck: then
+    // this park is still published, and we take it out of the count.
     w->searching = true;
-  } else {
-    // Timed out (or stopping) without a waker claiming us: un-publish.
-    bool expected = true;
-    if (w->parked.compare_exchange_strong(expected, false,
-                                          std::memory_order_seq_cst)) {
-      num_parked_.fetch_sub(1, std::memory_order_relaxed);
-      // A timeout that finds visible work while no searcher is out is a
-      // lost wakeup — exactly what the Dekker handshake rules out.  (WakeOne
-      // leaves work to a searcher, which may be a worker claimed during its
-      // recheck that is still running a fiber.)  Count it so tests can
-      // assert it never happens.
-      if (!stopping_.load(std::memory_order_relaxed) &&
-          num_searching_.load(std::memory_order_relaxed) == 0 &&
-          AnyWorkVisible(w)) {
-        Bump(w->timeout_rescues);
-      }
+    ClaimPark(w);
+  } else if (ClaimPark(w)) {
+    // Timed out (or stopping) without a waker claiming us.  A timeout that
+    // finds visible work while no searcher is out is a lost wakeup —
+    // exactly what the Dekker handshake rules out.  (WakeOne leaves work to
+    // a searcher, which may be a worker holding a stale `notified` that is
+    // still running a fiber.)  Count it so tests can assert it never
+    // happens.
+    if (!stopping_.load(std::memory_order_relaxed) &&
+        num_searching_.load(std::memory_order_relaxed) == 0 &&
+        AnyWorkVisible(w)) {
+      Bump(w->timeout_rescues);
     }
-    // else a waker claimed us concurrently; its `notified` flag stays set
-    // and the next park consumes it as a spurious wake.
   }
+  // else a waker claimed us as we timed out; its `notified` stays set and a
+  // later park consumes it.
 }
 
 internal::Fiber* FiberPool::PopRunnable(Worker* w) {
@@ -976,6 +983,7 @@ FiberPoolStats FiberPool::stats() const {
   s.ext_joins_slept = ext_joins_slept_.load(std::memory_order_relaxed);
   s.ext_join_spin_timeouts = ext_join_spin_timeouts_.load(std::memory_order_relaxed);
   s.fibers_created = fibers_created_.load(std::memory_order_relaxed);
+  s.parked_workers = num_parked_.load(std::memory_order_relaxed);
   return s;
 }
 

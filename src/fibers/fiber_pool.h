@@ -134,6 +134,10 @@ struct FiberPoolStats {
   uint64_t ext_joins_slept = 0;
   uint64_t ext_join_spin_timeouts = 0;
   uint64_t fibers_created = 0;  // fiber records (each with a stack) made
+  // A gauge, not a summed counter: the workers published in the parking lot
+  // when stats() ran.  An idle pool reads num_workers(); a park being
+  // claimed can leave it one off for an instant.
+  int parked_workers = 0;
 };
 
 // Construction options.
@@ -216,7 +220,8 @@ class FiberPool {
   // workers; each worker counts its own switches without atomic RMWs).
   uint64_t switches() const;
 
-  // Scheduler counters summed across workers (monotonic over the pool's life).
+  // Scheduler counters summed across workers (monotonic over the pool's
+  // life), plus the parked_workers gauge.
   FiberPoolStats stats() const;
 
   int num_workers() const { return static_cast<int>(workers_.size()); }
@@ -249,6 +254,9 @@ class FiberPool {
   bool PromoteOneLazy(Worker* w);
   bool AnyWorkVisible(const Worker* w) const;
   void ParkWorker(Worker* w);
+  // Clears `w`'s published park (true -> false) and takes it out of
+  // num_parked_: the only decrement.  False if the flag was already clear.
+  bool ClaimPark(Worker* w);
   void WakeOne();
   void PushRunnable(internal::Fiber* fiber);
 

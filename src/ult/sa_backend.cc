@@ -55,6 +55,7 @@ Vcpu* SaBackend::BindSlot(kern::KThread* kt) {
     Vcpu* candidate = ft_->vcpu(i);
     if (!candidate->bound) {
       candidate->bound = true;
+      candidate->processor_id = pid;
       ResetSlot(candidate, kt);
       proc_slots_[static_cast<size_t>(pid)] = candidate;
       ++bound_slots_;
@@ -64,20 +65,21 @@ Vcpu* SaBackend::BindSlot(kern::KThread* kt) {
   return nullptr;  // surplus processor
 }
 
-void SaBackend::UnbindSlot(Vcpu* v, int processor_id) {
-  ft_->NoteUnbound(v, processor_id);
+void SaBackend::UnbindSlot(Vcpu* v) {
+  ft_->NoteUnbound(v, v->processor_id);
   v->bound = false;
   ResetSlot(v, nullptr);
-  proc_slots_[static_cast<size_t>(processor_id)] = nullptr;
+  proc_slots_[static_cast<size_t>(v->processor_id)] = nullptr;
   --bound_slots_;
 }
 
 void SaBackend::UnbindSlotOfActivation(int64_t activation_id) {
-  for (size_t pid = 0; pid < proc_slots_.size(); ++pid) {
-    Vcpu* v = proc_slots_[pid];
-    if (v != nullptr && v->kt != nullptr && v->kt->is_activation() &&
+  // An activation backs at most one slot.
+  for (int i = 0; i < ft_->num_vcpus(); ++i) {
+    Vcpu* v = ft_->vcpu(i);
+    if (v->bound && v->kt->is_activation() &&
         v->kt->activation()->id() == activation_id) {
-      UnbindSlot(v, static_cast<int>(pid));
+      UnbindSlot(v);
       return;
     }
   }
@@ -93,7 +95,7 @@ void SaBackend::UnbindIdleSlotByProcessor(int processor_id) {
   if (v->kt != nullptr && v->kt->state() == kern::KThreadState::kRunning) {
     return;  // the processor came back before we processed the notification
   }
-  UnbindSlot(v, processor_id);
+  UnbindSlot(v);
 }
 
 // ---------------------------------------------------------------------------

@@ -69,7 +69,7 @@ class SaBackend : public VcpuBackend, public kern::KThreadHost {
   // Anonymous preemption (no activation): unbind by processor, but only if
   // the slot's context is not running there any more.
   void UnbindIdleSlotByProcessor(int processor_id);
-  void UnbindSlot(Vcpu* v, int processor_id);
+  void UnbindSlot(Vcpu* v);
   // Clears what a slot knows of its previous binding and backs it with `kt`
   // (nullptr when unbinding).
   void ResetSlot(Vcpu* v, kern::KThread* kt);

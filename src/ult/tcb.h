@@ -99,6 +99,7 @@ struct UltSem {
 struct Vcpu {
   int index = 0;
   bool bound = false;            // currently has a backing context + processor
+  int processor_id = -1;         // SA backend: the processor a bound slot is on
   kern::KThread* kt = nullptr;   // backing kernel thread or current activation
   Tcb* current = nullptr;
   common::IntrusiveList<Tcb, &Tcb::qnode> ready;  // LIFO (Section 4.2)

@@ -99,6 +99,89 @@ TEST(FiberWakeup, ConservativePolicyStillDrains) {
 }
 
 // ---------------------------------------------------------------------------
+// Park count.
+// ---------------------------------------------------------------------------
+
+// The value the parked_workers gauge holds for 20 consecutive samples 1 ms
+// apart (a park being claimed moves it by one for an instant), or -1 if no
+// value holds that long within 10 s.
+int SettledParkedWorkers(const FiberPool& pool) {
+  constexpr int kStable = 20;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  int value = pool.stats().parked_workers;
+  int streak = 1;
+  while (streak < kStable && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    const int now = pool.stats().parked_workers;
+    streak = now == value ? streak + 1 : 1;
+    value = now;
+  }
+  return streak >= kStable ? value : -1;
+}
+
+// Every park is counted in parked_workers once and taken out once, by
+// whoever clears the worker's `parked` flag.  A waker that claims a worker
+// during its post-publish recheck leaves a stale `notified`, which the
+// worker's next park consumes at once; that park must still leave the
+// count.  The load is the perfbench `fibers` unit's in small: spawn/join
+// batches from one fiber (thieves wake, steal and park again on every
+// batch; this is where the claims land) and a semaphore ping-pong pair per
+// worker.  Then the idle pool must settle with every worker counted
+// exactly once.  An inflated count makes every worker-local push scan the
+// parking lot and lets an external join spin with no CPU free.
+TEST(FiberWakeup, ParkCountSettlesAtWorkerCount) {
+  constexpr int kBatches = 400;
+  constexpr int kBatch = 256;
+  constexpr int kRounds = 300;
+  for (int workers : {2, 4}) {
+    SCOPED_TRACE(testing::Message() << workers << " workers");
+    FiberPoolOptions options;
+    options.wake_eagerly = 1;
+    FiberPool pool(workers, options);
+    std::atomic<int> ran{0};
+    FiberHandle parent = pool.Spawn([&] {
+      FiberPool* p = FiberPool::Current();
+      std::vector<FiberHandle> batch(kBatch);
+      for (int b = 0; b < kBatches; ++b) {
+        for (FiberHandle& h : batch) {
+          h = p->Spawn([&] { ran.fetch_add(1, std::memory_order_relaxed); });
+        }
+        for (FiberHandle& h : batch) {
+          p->Join(h);
+        }
+      }
+    });
+    pool.Join(parent);
+    std::vector<FiberSemaphore> sems(2 * static_cast<size_t>(workers));
+    std::vector<FiberHandle> pairs;
+    for (int p = 0; p < workers; ++p) {
+      FiberSemaphore* ping = &sems[2 * static_cast<size_t>(p)];
+      FiberSemaphore* pong = ping + 1;
+      pairs.push_back(pool.Spawn([ping, pong] {
+        for (int r = 0; r < kRounds; ++r) {
+          ping->Post();
+          pong->Wait();
+        }
+      }));
+      pairs.push_back(pool.Spawn([ping, pong, &ran] {
+        for (int r = 0; r < kRounds; ++r) {
+          ping->Wait();
+          ran.fetch_add(1, std::memory_order_relaxed);
+          pong->Post();
+        }
+      }));
+    }
+    for (FiberHandle& h : pairs) {
+      pool.Join(h);
+    }
+    ASSERT_EQ(ran.load(), kBatches * kBatch + workers * kRounds);
+    EXPECT_EQ(SettledParkedWorkers(pool), workers)
+        << "an idle pool must count each worker parked exactly once";
+  }
+}
+
+// ---------------------------------------------------------------------------
 // WorkStealingDeque: Grow under concurrent steal.
 // ---------------------------------------------------------------------------
 
