@@ -109,11 +109,13 @@ constexpr size_t kMaxOverflowBatch = 16;
 // Not load-bearing for wakeup correctness: every push — worker-local or
 // external — takes the full Dekker handshake with ParkWorker (StoreLoad
 // fence + parked-count load against publish + recheck), so no park can
-// outlive an unserved push.  The timed park survives purely as a
-// belt-and-braces backstop (e.g. a woken worker stuck in a syscall delaying
-// the wake chain); timeout_rescues counts the firings that found work no
-// searcher was out for, and staying zero is what the lost-wakeup
-// regression test asserts.
+// outlive a push that the wake policy wakes for.  The timed park survives
+// as a belt-and-braces backstop (e.g. a woken worker stuck in a syscall
+// delaying the wake chain), and under the conservative policy it is also
+// how an idle worker finds a local push left to its pusher.
+// timeout_rescues counts only the firings that found work a push should
+// have woken someone for while no searcher was out, and staying zero is
+// what the lost-wakeup regression tests assert.
 constexpr auto kParkTimeout = std::chrono::milliseconds(8);
 
 // How long an external Join spins before it sleeps on the pool's condition
@@ -587,14 +589,18 @@ void FiberPool::ParkWorker(Worker* w) {
     ClaimPark(w);
   } else if (ClaimPark(w)) {
     // Timed out (or stopping) without a waker claiming us.  A timeout that
-    // finds visible work while no searcher is out is a lost wakeup —
-    // exactly what the Dekker handshake rules out.  (WakeOne leaves work to
-    // a searcher, which may be a worker holding a stale `notified` that is
-    // still running a fiber.)  Count it so tests can assert it never
-    // happens.
+    // finds work a push should have woken someone for, while no searcher is
+    // out, is a lost wakeup — exactly what the Dekker handshake rules out.
+    // (WakeOne leaves work to a searcher, which may be a worker holding a
+    // stale `notified` that is still running a fiber.)  Every external push
+    // wakes, but under the conservative policy a worker-local push leaves
+    // its fiber to the pusher, so there only overflow work counts.  Count
+    // it so tests can assert it never happens.
+    const bool owed_a_wake =
+        wake_eagerly_ ? AnyWorkVisible(w)
+                      : overflow_size_.load(std::memory_order_relaxed) > 0;
     if (!stopping_.load(std::memory_order_relaxed) &&
-        num_searching_.load(std::memory_order_relaxed) == 0 &&
-        AnyWorkVisible(w)) {
+        num_searching_.load(std::memory_order_relaxed) == 0 && owed_a_wake) {
       Bump(w->timeout_rescues);
     }
   }

@@ -120,10 +120,13 @@ struct FiberPoolStats {
   uint64_t lazy_spawns = 0;      // frames pushed by SpawnLazy
   uint64_t lazy_promotions = 0;  // frames promoted into real fibers
   uint64_t lazy_inlines = 0;     // frames run inline by JoinLazy
-  // Timed parks that woke to visible work no push had signalled while no
-  // searching worker was out.  With the push/park Dekker handshake in place
-  // this must stay zero; a nonzero count means a lost wakeup happened and
-  // only the timeout backstop saved it (regression canary for
+  // Timed parks that woke, while no searching worker was out, to work a
+  // push should have woken a worker for: any visible work under the eager
+  // wake policy, overflow work under the conservative one (which leaves a
+  // worker-local push to its pusher, so a timed park finding that is the
+  // policy, not a lost wakeup).  With the push/park Dekker handshake in
+  // place this must stay zero; a nonzero count means a lost wakeup happened
+  // and only the timeout backstop saved it (regression canary for
   // fibers_wakeup_test).
   uint64_t timeout_rescues = 0;
   // External joins (from threads outside the pool) that found the fiber

@@ -69,7 +69,7 @@ void ProcessorAllocator::RegisterSpace(AddressSpace* as) {
   SA_CHECK(!st.registered);
   st.registered = true;
   if (!as->assigned().empty()) {
-    holders_[as->id()] = as;
+    holders_.Insert(as->id());
   }
   Tier& tier = tiers_[as->priority()];
   if (tier.cnt.empty()) {
@@ -327,9 +327,9 @@ void ProcessorAllocator::RefreshDerived(AddressSpace* as) {
   const bool in_surplus = have > st.target;
   if (in_surplus != st.in_surplus) {
     if (in_surplus) {
-      surplus_.insert(as->id());
+      surplus_.Insert(as->id());
     } else {
-      surplus_.erase(as->id());
+      surplus_.Erase(as->id());
     }
     st.in_surplus = in_surplus;
   }
@@ -355,9 +355,9 @@ void ProcessorAllocator::OnAssignedChanged(AddressSpace* as, hw::Processor* proc
   st.socket_held[static_cast<size_t>(topo.SocketOf(proc->id()))] += delta;
   if (st.registered) {
     if (delta > 0 && as->assigned().size() == 1) {
-      holders_[as->id()] = as;
+      holders_.Insert(as->id());
     } else if (delta < 0 && as->assigned().empty()) {
-      holders_.erase(as->id());
+      holders_.Erase(as->id());
     }
     if (st.ranked && affinity()) {
       MarkChanged(TierOf(as), as);  // its rank key (-holdings, id) moved
@@ -390,7 +390,7 @@ void ProcessorAllocator::RebalanceInternal() {
     // surplus index in id order visits exactly the spaces a full scan
     // would revoke from.
     if (needy_ > 0 && !surplus_.empty()) {
-      surplus_snapshot_.assign(surplus_.begin(), surplus_.end());
+      surplus_.CopyTo(&surplus_snapshot_);
       for (int id : surplus_snapshot_) {
         AddressSpace* as = SpaceById(id);
         if (IsRegistered(as)) {  // a teardown may finish under a revocation
@@ -670,14 +670,15 @@ int ProcessorAllocator::InjectRevocations(int burst, common::Rng& rng) {
   // storm costs O(processors), not O(spaces).
   std::vector<std::pair<AddressSpace*, hw::Processor*>>& owned = storm_candidates_;
   owned.clear();
-  for (auto& [id, as] : holders_) {
+  holders_.ForEach([&](int id) {
+    AddressSpace* as = SpaceById(id);
     for (hw::Processor* proc : as->assigned()) {
       if (IsOnLoan(proc)) {
         continue;  // loans churn only through the loan protocol
       }
       owned.emplace_back(as, proc);
     }
-  }
+  });
   int revoked = 0;
   for (int i = 0; i < burst && !owned.empty(); ++i) {
     const size_t pick = static_cast<size_t>(rng.Below(owned.size()));
@@ -707,7 +708,7 @@ void ProcessorAllocator::ReleaseSpace(AddressSpace* as) {
     st.in_heap = false;
   }
   if (st.in_surplus) {
-    surplus_.erase(as->id());
+    surplus_.Erase(as->id());
     st.in_surplus = false;
   }
   if (st.needy) {
@@ -722,7 +723,7 @@ void ProcessorAllocator::ReleaseSpace(AddressSpace* as) {
   // conservation report checks loaned_out/borrowed_in are zero); wipe the
   // dip machinery and cancel a pending dip window.  Lifetime lend/borrow
   // totals survive for reporting.
-  lendable_.erase(as->id());
+  lendable_.Erase(as->id());
   as->loan_state().dip_armed = false;
   as->loan_state().dip_ripe = false;
   kernel_->engine().Cancel(as->loan_state().dip_window);
@@ -736,7 +737,7 @@ void ProcessorAllocator::ReleaseSpace(AddressSpace* as) {
   --tier.members;
   const bool tier_empty = tier.members == 0;
   st.registered = false;
-  holders_.erase(as->id());
+  holders_.Erase(as->id());
   if (tier_empty) {
     tiers_.erase(as->priority());
   }
@@ -809,7 +810,7 @@ void ProcessorAllocator::UpdateLoanStateOnDesired(AddressSpace* as) {
     ls.dip_armed = false;
     ls.dip_ripe = false;
     kernel_->engine().Cancel(ls.dip_window);
-    lendable_.erase(as->id());
+    lendable_.Erase(as->id());
     return;
   }
   if (!ls.dip_armed && !ls.dip_ripe) {
@@ -827,7 +828,7 @@ void ProcessorAllocator::OnDipDeadline(AddressSpace* as) {
   SA_DCHECK(ls.dip_armed);  // clearing the flag cancels the window
   ls.dip_armed = false;
   ls.dip_ripe = true;
-  lendable_.insert(as->id());
+  lendable_.Insert(as->id());
   RebalanceInternal();  // the lend pass runs in the rebalance tail
 }
 
@@ -835,8 +836,8 @@ void ProcessorAllocator::LendSurplus() {
   if (lendable_.empty()) {
     return;
   }
-  const std::vector<int> ids(lendable_.begin(), lendable_.end());
-  for (int id : ids) {
+  lendable_.CopyTo(&lend_snapshot_);
+  for (int id : lend_snapshot_) {
     AddressSpace* lender = SpaceById(id);
     if (!IsRegistered(lender) || !lender->loan_state().dip_ripe || lender->reaped()) {
       continue;

@@ -56,6 +56,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/common/id_set.h"
 #include "src/common/intrusive_list.h"
 #include "src/common/rng.h"
 #include "src/hw/processor.h"
@@ -386,19 +387,19 @@ class ProcessorAllocator {
 
   Kernel* kernel_;
   int num_processors_ = 0;
-  // Registered spaces currently holding >= 1 processor, id-ordered.  Bounds
+  // Ids of the registered spaces currently holding >= 1 processor.  Bounds
   // storm-candidate collection by the machine size instead of the space
-  // count; iterating it yields exactly the (space, processor) pairs a walk
-  // of every registered space in id order would (empty holdings contribute
-  // none), so seeded storm RNG streams are unchanged.
-  std::map<int, AddressSpace*> holders_;
+  // count; walking it in id order yields exactly the (space, processor)
+  // pairs a walk of every registered space in id order would (empty
+  // holdings contribute none), so seeded storm RNG streams are unchanged.
+  common::IdSet holders_;
   std::map<int, Tier, std::greater<int>> tiers_;  // highest priority first
   std::vector<Slot> slots_;  // per processor id
   common::IntrusiveList<Slot, &Slot::free_node> free_;
   // Spaces owed processors, keyed (-priority, -deficit, id): begin() is the
   // full scan's pick (highest priority, largest deficit, lowest id).
   std::set<std::tuple<int, int, int>> deficit_heap_;
-  std::set<int> surplus_;  // ids with assigned - pending > target
+  common::IdSet surplus_;  // ids with assigned - pending > target
   int needy_ = 0;          // spaces with assigned - pending < target
   int64_t decisions_ = 0;
   bool rebalancing_ = false;
@@ -406,15 +407,16 @@ class ProcessorAllocator {
 
   // Scratch buffers, reused across decisions instead of rebuilt per call.
   // RebalanceInternal never re-enters (a nested call only sets rerun_), so
-  // its surplus snapshot and RevokeSurplus's victim order stay intact while
-  // it walks them; no revocation reaches InjectRevocations.
+  // its surplus and lend snapshots and RevokeSurplus's victim order stay
+  // intact while it walks them; no revocation reaches InjectRevocations.
   std::vector<int> surplus_snapshot_;
+  std::vector<int> lend_snapshot_;
   std::vector<hw::Processor*> revocation_order_;
   std::vector<std::pair<AddressSpace*, hw::Processor*>> storm_candidates_;
 
   // ---- lending state (all empty/zero unless Config::lending) ----
   uint64_t loan_epoch_ = 0;
-  std::set<int> lendable_;  // ids of spaces with a ripe dip window
+  common::IdSet lendable_;  // ids of spaces with a ripe dip window
   trace::LatencyHistogram reclaim_latency_;
 };
 

@@ -44,8 +44,9 @@ EventId Engine::Schedule(Time at, Callback fn) {
   const EventId id = next_seq_++ << kSlotBits | slot;
   slots_[slot].id = id;
   slots_[slot].fn = std::move(fn);
-  heap_.push_back(Key{at, id});
-  std::push_heap(heap_.begin(), heap_.end(), Later{});
+  const Key key = MakeKey(at, id);
+  heap_.push_back(key);
+  SiftUp(heap_.size() - 1, key);
   ++live_events_;
   return id;
 }
@@ -72,27 +73,83 @@ void Engine::MaybeCompact() {
   if (heap_.size() < kCompactMinSize || dead * 2 <= heap_.size()) {
     return;
   }
-  std::erase_if(heap_, [this](const Key& k) { return !live(k); });
-  std::make_heap(heap_.begin(), heap_.end(), Later{});
+  std::erase_if(heap_, [this](Key k) { return !live(k); });
+  // Heapify: sift every key down, last first (a leaf stays where it is).
+  for (size_t i = heap_.size(); i-- > 0;) {
+    SiftDown(i, heap_[i]);
+  }
   SA_DCHECK(heap_.size() == live_events_);
+}
+
+void Engine::SiftUp(size_t i, Key k) {
+  Key* const h = heap_.data();
+  while (i > 0) {
+    const size_t parent = (i - 1) / kArity;
+    if (!(k < h[parent])) {
+      break;
+    }
+    h[i] = h[parent];
+    i = parent;
+  }
+  h[i] = k;
+}
+
+void Engine::SiftDown(size_t i, Key k) {
+  Key* const h = heap_.data();
+  const size_t n = heap_.size();
+  // A full family's least child is picked without a branch: the compares
+  // go either way at random, and a mispredicted one costs more than all
+  // three.
+  static_assert(kArity == 4);
+  for (size_t first; (first = kArity * i + 1) + kArity <= n;) {
+    const size_t a = first + static_cast<size_t>(h[first + 1] < h[first]);
+    const size_t b = first + 2 + static_cast<size_t>(h[first + 3] < h[first + 2]);
+    const size_t least = a ^ ((a ^ b) & (size_t{0} - static_cast<size_t>(h[b] < h[a])));
+    if (!(h[least] < k)) {
+      h[i] = k;
+      return;
+    }
+    h[i] = h[least];
+    i = least;
+  }
+  // The last family may be partial; its members are leaves.
+  const size_t first = kArity * i + 1;
+  if (first < n) {
+    size_t least = first;
+    for (size_t c = first + 1; c < n; ++c) {
+      least = h[c] < h[least] ? c : least;
+    }
+    if (h[least] < k) {
+      h[i] = h[least];
+      i = least;
+    }
+  }
+  h[i] = k;
+}
+
+Engine::Key Engine::PopMin() {
+  const Key min = heap_.front();
+  const Key last = heap_.back();
+  heap_.pop_back();
+  if (!heap_.empty()) {
+    SiftDown(0, last);
+  }
+  return min;
 }
 
 bool Engine::DropDeadTop() {
   while (!heap_.empty() && !live(heap_.front())) {
-    std::pop_heap(heap_.begin(), heap_.end(), Later{});
-    heap_.pop_back();
+    PopMin();
   }
   return !heap_.empty();
 }
 
 void Engine::FireTop() {
-  std::pop_heap(heap_.begin(), heap_.end(), Later{});
-  const Key top = heap_.back();
-  heap_.pop_back();
-  SA_CHECK(top.at >= now_);
-  now_ = top.at;
+  const Key top = PopMin();
+  SA_CHECK(AtOf(top) >= now_);
+  now_ = AtOf(top);
   ++events_fired_;
-  Callback fn = Release(top.id);
+  Callback fn = Release(IdOf(top));
   fn();
 }
 
@@ -113,7 +170,7 @@ void Engine::Run(uint64_t max_events) {
 }
 
 void Engine::RunUntil(Time until) {
-  while (DropDeadTop() && heap_.front().at <= until) {
+  while (DropDeadTop() && AtOf(heap_.front()) <= until) {
     FireTop();
   }
   now_ = std::max(now_, until);

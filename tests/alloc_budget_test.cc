@@ -4,8 +4,9 @@
 // workloads count `operator new` over TryRun only (set-up excluded) and hold
 // allocations per event to a budget: the count this code makes plus 20 %
 // headroom.  What still allocates per event is per-thread state (coroutine
-// frames and closures, TCBs), the allocator's node containers and upcall
-// batches beyond the one spare buffer a space keeps.  A continuation whose
+// frames and closures, TCBs), the allocator's deficit heap and tier ranks
+// (tree nodes) and upcall batches beyond the one spare buffer a space
+// keeps.  A continuation whose
 // capture outgrows sim::Callback's 24 inline bytes, or a container rebuilt
 // per event, pushes a run over its budget.  The tenants- and firefly-shaped
 // runs also hold the high-water mark of outstanding blocks (news minus
@@ -76,16 +77,16 @@ namespace sa {
 namespace {
 
 // Allocations per event each shape makes, plus 20 % headroom (rounded up).
-// Measured: tenants 1.030, firefly 0.371, storms 0.240.  Since an exiting
-// thread cancels its time-slice timer, tenants makes the same allocations
-// over 7 % fewer events: 1.101 (firefly 0.370, storms 0.238).
-constexpr double kTenantsBudget = 1.24;
-constexpr double kFireflyBudget = 0.45;
-constexpr double kStormsBudget = 0.29;
+// Measured: tenants 0.926, firefly 0.357, storms 0.226, since the
+// allocator's holder and surplus sets are id bitsets instead of tree nodes
+// (before: 1.101, 0.370, 0.238).
+constexpr double kTenantsBudget = 1.12;
+constexpr double kFireflyBudget = 0.43;
+constexpr double kStormsBudget = 0.28;
 // High-water marks of outstanding blocks, plus 20 % headroom (rounded up).
-// Measured: tenants 2172, firefly 776.
-constexpr int64_t kTenantsPeakBlocks = 2607;
-constexpr int64_t kFireflyPeakBlocks = 932;
+// Measured: tenants 2144, firefly 774 (before the bitsets: 2155, 776).
+constexpr int64_t kTenantsPeakBlocks = 2573;
+constexpr int64_t kFireflyPeakBlocks = 929;
 
 struct Counted {
   int64_t news = 0;

@@ -1,10 +1,12 @@
-// Common utilities: RNG determinism, tables, intrusive lists.
+// Common utilities: RNG determinism, tables, intrusive lists, id sets.
 
 #include <gtest/gtest.h>
 
 #include <limits>
 #include <set>
+#include <vector>
 
+#include "src/common/id_set.h"
 #include "src/common/intrusive_list.h"
 #include "src/common/rng.h"
 #include "src/common/table.h"
@@ -224,6 +226,51 @@ TEST(IntrusiveList, Iteration) {
     sum += item->value;
   }
   EXPECT_EQ(sum, 6);
+}
+
+// ---- IdSet ----
+
+TEST(IdSet, InsertAndEraseAreIdempotent) {
+  IdSet set;
+  EXPECT_TRUE(set.empty());
+  EXPECT_FALSE(set.Contains(3));
+  EXPECT_FALSE(set.Erase(3));  // never inserted, beyond every word
+  EXPECT_TRUE(set.Insert(3));
+  EXPECT_FALSE(set.Insert(3));
+  EXPECT_EQ(set.size(), 1);
+  EXPECT_TRUE(set.Contains(3));
+  EXPECT_FALSE(set.Contains(2));
+  EXPECT_TRUE(set.Erase(3));
+  EXPECT_FALSE(set.Erase(3));
+  EXPECT_EQ(set.size(), 0);
+  EXPECT_TRUE(set.empty());
+  EXPECT_FALSE(set.Contains(3));
+}
+
+// Ids on both sides of 64-bit word boundaries, inserted out of order: the
+// walk visits them in increasing id order, and the count follows every
+// insert and erase against a std::set.
+TEST(IdSet, WalksInIdOrderAcrossWordBoundaries) {
+  IdSet set;
+  std::set<int> model;
+  const std::vector<int> ids = {200, 0, 63, 64, 127, 1, 128, 191, 192, 65, 255, 62};
+  for (int id : ids) {
+    EXPECT_EQ(set.Insert(id), model.insert(id).second);
+    EXPECT_EQ(set.size(), static_cast<int>(model.size()));
+  }
+  std::vector<int> walked;
+  set.ForEach([&](int id) { walked.push_back(id); });
+  EXPECT_EQ(walked, std::vector<int>(model.begin(), model.end()));
+  for (int id : {64, 0, 255, 5, 128}) {
+    EXPECT_EQ(set.Erase(id), model.erase(id) == 1);
+    EXPECT_EQ(set.size(), static_cast<int>(model.size()));
+  }
+  std::vector<int> copied = {-1, -2};  // replaced, not appended to
+  set.CopyTo(&copied);
+  EXPECT_EQ(copied, std::vector<int>(model.begin(), model.end()));
+  for (int id = 0; id < 300; ++id) {
+    EXPECT_EQ(set.Contains(id), model.count(id) == 1) << id;
+  }
 }
 
 }  // namespace

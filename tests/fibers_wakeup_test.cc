@@ -96,6 +96,25 @@ TEST(FiberWakeup, ConservativePolicyStillDrains) {
   pool.Join(driver);
   EXPECT_EQ(done.load(), 200);
   EXPECT_EQ(pool.stats().timeout_rescues, 0u);
+
+  // No wake-up is lost either when the spawning fiber computes for 20 ms
+  // before it joins: the idle worker's timed parks then find the child on
+  // the spawner's deque, where the policy leaves it on purpose, and that is
+  // no rescue.
+  FiberPool computing(2, options);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));  // both park
+  std::atomic<bool> ran{false};
+  auto spawner = computing.Spawn([&] {
+    FiberPool* p = FiberPool::Current();
+    FiberHandle child = p->Spawn([&] { ran.store(true); });
+    const auto until = std::chrono::steady_clock::now() + std::chrono::milliseconds(20);
+    while (std::chrono::steady_clock::now() < until) {
+    }
+    p->Join(child);
+  });
+  computing.Join(spawner);
+  EXPECT_TRUE(ran.load());
+  EXPECT_EQ(computing.stats().timeout_rescues, 0u) << "a spawner that computes before it joins";
 }
 
 // ---------------------------------------------------------------------------

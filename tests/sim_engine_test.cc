@@ -2,12 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "src/common/rng.h"
 #include "src/sim/engine.h"
 #include "src/sim/program.h"
 
@@ -276,6 +280,143 @@ TEST(Engine, MaxEventsBoundsExecution) {
   }
   e.Run(4);
   EXPECT_EQ(count, 4);
+}
+
+// A seeded script of Schedule, Cancel, Step and RunUntil calls, checked
+// against a reference that orders the live events by (at, scheduling order).
+// Half the delays come from {0..3}, so same-instant ties are common; every
+// fired event may cancel a random event (live, fired or cancelled) and
+// schedule another, possibly at its own instant.  The live count climbs from
+// 0 to kPeak, past every level boundary of the 4-ary heap (1, 5, 21, 85,
+// 341, 1365 and 5461 keys), then drains back to 0.  Cancel bursts at the
+// peak and while draining leave most of the heap dead, so it compacts at
+// many sizes.
+class OrderScript {
+ public:
+  static constexpr size_t kPeak = 10'000;
+
+  explicit OrderScript(uint64_t seed) : rng_(seed) {}
+
+  void Run() {
+    while (live_.size() < kPeak) {
+      const uint64_t op = rng_.Below(20);
+      if (op < 16) {
+        Schedule();
+      } else if (op < 18) {
+        CancelRandom();
+      } else if (op == 18) {
+        Step();
+      } else {
+        RunUntil(e_.now() + static_cast<Duration>(rng_.Below(8)));
+      }
+      Check();
+    }
+    CancelBurst();
+    while (!live_.empty()) {
+      const uint64_t op = rng_.Below(20);
+      if (op < 8) {
+        Step();
+      } else if (op < 14) {
+        RunUntil(e_.now() + static_cast<Duration>(rng_.Below(20'000)));
+      } else if (op < 17) {
+        CancelRandom();
+      } else if (op < 19) {
+        Schedule();
+      } else {
+        CancelBurst();
+      }
+      Check();
+    }
+    EXPECT_FALSE(e_.Step());
+    EXPECT_EQ(mismatches_, 0) << first_mismatch_;
+    EXPECT_EQ(e_.events_fired(), fired_);
+  }
+
+ private:
+  using RefKey = std::pair<Time, uint64_t>;  // (at, scheduling order)
+  struct Scheduled {
+    Time at;
+    uint64_t order;
+    EventId id;
+  };
+
+  Duration Delay() {
+    return static_cast<Duration>(rng_.Below(2) == 0 ? rng_.Below(4) : rng_.Below(1'000'000));
+  }
+
+  void Schedule() {
+    const Time at = e_.now() + Delay();
+    const uint64_t order = all_.size();
+    const EventId id = e_.Schedule(at, [this, order] { Fired(order); });
+    all_.push_back(Scheduled{at, order, id});
+    live_.insert(RefKey{at, order});
+  }
+
+  void CancelRandom() {
+    if (all_.empty()) {
+      return;
+    }
+    const Scheduled& s = all_[static_cast<size_t>(rng_.Below(all_.size()))];
+    const bool live = live_.erase(RefKey{s.at, s.order}) == 1;
+    EXPECT_EQ(e_.pending(s.id), live);
+    EXPECT_EQ(e_.Cancel(s.id), live);
+  }
+
+  // Cancels 60 % of the live events: the heap then holds more dead keys
+  // than live ones, so it compacts.
+  void CancelBurst() {
+    const size_t keep = live_.size() * 2 / 5;
+    while (live_.size() > keep) {
+      CancelRandom();
+      Check();
+    }
+  }
+
+  void Fired(uint64_t order) {
+    const RefKey key{e_.now(), order};
+    if ((live_.empty() || *live_.begin() != key) && mismatches_++ == 0) {
+      first_mismatch_ = "event " + std::to_string(order) + " fired at " +
+                        std::to_string(e_.now()) + " out of (at, order) order";
+    }
+    live_.erase(key);
+    ++fired_;
+    EXPECT_EQ(e_.pending_events(), live_.size());
+    if (rng_.Below(10) < 3) {
+      CancelRandom();
+    }
+    if (rng_.Below(10) < 4) {
+      Schedule();
+    }
+  }
+
+  void Step() {
+    const bool any = !live_.empty();
+    EXPECT_EQ(e_.Step(), any);
+  }
+
+  void RunUntil(Time until) {
+    const Time before = e_.now();
+    e_.RunUntil(until);
+    EXPECT_EQ(e_.now(), std::max(before, until));
+    EXPECT_TRUE(live_.empty() || live_.begin()->first > until);
+  }
+
+  void Check() { ASSERT_EQ(e_.pending_events(), live_.size()); }
+
+  Engine e_;
+  common::Rng rng_;
+  std::vector<Scheduled> all_;  // every event ever scheduled, by order
+  std::set<RefKey> live_;
+  uint64_t fired_ = 0;
+  int mismatches_ = 0;
+  std::string first_mismatch_;
+};
+
+TEST(Engine, RandomScriptsFireInTimeThenSchedulingOrder) {
+  for (uint64_t seed : {1, 2, 3, 4, 5, 6}) {
+    SCOPED_TRACE(testing::Message() << "seed " << seed);
+    OrderScript(seed).Run();
+  }
 }
 
 // Rounds of 64 cancellable events, half of them cancelled: once the first
