@@ -33,6 +33,7 @@
 #endif
 #if defined(SA_FIBERS_ASAN)
 #include <pthread.h>
+#include <sanitizer/asan_interface.h>
 #include <sanitizer/common_interface_defs.h>
 #endif
 
@@ -364,6 +365,11 @@ FiberHandle FiberPool::Spawn(std::function<void()> fn) {
   } else {
     Bump(state->worker->live_delta, int64_t{1});
   }
+#if defined(SA_FIBERS_ASAN)
+  // A fiber that switched out for good left its frames' redzones poisoned
+  // on this stack; the new context starts on a clean one.
+  __asan_unpoison_memory_region(fiber->stack.get(), fiber->stack_size);
+#endif
   fiber->sp = MakeContext(fiber->stack.get(), fiber->stack_size,
                           &FiberPool::FiberMain, fiber);
 #if defined(SA_FIBERS_TSAN)

@@ -22,7 +22,8 @@ const char* SpanModeName(SpanMode mode) {
   return "?";
 }
 
-Processor::Processor(sim::Engine* engine, int id) : engine_(engine), id_(id) {
+Processor::Processor(sim::Engine* engine, int id)
+    : engine_(engine), id_(id), span_end_(engine->AddTimer([this] { EndSpan(); })) {
   account_from_ = engine_->now();
 }
 
@@ -89,19 +90,19 @@ void Processor::BeginSpan(sim::Duration d, SpanMode mode, bool preemptible,
   on_complete_ = std::move(on_complete);
   engine_->TraceEmit(trace::cat::kProcessor, trace::Kind::kSpanBegin, id_, -1,
                      static_cast<uint64_t>(mode), static_cast<uint64_t>(d));
-  const auto complete = [this] {
-    AccumulateTo(engine_->now());
-    span_active_ = false;
-    engine_->TraceEmit(trace::cat::kProcessor, trace::Kind::kSpanEnd, id_, -1,
-                       static_cast<uint64_t>(mode_),
-                       static_cast<uint64_t>(span_duration_));
-    sim::Callback fn = std::move(on_complete_);
-    if (span_end_check_ != nullptr && span_end_check_(this)) {
-      return;  // the span's context is dead: its continuation is dropped
-    }
-    fn();
-  };
-  completion_ = engine_->ScheduleIn(d, complete);
+  engine_->ArmTimer(span_end_, span_start_ + d);
+}
+
+void Processor::EndSpan() {
+  AccumulateTo(engine_->now());
+  span_active_ = false;
+  engine_->TraceEmit(trace::cat::kProcessor, trace::Kind::kSpanEnd, id_, -1,
+                     static_cast<uint64_t>(mode_), static_cast<uint64_t>(span_duration_));
+  sim::Callback fn = std::move(on_complete_);
+  if (span_end_check_ != nullptr && span_end_check_(this)) {
+    return;  // the span's context is dead: its continuation is dropped
+  }
+  fn();
 }
 
 void Processor::Resume(SavedSpan& saved) {
@@ -166,8 +167,8 @@ void Processor::RequestInterrupt() {
     interrupt_latched_ = true;
     return;
   }
-  // Cancel the in-flight timed span.
-  engine_->Cancel(completion_);
+  // Cut the in-flight timed span.
+  engine_->DisarmTimer(span_end_);
   const sim::Duration elapsed = engine_->now() - span_start_;
   Interrupt irq;
   irq.span = {span_duration_ - elapsed, mode_, critical_section_, std::move(on_complete_)};

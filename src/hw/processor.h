@@ -3,13 +3,21 @@
 // A processor executes one *span* at a time.  A span is either timed (a fixed
 // amount of busy work with a completion continuation) or open-ended (a spin or
 // idle loop that lasts until an external actor ends it).  Preemption is
-// modelled with RequestInterrupt(): a preemptible span is cancelled on the
-// spot and the interrupt handler receives everything needed to resume the
-// span later (a SavedSpan: remaining duration + the original continuation,
-// which Resume() continues); a non-preemptible span (kernel mode) latches
-// the request, which fires at the next preemptible BeginSpan or is consumed
-// at an explicit dispatch point.  Where a timed span ends, the kernel's
+// modelled with RequestInterrupt(): a preemptible span is cut on the spot
+// and the interrupt handler receives everything needed to resume the span
+// later (a SavedSpan: remaining duration + the original continuation, which
+// Resume() continues); a non-preemptible span (kernel mode) latches the
+// request, which fires at the next preemptible BeginSpan or is consumed at
+// an explicit dispatch point.  Where a timed span ends, the kernel's
 // span-end check may drop the continuation of a context that died meanwhile.
+//
+// A timed span's end is the processor's engine timer (sim::Engine), added
+// once at construction with EndSpan as its handler: BeginSpan arms it and a
+// preemption disarms it.  One span at a time means one pending end at a
+// time, and span ends are most of a run's events, so a span costs no event
+// slot, no callback move into the engine and no heap push or pop.  The arm
+// takes the engine's next sequence number, as a scheduled completion did,
+// so span ends fire in the same (at, seq) order among all events.
 //
 // Time spent is accounted per SpanMode so experiments can report processor
 // busy/spin/idle breakdowns.
@@ -129,9 +137,13 @@ class Processor {
  private:
   void AccumulateTo(sim::Time now);
   void FireInterrupt(Interrupt irq);
+  // The span-end timer's handler: closes the timed span and runs its
+  // continuation, unless the span-end check drops it.
+  void EndSpan();
 
   sim::Engine* engine_;
   const int id_;
+  const sim::TimerId span_end_;
   InterruptHandler interrupt_handler_;
   SpanEndCheck span_end_check_;
 
@@ -144,7 +156,6 @@ class Processor {
   sim::Time span_start_ = 0;
   sim::Duration span_duration_ = 0;
   sim::Callback on_complete_;
-  sim::EventId completion_ = sim::kNoEvent;
 
   bool interrupt_latched_ = false;
   bool in_handler_ = false;

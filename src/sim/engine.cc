@@ -153,11 +153,102 @@ void Engine::FireTop() {
   fn();
 }
 
-bool Engine::Step() {
-  if (!DropDeadTop()) {
+TimerId Engine::AddTimer(Callback fn) {
+  SA_CHECK_MSG(firing_ == kNoTimer, "timer added inside a timer's handler");
+  SA_CHECK_MSG(timers_.size() <= kSlotMask, "too many timers");
+  const auto t = static_cast<TimerId>(timers_.size());
+  timers_.push_back(Timer{std::move(fn)});
+  if (timers_.size() > leaves_) {
+    // Double the leaves and rebuild the inner nodes, last first.
+    std::vector<Key> tree(4 * leaves_, kNever);
+    std::copy(tree_.begin() + static_cast<ptrdiff_t>(leaves_), tree_.end(),
+              tree.begin() + static_cast<ptrdiff_t>(2 * leaves_));
+    leaves_ *= 2;
+    for (size_t i = leaves_; i-- > 1;) {
+      tree[i] = std::min(tree[2 * i], tree[2 * i + 1]);
+    }
+    tree_ = std::move(tree);
+  }
+  return t;
+}
+
+void Engine::SetLeaf(TimerId t, Key k) {
+  Key* const tree = tree_.data();
+  size_t i = leaves_ + t;
+  tree[i] = k;
+  for (; i > 1; i >>= 1) {
+    const Key sibling = tree[i ^ 1];
+    k = sibling < k ? sibling : k;
+    tree[i >> 1] = k;
+  }
+}
+
+void Engine::ArmTimer(TimerId t, Time at) {
+  SA_CHECK_MSG(at >= now_, "timer armed in the past");
+  SA_CHECK_MSG(next_seq_ < (uint64_t{1} << (64 - kSlotBits)), "event sequence overflow");
+  SA_DCHECK(t < timers_.size());
+  Timer& timer = timers_[t];
+  if (!timer.armed) {
+    timer.armed = true;
+    ++armed_timers_;
+  }
+  if (t == firing_) {
+    firing_leaf_stale_ = false;
+  }
+  SetLeaf(t, MakeKey(at, next_seq_++ << kSlotBits | t));
+}
+
+bool Engine::DisarmTimer(TimerId t) {
+  SA_DCHECK(t < timers_.size());
+  Timer& timer = timers_[t];
+  if (!timer.armed) {
     return false;
   }
-  FireTop();
+  timer.armed = false;
+  --armed_timers_;
+  SetLeaf(t, kNever);
+  return true;
+}
+
+void Engine::FireTimer(Key k) {
+  const auto t = static_cast<TimerId>(IdOf(k) & kSlotMask);
+  SA_DCHECK(AtOf(k) >= now_);
+  now_ = AtOf(k);
+  ++events_fired_;
+  Timer& timer = timers_[t];  // stays put: no timer is added meanwhile
+  timer.armed = false;
+  --armed_timers_;
+  // The leaf keeps the fired key while the handler runs: a handler that
+  // arms the timer again replays its path once, not twice.
+  firing_ = t;
+  firing_leaf_stale_ = true;
+  timer.fn();
+  firing_ = kNoTimer;
+  if (firing_leaf_stale_) {
+    SetLeaf(t, kNever);
+  }
+}
+
+Engine::Key Engine::NextKey() {
+  const Key top = DropDeadTop() ? heap_.front() : kNever;
+  return std::min(top, tree_[1]);
+}
+
+void Engine::Fire(Key next) {
+  if (next == tree_[1]) {
+    FireTimer(next);
+  } else {
+    FireTop();
+  }
+}
+
+bool Engine::Step() {
+  SA_CHECK_MSG(firing_ == kNoTimer, "Step inside a timer's handler");
+  const Key next = NextKey();
+  if (next == kNever) {
+    return false;
+  }
+  Fire(next);
   return true;
 }
 
@@ -170,8 +261,9 @@ void Engine::Run(uint64_t max_events) {
 }
 
 void Engine::RunUntil(Time until) {
-  while (DropDeadTop() && AtOf(heap_.front()) <= until) {
-    FireTop();
+  SA_CHECK_MSG(firing_ == kNoTimer, "RunUntil inside a timer's handler");
+  for (Key next; (next = NextKey()) != kNever && AtOf(next) <= until;) {
+    Fire(next);
   }
   now_ = std::max(now_, until);
 }

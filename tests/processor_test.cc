@@ -5,6 +5,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <vector>
 
 #include "src/hw/machine.h"
 #include "src/hw/processor.h"
@@ -184,6 +185,43 @@ TEST_F(ProcessorTest, PreemptedElapsedTimeIsAccounted) {
   proc_->RequestInterrupt();
   proc_->FlushAccounting();
   EXPECT_EQ(proc_->time_in(SpanMode::kUser), sim::Usec(30));
+}
+
+// A preempted timed span's end is disarmed, not left to fire: nothing runs
+// at the old deadline, and the engine counts one pending event fewer.
+TEST_F(ProcessorTest, PreemptingATimedSpanDisarmsItsTimer) {
+  bool completed = false;
+  engine().Schedule(sim::Usec(500), [] {});
+  proc_->BeginSpan(sim::Usec(100), SpanMode::kUser, true, false, [&] { completed = true; });
+  EXPECT_EQ(engine().pending_events(), 2u);
+  engine().RunUntil(sim::Usec(40));
+  proc_->RequestInterrupt();
+  EXPECT_EQ(interrupts_, 1);
+  EXPECT_EQ(engine().pending_events(), 1u);
+  const uint64_t fired = engine().events_fired();
+  engine().RunUntil(sim::Usec(100));  // the cut span's deadline
+  EXPECT_EQ(engine().events_fired(), fired);
+  engine().Run();
+  EXPECT_EQ(engine().events_fired(), fired + 1);  // only the scheduled event
+  EXPECT_FALSE(completed);
+  EXPECT_EQ(engine().pending_events(), 0u);
+}
+
+// A span begun in the previous span's continuation takes its sequence
+// number there: it ends after a same-instant event scheduled before it and
+// before one scheduled after it.
+TEST_F(ProcessorTest, SpanBegunInAContinuationKeepsSchedulingOrder) {
+  std::vector<int> order;
+  proc_->BeginSpan(sim::Usec(10), SpanMode::kKernel, false, false, [&] {
+    proc_->BeginSpan(sim::Usec(20), SpanMode::kUser, true, false,
+                     [&order] { order.push_back(2); });
+    engine().Schedule(sim::Usec(30), [&order] { order.push_back(3); });
+  });
+  engine().Schedule(sim::Usec(30), [&order] { order.push_back(1); });
+  engine().Run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(engine().now(), sim::Usec(30));
+  EXPECT_FALSE(proc_->has_span());
 }
 
 // A timed span whose continuation captures three pointers (24 bytes) is

@@ -11,6 +11,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/common/assert.h"
 #include "src/common/rng.h"
 #include "src/sim/engine.h"
 #include "src/sim/program.h"
@@ -282,38 +283,52 @@ TEST(Engine, MaxEventsBoundsExecution) {
   EXPECT_EQ(count, 4);
 }
 
-// A seeded script of Schedule, Cancel, Step and RunUntil calls, checked
-// against a reference that orders the live events by (at, scheduling order).
-// Half the delays come from {0..3}, so same-instant ties are common; every
-// fired event may cancel a random event (live, fired or cancelled) and
-// schedule another, possibly at its own instant.  The live count climbs from
-// 0 to kPeak, past every level boundary of the 4-ary heap (1, 5, 21, 85,
-// 341, 1365 and 5461 keys), then drains back to 0.  Cancel bursts at the
-// peak and while draining leave most of the heap dead, so it compacts at
-// many sizes.
+// A seeded script of Schedule, Cancel, ArmTimer, DisarmTimer, Step and
+// RunUntil calls, checked against a reference that orders the live events
+// and armed timers together by (at, scheduling order), an arm counting as a
+// scheduling.  Half the delays come from {0..3}, so same-instant ties are
+// common, between events, between timers and across the two; every fired
+// event may cancel a random event (live, fired or cancelled), schedule
+// another, possibly at its own instant, and arm or disarm a random timer,
+// and every timer fire may do the same and arm, disarm and re-arm its own
+// timer.  Timers are added as the script runs, up to kMaxTimers (past 64,
+// so the tree regrows with armed leaves), and some RunUntil bounds are the
+// exact instant a timer was just armed for.  The live count climbs from 0 to kPeak, past
+// every level boundary of the 4-ary heap (1, 5, 21, 85, 341, 1365 and 5461
+// keys), then drains back to 0.  Cancel bursts at the peak and while
+// draining leave most of the heap dead, so it compacts at many sizes.
 class OrderScript {
  public:
   static constexpr size_t kPeak = 10'000;
+  static constexpr size_t kMaxTimers = 70;
 
   explicit OrderScript(uint64_t seed) : rng_(seed) {}
 
   void Run() {
-    while (live_.size() < kPeak) {
-      const uint64_t op = rng_.Below(20);
+    while (live_.size() < kPeak && mismatches_ == 0) {
+      const uint64_t op = rng_.Below(24);
       if (op < 16) {
         Schedule();
       } else if (op < 18) {
         CancelRandom();
       } else if (op == 18) {
         Step();
-      } else {
+      } else if (op == 19) {
         RunUntil(e_.now() + static_cast<Duration>(rng_.Below(8)));
+      } else if (op == 20) {
+        AddTimer();
+      } else if (op == 21) {
+        ArmRandom();
+      } else if (op == 22) {
+        DisarmRandom();
+      } else {
+        RunUntilATimer();
       }
       Check();
     }
     CancelBurst();
-    while (!live_.empty()) {
-      const uint64_t op = rng_.Below(20);
+    while (!live_.empty() && mismatches_ == 0) {
+      const uint64_t op = rng_.Below(24);
       if (op < 8) {
         Step();
       } else if (op < 14) {
@@ -322,14 +337,21 @@ class OrderScript {
         CancelRandom();
       } else if (op < 19) {
         Schedule();
-      } else {
+      } else if (op == 19) {
         CancelBurst();
+      } else if (op == 20) {
+        ArmRandom();
+      } else if (op == 21) {
+        DisarmRandom();
+      } else {
+        RunUntilATimer();
       }
       Check();
     }
     EXPECT_FALSE(e_.Step());
     EXPECT_EQ(mismatches_, 0) << first_mismatch_;
     EXPECT_EQ(e_.events_fired(), fired_);
+    EXPECT_GT(timer_fires_, 0u);
   }
 
  private:
@@ -339,6 +361,11 @@ class OrderScript {
     uint64_t order;
     EventId id;
   };
+  struct TimerRef {
+    TimerId id;
+    bool armed = false;
+    RefKey key{};  // while armed
+  };
 
   Duration Delay() {
     return static_cast<Duration>(rng_.Below(2) == 0 ? rng_.Below(4) : rng_.Below(1'000'000));
@@ -346,8 +373,9 @@ class OrderScript {
 
   void Schedule() {
     const Time at = e_.now() + Delay();
-    const uint64_t order = all_.size();
-    const EventId id = e_.Schedule(at, [this, order] { Fired(order); });
+    const uint64_t order = next_order_++;
+    const size_t index = all_.size();
+    const EventId id = e_.Schedule(at, [this, index] { EventFired(index); });
     all_.push_back(Scheduled{at, order, id});
     live_.insert(RefKey{at, order});
   }
@@ -362,52 +390,182 @@ class OrderScript {
     EXPECT_EQ(e_.Cancel(s.id), live);
   }
 
-  // Cancels 60 % of the live events: the heap then holds more dead keys
-  // than live ones, so it compacts.
+  void AddTimer() {
+    if (timers_.size() == kMaxTimers) {
+      return;
+    }
+    const size_t index = timers_.size();
+    const TimerId id = e_.AddTimer([this, index] { TimerFired(index); });
+    EXPECT_EQ(id, index);
+    EXPECT_FALSE(e_.timer_armed(id));
+    timers_.push_back(TimerRef{id});
+  }
+
+  // Arms timer `index` for `delay` from now, moving its fire if it is
+  // armed already.
+  void Arm(size_t index, Duration delay) {
+    TimerRef& t = timers_[index];
+    EXPECT_EQ(e_.timer_armed(t.id), t.armed);
+    if (t.armed) {
+      live_.erase(t.key);
+    }
+    t.key = RefKey{e_.now() + delay, next_order_++};
+    t.armed = true;
+    live_.insert(t.key);
+    e_.ArmTimer(t.id, t.key.first);
+    EXPECT_TRUE(e_.timer_armed(t.id));
+  }
+
+  void Disarm(size_t index) {
+    TimerRef& t = timers_[index];
+    const bool armed = t.armed;
+    if (armed) {
+      live_.erase(t.key);
+      t.armed = false;
+    }
+    EXPECT_EQ(e_.DisarmTimer(t.id), armed);
+    EXPECT_FALSE(e_.timer_armed(t.id));
+  }
+
+  void ArmRandom() {
+    if (!timers_.empty()) {
+      Arm(static_cast<size_t>(rng_.Below(timers_.size())), Delay());
+    }
+  }
+
+  void DisarmRandom() {
+    if (!timers_.empty()) {
+      Disarm(static_cast<size_t>(rng_.Below(timers_.size())));
+    }
+  }
+
+  // Arms a random timer for an instant at most 3 ns away and runs until
+  // exactly that instant: the bound is inclusive, so the timer fires.
+  void RunUntilATimer() {
+    if (timers_.empty()) {
+      return;
+    }
+    const auto index = static_cast<size_t>(rng_.Below(timers_.size()));
+    Arm(index, static_cast<Duration>(rng_.Below(4)));
+    RunUntil(timers_[index].key.first);
+  }
+
+  // Cancels 60 % of the live events and timers: the heap then holds more
+  // dead keys than live ones, so it compacts.
   void CancelBurst() {
     const size_t keep = live_.size() * 2 / 5;
     while (live_.size() > keep) {
-      CancelRandom();
+      if (rng_.Below(10) == 0) {
+        DisarmRandom();
+      } else {
+        CancelRandom();
+      }
       Check();
     }
   }
 
-  void Fired(uint64_t order) {
-    const RefKey key{e_.now(), order};
-    if ((live_.empty() || *live_.begin() != key) && mismatches_++ == 0) {
-      first_mismatch_ = "event " + std::to_string(order) + " fired at " +
-                        std::to_string(e_.now()) + " out of (at, order) order";
+  // Records a departure from the reference; the script stops at the first,
+  // since an engine that lost a fire would never drain.
+  void Mismatch(const std::string& what) {
+    if (mismatches_++ == 0) {
+      first_mismatch_ = what;
+    }
+  }
+
+  // The reference's check of a fire: `key` must be the least live key.  An
+  // engine that keeps firing after a mismatch may be looping inside one
+  // Step or RunUntil, where the script cannot stop it, so it aborts then.
+  void Fired(const RefKey& key, const char* kind) {
+    SA_CHECK_MSG(mismatches_ < 1000, first_mismatch_.c_str());
+    if (live_.empty() || *live_.begin() != key) {
+      Mismatch(std::string(kind) + " of order " + std::to_string(key.second) + " fired at " +
+               std::to_string(e_.now()) + " out of (at, order) order");
     }
     live_.erase(key);
     ++fired_;
     EXPECT_EQ(e_.pending_events(), live_.size());
+  }
+
+  void EventFired(size_t index) {
+    Fired(RefKey{e_.now(), all_[index].order}, "event");
     if (rng_.Below(10) < 3) {
       CancelRandom();
     }
     if (rng_.Below(10) < 4) {
       Schedule();
     }
+    if (rng_.Below(20) < 3) {
+      ArmRandom();
+    }
+    if (rng_.Below(10) == 0) {
+      DisarmRandom();
+    }
+  }
+
+  // A firing timer is disarmed; its handler may arm it again (and disarm
+  // and re-arm it), and arms, disarms, schedules and cancels at random.
+  void TimerFired(size_t index) {
+    TimerRef& t = timers_[index];
+    EXPECT_TRUE(t.armed);
+    EXPECT_EQ(t.key.first, e_.now());
+    Fired(t.key, "timer");
+    t.armed = false;
+    ++timer_fires_;
+    EXPECT_FALSE(e_.timer_armed(t.id));
+    if (rng_.Below(10) < 3) {
+      Arm(index, Delay());
+      if (rng_.Below(4) == 0) {
+        Disarm(index);
+        if (rng_.Below(2) == 0) {
+          Arm(index, Delay());
+        }
+      }
+    } else if (rng_.Below(4) == 0) {
+      Disarm(index);  // not armed: a no-op
+    }
+    if (rng_.Below(20) < 3) {
+      ArmRandom();
+    }
+    if (rng_.Below(10) == 0) {
+      DisarmRandom();
+    }
+    if (rng_.Below(10) < 2) {
+      Schedule();
+    }
+    if (rng_.Below(10) < 2) {
+      CancelRandom();
+    }
   }
 
   void Step() {
     const bool any = !live_.empty();
-    EXPECT_EQ(e_.Step(), any);
+    if (e_.Step() != any) {
+      Mismatch("Step with " + std::to_string(live_.size()) + " live at " +
+               std::to_string(e_.now()));
+    }
   }
 
   void RunUntil(Time until) {
     const Time before = e_.now();
     e_.RunUntil(until);
     EXPECT_EQ(e_.now(), std::max(before, until));
-    EXPECT_TRUE(live_.empty() || live_.begin()->first > until);
+    if (!live_.empty() && live_.begin()->first <= until) {
+      Mismatch("RunUntil(" + std::to_string(until) + ") left order " +
+               std::to_string(live_.begin()->second) + " due at " +
+               std::to_string(live_.begin()->first));
+    }
   }
 
   void Check() { ASSERT_EQ(e_.pending_events(), live_.size()); }
 
   Engine e_;
   common::Rng rng_;
-  std::vector<Scheduled> all_;  // every event ever scheduled, by order
-  std::set<RefKey> live_;
+  uint64_t next_order_ = 0;
+  std::vector<Scheduled> all_;  // every event ever scheduled
+  std::vector<TimerRef> timers_;
+  std::set<RefKey> live_;  // live events and armed timers
   uint64_t fired_ = 0;
+  uint64_t timer_fires_ = 0;
   int mismatches_ = 0;
   std::string first_mismatch_;
 };
@@ -419,14 +577,19 @@ TEST(Engine, RandomScriptsFireInTimeThenSchedulingOrder) {
   }
 }
 
-// Rounds of 64 cancellable events, half of them cancelled: once the first
-// round has sized the engine's heap, slot and free-slot arrays, scheduling,
-// cancelling and firing allocate nothing.  Half the events capture three
-// pointers (24 bytes), the common continuation shape, which a std::function
-// would have put on the heap.
+// Rounds of 64 cancellable events, half of them cancelled, and eight timers
+// armed for the same instants, half of them disarmed and one of those armed
+// again: once the first round has sized the engine's heap, slot and
+// free-slot arrays, scheduling, cancelling, arming, disarming and firing
+// allocate nothing.  Half the events capture three pointers (24 bytes), the
+// common continuation shape, which a std::function would have put on the
+// heap; so does the first timer's handler, which arms its timer once more
+// in every round.
 TEST(Engine, SteadyStateSchedulingDoesNotAllocate) {
   Engine e;
   int fired = 0;
+  int timer_fires = 0;
+  bool rearm = false;
   Time last_wide = -1;
   std::vector<EventId> ids(64);
   const auto narrow = [&fired] { ++fired; };
@@ -435,14 +598,35 @@ TEST(Engine, SteadyStateSchedulingDoesNotAllocate) {
     last_wide = e.now();
   };
   static_assert(sizeof(wide) == 24, "a three-pointer capture");
+  const auto first_timer = [&timer_fires, &rearm, &e] {
+    ++timer_fires;
+    if (rearm) {
+      rearm = false;
+      e.ArmTimer(0, e.now() + Usec(1));
+    }
+  };
+  static_assert(sizeof(first_timer) == 24, "a three-pointer capture");
+  std::vector<TimerId> timers = {e.AddTimer(first_timer)};
+  ASSERT_EQ(timers[0], 0u);
+  while (timers.size() < 8) {
+    timers.push_back(e.AddTimer([&timer_fires] { ++timer_fires; }));
+  }
   const auto round = [&] {
     for (size_t i = 0; i < ids.size(); ++i) {
       const Duration delay = Usec(static_cast<int64_t>(i % 7) + 1);
       ids[i] = i % 4 < 2 ? e.ScheduleIn(delay, narrow) : e.ScheduleIn(delay, wide);
     }
+    for (size_t i = 0; i < timers.size(); ++i) {
+      e.ArmTimer(timers[i], e.now() + Usec(static_cast<int64_t>(i % 7) + 1));
+    }
     for (size_t i = 0; i < ids.size(); i += 2) {
       e.Cancel(ids[i]);
     }
+    for (size_t i = 1; i < timers.size(); i += 2) {
+      e.DisarmTimer(timers[i]);
+    }
+    e.ArmTimer(timers[1], e.now() + Usec(3));
+    rearm = true;
     e.Run();
   };
   round();  // warm-up
@@ -454,7 +638,17 @@ TEST(Engine, SteadyStateSchedulingDoesNotAllocate) {
   g_count_news = false;
   EXPECT_EQ(g_news.load() - before, 0);
   EXPECT_EQ(fired, 101 * 32);
+  EXPECT_EQ(timer_fires, 101 * 6);  // timers 0 (twice), 1, 2, 4 and 6
   EXPECT_EQ(last_wide, e.now());  // a wide event fires last in every round
+}
+
+// A timer's handler runs with its fired key still in the tree, so the
+// engine refuses to run events from inside it.
+TEST(EngineDeathTest, StepInsideATimerHandlerIsRefused) {
+  Engine e;
+  const TimerId t = e.AddTimer([&e] { e.Step(); });
+  e.ArmTimer(t, Usec(1));
+  EXPECT_DEATH(e.Run(), "Step inside a timer's handler");
 }
 
 TEST(TimeFormat, AutoSelectsUnits) {
