@@ -119,7 +119,8 @@ void TopazRuntime::Interpret(WorkThread* w) {
     // user-level frame machinery).
     case OpKind::kForkLazy:
     case OpKind::kFork: {
-      WorkThread* child = threads().Create(op.fork_fn, op.fork_name);
+      WorkThread* child =
+          threads().Create(std::move(w->ctx.fork_fn), std::move(w->ctx.fork_name));
       kern::KThread* child_kt = kernel_->CreateThread(address_space(), this, child);
       child->impl = child_kt;
       kernel_->SysFork(kt, child_kt, [this, w, child] {

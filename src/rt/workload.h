@@ -26,6 +26,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <type_traits>
 
 #include "src/sim/program.h"
 #include "src/sim/time.h"
@@ -39,8 +40,8 @@ using WorkloadFn = std::function<sim::Program(ThreadCtx&)>;
 enum class OpKind {
   kNone,
   kCompute,     // busy computation for `duration`
-  kFork,        // create a thread running `fork_fn`
-  kForkLazy,    // lazy fork: push a promotable frame for `fork_fn` (pcall)
+  kFork,        // create a thread running ThreadCtx::fork_fn
+  kForkLazy,    // lazy fork: push a promotable frame for it (pcall)
   kJoin,        // wait for thread `target_tid` to finish
   kAcquire,     // acquire lock `sync_id`
   kRelease,     // release lock `sync_id`
@@ -64,16 +65,17 @@ enum class LockKind {
   kMutex,
 };
 
+// A trap's operands.  Plain data, so the reset before every step writes a
+// few words; a fork's body and name wait in ThreadCtx instead.
 struct Op {
   OpKind kind = OpKind::kNone;
   sim::Duration duration = 0;
   int sync_id = -1;
   int target_tid = -1;
   int64_t page = 0;
-  WorkloadFn fork_fn;
-  std::string fork_name;
   int fork_priority = 0;
 };
+static_assert(std::is_trivially_copyable_v<Op>);
 
 // Per-thread workload context: op cell + awaitable builders.  The hosting
 // runtime owns one per thread and reads `op` after each coroutine step.
@@ -89,6 +91,8 @@ class ThreadCtx {
   void Reset(int tid) {
     tid_ = tid;
     op = Op{};
+    fork_fn = nullptr;
+    fork_name.clear();
     last_forked_tid = -1;
     last_io_ok = true;
   }
@@ -182,9 +186,9 @@ class ThreadCtx {
   // runs" functionality goal).
   ForkAwait Fork(WorkloadFn fn, std::string name = "", int priority = 0) {
     op.kind = OpKind::kFork;
-    op.fork_fn = std::move(fn);
-    op.fork_name = std::move(name);
     op.fork_priority = priority;
+    fork_fn = std::move(fn);
+    fork_name = std::move(name);
     return ForkAwait{this};
   }
 
@@ -197,14 +201,18 @@ class ThreadCtx {
   // (kernel-thread systems) treat this as a plain Fork.
   ForkAwait ForkLazy(WorkloadFn fn, std::string name = "") {
     op.kind = OpKind::kForkLazy;
-    op.fork_fn = std::move(fn);
-    op.fork_name = std::move(name);
     op.fork_priority = 0;  // lazy frames carry no priority (promoted at 0)
+    fork_fn = std::move(fn);
+    fork_name = std::move(name);
     return ForkAwait{this};
   }
 
   // The pending trap, read (and reset) by the hosting runtime.
   Op op;
+  // A pending fork's body and name, which the hosting runtime moves into
+  // the child's record.
+  WorkloadFn fork_fn;
+  std::string fork_name;
   // Out-parameter of the last fork, written by the runtime before resuming.
   int last_forked_tid = -1;
   // Result of the last blocking I/O, written by the runtime before resuming

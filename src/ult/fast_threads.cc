@@ -54,24 +54,38 @@ int FastThreads::CreateKernelEvent() {
 }
 
 Tcb* FastThreads::AllocTcb(Vcpu* v, rt::WorkThread* w) {
-  Tcb* t;
+  // The id follows the per-processor free list (Section 4.3): the newest id
+  // that exited on the forking vcpu, else a fresh one.  The record comes
+  // from the space's spare records, since a forker's list stays empty while
+  // its children exit on other vcpus.
+  int id;
   if (v != nullptr && !v->free_tcbs.empty()) {
-    t = v->free_tcbs.back();
+    id = v->free_tcbs.back();
     v->free_tcbs.pop_back();
   } else {
-    tcbs_.push_back(std::make_unique<Tcb>(next_tcb_id_++));
+    id = next_tcb_id_++;
+  }
+  Tcb* t;
+  if (spare_tcbs_.empty()) {
+    tcbs_.push_back(std::make_unique<Tcb>());
     t = tcbs_.back().get();
+  } else {
+    t = spare_tcbs_.back();
+    spare_tcbs_.pop_back();
   }
   SA_CHECK(t->state == Tcb::State::kFree);
+  t->id = id;
+  t->priority = 0;
   t->work = w;
   t->vcpu = nullptr;
+  t->saved = {};
   t->cs_depth = 0;
   t->cs_recovery = false;
   t->waiting_lock = nullptr;
   t->actively_spinning = false;
   t->resume_check = false;
+  t->recovery_after = nullptr;
   t->lazy_promote_charge = 0;
-  t->saved = {};
   w->impl = t;
   return t;
 }
@@ -80,8 +94,8 @@ void FastThreads::FreeTcb(Vcpu* v, Tcb* t) {
   SA_CHECK_MSG(t->work_stack.empty(), "freeing a TCB mid inline (pcall) body");
   t->state = Tcb::State::kFree;
   t->work = nullptr;
-  t->lazy_promote_charge = 0;
-  v->free_tcbs.push_back(t);
+  v->free_tcbs.push_back(t->id);
+  spare_tcbs_.push_back(t);
 }
 
 Tcb* FastThreads::SpawnThread(rt::WorkThread* w) {
@@ -526,8 +540,9 @@ void FastThreads::KernelWait(Vcpu* v, Tcb* t) {
 
 void FastThreads::DoFork(Tcb* parent) {
   Vcpu* v = parent->vcpu;
+  rt::ThreadCtx& ctx = parent->work->ctx;
   rt::WorkThread* child_work =
-      table_.Create(parent->work->ctx.op.fork_fn, parent->work->ctx.op.fork_name);
+      table_.Create(std::move(ctx.fork_fn), std::move(ctx.fork_name));
   const sim::Duration charge =
       kernel_->costs().ult_fork_prep + backend_->ForkOverhead() + FlagCs(2);
   // Per-fork lifecycle attribution: every eager fork is dispatched fresh
@@ -557,8 +572,9 @@ void FastThreads::DoFork(Tcb* parent) {
 
 void FastThreads::DoForkLazy(Tcb* parent) {
   Vcpu* v = parent->vcpu;
+  rt::ThreadCtx& ctx = parent->work->ctx;
   rt::WorkThread* child_work =
-      table_.Create(parent->work->ctx.op.fork_fn, parent->work->ctx.op.fork_name);
+      table_.Create(std::move(ctx.fork_fn), std::move(ctx.fork_name));
   // Sequential-by-default: no TCB, no enqueue, no parallelism downcall —
   // just a frame on this processor's promotion stack, at procedure-call
   // scale.  The full fork cost is deferred to promotion (if any).

@@ -4,7 +4,8 @@
 // Structure (Section 4.2 / 4.3):
 //  * per-virtual-processor ready lists, accessed LIFO for cache locality,
 //    with a scan of the other processors' lists when the local one is empty;
-//  * per-virtual-processor unlocked free lists of thread control blocks;
+//  * per-virtual-processor unlocked free lists of thread control blocks
+//    (of their ids: the records behind them are one stack for the space);
 //  * user-level locks and conditions — blocking a thread never enters the
 //    kernel;
 //  * critical sections are continued (not restarted) after an inopportune
@@ -97,6 +98,8 @@ class FastThreads {
   Vcpu* vcpu(int index) { return vcpus_[static_cast<size_t>(index)].get(); }
   int num_vcpus() const { return static_cast<int>(vcpus_.size()); }
   UltLock* lock(int id) { return locks_[static_cast<size_t>(id)].get(); }
+  // TCB records made so far: the peak number of threads live at once.
+  size_t tcb_records() const { return tcbs_.size(); }
 
   // Number of threads that are ready or running (parallelism signal).
   int runnable() const { return runnable_; }
@@ -258,7 +261,8 @@ class FastThreads {
   UltCounters counters_;
 
   std::vector<std::unique_ptr<Vcpu>> vcpus_;
-  std::vector<std::unique_ptr<Tcb>> tcbs_;
+  std::vector<std::unique_ptr<Tcb>> tcbs_;  // owns every record
+  std::vector<Tcb*> spare_tcbs_;            // records serving no thread
   std::vector<std::unique_ptr<UltLock>> locks_;
   std::vector<std::unique_ptr<UltSem>> sems_;
   std::vector<std::unique_ptr<kern::KernelEvent>> kernel_events_;

@@ -30,9 +30,10 @@ struct Tcb {
     kDone,
   };
 
-  explicit Tcb(int id) : id(id) {}
-
-  int id;
+  // The thread's id, from a per-vcpu free list (Vcpu::free_tcbs); the
+  // record itself comes from the space's spare records, so a recycled
+  // record serves whatever id its next thread draws.
+  int id = -1;
   State state = State::kFree;
   int priority = 0;  // larger runs first
   rt::WorkThread* work = nullptr;
@@ -103,7 +104,8 @@ struct Vcpu {
   kern::KThread* kt = nullptr;   // backing kernel thread or current activation
   Tcb* current = nullptr;
   common::IntrusiveList<Tcb, &Tcb::qnode> ready;  // LIFO (Section 4.2)
-  std::vector<Tcb*> free_tcbs;                    // unlocked per-vcpu free list
+  std::vector<int> free_tcbs;  // unlocked per-vcpu free list: ids of TCBs
+                               // that exited here
   bool idle_spinning = false;
   // Inside an idle transition: the backend cleared idle_spinning to run the
   // idle-notification downcall, and will call EndIdleTransition when it

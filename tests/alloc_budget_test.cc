@@ -4,9 +4,9 @@
 // workloads count `operator new` over TryRun only (set-up excluded) and hold
 // allocations per event to a budget: the count this code makes plus 20 %
 // headroom.  What still allocates per event is per-thread state (coroutine
-// frames and closures, TCBs), the allocator's deficit heap and tier ranks
-// (tree nodes) and upcall batches beyond the one spare buffer a space
-// keeps.  A continuation whose
+// frames and closures), the allocator's deficit heap and tier ranks (tree
+// nodes) and upcall batches beyond the one spare buffer a space keeps.  A
+// continuation whose
 // capture outgrows sim::Callback's 24 inline bytes, or a container rebuilt
 // per event, pushes a run over its budget.  The tenants- and firefly-shaped
 // runs also hold the high-water mark of outstanding blocks (news minus
@@ -77,16 +77,18 @@ namespace sa {
 namespace {
 
 // Allocations per event each shape makes, plus 20 % headroom (rounded up).
-// Measured: tenants 0.926, firefly 0.357, storms 0.226, since the
-// allocator's holder and surplus sets are id bitsets instead of tree nodes
-// (before: 1.101, 0.370, 0.238).
+// Measured: tenants 0.926, firefly 0.327, storms 0.227, since a fork takes
+// its TCB record from the space's spare records (firefly before: 0.357)
+// and the allocator's holder and surplus sets are id bitsets (before them:
+// 1.101, 0.370, 0.238).
 constexpr double kTenantsBudget = 1.12;
-constexpr double kFireflyBudget = 0.43;
+constexpr double kFireflyBudget = 0.40;
 constexpr double kStormsBudget = 0.28;
 // High-water marks of outstanding blocks, plus 20 % headroom (rounded up).
-// Measured: tenants 2144, firefly 774 (before the bitsets: 2155, 776).
+// Measured: tenants 2144, firefly 639 (before the spare TCB records: 774;
+// before the bitsets: 2155, 776).
 constexpr int64_t kTenantsPeakBlocks = 2573;
-constexpr int64_t kFireflyPeakBlocks = 929;
+constexpr int64_t kFireflyPeakBlocks = 767;
 
 struct Counted {
   int64_t news = 0;
@@ -210,37 +212,64 @@ TEST(AllocBudget, TenantsShapedTraceIsPinned) {
 // starts its force pass's workers (a few allocations, as many as the host
 // has CPUs to spare, at most 4 here); the producer's tree, pass results and
 // ring slots are allocated once and counted here too.
-TEST(AllocBudget, FireflyShapedRun) {
-  constexpr int kProcessors = 6;
-  rt::HarnessConfig config;
-  config.processors = kProcessors;
-  config.seed = 5;
-  config.kernel.mode = kern::KernelMode::kSchedulerActivations;
-  rt::Harness harness(config);
+struct FireflyShape {
+  static constexpr int kProcessors = 6;
+
+  static rt::HarnessConfig Machine() {
+    rt::HarnessConfig config;
+    config.processors = kProcessors;
+    config.seed = 5;
+    config.kernel.mode = kern::KernelMode::kSchedulerActivations;
+    return config;
+  }
+
+  FireflyShape() {
+    for (int c = 0; c < 2; ++c) {
+      ult::UltConfig uc;
+      uc.max_vcpus = kProcessors;
+      runtimes.push_back(std::make_unique<ult::UltRuntime>(
+          &harness.kernel(), Name("nbody", c), ult::BackendKind::kSchedulerActivations, uc));
+      apps::NBodyConfig nc;
+      nc.bodies = 300;
+      nc.steps = 2;
+      nc.memory_percent = 60.0;
+      nc.seed = 10 + static_cast<uint64_t>(c);
+      apps.push_back(std::make_unique<apps::NBodyApp>(nc));
+      apps.back()->InstallOn(runtimes.back().get());
+      harness.AddRuntime(runtimes.back().get());
+    }
+    harness.AddDaemon("daemon", sim::Msec(20), sim::Msec(2));
+  }
+
+  rt::Harness harness{Machine()};
   std::vector<std::unique_ptr<ult::UltRuntime>> runtimes;
   std::vector<std::unique_ptr<apps::NBodyApp>> apps;
-  for (int c = 0; c < 2; ++c) {
-    ult::UltConfig uc;
-    uc.max_vcpus = kProcessors;
-    runtimes.push_back(std::make_unique<ult::UltRuntime>(
-        &harness.kernel(), Name("nbody", c), ult::BackendKind::kSchedulerActivations, uc));
-    apps::NBodyConfig nc;
-    nc.bodies = 300;
-    nc.steps = 2;
-    nc.memory_percent = 60.0;
-    nc.seed = 10 + static_cast<uint64_t>(c);
-    apps.push_back(std::make_unique<apps::NBodyApp>(nc));
-    apps.back()->InstallOn(runtimes.back().get());
-    harness.AddRuntime(runtimes.back().get());
-  }
-  harness.AddDaemon("daemon", sim::Msec(20), sim::Msec(2));
-  const Counted c = CountRun(harness);
-  for (const auto& app : apps) {
+};
+
+TEST(AllocBudget, FireflyShapedRun) {
+  FireflyShape shape;
+  const Counted c = CountRun(shape.harness);
+  for (const auto& app : shape.apps) {
     EXPECT_TRUE(app->done());
   }
   EXPECT_LE(c.per_event(), kFireflyBudget) << c.news << " allocations for " << c.events
                                            << " events";
   EXPECT_LE(c.peak_outstanding, kFireflyPeakBlocks);
+}
+
+// The same run traced, every category: the kUltReady and kUltDispatch
+// records carry TCB ids, so the pin holds each fork to the id its forking
+// processor's free list gives it, whatever record serves that id.
+TEST(AllocBudget, FireflyShapedTraceIsPinned) {
+  FireflyShape shape;
+  shape.harness.EnableTracing(trace::cat::kAll, 1u << 16);
+  const rt::RunResult result = shape.harness.TryRun();
+  ASSERT_TRUE(result.ok()) << result.diagnostics;
+  const std::vector<trace::Record> records = shape.harness.trace()->Snapshot();
+  EXPECT_EQ(shape.harness.trace()->dropped(), 0u);
+  EXPECT_EQ(records.size(), 10746u);
+  EXPECT_EQ(TraceDigest(records), 0x69d2d3da26b7f380ull);
+  EXPECT_EQ(shape.harness.engine().events_fired(), 4048u);
 }
 
 // An SA space of `threads` threads alternating ~100 µs slices with I/O

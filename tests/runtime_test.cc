@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -89,6 +90,78 @@ TEST(RuntimeBase, EveryKindOwnsItsSpaceAndCountsItsThreads) {
     EXPECT_TRUE(k.rt->AllDone()) << k.rt->name();
     EXPECT_EQ(k.rt->threads_created(), threads) << k.rt->name();
     EXPECT_EQ(k.rt->threads_finished(), threads) << k.rt->name();
+  }
+}
+
+// Counts the copies made of the closure that holds it; moves are free.
+struct CopyCounter {
+  explicit CopyCounter(int* copies) : copies(copies) {}
+  CopyCounter(const CopyCounter& other) : copies(other.copies) { ++*copies; }
+  CopyCounter(CopyCounter&& other) noexcept : copies(other.copies) {}
+  int* copies;
+};
+
+// A fork moves its body into the child: a closure built once and moved into
+// Fork or ForkLazy is never copied on its way to the child's record, under
+// kernel threads and under FastThreads on both backends.
+TEST(RuntimeBase, ForkMovesItsBodyIntoTheChild) {
+  struct Kind {
+    const char* name;
+    kern::KernelMode mode;
+    std::function<std::unique_ptr<rt::Runtime>(kern::Kernel*)> make;
+  };
+  ult::UltConfig uc;
+  uc.max_vcpus = 2;
+  const std::vector<Kind> kinds = {
+      {"topaz", kern::KernelMode::kNativeTopaz,
+       [](kern::Kernel* k) { return std::make_unique<rt::TopazRuntime>(k, "topaz"); }},
+      {"orig-ft", kern::KernelMode::kNativeTopaz,
+       [uc](kern::Kernel* k) {
+         return std::make_unique<ult::UltRuntime>(k, "orig-ft",
+                                                  ult::BackendKind::kKernelThreads, uc);
+       }},
+      {"new-ft", kern::KernelMode::kSchedulerActivations,
+       [uc](kern::Kernel* k) {
+         return std::make_unique<ult::UltRuntime>(
+             k, "new-ft", ult::BackendKind::kSchedulerActivations, uc);
+       }},
+  };
+  for (const Kind& kind : kinds) {
+    SCOPED_TRACE(kind.name);
+    rt::HarnessConfig config;
+    config.processors = 2;
+    config.kernel.mode = kind.mode;
+    rt::Harness h(config);
+    std::unique_ptr<rt::Runtime> runtime = kind.make(&h.kernel());
+    int copies = 0;
+    std::vector<int> seen;  // the copy count as each child starts
+    runtime->Spawn(
+        [&copies, &seen](rt::ThreadCtx& t) -> sim::Program {
+          std::vector<int> kids;
+          for (int i = 0; i < 6; ++i) {
+            rt::WorkloadFn body = [counter = CopyCounter(&copies),
+                                   &seen](rt::ThreadCtx& c) -> sim::Program {
+              seen.push_back(*counter.copies);
+              co_await c.Compute(sim::Usec(10));
+            };
+            int kid;
+            if (i % 2 == 0) {
+              kid = co_await t.Fork(std::move(body), "eager");
+            } else {
+              kid = co_await t.ForkLazy(std::move(body), "lazy");
+            }
+            kids.push_back(kid);
+          }
+          for (int kid : kids) {
+            co_await t.Join(kid);
+          }
+        },
+        "main");
+    h.AddRuntime(runtime.get());
+    const rt::RunResult result = h.TryRun();
+    ASSERT_TRUE(result.ok()) << result.diagnostics;
+    EXPECT_EQ(seen, std::vector<int>(6, 0));
+    EXPECT_EQ(copies, 0);
   }
 }
 

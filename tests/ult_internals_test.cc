@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "src/rt/harness.h"
 #include "src/rt/topaz_runtime.h"
 #include "src/ult/ult_runtime.h"
@@ -73,29 +76,80 @@ TEST(UltInternals, WorkStealingKeepsSecondVcpuBusy) {
 }
 
 TEST(UltInternals, TcbsAreRecycledThroughFreeLists) {
+  // Sequential fork+join: each child's TCB is freed before the next fork.
+  // On one vcpu the LIFO free list hands the same id back.  On two, main
+  // forks on vcpu 0 and each child is handed to the idle vcpu 1 and exits
+  // there, so vcpu 0's list stays empty, every child takes a fresh id and
+  // vcpu 1's list collects all 50.  Either way the records come from the
+  // space's one spare stack: two threads live at once, two records.
+  for (int vcpus = 1; vcpus <= 2; ++vcpus) {
+    SCOPED_TRACE(vcpus);
+    rt::Harness h(Config(vcpus, kern::KernelMode::kNativeTopaz));
+    UltConfig uc;
+    uc.max_vcpus = vcpus;
+    UltRuntime ft(&h.kernel(), "app", BackendKind::kKernelThreads, uc);
+    h.AddRuntime(&ft);
+    ft.Spawn(
+        [](rt::ThreadCtx& t) -> sim::Program {
+          for (int i = 0; i < 50; ++i) {
+            const int kid = co_await t.Fork(
+                [](rt::ThreadCtx& c) -> sim::Program { co_await c.Compute(sim::Usec(5)); },
+                "kid");
+            co_await t.Join(kid);
+          }
+        },
+        "main");
+    h.Run();
+    EXPECT_EQ(ft.threads_finished(), 51u);
+    EXPECT_EQ(ft.fast_threads().tcb_records(), 2u);
+    if (vcpus == 1) {
+      const size_t free_ids = ft.fast_threads().vcpu(0)->free_tcbs.size();
+      EXPECT_GE(free_ids, 1u);
+      EXPECT_LE(free_ids, 3u);
+    } else {
+      EXPECT_EQ(ft.fast_threads().vcpu(1)->free_tcbs.size(), 50u);
+    }
+  }
+}
+
+// A recycled TCB starts at priority 0 whatever thread it served before:
+// lazy frames carry no priority (promoted at 0).  Main forks and joins a
+// priority-5 child, then the beat promotes a lazy frame into that child's
+// TCB; had the TCB kept priority 5, the lazy child would run before a
+// priority-1 sibling forked after it.
+TEST(UltInternals, RecycledTcbStartsAtPriorityZero) {
   rt::Harness h(Config(1, kern::KernelMode::kNativeTopaz));
   UltConfig uc;
   uc.max_vcpus = 1;
+  uc.heartbeat_us = 50;
   UltRuntime ft(&h.kernel(), "app", BackendKind::kKernelThreads, uc);
   h.AddRuntime(&ft);
+  std::vector<std::string> order;
   ft.Spawn(
-      [](rt::ThreadCtx& t) -> sim::Program {
-        // Sequential fork+join: each child's TCB is freed before the next
-        // fork, so one TCB (plus the main's) serves all 50 children.
-        for (int i = 0; i < 50; ++i) {
-          const int kid = co_await t.Fork(
-              [](rt::ThreadCtx& c) -> sim::Program { co_await c.Compute(sim::Usec(5)); },
-              "kid");
-          co_await t.Join(kid);
-        }
+      [&order](rt::ThreadCtx& t) -> sim::Program {
+        rt::WorkloadFn high = [](rt::ThreadCtx& c) -> sim::Program {
+          co_await c.Compute(sim::Usec(10));
+        };
+        const int p5 = co_await t.Fork(std::move(high), "p5", 5);
+        co_await t.Join(p5);
+        rt::WorkloadFn lazy = [&order](rt::ThreadCtx& c) -> sim::Program {
+          order.push_back("lazy");
+          co_await c.Compute(sim::Usec(10));
+        };
+        const int lazy_tid = co_await t.ForkLazy(std::move(lazy), "lazy");
+        co_await t.Compute(sim::Usec(200));  // the beat promotes the frame
+        rt::WorkloadFn low = [&order](rt::ThreadCtx& c) -> sim::Program {
+          order.push_back("p1");
+          co_await c.Compute(sim::Usec(10));
+        };
+        const int p1 = co_await t.Fork(std::move(low), "p1", 1);
+        co_await t.Join(lazy_tid);
+        co_await t.Join(p1);
       },
       "main");
   h.Run();
-  EXPECT_EQ(ft.threads_finished(), 51u);
-  // The LIFO free list keeps the TCB population tiny.
-  Vcpu* v = ft.fast_threads().vcpu(0);
-  EXPECT_GE(v->free_tcbs.size(), 1u);
-  EXPECT_LE(v->free_tcbs.size(), 3u);
+  EXPECT_EQ(ft.fast_threads().counters().lazy_promotions, 1);
+  EXPECT_EQ(order, (std::vector<std::string>{"p1", "lazy"}));
 }
 
 TEST(UltInternals, YieldIsFairAmongPeers) {
