@@ -94,6 +94,11 @@ void Processor::BeginSpan(sim::Duration d, SpanMode mode, bool preemptible,
 }
 
 void Processor::EndSpan() {
+  if (open_) {
+    sim::Callback at_deadline = std::move(on_complete_);
+    at_deadline();
+    return;
+  }
   AccumulateTo(engine_->now());
   span_active_ = false;
   engine_->TraceEmit(trace::cat::kProcessor, trace::Kind::kSpanEnd, id_, -1,
@@ -111,7 +116,8 @@ void Processor::Resume(SavedSpan& saved) {
             std::move(span.on_complete));
 }
 
-void Processor::BeginOpenSpan(SpanMode mode) {
+void Processor::BeginOpenSpan(SpanMode mode, sim::Duration deadline,
+                              sim::Callback at_deadline) {
   SA_CHECK_MSG(!span_active_, "processor already executing a span");
   if (interrupt_latched_) {
     interrupt_latched_ = false;
@@ -130,10 +136,22 @@ void Processor::BeginOpenSpan(SpanMode mode) {
   span_start_ = engine_->now();
   engine_->TraceEmit(trace::cat::kProcessor, trace::Kind::kSpanOpen, id_, -1,
                      static_cast<uint64_t>(mode), 0);
+  if (at_deadline != nullptr) {
+    on_complete_ = std::move(at_deadline);
+    engine_->ArmTimer(span_end_, span_start_ + deadline);
+  }
+}
+
+void Processor::DropDeadline() {
+  if (on_complete_ != nullptr) {
+    engine_->DisarmTimer(span_end_);
+    on_complete_ = nullptr;
+  }
 }
 
 void Processor::EndOpenSpan() {
   SA_CHECK_MSG(span_active_ && open_, "no open span to end");
+  DropDeadline();
   AccumulateTo(engine_->now());
   span_active_ = false;
   open_ = false;
@@ -150,6 +168,7 @@ void Processor::RequestInterrupt() {
     return;
   }
   if (open_) {
+    DropDeadline();
     Interrupt irq;
     irq.span.mode = mode_;
     irq.elapsed = engine_->now() - span_start_;

@@ -17,7 +17,12 @@
 // time, and span ends are most of a run's events, so a span costs no event
 // slot, no callback move into the engine and no heap push or pop.  The arm
 // takes the engine's next sequence number, as a scheduled completion did,
-// so span ends fire in the same (at, seq) order among all events.
+// so span ends fire in the same (at, seq) order among all events.  An open
+// span may have a deadline on the same timer: a user-level idle loop that
+// spins for a while before it gives its processor back (FastThreads' idle
+// hysteresis, Section 4.2).  At the deadline its callback runs with the
+// span still open and ends it; ending or preempting the span first
+// withdraws the deadline.
 //
 // Time spent is accounted per SpanMode so experiments can report processor
 // busy/spin/idle breakdowns.
@@ -111,10 +116,16 @@ class Processor {
   void Resume(SavedSpan& saved);
 
   // Begins an open-ended busy span (spin or user-level idle loop); always
-  // preemptible.  If an interrupt is latched it fires immediately.
-  void BeginOpenSpan(SpanMode mode);
+  // preemptible.  If an interrupt is latched it fires immediately instead,
+  // and nothing is armed.  With `at_deadline`, the span has a deadline
+  // `deadline` after it begins: `at_deadline` runs then, once, with the
+  // span still open, unless the span ended or was preempted first.  It
+  // passes no span-end check, and emits no trace record of its own.
+  void BeginOpenSpan(SpanMode mode, sim::Duration deadline = 0,
+                     sim::Callback at_deadline = nullptr);
 
-  // Ends an open span from outside (work arrived / lock granted).
+  // Ends an open span from outside (work arrived / lock granted, or its
+  // deadline's callback), withdrawing its deadline.
   void EndOpenSpan();
 
   // Kernel-initiated preemption.  Synchronously fires the interrupt handler
@@ -138,8 +149,11 @@ class Processor {
   void AccumulateTo(sim::Time now);
   void FireInterrupt(Interrupt irq);
   // The span-end timer's handler: closes the timed span and runs its
-  // continuation, unless the span-end check drops it.
+  // continuation, unless the span-end check drops it; or runs an open
+  // span's deadline callback.
   void EndSpan();
+  // Withdraws the open span's deadline, if it has one.
+  void DropDeadline();
 
   sim::Engine* engine_;
   const int id_;
@@ -155,6 +169,7 @@ class Processor {
   SpanMode mode_ = SpanMode::kIdle;
   sim::Time span_start_ = 0;
   sim::Duration span_duration_ = 0;
+  // A timed span's continuation, or an open span's deadline callback.
   sim::Callback on_complete_;
 
   bool interrupt_latched_ = false;

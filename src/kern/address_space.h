@@ -113,13 +113,14 @@ class AddressSpace {
   bool hung() const { return hung_; }
   void set_hung(bool h) { hung_ = h; }
   // The reaper's state for this space (owned by kern::SpaceReaper): the
-  // hang watchdog, and the post-mortem record while kTearingDown.  Reset
-  // when the teardown finishes.
+  // hang watchdog, and the post-mortem record while kTearingDown.  The
+  // pings and the record are reset when the teardown finishes.
   struct ReapState {
     int pings = 0;  // consecutive missed ack deadlines
-    // Pending while an upcall is outstanding and an ack expected; the ack
-    // cancels it.
-    sim::EventId deadline = sim::kNoEvent;
+    // The ack deadline, a timer added with the space only when hang
+    // detection is on: armed while an upcall is outstanding and an ack
+    // expected; the ack disarms it.
+    sim::TimerId deadline = sim::kNoTimer;
     TeardownRecord record;
   };
   ReapState& reap_state() { return reap_state_; }
@@ -202,10 +203,11 @@ class AddressSpace {
     int borrowed_in = 0;  // processors this space holds on loan
     // Dip hysteresis (kernel-thread lenders): armed when demand dips below
     // holdings, ripe once the window expires without the demand returning.
-    // Whatever clears dip_armed first cancels the pending window.
+    // Whatever clears dip_armed first disarms the window's timer, which
+    // the allocator adds with the space.
     bool dip_armed = false;
     bool dip_ripe = false;
-    sim::EventId dip_window = sim::kNoEvent;
+    sim::TimerId dip_window = sim::kNoTimer;
     // Lifetime totals for per-space reporting.
     int64_t lends = 0;     // loans this space granted as lender
     int64_t borrows = 0;   // loans this space received as borrower

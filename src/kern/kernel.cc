@@ -18,6 +18,8 @@ Kernel::Kernel(hw::Machine* machine, Config config)
         [this](hw::Processor* proc, hw::Interrupt irq) { OnInterrupt(proc, std::move(irq)); });
     machine_->processor(i)->set_span_end_check(
         [this](hw::Processor* proc) { return StopIfReaped(proc); });
+    quantum_.push_back(
+        engine().AddTimer([this, proc = machine_->processor(i)] { OnQuantumFire(proc); }));
   }
   if (config_.lending) {
     SA_CHECK_MSG(config_.mode == KernelMode::kSchedulerActivations,
@@ -60,6 +62,7 @@ AddressSpace* Kernel::CreateAddressSpace(const std::string& name, AsMode mode, i
   if (allocator_ != nullptr) {
     allocator_->RegisterSpace(raw);
   }
+  reaper_->AddWatchdog(raw);
   return raw;
 }
 
@@ -67,9 +70,6 @@ KThread* Kernel::CreateThread(AddressSpace* as, KThreadHost* host, void* host_da
   // Ids count up whether or not the record is new, so traces do not tell.
   KThread* kt = as->TakeExited();
   if (kt != nullptr) {
-    // Its exit cancelled its time-slice timer, so no timer of the thread it
-    // served can reach the new one.
-    SA_CHECK(!engine().pending(kt->quantum_timer()));
     kt->Reincarnate(next_thread_id_++, host);
   } else {
     kt = as->AddThread(std::make_unique<KThread>(next_thread_id_++, as, host));
@@ -230,9 +230,7 @@ sim::Duration Kernel::NoteMigration(hw::Processor* proc, const KThread* kt) {
 
 void Kernel::MarkRunning(hw::Processor* proc, KThread* kt) {
   // The thread counts as running from here, through the dispatch's kernel
-  // span, so a time-slice timer left from its last dispatch goes now: fired
-  // inside the span, it would slice the new dispatch before its quantum.
-  engine().Cancel(kt->quantum_timer());
+  // span; its time slice starts where the span ends (RunThread).
   running_[static_cast<size_t>(proc->id())] = kt;
   kt->set_processor(proc);
   kt->set_state(KThreadState::kRunning);
@@ -251,7 +249,7 @@ void Kernel::ChargeDispatchAndRun(hw::Processor* proc, KThread* kt) {
 }
 
 void Kernel::RunThread(KThread* kt) {
-  ArmQuantum(kt->processor(), kt);  // a new dispatch, a new quantum
+  ArmQuantum(kt->processor());  // a new dispatch, a new quantum
   kt->host()->RunOn(kt);
 }
 
@@ -266,30 +264,30 @@ void Kernel::RunContextOn(hw::Processor* proc, KThread* kt, sim::Duration extra_
   }
 }
 
-void Kernel::ArmQuantum(hw::Processor* proc, KThread* kt) {
+void Kernel::ArmQuantum(hw::Processor* proc) {
   if (QueueOfProcessor(proc) == nullptr) {
     return;  // processor controlled by scheduler activations: no time-slicing
   }
-  const int proc_id = proc->id();
-  auto fire = [this, kt, proc_id] { OnQuantumFire(proc_id, kt); };
-  static_assert(sizeof(fire) <= 24, "a quantum timer fits sim::Callback's inline bytes");
-  kt->set_quantum_timer(engine().ScheduleIn(costs().kt_quantum, std::move(fire)));
+  engine().ArmTimer(quantum_[static_cast<size_t>(proc->id())],
+                    engine().now() + costs().kt_quantum);
 }
 
-void Kernel::OnQuantumFire(int proc_id, KThread* kt) {
-  hw::Processor* proc = machine_->processor(proc_id);
-  if (running_on(proc) != kt || kt->state() != KThreadState::kRunning) {
-    return;  // the thread left the processor and was not dispatched again
+void Kernel::OnQuantumFire(hw::Processor* proc) {
+  KThread* kt = running_on(proc);
+  SA_DCHECK(kt != nullptr);  // ClearRunning disarms the time slice
+  if (kt->state() != KThreadState::kRunning) {
+    return;  // killed by a teardown that has not yet cleared the processor
   }
   const ReadyQueue* ready = QueueOfProcessor(proc);
   if (ready == nullptr) {
     return;
   }
+  const int proc_id = proc->id();
   if (ready->empty() || pending_[static_cast<size_t>(proc_id)].kind !=
                             PendingAction::Kind::kNone) {
     // Nothing to rotate to (or the processor is already being preempted);
     // check again a quantum later.
-    ArmQuantum(proc, kt);
+    ArmQuantum(proc);
     return;
   }
   ++counters_.timeslices;
@@ -552,7 +550,6 @@ void Kernel::SysExit(KThread* caller) {
   proc->BeginKernelSpan(
       costs().kernel_trap + ExitCost(caller->address_space()), [this, caller, proc] {
         caller->set_state(KThreadState::kDead);
-        engine().Cancel(caller->quantum_timer());  // a dead thread is not time-sliced
         --live_threads_;
         AddressSpace* as = caller->address_space();
         --as->runnable_threads;
@@ -695,8 +692,8 @@ void Kernel::ScheduleIoCompletion(KThread* kt) {
 
 void Kernel::FinishIo(KThread* kt) {
   if (kt->address_space()->reaped()) {
-    // Lazy cancellation: the completion event outlived its space.  The
-    // thread is already dead, so the result has no consumer — discard.
+    // The completion event outlived its space.  The thread is already
+    // dead, so the result has no consumer — discard.
     reaper_->NoteIoDiscarded(kt);
     return;
   }

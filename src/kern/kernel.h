@@ -262,9 +262,12 @@ class Kernel {
   // RunOn after charging `dispatch_cost`).  Used by SA upcall delivery.
   void RunContextOn(hw::Processor* proc, KThread* kt, sim::Duration extra_kernel_cost);
   // Clears the running marker (processor going idle or leaving kernel
-  // control).
+  // control).  The one place a thread leaves a processor, so its time slice
+  // ends here.
   void ClearRunning(hw::Processor* proc) {
-    running_[static_cast<size_t>(proc->id())] = nullptr;
+    const size_t pid = static_cast<size_t>(proc->id());
+    running_[pid] = nullptr;
+    engine().DisarmTimer(quantum_[pid]);
   }
 
   // The space the explicit allocator has given `proc` to: null while it is
@@ -313,9 +316,11 @@ class Kernel {
   void MarkRunning(hw::Processor* proc, KThread* kt);
   void ChargeDispatchAndRun(hw::Processor* proc, KThread* kt);
   void RunThread(KThread* kt);
-  void ArmQuantum(hw::Processor* proc, KThread* kt);
-  // A time slice of `kt` ended on processor `proc_id`.
-  void OnQuantumFire(int proc_id, KThread* kt);
+  // Starts a time slice on `proc` (a kernel-thread processor), replacing
+  // the one it had.
+  void ArmQuantum(hw::Processor* proc);
+  // The time slice of the thread running on `proc` ended.
+  void OnQuantumFire(hw::Processor* proc);
   void OnIoComplete(KThread* kt);
   // Schedules the completion of `kt`'s device wait, its latency from now.
   // With an active injector and an injectable wait, the completion may fail
@@ -388,6 +393,7 @@ class Kernel {
 
   std::vector<std::unique_ptr<AddressSpace>> spaces_;
   std::vector<KThread*> running_;           // per processor id
+  std::vector<sim::TimerId> quantum_;       // time-slice timer, per processor id
   std::vector<PendingAction> pending_;      // per processor id
   std::vector<Call> calls_;                 // per processor id
   ReadyQueue global_ready_;                 // native mode

@@ -31,7 +31,6 @@ void KThread::Reincarnate(int64_t id, KThreadHost* host) {
   state_ = KThreadState::kBorn;
   processor_ = nullptr;
   host_data_ = nullptr;
-  quantum_timer_ = sim::kNoEvent;
   device_wait_ = {};
   io_failed_ = false;
 }

@@ -79,7 +79,6 @@ class KThread {
 
   // Makes an exited thread's record a new, unborn thread `id` of the same
   // space (Kernel::CreateThread reuses records so they follow live threads).
-  // The old thread's exit cancelled its time-slice timer.
   void Reincarnate(int64_t id, KThreadHost* host);
 
   int64_t id() const { return id_; }
@@ -133,12 +132,6 @@ class KThread {
   void set_activation(core::Activation* a) { activation_ = a; }
   bool is_activation() const { return activation_ != nullptr; }
 
-  // The time-slice timer of the current dispatch (sim::kNoEvent if none).
-  // The kernel cancels it when it dispatches the thread again; an exited
-  // thread leaves it armed.
-  sim::EventId quantum_timer() const { return quantum_timer_; }
-  void set_quantum_timer(sim::EventId id) { quantum_timer_ = id; }
-
   // Scheduler linkage (ready queues, wait queues).
   common::ListNode queue_node;
 
@@ -152,7 +145,6 @@ class KThread {
   void* host_data_ = nullptr;
   hw::SavedSpan saved_span_;
   core::Activation* activation_ = nullptr;
-  sim::EventId quantum_timer_ = sim::kNoEvent;
   DeviceWait device_wait_;
   bool io_failed_ = false;
 };

@@ -21,6 +21,12 @@ ProcessorAllocator::ProcessorAllocator(Kernel* kernel)
     Slot& slot = slots_[static_cast<size_t>(i)];
     slot.proc = kernel->machine()->processor(i);
     free_.PushBack(&slot);
+    if (lending_enabled()) {
+      Slot* s = &slot;
+      sim::Engine& engine = kernel->engine();
+      slot.reclaim_issue = engine.AddTimer([this, s] { IssueReclaimIpi(s->loan); });
+      slot.reclaim_deadline = engine.AddTimer([this, s] { OnLoanDeadline(s->loan); });
+    }
   }
 }
 
@@ -81,6 +87,10 @@ void ProcessorAllocator::RegisterSpace(AddressSpace* as) {
   st.demand = 0;
   if (as->desired_processors() != 0) {
     RecordDemand(as);
+  }
+  if (lending_enabled()) {
+    as->loan_state().dip_window =
+        kernel_->engine().AddTimer([this, as] { OnDipDeadline(as); });
   }
 }
 
@@ -721,12 +731,12 @@ void ProcessorAllocator::ReleaseSpace(AddressSpace* as) {
   st.stats = SpaceAllocStats{};
   // Loans touching the space were settled by ResolveLoansForTeardown (the
   // conservation report checks loaned_out/borrowed_in are zero); wipe the
-  // dip machinery and cancel a pending dip window.  Lifetime lend/borrow
+  // dip machinery and disarm a pending dip window.  Lifetime lend/borrow
   // totals survive for reporting.
   lendable_.Erase(as->id());
   as->loan_state().dip_armed = false;
   as->loan_state().dip_ripe = false;
-  kernel_->engine().Cancel(as->loan_state().dip_window);
+  kernel_->engine().DisarmTimer(as->loan_state().dip_window);
   // Leave the tier.
   Tier& tier = TierOf(as);
   if (st.pending_refresh) {
@@ -809,14 +819,13 @@ void ProcessorAllocator::UpdateLoanStateOnDesired(AddressSpace* as) {
   if (desired >= Entitled(as)) {
     ls.dip_armed = false;
     ls.dip_ripe = false;
-    kernel_->engine().Cancel(ls.dip_window);
+    kernel_->engine().DisarmTimer(ls.dip_window);
     lendable_.Erase(as->id());
     return;
   }
   if (!ls.dip_armed && !ls.dip_ripe) {
     ls.dip_armed = true;
-    ls.dip_window =
-        kernel_->engine().ScheduleIn(kDipHysteresis, [this, as] { OnDipDeadline(as); });
+    kernel_->engine().ArmTimer(ls.dip_window, kernel_->engine().now() + kDipHysteresis);
   }
 }
 
@@ -825,7 +834,7 @@ void ProcessorAllocator::OnDipDeadline(AddressSpace* as) {
     return;
   }
   AddressSpace::LoanState& ls = as->loan_state();
-  SA_DCHECK(ls.dip_armed);  // clearing the flag cancels the window
+  SA_DCHECK(ls.dip_armed);  // clearing the flag disarms the window
   ls.dip_armed = false;
   ls.dip_ripe = true;
   lendable_.Insert(as->id());
@@ -980,12 +989,6 @@ ProcessorAllocator::Loan* ProcessorAllocator::NewestLoanOf(const AddressSpace* l
   return pick;
 }
 
-ProcessorAllocator::Loan& ProcessorAllocator::LoanAt(int proc_id, uint64_t epoch) {
-  Loan& loan = slots_[static_cast<size_t>(proc_id)].loan;
-  SA_CHECK(loan.open() && loan.epoch == epoch);
-  return loan;
-}
-
 void ProcessorAllocator::ReclaimLoans(AddressSpace* lender, int k) {
   for (int i = 0; i < k; ++i) {
     Loan* loan = NewestLoanOf(lender);
@@ -1011,10 +1014,8 @@ void ProcessorAllocator::ReclaimLoans(AddressSpace* lender, int k) {
     const sim::Duration delay =
         injector != nullptr ? injector->LoanReclaimDelay() : 0;
     if (delay > 0) {
-      const int pid = loan->proc->id();
-      const uint64_t epoch = loan->epoch;
-      loan->issue = kernel_->engine().ScheduleIn(
-          delay, [this, pid, epoch] { IssueReclaimIpi(LoanAt(pid, epoch)); });
+      kernel_->engine().ArmTimer(SlotOf(loan->proc).reclaim_issue,
+                                 kernel_->engine().now() + delay);
     } else if (!IssueReclaimIpi(*loan)) {
       continue;
     }
@@ -1023,6 +1024,7 @@ void ProcessorAllocator::ReclaimLoans(AddressSpace* lender, int k) {
 }
 
 bool ProcessorAllocator::IssueReclaimIpi(Loan& loan) {
+  SA_CHECK(loan.open());
   loan.ipi_sent = true;
   if (kernel_->IdleInKernel(loan.proc)) {
     // The borrower went idle while the issue (or an injected delay) was
@@ -1062,14 +1064,12 @@ void ProcessorAllocator::OnLoanReclaimComplete(hw::Processor* proc) {
 
 void ProcessorAllocator::ArmLoanDeadline(Loan& loan) {
   // The deadline doubles per unanswered ping (space_reaper's ladder shape).
-  const int pid = loan.proc->id();
-  const uint64_t epoch = loan.epoch;
-  loan.deadline = kernel_->engine().ScheduleIn(
-      kReclaimDeadline << loan.pings,
-      [this, pid, epoch] { OnLoanDeadline(LoanAt(pid, epoch)); });
+  kernel_->engine().ArmTimer(SlotOf(loan.proc).reclaim_deadline,
+                             kernel_->engine().now() + (kReclaimDeadline << loan.pings));
 }
 
 void ProcessorAllocator::OnLoanDeadline(Loan& loan) {
+  SA_CHECK(loan.open());
   ++loan.pings;
   ++kernel_->counters().loan_deadline_pings;
   kernel_->engine().TraceEmit(trace::cat::kLending, trace::Kind::kLoanDeadlinePing,
@@ -1117,11 +1117,11 @@ void ProcessorAllocator::AdoptLoan(Loan loan) {
 }
 
 void ProcessorAllocator::CloseLoan(Loan loan, int reason) {
-  Loan& open = SlotOf(loan.proc).loan;
-  SA_CHECK(open.open() && open.epoch == loan.epoch);
-  open = Loan{};
-  kernel_->engine().Cancel(loan.issue);
-  kernel_->engine().Cancel(loan.deadline);
+  Slot& slot = SlotOf(loan.proc);
+  SA_CHECK(slot.loan.open() && slot.loan.epoch == loan.epoch);
+  slot.loan = Loan{};
+  kernel_->engine().DisarmTimer(slot.reclaim_issue);
+  kernel_->engine().DisarmTimer(slot.reclaim_deadline);
   AddressSpace* lender = loan.lender;
   AddressSpace* borrower = loan.borrower;
   SA_CHECK(lender->loan_state().loaned_out > 0);

@@ -230,7 +230,7 @@ class ProcessorAllocator {
 
   // One open loan, kept in its processor's slot: at most one per processor
   // (no chains: a borrower never re-lends).  A loan opens one way
-  // (OpenLoan) and closes in CloseLoan, which cancels its timers.
+  // (OpenLoan) and closes in CloseLoan, which disarms its slot's timers.
   struct Loan {
     hw::Processor* proc = nullptr;
     AddressSpace* lender = nullptr;  // null: no loan open
@@ -243,9 +243,6 @@ class ProcessorAllocator {
     bool ipi_sent = false;  // the reclaim interrupt has actually been issued
                             // (false while an injected delay holds it back)
     int pings = 0;          // unanswered reclaim-deadline watchdog pings
-    sim::EventId issue = sim::kNoEvent;     // reclaim interrupt held back by
-                                            // an injected delay
-    sim::EventId deadline = sim::kNoEvent;  // reclaim-deadline watchdog
 
     bool open() const { return lender != nullptr; }
   };
@@ -265,6 +262,12 @@ class ProcessorAllocator {
     // lands.
     AddressSpace* land_with = nullptr;
     sim::Time land_issued_at = -1;
+    // The open loan's timers, added only with Config::lending: the reclaim
+    // interrupt an injected delay holds back, and the reclaim-deadline
+    // watchdog.  CloseLoan disarms both, so a firing one finds the loan
+    // open.
+    sim::TimerId reclaim_issue = sim::kNoTimer;
+    sim::TimerId reclaim_deadline = sim::kNoTimer;
   };
 
   Slot& SlotOf(const hw::Processor* proc) {
@@ -289,7 +292,7 @@ class ProcessorAllocator {
   // floor is what keeps §4.1 from revoking a dipped lender's surplus before
   // the hysteresis expires or the loan recall lands).
   int EffectiveDemand(const AddressSpace* as) const;
-  // SetDesired pre-pass: recalls loans when demand returns, arms/cancels
+  // SetDesired pre-pass: recalls loans when demand returns, arms/disarms
   // the kt dip-hysteresis window.  No-op when lending is off.
   void UpdateLoanStateOnDesired(AddressSpace* as);
   void OnDipDeadline(AddressSpace* as);
@@ -303,9 +306,6 @@ class ProcessorAllocator {
                 KThread* stopped);
   // `lender`'s newest loan not already being recalled, or null.
   Loan* NewestLoanOf(const AddressSpace* lender);
-  // The open loan on processor `proc_id`, which must be the one named
-  // `epoch`: a loan's timers die with it, so a firing timer finds it open.
-  Loan& LoanAt(int proc_id, uint64_t epoch);
   // Recalls up to `k` of `lender`'s loans, newest first.  Idle borrower
   // processors come back synchronously (the instant-reclaim fast path);
   // busy ones get a kLoanReclaim preemption with a deadline watchdog.
@@ -325,7 +325,7 @@ class ProcessorAllocator {
   // absorbs it.  Used when §4.1 wants the lender's capacity back for a
   // higher claim, and when a lender dies.
   void AdoptLoan(Loan loan);
-  // Closes the ledger entry and both sides' counters and cancels the loan's
+  // Closes the ledger entry and both sides' counters and disarms the loan's
   // timers.  `reason` feeds the kLoanReturn trace record (-1: adoption, no
   // record); a recalled loan that returns its processor counts in
   // loans_reclaimed, and in loans_reclaimed_fast as kReclaimFast.

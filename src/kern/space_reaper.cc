@@ -61,7 +61,7 @@ void SpaceReaper::InjectHang(AddressSpace* as) {
   as->set_hung(true);
   if (hang_detection_) {
     AddressSpace::ReapState& w = as->reap_state();
-    if (!kernel_->engine().pending(w.deadline)) {
+    if (!kernel_->engine().timer_armed(w.deadline)) {
       w.pings = 0;
       ArmDeadline(as);
     }
@@ -72,12 +72,28 @@ void SpaceReaper::InjectHang(AddressSpace* as) {
 // Hang watchdog.
 // ---------------------------------------------------------------------------
 
+void SpaceReaper::EnableHangDetection() {
+  if (hang_detection_) {
+    return;
+  }
+  hang_detection_ = true;
+  for (const auto& as : kernel_->spaces()) {
+    AddWatchdog(as.get());
+  }
+}
+
+void SpaceReaper::AddWatchdog(AddressSpace* as) {
+  if (hang_detection_) {
+    as->reap_state().deadline = kernel_->engine().AddTimer([this, as] { OnDeadline(as); });
+  }
+}
+
 void SpaceReaper::WatchUpcall(AddressSpace* as) {
   if (!hang_detection_ || as->reaped()) {
     return;
   }
   AddressSpace::ReapState& w = as->reap_state();
-  if (kernel_->engine().pending(w.deadline)) {
+  if (kernel_->engine().timer_armed(w.deadline)) {
     return;  // a deadline is already armed for an earlier delivery
   }
   w.pings = 0;
@@ -89,13 +105,12 @@ void SpaceReaper::AckUpcalls(AddressSpace* as) {
     return;
   }
   as->reap_state().pings = 0;
-  kernel_->engine().Cancel(as->reap_state().deadline);
+  kernel_->engine().DisarmTimer(as->reap_state().deadline);
 }
 
 void SpaceReaper::ArmDeadline(AddressSpace* as) {
   AddressSpace::ReapState& w = as->reap_state();
-  w.deadline = kernel_->engine().ScheduleIn(kAckDeadlineBase << w.pings,
-                                            [this, as] { OnDeadline(as); });
+  kernel_->engine().ArmTimer(w.deadline, kernel_->engine().now() + (kAckDeadlineBase << w.pings));
 }
 
 void SpaceReaper::OnDeadline(AddressSpace* as) {
@@ -279,7 +294,9 @@ void SpaceReaper::NoteIoDiscarded(const KThread* kt) {
 
 void SpaceReaper::FinishTeardown(AddressSpace* as) {
   SA_CHECK(as->lifecycle() == AsLifecycle::kTearingDown);
-  TeardownRecord rec = std::exchange(as->reap_state(), {}).record;
+  AddressSpace::ReapState& w = as->reap_state();
+  TeardownRecord rec = std::exchange(w.record, {});
+  w.pings = 0;
   as->set_lifecycle(AsLifecycle::kDead);
   rec.end = kernel_->engine().now();
 

@@ -72,9 +72,14 @@ class SpaceReaper {
   SpaceReaper(const SpaceReaper&) = delete;
   SpaceReaper& operator=(const SpaceReaper&) = delete;
 
-  // Arms the watchdog machinery.  Off by default so runs without lifecycle
-  // faults schedule no watchdog events (zero-perturbation guarantee).
-  void EnableHangDetection() { hang_detection_ = true; }
+  // Arms the watchdog machinery: every space, those created from now on
+  // too, gets an ack-deadline timer.  Off by default so runs without
+  // lifecycle faults add no watchdog timers and fire no watchdog events
+  // (zero-perturbation guarantee).
+  void EnableHangDetection();
+  // Adds `as`'s ack-deadline timer when hang detection is on (the kernel
+  // calls it for every space it creates).
+  void AddWatchdog(AddressSpace* as);
 
   // --- fault entry points (driven by the harness fault plan) ---
   void InjectCrash(AddressSpace* as);

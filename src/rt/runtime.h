@@ -4,6 +4,7 @@
 #ifndef SA_RT_RUNTIME_H_
 #define SA_RT_RUNTIME_H_
 
+#include <array>
 #include <memory>
 #include <string>
 #include <vector>
@@ -56,11 +57,18 @@ struct WorkThread {
 // runtime releases its record and the next Create reuses it, so records
 // follow the peak number of live threads, not every thread ever run.  A
 // continuation therefore never holds a record across a span; it names a
-// thread that may finish meanwhile by tid (Finished, Join).
+// thread that may finish meanwhile by tid (Finished, Join).  The tid index
+// is kept in blocks of kBlockTids tids, and a block is freed once every tid
+// in it is released, so the index too follows the live threads (and the
+// blocks of long-lived ones) rather than every tid handed out.
 class ThreadTable {
  public:
+  // Small, since every runtime holds at least one block: 1,024 tenant
+  // runtimes of ~56 threads each hold about what their vectors did.
+  static constexpr size_t kBlockTids = 64;
+
   WorkThread* Create(WorkloadFn fn, std::string name) {
-    const int tid = static_cast<int>(by_tid_.size());
+    const int tid = static_cast<int>(size_);
     WorkThread* w;
     if (free_.empty()) {
       records_.push_back(std::make_unique<WorkThread>(tid, std::move(fn), std::move(name)));
@@ -75,7 +83,12 @@ class ThreadTable {
       w->finished = false;
       w->impl = nullptr;
     }
-    by_tid_.push_back(w);
+    if (size_ % kBlockTids == 0) {
+      blocks_.push_back(std::make_unique<Block>());
+      ++live_blocks_;
+    }
+    blocks_.back()->tids[size_ % kBlockTids] = w;
+    ++size_;
     return w;
   }
   // True once thread `tid` finished, even if its record serves another
@@ -101,45 +114,68 @@ class ThreadTable {
       ++*finish_counter_;
     }
   }
-  // Takes back a finished thread's record for reuse.  Its coroutine frame
-  // goes before its closure, since a lambda body reads its captures through
-  // the closure.
+  // Takes back a finished thread's record for reuse, and frees its tid's
+  // block once every tid in it is released.  Its coroutine frame goes
+  // before its closure, since a lambda body reads its captures through the
+  // closure.
   void Release(WorkThread* w) {
     SA_CHECK(w->finished && w->joiners.empty());
-    by_tid_[static_cast<size_t>(w->tid())] = nullptr;
+    const auto tid = static_cast<size_t>(w->tid());
+    std::unique_ptr<Block>& block = blocks_[tid / kBlockTids];
+    block->tids[tid % kBlockTids] = nullptr;
+    if (++block->released == kBlockTids) {
+      block.reset();
+      --live_blocks_;
+    }
     w->prog = sim::Program();
     w->fn = nullptr;
     free_.push_back(w);
   }
-  size_t size() const { return by_tid_.size(); }          // threads created
-  size_t records() const { return records_.size(); }      // records made
+  size_t size() const { return size_; }                // threads created
+  size_t records() const { return records_.size(); }  // records made
   size_t finished() const { return finished_; }
-  bool AllFinished() const { return finished_ == by_tid_.size(); }
+  size_t index_blocks() const { return live_blocks_; }  // tid blocks held
+  bool AllFinished() const { return finished_ == size_; }
   // Also counts every thread that finishes from now on into `*counter`.
   void CountFinishesInto(size_t* counter) { finish_counter_ = counter; }
 
   // One line per unfinished thread (tid, name, pending op) appended to
   // `out` — the per-runtime thread state in harness failure diagnostics.
   void DescribeUnfinished(std::string* out) const {
-    for (const WorkThread* t : by_tid_) {
-      if (t == nullptr || t->finished) {
+    for (const auto& block : blocks_) {
+      if (block == nullptr) {
         continue;
       }
-      *out += "  thread " + std::to_string(t->tid()) + " (" + t->name + "): " +
-              (t->started ? OpKindName(t->ctx.op.kind) : "not started");
-      *out += "\n";
+      for (const WorkThread* t : block->tids) {
+        if (t == nullptr || t->finished) {
+          continue;
+        }
+        *out += "  thread " + std::to_string(t->tid()) + " (" + t->name + "): " +
+                (t->started ? OpKindName(t->ctx.op.kind) : "not started");
+        *out += "\n";
+      }
     }
   }
 
  private:
+  // The records of kBlockTids consecutive tids, each null until its thread
+  // is created and once it is released.
+  struct Block {
+    std::array<WorkThread*, kBlockTids> tids{};
+    size_t released = 0;
+  };
+
   // Thread `tid`'s record; null once the thread finished and its record was
   // released.
   WorkThread* Find(int tid) const {
-    SA_CHECK(tid >= 0 && tid < static_cast<int>(by_tid_.size()));
-    return by_tid_[static_cast<size_t>(tid)];
+    SA_CHECK(tid >= 0 && static_cast<size_t>(tid) < size_);
+    const Block* block = blocks_[static_cast<size_t>(tid) / kBlockTids].get();
+    return block == nullptr ? nullptr : block->tids[static_cast<size_t>(tid) % kBlockTids];
   }
 
-  std::vector<WorkThread*> by_tid_;                   // null once released
+  std::vector<std::unique_ptr<Block>> blocks_;        // by tid / kBlockTids; null once freed
+  size_t size_ = 0;                                   // threads created
+  size_t live_blocks_ = 0;
   std::vector<std::unique_ptr<WorkThread>> records_;  // owns every record
   std::vector<WorkThread*> free_;                     // released records
   size_t finished_ = 0;

@@ -5,13 +5,6 @@
 #include <utility>
 
 namespace sa::sim {
-namespace {
-
-// Heaps smaller than this are never compacted: the dead entries cost less
-// than the rebuild.
-constexpr size_t kCompactMinSize = 64;
-
-}  // namespace
 
 std::string FormatDuration(Duration d) {
   char buf[64];
@@ -29,56 +22,21 @@ std::string FormatDuration(Duration d) {
   return buf;
 }
 
-EventId Engine::Schedule(Time at, Callback fn) {
+void Engine::Schedule(Time at, Callback fn) {
   SA_CHECK_MSG(at >= now_, "event scheduled in the past");
-  SA_CHECK_MSG(next_seq_ < (uint64_t{1} << (64 - kSlotBits)), "event sequence overflow");
   uint32_t slot;
   if (free_slots_.empty()) {
     SA_CHECK_MSG(slots_.size() <= kSlotMask, "too many pending events");
     slot = static_cast<uint32_t>(slots_.size());
-    slots_.emplace_back();
+    slots_.emplace_back(std::move(fn));
   } else {
     slot = free_slots_.back();
     free_slots_.pop_back();
+    slots_[slot] = std::move(fn);
   }
-  const EventId id = next_seq_++ << kSlotBits | slot;
-  slots_[slot].id = id;
-  slots_[slot].fn = std::move(fn);
-  const Key key = MakeKey(at, id);
+  const Key key = NewKey(at, slot);
   heap_.push_back(key);
   SiftUp(heap_.size() - 1, key);
-  ++live_events_;
-  return id;
-}
-
-Callback Engine::Release(EventId id) {
-  const auto slot = static_cast<uint32_t>(id & kSlotMask);
-  slots_[slot].id = kNoEvent;
-  free_slots_.push_back(slot);
-  --live_events_;
-  return std::move(slots_[slot].fn);
-}
-
-bool Engine::Cancel(EventId id) {
-  if (!pending(id)) {
-    return false;
-  }
-  Release(id);  // the callback is destroyed unrun
-  MaybeCompact();
-  return true;
-}
-
-void Engine::MaybeCompact() {
-  const size_t dead = heap_.size() - live_events_;
-  if (heap_.size() < kCompactMinSize || dead * 2 <= heap_.size()) {
-    return;
-  }
-  std::erase_if(heap_, [this](Key k) { return !live(k); });
-  // Heapify: sift every key down, last first (a leaf stays where it is).
-  for (size_t i = heap_.size(); i-- > 0;) {
-    SiftDown(i, heap_[i]);
-  }
-  SA_DCHECK(heap_.size() == live_events_);
 }
 
 void Engine::SiftUp(size_t i, Key k) {
@@ -127,29 +85,19 @@ void Engine::SiftDown(size_t i, Key k) {
   h[i] = k;
 }
 
-Engine::Key Engine::PopMin() {
-  const Key min = heap_.front();
+void Engine::FireTop() {
+  const Key top = heap_.front();
   const Key last = heap_.back();
   heap_.pop_back();
   if (!heap_.empty()) {
     SiftDown(0, last);
   }
-  return min;
-}
-
-bool Engine::DropDeadTop() {
-  while (!heap_.empty() && !live(heap_.front())) {
-    PopMin();
-  }
-  return !heap_.empty();
-}
-
-void Engine::FireTop() {
-  const Key top = PopMin();
   SA_CHECK(AtOf(top) >= now_);
   now_ = AtOf(top);
   ++events_fired_;
-  Callback fn = Release(IdOf(top));
+  const uint32_t slot = IndexOf(top);
+  free_slots_.push_back(slot);
+  Callback fn = std::move(slots_[slot]);
   fn();
 }
 
@@ -185,7 +133,6 @@ void Engine::SetLeaf(TimerId t, Key k) {
 
 void Engine::ArmTimer(TimerId t, Time at) {
   SA_CHECK_MSG(at >= now_, "timer armed in the past");
-  SA_CHECK_MSG(next_seq_ < (uint64_t{1} << (64 - kSlotBits)), "event sequence overflow");
   SA_DCHECK(t < timers_.size());
   Timer& timer = timers_[t];
   if (!timer.armed) {
@@ -195,23 +142,21 @@ void Engine::ArmTimer(TimerId t, Time at) {
   if (t == firing_) {
     firing_leaf_stale_ = false;
   }
-  SetLeaf(t, MakeKey(at, next_seq_++ << kSlotBits | t));
+  SetLeaf(t, NewKey(at, t));
 }
 
 bool Engine::DisarmTimer(TimerId t) {
-  SA_DCHECK(t < timers_.size());
-  Timer& timer = timers_[t];
-  if (!timer.armed) {
+  if (!timer_armed(t)) {
     return false;
   }
-  timer.armed = false;
+  timers_[t].armed = false;
   --armed_timers_;
   SetLeaf(t, kNever);
   return true;
 }
 
 void Engine::FireTimer(Key k) {
-  const auto t = static_cast<TimerId>(IdOf(k) & kSlotMask);
+  const TimerId t = IndexOf(k);
   SA_DCHECK(AtOf(k) >= now_);
   now_ = AtOf(k);
   ++events_fired_;
@@ -229,11 +174,6 @@ void Engine::FireTimer(Key k) {
   }
 }
 
-Engine::Key Engine::NextKey() {
-  const Key top = DropDeadTop() ? heap_.front() : kNever;
-  return std::min(top, tree_[1]);
-}
-
 void Engine::Fire(Key next) {
   if (next == tree_[1]) {
     FireTimer(next);
@@ -244,7 +184,7 @@ void Engine::Fire(Key next) {
 
 bool Engine::Step() {
   SA_CHECK_MSG(firing_ == kNoTimer, "Step inside a timer's handler");
-  const Key next = NextKey();
+  const Key next = NextDue();
   if (next == kNever) {
     return false;
   }
@@ -262,7 +202,7 @@ void Engine::Run(uint64_t max_events) {
 
 void Engine::RunUntil(Time until) {
   SA_CHECK_MSG(firing_ == kNoTimer, "RunUntil inside a timer's handler");
-  for (Key next; (next = NextKey()) != kNever && AtOf(next) <= until;) {
+  for (Key next; (next = NextDue()) != kNever && AtOf(next) <= until;) {
     Fire(next);
   }
   now_ = std::max(now_, until);

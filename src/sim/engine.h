@@ -6,46 +6,37 @@
 // events due at the same instant fire in the order they were scheduled or
 // armed (stable FIFO), which keeps runs deterministic.
 //
-// *Scheduled events.*  Scheduling returns an EventId, the one handle on an
-// event: Cancel(id) withdraws it and pending(id) asks whether it is still
-// due.  The events sit in a heap of 16-byte keys; callbacks (sim::Callback,
-// inline up to 24 bytes of capture) sit in an engine-owned slot array.  An
-// id is `seq << 24 | slot`, and a key is the unsigned 128-bit number
-// `uint64(at) << 64 | id`, so one integer compare orders keys by (at, id),
-// that is by (at, seq).  The compare is exact because every key's `at` is
-// at least now() >= 0, so no time is negative.  A key is live while its
-// slot still holds its id: firing or cancelling frees the slot at once, so
-// a stale id can neither cancel nor report the event that later reuses its
-// slot.  Cancellation is lazy on the heap side: a dead key stays until it
-// reaches the top, or until more than half the heap is dead and it is
-// compacted.
+// *Scheduled events* are fire and forget.  They sit in a heap of 16-byte
+// keys; callbacks (sim::Callback, inline up to 24 bytes of capture) sit in
+// an engine-owned slot array, freed as each event fires.  A key is the
+// unsigned 128-bit number `uint64(at) << 64 | seq << 24 | slot`, so one
+// integer compare orders keys by (at, seq); it is exact because every
+// key's `at` is at least now() >= 0.  The heap is 4-ary: the children of
+// key i are 4i+1..4i+4.  A pop's sift-down is what costs, and with 4
+// children it takes half the levels of a binary heap and compares 64
+// contiguous bytes a level.  Eight children measured slower.  Sift-up and
+// sift-down move a hole and write the key once.
 //
-// The heap is 4-ary: the children of key i are 4i+1..4i+4.  Every event is
-// one push and one pop, and a pop's sift-down is what costs: with 4
-// children it takes half the levels of a binary heap, and the four
-// siblings it compares are 64 contiguous bytes.  Eight children measured
-// slower.  Sift-up and sift-down move a hole and write the key once.
-//
-// *Timers.*  A timer is an event source with at most one pending fire and a
-// callback installed once (AddTimer), armed and disarmed in place
-// (ArmTimer, DisarmTimer).  Each simulated processor runs one span at a
-// time, and a span's end is its processor's timer (hw::Processor): span
-// ends are most of a run's events (at seed 11, 69 % of the events fired on
-// perfbench's tenants workload, 83 % on storms and 99 % on firefly), and
-// as timers they cost no slot, no callback move and no heap push or pop.
-// Timers live in a winner (tournament) tree beside the heap: a leaf per
-// timer holds its key, or kNever when disarmed, and every inner node the
-// least key below it, so the root is the earliest armed timer.  A timer's
-// key is built like an event's, `uint64(at) << 64 | seq << 24 | timer`,
-// from the same sequence counter, so a timer key and a heap key compare as
-// (at, seq) too, and Step/RunUntil fire whichever of the heap's live top
-// and the tree's root is less.  Arming or disarming writes the leaf and
-// replays its path to the root, one compare a level.  A firing timer's
-// leaf keeps its key while its handler runs and is cleared only if the
-// handler did not arm it again, so a span end whose continuation begins
-// the next span replays the path once; a nested Step or RunUntil inside a
-// timer's handler is refused, since it would see that key.
-// pending_events() counts live events and armed timers.
+// *Timers* are the one event source that can be withdrawn.  A timer has at
+// most one pending fire and a callback installed once (AddTimer), and is
+// armed and disarmed in place (ArmTimer, DisarmTimer).  Whatever may be
+// withdrawn is a timer of the object it belongs to: each processor's span
+// end (hw::Processor) and time slice (kern::Kernel), and, only where their
+// feature is on, the FastThreads heartbeat, a space's hang watchdog and
+// the lending timers.  Span ends are most of a run's events (at seed 11,
+// 69 % of those fired on perfbench's tenants, 83 % on storms and 99 % on
+// firefly).  Timers live in a winner tree beside the heap: a leaf per
+// timer holds its key, `uint64(at) << 64 | seq << 24 | timer` from the
+// same sequence counter, or kNever when disarmed, and every inner node the
+// least key below it; Step/RunUntil fire whichever of the heap's top and
+// the tree's root is less.  Arming or disarming writes the leaf and
+// replays its path to the root, one compare a level, so each doubling of
+// the timers costs every arm a level.  A firing timer's leaf keeps its key
+// while its handler runs and is cleared only if the handler did not arm
+// it again, so a span end whose continuation begins the next span replays
+// the path once; a nested Step or RunUntil inside a timer's handler is
+// refused, since it would see that key.  pending_events() counts
+// scheduled events and armed timers.
 
 #ifndef SA_SIM_ENGINE_H_
 #define SA_SIM_ENGINE_H_
@@ -60,13 +51,10 @@
 
 namespace sa::sim {
 
-// Names one scheduled event.  kNoEvent is never pending, so it is the
-// natural value for a handle with nothing scheduled.
-using EventId = uint64_t;
-inline constexpr EventId kNoEvent = 0;
-
 // Names one of the engine's timers: its index in the order they were added.
+// kNoTimer names none; it is never armed, and disarming it does nothing.
 using TimerId = uint32_t;
+inline constexpr TimerId kNoTimer = ~TimerId{0};
 
 class Engine {
  public:
@@ -76,25 +64,14 @@ class Engine {
 
   Time now() const { return now_; }
 
-  // Schedules `fn` to run at absolute virtual time `at` (>= now).  Callers
-  // that never cancel may ignore the id.
-  EventId Schedule(Time at, Callback fn);
+  // Schedules `fn` to run at absolute virtual time `at` (>= now).  It will
+  // run: an event that may be withdrawn is a timer.
+  void Schedule(Time at, Callback fn);
 
   // Schedules `fn` to run `delay` (>= 0) after now.
-  EventId ScheduleIn(Duration delay, Callback fn) {
+  void ScheduleIn(Duration delay, Callback fn) {
     SA_CHECK(delay >= 0);
-    return Schedule(now_ + delay, std::move(fn));
-  }
-
-  // Withdraws a pending event: its callback never runs.  Returns false, and
-  // does nothing, for kNoEvent or an event that already fired or was
-  // cancelled.
-  bool Cancel(EventId id);
-
-  // True between scheduling and fire/cancel.
-  bool pending(EventId id) const {
-    const uint64_t slot = id & kSlotMask;
-    return id != kNoEvent && slot < slots_.size() && slots_[slot].id == id;
+    Schedule(now_ + delay, std::move(fn));
   }
 
   // Adds a disarmed timer whose every fire runs `fn`.  Not inside a timer's
@@ -110,7 +87,9 @@ class Engine {
   // has none (a timer is disarmed while its handler runs).
   bool DisarmTimer(TimerId t);
 
-  bool timer_armed(TimerId t) const { return timers_[t].armed; }
+  bool timer_armed(TimerId t) const { return t != kNoTimer && timers_[t].armed; }
+  // Timers added so far.
+  size_t num_timers() const { return timers_.size(); }
 
   // Runs the next pending event or timer fire, if any.  Returns false when
   // none is left.
@@ -125,9 +104,8 @@ class Engine {
 
   uint64_t events_fired() const { return events_fired_; }
 
-  // Scheduled events that have neither fired nor been cancelled, plus
-  // armed timers.
-  size_t pending_events() const { return live_events_ + armed_timers_; }
+  // Scheduled events not yet fired, plus armed timers.
+  size_t pending_events() const { return heap_.size() + armed_timers_; }
 
   // Event tracing (DESIGN.md §10).  The engine stamps records with the
   // virtual clock; components that hold an Engine* emit through it.  The
@@ -145,59 +123,49 @@ class Engine {
   static constexpr uint64_t kSlotMask = (uint64_t{1} << kSlotBits) - 1;
 
   static constexpr size_t kArity = 4;
-  static constexpr TimerId kNoTimer = ~TimerId{0};
 
-  // `uint64(at) << 64 | id`: compares as (at, id).
+  // `uint64(at) << 64 | seq << 24 | slot or timer`: compares as (at, seq).
   using Key = unsigned __int128;
   // Above every key: a disarmed timer's leaf, or nothing left to fire.
   static constexpr Key kNever = ~Key{0};
-  static Key MakeKey(Time at, EventId id) {
-    return static_cast<Key>(static_cast<uint64_t>(at)) << 64 | id;
+  // A key at `at` naming slot or timer `index`, with the next sequence
+  // number.
+  Key NewKey(Time at, uint32_t index) {
+    SA_CHECK_MSG(next_seq_ < (uint64_t{1} << (64 - kSlotBits)), "event sequence overflow");
+    return static_cast<Key>(static_cast<uint64_t>(at)) << 64 | next_seq_++ << kSlotBits | index;
   }
   static Time AtOf(Key k) { return static_cast<Time>(k >> 64); }
-  static EventId IdOf(Key k) { return static_cast<EventId>(k); }
-
-  struct Slot {
-    EventId id = kNoEvent;  // the event this slot holds; kNoEvent when free
-    Callback fn;
-  };
+  static uint32_t IndexOf(Key k) { return static_cast<uint32_t>(k & kSlotMask); }
 
   struct Timer {
     Callback fn;
     bool armed = false;
   };
 
-  bool live(Key k) const { return slots_[IdOf(k) & kSlotMask].id == IdOf(k); }
   // Fills the hole at heap_[i] with `k`, moving larger parents down.
   void SiftUp(size_t i, Key k);
   // Fills the hole at heap_[i] with `k`, moving smaller children up.
   void SiftDown(size_t i, Key k);
-  // Removes and returns the least key of a non-empty heap.
-  Key PopMin();
-  // Frees the slot of live event `id`, handing back its callback.
-  Callback Release(EventId id);
-  // Discards dead keys at the top of the heap; false when no live key is left.
-  bool DropDeadTop();
-  // Pops the live top key, advances the clock to it and runs its callback.
+  // Pops the top key, advances the clock to it and runs its callback.
   void FireTop();
-  // The least key of the heap's live top and the timers' root; kNever when
+  // The least key of the heap's top and the timers' root; kNever when
   // nothing is pending.
-  Key NextKey();
-  // Fires `next`, the key NextKey returned.
+  Key NextDue() const {
+    const Key top = heap_.empty() ? kNever : heap_.front();
+    return top < tree_[1] ? top : tree_[1];
+  }
+  // Fires `next`, the key NextDue returned.
   void Fire(Key next);
   // Advances the clock to timer key `k` and runs the timer's handler.
   void FireTimer(Key k);
   // Writes timer `t`'s leaf and replays its path to the root.
   void SetLeaf(TimerId t, Key k);
-  // Rebuilds the heap without its dead keys once more than half are dead.
-  void MaybeCompact();
 
   Time now_ = 0;
   uint64_t next_seq_ = 1;
   uint64_t events_fired_ = 0;
-  size_t live_events_ = 0;
   std::vector<Key> heap_;  // 4-ary min-heap
-  std::vector<Slot> slots_;
+  std::vector<Callback> slots_;  // a scheduled event's callback, by slot
   std::vector<uint32_t> free_slots_;
   std::vector<Timer> timers_;
   // The winner tree: tree_[1] is the root, the children of node i are 2i

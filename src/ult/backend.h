@@ -42,12 +42,11 @@ class VcpuBackend {
   // Boot: make the initial virtual processors / processor requests happen.
   virtual void Start() = 0;
 
-  // The dispatcher found no work on `v`.
+  // The dispatcher found no work on `v`.  A backend that gives an idle
+  // processor back after a while spins with that while as the open span's
+  // deadline (hw::Processor::BeginOpenSpan): the wake that ends the spin
+  // withdraws it.
   virtual void OnIdle(Vcpu* v) = 0;
-
-  // A ready thread appeared while `v` was idle-spinning; backends may need
-  // to clear idle bookkeeping before the dispatcher reclaims `v`.
-  virtual void OnIdleWake(Vcpu* /*v*/) {}
 
   // Parallelism bookkeeping hook, called after a change in the number of
   // runnable threads with the vcpu whose context we can charge costs to.

@@ -17,6 +17,9 @@ FastThreads::FastThreads(kern::Kernel* kernel, kern::AddressSpace* as, UltConfig
     v->index = i;
     vcpus_.push_back(std::move(v));
   }
+  if (config_.heartbeat_us > 0) {
+    heartbeat_ = kernel_->engine().AddTimer([this] { OnHeartbeat(); });
+  }
   backend_->Attach(this);
 }
 
@@ -109,7 +112,7 @@ Tcb* FastThreads::SpawnThread(rt::WorkThread* w) {
   return t;
 }
 
-void FastThreads::Halt() { kernel_->engine().Cancel(heartbeat_); }
+void FastThreads::Halt() { kernel_->engine().DisarmTimer(heartbeat_); }
 
 void FastThreads::ChargeMgmt(Vcpu* v, sim::Duration d, sim::Callback fn) {
   SA_CHECK(v->bound);
@@ -351,7 +354,6 @@ void FastThreads::EnqueueReady(Vcpu* from, Tcb* t, bool front) {
     // transition (mid-downcall or being preempted).
     if (w->bound && w->idle_spinning && w->proc()->span_open()) {
       w->idle_spinning = false;
-      backend_->OnIdleWake(w.get());
       w->ready.PushFront(t);
       if (TraceOn()) {
         TraceUlt(trace::Kind::kUltReady, w->proc()->id(),
@@ -679,11 +681,11 @@ Tcb* FastThreads::PromoteFrame(const LazyFrame& frame, Vcpu* home,
 }
 
 void FastThreads::ArmHeartbeat() {
-  if (kernel_->engine().pending(heartbeat_) || config_.heartbeat_us <= 0) {
+  sim::Engine& engine = kernel_->engine();
+  if (heartbeat_ == sim::kNoTimer || engine.timer_armed(heartbeat_)) {
     return;
   }
-  heartbeat_ = kernel_->engine().ScheduleIn(sim::Usec(config_.heartbeat_us),
-                                            [this] { OnHeartbeat(); });
+  engine.ArmTimer(heartbeat_, engine.now() + sim::Usec(config_.heartbeat_us));
 }
 
 void FastThreads::OnHeartbeat() {

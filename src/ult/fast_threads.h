@@ -157,7 +157,7 @@ class FastThreads {
   // processors.
   void NoteUnbound(Vcpu* v, int processor_id);
 
-  // Teardown (space reaped): cancels the heartbeat, the one timer of the
+  // Teardown (space reaped): disarms the heartbeat, the one timer of the
   // package itself.  Nothing else is needed: the kernel drops every span
   // continuation of a dead space where the span ends (Kernel::StopIfReaped),
   // so no code of this package runs for the space again.
@@ -276,7 +276,8 @@ class FastThreads {
   // drains and seeded eager-only traces stay byte-identical.
   int64_t lazy_outstanding_ = 0;
   uint64_t lazy_seq_ = 0;
-  sim::EventId heartbeat_ = sim::kNoEvent;
+  // The beat's timer, added only when heartbeat_us > 0.
+  sim::TimerId heartbeat_ = sim::kNoTimer;
 };
 
 }  // namespace sa::ult

@@ -39,7 +39,6 @@ void SaBackend::ResetSlot(Vcpu* v, kern::KThread* kt) {
   v->idle_transition = false;
   v->idle_notified = false;
   v->lend_hinted = false;
-  kernel_->engine().Cancel(v->hysteresis);
 }
 
 Vcpu* SaBackend::BindSlot(kern::KThread* kt) {
@@ -103,13 +102,10 @@ void SaBackend::UnbindIdleSlotByProcessor(int processor_id) {
 // ---------------------------------------------------------------------------
 
 void SaBackend::OnSpaceReaped() {
-  // Stop the package's timers (heartbeat, hysteresis, lend hints): the
-  // kernel drops every span continuation of the dead space, so nothing else
-  // of it runs.
+  // Stop the package's heartbeat: the kernel drops every span continuation
+  // of the dead space, and an idle spin's deadline checks reaped(), so
+  // nothing else of it runs.
   ft_->Halt();
-  for (int i = 0; i < ft_->num_vcpus(); ++i) {
-    kernel_->engine().Cancel(ft_->vcpu(i)->hysteresis);
-  }
 }
 
 void SaBackend::RunOn(kern::KThread* kt) {
@@ -283,9 +279,9 @@ void SaBackend::OnPreempted(kern::KThread* kt, const hw::Interrupt& irq) {
       t->state = Tcb::State::kStopped;
     } else if (v != nullptr) {
       // Idle loop: nothing to save, but the slot is no longer idle-spinning
-      // (its processor is being taken).
+      // (its processor is being taken; the preemption withdrew the spin's
+      // deadline).
       v->idle_spinning = false;
-      kernel_->engine().Cancel(v->hysteresis);
     }
     return;
   }
@@ -318,38 +314,32 @@ void SaBackend::OnIdle(Vcpu* v) {
     NotifyIdle(v);
     return;
   }
-  // Spin for the hysteresis period before notifying (Section 4.2).
-  v->proc()->BeginOpenSpan(hw::SpanMode::kIdleSpin);
-  Vcpu* vp = v;
-  if (ft_->config().lend_idle && kernel_->config().lending && !v->lend_hinted) {
-    // Lending (DESIGN.md §16): offer the processor to the kernel's loan
-    // pool first, after a short grace period.  A declined hint is cost-free
-    // and falls back to the normal idle path (this handler re-enters OnIdle
-    // with lend_hinted set); an accepted one stops this activation and the
-    // slot unbinds through the ordinary preempted upcall.
-    v->hysteresis = kernel_->engine().ScheduleIn(
-        kernel_->costs().lend_hint_hysteresis, [this, vp] {
-          if (!vp->bound || !vp->idle_spinning) {
-            return;  // got work or lost the processor in the meantime
-          }
-          vp->lend_hinted = true;  // one offer per idle episode
-          ft_->BeginIdleTransition(vp);
-          vp->proc()->EndOpenSpan();
-          space_->DowncallYieldHint(vp->kt, [this, vp] { ft_->EndIdleTransition(vp); });
-        });
-    return;
-  }
-  v->hysteresis = kernel_->engine().ScheduleIn(
-      kernel_->costs().idle_hysteresis, [this, vp] {
-        if (!vp->bound || !vp->idle_spinning) {
-          return;  // got work or lost the processor in the meantime
-        }
-        vp->proc()->EndOpenSpan();
-        NotifyIdle(vp);
-      });
+  // Spin for the hysteresis period before notifying (Section 4.2): it is
+  // the spin's deadline, which work arriving or the processor being taken
+  // withdraws.  With lending (DESIGN.md §16), offer the processor to the
+  // kernel's loan pool first, after a short grace period.  A declined hint
+  // is cost-free and falls back to the normal idle path (EndIdleTransition
+  // re-enters OnIdle with lend_hinted set); an accepted one stops this
+  // activation and the slot unbinds through the ordinary preempted upcall.
+  const bool hint = ft_->config().lend_idle && kernel_->config().lending && !v->lend_hinted;
+  const sim::Duration spin =
+      hint ? kernel_->costs().lend_hint_hysteresis : kernel_->costs().idle_hysteresis;
+  v->proc()->BeginOpenSpan(hw::SpanMode::kIdleSpin, spin, [this, v, hint] {
+    // The deadline passes no span-end check, so it looks for a dead space.
+    if (!v->bound || !v->idle_spinning || as_->reaped()) {
+      return;
+    }
+    if (!hint) {
+      v->proc()->EndOpenSpan();
+      NotifyIdle(v);
+      return;
+    }
+    v->lend_hinted = true;  // one offer per idle episode
+    ft_->BeginIdleTransition(v);
+    v->proc()->EndOpenSpan();
+    space_->DowncallYieldHint(v->kt, [this, v] { ft_->EndIdleTransition(v); });
+  });
 }
-
-void SaBackend::OnIdleWake(Vcpu* v) { kernel_->engine().Cancel(v->hysteresis); }
 
 int SaBackend::ProcessorsToAsk() const {
   // Only on a *transition*: more runnable threads than processors, and more

@@ -37,7 +37,6 @@ class SaBackend : public VcpuBackend, public kern::KThreadHost {
   void Attach(FastThreads* ft) override;
   void Start() override;
   void OnIdle(Vcpu* v) override;
-  void OnIdleWake(Vcpu* v) override;
   void NotifyParallelism(Vcpu* v, sim::Callback resume) override;
   void OnThreadLoaded(Vcpu* v, Tcb* t) override;
   void OnThreadUnloaded(Vcpu* v) override;

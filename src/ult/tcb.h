@@ -11,7 +11,7 @@
 #include "src/kern/kthread.h"
 #include "src/rt/runtime.h"
 #include "src/sim/callback.h"
-#include "src/sim/engine.h"
+#include "src/sim/time.h"
 
 namespace sa::ult {
 
@@ -106,6 +106,8 @@ struct Vcpu {
   common::IntrusiveList<Tcb, &Tcb::qnode> ready;  // LIFO (Section 4.2)
   std::vector<int> free_tcbs;  // unlocked per-vcpu free list: ids of TCBs
                                // that exited here
+  // In the idle loop; on the SA backend the loop's open span carries the
+  // idle hysteresis as its deadline (SaBackend::OnIdle).
   bool idle_spinning = false;
   // Inside an idle transition: the backend cleared idle_spinning to run the
   // idle-notification downcall, and will call EndIdleTransition when it
@@ -119,7 +121,6 @@ struct Vcpu {
   // threads running here.  Newest at the back; the oldest (front) is what
   // the heartbeat and steal-side promotion take.
   std::vector<LazyFrame> lazy_frames;
-  sim::EventId hysteresis = sim::kNoEvent;
   // A finished critical-section recovery's continuation (Tcb::recovery_after),
   // held while this vcpu charges the switch back to it.
   sim::InlineFunction<void(Vcpu*)> recovery_after;

@@ -140,6 +140,40 @@ TEST(Kernel, RedispatchInsideTheOldQuantumStartsAFullQuantum) {
   EXPECT_GT(expired_in_span, 0);  // the sweep reached the window it is about
 }
 
+TEST(Kernel, BlockInsideTheQuantumLeavesNoTimeSlicePending) {
+  // A time slice belongs to the processor: a thread that blocks leaves it,
+  // and its slice goes with it.  After the block only the I/O completion is
+  // pending, and nothing fires when the old quantum would have ended.
+  rt::HarnessConfig config;
+  config.processors = 1;
+  rt::Harness h(config);
+  rt::TopazRuntime rt(&h.kernel(), "app");
+  h.AddRuntime(&rt);
+  const sim::Duration quantum = h.kernel().costs().kt_quantum;
+  sim::Time armed = -1;
+  rt.Spawn(
+      [&](rt::ThreadCtx& t) -> sim::Program {
+        armed = h.engine().now();  // the quantum starts here
+        co_await t.Compute(quantum / 4);
+        co_await t.Io(2 * quantum);
+      },
+      "io");
+  h.Start();
+  hw::Processor* proc = h.machine().processor(0);
+  while (h.kernel().counters().io_blocks == 0 || proc->has_span() ||
+         h.kernel().running_on(proc) != nullptr) {
+    ASSERT_TRUE(h.engine().Step());
+  }
+  ASSERT_GE(armed, 0);
+  ASSERT_LT(h.engine().now(), armed + quantum);
+  EXPECT_EQ(h.engine().pending_events(), 1u);  // the I/O completion
+  const uint64_t fired = h.engine().events_fired();
+  h.engine().RunUntil(armed + quantum);
+  EXPECT_EQ(h.engine().events_fired(), fired);
+  h.Run();
+  EXPECT_EQ(h.kernel().counters().timeslices, 0);
+}
+
 TEST(Kernel, BlockedThreadsDoNotHoldProcessors) {
   rt::HarnessConfig config;
   config.processors = 1;

@@ -9,6 +9,7 @@
 
 #include "src/hw/machine.h"
 #include "src/hw/processor.h"
+#include "src/trace/trace.h"
 
 // Global operator new, counted while g_count_news is set (see
 // ProcessorTest.SpanLifecycleDoesNotAllocate).
@@ -205,6 +206,97 @@ TEST_F(ProcessorTest, PreemptingATimedSpanDisarmsItsTimer) {
   EXPECT_EQ(engine().events_fired(), fired + 1);  // only the scheduled event
   EXPECT_FALSE(completed);
   EXPECT_EQ(engine().pending_events(), 0u);
+}
+
+// An open span's deadline runs its callback once, at begin + deadline, with
+// the span still open and without the span-end check; the callback ends
+// the span.
+TEST_F(ProcessorTest, OpenSpanDeadlineRunsItsCallbackWithTheSpanOpen) {
+  int checks = 0;
+  proc_->set_span_end_check([&checks](Processor*) {
+    ++checks;
+    return false;
+  });
+  engine().RunUntil(sim::Usec(50));
+  int calls = 0;
+  sim::Time called_at = -1;
+  bool open_inside = false;
+  proc_->BeginOpenSpan(SpanMode::kIdleSpin, sim::Usec(300), [&] {
+    ++calls;
+    called_at = engine().now();
+    open_inside = proc_->span_open();
+    proc_->EndOpenSpan();
+  });
+  EXPECT_TRUE(proc_->span_open());
+  EXPECT_EQ(engine().pending_events(), 1u);
+  engine().Run();
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(called_at, sim::Usec(350));
+  EXPECT_TRUE(open_inside);
+  EXPECT_EQ(checks, 0);
+  EXPECT_FALSE(proc_->has_span());
+  EXPECT_EQ(engine().pending_events(), 0u);
+  proc_->FlushAccounting();
+  EXPECT_EQ(proc_->time_in(SpanMode::kIdleSpin), sim::Usec(300));
+}
+
+// Ending the open span before its deadline, or preempting it, withdraws the
+// deadline: nothing is left pending and nothing fires at the old deadline.
+TEST_F(ProcessorTest, EndingOrPreemptingAnOpenSpanWithdrawsItsDeadline) {
+  int calls = 0;
+  proc_->BeginOpenSpan(SpanMode::kIdleSpin, sim::Usec(100), [&calls] { ++calls; });
+  engine().RunUntil(sim::Usec(40));
+  proc_->EndOpenSpan();
+  EXPECT_EQ(engine().pending_events(), 0u);
+
+  proc_->BeginOpenSpan(SpanMode::kIdleSpin, sim::Usec(100), [&calls] { ++calls; });
+  engine().RunUntil(sim::Usec(80));
+  proc_->RequestInterrupt();
+  EXPECT_EQ(interrupts_, 1);
+  EXPECT_TRUE(last_.open);
+  EXPECT_EQ(engine().pending_events(), 0u);
+
+  engine().RunUntil(sim::Usec(500));  // past both deadlines
+  EXPECT_EQ(engine().events_fired(), 0u);
+  EXPECT_EQ(calls, 0);
+}
+
+// A latched interrupt fires at an open span's begin, and the span with its
+// deadline never starts: nothing is armed.
+TEST_F(ProcessorTest, LatchedInterruptFiresInsteadOfAnOpenSpanWithADeadline) {
+  proc_->BeginSpan(sim::Usec(10), SpanMode::kKernel, false, false, [] {});
+  proc_->RequestInterrupt();
+  engine().Run();
+  ASSERT_TRUE(proc_->interrupt_latched());
+  int calls = 0;
+  proc_->BeginOpenSpan(SpanMode::kIdleSpin, sim::Usec(100), [&calls] { ++calls; });
+  EXPECT_EQ(interrupts_, 1);
+  EXPECT_TRUE(last_.open);
+  EXPECT_FALSE(proc_->has_span());
+  EXPECT_EQ(engine().pending_events(), 0u);
+  engine().RunUntil(sim::Usec(500));
+  EXPECT_EQ(calls, 0);
+}
+
+// The deadline's fire emits no trace record of its own: a deadline whose
+// callback keeps spinning leaves the span's open and close records alone.
+TEST_F(ProcessorTest, OpenSpanDeadlineEmitsNoTraceRecord) {
+  trace::TraceBuffer tb(16);
+  tb.set_enabled(trace::cat::kAll);
+  engine().set_tracer(&tb);
+  int calls = 0;
+  proc_->BeginOpenSpan(SpanMode::kIdleSpin, sim::Usec(100), [&calls] { ++calls; });
+  engine().Run();
+  EXPECT_EQ(calls, 1);
+  EXPECT_TRUE(proc_->span_open());  // the callback did not end it
+  EXPECT_EQ(engine().pending_events(), 0u);
+  proc_->EndOpenSpan();
+  engine().set_tracer(nullptr);
+  const std::vector<trace::Record> records = tb.Snapshot();
+  ASSERT_EQ(records.size(), 2u);
+  EXPECT_EQ(static_cast<trace::Kind>(records[0].kind), trace::Kind::kSpanOpen);
+  EXPECT_EQ(static_cast<trace::Kind>(records[1].kind), trace::Kind::kSpanClose);
+  EXPECT_EQ(records[1].arg1, static_cast<uint64_t>(sim::Usec(100)));
 }
 
 // A span begun in the previous span's continuation takes its sequence

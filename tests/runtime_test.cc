@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <memory>
 #include <string>
@@ -205,6 +206,44 @@ TEST(ThreadTable, JoinQueuesOnlyOnAThreadStillRunning) {
   EXPECT_EQ(counter, 2u);
   EXPECT_EQ(table.size(), 4u);
   EXPECT_EQ(table.records(), 3u);
+}
+
+// 100,000 create-finish-release cycles beside two long-lived threads: the
+// tid index keeps only the blocks that hold a live thread, so it stays at a
+// few blocks; a tid whose block was freed still reads as finished (a join
+// on it returns at once), and the unfinished threads are listed in tid
+// order.
+TEST(ThreadTable, IndexFollowsTheLiveThreads) {
+  rt::ThreadTable table;
+  rt::WorkThread* main = table.Create(nullptr, "main");
+  rt::WorkThread* later = nullptr;
+  int early_tid = -1;
+  size_t most_blocks = 0;
+  for (int i = 0; i < 100'000; ++i) {
+    if (i == 50'000) {
+      later = table.Create(nullptr, "later");
+    }
+    rt::WorkThread* w = table.Create(nullptr, "short");
+    if (i == 0) {
+      early_tid = w->tid();
+    }
+    table.Finish(w);
+    table.Release(w);
+    most_blocks = std::max(most_blocks, table.index_blocks());
+  }
+  EXPECT_EQ(table.size(), 100'002u);
+  EXPECT_EQ(table.records(), 3u);
+  EXPECT_LE(most_blocks, 3u);  // main's, later's and the one being filled
+  EXPECT_LE(table.index_blocks(), 3u);
+  EXPECT_TRUE(table.Finished(early_tid));
+  EXPECT_FALSE(table.Join(early_tid, main));
+  EXPECT_TRUE(main->joiners.empty());
+  EXPECT_FALSE(table.Finished(main->tid()));
+  EXPECT_TRUE(table.Join(later->tid(), main));
+  std::string unfinished;
+  table.DescribeUnfinished(&unfinished);
+  EXPECT_EQ(unfinished, "  thread 0 (main): not started\n  thread " +
+                            std::to_string(later->tid()) + " (later): not started\n");
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-// Discrete-event engine: ordering, cancellation, clock semantics, allocation.
+// Discrete-event engine: ordering, timers, clock semantics, allocation.
 
 #include <gtest/gtest.h>
 
@@ -78,128 +78,85 @@ TEST(Engine, ScheduleInIsRelative) {
   EXPECT_EQ(seen, Usec(15));
 }
 
-TEST(Engine, CancelPreventsExecution) {
+// Timers are the one event that can be withdrawn: a disarmed timer never
+// fires, and one armed again fires once, at its new instant.
+TEST(Engine, DisarmedTimerNeverFires) {
   Engine e;
-  bool ran = false;
-  const EventId id = e.Schedule(Usec(10), [&] { ran = true; });
-  EXPECT_TRUE(e.pending(id));
-  EXPECT_TRUE(e.Cancel(id));
-  EXPECT_FALSE(e.pending(id));
-  EXPECT_FALSE(e.Cancel(id));  // second cancel is a no-op
+  int fires = 0;
+  const TimerId t = e.AddTimer([&fires] { ++fires; });
+  e.ArmTimer(t, Usec(10));
+  EXPECT_TRUE(e.DisarmTimer(t));
   e.Run();
-  EXPECT_FALSE(ran);
+  EXPECT_EQ(fires, 0);
+  EXPECT_EQ(e.events_fired(), 0u);
+  e.ArmTimer(t, Usec(20));
+  e.ArmTimer(t, Usec(30));  // replaces the fire at 20
+  e.Run();
+  EXPECT_EQ(fires, 1);
+  EXPECT_EQ(e.now(), Usec(30));
 }
 
-// Regression: pending_events() used to report the raw heap size, which
-// includes lazily-cancelled entries.  Schedule N, cancel N-1: the count must
-// be exactly 1, not N.
-TEST(Engine, PendingEventsExcludesCancelled) {
+// A second disarm, or a disarm after the fire, returns false and does
+// nothing; kNoTimer is never armed.
+TEST(Engine, DisarmIsInertWithNothingPending) {
   Engine e;
-  constexpr int kN = 10;
-  std::vector<EventId> ids;
-  for (int i = 0; i < kN; ++i) {
-    ids.push_back(e.Schedule(Usec(i + 1), [] {}));
-  }
-  EXPECT_EQ(e.pending_events(), static_cast<size_t>(kN));
-  for (int i = 0; i < kN - 1; ++i) {
-    EXPECT_TRUE(e.Cancel(ids[static_cast<size_t>(i)]));
-  }
-  EXPECT_EQ(e.pending_events(), 1u);
-  int fired = 0;
-  e.Schedule(Usec(100), [&] { ++fired; });  // keep the survivor company
-  EXPECT_EQ(e.pending_events(), 2u);
+  int fires = 0;
+  const TimerId t = e.AddTimer([&fires] { ++fires; });
+  EXPECT_FALSE(e.DisarmTimer(t));  // never armed
+  e.ArmTimer(t, Usec(1));
+  EXPECT_TRUE(e.DisarmTimer(t));
+  EXPECT_FALSE(e.DisarmTimer(t));
+  e.ArmTimer(t, Usec(2));
   e.Run();
-  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(fires, 1);
+  EXPECT_FALSE(e.timer_armed(t));
+  EXPECT_FALSE(e.DisarmTimer(t));
   EXPECT_EQ(e.pending_events(), 0u);
-  EXPECT_EQ(e.events_fired(), 2u);  // cancelled events never fire
+  EXPECT_FALSE(e.timer_armed(kNoTimer));
+  EXPECT_FALSE(e.DisarmTimer(kNoTimer));
+  EXPECT_EQ(e.num_timers(), 1u);
 }
 
-// The heap compacts once more than half its entries are dead; cancellation
-// bookkeeping must stay exact across the rebuild and the surviving events
-// must still fire in order.
-TEST(Engine, CompactionPreservesLiveEvents) {
-  Engine e;
-  constexpr int kN = 1000;
-  std::vector<EventId> ids;
-  std::vector<int> order;
-  for (int i = 0; i < kN; ++i) {
-    ids.push_back(e.Schedule(Usec(i + 1), [&order, i] { order.push_back(i); }));
-  }
-  // Cancel all the odd ones (well past the >50% dead threshold together with
-  // interleaved scheduling below).
-  for (int i = 1; i < kN; i += 2) {
-    EXPECT_TRUE(e.Cancel(ids[static_cast<size_t>(i)]));
-  }
-  for (int i = 0; i < kN; i += 2) {
-    if (i % 4 == 0) {
-      EXPECT_TRUE(e.Cancel(ids[static_cast<size_t>(i)]));
-    }
-  }
-  EXPECT_EQ(e.pending_events(), static_cast<size_t>(kN / 4));
-  e.Run();
-  ASSERT_EQ(order.size(), static_cast<size_t>(kN / 4));
-  for (size_t i = 1; i < order.size(); ++i) {
-    EXPECT_LT(order[i - 1], order[i]);
-  }
-  // Cancelling after the run is inert.
-  for (EventId id : ids) {
-    EXPECT_FALSE(e.Cancel(id));
-  }
-  EXPECT_EQ(e.pending_events(), 0u);
-}
-
-// Contract: Cancel() after the event fired returns false and stays inert, in
-// any order of repeated calls, and after the next event reuses its slot: the
-// old id can neither cancel nor report the event that now holds the slot.
-TEST(Engine, CancelAfterFireIsInert) {
-  Engine e;
-  int runs = 0;
-  const EventId fired = e.Schedule(Usec(1), [&] { ++runs; });
-  e.Run();
-  EXPECT_EQ(runs, 1);
-  EXPECT_FALSE(e.pending(fired));
-  EXPECT_FALSE(e.Cancel(fired));
-  EXPECT_FALSE(e.Cancel(fired));  // double-cancel after fire
-  EXPECT_EQ(e.pending_events(), 0u);
-
-  // An id is `seq << 24 | slot`: the one free slot is reused under a new id.
-  const EventId reused = e.Schedule(Usec(2), [&] { ++runs; });
-  EXPECT_EQ(reused & 0xFFFFFF, fired & 0xFFFFFF);
-  EXPECT_NE(reused, fired);
-  EXPECT_FALSE(e.pending(fired));
-  EXPECT_FALSE(e.Cancel(fired));
-  EXPECT_TRUE(e.pending(reused));
-  EXPECT_EQ(e.pending_events(), 1u);
-  EXPECT_TRUE(e.Cancel(reused));
-  e.Run();
-  EXPECT_EQ(runs, 1);
-
-  EXPECT_FALSE(e.pending(kNoEvent));
-  EXPECT_FALSE(e.Cancel(kNoEvent));
-}
-
-TEST(Engine, CancelDuringEventCallbackIsCounted) {
+// A disarm made from another event's callback holds, even for a timer due
+// at that same instant.
+TEST(Engine, DisarmFromAnotherEventsCallbackHolds) {
   Engine e;
   bool victim_ran = false;
-  const EventId victim = e.Schedule(Usec(10), [&] { victim_ran = true; });
-  e.Schedule(Usec(5), [&] {
-    EXPECT_TRUE(e.Cancel(victim));
+  const TimerId victim = e.AddTimer([&victim_ran] { victim_ran = true; });
+  e.Schedule(Usec(10), [&] {
+    EXPECT_TRUE(e.DisarmTimer(victim));
     EXPECT_EQ(e.pending_events(), 0u);
   });
+  e.ArmTimer(victim, Usec(10));  // after the event at the same instant
   EXPECT_EQ(e.pending_events(), 2u);
   e.Run();
   EXPECT_FALSE(victim_ran);
+  EXPECT_EQ(e.events_fired(), 1u);
 }
 
-TEST(Engine, HandleReportsFiredState) {
+// pending_events() counts scheduled events and armed timers, and a timer
+// stops counting when it fires, is disarmed or was never armed.
+TEST(Engine, PendingEventsCountsArmedTimers) {
   Engine e;
-  bool pending_inside = true;
-  EventId id = kNoEvent;
-  id = e.Schedule(Usec(1), [&] { pending_inside = e.pending(id); });
+  std::vector<TimerId> timers;
+  for (int i = 0; i < 5; ++i) {
+    timers.push_back(e.AddTimer([] {}));
+  }
+  EXPECT_EQ(e.pending_events(), 0u);
+  e.Schedule(Usec(50), [] {});
+  for (int i = 0; i < 4; ++i) {
+    e.ArmTimer(timers[static_cast<size_t>(i)], Usec(10 * (i + 1)));
+  }
+  EXPECT_EQ(e.pending_events(), 5u);
+  e.ArmTimer(timers[0], Usec(15));  // moving a fire adds none
+  EXPECT_EQ(e.pending_events(), 5u);
+  e.DisarmTimer(timers[1]);
+  EXPECT_EQ(e.pending_events(), 4u);
+  e.RunUntil(Usec(30));  // timers 0 and 2
+  EXPECT_EQ(e.pending_events(), 2u);
   e.Run();
-  EXPECT_FALSE(pending_inside);  // a firing event is no longer pending
-  EXPECT_FALSE(e.pending(id));
-  EXPECT_FALSE(e.Cancel(id));
+  EXPECT_EQ(e.pending_events(), 0u);
+  EXPECT_EQ(e.events_fired(), 4u);
 }
 
 TEST(Engine, ZeroDelayEventRunsAfterCurrentEvent) {
@@ -283,20 +240,19 @@ TEST(Engine, MaxEventsBoundsExecution) {
   EXPECT_EQ(count, 4);
 }
 
-// A seeded script of Schedule, Cancel, ArmTimer, DisarmTimer, Step and
-// RunUntil calls, checked against a reference that orders the live events
-// and armed timers together by (at, scheduling order), an arm counting as a
+// A seeded script of Schedule, ArmTimer, DisarmTimer, Step and RunUntil
+// calls, checked against a reference that orders the pending events and
+// armed timers together by (at, scheduling order), an arm counting as a
 // scheduling.  Half the delays come from {0..3}, so same-instant ties are
 // common, between events, between timers and across the two; every fired
-// event may cancel a random event (live, fired or cancelled), schedule
-// another, possibly at its own instant, and arm or disarm a random timer,
-// and every timer fire may do the same and arm, disarm and re-arm its own
-// timer.  Timers are added as the script runs, up to kMaxTimers (past 64,
-// so the tree regrows with armed leaves), and some RunUntil bounds are the
-// exact instant a timer was just armed for.  The live count climbs from 0 to kPeak, past
-// every level boundary of the 4-ary heap (1, 5, 21, 85, 341, 1365 and 5461
-// keys), then drains back to 0.  Cancel bursts at the peak and while
-// draining leave most of the heap dead, so it compacts at many sizes.
+// event may schedule another, possibly at its own instant, and arm or
+// disarm a random timer, and every timer fire may do the same and arm,
+// disarm and re-arm its own timer.  Timers are added as the script runs,
+// up to kMaxTimers (past 64, so the tree regrows with armed leaves), and
+// some RunUntil bounds are the exact instant a timer was just armed for.
+// The pending count climbs from 0 to kPeak, past every level boundary of
+// the 4-ary heap (1, 5, 21, 85, 341, 1365 and 5461 keys), then drains back
+// to 0.
 class OrderScript {
  public:
   static constexpr size_t kPeak = 10'000;
@@ -309,40 +265,33 @@ class OrderScript {
       const uint64_t op = rng_.Below(24);
       if (op < 16) {
         Schedule();
-      } else if (op < 18) {
-        CancelRandom();
-      } else if (op == 18) {
-        Step();
-      } else if (op == 19) {
-        RunUntil(e_.now() + static_cast<Duration>(rng_.Below(8)));
-      } else if (op == 20) {
-        AddTimer();
-      } else if (op == 21) {
-        ArmRandom();
-      } else if (op == 22) {
+      } else if (op < 19) {
         DisarmRandom();
+      } else if (op == 19) {
+        Step();
+      } else if (op == 20) {
+        RunUntil(e_.now() + static_cast<Duration>(rng_.Below(8)));
+      } else if (op == 21) {
+        AddTimer();
+      } else if (op == 22) {
+        ArmRandom();
       } else {
         RunUntilATimer();
       }
       Check();
     }
-    CancelBurst();
     while (!live_.empty() && mismatches_ == 0) {
       const uint64_t op = rng_.Below(24);
       if (op < 8) {
         Step();
       } else if (op < 14) {
         RunUntil(e_.now() + static_cast<Duration>(rng_.Below(20'000)));
-      } else if (op < 17) {
-        CancelRandom();
       } else if (op < 19) {
-        Schedule();
-      } else if (op == 19) {
-        CancelBurst();
-      } else if (op == 20) {
-        ArmRandom();
-      } else if (op == 21) {
         DisarmRandom();
+      } else if (op < 21) {
+        Schedule();
+      } else if (op == 21) {
+        ArmRandom();
       } else {
         RunUntilATimer();
       }
@@ -359,7 +308,6 @@ class OrderScript {
   struct Scheduled {
     Time at;
     uint64_t order;
-    EventId id;
   };
   struct TimerRef {
     TimerId id;
@@ -375,19 +323,9 @@ class OrderScript {
     const Time at = e_.now() + Delay();
     const uint64_t order = next_order_++;
     const size_t index = all_.size();
-    const EventId id = e_.Schedule(at, [this, index] { EventFired(index); });
-    all_.push_back(Scheduled{at, order, id});
+    e_.Schedule(at, [this, index] { EventFired(index); });
+    all_.push_back(Scheduled{at, order});
     live_.insert(RefKey{at, order});
-  }
-
-  void CancelRandom() {
-    if (all_.empty()) {
-      return;
-    }
-    const Scheduled& s = all_[static_cast<size_t>(rng_.Below(all_.size()))];
-    const bool live = live_.erase(RefKey{s.at, s.order}) == 1;
-    EXPECT_EQ(e_.pending(s.id), live);
-    EXPECT_EQ(e_.Cancel(s.id), live);
   }
 
   void AddTimer() {
@@ -450,20 +388,6 @@ class OrderScript {
     RunUntil(timers_[index].key.first);
   }
 
-  // Cancels 60 % of the live events and timers: the heap then holds more
-  // dead keys than live ones, so it compacts.
-  void CancelBurst() {
-    const size_t keep = live_.size() * 2 / 5;
-    while (live_.size() > keep) {
-      if (rng_.Below(10) == 0) {
-        DisarmRandom();
-      } else {
-        CancelRandom();
-      }
-      Check();
-    }
-  }
-
   // Records a departure from the reference; the script stops at the first,
   // since an engine that lost a fire would never drain.
   void Mismatch(const std::string& what) {
@@ -489,7 +413,7 @@ class OrderScript {
   void EventFired(size_t index) {
     Fired(RefKey{e_.now(), all_[index].order}, "event");
     if (rng_.Below(10) < 3) {
-      CancelRandom();
+      DisarmRandom();
     }
     if (rng_.Below(10) < 4) {
       Schedule();
@@ -503,7 +427,7 @@ class OrderScript {
   }
 
   // A firing timer is disarmed; its handler may arm it again (and disarm
-  // and re-arm it), and arms, disarms, schedules and cancels at random.
+  // and re-arm it), and arms, disarms and schedules at random.
   void TimerFired(size_t index) {
     TimerRef& t = timers_[index];
     EXPECT_TRUE(t.armed);
@@ -533,7 +457,7 @@ class OrderScript {
       Schedule();
     }
     if (rng_.Below(10) < 2) {
-      CancelRandom();
+      DisarmRandom();
     }
   }
 
@@ -563,7 +487,7 @@ class OrderScript {
   uint64_t next_order_ = 0;
   std::vector<Scheduled> all_;  // every event ever scheduled
   std::vector<TimerRef> timers_;
-  std::set<RefKey> live_;  // live events and armed timers
+  std::set<RefKey> live_;  // pending events and armed timers
   uint64_t fired_ = 0;
   uint64_t timer_fires_ = 0;
   int mismatches_ = 0;
@@ -577,21 +501,19 @@ TEST(Engine, RandomScriptsFireInTimeThenSchedulingOrder) {
   }
 }
 
-// Rounds of 64 cancellable events, half of them cancelled, and eight timers
-// armed for the same instants, half of them disarmed and one of those armed
-// again: once the first round has sized the engine's heap, slot and
-// free-slot arrays, scheduling, cancelling, arming, disarming and firing
-// allocate nothing.  Half the events capture three pointers (24 bytes), the
-// common continuation shape, which a std::function would have put on the
-// heap; so does the first timer's handler, which arms its timer once more
-// in every round.
+// Rounds of 64 events and eight timers armed for the same instants, half
+// of the timers disarmed and one of those armed again: once the first
+// round has sized the engine's heap, slot and free-slot arrays,
+// scheduling, arming, disarming and firing allocate nothing.  Half the
+// events capture three pointers (24 bytes), the common continuation shape,
+// which a std::function would have put on the heap; so does the first
+// timer's handler, which arms its timer once more in every round.
 TEST(Engine, SteadyStateSchedulingDoesNotAllocate) {
   Engine e;
   int fired = 0;
   int timer_fires = 0;
   bool rearm = false;
   Time last_wide = -1;
-  std::vector<EventId> ids(64);
   const auto narrow = [&fired] { ++fired; };
   const auto wide = [&fired, &last_wide, &e] {
     ++fired;
@@ -612,15 +534,16 @@ TEST(Engine, SteadyStateSchedulingDoesNotAllocate) {
     timers.push_back(e.AddTimer([&timer_fires] { ++timer_fires; }));
   }
   const auto round = [&] {
-    for (size_t i = 0; i < ids.size(); ++i) {
+    for (size_t i = 0; i < 64; ++i) {
       const Duration delay = Usec(static_cast<int64_t>(i % 7) + 1);
-      ids[i] = i % 4 < 2 ? e.ScheduleIn(delay, narrow) : e.ScheduleIn(delay, wide);
+      if (i % 4 < 2) {
+        e.ScheduleIn(delay, narrow);
+      } else {
+        e.ScheduleIn(delay, wide);
+      }
     }
     for (size_t i = 0; i < timers.size(); ++i) {
       e.ArmTimer(timers[i], e.now() + Usec(static_cast<int64_t>(i % 7) + 1));
-    }
-    for (size_t i = 0; i < ids.size(); i += 2) {
-      e.Cancel(ids[i]);
     }
     for (size_t i = 1; i < timers.size(); i += 2) {
       e.DisarmTimer(timers[i]);
@@ -637,7 +560,7 @@ TEST(Engine, SteadyStateSchedulingDoesNotAllocate) {
   }
   g_count_news = false;
   EXPECT_EQ(g_news.load() - before, 0);
-  EXPECT_EQ(fired, 101 * 32);
+  EXPECT_EQ(fired, 101 * 64);
   EXPECT_EQ(timer_fires, 101 * 6);  // timers 0 (twice), 1, 2, 4 and 6
   EXPECT_EQ(last_wide, e.now());  // a wide event fires last in every round
 }
